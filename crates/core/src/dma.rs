@@ -27,10 +27,6 @@ impl Machine {
     /// # Errors
     ///
     /// Same as [`Machine::xfer`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` or `dst` is out of range or `src == dst`.
     pub fn xfer_dma(&mut self, src: NodeId, dst: NodeId, data: &[u32]) -> Result<XferOutcome, ProtocolError> {
         self.xfer_with(src, dst, data, PayloadEngine::Dma)
     }

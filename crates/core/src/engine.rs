@@ -53,12 +53,25 @@
 //! instruction shape the blocking recovery paths charged for stray
 //! discards.
 //!
+//! ## One submission path
+//!
+//! An operation is described as data — an [`Op`]: one family
+//! constructor ([`Op::xfer`], [`Op::xfer_reliable`],
+//! [`Op::stream_send`], [`Op::rpc`], [`Op::am4`]) plus orthogonal
+//! modifiers ([`Op::after`], [`Op::recovering`], [`Op::deadline`],
+//! [`Op::class`]) — and handed to [`Engine::submit`], which validates
+//! everything before touching any state (a rejected submission consumes
+//! no id, call id or trace event), then lands the id, the state
+//! machine and every modifier together with the `Submitted` event. A
+//! new family is one constructor; a new option is one modifier.
+//! [`Engine::submit_xfer`] is shorthand for the commonest case.
+//!
 //! ## Run-after dependencies
 //!
-//! Every `submit_*` method has a `submit_*_after` twin taking
-//! `after: &[OpId]`. A dependent operation stays **held** — submitted
-//! but not admissible — until every predecessor completes successfully;
-//! the moment the last one does, the scheduler records
+//! [`Op::after`] names predecessors. A dependent operation stays
+//! **held** — submitted but not admissible — until every predecessor
+//! completes successfully; the moment the last one does, the scheduler
+//! records
 //! [`EngineEvent::Released`] and the operation joins the ordinary
 //! admission queue (conflict-key FIFO applies from that point, not
 //! before: a held operation does not occupy its conflict key). If a
@@ -72,11 +85,11 @@
 //! ## Supervision: deadlines, watchdog, cancellation
 //!
 //! Liveness is enforced per operation, not globally. Every operation
-//! can carry a *deadline* ([`Engine::set_deadline`],
-//! [`Engine::submit_xfer_reliable_with_deadline`]): when the substrate
-//! clock passes it, the operation — running, pending, or held — is
-//! settled with the retryable [`ProtocolError::DeadlineExceeded`],
-//! freeing its conflict key so queued work proceeds. Independently, a
+//! can carry a *deadline* ([`Op::deadline`], anchored at the
+//! submission cycle): when the substrate clock passes it, the
+//! operation — running, pending, or held — is settled with the
+//! retryable [`ProtocolError::DeadlineExceeded`], freeing its conflict
+//! key so queued work proceeds. Independently, a
 //! *watchdog* (default bound 4 × `max_wait_cycles`, override with
 //! [`Engine::set_watchdog`]) settles any individual running operation
 //! that has gone that many cycles without making progress — the
@@ -230,6 +243,12 @@ const CLASS_AM: u8 = 2;
 struct ActiveOp {
     id: OpId,
     op: OpKind,
+    /// Operations with equal keys are serialized ([`OpBody::conflict_key`]).
+    key: Option<ConflictKey>,
+    /// The two endpoint nodes whose packet activity can change this
+    /// op's behavior — what the event scheduler subscribes it to, and
+    /// where the class plane looks for its cost.
+    endpoints: (NodeId, NodeId),
     /// Substrate clock at admission / last step that made progress —
     /// what the no-progress watchdog measures against.
     last_progress_at: u64,
@@ -288,7 +307,7 @@ enum WheelItem {
     /// step could be anything but a cost-free `Idle` (retry window,
     /// timeout threshold, RTO, or plain backpressure re-poll).
     Wake { slot: u32, inc: u64, gen: u64 },
-    /// A deadline armed via [`Engine::set_deadline`] may be due.
+    /// A deadline ([`Op::deadline`]) is due.
     Deadline { id: OpId },
     /// A running op's no-progress watchdog may have expired.
     Watchdog { slot: u32, inc: u64 },
@@ -299,49 +318,57 @@ enum WheelItem {
 }
 
 /// Re-execution recipe and budget for one recovery-armed operation
-/// (see [`RecoveryPolicy`] and the `submit_*_recovering` variants).
+/// (see [`RecoveryPolicy`] and [`Op::recovering`]).
 struct RecoveryState {
-    spec: OpSpec,
+    /// The resolved body the operation was submitted with; every
+    /// re-execution is [`OpBody::build`] over a clone of it.
+    body: OpBody,
     policy: RecoveryPolicy,
     /// Re-executions performed so far (0 while the first execution is
     /// still the only one).
     re_executions: u32,
 }
 
-/// Everything needed to rebuild an operation's state machine for an
-/// engine-native re-execution. The rebuild is from first principles —
-/// a fresh `start` allocates a fresh session epoch — except where
-/// exactly-once semantics need continuity: a stream re-execution
-/// resumes at the receiver's contiguous mark instead of re-sending
-/// delivered packets, and an RPC re-execution reuses its call id so
-/// the callee's reply cache deduplicates a handler that already ran.
-enum OpSpec {
+/// The family-specific half of an [`Op`]: what to run, between whom.
+///
+/// `call_id`, `token` and `resume_base` are *resolved* fields — zero /
+/// `None` as constructed, filled in by the engine — and they are where
+/// exactly-once semantics need continuity across re-executions: an RPC
+/// re-execution reuses its call id so the callee's reply cache
+/// deduplicates a handler that already ran, a recovering am4 keeps its
+/// delivery token, and a stream re-execution resumes at the receiver's
+/// contiguous mark instead of re-sending delivered packets. Everything
+/// else is rebuilt from first principles (a fresh `start` allocates a
+/// fresh session epoch).
+#[derive(Debug, Clone)]
+enum OpBody {
+    Xfer {
+        src: NodeId,
+        dst: NodeId,
+        data: Vec<u32>,
+        engine: PayloadEngine,
+    },
     Reliable {
         src: NodeId,
         dst: NodeId,
         data: Vec<u32>,
-        n: usize,
         policy: RetryPolicy,
     },
     Stream {
         id: StreamId,
-        src: NodeId,
-        dst: NodeId,
         data: Vec<u32>,
-        n: usize,
-        rto_iterations: u64,
         /// First sequence number of the burst, learned from the first
         /// execution's `start` (earlier same-stream sends may still be
         /// advancing the sequence at submission time).
-        base_seq: Option<u64>,
+        resume_base: Option<u64>,
     },
     Rpc {
         src: NodeId,
         dst: NodeId,
         tag: u8,
         args: [u32; 4],
-        call_id: u64,
         policy: Option<RetryPolicy>,
+        call_id: u64,
     },
     Am4 {
         src: NodeId,
@@ -352,55 +379,296 @@ enum OpSpec {
     },
 }
 
-impl OpSpec {
-    /// The node recovery work is billed at (the operation's source).
-    fn source(&self) -> NodeId {
+impl OpBody {
+    /// `(source, destination)`. The source is where recovery work is
+    /// billed.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a stream id the machine never opened (submission
+    /// rejects those before anything calls this).
+    fn endpoints(&self, m: &Machine) -> (NodeId, NodeId) {
         match self {
-            OpSpec::Reliable { src, .. }
-            | OpSpec::Stream { src, .. }
-            | OpSpec::Rpc { src, .. }
-            | OpSpec::Am4 { src, .. } => *src,
+            OpBody::Xfer { src, dst, .. }
+            | OpBody::Reliable { src, dst, .. }
+            | OpBody::Rpc { src, dst, .. }
+            | OpBody::Am4 { src, dst, .. } => (*src, *dst),
+            OpBody::Stream { id, .. } => {
+                let st = m.stream_state(*id);
+                (st.src, st.dst)
+            }
         }
     }
 
-    /// Mirror of [`OpKind::conflict_key`], answerable while the op is
-    /// parked (no live `OpKind` exists between executions).
-    fn conflict_key(&self) -> Option<ConflictKey> {
-        match self {
-            OpSpec::Reliable { src, dst, .. } => Some((CLASS_XFER, *src, *dst)),
-            OpSpec::Stream { src, dst, .. } => Some((CLASS_STREAM, *src, *dst)),
-            OpSpec::Rpc { .. } => None,
-            OpSpec::Am4 { src, dst, .. } => Some((CLASS_AM, *src, *dst)),
-        }
+    /// Operations with equal keys are serialized; `None` never
+    /// conflicts. Answerable while the op is parked (no live [`OpKind`]
+    /// exists between executions).
+    fn conflict_key(&self, m: &Machine) -> Option<ConflictKey> {
+        let class = match self {
+            OpBody::Xfer { .. } | OpBody::Reliable { .. } => CLASS_XFER,
+            OpBody::Stream { .. } => CLASS_STREAM,
+            OpBody::Rpc { .. } => return None,
+            OpBody::Am4 { .. } => CLASS_AM,
+        };
+        let (src, dst) = self.endpoints(m);
+        Some((class, src, dst))
     }
 
-    fn rebuild(&self) -> OpKind {
+    /// Build a fresh state machine — the one constructor behind the
+    /// first execution and every recovery re-execution. `managed` marks
+    /// the op as recovery-managed (see [`Op::recovering`]).
+    fn build(self, m: &Machine, managed: bool) -> OpKind {
+        let n = m.config().packet_words;
         match self {
-            OpSpec::Reliable { src, dst, data, n, policy } => OpKind::Reliable(ReliableOp::new(
-                *src,
-                *dst,
-                data.clone(),
-                *n,
-                policy.clone(),
-            )),
-            OpSpec::Stream { id, src, dst, data, n, rto_iterations, base_seq } => {
-                let mut op = StreamOp::new(*id, *src, *dst, data.clone(), *n, *rto_iterations);
-                op.resume_base = *base_seq;
+            OpBody::Xfer { src, dst, data, engine } => {
+                OpKind::Xfer(XferOp::new(src, dst, data, engine, n))
+            }
+            OpBody::Reliable { src, dst, data, policy } => {
+                OpKind::Reliable(ReliableOp::new(src, dst, data, n, policy))
+            }
+            OpBody::Stream { id, data, resume_base } => {
+                let st = m.stream_state(id);
+                let mut op = StreamOp::new(id, st.src, st.dst, data, n, st.rto_iterations());
+                op.resume_base = resume_base;
                 OpKind::Stream(op)
             }
-            OpSpec::Rpc { src, dst, tag, args, call_id, policy } => OpKind::Rpc(RpcOp::new(
-                *src,
-                *dst,
-                *tag,
-                *args,
-                *call_id,
-                policy.clone(),
-                true,
-            )),
-            OpSpec::Am4 { src, dst, tag, words, token } => {
-                OpKind::Am4(Am4Op::new(*src, *dst, *tag, *words, *token, true))
+            OpBody::Rpc { src, dst, tag, args, policy, call_id } => {
+                OpKind::Rpc(RpcOp::new(src, dst, tag, args, call_id, policy, managed))
+            }
+            OpBody::Am4 { src, dst, tag, words, token } => {
+                OpKind::Am4(Am4Op::new(src, dst, tag, words, token, managed))
             }
         }
+    }
+}
+
+/// One operation to submit: a family constructor ([`Op::xfer`],
+/// [`Op::xfer_reliable`], [`Op::stream_send`], [`Op::rpc`],
+/// [`Op::am4`]) plus orthogonal modifiers ([`Op::after`],
+/// [`Op::recovering`], [`Op::deadline`], [`Op::class`]), handed to
+/// [`Engine::submit`]. The description is plain data: nothing is
+/// validated, allocated or traced until submission.
+///
+/// ```
+/// # use timego_am::{Op, RecoveryPolicy};
+/// # use timego_netsim::NodeId;
+/// let op = Op::rpc(NodeId::new(0), NodeId::new(1), 40, [1, 2, 3, 4], None)
+///     .recovering(&RecoveryPolicy::default())
+///     .deadline(10_000)
+///     .class(2);
+/// # let _ = op;
+/// ```
+#[derive(Debug, Clone)]
+pub struct Op {
+    body: OpBody,
+    after: Vec<OpId>,
+    recovery: Option<RecoveryPolicy>,
+    deadline: Option<u64>,
+    class: Option<u8>,
+}
+
+impl Op {
+    fn new(body: OpBody) -> Self {
+        Op { body, after: Vec::new(), recovery: None, deadline: None, class: None }
+    }
+
+    /// A finite-sequence transfer (the engine form of
+    /// [`Machine::xfer`]).
+    #[must_use]
+    pub fn xfer(src: NodeId, dst: NodeId, data: &[u32]) -> Self {
+        Op::xfer_via(src, dst, data, PayloadEngine::Cpu)
+    }
+
+    pub(crate) fn xfer_via(src: NodeId, dst: NodeId, data: &[u32], engine: PayloadEngine) -> Self {
+        Op::new(OpBody::Xfer { src, dst, data: data.to_vec(), engine })
+    }
+
+    /// A fault-tolerant finite-sequence transfer (the engine form of
+    /// [`Machine::xfer_reliable`]).
+    #[must_use]
+    pub fn xfer_reliable(src: NodeId, dst: NodeId, data: &[u32], policy: &RetryPolicy) -> Self {
+        Op::new(OpBody::Reliable { src, dst, data: data.to_vec(), policy: policy.clone() })
+    }
+
+    /// A stream send (the engine form of [`Machine::stream_send`]).
+    /// Sends on the same stream (or between the same node pair) are
+    /// serialized in submission order.
+    #[must_use]
+    pub fn stream_send(id: StreamId, data: &[u32]) -> Self {
+        Op::new(OpBody::Stream { id, data: data.to_vec(), resume_base: None })
+    }
+
+    /// An RPC (the engine form of [`Machine::rpc_call`] without a
+    /// policy, [`Machine::rpc_call_retrying`] with one). The call id is
+    /// allocated at submission, so replies of concurrent calls — even
+    /// between the same pair of nodes — are matched by correlation id.
+    #[must_use]
+    pub fn rpc(
+        src: NodeId,
+        dst: NodeId,
+        tag: u8,
+        args: [u32; 4],
+        policy: Option<&RetryPolicy>,
+    ) -> Self {
+        Op::new(OpBody::Rpc { src, dst, tag, args, policy: policy.cloned(), call_id: 0 })
+    }
+
+    /// A single four-word active message (the engine form of
+    /// [`Machine::am4_send`] plus the destination's gated poll) — the
+    /// building block of engine-native collectives, where every tree
+    /// edge is one active message released by the delivery that fed its
+    /// sender. The source pays Table 1's 20-instruction injection path
+    /// (again on every backpressure retry, exactly like the blocking
+    /// call); the destination pays the 27-instruction poll-with-message
+    /// path when the packet is latched — never an idle poll, because
+    /// consumption is peek-gated. The outcome carries the words the
+    /// destination read ([`OpOutcome::Am4`]).
+    ///
+    /// Messages between the same ordered pair are serialized in
+    /// submission order (conflict key), so two concurrent sends with the
+    /// same tag cannot swap deliveries.
+    #[must_use]
+    pub fn am4(src: NodeId, dst: NodeId, tag: u8, words: [u32; 4]) -> Self {
+        Op::new(OpBody::Am4 { src, dst, tag, words, token: 0 })
+    }
+
+    /// Run-after dependencies: hold the operation until every op in
+    /// `ids` completes successfully (repeated calls accumulate).
+    #[must_use]
+    pub fn after(mut self, ids: &[OpId]) -> Self {
+        self.after.extend_from_slice(ids);
+        self
+    }
+
+    /// Attach an engine-native [`RecoveryPolicy`]: if the operation
+    /// settles with a retryable error (`SessionReset`, `Timeout`,
+    /// `DeadlineExceeded`), the scheduler itself re-executes it under
+    /// the same [`OpId`] after the policy's backoff window — no
+    /// caller-side loop, and run-after dependents stay held instead of
+    /// cascading [`ProtocolError::DependencyFailed`]. Each re-execution
+    /// bills the session-restart instruction shape to
+    /// `Feature::FaultTol` at the source; a clean run is
+    /// instruction-identical to the unmodified op.
+    ///
+    /// Re-execution is exactly-once per family: a reliable transfer
+    /// restarts under a fresh session epoch; a stream send *resumes*
+    /// (packets the receiver already delivered in-sequence are not
+    /// re-sent); an RPC reuses its call id, so a callee whose handler
+    /// already ran answers from its reply cache (at most once per
+    /// callee incarnation); an am4 rides a nonzero *delivery token* in
+    /// the header word (plain user traffic always carries header `0`),
+    /// so a duplicate left by a crash-straddling re-execution can never
+    /// be mistaken for a later same-pair message and is
+    /// orphan-discarded once its operation completes.
+    ///
+    /// Attaching any policy — even [`RecoveryPolicy::none`] — marks an
+    /// RPC or am4 as *recovery-managed*: it fails fast with the
+    /// retryable `SessionReset` when an endpoint crash-restarts, and
+    /// the am4 carries its token. Plain [`Op::xfer`] has no
+    /// re-execution recipe; submitting it with a policy is rejected.
+    #[must_use]
+    pub fn recovering(mut self, policy: &RecoveryPolicy) -> Self {
+        self.recovery = Some(policy.clone());
+        self
+    }
+
+    /// A completion deadline, in substrate cycles from the submission
+    /// cycle: if the operation — running, pending, held or parked — has
+    /// not completed by then, the engine settles it with the retryable
+    /// [`ProtocolError::DeadlineExceeded`] and cascades
+    /// [`ProtocolError::DependencyFailed`] into its dependents, exactly
+    /// like any other failure. Supervision is host-side scheduling: it
+    /// charges no simulated instructions.
+    #[must_use]
+    pub fn deadline(mut self, cycles: u64) -> Self {
+        self.deadline = Some(cycles);
+        self
+    }
+
+    /// Tag the operation with a *request class* (QoS tier, tenant,
+    /// priority band — any `u8` the caller chooses). Every instruction
+    /// the operation causes at either of its endpoints — admission
+    /// `start`, every `step` (including callee handler work an RPC
+    /// drives at its destination), and engine-native recovery restarts
+    /// — is *also* accumulated into that class's [`CostVector`],
+    /// splitting the per-node bills by class. The split is attribution,
+    /// not double-billing: the node recorders are untouched, and on
+    /// clean runs the per-class bills sum exactly to the total the node
+    /// recorders saw (see `tests/serving_invariants.rs`). The tag lands
+    /// with the submission, so nothing the op costs escapes it.
+    /// Untagged operations are never snapshotted, and a fully untagged
+    /// engine skips the class plane entirely.
+    #[must_use]
+    pub fn class(mut self, class: u8) -> Self {
+        self.class = Some(class);
+        self
+    }
+
+    /// Everything that can reject the submission, checked before any
+    /// engine or machine state is touched. `next_id` is the id the
+    /// engine would assign: ids are handed out densely at submission,
+    /// so a dependency at or past it is a forward (or self) reference —
+    /// the only way a dependency cycle could ever be expressed.
+    fn validate(&self, m: &Machine, next_id: u64) -> Result<(), ProtocolError> {
+        let bad = |what: String| Err(ProtocolError::BadTransfer(what));
+        if let OpBody::Stream { id, .. } = &self.body {
+            if !m.has_stream(*id) {
+                return bad("stream id was not opened on this machine".into());
+            }
+        }
+        let (src, dst) = self.body.endpoints(m);
+        for (field, node) in [("src", src), ("dst", dst)] {
+            if node.index() >= m.num_nodes() {
+                return bad(format!("{field} {node} is out of range ({} nodes)", m.num_nodes()));
+            }
+        }
+        if src == dst {
+            return bad(format!("src and dst are both {src}; endpoints must differ"));
+        }
+        match &self.body {
+            OpBody::Reliable { policy, .. } | OpBody::Rpc { policy: Some(policy), .. }
+                if policy.max_attempts == 0 =>
+            {
+                return bad("policy.max_attempts is 0; need at least one attempt".into());
+            }
+            OpBody::Xfer { data, .. } | OpBody::Reliable { data, .. } if data.is_empty() => {
+                return bad("empty transfer".into());
+            }
+            OpBody::Xfer { .. } if self.recovery.is_some() => {
+                return bad(
+                    "recovering: a plain xfer has no re-execution recipe (use Op::xfer_reliable)"
+                        .into(),
+                );
+            }
+            OpBody::Reliable { data, .. } if data.len() >= (1 << OFFSET_BITS) => {
+                return bad(format!(
+                    "reliable transfer caps at {} words, got {}",
+                    (1 << OFFSET_BITS) - 1,
+                    data.len()
+                ));
+            }
+            OpBody::Stream { data, .. } if data.is_empty() => {
+                return bad("empty stream send".into());
+            }
+            OpBody::Am4 { tag, .. } if *tag < Tags::USER_BASE => {
+                return bad(format!(
+                    "am4 tag {tag} is in the reserved protocol range (< {})",
+                    Tags::USER_BASE
+                ));
+            }
+            _ => {}
+        }
+        if self.recovery.as_ref().is_some_and(|p| p.max_executions == 0) {
+            return bad("recovery.max_executions is 0; need at least one execution".into());
+        }
+        if let Some(dep) = self.after.iter().find(|d| d.raw() >= next_id) {
+            return bad(format!(
+                "run-after dependency on op {} which this engine has not submitted; \
+                 edges must point backward, so dependency cycles are rejected at submission",
+                dep.raw()
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -413,16 +681,6 @@ enum OpKind {
 }
 
 impl OpKind {
-    fn conflict_key(&self) -> Option<ConflictKey> {
-        match self {
-            OpKind::Xfer(op) => Some((CLASS_XFER, op.src, op.dst)),
-            OpKind::Reliable(op) => Some((CLASS_XFER, op.src, op.dst)),
-            OpKind::Stream(op) => Some((CLASS_STREAM, op.src, op.dst)),
-            OpKind::Rpc(_) => None,
-            OpKind::Am4(op) => Some((CLASS_AM, op.src, op.dst)),
-        }
-    }
-
     fn start(&mut self, m: &mut Machine) {
         match self {
             OpKind::Xfer(op) => op.start(m),
@@ -443,18 +701,8 @@ impl OpKind {
         }
     }
 
-    fn tick(&mut self) {
-        match self {
-            OpKind::Xfer(op) => op.tick(),
-            OpKind::Reliable(op) => op.tick(),
-            OpKind::Stream(op) => op.tick(),
-            OpKind::Rpc(op) => op.tick(),
-            OpKind::Am4(op) => op.tick(),
-        }
-    }
-
     /// Deliver `k` timer ticks at once — exactly what `k` consecutive
-    /// [`OpKind::tick`] calls with no intervening steps would do. The
+    /// single ticks with no intervening steps would do. The
     /// event scheduler ticks sleeping ops lazily on wake, and a
     /// sleeping op by construction takes no steps in between, so the
     /// per-op closed forms are exact. `k == 0` is a no-op: a same-cycle
@@ -470,18 +718,6 @@ impl OpKind {
             OpKind::Stream(op) => op.tick_n(k),
             OpKind::Rpc(op) => op.tick_n(k),
             OpKind::Am4(op) => op.tick_n(k),
-        }
-    }
-
-    /// The two endpoint nodes whose packet activity can change this
-    /// op's behavior — what the event scheduler subscribes it to.
-    fn endpoints(&self) -> (NodeId, NodeId) {
-        match self {
-            OpKind::Xfer(op) => (op.src, op.dst),
-            OpKind::Reliable(op) => (op.src, op.dst),
-            OpKind::Stream(op) => (op.src, op.dst),
-            OpKind::Rpc(op) => (op.src, op.dst),
-            OpKind::Am4(op) => (op.src, op.dst),
         }
     }
 
@@ -563,8 +799,8 @@ fn win(bound: u64, waited: u64) -> u64 {
 /// The protocol engine: a scheduler interleaving NI polls, timer
 /// expiries, and injections across every submitted operation.
 ///
-/// Submit operations with the `submit_*` methods, drive them to
-/// completion with [`Engine::run`], and collect `OpId`-keyed results
+/// Describe operations as [`Op`]s and hand them to [`Engine::submit`],
+/// drive them to completion with [`Engine::run`], and collect `OpId`-keyed results
 /// with [`Engine::take_outcome`].
 pub struct Engine {
     next_id: u64,
@@ -626,7 +862,7 @@ pub struct Engine {
     // 4 × max_wait_cycles from the machine config at enforcement time.
     watchdog: Option<u64>,
     // Engine-native recovery plane: per-op re-execution recipe and
-    // budget, armed by the `submit_*_recovering` variants. Entries are
+    // budget, armed by `Op::recovering`. Entries are
     // kept after settlement so `recovery_executions` stays answerable.
     recovery: BTreeMap<OpId, RecoveryState>,
     // Ops waiting out a recovery backoff window: id -> absolute
@@ -638,7 +874,7 @@ pub struct Engine {
     // Consecutive no-progress cycles, persisted across `pump` calls
     // (diagnostic context for the defensive held-op sweep).
     idle_streak: u64,
-    // Request-class plane (see `set_class`): op id -> caller-assigned
+    // Request-class plane (see `Op::class`): op id -> caller-assigned
     // class tag, and the accumulated per-class cost split. Both empty
     // unless a caller tags ops, and every hot-path hook is gated on
     // that emptiness — untagged workloads pay nothing.
@@ -761,28 +997,82 @@ impl Engine {
         self.trace.push(TracedEvent { at: clock(m), event });
     }
 
-    fn submit(&mut self, m: &Machine, op: OpKind) -> OpId {
-        self.enqueue(m, op, &[]).expect("no dependencies to reject")
+    /// Submit one operation: validate everything, allocate its id (and
+    /// the RPC call id / am4 delivery token), build its state machine,
+    /// and land class, recovery policy and deadline together with the
+    /// [`EngineEvent::Submitted`] event. The operation is released into
+    /// the admission queue at once, or held until its [`Op::after`]
+    /// predecessors complete.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::BadTransfer`], naming the offending field, for
+    /// equal or out-of-range endpoints, a stream id this machine never
+    /// opened, empty or oversized data, a reserved (protocol-range) am4
+    /// tag, a zero-attempt [`RetryPolicy`] or zero-execution
+    /// [`RecoveryPolicy`], [`Op::recovering`] on a plain transfer, or a
+    /// dependency on an id this engine has not submitted (forward
+    /// references — the only way to express a cycle). A rejected
+    /// submission changes nothing: no id, call id, trace event or queue
+    /// entry is consumed.
+    pub fn submit(&mut self, m: &mut Machine, mut op: Op) -> Result<OpId, ProtocolError> {
+        op.validate(m, self.next_id)?;
+        // Correlation ids are the only machine state a submission
+        // touches, which is why `submit_xfer` gets by on `&Machine`.
+        match &mut op.body {
+            OpBody::Rpc { call_id, .. } => *call_id = m.alloc_call_id(),
+            // Allocated from the same counter as RPC call ids; the high
+            // bit keeps it nonzero, which is what distinguishes a
+            // recovery-stamped message from plain header-0 user traffic.
+            OpBody::Am4 { token, .. } if op.recovery.is_some() => {
+                *token = (m.alloc_call_id() as u32) | 0x8000_0000;
+            }
+            _ => {}
+        }
+        Ok(self.enqueue(m, op))
     }
 
-    /// Shared submission path: validate the run-after edges, assign an
-    /// id, then either release the operation into the admission queue or
-    /// hold it until its predecessors complete.
-    fn enqueue(&mut self, m: &Machine, op: OpKind, after: &[OpId]) -> Result<OpId, ProtocolError> {
-        for dep in after {
-            // Ids are handed out densely at submission, so any id at or
-            // past `next_id` is a forward (or self) reference — the only
-            // way a dependency cycle could ever be expressed.
-            if dep.raw() >= self.next_id {
-                return Err(ProtocolError::BadTransfer(format!(
-                    "run-after dependency on op {} which this engine has not submitted; \
-                     edges must point backward, so dependency cycles are rejected at submission",
-                    dep.raw()
-                )));
-            }
-        }
+    /// Shorthand for `submit(m, Op::xfer(src, dst, data))` that needs
+    /// only `&Machine` (a plain transfer allocates no correlation id).
+    ///
+    /// # Errors
+    ///
+    /// As [`Engine::submit`].
+    pub fn submit_xfer(
+        &mut self,
+        m: &Machine,
+        src: NodeId,
+        dst: NodeId,
+        data: &[u32],
+    ) -> Result<OpId, ProtocolError> {
+        let op = Op::xfer(src, dst, data);
+        op.validate(m, self.next_id).map(|()| self.enqueue(m, op))
+    }
+
+    /// The one submission path, past validation: assign an id, land the
+    /// modifiers, build the state machine, then either release the
+    /// operation into the admission queue or hold it until its
+    /// predecessors complete.
+    fn enqueue(&mut self, m: &Machine, op: Op) -> OpId {
+        let Op { body, after, recovery, deadline, class } = op;
         let id = OpId(self.next_id);
         self.next_id += 1;
+        if let Some(class) = class {
+            self.class_of.insert(id, class);
+        }
+        let (key, endpoints) = (body.conflict_key(m), body.endpoints(m));
+        let managed = recovery.is_some();
+        let kind = match recovery {
+            // The one extra payload copy recovery costs: the body stays
+            // behind as the re-execution recipe.
+            Some(policy) if policy.max_executions > 1 => {
+                let kind = body.clone().build(m, managed);
+                self.recovery.insert(id, RecoveryState { body, policy, re_executions: 0 });
+                kind
+            }
+            _ => body.build(m, managed),
+        };
+        let op = ActiveOp { id, op: kind, key, endpoints, last_progress_at: 0 };
         self.record(m, EngineEvent::Submitted(id));
         // A predecessor that already failed fells the dependent at
         // submission — same outcome it would get if the failure happened
@@ -794,612 +1084,29 @@ impl Engine {
                 .cloned()
                 .unwrap_or_else(|| ProtocolError::timeout("predecessor outcome", 0));
             self.settle(m, id, Err(ProtocolError::dependency_failed(failed, &root)));
-            return Ok(id);
+            return id;
         }
         let waiting_on: HashSet<OpId> =
             after.iter().copied().filter(|d| !self.done_ok.contains(d)).collect();
         if waiting_on.is_empty() {
             self.record(m, EngineEvent::Released(id));
-            self.pending.push_back(ActiveOp { id, op, last_progress_at: 0 });
+            self.pending.push_back(op);
         } else {
             for dep in &waiting_on {
                 self.dependents.entry(*dep).or_default().push(id);
             }
-            self.held.insert(
-                id,
-                HeldOp { op: ActiveOp { id, op, last_progress_at: 0 }, waiting_on },
-            );
+            self.held.insert(id, HeldOp { op, waiting_on });
         }
-        Ok(id)
-    }
-
-    /// Submit a finite-sequence transfer (the engine form of
-    /// [`Machine::xfer`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::BadTransfer`] for empty data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src == dst` or either node is out of range.
-    pub fn submit_xfer(
-        &mut self,
-        m: &Machine,
-        src: NodeId,
-        dst: NodeId,
-        data: &[u32],
-    ) -> Result<OpId, ProtocolError> {
-        self.submit_xfer_with(m, src, dst, data, PayloadEngine::Cpu)
-    }
-
-    /// [`Engine::submit_xfer`] with run-after dependencies: the transfer
-    /// is held until every operation in `after` completes successfully.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::BadTransfer`] for empty data or a dependency on
-    /// an id this engine has not submitted (forward references — the
-    /// only way to express a cycle — are rejected at submission).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src == dst` or either node is out of range.
-    pub fn submit_xfer_after(
-        &mut self,
-        m: &Machine,
-        src: NodeId,
-        dst: NodeId,
-        data: &[u32],
-        after: &[OpId],
-    ) -> Result<OpId, ProtocolError> {
-        assert_ne!(src, dst, "transfer endpoints must differ");
-        assert!(src.index() < m.num_nodes() && dst.index() < m.num_nodes());
-        if data.is_empty() {
-            return Err(ProtocolError::BadTransfer("empty transfer".into()));
+        if let Some(budget) = deadline {
+            let at = clock(m).saturating_add(budget);
+            self.deadlines.insert(id, (at, budget));
+            if self.mode == SchedMode::EventDriven {
+                // Wheel entries are never cancelled: one that outlives
+                // its op finds no deadline when it fires and is dropped.
+                self.wheel.insert(at, WheelItem::Deadline { id });
+            }
         }
-        let n = m.config().packet_words;
-        self.enqueue(
-            m,
-            OpKind::Xfer(XferOp::new(src, dst, data.to_vec(), PayloadEngine::Cpu, n)),
-            after,
-        )
-    }
-
-    pub(crate) fn submit_xfer_with(
-        &mut self,
-        m: &Machine,
-        src: NodeId,
-        dst: NodeId,
-        data: &[u32],
-        engine: PayloadEngine,
-    ) -> Result<OpId, ProtocolError> {
-        assert_ne!(src, dst, "transfer endpoints must differ");
-        assert!(src.index() < m.num_nodes() && dst.index() < m.num_nodes());
-        if data.is_empty() {
-            return Err(ProtocolError::BadTransfer("empty transfer".into()));
-        }
-        let n = m.config().packet_words;
-        Ok(self.submit(m, OpKind::Xfer(XferOp::new(src, dst, data.to_vec(), engine, n))))
-    }
-
-    /// Submit a fault-tolerant finite-sequence transfer (the engine form
-    /// of [`Machine::xfer_reliable`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::BadTransfer`] for empty or oversized data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src == dst`, either node is out of range, or the
-    /// policy allows zero attempts.
-    pub fn submit_xfer_reliable(
-        &mut self,
-        m: &Machine,
-        src: NodeId,
-        dst: NodeId,
-        data: &[u32],
-        policy: &RetryPolicy,
-    ) -> Result<OpId, ProtocolError> {
-        self.submit_xfer_reliable_after(m, src, dst, data, policy, &[])
-    }
-
-    /// [`Engine::submit_xfer_reliable`] with run-after dependencies.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::BadTransfer`] for empty or oversized data, or a
-    /// dependency on an id this engine has not submitted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src == dst`, either node is out of range, or the
-    /// policy allows zero attempts.
-    pub fn submit_xfer_reliable_after(
-        &mut self,
-        m: &Machine,
-        src: NodeId,
-        dst: NodeId,
-        data: &[u32],
-        policy: &RetryPolicy,
-        after: &[OpId],
-    ) -> Result<OpId, ProtocolError> {
-        assert_ne!(src, dst, "transfer endpoints must differ");
-        assert!(src.index() < m.num_nodes() && dst.index() < m.num_nodes());
-        assert!(policy.max_attempts >= 1, "need at least one attempt");
-        if data.is_empty() {
-            return Err(ProtocolError::BadTransfer("empty transfer".into()));
-        }
-        if data.len() >= (1 << OFFSET_BITS) {
-            return Err(ProtocolError::BadTransfer(format!(
-                "reliable transfer caps at {} words, got {}",
-                (1 << OFFSET_BITS) - 1,
-                data.len()
-            )));
-        }
-        let n = m.config().packet_words;
-        self.enqueue(
-            m,
-            OpKind::Reliable(ReliableOp::new(src, dst, data.to_vec(), n, policy.clone())),
-            after,
-        )
-    }
-
-    /// Submit a stream send (the engine form of
-    /// [`Machine::stream_send`]). Sends on the same stream (or between
-    /// the same node pair) are serialized in submission order.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::BadTransfer`] for empty data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is stale.
-    pub fn submit_stream_send(
-        &mut self,
-        m: &Machine,
-        id: StreamId,
-        data: &[u32],
-    ) -> Result<OpId, ProtocolError> {
-        self.submit_stream_send_after(m, id, data, &[])
-    }
-
-    /// [`Engine::submit_stream_send`] with run-after dependencies.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::BadTransfer`] for empty data or a dependency on
-    /// an id this engine has not submitted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is stale.
-    pub fn submit_stream_send_after(
-        &mut self,
-        m: &Machine,
-        id: StreamId,
-        data: &[u32],
-        after: &[OpId],
-    ) -> Result<OpId, ProtocolError> {
-        if data.is_empty() {
-            return Err(ProtocolError::BadTransfer("empty stream send".into()));
-        }
-        let st = m.stream_state(id);
-        let n = m.config().packet_words;
-        self.enqueue(
-            m,
-            OpKind::Stream(StreamOp::new(id, st.src, st.dst, data.to_vec(), n, st.rto_iterations())),
-            after,
-        )
-    }
-
-    /// Submit an RPC (the engine form of [`Machine::rpc_call`] without a
-    /// policy, [`Machine::rpc_call_retrying`] with one). The call id is
-    /// allocated at submission, so replies of concurrent calls — even
-    /// between the same pair of nodes — are matched by correlation id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src == dst`, either node is out of range, or a policy
-    /// allows zero attempts.
-    pub fn submit_rpc(
-        &mut self,
-        m: &mut Machine,
-        src: NodeId,
-        dst: NodeId,
-        tag: u8,
-        args: [u32; 4],
-        policy: Option<&RetryPolicy>,
-    ) -> OpId {
-        assert_ne!(src, dst, "rpc endpoints must differ");
-        assert!(src.index() < m.num_nodes() && dst.index() < m.num_nodes());
-        if let Some(p) = policy {
-            assert!(p.max_attempts >= 1, "need at least one attempt");
-        }
-        let call_id = m.alloc_call_id();
-        self.submit(m, OpKind::Rpc(RpcOp::new(src, dst, tag, args, call_id, policy.cloned(), false)))
-    }
-
-    /// [`Engine::submit_rpc`] with run-after dependencies.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::BadTransfer`] for a dependency on an id this
-    /// engine has not submitted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src == dst`, either node is out of range, or a policy
-    /// allows zero attempts.
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit_rpc_after(
-        &mut self,
-        m: &mut Machine,
-        src: NodeId,
-        dst: NodeId,
-        tag: u8,
-        args: [u32; 4],
-        policy: Option<&RetryPolicy>,
-        after: &[OpId],
-    ) -> Result<OpId, ProtocolError> {
-        assert_ne!(src, dst, "rpc endpoints must differ");
-        assert!(src.index() < m.num_nodes() && dst.index() < m.num_nodes());
-        if let Some(p) = policy {
-            assert!(p.max_attempts >= 1, "need at least one attempt");
-        }
-        let call_id = m.alloc_call_id();
-        self.enqueue(
-            m,
-            OpKind::Rpc(RpcOp::new(src, dst, tag, args, call_id, policy.cloned(), false)),
-            after,
-        )
-    }
-
-    /// Submit a single four-word active message (the engine form of
-    /// [`Machine::am4_send`] plus the destination's gated poll). The
-    /// source pays Table 1's 20-instruction injection path (again on
-    /// every backpressure retry, exactly like the blocking call); the
-    /// destination pays the 27-instruction poll-with-message path when
-    /// the packet is latched — never an idle poll, because consumption
-    /// is peek-gated. The outcome carries the words the destination
-    /// read ([`OpOutcome::Am4`]).
-    ///
-    /// Messages between the same ordered pair are serialized in
-    /// submission order (conflict key), so two concurrent sends with the
-    /// same tag cannot swap deliveries.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::BadTransfer`] for a reserved (protocol-range)
-    /// tag.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src == dst` or either node is out of range.
-    pub fn submit_am4(
-        &mut self,
-        m: &Machine,
-        src: NodeId,
-        dst: NodeId,
-        tag: u8,
-        words: [u32; 4],
-    ) -> Result<OpId, ProtocolError> {
-        self.submit_am4_after(m, src, dst, tag, words, &[])
-    }
-
-    /// [`Engine::submit_am4`] with run-after dependencies — the building
-    /// block of engine-native collectives, where every tree edge is one
-    /// active message released by the delivery that fed its sender.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::BadTransfer`] for a reserved tag or a dependency
-    /// on an id this engine has not submitted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src == dst` or either node is out of range.
-    pub fn submit_am4_after(
-        &mut self,
-        m: &Machine,
-        src: NodeId,
-        dst: NodeId,
-        tag: u8,
-        words: [u32; 4],
-        after: &[OpId],
-    ) -> Result<OpId, ProtocolError> {
-        assert_ne!(src, dst, "am4 endpoints must differ");
-        assert!(src.index() < m.num_nodes() && dst.index() < m.num_nodes());
-        if tag < Tags::USER_BASE {
-            return Err(ProtocolError::BadTransfer(format!(
-                "am4 tag {tag} is in the reserved protocol range (< {})",
-                Tags::USER_BASE
-            )));
-        }
-        self.enqueue(m, OpKind::Am4(Am4Op::new(src, dst, tag, words, 0, false)), after)
-    }
-
-    // -----------------------------------------------------------------
-    // Engine-native recovery: `submit_*_recovering` variants.
-    // -----------------------------------------------------------------
-
-    /// Arm engine-native recovery for an already-submitted operation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy allows zero executions.
-    fn arm_recovery(&mut self, id: OpId, spec: OpSpec, policy: &RecoveryPolicy) {
-        assert!(policy.max_executions >= 1, "need at least one execution");
-        if policy.max_executions > 1 {
-            self.recovery.insert(
-                id,
-                RecoveryState { spec, policy: policy.clone(), re_executions: 0 },
-            );
-        }
-    }
-
-    /// [`Engine::submit_xfer_reliable`] with an attached
-    /// [`RecoveryPolicy`]: if the transfer settles with a retryable
-    /// error (`SessionReset`, `Timeout`, `DeadlineExceeded`), the
-    /// scheduler itself re-executes it under a fresh session epoch
-    /// after the policy's backoff window — no caller-side loop. Each
-    /// re-execution bills the session-restart instruction shape to
-    /// `Feature::FaultTol` at the source; a clean run is
-    /// instruction-identical to [`Engine::submit_xfer_reliable`].
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::BadTransfer`] for empty or oversized data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src == dst`, either node is out of range, or either
-    /// policy allows zero attempts/executions.
-    pub fn submit_xfer_reliable_recovering(
-        &mut self,
-        m: &Machine,
-        src: NodeId,
-        dst: NodeId,
-        data: &[u32],
-        policy: &RetryPolicy,
-        recovery: &RecoveryPolicy,
-    ) -> Result<OpId, ProtocolError> {
-        self.submit_xfer_reliable_recovering_after(m, src, dst, data, policy, recovery, &[])
-    }
-
-    /// [`Engine::submit_xfer_reliable_recovering`] with run-after
-    /// dependencies. Because the op keeps its `OpId` across
-    /// re-executions, dependents stay held while it recovers and
-    /// release when it finally succeeds — a recovered predecessor does
-    /// *not* cascade [`ProtocolError::DependencyFailed`].
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::BadTransfer`] for empty or oversized data, or a
-    /// dependency on an id this engine has not submitted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src == dst`, either node is out of range, or either
-    /// policy allows zero attempts/executions.
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit_xfer_reliable_recovering_after(
-        &mut self,
-        m: &Machine,
-        src: NodeId,
-        dst: NodeId,
-        data: &[u32],
-        policy: &RetryPolicy,
-        recovery: &RecoveryPolicy,
-        after: &[OpId],
-    ) -> Result<OpId, ProtocolError> {
-        let id = self.submit_xfer_reliable_after(m, src, dst, data, policy, after)?;
-        let n = m.config().packet_words;
-        self.arm_recovery(
-            id,
-            OpSpec::Reliable { src, dst, data: data.to_vec(), n, policy: policy.clone() },
-            recovery,
-        );
-        Ok(id)
-    }
-
-    /// [`Engine::submit_stream_send`] with an attached
-    /// [`RecoveryPolicy`]. A re-execution *resumes* the burst instead
-    /// of restarting it: packets the receiver already delivered
-    /// in-sequence are not re-sent, so the stream stays exactly-once
-    /// and byte-exact across sender or receiver crash-restarts.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::BadTransfer`] for empty data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is stale or the policy allows zero executions.
-    pub fn submit_stream_send_recovering(
-        &mut self,
-        m: &Machine,
-        id: StreamId,
-        data: &[u32],
-        recovery: &RecoveryPolicy,
-    ) -> Result<OpId, ProtocolError> {
-        self.submit_stream_send_recovering_after(m, id, data, recovery, &[])
-    }
-
-    /// [`Engine::submit_stream_send_recovering`] with run-after
-    /// dependencies.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::BadTransfer`] for empty data or a dependency on
-    /// an id this engine has not submitted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is stale or the policy allows zero executions.
-    pub fn submit_stream_send_recovering_after(
-        &mut self,
-        m: &Machine,
-        id: StreamId,
-        data: &[u32],
-        recovery: &RecoveryPolicy,
-        after: &[OpId],
-    ) -> Result<OpId, ProtocolError> {
-        let op = self.submit_stream_send_after(m, id, data, after)?;
-        let st = m.stream_state(id);
-        let n = m.config().packet_words;
-        self.arm_recovery(
-            op,
-            OpSpec::Stream {
-                id,
-                src: st.src,
-                dst: st.dst,
-                data: data.to_vec(),
-                n,
-                rto_iterations: st.rto_iterations(),
-                base_seq: None,
-            },
-            recovery,
-        );
-        Ok(op)
-    }
-
-    /// [`Engine::submit_rpc`] with an attached [`RecoveryPolicy`]. A
-    /// re-execution reuses the original call id, so if the callee's
-    /// handler already ran, its reply cache answers the re-sent request
-    /// as a duplicate — the handler executes at most once per callee
-    /// incarnation (a callee crash-restart legitimately re-runs it on
-    /// the fresh incarnation, which is what the restart erased).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src == dst`, either node is out of range, or either
-    /// policy allows zero attempts/executions.
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit_rpc_recovering(
-        &mut self,
-        m: &mut Machine,
-        src: NodeId,
-        dst: NodeId,
-        tag: u8,
-        args: [u32; 4],
-        policy: Option<&RetryPolicy>,
-        recovery: &RecoveryPolicy,
-    ) -> OpId {
-        self.submit_rpc_recovering_after(m, src, dst, tag, args, policy, recovery, &[])
-            .expect("no dependencies to reject")
-    }
-
-    /// [`Engine::submit_rpc_recovering`] with run-after dependencies.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::BadTransfer`] for a dependency on an id this
-    /// engine has not submitted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src == dst`, either node is out of range, or either
-    /// policy allows zero attempts/executions.
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit_rpc_recovering_after(
-        &mut self,
-        m: &mut Machine,
-        src: NodeId,
-        dst: NodeId,
-        tag: u8,
-        args: [u32; 4],
-        policy: Option<&RetryPolicy>,
-        recovery: &RecoveryPolicy,
-        after: &[OpId],
-    ) -> Result<OpId, ProtocolError> {
-        assert_ne!(src, dst, "rpc endpoints must differ");
-        assert!(src.index() < m.num_nodes() && dst.index() < m.num_nodes());
-        if let Some(p) = policy {
-            assert!(p.max_attempts >= 1, "need at least one attempt");
-        }
-        let call_id = m.alloc_call_id();
-        let id = self.enqueue(
-            m,
-            OpKind::Rpc(RpcOp::new(src, dst, tag, args, call_id, policy.cloned(), true)),
-            after,
-        )?;
-        self.arm_recovery(
-            id,
-            OpSpec::Rpc { src, dst, tag, args, call_id, policy: policy.cloned() },
-            recovery,
-        );
-        Ok(id)
-    }
-
-    /// [`Engine::submit_am4`] with an attached [`RecoveryPolicy`] — the
-    /// building block of recovering collectives. The message rides a
-    /// nonzero *delivery token* in the header word (plain user traffic
-    /// always carries header `0`): consumption is token-gated, so a
-    /// duplicate left by a crash-straddling re-execution can never be
-    /// mistaken for a later same-pair message and is orphan-discarded
-    /// once its operation completes.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::BadTransfer`] for a reserved (protocol-range)
-    /// tag.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src == dst`, either node is out of range, or the
-    /// policy allows zero executions.
-    pub fn submit_am4_recovering(
-        &mut self,
-        m: &mut Machine,
-        src: NodeId,
-        dst: NodeId,
-        tag: u8,
-        words: [u32; 4],
-        recovery: &RecoveryPolicy,
-    ) -> Result<OpId, ProtocolError> {
-        self.submit_am4_recovering_after(m, src, dst, tag, words, recovery, &[])
-    }
-
-    /// [`Engine::submit_am4_recovering`] with run-after dependencies.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::BadTransfer`] for a reserved tag or a dependency
-    /// on an id this engine has not submitted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src == dst`, either node is out of range, or the
-    /// policy allows zero executions.
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit_am4_recovering_after(
-        &mut self,
-        m: &mut Machine,
-        src: NodeId,
-        dst: NodeId,
-        tag: u8,
-        words: [u32; 4],
-        recovery: &RecoveryPolicy,
-        after: &[OpId],
-    ) -> Result<OpId, ProtocolError> {
-        assert_ne!(src, dst, "am4 endpoints must differ");
-        assert!(src.index() < m.num_nodes() && dst.index() < m.num_nodes());
-        if tag < Tags::USER_BASE {
-            return Err(ProtocolError::BadTransfer(format!(
-                "am4 tag {tag} is in the reserved protocol range (< {})",
-                Tags::USER_BASE
-            )));
-        }
-        // Allocated from the same counter as RPC call ids; the high bit
-        // keeps it nonzero, which is what distinguishes a recovery-
-        // stamped message from plain header-0 user traffic.
-        let token = (m.alloc_call_id() as u32) | 0x8000_0000;
-        let id = self.enqueue(m, OpKind::Am4(Am4Op::new(src, dst, tag, words, token, true)), after)?;
-        self.arm_recovery(id, OpSpec::Am4 { src, dst, tag, words, token }, recovery);
-        Ok(id)
+        id
     }
 
     /// How many engine-native re-executions `id` has undergone so far
@@ -1454,19 +1161,24 @@ impl Engine {
     /// subtract the held span when it wants pure execution latency.
     #[must_use]
     pub fn completion_times(&self) -> Vec<(OpId, u64)> {
+        self.spans(|e| match e {
+            EngineEvent::Completed(id, _) => Some(id),
+            _ => None,
+        })
+    }
+
+    /// One walk over the trace: for every event `pick` maps to an op,
+    /// `(op, cycles since that op's Submitted stamp)`, in trace order.
+    fn spans(&self, pick: impl Fn(EngineEvent) -> Option<OpId>) -> Vec<(OpId, u64)> {
         let mut submitted: BTreeMap<OpId, u64> = BTreeMap::new();
         let mut out = Vec::new();
         for e in &self.trace {
-            match e.event {
-                EngineEvent::Submitted(id) => {
-                    submitted.insert(id, e.at);
-                }
-                EngineEvent::Completed(id, _) => {
-                    if let Some(&at) = submitted.get(&id) {
-                        out.push((id, e.at.saturating_sub(at)));
-                    }
-                }
-                _ => {}
+            if let EngineEvent::Submitted(id) = e.event {
+                submitted.insert(id, e.at);
+            }
+            let Some(id) = pick(e.event) else { continue };
+            if let Some(&at) = submitted.get(&id) {
+                out.push((id, e.at.saturating_sub(at)));
             }
         }
         out
@@ -1480,22 +1192,10 @@ impl Engine {
     /// predecessor failed, or the wedge backstop fired) do not appear.
     #[must_use]
     pub fn hold_times(&self) -> Vec<(OpId, u64)> {
-        let mut submitted: BTreeMap<OpId, u64> = BTreeMap::new();
-        let mut out = Vec::new();
-        for e in &self.trace {
-            match e.event {
-                EngineEvent::Submitted(id) => {
-                    submitted.insert(id, e.at);
-                }
-                EngineEvent::Released(id) => {
-                    if let Some(&at) = submitted.get(&id) {
-                        out.push((id, e.at.saturating_sub(at)));
-                    }
-                }
-                _ => {}
-            }
-        }
-        out
+        self.spans(|e| match e {
+            EngineEvent::Released(id) => Some(id),
+            _ => None,
+        })
     }
 
     /// The [`completion_times`](Engine::completion_times) distribution
@@ -1508,32 +1208,6 @@ impl Engine {
             stats.record(cycles);
         }
         stats
-    }
-
-    /// Tag a submitted operation with a *request class* (QoS tier,
-    /// tenant, priority band — any `u8` the caller chooses). From that
-    /// point every instruction the operation causes at either of its
-    /// endpoints — admission `start`, every `step` (including callee
-    /// handler work an RPC drives at its destination), and
-    /// engine-native recovery restarts — is *also* accumulated into
-    /// that class's [`CostVector`], splitting the per-node bills by
-    /// class. The split is attribution, not double-billing: the node
-    /// recorders are untouched, and on clean runs the per-class bills
-    /// sum exactly to the total the node recorders saw (see
-    /// `tests/serving_invariants.rs`).
-    ///
-    /// Tag an operation immediately after submission, before the pump
-    /// admits it — cost billed before the tag lands is not
-    /// re-attributed. Untagged operations are never snapshotted, and a
-    /// fully untagged engine skips the class plane entirely.
-    pub fn set_class(&mut self, id: OpId, class: u8) {
-        self.class_of.insert(id, class);
-    }
-
-    /// The class tag assigned to `id` via [`Engine::set_class`], if any.
-    #[must_use]
-    pub fn class_of(&self, id: OpId) -> Option<u8> {
-        self.class_of.get(&id).copied()
     }
 
     /// The accumulated cost attributed to `class` — the Table-1/2/3
@@ -1577,7 +1251,7 @@ impl Engine {
     /// `refill_milli_per_kcycle` milli-tokens per thousand substrate
     /// cycles (1000 = one full re-execution per kilocycle). Every
     /// engine-native re-execution of an op tagged with `class` (via
-    /// [`Engine::set_class`]) spends one token *before* parking; when
+    /// [`Op::class`]) spends one token *before* parking; when
     /// the bucket is dry the recovery is **denied** — the op settles
     /// with its retryable error exactly as if its
     /// [`RecoveryPolicy`] budget were exhausted — and the denial is
@@ -1707,12 +1381,18 @@ impl Engine {
     /// still unfinished.
     ///
     /// This is the open-loop building block: a paced driver alternates
-    /// `pump` with `submit_*` calls to inject new operations at a
+    /// `pump` with [`Engine::submit`] calls to inject new operations at a
     /// controlled offered rate while earlier ones are still in flight
     /// ([`Engine::run`] is just `pump` until nothing is left). When the
     /// engine is empty, `pump` advances the clock one cycle so a driver
     /// waiting for its next injection slot still makes time pass.
     pub fn pump(&mut self, m: &mut Machine) -> usize {
+        self.counters.quanta += 1;
+        if self.unfinished() == 0 {
+            m.advance(1);
+            self.counters.advances += 1;
+            return 0;
+        }
         match self.mode {
             SchedMode::EventDriven => self.pump_event(m),
             SchedMode::ReferenceRoundRobin => self.pump_reference(m),
@@ -1724,12 +1404,6 @@ impl Engine {
     /// nothing progresses. The `sched_equivalence` soak pins the
     /// event-driven scheduler's trace and bills against this.
     fn pump_reference(&mut self, m: &mut Machine) -> usize {
-        self.counters.quanta += 1;
-        if self.unfinished() == 0 {
-            m.advance(1);
-            self.counters.advances += 1;
-            return 0;
-        }
         // Fold any node crash-restarts into protocol state before
         // stepping: erase the crashed endpoint's sessions and caches so
         // the ops observe the restart, not ghosts of the old incarnation.
@@ -1745,38 +1419,10 @@ impl Engine {
             self.release_recovered(m);
             self.admit(m);
             if self.run_order.is_empty() {
-                if let Some(&resume_at) = self.parked.values().min() {
-                    // Nothing is runnable until a parked op's backoff
-                    // window closes: jump the clock there and let the
-                    // next iteration re-admit it.
-                    let now = clock(m);
-                    if resume_at > now {
-                        m.advance(resume_at - now);
-                        self.counters.advances += 1;
-                    }
+                if self.jump_to_parked(m) {
                     continue;
                 }
-                if self.pending.is_empty() {
-                    // A held op always has a live predecessor somewhere
-                    // in running/pending/parked (release and failure
-                    // both move it out of `held` when the last one
-                    // settles), so nothing can be held here; sweep
-                    // defensively rather than spin if that invariant
-                    // ever breaks.
-                    while let Some(&id) = self.held.keys().next() {
-                        self.held.remove(&id);
-                        let streak = self.idle_streak;
-                        self.settle(
-                            m,
-                            id,
-                            Err(ProtocolError::timeout("engine progress", streak)),
-                        );
-                    }
-                    return 0;
-                }
-                // Pending ops blocked on keys held by nothing running:
-                // impossible, but don't spin.
-                unreachable!("pending operations with no running key holder");
+                return 0;
             }
             let mut progressed = false;
             let mut i = 0;
@@ -1785,16 +1431,10 @@ impl Engine {
             while i < self.run_order.len() {
                 let slot = self.run_order[i];
                 self.counters.steps += 1;
-                let cls = self.class_pre(
-                    m,
-                    self.slots[slot].a.id,
-                    self.slots[slot].a.op.endpoints(),
-                );
+                let endpoints = self.slots[slot].a.endpoints;
+                let cls = self.class_pre(m, self.slots[slot].a.id, endpoints);
                 let stepped = self.slots[slot].a.op.step(m);
-                if cls.is_some() {
-                    let endpoints = self.slots[slot].a.op.endpoints();
-                    self.class_post(m, cls, endpoints);
-                }
+                self.class_post(m, cls, endpoints);
                 match stepped {
                     Ok(Stepped::Progress) => {
                         let id = self.slots[slot].a.id;
@@ -1825,7 +1465,7 @@ impl Engine {
             self.counters.advances += 1;
             for i in 0..self.run_order.len() {
                 let slot = self.run_order[i];
-                self.slots[slot].a.op.tick();
+                self.slots[slot].a.op.tick_n(1);
             }
             self.idle_streak += 1;
             // No global wedge backstop here: the per-op watchdog in
@@ -1857,12 +1497,6 @@ impl Engine {
     /// non-idle. That is what makes the two schedulers
     /// trace-equivalent.
     fn pump_event(&mut self, m: &mut Machine) -> usize {
-        self.counters.quanta += 1;
-        if self.unfinished() == 0 {
-            m.advance(1);
-            self.counters.advances += 1;
-            return 0;
-        }
         // Restart folding first, same slot the reference gives it; ops
         // subscribed at a restarted endpoint wake so their next step
         // observes the `SessionReset`.
@@ -1884,32 +1518,14 @@ impl Engine {
             // those nodes join the coming pass.
             self.absorb_wakes(m);
             if self.run_order.is_empty() {
-                if let Some(&resume_at) = self.parked.values().min() {
-                    // Identical to the reference (which also defers
-                    // restart folding to the next pump top); the wheel
-                    // catches up so deadlines due inside the jumped
-                    // window fire on this iteration.
-                    let now = clock(m);
-                    if resume_at > now {
-                        m.advance(resume_at - now);
-                        self.counters.advances += 1;
-                    }
+                if self.jump_to_parked(m) {
+                    // Restart folding waits for the next pump top in
+                    // both modes; the wheel catches up so deadlines due
+                    // inside the jumped window fire on this iteration.
                     self.absorb_wakes(m);
                     continue;
                 }
-                if self.pending.is_empty() {
-                    while let Some(&id) = self.held.keys().next() {
-                        self.held.remove(&id);
-                        let streak = self.idle_streak;
-                        self.settle(
-                            m,
-                            id,
-                            Err(ProtocolError::timeout("engine progress", streak)),
-                        );
-                    }
-                    return 0;
-                }
-                unreachable!("pending operations with no running key holder");
+                return 0;
             }
             let mut progressed = false;
             let mut i = 0;
@@ -1930,16 +1546,10 @@ impl Engine {
                 self.counters.steps += 1;
                 let st = self.profiler.as_ref().map(|_| Instant::now());
                 let clock_before = clock(m);
-                let cls = self.class_pre(
-                    m,
-                    self.slots[slot].a.id,
-                    self.slots[slot].a.op.endpoints(),
-                );
+                let endpoints = self.slots[slot].a.endpoints;
+                let cls = self.class_pre(m, self.slots[slot].a.id, endpoints);
                 let stepped = self.slots[slot].a.op.step(m);
-                if cls.is_some() {
-                    let endpoints = self.slots[slot].a.op.endpoints();
-                    self.class_post(m, cls, endpoints);
-                }
+                self.class_post(m, cls, endpoints);
                 // Blocking NI waits inside a step advance the substrate
                 // clock mid-pass, delivering packets along the way.
                 // Absorb those wakes immediately so sleepers at the
@@ -1964,9 +1574,8 @@ impl Engine {
                         // endpoints, revealing queued packets there:
                         // wake the subscribers and mark the orphan
                         // sweep.
-                        let (ea, eb) = self.slots[slot].a.op.endpoints();
-                        self.touch_node(ea);
-                        self.touch_node(eb);
+                        self.touch_node(endpoints.0);
+                        self.touch_node(endpoints.1);
                         progressed = true;
                         i += 1;
                     }
@@ -2021,6 +1630,35 @@ impl Engine {
             self.profile(SchedPhase::WheelAdvance, t);
             return self.unfinished();
         }
+    }
+
+    /// Nothing is running (both pump loops share this). If an op is
+    /// parked, nothing is runnable until its backoff window closes:
+    /// jump the clock there and return `true` so the next iteration
+    /// re-admits it. Otherwise the engine is drained — `false`.
+    fn jump_to_parked(&mut self, m: &mut Machine) -> bool {
+        if let Some(&resume_at) = self.parked.values().min() {
+            let now = clock(m);
+            if resume_at > now {
+                m.advance(resume_at - now);
+                self.counters.advances += 1;
+            }
+            return true;
+        }
+        // Pending ops blocked on keys held by nothing running:
+        // impossible, but don't spin.
+        assert!(self.pending.is_empty(), "pending operations with no running key holder");
+        // A held op always has a live predecessor somewhere in
+        // running/pending/parked (release and failure both move it out
+        // of `held` when the last one settles), so nothing can be held
+        // here; sweep defensively rather than spin if that invariant
+        // ever breaks.
+        while let Some(&id) = self.held.keys().next() {
+            self.held.remove(&id);
+            let streak = self.idle_streak;
+            self.settle(m, id, Err(ProtocolError::timeout("engine progress", streak)));
+        }
+        false
     }
 
     fn profile(&mut self, phase: SchedPhase, started: Option<Instant>) {
@@ -2109,7 +1747,7 @@ impl Engine {
     /// through in one lazy batch. Ticks are engine-advance epochs, not
     /// raw clock cycles: a same-epoch wake delivers zero ticks —
     /// preserving `stalled` until an idle advance actually passes,
-    /// exactly like the reference (which only clears it in `tick`).
+    /// exactly like the reference (which only clears it on a tick).
     fn wake_slot(&mut self, slot: u32) {
         let epoch = self.tick_epoch;
         let Some(s) = self.slots.get_mut(slot) else { return };
@@ -2131,7 +1769,7 @@ impl Engine {
     fn sleep_slot(&mut self, m: &Machine, slot: u32) {
         let now = clock(m);
         let wake_in = self.slots[slot].a.op.wake_in(m);
-        let endpoints = self.slots[slot].a.op.endpoints();
+        let endpoints = self.slots[slot].a.endpoints;
         let epoch = self.tick_epoch;
         let s = &mut self.slots[slot];
         s.ready = false;
@@ -2158,12 +1796,18 @@ impl Engine {
         }
     }
 
-    /// Move an admitted op into the run arena: allocate its slot and
-    /// arm its no-progress watchdog on the wheel. Endpoint
-    /// subscriptions happen lazily on first sleep — the op spawns
-    /// ready.
-    fn spawn(&mut self, m: &Machine, a: ActiveOp) {
+    /// Start an admitted op — a first execution and a recovery
+    /// re-execution alike — under its class tag, then move it into the
+    /// run arena: allocate its slot and arm its no-progress watchdog on
+    /// the wheel. Endpoint subscriptions happen lazily on first sleep —
+    /// the op spawns ready.
+    fn spawn(&mut self, m: &mut Machine, mut a: ActiveOp) {
+        self.record(m, EngineEvent::Started(a.id));
+        let cls = self.class_pre(m, a.id, a.endpoints);
+        a.op.start(m);
+        self.class_post(m, cls, a.endpoints);
         let now = clock(m);
+        a.last_progress_at = now;
         let bound = self.watchdog.unwrap_or(4 * m.config().max_wait_cycles);
         let inc = self.next_inc;
         self.next_inc += 1;
@@ -2185,15 +1829,13 @@ impl Engine {
 
     fn admit(&mut self, m: &mut Machine) {
         let mut still_pending = VecDeque::new();
-        while let Some(mut op) = self.pending.pop_front() {
-            let key = op.op.conflict_key();
+        while let Some(op) = self.pending.pop_front() {
+            let key = op.key;
             let blocked = match key {
                 Some(k) => {
                     self.busy.contains(&k)
                         // Keep same-key pending ops in submission order.
-                        || still_pending
-                            .iter()
-                            .any(|p: &ActiveOp| p.op.conflict_key() == Some(k))
+                        || still_pending.iter().any(|p: &ActiveOp| p.key == Some(k))
                 }
                 None => false,
             };
@@ -2204,12 +1846,6 @@ impl Engine {
             if let Some(k) = key {
                 self.busy.insert(k);
             }
-            self.record(m, EngineEvent::Started(op.id));
-            let endpoints = op.op.endpoints();
-            let cls = self.class_pre(m, op.id, endpoints);
-            op.op.start(m);
-            self.class_post(m, cls, endpoints);
-            op.last_progress_at = clock(m);
             self.spawn(m, op);
         }
         self.pending = still_pending;
@@ -2218,7 +1854,7 @@ impl Engine {
     fn finish(&mut self, m: &Machine, idx: usize, result: Result<OpOutcome, ProtocolError>) {
         let slot = self.run_order.remove(idx);
         let s = self.slots.remove(slot);
-        let endpoints = s.a.op.endpoints();
+        let endpoints = s.a.endpoints;
         // Any subscriber entries the op still holds go stale with its
         // slot: touches validate the incarnation and drop them lazily.
         // The op's remaining packets just became unclaimed, and a queue
@@ -2231,7 +1867,7 @@ impl Engine {
             // work must not overtake the re-execution.
             return;
         }
-        if let Some(k) = s.a.op.conflict_key() {
+        if let Some(k) = s.a.key {
             self.busy.remove(&k);
         }
         self.settle(m, s.a.id, result);
@@ -2268,15 +1904,17 @@ impl Engine {
             return false;
         }
         let state = self.recovery.get_mut(&id).expect("recovery state just checked");
-        // A failed first execution teaches the stream spec its base
+        // A failed first execution teaches the stream recipe its base
         // sequence, so re-executions resume the burst (exactly-once)
         // instead of restarting it at a fresh sequence range.
-        if let (OpSpec::Stream { base_seq, .. }, Some(OpKind::Stream(s))) = (&mut state.spec, op) {
-            base_seq.get_or_insert(s.first_seq);
+        if let (OpBody::Stream { resume_base, .. }, Some(OpKind::Stream(s))) =
+            (&mut state.body, op)
+        {
+            resume_base.get_or_insert(s.first_seq);
         }
         state.re_executions += 1;
         let wait = state.policy.window(state.re_executions);
-        let src = state.spec.source();
+        let src = state.body.endpoints(m).0;
         let cpu = m.cpu(src);
         let cls = self.class_pre(m, id, (src, src));
         cpu.with_feature(Feature::FaultTol, |c| {
@@ -2296,7 +1934,7 @@ impl Engine {
     }
 
     /// Re-admit parked ops whose backoff window has closed: rebuild the
-    /// state machine from its recovery spec (a fresh session epoch is
+    /// state machine from its recovery recipe (a fresh session epoch is
     /// allocated in `start`) and put it straight back on the running
     /// set — its conflict key never left `busy`.
     fn release_recovered(&mut self, m: &mut Machine) {
@@ -2309,15 +1947,10 @@ impl Engine {
             .collect();
         for id in due {
             self.parked.remove(&id);
-            let mut op =
-                self.recovery.get(&id).expect("parked ops are recovery-armed").spec.rebuild();
-            self.record(m, EngineEvent::Started(id));
-            let endpoints = op.endpoints();
-            let cls = self.class_pre(m, id, endpoints);
-            op.start(m);
-            self.class_post(m, cls, endpoints);
-            let last_progress_at = clock(m);
-            self.spawn(m, ActiveOp { id, op, last_progress_at });
+            let body = &self.recovery.get(&id).expect("parked ops are recovery-armed").body;
+            let (key, endpoints) = (body.conflict_key(m), body.endpoints(m));
+            let op = body.clone().build(m, true);
+            self.spawn(m, ActiveOp { id, op, key, endpoints, last_progress_at: 0 });
         }
     }
 
@@ -2361,7 +1994,7 @@ impl Engine {
         // next execution opens a fresh epoch, so the receiver's
         // stale-epoch session is exactly what the sweep should reclaim.
         for id in self.parked.keys() {
-            if let Some(RecoveryState { spec: OpSpec::Rpc { src, dst, call_id, .. }, .. }) =
+            if let Some(RecoveryState { body: OpBody::Rpc { src, dst, call_id, .. }, .. }) =
                 self.recovery.get(id)
             {
                 live_replies.insert((*dst, *src, *call_id as u32));
@@ -2427,29 +2060,23 @@ impl Engine {
     /// for stray discards. Returns `true` if something was discarded.
     fn discard_orphan(&mut self, m: &mut Machine) -> bool {
         for node in (0..m.num_nodes()).map(NodeId::new) {
-            let Some(meta) = m.rx_peek_at(node) else {
-                continue;
-            };
-            // Reserved protocol tags are engine-owned. User-tag packets
-            // carrying a nonzero header are recovery-stamped am4 sends
-            // (plain user traffic always rides header 0) and equally
-            // discardable once no running op claims their token.
-            let reserved = meta.tag < Tags::USER_BASE || meta.tag == Tags::RPC_REPLY;
-            let stamped = !reserved && meta.header != 0;
-            if !reserved && !stamped {
-                continue;
+            if m.rx_peek_at(node).is_some_and(|meta| self.orphaned(node, &meta)) {
+                m.discard_stray(node);
+                return true;
             }
-            if self.claimed(node, &meta) {
-                continue;
-            }
-            m.discard_stray(node);
-            return true;
         }
         false
     }
 
-    fn claimed(&self, node: NodeId, meta: &RxMeta) -> bool {
-        self.run_order.iter().any(|&s| self.slots[s].a.op.claims(node, meta))
+    /// Is the packet at `node`'s queue head discardable? Reserved
+    /// protocol tags are engine-owned. User-tag packets carrying a
+    /// nonzero header are recovery-stamped am4 sends (plain user traffic
+    /// always rides header 0) and equally discardable once no running
+    /// op claims their token.
+    fn orphaned(&self, node: NodeId, meta: &RxMeta) -> bool {
+        let reserved = meta.tag < Tags::USER_BASE || meta.tag == Tags::RPC_REPLY;
+        (reserved || meta.header != 0)
+            && !self.run_order.iter().any(|&s| self.slots[s].a.op.claims(node, meta))
     }
 
     /// Event-mode orphan discard: same decision as
@@ -2465,9 +2092,7 @@ impl Engine {
                 self.orphan_dirty.remove(&ni);
                 continue;
             };
-            let reserved = meta.tag < Tags::USER_BASE || meta.tag == Tags::RPC_REPLY;
-            let stamped = !reserved && meta.header != 0;
-            if (!reserved && !stamped) || self.claimed(node, &meta) {
+            if !self.orphaned(node, &meta) {
                 self.orphan_dirty.remove(&ni);
                 continue;
             }
@@ -2488,40 +2113,14 @@ impl Engine {
     /// reference full scan have discarded something the dirty scan just
     /// declared absent?
     fn discard_scan_would_find(&self, m: &mut Machine) -> bool {
-        (0..m.num_nodes()).map(NodeId::new).any(|node| {
-            m.rx_peek_at(node).is_some_and(|meta| {
-                let reserved = meta.tag < Tags::USER_BASE || meta.tag == Tags::RPC_REPLY;
-                let stamped = !reserved && meta.header != 0;
-                (reserved || stamped) && !self.claimed(node, &meta)
-            })
-        })
+        (0..m.num_nodes())
+            .map(NodeId::new)
+            .any(|node| m.rx_peek_at(node).is_some_and(|meta| self.orphaned(node, &meta)))
     }
 
     // -----------------------------------------------------------------
     // Supervision: deadlines, watchdog, cancellation, quiesce.
     // -----------------------------------------------------------------
-
-    /// Arm (or re-arm) a deadline for an unfinished operation: if it has
-    /// not completed within `cycles_from_now` substrate cycles, the
-    /// engine settles it with the retryable
-    /// [`ProtocolError::DeadlineExceeded`] and cascades
-    /// [`ProtocolError::DependencyFailed`] into its dependents, exactly
-    /// like any other failure. Deadlines on already-finished ids are
-    /// ignored. Supervision is host-side scheduling: it charges no
-    /// simulated instructions.
-    pub fn set_deadline(&mut self, m: &Machine, id: OpId, cycles_from_now: u64) {
-        if self.outcomes.contains_key(&id) || self.done_ok.contains(&id) || self.done_err.contains(&id) {
-            return;
-        }
-        let at = clock(m).saturating_add(cycles_from_now);
-        self.deadlines.insert(id, (at, cycles_from_now));
-        if self.mode == SchedMode::EventDriven {
-            // Always arm a fresh wheel entry: re-arming to a *shorter*
-            // budget must not wait out the old entry. Stale entries
-            // validate against the map when they fire and are dropped.
-            self.wheel.insert(at, WheelItem::Deadline { id });
-        }
-    }
 
     /// Override the per-operation no-progress watchdog bound (cycles an
     /// admitted operation may go without a `Progressed` event before the
@@ -2542,31 +2141,6 @@ impl Engine {
                 self.wheel.insert(wd_due, WheelItem::Watchdog { slot, inc });
             }
         }
-    }
-
-    /// [`Engine::submit_xfer_reliable`] with a completion deadline in
-    /// substrate cycles (see [`Engine::set_deadline`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::BadTransfer`] for empty or oversized data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src == dst`, either node is out of range, or the
-    /// policy allows zero attempts.
-    pub fn submit_xfer_reliable_with_deadline(
-        &mut self,
-        m: &Machine,
-        src: NodeId,
-        dst: NodeId,
-        data: &[u32],
-        policy: &RetryPolicy,
-        deadline: u64,
-    ) -> Result<OpId, ProtocolError> {
-        let id = self.submit_xfer_reliable(m, src, dst, data, policy)?;
-        self.set_deadline(m, id, deadline);
-        Ok(id)
     }
 
     /// Cancel an unfinished operation wherever it is (running, pending,
@@ -2619,7 +2193,7 @@ impl Engine {
             if self.try_recover(m, id, None, &Err(err.clone())) {
                 return true;
             }
-            if let Some(k) = self.recovery.get(&id).and_then(|s| s.spec.conflict_key()) {
+            if let Some(k) = self.recovery.get(&id).and_then(|s| s.body.conflict_key(m)) {
                 self.busy.remove(&k);
             }
             self.settle(m, id, Err(err));
@@ -2668,11 +2242,13 @@ impl Engine {
 
     /// Event-mode supervision: act only on deadline and watchdog
     /// entries the wheel has already fired, validating each against
-    /// current engine state (wheel entries are never cancelled, so a
-    /// re-armed deadline or a progressed op simply shows up stale here
-    /// and is dropped or re-scheduled). Expiry order matches the
-    /// reference scan: deadlines in `OpId` order first, then starved
-    /// ops in running order.
+    /// current engine state (wheel entries are never cancelled, so the
+    /// deadline of a settled op or the watchdog of a progressed op
+    /// simply shows up stale here and is dropped or re-scheduled). A
+    /// deadline has exactly one wheel entry, armed at its expiry cycle,
+    /// so a fired one whose op is unfinished is due. Expiry order
+    /// matches the reference scan: deadlines in `OpId` order first,
+    /// then starved ops in running order.
     fn supervise_event(&mut self, m: &Machine) -> bool {
         if self.fired_deadlines.is_empty() && self.fired_watchdogs.is_empty() {
             return false;
@@ -2681,22 +2257,13 @@ impl Engine {
         let mut acted = false;
         let mut fired = std::mem::take(&mut self.fired_deadlines);
         fired.sort_unstable();
-        fired.dedup();
         for id in fired {
-            match self.deadlines.get(&id) {
-                Some(&(at, budget)) if now >= at => {
-                    acted |= self.expire(
-                        m,
-                        id,
-                        ProtocolError::DeadlineExceeded { what: "deadline", cycles: budget },
-                    );
-                }
-                Some(&(at, _)) => {
-                    // Re-armed to a later cycle since this entry was
-                    // scheduled: chase the live expiry.
-                    self.wheel.insert(at, WheelItem::Deadline { id });
-                }
-                None => {}
+            if let Some(&(_, budget)) = self.deadlines.get(&id) {
+                acted |= self.expire(
+                    m,
+                    id,
+                    ProtocolError::DeadlineExceeded { what: "deadline", cycles: budget },
+                );
             }
         }
         let mut fired = std::mem::take(&mut self.fired_watchdogs);
@@ -2829,10 +2396,6 @@ impl XferOp {
         // Harness setup: stage the data in source memory (cost-free).
         self.src_buf = m.write_buffer(self.src, &self.data);
         self.peer_restarts = (m.restarts_of(self.src), m.restarts_of(self.dst));
-    }
-
-    fn tick(&mut self) {
-        self.tick_n(1);
     }
 
     fn tick_n(&mut self, k: u64) {
@@ -3100,10 +2663,6 @@ impl RpcOp {
         self.peer_restarts = (m.restarts_of(self.src), m.restarts_of(self.dst));
     }
 
-    fn tick(&mut self) {
-        self.tick_n(1);
-    }
-
     fn tick_n(&mut self, k: u64) {
         self.stalled = false;
         self.waited += k;
@@ -3246,10 +2805,6 @@ impl Am4Op {
 
     fn start(&mut self, m: &Machine) {
         self.peer_restarts = (m.restarts_of(self.src), m.restarts_of(self.dst));
-    }
-
-    fn tick(&mut self) {
-        self.tick_n(1);
     }
 
     fn tick_n(&mut self, k: u64) {
@@ -3404,10 +2959,6 @@ impl StreamOp {
         m.stream_entry_charge(self.id);
     }
 
-    fn tick(&mut self) {
-        self.tick_n(1);
-    }
-
     fn tick_n(&mut self, k: u64) {
         self.stalled = false;
         // `total_iterations` counts engine cycles without progress
@@ -3527,7 +3078,7 @@ impl StreamOp {
         if progress {
             self.idle_iterations = 0;
         }
-        // `total_iterations` advances in `tick` (once per no-progress
+        // `total_iterations` advances on ticks (once per no-progress
         // engine cycle), making the completion timeout a bound on quiet
         // *time* rather than on scheduler step count — the same clock
         // under both schedulers.
@@ -3651,10 +3202,6 @@ impl ReliableOp {
         self.epoch = m.next_session_epoch(self.src, self.dst);
         self.nonce = (self.epoch & 0xfff) << OFFSET_BITS;
         self.peer_restarts = (m.restarts_of(self.src), m.restarts_of(self.dst));
-    }
-
-    fn tick(&mut self) {
-        self.tick_n(1);
     }
 
     fn tick_n(&mut self, k: u64) {

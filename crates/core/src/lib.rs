@@ -78,7 +78,7 @@ mod xfer_reliable;
 
 pub use am::{Am4Msg, PollOutcome};
 pub use dma::{cmam_finite_dma, measure_xfer_dma};
-pub use engine::{Engine, EngineEvent, OpId, OpOutcome, TracedEvent};
+pub use engine::{Engine, EngineEvent, Op, OpId, OpOutcome, TracedEvent};
 pub use error::ProtocolError;
 pub use interrupt::{polling_vs_interrupt, DisciplineCosts, InterruptModel};
 pub use machine::{CmamConfig, Machine, Tags};

@@ -10,6 +10,7 @@ use timego_ni::{Addr, Memory, NiPort, SharedNetwork};
 
 use crate::am::{Am4Msg, PollOutcome};
 use crate::costs::{am4_recv, am4_send, ctl_send, recovery};
+use crate::engine::{Engine, Op, OpOutcome};
 use crate::error::ProtocolError;
 use crate::stream::StreamState;
 
@@ -344,6 +345,18 @@ impl Machine {
     /// first, else the head of the substrate's receive queue).
     pub(crate) fn rx_peek_at(&mut self, node: NodeId) -> Option<RxMeta> {
         self.nodes[node.index()].ni.rx_peek()
+    }
+
+    /// The body of every blocking protocol entry point: submit `op` on
+    /// a fresh engine, run it to completion, and harvest its outcome
+    /// plus the number of engine-native re-executions it took.
+    pub(crate) fn run_blocking(&mut self, op: Op) -> Result<(OpOutcome, u32), ProtocolError> {
+        let mut eng = Engine::new();
+        let id = eng.submit(self, op)?;
+        eng.run(self);
+        let re_executions = eng.recovery_executions(id);
+        let outcome = eng.take_outcome(id).expect("op completed")?;
+        Ok((outcome, re_executions))
     }
 
     /// Allocate a fresh RPC correlation id.

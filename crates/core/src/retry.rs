@@ -76,8 +76,8 @@ impl RetryPolicy {
 /// ([`ProtocolError::is_retryable`](crate::ProtocolError::is_retryable)),
 /// and how long to back off between executions.
 ///
-/// Attach one at submission with the engine's `submit_*_recovering`
-/// variants: instead of surfacing a `SessionReset`, `Timeout` or
+/// Attach one at submission with [`Op::recovering`](crate::Op::recovering):
+/// instead of surfacing a `SessionReset`, `Timeout` or
 /// `DeadlineExceeded` to the caller, the engine parks the operation for
 /// the backoff window and re-runs it under a fresh session epoch — the
 /// operation keeps its [`OpId`](crate::OpId), so run-after dependents

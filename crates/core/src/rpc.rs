@@ -16,7 +16,7 @@ use timego_ni::Memory;
 
 use crate::am::{Am4Msg, PollOutcome};
 use crate::costs::{am4_recv, am4_send, recovery};
-use crate::engine::{Engine, OpOutcome};
+use crate::engine::{Op, OpOutcome};
 use crate::error::ProtocolError;
 use crate::machine::{Machine, Tags};
 use crate::retry::{RecoveryPolicy, RetryPolicy};
@@ -71,11 +71,8 @@ impl Machine {
     ///
     /// [`ProtocolError::Timeout`] if no reply arrives within the
     /// configured wait bound (e.g. the request or reply was corrupted
-    /// on a detect-only substrate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is out of range or `src == dst`.
+    /// on a detect-only substrate); [`ProtocolError::BadTransfer`] for
+    /// equal or out-of-range endpoints.
     pub fn rpc_call(
         &mut self,
         src: NodeId,
@@ -83,13 +80,9 @@ impl Machine {
         tag: u8,
         args: [u32; 4],
     ) -> Result<[u32; 4], ProtocolError> {
-        let mut eng = Engine::new();
-        let op = eng.submit_rpc(self, src, dst, tag, args, None);
-        eng.run(self);
-        match eng.take_outcome(op).expect("op completed") {
-            Ok(OpOutcome::Rpc(words)) => Ok(words),
-            Err(e) => Err(e),
-            Ok(_) => unreachable!("rpc op yields reply words"),
+        match self.run_blocking(Op::rpc(src, dst, tag, args, None))? {
+            (OpOutcome::Rpc(words), _) => Ok(words),
+            _ => unreachable!("rpc op yields reply words"),
         }
     }
 
@@ -107,12 +100,9 @@ impl Machine {
     /// # Errors
     ///
     /// [`ProtocolError::Timeout`] (with node and attempt context) once
-    /// every attempt's window has expired without a reply.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is out of range, `src == dst`, or the
-    /// policy allows zero attempts.
+    /// every attempt's window has expired without a reply;
+    /// [`ProtocolError::BadTransfer`] for equal or out-of-range
+    /// endpoints or a zero-attempt policy.
     pub fn rpc_call_retrying(
         &mut self,
         src: NodeId,
@@ -121,13 +111,9 @@ impl Machine {
         args: [u32; 4],
         policy: &RetryPolicy,
     ) -> Result<[u32; 4], ProtocolError> {
-        let mut eng = Engine::new();
-        let op = eng.submit_rpc(self, src, dst, tag, args, Some(policy));
-        eng.run(self);
-        match eng.take_outcome(op).expect("op completed") {
-            Ok(OpOutcome::Rpc(words)) => Ok(words),
-            Err(e) => Err(e),
-            Ok(_) => unreachable!("rpc op yields reply words"),
+        match self.run_blocking(Op::rpc(src, dst, tag, args, Some(policy)))? {
+            (OpOutcome::Rpc(words), _) => Ok(words),
+            _ => unreachable!("rpc op yields reply words"),
         }
     }
 
@@ -151,13 +137,9 @@ impl Machine {
     /// # Errors
     ///
     /// The last execution's error once the recovery budget is exhausted
-    /// (non-retryable errors surface immediately).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is out of range, `src == dst`, the retry
-    /// policy allows zero attempts, or `recovery.max_executions` is
-    /// zero.
+    /// (non-retryable errors surface immediately);
+    /// [`ProtocolError::BadTransfer`] as [`Machine::rpc_call_retrying`]
+    /// or for a zero-execution recovery policy.
     pub fn rpc_call_recovering(
         &mut self,
         src: NodeId,
@@ -167,14 +149,9 @@ impl Machine {
         policy: &RetryPolicy,
         recovery: &RecoveryPolicy,
     ) -> Result<([u32; 4], u32), ProtocolError> {
-        let mut eng = Engine::new();
-        let op = eng.submit_rpc_recovering(self, src, dst, tag, args, Some(policy), recovery);
-        eng.run(self);
-        let re_executions = eng.recovery_executions(op);
-        match eng.take_outcome(op).expect("op completed") {
-            Ok(OpOutcome::Rpc(words)) => Ok((words, re_executions)),
-            Err(e) => Err(e),
-            Ok(_) => unreachable!("rpc op yields reply words"),
+        match self.run_blocking(Op::rpc(src, dst, tag, args, Some(policy)).recovering(recovery))? {
+            (OpOutcome::Rpc(words), re_executions) => Ok((words, re_executions)),
+            _ => unreachable!("rpc op yields reply words"),
         }
     }
 

@@ -26,7 +26,7 @@ use timego_cost::{Feature, Fine};
 use timego_netsim::NodeId;
 
 use crate::costs::{ctl_send, stream_dst, stream_src};
-use crate::engine::{Engine, OpOutcome};
+use crate::engine::{Op, OpOutcome};
 use crate::retry::RecoveryPolicy;
 use crate::error::ProtocolError;
 use crate::machine::{Machine, Tags};
@@ -163,22 +163,14 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::BadTransfer`] for empty data;
-    /// [`ProtocolError::Timeout`] if the stream cannot make progress for
-    /// the configured bound (even with retransmission — e.g. the
-    /// substrate is wedged).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is stale.
+    /// [`ProtocolError::BadTransfer`] for empty data or a stream id this
+    /// machine never opened; [`ProtocolError::Timeout`] if the stream
+    /// cannot make progress for the configured bound (even with
+    /// retransmission — e.g. the substrate is wedged).
     pub fn stream_send(&mut self, id: StreamId, data: &[u32]) -> Result<StreamOutcome, ProtocolError> {
-        let mut eng = Engine::new();
-        let op = eng.submit_stream_send(self, id, data)?;
-        eng.run(self);
-        match eng.take_outcome(op).expect("op completed") {
-            Ok(OpOutcome::Stream(out)) => Ok(out),
-            Err(e) => Err(e),
-            Ok(_) => unreachable!("stream op yields a stream outcome"),
+        match self.run_blocking(Op::stream_send(id, data))? {
+            (OpOutcome::Stream(out), _) => Ok(out),
+            _ => unreachable!("stream op yields a stream outcome"),
         }
     }
 
@@ -198,27 +190,19 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::BadTransfer`] for empty data; otherwise the last
-    /// execution's error once the recovery budget is exhausted
+    /// [`ProtocolError::BadTransfer`] for empty data, a stream id this
+    /// machine never opened, or a zero-execution policy; otherwise the
+    /// last execution's error once the recovery budget is exhausted
     /// (non-retryable errors surface immediately).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is stale or `recovery.max_executions` is zero.
     pub fn stream_send_recovering(
         &mut self,
         id: StreamId,
         data: &[u32],
         recovery: &RecoveryPolicy,
     ) -> Result<(StreamOutcome, u32), ProtocolError> {
-        let mut eng = Engine::new();
-        let op = eng.submit_stream_send_recovering(self, id, data, recovery)?;
-        eng.run(self);
-        let re_executions = eng.recovery_executions(op);
-        match eng.take_outcome(op).expect("op completed") {
-            Ok(OpOutcome::Stream(out)) => Ok((out, re_executions)),
-            Err(e) => Err(e),
-            Ok(_) => unreachable!("stream op yields a stream outcome"),
+        match self.run_blocking(Op::stream_send(id, data).recovering(recovery))? {
+            (OpOutcome::Stream(out), re_executions) => Ok((out, re_executions)),
+            _ => unreachable!("stream op yields a stream outcome"),
         }
     }
 
@@ -229,6 +213,11 @@ impl Machine {
     /// Panics if `id` is stale.
     pub(crate) fn stream_state(&self, id: StreamId) -> &StreamState {
         &self.streams[id.0]
+    }
+
+    /// Whether `id` names a stream opened on this machine.
+    pub(crate) fn has_stream(&self, id: StreamId) -> bool {
+        id.0 < self.streams.len()
     }
 
     /// The receiver's next-expected (contiguous) sequence number for

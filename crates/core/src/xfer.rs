@@ -21,7 +21,7 @@ use timego_netsim::NodeId;
 use timego_ni::Addr;
 
 use crate::costs::{segment, xfer_order, xfer_recv, xfer_send};
-use crate::engine::{Engine, OpOutcome};
+use crate::engine::{Op, OpOutcome};
 use crate::error::ProtocolError;
 use crate::machine::{Machine, Node, Tags};
 
@@ -69,17 +69,14 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::BadTransfer`] for empty data;
+    /// [`ProtocolError::BadTransfer`] for empty data or equal or
+    /// out-of-range endpoints;
     /// [`ProtocolError::Timeout`] if a protocol phase starves (e.g. a
     /// packet was corrupted and dropped by a detect-only network — this
     /// protocol has no per-packet retransmission, so like the paper's
     /// CM-5 the transfer simply fails);
     /// [`ProtocolError::UnexpectedPacket`] if a foreign packet intrudes
     /// on the handshake.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` or `dst` is out of range or `src == dst`.
     pub fn xfer(&mut self, src: NodeId, dst: NodeId, data: &[u32]) -> Result<XferOutcome, ProtocolError> {
         self.xfer_with(src, dst, data, PayloadEngine::Cpu)
     }
@@ -91,13 +88,9 @@ impl Machine {
         data: &[u32],
         engine: PayloadEngine,
     ) -> Result<XferOutcome, ProtocolError> {
-        let mut eng = Engine::new();
-        let op = eng.submit_xfer_with(self, src, dst, data, engine)?;
-        eng.run(self);
-        match eng.take_outcome(op).expect("op completed") {
-            Ok(OpOutcome::Xfer(out)) => Ok(out),
-            Err(e) => Err(e),
-            Ok(_) => unreachable!("xfer op yields a transfer outcome"),
+        match self.run_blocking(Op::xfer_via(src, dst, data, engine))? {
+            (OpOutcome::Xfer(out), _) => Ok(out),
+            _ => unreachable!("xfer op yields a transfer outcome"),
         }
     }
 

@@ -43,7 +43,7 @@ use timego_cost::{Feature, Fine};
 use timego_netsim::NodeId;
 
 use crate::costs::{recovery, xfer_order, xfer_recv};
-use crate::engine::{Engine, OpOutcome};
+use crate::engine::{Op, OpOutcome};
 use crate::error::ProtocolError;
 use crate::machine::{Machine, Tags};
 use crate::retry::{RecoveryPolicy, RetryPolicy};
@@ -83,14 +83,10 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::BadTransfer`] for empty data or data too large
-    /// for the 20-bit offset encoding; [`ProtocolError::Timeout`] (with
-    /// node and attempt context) when a phase exhausts its retry budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` or `dst` is out of range, `src == dst`, or the
-    /// policy allows zero attempts.
+    /// [`ProtocolError::BadTransfer`] for empty data, data too large
+    /// for the 20-bit offset encoding, equal or out-of-range endpoints,
+    /// or a zero-attempt policy; [`ProtocolError::Timeout`] (with node
+    /// and attempt context) when a phase exhausts its retry budget.
     pub fn xfer_reliable(
         &mut self,
         src: NodeId,
@@ -98,13 +94,9 @@ impl Machine {
         data: &[u32],
         policy: &RetryPolicy,
     ) -> Result<ReliableOutcome, ProtocolError> {
-        let mut eng = Engine::new();
-        let op = eng.submit_xfer_reliable(self, src, dst, data, policy)?;
-        eng.run(self);
-        match eng.take_outcome(op).expect("op completed") {
-            Ok(OpOutcome::Reliable(out)) => Ok(out),
-            Err(e) => Err(e),
-            Ok(_) => unreachable!("reliable op yields a reliable outcome"),
+        match self.run_blocking(Op::xfer_reliable(src, dst, data, policy))? {
+            (OpOutcome::Reliable(out), _) => Ok(out),
+            _ => unreachable!("reliable op yields a reliable outcome"),
         }
     }
 
@@ -134,11 +126,6 @@ impl Machine {
     /// [`ProtocolError::BadTransfer`] as [`Machine::xfer_reliable`];
     /// otherwise the last attempt's error once the retry budget is
     /// exhausted (non-retryable errors propagate immediately).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` or `dst` is out of range, `src == dst`, or the
-    /// policy allows zero attempts.
     pub fn xfer_reliable_recovering(
         &mut self,
         src: NodeId,
@@ -150,14 +137,9 @@ impl Machine {
             max_executions: policy.max_attempts,
             backoff: policy.clone(),
         };
-        let mut eng = Engine::new();
-        let op = eng.submit_xfer_reliable_recovering(self, src, dst, data, policy, &recovery)?;
-        eng.run(self);
-        let re_executions = eng.recovery_executions(op);
-        match eng.take_outcome(op).expect("op completed") {
-            Ok(OpOutcome::Reliable(out)) => Ok((out, re_executions)),
-            Err(e) => Err(e),
-            Ok(_) => unreachable!("reliable op yields a reliable outcome"),
+        match self.run_blocking(Op::xfer_reliable(src, dst, data, policy).recovering(&recovery))? {
+            (OpOutcome::Reliable(out), re_executions) => Ok((out, re_executions)),
+            _ => unreachable!("reliable op yields a reliable outcome"),
         }
     }
 

@@ -6,8 +6,8 @@
 //! tree edge costs exactly one Table 1 round (20 + 27 instructions).
 //!
 //! Since the engine gained run-after dependencies, the collectives are
-//! *dependency DAGs*: every tree edge is one [`Engine::submit_am4_after`]
-//! operation, released by the delivery that fed its sender. Independent
+//! *dependency DAGs*: every tree edge is one [`Op::am4`] submitted
+//! [`Op::after`] the delivery that fed its sender. Independent
 //! subtrees overlap freely instead of marching in lockstep rounds — the
 //! per-feature instruction bill is unchanged (same edges, same Table 1
 //! shapes), only wall-cycles compress. Three entry points per
@@ -15,6 +15,7 @@
 //!
 //! * `submit_*` — build the DAG on a caller-owned [`Engine`] (compose
 //!   with other traffic), then harvest with the matching `*_results`.
+//!   Pass a [`RecoveryPolicy`] to make every edge self-healing.
 //! * the blocking names ([`broadcast`], [`allreduce_sum`], [`barrier`])
 //!   — thin run-to-completion wrappers: fresh engine, submit, run,
 //!   harvest. Drop-in replacements for the old blocking loops, pinned
@@ -24,11 +25,28 @@
 //!   compares these against the DAGs to measure what run-after overlap
 //!   buys.
 
-use timego_am::{Engine, Machine, OpId, OpOutcome, ProtocolError, RecoveryPolicy, Tags};
+use timego_am::{Engine, Machine, Op, OpId, OpOutcome, ProtocolError, RecoveryPolicy, Tags};
 use timego_netsim::NodeId;
 
 /// Tag used by collective packets (user range).
 pub const COLLECTIVE_TAG: u8 = Tags::USER_BASE + 7;
+
+/// One collective edge: an am4 held behind the delivery that fed its
+/// sender, recovery-managed when the collective carries a policy.
+fn edge(
+    src: usize,
+    dst: usize,
+    words: [u32; 4],
+    after: Option<OpId>,
+    recovery: Option<&RecoveryPolicy>,
+) -> Op {
+    let op = Op::am4(NodeId::new(src), NodeId::new(dst), COLLECTIVE_TAG, words)
+        .after(after.as_slice());
+    match recovery {
+        Some(policy) => op.recovering(policy),
+        None => op,
+    }
+}
 
 /// Harvest one am4 outcome, surfacing the operation's failure.
 fn take_am4(eng: &mut Engine, id: OpId) -> Result<[u32; 4], ProtocolError> {
@@ -70,19 +88,29 @@ pub struct BroadcastDag {
 /// delivered the value to its sender, so independent subtrees overlap.
 /// Nothing moves until the caller pumps the engine.
 ///
+/// With `recovery`, every tree edge carries that engine-native
+/// [`RecoveryPolicy`]: an edge felled by a node crash-restart (or a
+/// watchdog) is parked and re-executed by the engine itself, and — the
+/// DAG-aware part — its dependent subtree stays held and releases when
+/// the recovered edge finally delivers, instead of cascading
+/// `DependencyFailed`. Each such edge carries a unique delivery token,
+/// so a duplicate from a superseded execution can never satisfy (or
+/// corrupt) another edge's delivery.
+///
 /// # Errors
 ///
-/// [`ProtocolError::BadTransfer`] if a dependency id is rejected
-/// (cannot happen for ids minted by `eng` itself).
+/// [`ProtocolError::BadTransfer`] if an edge is rejected (a
+/// zero-execution `recovery`; cannot happen otherwise).
 ///
 /// # Panics
 ///
 /// Panics if `root` is out of range.
 pub fn submit_broadcast(
     eng: &mut Engine,
-    m: &Machine,
+    m: &mut Machine,
     root: NodeId,
     value: [u32; 4],
+    recovery: Option<&RecoveryPolicy>,
 ) -> Result<BroadcastDag, ProtocolError> {
     let n = m.num_nodes();
     assert!(root.index() < n);
@@ -97,15 +125,8 @@ pub fn submit_broadcast(
         for rank in 0..stride.min(n) {
             let peer = rank + stride;
             if peer < n {
-                let after: Vec<OpId> = deliverer[rank].into_iter().collect();
-                let id = eng.submit_am4_after(
-                    m,
-                    NodeId::new(node_of(rank)),
-                    NodeId::new(node_of(peer)),
-                    COLLECTIVE_TAG,
-                    value,
-                    &after,
-                )?;
+                let op = edge(node_of(rank), node_of(peer), value, deliverer[rank], recovery);
+                let id = eng.submit(m, op)?;
                 deliverer[peer] = Some(id);
                 edges.push((node_of(peer), id));
             }
@@ -165,79 +186,25 @@ pub fn broadcast(
     value: [u32; 4],
 ) -> Result<Vec<[u32; 4]>, ProtocolError> {
     let mut eng = Engine::new();
-    let dag = submit_broadcast(&mut eng, m, root, value)?;
+    let dag = submit_broadcast(&mut eng, m, root, value, None)?;
     eng.run(m);
     broadcast_results(&mut eng, &dag, m.num_nodes())
 }
 
-/// [`submit_broadcast`] with an engine-native [`RecoveryPolicy`] on
-/// every tree edge: an edge felled by a node crash-restart (or a
-/// watchdog) is parked and re-executed by the engine itself, and — the
-/// DAG-aware part — its dependent subtree stays held and releases when
-/// the recovered edge finally delivers, instead of cascading
-/// `DependencyFailed`. Each edge carries a unique delivery token, so a
-/// duplicate from a superseded execution can never satisfy (or corrupt)
-/// another edge's delivery.
+/// Blocking self-healing broadcast: [`submit_broadcast`] with
+/// `recovery` on a fresh engine, run to completion. Returns the
+/// per-node values plus the total number of edge re-executions the
+/// engine performed (zero on a clean run, whose cost is identical to
+/// [`broadcast`]).
 ///
 /// # Errors
 ///
-/// [`ProtocolError::BadTransfer`] if a dependency id is rejected
-/// (cannot happen for ids minted by `eng` itself).
+/// The root-cause error once some edge's recovery budget is exhausted;
+/// [`ProtocolError::BadTransfer`] if `recovery.max_executions` is zero.
 ///
 /// # Panics
 ///
-/// Panics if `root` is out of range or `recovery.max_executions` is
-/// zero.
-pub fn submit_broadcast_recovering(
-    eng: &mut Engine,
-    m: &mut Machine,
-    root: NodeId,
-    value: [u32; 4],
-    recovery: &RecoveryPolicy,
-) -> Result<BroadcastDag, ProtocolError> {
-    let n = m.num_nodes();
-    assert!(root.index() < n);
-    let node_of = |rank: usize| (rank + root.index()) % n;
-
-    let mut deliverer: Vec<Option<OpId>> = vec![None; n];
-    let mut edges = Vec::with_capacity(n.saturating_sub(1));
-    let mut stride = 1;
-    while stride < n {
-        for rank in 0..stride.min(n) {
-            let peer = rank + stride;
-            if peer < n {
-                let after: Vec<OpId> = deliverer[rank].into_iter().collect();
-                let id = eng.submit_am4_recovering_after(
-                    m,
-                    NodeId::new(node_of(rank)),
-                    NodeId::new(node_of(peer)),
-                    COLLECTIVE_TAG,
-                    value,
-                    recovery,
-                    &after,
-                )?;
-                deliverer[peer] = Some(id);
-                edges.push((node_of(peer), id));
-            }
-        }
-        stride *= 2;
-    }
-    Ok(BroadcastDag { value, root: root.index(), edges })
-}
-
-/// Blocking self-healing broadcast: [`submit_broadcast_recovering`] on
-/// a fresh engine, run to completion. Returns the per-node values plus
-/// the total number of edge re-executions the engine performed (zero on
-/// a clean run, whose cost is identical to [`broadcast`]).
-///
-/// # Errors
-///
-/// The root-cause error once some edge's recovery budget is exhausted.
-///
-/// # Panics
-///
-/// Panics if `root` is out of range or `recovery.max_executions` is
-/// zero.
+/// Panics if `root` is out of range.
 pub fn broadcast_recovering(
     m: &mut Machine,
     root: NodeId,
@@ -245,7 +212,7 @@ pub fn broadcast_recovering(
     recovery: &RecoveryPolicy,
 ) -> Result<(Vec<[u32; 4]>, u32), ProtocolError> {
     let mut eng = Engine::new();
-    let dag = submit_broadcast_recovering(&mut eng, m, root, value, recovery)?;
+    let dag = submit_broadcast(&mut eng, m, root, value, Some(recovery))?;
     eng.run(m);
     let re_executions = dag.edges.iter().map(|&(_, id)| eng.recovery_executions(id)).sum();
     broadcast_results(&mut eng, &dag, m.num_nodes()).map(|seen| (seen, re_executions))
@@ -282,13 +249,7 @@ pub fn broadcast_phased(
             let peer = rank + stride;
             if peer < n {
                 let v = held.expect("sender holds the value by round r");
-                let id = eng.submit_am4(
-                    m,
-                    NodeId::new(node_of(rank)),
-                    NodeId::new(node_of(peer)),
-                    COLLECTIVE_TAG,
-                    v,
-                )?;
+                let id = eng.submit(m, edge(node_of(rank), node_of(peer), v, None, None))?;
                 round.push((peer, id));
             }
         }
@@ -322,10 +283,17 @@ pub struct AllreduceDag {
 /// *actually delivered* words, so the result is honest about what moved
 /// on the wire. Nothing moves until the caller pumps the engine.
 ///
+/// With `recovery`, every exchange edge carries that engine-native
+/// [`RecoveryPolicy`]: an exchange felled by a node crash-restart is
+/// parked and re-executed inside the engine, its later-round dependents
+/// stay held until the recovered exchange delivers, and per-edge
+/// delivery tokens keep superseded duplicates from satisfying any other
+/// edge.
+///
 /// # Errors
 ///
-/// [`ProtocolError::BadTransfer`] if a dependency id is rejected
-/// (cannot happen for ids minted by `eng` itself).
+/// [`ProtocolError::BadTransfer`] if an edge is rejected (a
+/// zero-execution `recovery`; cannot happen otherwise).
 ///
 /// # Panics
 ///
@@ -333,8 +301,9 @@ pub struct AllreduceDag {
 /// than the node count.
 pub fn submit_allreduce(
     eng: &mut Engine,
-    m: &Machine,
+    m: &mut Machine,
     inputs: &[u32],
+    recovery: Option<&RecoveryPolicy>,
 ) -> Result<AllreduceDag, ProtocolError> {
     let n = m.num_nodes();
     assert!(n.is_power_of_two(), "recursive doubling needs a power-of-two node count");
@@ -348,16 +317,8 @@ pub fn submit_allreduce(
         let mut this: Vec<Option<OpId>> = vec![None; n];
         for node in 0..n {
             let peer = node ^ stride;
-            let after: Vec<OpId> = prev[node].into_iter().collect();
-            let id = eng.submit_am4_after(
-                m,
-                NodeId::new(node),
-                NodeId::new(peer),
-                COLLECTIVE_TAG,
-                [acc[node], 0, 0, 0],
-                &after,
-            )?;
-            this[peer] = Some(id);
+            let op = edge(node, peer, [acc[node], 0, 0, 0], prev[node], recovery);
+            this[peer] = Some(eng.submit(m, op)?);
         }
         // Predicted partials for the next round's payloads.
         let snapshot = acc.clone();
@@ -416,88 +377,34 @@ pub fn allreduce_results(
 /// than the node count.
 pub fn allreduce_sum(m: &mut Machine, inputs: &[u32]) -> Result<Vec<u32>, ProtocolError> {
     let mut eng = Engine::new();
-    let dag = submit_allreduce(&mut eng, m, inputs)?;
+    let dag = submit_allreduce(&mut eng, m, inputs, None)?;
     eng.run(m);
     allreduce_results(&mut eng, &dag)
 }
 
-/// [`submit_allreduce`] with an engine-native [`RecoveryPolicy`] on
-/// every exchange edge: an exchange felled by a node crash-restart is
-/// parked and re-executed inside the engine, its later-round dependents
-/// stay held until the recovered exchange delivers, and per-edge
-/// delivery tokens keep superseded duplicates from satisfying any other
-/// edge.
-///
-/// # Errors
-///
-/// [`ProtocolError::BadTransfer`] if a dependency id is rejected
-/// (cannot happen for ids minted by `eng` itself).
-///
-/// # Panics
-///
-/// Panics if the node count is not a power of two, inputs are fewer
-/// than the node count, or `recovery.max_executions` is zero.
-pub fn submit_allreduce_recovering(
-    eng: &mut Engine,
-    m: &mut Machine,
-    inputs: &[u32],
-    recovery: &RecoveryPolicy,
-) -> Result<AllreduceDag, ProtocolError> {
-    let n = m.num_nodes();
-    assert!(n.is_power_of_two(), "recursive doubling needs a power-of-two node count");
-    assert!(inputs.len() >= n, "one input per node");
-    let mut acc: Vec<u32> = inputs[..n].to_vec();
-    let mut recv: Vec<Vec<OpId>> = Vec::new();
-    let mut prev: Vec<Option<OpId>> = vec![None; n];
-    let mut stride = 1;
-    while stride < n {
-        let mut this: Vec<Option<OpId>> = vec![None; n];
-        for node in 0..n {
-            let peer = node ^ stride;
-            let after: Vec<OpId> = prev[node].into_iter().collect();
-            let id = eng.submit_am4_recovering_after(
-                m,
-                NodeId::new(node),
-                NodeId::new(peer),
-                COLLECTIVE_TAG,
-                [acc[node], 0, 0, 0],
-                recovery,
-                &after,
-            )?;
-            this[peer] = Some(id);
-        }
-        let snapshot = acc.clone();
-        for node in 0..n {
-            acc[node] = acc[node].wrapping_add(snapshot[node ^ stride]);
-        }
-        recv.push(this.into_iter().map(|id| id.expect("every node is someone's peer")).collect());
-        prev = recv.last().expect("just pushed").iter().copied().map(Some).collect();
-        stride *= 2;
-    }
-    Ok(AllreduceDag { inputs: inputs[..n].to_vec(), recv })
-}
-
-/// Blocking self-healing all-reduce: [`submit_allreduce_recovering`] on
-/// a fresh engine, run to completion. Returns every node's sum plus the
-/// total number of exchange re-executions the engine performed (zero on
-/// a clean run, whose cost is identical to [`allreduce_sum`]).
+/// Blocking self-healing all-reduce: [`submit_allreduce`] with
+/// `recovery` on a fresh engine, run to completion. Returns every
+/// node's sum plus the total number of exchange re-executions the
+/// engine performed (zero on a clean run, whose cost is identical to
+/// [`allreduce_sum`]).
 ///
 /// # Errors
 ///
 /// The root-cause error once some exchange's recovery budget is
-/// exhausted.
+/// exhausted; [`ProtocolError::BadTransfer`] if
+/// `recovery.max_executions` is zero.
 ///
 /// # Panics
 ///
-/// Panics if the node count is not a power of two, inputs are fewer
-/// than the node count, or `recovery.max_executions` is zero.
+/// Panics if the node count is not a power of two or inputs are fewer
+/// than the node count.
 pub fn allreduce_sum_recovering(
     m: &mut Machine,
     inputs: &[u32],
     recovery: &RecoveryPolicy,
 ) -> Result<(Vec<u32>, u32), ProtocolError> {
     let mut eng = Engine::new();
-    let dag = submit_allreduce_recovering(&mut eng, m, inputs, recovery)?;
+    let dag = submit_allreduce(&mut eng, m, inputs, Some(recovery))?;
     eng.run(m);
     let re_executions = dag
         .recv
@@ -531,14 +438,7 @@ pub fn allreduce_phased(m: &mut Machine, inputs: &[u32]) -> Result<Vec<u32>, Pro
         let mut recv: Vec<Option<OpId>> = vec![None; n];
         for (node, &a) in acc.iter().enumerate() {
             let peer = node ^ stride;
-            let id = eng.submit_am4(
-                m,
-                NodeId::new(node),
-                NodeId::new(peer),
-                COLLECTIVE_TAG,
-                [a, 0, 0, 0],
-            )?;
-            recv[peer] = Some(id);
+            recv[peer] = Some(eng.submit(m, edge(node, peer, [a, 0, 0, 0], None, None))?);
         }
         eng.run(m);
         for node in 0..n {
@@ -761,8 +661,8 @@ mod tests {
     fn two_collectives_share_one_engine() {
         let mut m = machine(8);
         let mut eng = Engine::new();
-        let d1 = submit_broadcast(&mut eng, &m, NodeId::new(0), [1; 4]).unwrap();
-        let d2 = submit_broadcast(&mut eng, &m, NodeId::new(3), [2; 4]).unwrap();
+        let d1 = submit_broadcast(&mut eng, &mut m, NodeId::new(0), [1; 4], None).unwrap();
+        let d2 = submit_broadcast(&mut eng, &mut m, NodeId::new(3), [2; 4], None).unwrap();
         eng.run(&mut m);
         let s1 = broadcast_results(&mut eng, &d1, 8).unwrap();
         let s2 = broadcast_results(&mut eng, &d2, 8).unwrap();

@@ -7,7 +7,7 @@
 //! back to back. The outcome records enough to study aggregate
 //! throughput and per-node load under contention.
 
-use timego_am::{CmamConfig, Engine, Machine, OpOutcome, RetryPolicy, StreamConfig};
+use timego_am::{CmamConfig, Engine, Machine, Op, OpOutcome, RetryPolicy, StreamConfig};
 use timego_netsim::NodeId;
 
 use crate::patterns::Pattern;
@@ -115,27 +115,19 @@ pub fn run_concurrent(
     let mut eng = Engine::new();
     let mut submitted = Vec::new();
     for (i, op) in ops.iter().enumerate() {
-        match op.kind {
-            TrafficKind::Xfer => {
-                let id = eng.submit_xfer(m, op.src, op.dst, &op.data).expect("valid plan");
-                submitted.push((i, id, None));
-            }
-            TrafficKind::Reliable => {
-                let id = eng
-                    .submit_xfer_reliable(m, op.src, op.dst, &op.data, policy)
-                    .expect("valid plan");
-                submitted.push((i, id, None));
-            }
+        let (planned, sid) = match op.kind {
+            TrafficKind::Xfer => (Op::xfer(op.src, op.dst, &op.data), None),
+            TrafficKind::Reliable => (Op::xfer_reliable(op.src, op.dst, &op.data, policy), None),
             TrafficKind::Stream => {
                 let sid = m.open_stream(
                     op.src,
                     op.dst,
                     StreamConfig { rto_iterations: 256, ..StreamConfig::default() },
                 );
-                let id = eng.submit_stream_send(m, sid, &op.data).expect("valid plan");
-                submitted.push((i, id, Some(sid)));
+                (Op::stream_send(sid, &op.data), Some(sid))
             }
-        }
+        };
+        submitted.push((i, eng.submit(m, planned).expect("valid plan"), sid));
     }
 
     let start = m.network().borrow().now();

@@ -9,7 +9,7 @@
 //! **servers**, whose registered RPC handlers perform the per-request
 //! application work. Every request is an engine RPC from its gateway to
 //! the chosen server, tagged with its QoS class via
-//! [`Engine::set_class`], so the run splits both completion times and
+//! [`Op::class`], so the run splits both completion times and
 //! the paper's per-feature instruction bills *per request class* —
 //! "where does the time go" for a service, not a kernel.
 //!
@@ -68,7 +68,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use timego_am::{CmamConfig, Engine, Machine, OpId, RecoveryPolicy, RetryPolicy, Tags};
+use timego_am::{CmamConfig, Engine, Machine, Op, OpId, RecoveryPolicy, RetryPolicy, Tags};
 use timego_cost::{CostVector, Feature, Fine};
 use timego_netsim::{FaultConfig, LatencyStats, NodeId, ShardedNetwork, SimRng};
 
@@ -431,7 +431,7 @@ pub struct RetryBudget {
 pub struct QosClass {
     /// Stable name, used in report keys ("interactive", "batch", …).
     pub name: &'static str,
-    /// The class tag handed to [`Engine::set_class`].
+    /// The class tag handed to [`Op::class`].
     pub class: u8,
     /// Cycles between successive arrivals of this population (open
     /// loop; smaller is a higher offered rate). Must be ≥ 1.
@@ -925,18 +925,12 @@ impl Rt<'_> {
             // routes it through the token-stamped submission path, so a
             // ping landing after its op expired is orphan-discardable
             // instead of wedging the server's rx queue.
-            let id = eng
-                .submit_am4_recovering(
-                    m,
-                    prober,
-                    server,
-                    PROBE_TAG,
-                    [0x5052_4f42, server.index() as u32, 0, 0],
-                    &RecoveryPolicy::none(),
-                )
-                .expect("probe submission");
-            eng.set_class(id, DETECTOR_CLASS);
-            eng.set_deadline(m, id, ds.spec.timeout);
+            let ping = [0x5052_4f42, server.index() as u32, 0, 0];
+            let probe = Op::am4(prober, server, PROBE_TAG, ping)
+                .recovering(&RecoveryPolicy::none())
+                .class(DETECTOR_CLASS)
+                .deadline(ds.spec.timeout);
+            let id = eng.submit(m, probe).expect("probe submission");
             ds.outstanding.insert(id, server);
             ds.probes += 1;
         }
@@ -988,11 +982,11 @@ impl Rt<'_> {
         self.gateway.bill_hedge(m, gw, ci, self.balancer.live_count());
         // The hedge leg is single-shot (no recovery): the primary owns
         // durability, the hedge owns the tail.
-        let id = eng.submit_rpc(m, gw, target, SERVICE_TAG, args, Some(&c.retry));
-        eng.set_class(id, c.class);
+        let mut leg = Op::rpc(gw, target, SERVICE_TAG, args, Some(&c.retry)).class(c.class);
         if let Some(left) = remaining {
-            eng.set_deadline(m, id, left);
+            leg = leg.deadline(left);
         }
+        let id = eng.submit(m, leg).expect("hedge submission");
         self.legs.insert(id, Leg { req: ri, server: target, submitted_at: now });
         self.reqs[ri].legs.push(id);
         self.reqs[ri].outstanding += 1;
@@ -1147,16 +1141,14 @@ pub fn run_service(m: &mut Machine, spec: &ServiceSpec) -> ServiceOutcome {
         rt.gateway
             .bill_route(m, gw, ci, spec.policy, rt.balancer.live_count().max(1));
         let args = [ci as u32, i as u32, c.work, (key & 0xffff_ffff) as u32];
-        let id = match &c.recovery {
-            Some(rec) => {
-                eng.submit_rpc_recovering(m, gw, server, SERVICE_TAG, args, Some(&c.retry), rec)
-            }
-            None => eng.submit_rpc(m, gw, server, SERVICE_TAG, args, Some(&c.retry)),
-        };
-        eng.set_class(id, c.class);
-        if let Some(d) = c.deadline {
-            eng.set_deadline(m, id, d);
+        let mut req = Op::rpc(gw, server, SERVICE_TAG, args, Some(&c.retry)).class(c.class);
+        if let Some(rec) = &c.recovery {
+            req = req.recovering(rec);
         }
+        if let Some(d) = c.deadline {
+            req = req.deadline(d);
+        }
+        let id = eng.submit(m, req).expect("request submission");
         let now = clock(m);
         let ri = rt.reqs.len();
         rt.reqs.push(Req {

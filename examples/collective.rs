@@ -87,8 +87,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         CmamConfig::default(),
     );
     let mut eng = Engine::new();
-    let bc = collectives::submit_broadcast(&mut eng, &m, NodeId::new(0), [7, 7, 7, 7])?;
-    let ar = collectives::submit_allreduce(&mut eng, &m, &inputs)?;
+    let bc = collectives::submit_broadcast(&mut eng, &mut m, NodeId::new(0), [7, 7, 7, 7], None)?;
+    let ar = collectives::submit_allreduce(&mut eng, &mut m, &inputs, None)?;
     eng.run(&mut m);
     let dag_cycles = m.network().borrow().now();
     let seen = collectives::broadcast_results(&mut eng, &bc, NODES)?;

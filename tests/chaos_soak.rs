@@ -26,7 +26,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use timego_am::{CmamConfig, Machine, RetryPolicy, StreamConfig};
+use timego_am::{CmamConfig, Machine, Op, RetryPolicy, StreamConfig};
 use timego_cost::Feature;
 use timego_netsim::{FaultConfig, NodeId};
 use timego_ni::share;
@@ -210,7 +210,7 @@ fn engine_concurrent_ops_soak_exactly_once_across_fault_mixes() {
                 .map(|(i, (s, d))| {
                     let data = payloads::mixed(24 + (seed as usize % 24), seed + i as u64);
                     let id = eng
-                        .submit_xfer_reliable(&m, n(*s), n(*d), &data, &policy)
+                        .submit(&mut m, Op::xfer_reliable(n(*s), n(*d), &data, &policy))
                         .expect("valid");
                     (id, n(*d), data)
                 })
@@ -221,10 +221,11 @@ fn engine_concurrent_ops_soak_exactly_once_across_fault_mixes() {
                 StreamConfig { rto_iterations: 256, ..StreamConfig::default() },
             );
             let stream_data = payloads::mixed(20 + (seed as usize % 16), seed.wrapping_add(55));
-            let stream_op = eng.submit_stream_send(&m, sid, &stream_data).expect("valid");
+            let stream_op = eng.submit(&mut m, Op::stream_send(sid, &stream_data)).expect("valid");
             let rpcs: Vec<_> = (0..2u32)
                 .map(|v| {
-                    (eng.submit_rpc(&mut m, n(3 + v as usize), n(1), 40, [v, 0, 0, 0], Some(&policy)), v)
+                    let call = Op::rpc(n(3 + v as usize), n(1), 40, [v, 0, 0, 0], Some(&policy));
+                    (eng.submit(&mut m, call).expect("valid rpc"), v)
                 })
                 .collect();
 
@@ -380,21 +381,16 @@ fn engine_matrix_soaks_concurrency_by_fault_plane_by_substrate() {
                         if i % 4 == 3 {
                             let caller = n((2 * i + 4) % M_NODES);
                             let v = i as u32;
-                            let id = eng.submit_rpc(
-                                &mut m,
-                                caller,
-                                n(1),
-                                40,
-                                [v, seed as u32, 0, 0],
-                                Some(&policy),
-                            );
+                            let call =
+                                Op::rpc(caller, n(1), 40, [v, seed as u32, 0, 0], Some(&policy));
+                            let id = eng.submit(&mut m, call).expect("valid rpc");
                             rpcs.push((id, v));
                         } else {
                             let (src, dst) = pair(xj);
                             xj += 1;
                             let data = payload(i, seed);
                             let id = eng
-                                .submit_xfer_reliable(&m, src, dst, &data, &policy)
+                                .submit(&mut m, Op::xfer_reliable(src, dst, &data, &policy))
                                 .expect("valid");
                             xfers.push((id, dst, data));
                         }

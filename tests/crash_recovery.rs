@@ -21,7 +21,7 @@
 //!   work and drains the fabric.
 
 use timego_am::{
-    CmamConfig, Engine, Machine, OpOutcome, ProtocolError, RetryPolicy, Tags,
+    CmamConfig, Engine, Machine, Op, OpOutcome, ProtocolError, RetryPolicy, Tags,
 };
 use timego_cost::Feature;
 use timego_netsim::{
@@ -221,10 +221,13 @@ fn deadline_settles_op_without_collateral() {
     let mut m = machine("switched", &FaultConfig::default(), 3);
     let mut eng = Engine::new();
     let doomed = eng
-        .submit_xfer_reliable_with_deadline(&m, n(2), n(9), &payloads::mixed(512, 1), &policy, 5)
+        .submit(
+            &mut m,
+            Op::xfer_reliable(n(2), n(9), &payloads::mixed(512, 1), &policy).deadline(5),
+        )
         .unwrap();
     let data = payloads::mixed(64, 2);
-    let fine = eng.submit_xfer_reliable(&m, n(4), n(11), &data, &policy).unwrap();
+    let fine = eng.submit(&mut m, Op::xfer_reliable(n(4), n(11), &data, &policy)).unwrap();
     eng.run(&mut m);
     match eng.take_outcome(doomed).unwrap() {
         Err(e @ ProtocolError::DeadlineExceeded { .. }) => {
@@ -252,7 +255,7 @@ fn watchdog_settles_wedged_op() {
     let policy = RetryPolicy { max_attempts: 4, base_wait: 1 << 19, max_wait: 1 << 19, ..RetryPolicy::default() };
     let mut eng = Engine::new();
     eng.set_watchdog(500);
-    let id = eng.submit_xfer_reliable(&m, n(2), n(9), &[1, 2, 3, 4], &policy).unwrap();
+    let id = eng.submit(&mut m, Op::xfer_reliable(n(2), n(9), &[1, 2, 3, 4], &policy)).unwrap();
     eng.run(&mut m);
     match eng.take_outcome(id).unwrap() {
         Err(ProtocolError::DeadlineExceeded { what, .. }) => assert_eq!(what, "watchdog"),
@@ -267,9 +270,14 @@ fn cancel_cascades_into_dependents() {
     let policy = RetryPolicy::default();
     let mut m = machine("switched", &FaultConfig::default(), 7);
     let mut eng = Engine::new();
-    let a = eng.submit_xfer_reliable(&m, n(2), n(9), &payloads::mixed(64, 3), &policy).unwrap();
+    let a = eng
+        .submit(&mut m, Op::xfer_reliable(n(2), n(9), &payloads::mixed(64, 3), &policy))
+        .unwrap();
     let b = eng
-        .submit_xfer_reliable_after(&m, n(9), n(12), &payloads::mixed(64, 4), &policy, &[a])
+        .submit(
+            &mut m,
+            Op::xfer_reliable(n(9), n(12), &payloads::mixed(64, 4), &policy).after(&[a]),
+        )
         .unwrap();
     assert!(eng.cancel(&m, a), "a is pending and must be cancellable");
     assert!(!eng.cancel(&m, a), "double-cancel is a no-op");
@@ -292,9 +300,9 @@ fn quiesce_cancels_waiting_work_and_drains_the_fabric() {
     let mut m = machine("switched", &FaultConfig::default(), 9);
     let mut eng = Engine::new();
     let data = payloads::mixed(128, 5);
-    let running = eng.submit_xfer_reliable(&m, n(2), n(9), &data, &policy).unwrap();
+    let running = eng.submit(&mut m, Op::xfer_reliable(n(2), n(9), &data, &policy)).unwrap();
     // Same ordered pair: queued behind `running`'s conflict key.
-    let waiting = eng.submit_xfer_reliable(&m, n(2), n(9), &data, &policy).unwrap();
+    let waiting = eng.submit(&mut m, Op::xfer_reliable(n(2), n(9), &data, &policy)).unwrap();
     // Admit the first op so it is genuinely running before we quiesce.
     eng.pump(&mut m);
     eng.quiesce(&mut m);

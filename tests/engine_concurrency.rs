@@ -17,7 +17,9 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use timego_am::{CmamConfig, Engine, EngineEvent, Machine, OpId, OpOutcome, RetryPolicy, TracedEvent};
+use timego_am::{
+    CmamConfig, Engine, EngineEvent, Machine, Op, OpId, OpOutcome, RetryPolicy, TracedEvent,
+};
 use timego_cost::Feature;
 use timego_netsim::{DeliveryScript, NodeId, ScriptedNetwork};
 use timego_ni::share;
@@ -62,7 +64,7 @@ fn eight_plus_ops_across_eight_plus_nodes_interleave_in_one_run() {
     for i in 0..8 {
         let (src, dst) = (n(2 * i), n(2 * i + 1));
         let data = payloads::mixed(64, i as u64);
-        let id = eng.submit_xfer_reliable(&m, src, dst, &data, &policy).expect("valid");
+        let id = eng.submit(&mut m, Op::xfer_reliable(src, dst, &data, &policy)).expect("valid");
         expected.push((id, dst, data));
     }
     // Plus 4 concurrent RPCs riding the same run (no conflict keys).
@@ -73,7 +75,10 @@ fn eight_plus_ops_across_eight_plus_nodes_interleave_in_one_run() {
         [msg.words[0] * 3, 0, 0, 0]
     });
     let rpcs: Vec<(OpId, u32)> = (0..4u32)
-        .map(|v| (eng.submit_rpc(&mut m, n(2 + 2 * (v as usize)), n(1), 40, [v, 0, 0, 0], None), v))
+        .map(|v| {
+            let call = Op::rpc(n(2 + 2 * (v as usize)), n(1), 40, [v, 0, 0, 0], None);
+            (eng.submit(&mut m, call).expect("valid rpc"), v)
+        })
         .collect();
 
     eng.run(&mut m);
@@ -320,7 +325,8 @@ fn concurrent_rpcs_to_one_server_correlate_by_call_id() {
     let ids: Vec<(OpId, u32)> = (1..NODES)
         .map(|i| {
             let v = i as u32;
-            (eng.submit_rpc(&mut m, n(i), n(0), 50, [v, v * 11, 0, 0], None), v)
+            let call = Op::rpc(n(i), n(0), 50, [v, v * 11, 0, 0], None);
+            (eng.submit(&mut m, call).expect("valid rpc"), v)
         })
         .collect();
     eng.run(&mut m);
@@ -413,7 +419,9 @@ fn small_rx_queues_refuse_injections_but_never_livelock() {
         // whole backlog without livelock or timeout.
         let mut eng = Engine::new();
         let ids: Vec<OpId> =
-            (0..injected).map(|_| eng.submit_am4(&m, n(6), n(7), tag, words).unwrap()).collect();
+            (0..injected)
+                .map(|_| eng.submit(&mut m, Op::am4(n(6), n(7), tag, words)).unwrap())
+                .collect();
         eng.run(&mut m);
         assert_eq!(eng.unfinished(), 0);
         for id in ids {

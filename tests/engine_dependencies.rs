@@ -14,7 +14,7 @@
 //!   *includes* time held behind predecessors; `hold_times()` exposes
 //!   the held span for callers that want pure execution latency.
 
-use timego_am::{CmamConfig, Engine, EngineEvent, Machine, OpId, OpOutcome, ProtocolError};
+use timego_am::{CmamConfig, Engine, EngineEvent, Machine, Op, OpId, OpOutcome, ProtocolError};
 use timego_netsim::{DeliveryScript, FaultConfig, NodeId, ScriptedNetwork};
 use timego_ni::share;
 use timego_workloads::scenarios;
@@ -50,9 +50,9 @@ fn diamond_dag_completes_in_topological_order() {
     let data: Vec<u32> = (0..32).collect();
     // Diamond: a → {b, c} → d, on four distinct node pairs.
     let a = eng.submit_xfer(&m, n(0), n(1), &data).unwrap();
-    let b = eng.submit_xfer_after(&m, n(1), n(2), &data, &[a]).unwrap();
-    let c = eng.submit_xfer_after(&m, n(1), n(3), &data, &[a]).unwrap();
-    let d = eng.submit_xfer_after(&m, n(2), n(3), &data, &[b, c]).unwrap();
+    let b = eng.submit(&mut m, Op::xfer(n(1), n(2), &data).after(&[a])).unwrap();
+    let c = eng.submit(&mut m, Op::xfer(n(1), n(3), &data).after(&[a])).unwrap();
+    let d = eng.submit(&mut m, Op::xfer(n(2), n(3), &data).after(&[b, c])).unwrap();
     eng.run(&mut m);
     for id in [a, b, c, d] {
         assert!(eng.take_outcome(id).unwrap().is_ok(), "op {} failed", id.raw());
@@ -90,8 +90,8 @@ fn failing_predecessor_fails_transitive_dependents() {
     );
     let mut eng = Engine::new();
     let a = eng.submit_xfer(&m, n(0), n(1), &[1, 2, 3]).unwrap();
-    let b = eng.submit_xfer_after(&m, n(1), n(2), &[1, 2, 3], &[a]).unwrap();
-    let c = eng.submit_xfer_after(&m, n(2), n(3), &[1, 2, 3], &[b]).unwrap();
+    let b = eng.submit(&mut m, Op::xfer(n(1), n(2), &[1, 2, 3]).after(&[a])).unwrap();
+    let c = eng.submit(&mut m, Op::xfer(n(2), n(3), &[1, 2, 3]).after(&[b])).unwrap();
     eng.run(&mut m);
 
     // The root dies on its own timeout — or, if the per-op watchdog
@@ -133,7 +133,7 @@ fn submitting_after_settled_predecessors_resolves_immediately() {
     assert!(eng.take_outcome(ok).unwrap().is_ok());
 
     // After a *successful* predecessor: released immediately, runs.
-    let after_ok = eng.submit_xfer_after(&m, n(1), n(2), &[1], &[ok]).unwrap();
+    let after_ok = eng.submit(&mut m, Op::xfer(n(1), n(2), &[1]).after(&[ok])).unwrap();
     eng.run(&mut m);
     assert!(eng.take_outcome(after_ok).unwrap().is_ok());
 
@@ -150,7 +150,7 @@ fn submitting_after_settled_predecessors_resolves_immediately() {
     assert!(feng.take_outcome(doomed).unwrap().is_err());
     // After a *failed* predecessor: fails at submission, no engine run
     // needed, outcome available at once.
-    let after_err = feng.submit_xfer_after(&fm, n(1), n(2), &[1], &[doomed]).unwrap();
+    let after_err = feng.submit(&mut fm, Op::xfer(n(1), n(2), &[1]).after(&[doomed])).unwrap();
     match feng.take_outcome(after_err).unwrap() {
         Err(ProtocolError::DependencyFailed { failed, .. }) => assert_eq!(failed, doomed),
         other => panic!("late dependent should fail at submission, got {other:?}"),
@@ -159,7 +159,7 @@ fn submitting_after_settled_predecessors_resolves_immediately() {
 
 #[test]
 fn dependency_cycles_are_rejected_at_submission() {
-    let m = instant_machine(4);
+    let mut m = instant_machine(4);
     let mut eng = Engine::new();
     // Mint ids 0 and 1 on a *different* engine so we hold OpIds whose
     // raw values this engine has not issued yet — the only way to even
@@ -171,7 +171,7 @@ fn dependency_cycles_are_rejected_at_submission() {
     assert_eq!(forward.raw(), 1);
 
     // This engine has issued no ids, so raw id 1 is a forward edge.
-    match eng.submit_xfer_after(&m, n(0), n(1), &[1], &[forward]) {
+    match eng.submit(&mut m, Op::xfer(n(0), n(1), &[1]).after(&[forward])) {
         Err(ProtocolError::BadTransfer(msg)) => {
             assert!(msg.contains("cycle"), "{msg}");
         }
@@ -191,7 +191,7 @@ fn completion_times_include_held_span_and_hold_times_expose_it() {
     let mut eng = Engine::new();
     let data: Vec<u32> = (0..64).collect();
     let a = eng.submit_xfer(&m, n(0), n(1), &data).unwrap();
-    let b = eng.submit_xfer_after(&m, n(2), n(3), &data, &[a]).unwrap();
+    let b = eng.submit(&mut m, Op::xfer(n(2), n(3), &data).after(&[a])).unwrap();
     eng.run(&mut m);
     assert!(eng.take_outcome(a).unwrap().is_ok());
     assert!(eng.take_outcome(b).unwrap().is_ok());
@@ -218,7 +218,7 @@ fn am4_op_delivers_words_at_table1_cost() {
     m.reset_costs();
     let mut eng = Engine::new();
     let tag = timego_am::Tags::USER_BASE + 3;
-    let id = eng.submit_am4(&m, n(0), n(1), tag, [4, 5, 6, 7]).unwrap();
+    let id = eng.submit(&mut m, Op::am4(n(0), n(1), tag, [4, 5, 6, 7])).unwrap();
     eng.run(&mut m);
     assert_eq!(eng.take_outcome(id).unwrap(), Ok(OpOutcome::Am4([4, 5, 6, 7])));
     // One Table 1 round and nothing else: 20-instruction send plus
@@ -233,8 +233,9 @@ fn every_submitted_op_is_released_exactly_once() {
     let mut m = instant_machine(6);
     let mut eng = Engine::new();
     let a = eng.submit_xfer(&m, n(0), n(1), &[1, 2]).unwrap();
-    let _b = eng.submit_am4(&m, n(2), n(3), timego_am::Tags::USER_BASE + 1, [9; 4]).unwrap();
-    let _c = eng.submit_xfer_after(&m, n(4), n(5), &[3], &[a]).unwrap();
+    let _b =
+        eng.submit(&mut m, Op::am4(n(2), n(3), timego_am::Tags::USER_BASE + 1, [9; 4])).unwrap();
+    let _c = eng.submit(&mut m, Op::xfer(n(4), n(5), &[3]).after(&[a])).unwrap();
     eng.run(&mut m);
     let mut submitted = 0;
     let mut released = 0;

@@ -28,7 +28,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use timego_am::{
-    CmamConfig, Engine, Machine, OpId, RecoveryPolicy, RetryPolicy, SchedMode, StreamConfig,
+    CmamConfig, Engine, Machine, Op, OpId, RecoveryPolicy, RetryPolicy, SchedMode, StreamConfig,
     Tags, TracedEvent,
 };
 use timego_cost::Feature;
@@ -142,26 +142,28 @@ fn run_one(mode: SchedMode, sub: &str, fault: &FaultConfig, seed: u64) -> Finger
     for (i, (s, d)) in [(2usize, 9usize), (4, 11)].into_iter().enumerate() {
         let data = payloads::mixed(24 + 8 * i, seed + i as u64);
         ids.push(
-            eng.submit_xfer_reliable_recovering(&m, n(s), n(d), &data, &policy, &recovery)
+            eng.submit(&mut m, Op::xfer_reliable(n(s), n(d), &data, &policy).recovering(&recovery))
                 .expect("valid transfer"),
         );
     }
     // A stream burst with its own RTO machinery.
     let sid = m.open_stream(n(0), n(2), StreamConfig { rto_iterations: 256, ..StreamConfig::default() });
     ids.push(
-        eng.submit_stream_send(&m, sid, &payloads::mixed(20, seed.wrapping_add(55)))
+        eng.submit(&mut m, Op::stream_send(sid, &payloads::mixed(20, seed.wrapping_add(55))))
             .expect("valid stream"),
     );
     // Two retried RPCs against one server.
     for v in 0..2u32 {
-        ids.push(eng.submit_rpc(&mut m, n(3 + 2 * v as usize), n(1), 40, [v, 0, 0, 0], Some(&policy)));
+        let call = Op::rpc(n(3 + 2 * v as usize), n(1), 40, [v, 0, 0, 0], Some(&policy));
+        ids.push(eng.submit(&mut m, call).expect("valid rpc"));
     }
     // An am4 run-after chain: the second hop releases only when the
     // first delivers.
-    let hop = eng.submit_am4(&m, n(6), n(7), 50, [seed as u32, 1, 2, 3]).expect("valid am4");
+    let hop =
+        eng.submit(&mut m, Op::am4(n(6), n(7), 50, [seed as u32, 1, 2, 3])).expect("valid am4");
     ids.push(hop);
     ids.push(
-        eng.submit_am4_after(&m, n(7), n(8), 50, [seed as u32, 4, 5, 6], &[hop])
+        eng.submit(&mut m, Op::am4(n(7), n(8), 50, [seed as u32, 4, 5, 6]).after(&[hop]))
             .expect("valid am4 chain"),
     );
 

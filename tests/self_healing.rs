@@ -26,7 +26,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use timego_am::{
-    CmamConfig, Engine, EngineEvent, Machine, OpOutcome, ProtocolError, RecoveryPolicy,
+    CmamConfig, Engine, EngineEvent, Machine, Op, OpOutcome, ProtocolError, RecoveryPolicy,
     RetryPolicy, StreamConfig, Tags,
 };
 use timego_cost::Feature;
@@ -108,13 +108,10 @@ fn session_reset_recovers_inside_the_engine() {
         m.reset_costs();
         let mut eng = Engine::new();
         let op = eng
-            .submit_xfer_reliable_recovering(
-                &m,
-                n(2),
-                n(9),
-                &data,
-                &RetryPolicy::default(),
-                &RecoveryPolicy::default(),
+            .submit(
+                &mut m,
+                Op::xfer_reliable(n(2), n(9), &data, &RetryPolicy::default())
+                    .recovering(&RecoveryPolicy::default()),
             )
             .unwrap();
         eng.run(&mut m);
@@ -156,17 +153,14 @@ fn mid_dag_predecessor_recovers_and_releases_dependents() {
         let mut m = machine("switched", &crash(n(9), 50, 3000), seed);
         let mut eng = Engine::new();
         let a = eng
-            .submit_xfer_reliable_recovering(
-                &m,
-                n(2),
-                n(9),
-                &data_a,
-                &policy,
-                &RecoveryPolicy::default(),
+            .submit(
+                &mut m,
+                Op::xfer_reliable(n(2), n(9), &data_a, &policy)
+                    .recovering(&RecoveryPolicy::default()),
             )
             .unwrap();
         let b = eng
-            .submit_xfer_reliable_after(&m, n(9), n(12), &data_b, &policy, &[a])
+            .submit(&mut m, Op::xfer_reliable(n(9), n(12), &data_b, &policy).after(&[a]))
             .unwrap();
         eng.run(&mut m);
         match eng.take_outcome(a).unwrap() {
@@ -489,20 +483,16 @@ fn quiesce_settles_parked_and_held_ops_with_uniform_events() {
     let mut m = machine("switched", &fault, 3);
     let mut eng = Engine::new();
     let parked = eng
-        .submit_xfer_reliable_recovering(
-            &m,
-            n(2),
-            n(9),
-            &data,
-            &policy,
-            &RecoveryPolicy::default(),
+        .submit(
+            &mut m,
+            Op::xfer_reliable(n(2), n(9), &data, &policy).recovering(&RecoveryPolicy::default()),
         )
         .unwrap();
     let held = eng
-        .submit_xfer_reliable_after(&m, n(9), n(12), &data, &policy, &[parked])
+        .submit(&mut m, Op::xfer_reliable(n(9), n(12), &data, &policy).after(&[parked]))
         .unwrap();
     let patient = RetryPolicy { max_attempts: 4, base_wait: 512, ..RetryPolicy::default() };
-    let busy = eng.submit_xfer_reliable(&m, n(3), n(14), &data, &patient).unwrap();
+    let busy = eng.submit(&mut m, Op::xfer_reliable(n(3), n(14), &data, &patient)).unwrap();
     // Pump until the crash fells the first execution and the engine
     // parks the op for its backoff window.
     let mut guard = 0;
