@@ -2,20 +2,43 @@
 //! machines replacing the world-driving blocking loops.
 //!
 //! Each in-flight operation (finite transfer, reliable transfer, stream
-//! send, RPC) is a state machine whose `step` performs exactly one
-//! iteration of the corresponding blocking driver loop — minus the
-//! `advance(1)` the blocking loop used to pass time. The [`Engine`]
-//! owns the clock: it round-robins every active operation, and only
-//! when **no** operation makes progress does it advance the substrate
-//! one cycle and deliver a timer tick to every operation (this is what
-//! drives retry deadlines from [`RetryPolicy`](crate::RetryPolicy) and
-//! stream retransmission timeouts).
+//! send, RPC, active message) is a state machine whose `step` performs
+//! exactly one iteration of the corresponding blocking driver loop —
+//! minus the `advance(1)` the blocking loop used to pass time. The
+//! [`Engine`] owns the clock and schedules by *readiness*: an operation
+//! whose step finds nothing to do sleeps until a packet touches one of
+//! its endpoints or its own timer (retry window, timeout, RTO) comes
+//! due on the timing wheel, and a pass steps only operations that are
+//! awake. When a pass makes no progress, time passes — one cycle while
+//! packets are in flight, otherwise an *idle jump* straight to the next
+//! wheel event — and a sleeper receives the timer ticks it slept
+//! through at once when it wakes (this is what drives retry deadlines
+//! from [`RetryPolicy`](crate::RetryPolicy) and stream retransmission
+//! timeouts). The scheduler this replaced — step everything, advance
+//! one cycle, tick everyone — is kept as
+//! [`SchedMode::ReferenceRoundRobin`], the oracle the default is pinned
+//! trace- and bill-identical to.
 //!
 //! Because a single-operation engine run performs the same instruction
 //! sequence as the old blocking loop, the blocking entry points
 //! ([`Machine::xfer`], [`Machine::stream_send`], [`Machine::rpc_call`],
 //! …) are now thin run-to-completion wrappers over the engine and stay
 //! cost-identical per feature — the paper's tables regenerate exactly.
+//!
+//! ## Op ledger: one home per piece of state
+//!
+//! Everything per-operation that outlives a run slot lives in one row
+//! of the ledger (`Engine::ops`, indexed by [`OpId::raw`]): the
+//! lifecycle stage — and with it the held state machine or the parked
+//! resume cycle — the modifiers landed at submission (class, deadline
+//! budget, recovery recipe and re-execution count), the run-after
+//! dependents, the outcome and flattened root error, and the
+//! `Submitted` / `Released` stamps. Admitted and queued state machines
+//! belong to the container the stage names (a run slot, `pending`);
+//! three ordered id sets (`held`, `parked`, armed `deadlines`) only
+//! index rows a loop visits in id order; the completion log owns
+//! completion order and `Completed` stamps. The trace is output: the
+//! engine appends to it, lends it out, and never reads it back.
 //!
 //! ## The substrate may be parallel; the engine stays sequential
 //!
@@ -126,12 +149,11 @@ use timego_ni::Addr;
 use crate::am::PollOutcome;
 use crate::costs::{recovery, segment, xfer_order, xfer_recv, xfer_send};
 use crate::error::ProtocolError;
-use crate::machine::{Machine, Tags};
+use crate::machine::{Machine, SessionEntry, Tags};
 use crate::retry::{RecoveryPolicy, RetryPolicy};
 use crate::rpc::RpcEvent;
 use crate::sched::{SchedCounters, SchedMode, SchedPhase, SchedProfiler, Slab, TimingWheel};
 use crate::stream::{StreamId, StreamOutcome};
-use crate::machine::SessionEntry;
 use crate::xfer::{PayloadEngine, XferOutcome, XferRx};
 use crate::xfer_reliable::{ReliableOutcome, OFFSET_BITS, OFFSET_MASK};
 
@@ -150,6 +172,12 @@ impl OpId {
     #[cfg(test)]
     pub(crate) fn from_raw(raw: u64) -> Self {
         OpId(raw)
+    }
+
+    /// Position in the op ledger. An id another engine minted may lie
+    /// past its end, so public entry points `get` it, never index.
+    fn index(self) -> usize {
+        usize::try_from(self.0).unwrap_or(usize::MAX)
     }
 }
 
@@ -240,6 +268,15 @@ const CLASS_XFER: u8 = 0;
 const CLASS_STREAM: u8 = 1;
 const CLASS_AM: u8 = 2;
 
+impl ActiveOp {
+    /// `body` as a fresh state machine, for a first execution and a
+    /// recovery re-execution alike.
+    fn new(id: OpId, body: OpBody, m: &Machine, managed: bool) -> Self {
+        let (key, endpoints) = (body.conflict_key(m), body.endpoints(m));
+        ActiveOp { id, op: body.build(m, managed), key, endpoints, last_progress_at: 0 }
+    }
+}
+
 struct ActiveOp {
     id: OpId,
     op: OpKind,
@@ -260,9 +297,73 @@ struct HeldOp {
     waiting_on: HashSet<OpId>,
 }
 
+/// Where an operation is in its life. An unfinished one sits in exactly
+/// one scheduler container, and the tag names it: "where is op N?" is
+/// one read, not a probe of every container.
+#[derive(Default)]
+enum Stage {
+    /// Waiting on run-after predecessors, indexed by `Engine::held`.
+    /// Its state machine waits here; it occupies no conflict key.
+    Held(Box<HeldOp>),
+    /// Released, in the `Engine::pending` admission queue.
+    #[default]
+    Pending,
+    /// Admitted, in a run slot (`Engine::slots` / `run_order`).
+    Running,
+    /// Between recovery executions, indexed by `Engine::parked`: no
+    /// state machine exists, the conflict key stays busy, and the
+    /// backoff window closes at substrate cycle `resume_at`.
+    Parked { resume_at: u64 },
+    /// Settled; verdict and `Completed` stamp are in
+    /// `Engine::completions`, a failure's cause in `root_error`.
+    Done,
+}
+
+/// One row of the op ledger (`Engine::ops`, indexed by [`OpId::raw`]):
+/// everything per-op that outlives a run slot, written where the work
+/// happens and read back directly — never reconstructed from the trace.
+#[derive(Default)]
+struct OpEntry {
+    stage: Stage,
+    /// Landed by [`Op::class`].
+    class: Option<u8>,
+    /// Landed by [`Op::deadline`]: the budget, in cycles from
+    /// `submitted_at`. Armed while the id is in `Engine::deadlines`.
+    deadline: Option<u64>,
+    /// Landed by [`Op::recovering`]. Dropped at settlement — it pins a
+    /// payload clone — while `re_executions` stays answerable.
+    recovery: Option<Box<RecoveryRecipe>>,
+    re_executions: u32,
+    /// Held operations naming this one as a run-after predecessor.
+    dependents: Vec<OpId>,
+    /// The result, until [`Engine::take_outcome`] collects it.
+    outcome: Option<Box<Result<OpOutcome, ProtocolError>>>,
+    /// Flattened root cause of a failure. Kept (unlike `outcome`) so
+    /// dependents submitted later can carry it.
+    root_error: Option<Box<ProtocolError>>,
+    /// Stamps of the `Submitted` and `Released` trace events (`None`
+    /// while held, and for ops failed before release).
+    submitted_at: u64,
+    released_at: Option<u64>,
+}
+
+impl OpEntry {
+    fn done(&self) -> bool {
+        matches!(self.stage, Stage::Done)
+    }
+
+    /// When a parked op's backoff window closes.
+    fn resume_at(&self) -> Option<u64> {
+        match self.stage {
+            Stage::Parked { resume_at } => Some(resume_at),
+            _ => None,
+        }
+    }
+}
+
 /// One admitted operation's scheduler slot in the run arena. Both
 /// scheduler modes share this storage; the readiness fields (`ready`,
-/// `slept_epoch`, `sleep_gen`, `wd_due`) are only consulted by the
+/// `slept_epoch`, `sleep_gen`, `subbed`) are only consulted by the
 /// event-driven mode — the reference round-robin sweeps every slot in
 /// `run_order` regardless.
 struct RunSlot {
@@ -292,11 +393,6 @@ struct RunSlot {
     /// subscriber count; these flags keep re-sleeps from pushing
     /// duplicate entries while an undrained one is still queued.
     subbed: [bool; 2],
-    /// Absolute clock at which the no-progress watchdog would expire
-    /// this op (`last_progress_at + bound + 1`). Wheel watchdog entries
-    /// re-validate against this and lazily re-arm when the op progressed
-    /// since they were scheduled.
-    wd_due: u64,
 }
 
 /// What one timing-wheel expiry means to the event-driven scheduler.
@@ -317,16 +413,13 @@ enum WheelItem {
     ParkResume,
 }
 
-/// Re-execution recipe and budget for one recovery-armed operation
-/// (see [`RecoveryPolicy`] and [`Op::recovering`]).
-struct RecoveryState {
+/// Re-execution recipe for one recovery-armed operation (see
+/// [`RecoveryPolicy`] and [`Op::recovering`]).
+struct RecoveryRecipe {
     /// The resolved body the operation was submitted with; every
     /// re-execution is [`OpBody::build`] over a clone of it.
     body: OpBody,
     policy: RecoveryPolicy,
-    /// Re-executions performed so far (0 while the first execution is
-    /// still the only one).
-    re_executions: u32,
 }
 
 /// The family-specific half of an [`Op`]: what to run, between whom.
@@ -801,9 +894,15 @@ fn win(bound: u64, waited: u64) -> u64 {
 ///
 /// Describe operations as [`Op`]s and hand them to [`Engine::submit`],
 /// drive them to completion with [`Engine::run`], and collect `OpId`-keyed results
-/// with [`Engine::take_outcome`].
+/// with [`Engine::take_outcome`]. [`Engine::default`] is [`Engine::new`].
+#[derive(Default)]
 pub struct Engine {
-    next_id: u64,
+    // The op ledger (see the module docs): one row per submitted op,
+    // indexed by `OpId::raw()` — ids are dense, the next is `ops.len()`.
+    ops: Vec<OpEntry>,
+    // The completion log: `(id, ok, Completed stamp)` per settled op, in
+    // completion order. `completions_since` cursors index into it.
+    completions: Vec<(OpId, bool, u64)>,
     pending: VecDeque<ActiveOp>,
     // Running ops live in a slot-stable arena; `run_order` preserves
     // admission order (what the sweep and the watchdog scan follow).
@@ -816,9 +915,9 @@ pub struct Engine {
     // round-robin).
     wheel: TimingWheel<WheelItem>,
     // Wheel expiries harvested by `absorb_wakes`, pending validation in
-    // `supervise_event`. Watchdog tuples are `(slot, inc, due)`.
+    // `supervise`. Watchdog tuples are `(slot, inc)`.
     fired_deadlines: Vec<OpId>,
-    fired_watchdogs: Vec<(u32, u64, u64)>,
+    fired_watchdogs: Vec<(u32, u64)>,
     // node index -> `(slot, inc, endpoint idx)` entries for ops
     // currently *sleeping* on packet activity at that node. Pushed by
     // `sleep_slot`, drained wholesale by `touch_node` (waking each
@@ -840,45 +939,21 @@ pub struct Engine {
     counters: SchedCounters,
     profiler: Option<SchedProfiler>,
     busy: HashSet<ConflictKey>,
-    // Held operations (run-after dependencies outstanding), keyed by id
-    // so releases happen in submission order when one completion frees
-    // several dependents at once.
-    held: BTreeMap<OpId, HeldOp>,
-    // Predecessor -> held dependents, for O(dependents) release.
-    dependents: BTreeMap<OpId, Vec<OpId>>,
-    // Completion ledger. `outcomes` is drained by `take_outcome`, so
-    // dependency resolution needs its own persistent record.
-    done_ok: HashSet<OpId>,
-    done_err: HashSet<OpId>,
-    outcomes: BTreeMap<OpId, Result<OpOutcome, ProtocolError>>,
-    // Flattened root-cause error per failed op, kept (unlike `outcomes`,
-    // which `take_outcome` drains) so late-submitted dependents can
-    // carry the root in their `DependencyFailed`.
-    root_errors: BTreeMap<OpId, ProtocolError>,
-    // Per-op deadline: (absolute expiry on the substrate clock, the
-    // budget it was set with — reported in the error).
-    deadlines: BTreeMap<OpId, (u64, u64)>,
+    // Ordered id indices over the ledger, for loops that visit "every
+    // op in this state, ascending by id". The state itself is in the
+    // row. A deadline is disarmed when it fires or its op settles.
+    held: BTreeSet<OpId>,
+    parked: BTreeSet<OpId>,
+    deadlines: BTreeSet<OpId>,
     // No-progress watchdog bound in cycles; `None` derives
     // 4 × max_wait_cycles from the machine config at enforcement time.
     watchdog: Option<u64>,
-    // Engine-native recovery plane: per-op re-execution recipe and
-    // budget, armed by `Op::recovering`. Entries are
-    // kept after settlement so `recovery_executions` stays answerable.
-    recovery: BTreeMap<OpId, RecoveryState>,
-    // Ops waiting out a recovery backoff window: id -> absolute
-    // substrate clock at which to re-execute. A parked op keeps its
-    // conflict key busy so queued same-key work cannot overtake the
-    // re-execution (stream sequence ranges would otherwise collide).
-    parked: BTreeMap<OpId, u64>,
+    // Append-only output, lent out through `trace()`; never read back.
     trace: Vec<TracedEvent>,
-    // Consecutive no-progress cycles, persisted across `pump` calls
-    // (diagnostic context for the defensive held-op sweep).
-    idle_streak: u64,
-    // Request-class plane (see `Op::class`): op id -> caller-assigned
-    // class tag, and the accumulated per-class cost split. Both empty
-    // unless a caller tags ops, and every hot-path hook is gated on
-    // that emptiness — untagged workloads pay nothing.
-    class_of: BTreeMap<OpId, u8>,
+    // Request-class plane (see `Op::class`): whether any op was ever
+    // tagged, and the accumulated per-class cost split. Every hot-path
+    // hook is gated on the flag — untagged workloads pay nothing.
+    class_plane: bool,
     class_bills: BTreeMap<u8, CostVector>,
     // Per-class retry budgets (see `set_retry_budget`): a token bucket
     // consulted before every engine-native re-execution of a tagged
@@ -913,17 +988,11 @@ impl RetryBudgetState {
     }
 }
 
-impl Default for Engine {
-    fn default() -> Self {
-        Engine::new()
-    }
-}
-
 impl Engine {
     /// An empty engine running the default readiness-driven scheduler.
     #[must_use]
     pub fn new() -> Self {
-        Engine::with_mode(SchedMode::EventDriven)
+        Engine::default()
     }
 
     /// An empty engine with an explicit scheduler mode (see
@@ -932,38 +1001,7 @@ impl Engine {
     /// the equivalence baseline and for benchmarking.
     #[must_use]
     pub fn with_mode(mode: SchedMode) -> Self {
-        Engine {
-            next_id: 0,
-            pending: VecDeque::new(),
-            slots: Slab::new(),
-            run_order: Vec::new(),
-            next_inc: 0,
-            mode,
-            wheel: TimingWheel::new(),
-            fired_deadlines: Vec::new(),
-            fired_watchdogs: Vec::new(),
-            node_subs: Vec::new(),
-            orphan_dirty: BTreeSet::new(),
-            tick_epoch: 0,
-            counters: SchedCounters::default(),
-            profiler: None,
-            busy: HashSet::new(),
-            held: BTreeMap::new(),
-            dependents: BTreeMap::new(),
-            done_ok: HashSet::new(),
-            done_err: HashSet::new(),
-            outcomes: BTreeMap::new(),
-            root_errors: BTreeMap::new(),
-            deadlines: BTreeMap::new(),
-            watchdog: None,
-            recovery: BTreeMap::new(),
-            parked: BTreeMap::new(),
-            trace: Vec::new(),
-            idle_streak: 0,
-            class_of: BTreeMap::new(),
-            class_bills: BTreeMap::new(),
-            retry_budgets: BTreeMap::new(),
-        }
+        Engine { mode, ..Engine::default() }
     }
 
     /// The scheduler mode this engine runs.
@@ -993,8 +1031,13 @@ impl Engine {
         self.profiler.as_mut()
     }
 
-    fn record(&mut self, m: &Machine, event: EngineEvent) {
-        self.trace.push(TracedEvent { at: clock(m), event });
+    /// Append `event` to the trace, stamped with the substrate clock,
+    /// and hand the stamp back: the ledger writes the same value into
+    /// the op's row, so the row and the trace agree by construction.
+    fn record(&mut self, m: &Machine, event: EngineEvent) -> u64 {
+        let at = clock(m);
+        self.trace.push(TracedEvent { at, event });
+        at
     }
 
     /// Submit one operation: validate everything, allocate its id (and
@@ -1016,7 +1059,7 @@ impl Engine {
     /// submission changes nothing: no id, call id, trace event or queue
     /// entry is consumed.
     pub fn submit(&mut self, m: &mut Machine, mut op: Op) -> Result<OpId, ProtocolError> {
-        op.validate(m, self.next_id)?;
+        op.validate(m, self.ops.len() as u64)?;
         // Correlation ids are the only machine state a submission
         // touches, which is why `submit_xfer` gets by on `&Machine`.
         match &mut op.body {
@@ -1046,75 +1089,79 @@ impl Engine {
         data: &[u32],
     ) -> Result<OpId, ProtocolError> {
         let op = Op::xfer(src, dst, data);
-        op.validate(m, self.next_id).map(|()| self.enqueue(m, op))
+        op.validate(m, self.ops.len() as u64).map(|()| self.enqueue(m, op))
     }
 
-    /// The one submission path, past validation: assign an id, land the
-    /// modifiers, build the state machine, then either release the
-    /// operation into the admission queue or hold it until its
-    /// predecessors complete.
+    /// The one submission path, past validation: open the op's ledger
+    /// row with every modifier landed, build the state machine, then
+    /// either release the operation into the admission queue or hold it
+    /// until its predecessors complete.
     fn enqueue(&mut self, m: &Machine, op: Op) -> OpId {
         let Op { body, after, recovery, deadline, class } = op;
-        let id = OpId(self.next_id);
-        self.next_id += 1;
-        if let Some(class) = class {
-            self.class_of.insert(id, class);
-        }
-        let (key, endpoints) = (body.conflict_key(m), body.endpoints(m));
+        let id = OpId(self.ops.len() as u64);
         let managed = recovery.is_some();
-        let kind = match recovery {
+        let (op, recovery) = match recovery {
             // The one extra payload copy recovery costs: the body stays
             // behind as the re-execution recipe.
             Some(policy) if policy.max_executions > 1 => {
-                let kind = body.clone().build(m, managed);
-                self.recovery.insert(id, RecoveryState { body, policy, re_executions: 0 });
-                kind
+                let op = ActiveOp::new(id, body.clone(), m, managed);
+                (op, Some(Box::new(RecoveryRecipe { body, policy })))
             }
-            _ => body.build(m, managed),
+            _ => (ActiveOp::new(id, body, m, managed), None),
         };
-        let op = ActiveOp { id, op: kind, key, endpoints, last_progress_at: 0 };
-        self.record(m, EngineEvent::Submitted(id));
+        self.class_plane |= class.is_some();
+        let submitted_at = self.record(m, EngineEvent::Submitted(id));
+        self.ops.push(OpEntry { class, deadline, recovery, submitted_at, ..OpEntry::default() });
         // A predecessor that already failed fells the dependent at
         // submission — same outcome it would get if the failure happened
         // while it was held.
-        if let Some(&failed) = after.iter().find(|d| self.done_err.contains(d)) {
-            let root = self
-                .root_errors
-                .get(&failed)
-                .cloned()
-                .unwrap_or_else(|| ProtocolError::timeout("predecessor outcome", 0));
+        let failed = after
+            .iter()
+            .find_map(|&d| self.ops[d.index()].root_error.as_deref().map(|root| (d, root.clone())));
+        if let Some((failed, root)) = failed {
             self.settle(m, id, Err(ProtocolError::dependency_failed(failed, &root)));
             return id;
         }
         let waiting_on: HashSet<OpId> =
-            after.iter().copied().filter(|d| !self.done_ok.contains(d)).collect();
+            after.iter().copied().filter(|d| !self.ops[d.index()].done()).collect();
         if waiting_on.is_empty() {
-            self.record(m, EngineEvent::Released(id));
-            self.pending.push_back(op);
+            self.release(m, op);
         } else {
             for dep in &waiting_on {
-                self.dependents.entry(*dep).or_default().push(id);
+                self.ops[dep.index()].dependents.push(id);
             }
-            self.held.insert(id, HeldOp { op, waiting_on });
+            self.ops[id.index()].stage = Stage::Held(Box::new(HeldOp { op, waiting_on }));
+            self.held.insert(id);
         }
         if let Some(budget) = deadline {
-            let at = clock(m).saturating_add(budget);
-            self.deadlines.insert(id, (at, budget));
+            self.deadlines.insert(id);
             if self.mode == SchedMode::EventDriven {
                 // Wheel entries are never cancelled: one that outlives
-                // its op finds no deadline when it fires and is dropped.
-                self.wheel.insert(at, WheelItem::Deadline { id });
+                // its op finds the deadline disarmed when it fires and
+                // is dropped.
+                self.wheel.insert(submitted_at.saturating_add(budget), WheelItem::Deadline { id });
             }
         }
         id
     }
 
+    /// The operation became admissible: record and stamp `Released`,
+    /// and queue it for admission.
+    fn release(&mut self, m: &Machine, op: ActiveOp) {
+        let at = self.record(m, EngineEvent::Released(op.id));
+        let entry = &mut self.ops[op.id.index()];
+        entry.stage = Stage::Pending;
+        entry.released_at = Some(at);
+        self.pending.push_back(op);
+    }
+
     /// How many engine-native re-executions `id` has undergone so far
-    /// (0 for clean runs and for ops submitted without a
-    /// [`RecoveryPolicy`]). Stays answerable after the op settles.
+    /// (0 for clean runs, for ops submitted without a
+    /// [`RecoveryPolicy`], and for ids this engine never issued). Stays
+    /// answerable after the op settles.
     #[must_use]
     pub fn recovery_executions(&self, id: OpId) -> u32 {
-        self.recovery.get(&id).map_or(0, |s| s.re_executions)
+        self.ops.get(id.index()).map_or(0, |e| e.re_executions)
     }
 
     /// Number of operations currently parked between recovery
@@ -1145,10 +1192,10 @@ impl Engine {
         &self.trace
     }
 
-    /// Per-operation completion times derived from the cycle-stamped
-    /// trace: for every operation that has completed (successfully or
-    /// not), the network cycles from its `Submitted` event to its
-    /// `Completed` event.
+    /// Per-operation completion times: for every operation that has
+    /// completed (successfully or not), in completion order, the
+    /// network cycles from its `Submitted` stamp to its `Completed`
+    /// stamp.
     ///
     /// Submission — not admission — anchors the interval, so for
     /// operations queued behind a busy conflict key the reported time
@@ -1156,46 +1203,29 @@ impl Engine {
     /// open-loop offered load this is the latency an injected operation
     /// actually experiences. The same holds for run-after dependencies:
     /// cycles an operation spends **held** behind unfinished
-    /// predecessors are *included* in its completion time — the trace's
+    /// predecessors are *included* in its completion time — the
     /// `Released` stamps (see [`Engine::hold_times`]) let a caller
     /// subtract the held span when it wants pure execution latency.
     #[must_use]
     pub fn completion_times(&self) -> Vec<(OpId, u64)> {
-        self.spans(|e| match e {
-            EngineEvent::Completed(id, _) => Some(id),
-            _ => None,
-        })
+        self.completions
+            .iter()
+            .map(|&(id, _, at)| (id, at.saturating_sub(self.ops[id.index()].submitted_at)))
+            .collect()
     }
 
-    /// One walk over the trace: for every event `pick` maps to an op,
-    /// `(op, cycles since that op's Submitted stamp)`, in trace order.
-    fn spans(&self, pick: impl Fn(EngineEvent) -> Option<OpId>) -> Vec<(OpId, u64)> {
-        let mut submitted: BTreeMap<OpId, u64> = BTreeMap::new();
-        let mut out = Vec::new();
-        for e in &self.trace {
-            if let EngineEvent::Submitted(id) = e.event {
-                submitted.insert(id, e.at);
-            }
-            let Some(id) = pick(e.event) else { continue };
-            if let Some(&at) = submitted.get(&id) {
-                out.push((id, e.at.saturating_sub(at)));
-            }
-        }
-        out
-    }
-
-    /// Per-operation hold times derived from the cycle-stamped trace:
-    /// for every operation that was released, the network cycles from
-    /// its `Submitted` event to its `Released` event. Operations
-    /// submitted with no outstanding dependencies report `0` (they are
-    /// released immediately); operations failed before release (a
-    /// predecessor failed, or the wedge backstop fired) do not appear.
+    /// Per-operation hold times: for every operation that was released,
+    /// ascending by id, the network cycles from its `Submitted` stamp
+    /// to its `Released` stamp. Operations submitted with no
+    /// outstanding dependencies report `0` (they are released
+    /// immediately); operations failed before release (a predecessor
+    /// failed, or the wedge backstop fired) do not appear.
     #[must_use]
     pub fn hold_times(&self) -> Vec<(OpId, u64)> {
-        self.spans(|e| match e {
-            EngineEvent::Released(id) => Some(id),
-            _ => None,
-        })
+        (0u64..)
+            .zip(&self.ops)
+            .filter_map(|(raw, e)| Some((OpId(raw), e.released_at?.saturating_sub(e.submitted_at))))
+            .collect()
     }
 
     /// The [`completion_times`](Engine::completion_times) distribution
@@ -1231,19 +1261,8 @@ impl Engine {
     pub fn completion_times_for_class(&self, class: u8) -> Vec<(OpId, u64)> {
         self.completion_times()
             .into_iter()
-            .filter(|(id, _)| self.class_of.get(id) == Some(&class))
+            .filter(|(id, _)| self.ops[id.index()].class == Some(class))
             .collect()
-    }
-
-    /// [`Engine::completion_stats`] restricted to operations tagged
-    /// with `class`.
-    #[must_use]
-    pub fn completion_stats_for_class(&self, class: u8) -> LatencyStats {
-        let mut stats = LatencyStats::default();
-        for (_, cycles) in self.completion_times_for_class(class) {
-            stats.record(cycles);
-        }
-        stats
     }
 
     /// Arm a *retry budget* for `class`: a token bucket holding at most
@@ -1291,7 +1310,7 @@ impl Engine {
         if self.retry_budgets.is_empty() {
             return true;
         }
-        let Some(&class) = self.class_of.get(&id) else { return true };
+        let Some(class) = self.ops[id.index()].class else { return true };
         let Some(b) = self.retry_budgets.get_mut(&class) else { return true };
         let now = clock(m);
         let available = b.available_milli(now);
@@ -1304,21 +1323,17 @@ impl Engine {
         true
     }
 
-    /// Incremental completion harvest: every `Completed` trace event
-    /// recorded since `cursor`, as `(id, ok, at)` tuples, advancing
-    /// `cursor` to the end of the trace. This is the first-win
-    /// primitive for drivers racing several submissions for one logical
-    /// request (hedging): harvest after each pump, settle the request
-    /// on its first successful leg, and [`Engine::cancel`] the losers —
-    /// whose cancellations then show up in the *next* harvest.
+    /// Incremental completion harvest: every operation settled since
+    /// `cursor` (opaque; start at `0`), in completion order, as `(id,
+    /// ok, at)` tuples stamped like the `Completed` trace event,
+    /// advancing `cursor` past them. This is the first-win primitive
+    /// for drivers racing several submissions for one logical request
+    /// (hedging): harvest after each pump, settle the request on its
+    /// first successful leg, and [`Engine::cancel`] the losers — whose
+    /// cancellations then show up in the *next* harvest.
     pub fn completions_since(&self, cursor: &mut usize) -> Vec<(OpId, bool, u64)> {
-        let mut out = Vec::new();
-        for e in &self.trace[*cursor..] {
-            if let EngineEvent::Completed(id, ok) = e.event {
-                out.push((id, ok, e.at));
-            }
-        }
-        *cursor = self.trace.len();
+        let out = self.completions[*cursor..].to_vec();
+        *cursor = self.completions.len();
         out
     }
 
@@ -1332,10 +1347,10 @@ impl Engine {
         id: OpId,
         endpoints: (NodeId, NodeId),
     ) -> Option<(u8, CostVector, CostVector)> {
-        if self.class_of.is_empty() {
+        if !self.class_plane {
             return None;
         }
-        let &class = self.class_of.get(&id)?;
+        let class = self.ops[id.index()].class?;
         Some((class, m.cpu(endpoints.0).snapshot(), m.cpu(endpoints.1).snapshot()))
     }
 
@@ -1358,9 +1373,11 @@ impl Engine {
         }
     }
 
-    /// Take the outcome of a finished operation (at most once).
+    /// Take the outcome of a finished operation (at most once). `None`
+    /// for an unfinished operation, an outcome already taken, or an id
+    /// this engine never issued.
     pub fn take_outcome(&mut self, id: OpId) -> Option<Result<OpOutcome, ProtocolError>> {
-        self.outcomes.remove(&id)
+        self.ops.get_mut(id.index())?.outcome.take().map(|boxed| *boxed)
     }
 
     /// Drive every submitted operation to completion (success or
@@ -1368,16 +1385,23 @@ impl Engine {
     /// Outcomes are collected per [`OpId`]; an individual operation's
     /// failure does not abort the others.
     pub fn run(&mut self, m: &mut Machine) {
-        self.idle_streak = 0;
         while self.unfinished() > 0 {
             self.pump(m);
         }
     }
 
-    /// One scheduler quantum: admit pending operations, sweep every
-    /// running state machine until none can make further progress
-    /// without time passing, then advance the substrate exactly one
-    /// cycle and deliver timer ticks. Returns the number of operations
+    /// One scheduler quantum: expire what supervision says is due,
+    /// admit what is admissible, and step every *ready* operation in
+    /// admission order, repeating until a pass makes no progress; then
+    /// let time pass — one cycle while packets are in flight, or an
+    /// *idle jump* straight to the next timer-wheel event when the
+    /// fabric is empty. An operation whose step finds nothing to do
+    /// leaves the ready set until a packet touches one of its endpoints
+    /// or its own timer comes due (it then receives the ticks it slept
+    /// through at once), so a quantum costs the runnable work, not the
+    /// operations in flight. [`SchedMode::ReferenceRoundRobin`] instead
+    /// steps everything every pass and always advances one cycle, for
+    /// the identical trace and bills. Returns the number of operations
     /// still unfinished.
     ///
     /// This is the open-loop building block: a paced driver alternates
@@ -1393,9 +1417,44 @@ impl Engine {
             self.counters.advances += 1;
             return 0;
         }
-        match self.mode {
+        let left = match self.mode {
             SchedMode::EventDriven => self.pump_event(m),
             SchedMode::ReferenceRoundRobin => self.pump_reference(m),
+        };
+        #[cfg(debug_assertions)]
+        self.check_ledger();
+        left
+    }
+
+    /// Ledger invariant, checked after every quantum in debug builds:
+    /// each scheduler container holds only ops whose row names it, and
+    /// — a row names exactly one — together they hold every unfinished
+    /// op. That second half walks the whole ledger, so it is sampled
+    /// (power-of-two quanta, and whenever the engine drains).
+    #[cfg(debug_assertions)]
+    fn check_ledger(&self) {
+        let pending = self.pending.iter().map(|op| (op.id, "pending"));
+        let running = self.run_order.iter().map(|&s| (self.slots[s].a.id, "running"));
+        let held = self.held.iter().map(|&id| (id, "held"));
+        let parked = self.parked.iter().map(|&id| (id, "parked"));
+        for (id, container) in pending.chain(running).chain(held).chain(parked) {
+            let named = match self.ops[id.index()].stage {
+                Stage::Pending => "pending",
+                Stage::Running => "running",
+                Stage::Held(_) => "held",
+                Stage::Parked { .. } => "parked",
+                Stage::Done => "done",
+            };
+            assert_eq!(container, named, "op {}: container vs the stage its row names", id.0);
+        }
+        for id in &self.deadlines {
+            let entry = &self.ops[id.index()];
+            assert!(entry.deadline.is_some() && !entry.done(), "op {}: stale armed deadline", id.0);
+        }
+        if self.counters.quanta.is_power_of_two() || self.unfinished() == 0 {
+            let live = self.ops.iter().filter(|e| !e.done()).count();
+            assert_eq!(live, self.unfinished(), "an unfinished op is in no container, or in two");
+            assert_eq!(self.completions.len(), self.ops.len() - live, "completion log out of step");
         }
     }
 
@@ -1413,7 +1472,7 @@ impl Engine {
         // are exempt; a clean run sweeps (and bills) nothing.
         self.collect_garbage(m);
         loop {
-            if self.supervise_reference(m) {
+            if self.supervise(m) {
                 continue;
             }
             self.release_recovered(m);
@@ -1455,7 +1514,6 @@ impl Engine {
                 }
             }
             if progressed {
-                self.idle_streak = 0;
                 continue;
             }
             if self.discard_orphan(m) {
@@ -1467,29 +1525,18 @@ impl Engine {
                 let slot = self.run_order[i];
                 self.slots[slot].a.op.tick_n(1);
             }
-            self.idle_streak += 1;
-            // No global wedge backstop here: the per-op watchdog in
-            // `supervise_reference` settles individual no-progress
-            // operations with a retryable `DeadlineExceeded` instead of
-            // failing the whole engine at once.
             return self.unfinished();
         }
     }
 
-    /// The readiness-driven scheduler. Same observable semantics as
+    /// The readiness-driven scheduler ([`Engine::pump`] describes its
+    /// quantum). Same observable semantics as
     /// [`Engine::pump_reference`] — identical trace, identical
-    /// per-feature bills — reached with far fewer op steps:
-    ///
-    /// * an op whose step returns `Idle` goes to *sleep* on its wake
-    ///   conditions (packet activity at its endpoints, or the earliest
-    ///   cycle a timer tick could change its behavior) and is skipped by
-    ///   the sweep until one fires;
-    /// * deadlines, watchdogs, and park-resume markers ride the timing
-    ///   wheel instead of being scanned every quantum;
-    /// * when nothing is runnable and the fabric is empty, the clock
-    ///   jumps straight to the next wheel event (never overshooting a
-    ///   scripted crash-restart), and sleepers are lazily ticked the
-    ///   whole distance on wake.
+    /// per-feature bills — reached with far fewer op steps: idle ops
+    /// sleep on their wake conditions; deadlines, watchdogs and
+    /// park-resume markers ride the timing wheel instead of being
+    /// scanned every quantum; idle jumps never overshoot a scripted
+    /// crash-restart.
     ///
     /// Sleeping is *conservative*: a spurious wake costs one cost-free
     /// `Idle` step, while the wake conditions are chosen so an op can
@@ -1508,7 +1555,7 @@ impl Engine {
         self.profile(SchedPhase::WheelAdvance, t);
         self.collect_garbage(m);
         loop {
-            if self.supervise_event(m) {
+            if self.supervise(m) {
                 continue;
             }
             self.release_recovered(m);
@@ -1530,7 +1577,6 @@ impl Engine {
             let mut progressed = false;
             let mut i = 0;
             let now = clock(m);
-            let bound = self.watchdog.unwrap_or(4 * m.config().max_wait_cycles);
             self.counters.passes += 1;
             let pass_t = self.profiler.as_ref().map(|_| Instant::now());
             let mut step_ns: u64 = 0;
@@ -1567,8 +1613,6 @@ impl Engine {
                     Ok(Stepped::Progress) => {
                         let id = self.slots[slot].a.id;
                         self.slots[slot].a.last_progress_at = now;
-                        self.slots[slot].wd_due =
-                            now.saturating_add(bound).saturating_add(1);
                         self.record(m, EngineEvent::Progressed(id));
                         // Progress may have consumed or injected at the
                         // endpoints, revealing queued packets there:
@@ -1601,7 +1645,6 @@ impl Engine {
                 }
             }
             if progressed {
-                self.idle_streak = 0;
                 continue;
             }
             if self.discard_orphan_event(m) {
@@ -1624,7 +1667,6 @@ impl Engine {
                 self.counters.idle_jumps += 1;
                 self.counters.jumped_cycles += jump - 1;
             }
-            self.idle_streak += 1;
             let t = self.profiler.as_ref().map(|_| Instant::now());
             self.absorb_wakes(m);
             self.profile(SchedPhase::WheelAdvance, t);
@@ -1637,7 +1679,8 @@ impl Engine {
     /// jump the clock there and return `true` so the next iteration
     /// re-admits it. Otherwise the engine is drained — `false`.
     fn jump_to_parked(&mut self, m: &mut Machine) -> bool {
-        if let Some(&resume_at) = self.parked.values().min() {
+        let resumes = self.parked.iter().filter_map(|id| self.ops[id.index()].resume_at());
+        if let Some(resume_at) = resumes.min() {
             let now = clock(m);
             if resume_at > now {
                 m.advance(resume_at - now);
@@ -1653,10 +1696,8 @@ impl Engine {
         // of `held` when the last one settles), so nothing can be held
         // here; sweep defensively rather than spin if that invariant
         // ever breaks.
-        while let Some(&id) = self.held.keys().next() {
-            self.held.remove(&id);
-            let streak = self.idle_streak;
-            self.settle(m, id, Err(ProtocolError::timeout("engine progress", streak)));
+        while let Some(id) = self.held.pop_first() {
+            self.settle(m, id, Err(ProtocolError::timeout("engine progress", 0)));
         }
         false
     }
@@ -1688,11 +1729,11 @@ impl Engine {
     /// ripe entry, and absorb the substrate's delivery wake set. Wheel
     /// wakes are validated against the slot's incarnation and sleep
     /// generation (slots are reused; sleeps are re-entered); deadline
-    /// and watchdog expiries are queued for [`Engine::supervise_event`].
+    /// and watchdog expiries are queued for [`Engine::supervise`].
     fn absorb_wakes(&mut self, m: &mut Machine) {
         let now = clock(m);
         self.wheel.advance_to(now);
-        for (due, _seq, item) in self.wheel.take_ripe() {
+        for (_due, _seq, item) in self.wheel.take_ripe() {
             match item {
                 WheelItem::Wake { slot, inc, gen } => {
                     let live = self
@@ -1706,7 +1747,7 @@ impl Engine {
                 }
                 WheelItem::Deadline { id } => self.fired_deadlines.push(id),
                 WheelItem::Watchdog { slot, inc } => {
-                    self.fired_watchdogs.push((slot, inc, due));
+                    self.fired_watchdogs.push((slot, inc));
                 }
                 WheelItem::ParkResume => {}
             }
@@ -1803,15 +1844,14 @@ impl Engine {
     /// the op spawns ready.
     fn spawn(&mut self, m: &mut Machine, mut a: ActiveOp) {
         self.record(m, EngineEvent::Started(a.id));
+        self.ops[a.id.index()].stage = Stage::Running;
         let cls = self.class_pre(m, a.id, a.endpoints);
         a.op.start(m);
         self.class_post(m, cls, a.endpoints);
         let now = clock(m);
         a.last_progress_at = now;
-        let bound = self.watchdog.unwrap_or(4 * m.config().max_wait_cycles);
         let inc = self.next_inc;
         self.next_inc += 1;
-        let wd_due = now.saturating_add(bound).saturating_add(1);
         let slot = self.slots.insert(RunSlot {
             a,
             inc,
@@ -1819,11 +1859,12 @@ impl Engine {
             slept_epoch: self.tick_epoch,
             sleep_gen: 0,
             subbed: [false; 2],
-            wd_due,
         });
         self.run_order.push(slot);
         if self.mode == SchedMode::EventDriven {
-            self.wheel.insert(wd_due, WheelItem::Watchdog { slot, inc });
+            let bound = self.watchdog.unwrap_or(4 * m.config().max_wait_cycles);
+            let due = now.saturating_add(bound).saturating_add(1);
+            self.wheel.insert(due, WheelItem::Watchdog { slot, inc });
         }
     }
 
@@ -1891,11 +1932,10 @@ impl Engine {
         if !err.is_retryable() {
             return false;
         }
-        {
-            let Some(state) = self.recovery.get(&id) else { return false };
-            if state.re_executions + 1 >= state.policy.max_executions {
-                return false;
-            }
+        let entry = &self.ops[id.index()];
+        let Some(recipe) = &entry.recovery else { return false };
+        if entry.re_executions + 1 >= recipe.policy.max_executions {
+            return false;
         }
         // The class retry budget is spent *before* parking: a denial
         // means the failure settles normally (and is counted), capping
@@ -1903,18 +1943,19 @@ impl Engine {
         if !self.charge_retry_budget(m, id) {
             return false;
         }
-        let state = self.recovery.get_mut(&id).expect("recovery state just checked");
+        let entry = &mut self.ops[id.index()];
+        let recipe = entry.recovery.as_mut().expect("recovery recipe just checked");
         // A failed first execution teaches the stream recipe its base
         // sequence, so re-executions resume the burst (exactly-once)
         // instead of restarting it at a fresh sequence range.
         if let (OpBody::Stream { resume_base, .. }, Some(OpKind::Stream(s))) =
-            (&mut state.body, op)
+            (&mut recipe.body, op)
         {
             resume_base.get_or_insert(s.first_seq);
         }
-        state.re_executions += 1;
-        let wait = state.policy.window(state.re_executions);
-        let src = state.body.endpoints(m).0;
+        entry.re_executions += 1;
+        let wait = recipe.policy.window(entry.re_executions);
+        let src = recipe.body.endpoints(m).0;
         let cpu = m.cpu(src);
         let cls = self.class_pre(m, id, (src, src));
         cpu.with_feature(Feature::FaultTol, |c| {
@@ -1924,10 +1965,11 @@ impl Engine {
         self.class_post(m, cls, (src, src));
         self.record(m, EngineEvent::Recovering(id));
         let resume_at = clock(m).saturating_add(wait);
-        self.parked.insert(id, resume_at);
+        self.ops[id.index()].stage = Stage::Parked { resume_at };
+        self.parked.insert(id);
         if self.mode == SchedMode::EventDriven {
-            // Jump-bound marker only: release is decided from `parked`
-            // itself, but the idle jump must not overshoot the resume.
+            // Jump-bound marker only: release is decided from the
+            // ledger, but the idle jump must not overshoot the resume.
             self.wheel.insert(resume_at, WheelItem::ParkResume);
         }
         true
@@ -1942,15 +1984,14 @@ impl Engine {
         let due: Vec<OpId> = self
             .parked
             .iter()
-            .filter(|&(_, &at)| at <= now)
-            .map(|(&id, _)| id)
+            .copied()
+            .filter(|id| self.ops[id.index()].resume_at().is_some_and(|at| at <= now))
             .collect();
         for id in due {
             self.parked.remove(&id);
-            let body = &self.recovery.get(&id).expect("parked ops are recovery-armed").body;
-            let (key, endpoints) = (body.conflict_key(m), body.endpoints(m));
-            let op = body.clone().build(m, true);
-            self.spawn(m, ActiveOp { id, op, key, endpoints, last_progress_at: 0 });
+            let recipe = self.ops[id.index()].recovery.as_ref().expect("parked ops keep a recipe");
+            let op = ActiveOp::new(id, recipe.body.clone(), m, true);
+            self.spawn(m, op);
         }
     }
 
@@ -1975,7 +2016,10 @@ impl Engine {
             .iter()
             .map(|&s| &self.slots[s].a)
             .chain(self.pending.iter())
-            .chain(self.held.values().map(|h| &h.op));
+            .chain(self.held.iter().filter_map(|id| match &self.ops[id.index()].stage {
+                Stage::Held(h) => Some(&h.op),
+                _ => None,
+            }));
         for op in live_ops {
             match &op.op {
                 OpKind::Xfer(o) => {
@@ -1993,9 +2037,9 @@ impl Engine {
         // Parked reliable transfers are deliberately *not* exempt: the
         // next execution opens a fresh epoch, so the receiver's
         // stale-epoch session is exactly what the sweep should reclaim.
-        for id in self.parked.keys() {
-            if let Some(RecoveryState { body: OpBody::Rpc { src, dst, call_id, .. }, .. }) =
-                self.recovery.get(id)
+        for id in &self.parked {
+            if let Some(OpBody::Rpc { src, dst, call_id, .. }) =
+                self.ops[id.index()].recovery.as_ref().map(|r| &r.body)
             {
                 live_replies.insert((*dst, *src, *call_id as u32));
             }
@@ -2012,44 +2056,40 @@ impl Engine {
     /// cone settles in one pass.
     fn settle(&mut self, m: &Machine, id: OpId, result: Result<OpOutcome, ProtocolError>) {
         let ok = result.is_ok();
-        let err = result.as_ref().err().cloned();
-        self.record(m, EngineEvent::Completed(id, ok));
-        self.outcomes.insert(id, result);
+        // Chains of `DependencyFailed` flatten to the original error.
+        let root = result.as_ref().err().map(|e| match e {
+            ProtocolError::DependencyFailed { root, .. } => (**root).clone(),
+            other => other.clone(),
+        });
+        let at = self.record(m, EngineEvent::Completed(id, ok));
+        self.completions.push((id, ok, at));
         self.deadlines.remove(&id);
-        if ok {
-            self.done_ok.insert(id);
-        } else {
-            self.done_err.insert(id);
-        }
-        if let Some(e) = &err {
-            // Keep the flattened root cause so dependents — including
-            // ones submitted after this settles — can carry it.
-            let root = match e {
-                ProtocolError::DependencyFailed { root, .. } => (**root).clone(),
-                other => other.clone(),
-            };
-            self.root_errors.insert(id, root);
-        }
-        let Some(deps) = self.dependents.remove(&id) else {
-            return;
-        };
-        for dep in deps {
-            if ok {
-                let release = match self.held.get_mut(&dep) {
-                    Some(h) => {
-                        h.waiting_on.remove(&id);
-                        h.waiting_on.is_empty()
-                    }
-                    None => false,
-                };
-                if release {
-                    let h = self.held.remove(&dep).expect("held entry just seen");
-                    self.record(m, EngineEvent::Released(dep));
-                    self.pending.push_back(h.op);
+        let entry = &mut self.ops[id.index()];
+        entry.stage = Stage::Done;
+        entry.outcome = Some(Box::new(result));
+        entry.root_error = root.clone().map(Box::new);
+        entry.recovery = None;
+        for dep in std::mem::take(&mut entry.dependents) {
+            // Lift the dependent's state out of its row to decide its
+            // fate. Any stage but `Held` means it was expired while
+            // waiting and this edge is stale.
+            let dep_stage = &mut self.ops[dep.index()].stage;
+            let mut h = match std::mem::replace(dep_stage, Stage::Pending) {
+                Stage::Held(h) => h,
+                other => {
+                    *dep_stage = other;
+                    continue;
                 }
-            } else if self.held.remove(&dep).is_some() {
-                let root = err.clone().expect("failure settles with an error");
-                self.settle(m, dep, Err(ProtocolError::dependency_failed(id, &root)));
+            };
+            h.waiting_on.remove(&id);
+            if let Some(root) = &root {
+                self.held.remove(&dep);
+                self.settle(m, dep, Err(ProtocolError::dependency_failed(id, root)));
+            } else if h.waiting_on.is_empty() {
+                self.held.remove(&dep);
+                self.release(m, h.op);
+            } else {
+                *dep_stage = Stage::Held(h);
             }
         }
     }
@@ -2130,15 +2170,12 @@ impl Engine {
     pub fn set_watchdog(&mut self, cycles: u64) {
         self.watchdog = Some(cycles);
         if self.mode == SchedMode::EventDriven {
-            // Re-derive every running op's expiry under the new bound
-            // and arm fresh wheel entries: a shrunken bound must not
-            // wait out entries armed under the old one.
-            for i in 0..self.run_order.len() {
-                let slot = self.run_order[i];
-                let s = &mut self.slots[slot];
-                s.wd_due = s.a.last_progress_at.saturating_add(cycles).saturating_add(1);
-                let (wd_due, inc) = (s.wd_due, s.inc);
-                self.wheel.insert(wd_due, WheelItem::Watchdog { slot, inc });
+            // Arm fresh wheel entries under the new bound: a shrunken
+            // bound must not wait out entries armed under the old one.
+            for &slot in &self.run_order {
+                let s = &self.slots[slot];
+                let due = s.a.last_progress_at.saturating_add(cycles).saturating_add(1);
+                self.wheel.insert(due, WheelItem::Watchdog { slot, inc: s.inc });
             }
         }
     }
@@ -2154,142 +2191,104 @@ impl Engine {
         self.expire(m, id, ProtocolError::Cancelled)
     }
 
-    /// Settle one unfinished op with `err`, wherever it currently is.
-    /// Cancellations record the uniform [`EngineEvent::Cancelled`]
-    /// trace event regardless of where the op sat.
+    /// Settle one unfinished op with `err`, wherever it currently is —
+    /// the ledger says where. Cancellations record the uniform
+    /// [`EngineEvent::Cancelled`] trace event first. `false` for an op
+    /// already settled or an id this engine never issued.
     fn expire(&mut self, m: &Machine, id: OpId, err: ProtocolError) -> bool {
-        self.deadlines.remove(&id);
-        let cancelled = matches!(err, ProtocolError::Cancelled);
-        if let Some(idx) = self.run_order.iter().position(|&s| self.slots[s].a.id == id) {
-            if cancelled {
-                self.record(m, EngineEvent::Cancelled(id));
-            }
-            self.finish(m, idx, Err(err));
-            return true;
-        }
-        if let Some(pos) = self.pending.iter().position(|op| op.id == id) {
-            if cancelled {
-                self.record(m, EngineEvent::Cancelled(id));
-            }
-            self.pending.remove(pos);
-            self.settle(m, id, Err(err));
-            return true;
-        }
-        if self.held.remove(&id).is_some() {
-            if cancelled {
-                self.record(m, EngineEvent::Cancelled(id));
-            }
-            self.settle(m, id, Err(err));
-            return true;
-        }
-        if self.parked.remove(&id).is_some() {
-            if cancelled {
-                self.record(m, EngineEvent::Cancelled(id));
-            }
-            // A retryable expiry (a deadline firing mid-backoff)
-            // consumes recovery budget and re-parks; anything else —
-            // cancellation included — releases the conflict key the
-            // parked op was holding and settles it.
-            if self.try_recover(m, id, None, &Err(err.clone())) {
-                return true;
-            }
-            if let Some(k) = self.recovery.get(&id).and_then(|s| s.body.conflict_key(m)) {
-                self.busy.remove(&k);
-            }
-            self.settle(m, id, Err(err));
-            return true;
-        }
-        false
-    }
-
-    /// Enforce deadlines and the no-progress watchdog by scanning every
-    /// armed deadline and every running op. Returns `true` if any
-    /// operation was settled (the pump loop restarts its sweep so
-    /// released conflict keys are re-admitted in the same quantum).
-    fn supervise_reference(&mut self, m: &Machine) -> bool {
-        let now = clock(m);
-        let mut acted = false;
-        let due: Vec<(OpId, u64)> = self
-            .deadlines
-            .iter()
-            .filter(|&(_, &(at, _))| now >= at)
-            .map(|(&id, &(_, budget))| (id, budget))
-            .collect();
-        for (id, budget) in due {
-            acted |= self.expire(
-                m,
-                id,
-                ProtocolError::DeadlineExceeded { what: "deadline", cycles: budget },
-            );
-        }
-        let bound = self.watchdog.unwrap_or(4 * m.config().max_wait_cycles);
-        let starved: Vec<(OpId, u64)> = self
-            .run_order
-            .iter()
-            .map(|&s| &self.slots[s].a)
-            .filter(|op| now.saturating_sub(op.last_progress_at) > bound)
-            .map(|op| (op.id, now - op.last_progress_at))
-            .collect();
-        for (id, cycles) in starved {
-            acted |= self.expire(
-                m,
-                id,
-                ProtocolError::DeadlineExceeded { what: "watchdog", cycles },
-            );
-        }
-        acted
-    }
-
-    /// Event-mode supervision: act only on deadline and watchdog
-    /// entries the wheel has already fired, validating each against
-    /// current engine state (wheel entries are never cancelled, so the
-    /// deadline of a settled op or the watchdog of a progressed op
-    /// simply shows up stale here and is dropped or re-scheduled). A
-    /// deadline has exactly one wheel entry, armed at its expiry cycle,
-    /// so a fired one whose op is unfinished is due. Expiry order
-    /// matches the reference scan: deadlines in `OpId` order first,
-    /// then starved ops in running order.
-    fn supervise_event(&mut self, m: &Machine) -> bool {
-        if self.fired_deadlines.is_empty() && self.fired_watchdogs.is_empty() {
+        if self.ops.get(id.index()).is_none_or(OpEntry::done) {
             return false;
         }
+        self.deadlines.remove(&id);
+        if matches!(err, ProtocolError::Cancelled) {
+            self.record(m, EngineEvent::Cancelled(id));
+        }
+        match self.ops[id.index()].stage {
+            Stage::Running => {
+                let idx = self.run_order.iter().position(|&s| self.slots[s].a.id == id);
+                self.finish(m, idx.expect("a running op holds a run slot"), Err(err));
+            }
+            Stage::Pending => {
+                self.pending.retain(|op| op.id != id);
+                self.settle(m, id, Err(err));
+            }
+            Stage::Held(_) => {
+                self.held.remove(&id);
+                self.settle(m, id, Err(err));
+            }
+            Stage::Parked { .. } => {
+                self.parked.remove(&id);
+                // A retryable expiry (a deadline firing mid-backoff)
+                // consumes recovery budget and re-parks; anything else —
+                // cancellation included — releases the conflict key the
+                // parked op was holding and settles it.
+                if !self.try_recover(m, id, None, &Err(err.clone())) {
+                    let recipe = self.ops[id.index()].recovery.as_ref();
+                    if let Some(k) = recipe.and_then(|r| r.body.conflict_key(m)) {
+                        self.busy.remove(&k);
+                    }
+                    self.settle(m, id, Err(err));
+                }
+            }
+            Stage::Done => unreachable!("settled ops returned above"),
+        }
+        true
+    }
+
+    /// Enforce deadlines and the no-progress watchdog. Returns `true`
+    /// if any operation was settled (the pump loop restarts its sweep
+    /// so released conflict keys are re-admitted in the same quantum).
+    ///
+    /// The modes differ only in where candidates come from: the
+    /// reference scans every armed deadline and running op, the event
+    /// mode only what the wheel has fired. Wheel entries are never
+    /// cancelled, so each candidate is validated against current state
+    /// — a settled op's deadline is dropped, the watchdog of an op that
+    /// progressed since is re-armed at its pushed-out expiry. Expiry
+    /// order is shared: deadlines by `OpId`, then starved ops in run
+    /// order.
+    fn supervise(&mut self, m: &Machine) -> bool {
+        let event = self.mode == SchedMode::EventDriven;
+        let (deadlines, watchdogs): (Vec<OpId>, Vec<(u32, u64)>) = if event {
+            if self.fired_deadlines.is_empty() && self.fired_watchdogs.is_empty() {
+                return false;
+            }
+            let mut deadlines = std::mem::take(&mut self.fired_deadlines);
+            deadlines.sort_unstable();
+            let mut watchdogs = std::mem::take(&mut self.fired_watchdogs);
+            // Fired order is wheel (due, seq) order: re-sort by position.
+            watchdogs.sort_by_key(|&(slot, _)| {
+                self.run_order.iter().position(|&s| s == slot).unwrap_or(usize::MAX)
+            });
+            (deadlines, watchdogs)
+        } else {
+            let running = self.run_order.iter().map(|&s| (s, self.slots[s].inc));
+            (self.deadlines.iter().copied().collect(), running.collect())
+        };
         let now = clock(m);
         let mut acted = false;
-        let mut fired = std::mem::take(&mut self.fired_deadlines);
-        fired.sort_unstable();
-        for id in fired {
-            if let Some(&(_, budget)) = self.deadlines.get(&id) {
-                acted |= self.expire(
-                    m,
-                    id,
-                    ProtocolError::DeadlineExceeded { what: "deadline", cycles: budget },
-                );
+        for id in deadlines {
+            let entry = &self.ops[id.index()];
+            let (true, Some(budget)) = (self.deadlines.contains(&id), entry.deadline) else {
+                continue;
+            };
+            if now >= entry.submitted_at.saturating_add(budget) {
+                let err = ProtocolError::DeadlineExceeded { what: "deadline", cycles: budget };
+                acted |= self.expire(m, id, err);
             }
         }
-        let mut fired = std::mem::take(&mut self.fired_watchdogs);
-        // The reference scans in running order; fired order is wheel
-        // (due, seq) order, so re-sort by current position.
-        fired.sort_by_key(|&(slot, _, _)| {
-            self.run_order.iter().position(|&s| s == slot).unwrap_or(usize::MAX)
-        });
-        for (slot, inc, _due) in fired {
-            let live = self
-                .slots
-                .get(slot)
-                .filter(|s| s.inc == inc)
-                .map(|s| (s.a.id, s.wd_due, s.a.last_progress_at));
-            let Some((id, wd_due, last_progress_at)) = live else { continue };
-            if now >= wd_due {
-                let cycles = now - last_progress_at;
-                acted |= self.expire(
-                    m,
-                    id,
-                    ProtocolError::DeadlineExceeded { what: "watchdog", cycles },
-                );
-            } else {
-                // Progressed since this entry was armed: chase the
-                // pushed-out expiry.
-                self.wheel.insert(wd_due, WheelItem::Watchdog { slot, inc });
+        let bound = self.watchdog.unwrap_or(4 * m.config().max_wait_cycles);
+        for (slot, inc) in watchdogs {
+            // Slots are reused: the incarnation tells whether this is
+            // still the op the entry was armed for.
+            let Some(s) = self.slots.get(slot).filter(|s| s.inc == inc) else { continue };
+            let (id, last) = (s.a.id, s.a.last_progress_at);
+            if now.saturating_sub(last) > bound {
+                let err = ProtocolError::DeadlineExceeded { what: "watchdog", cycles: now - last };
+                acted |= self.expire(m, id, err);
+            } else if event {
+                let due = last.saturating_add(bound).saturating_add(1);
+                self.wheel.insert(due, WheelItem::Watchdog { slot, inc });
             }
         }
         acted
@@ -2307,8 +2306,8 @@ impl Engine {
             .pending
             .iter()
             .map(|op| op.id)
-            .chain(self.held.keys().copied())
-            .chain(self.parked.keys().copied())
+            .chain(self.held.iter().copied())
+            .chain(self.parked.iter().copied())
             .collect();
         for id in waiting {
             self.cancel(m, id);

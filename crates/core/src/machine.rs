@@ -701,18 +701,6 @@ impl Machine {
             None => PollOutcome::Unclaimed(msg),
         }
     }
-
-    /// Poll `node` repeatedly until a message is handled or `max_polls`
-    /// polls have happened; idle polls advance the network one cycle.
-    pub fn poll_until_handled(&mut self, node: NodeId, max_polls: u64) -> PollOutcome {
-        for _ in 0..max_polls {
-            match self.poll(node) {
-                PollOutcome::Idle => self.advance(1),
-                other => return other,
-            }
-        }
-        PollOutcome::Idle
-    }
 }
 
 impl std::fmt::Debug for Machine {

@@ -220,15 +220,6 @@ impl IndefiniteOpts {
             ack_period: 1,
         }
     }
-
-    /// Group acknowledgements every `period` packets, other assumptions
-    /// unchanged.
-    pub fn with_ack_period(shape: MsgShape, period: u64) -> Self {
-        IndefiniteOpts {
-            ooo_packets: shape.packets() / 2,
-            ack_period: period.max(1),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -639,7 +630,7 @@ mod tests {
         // §3.2: "the overhead remains significant (~40–50%) even if group
         // acknowledgements are employed."
         let s = shape(1024);
-        let c = cmam_indefinite(s, IndefiniteOpts::with_ack_period(s, 16));
+        let c = cmam_indefinite(s, IndefiniteOpts { ack_period: 16, ..IndefiniteOpts::paper(s) });
         let frac = c.overhead_fraction();
         assert!(frac > 0.40, "group-ack overhead fraction {frac}");
         assert!(frac < c

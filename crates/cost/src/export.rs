@@ -4,7 +4,7 @@
 use std::fmt::Write as _;
 
 use crate::analytic::ProtocolCost;
-use crate::axes::{Class, Endpoint, Feature, Fine};
+use crate::axes::{Endpoint, Feature};
 
 /// A Table 2/3 block as CSV: one row per feature with per-endpoint
 /// reg/mem/dev columns and totals, plus a `Total` row.
@@ -59,34 +59,6 @@ pub fn series_csv(x_label: &str, y_label: &str, points: &[(u64, f64)]) -> String
     out
 }
 
-/// A Table 1-style fine-category breakdown as CSV; absent categories
-/// export as 0.
-pub fn fine_csv(source: &[(Fine, u64)], dest: &[(Fine, u64)]) -> String {
-    let lookup =
-        |rows: &[(Fine, u64)], f: Fine| rows.iter().find(|(g, _)| *g == f).map_or(0, |(_, n)| *n);
-    let mut out = String::from("category,source,destination\n");
-    for f in Fine::ALL {
-        let s = lookup(source, f);
-        let d = lookup(dest, f);
-        if s > 0 || d > 0 {
-            writeln!(out, "{},{s},{d}", f.label()).expect("writing to String cannot fail");
-        }
-    }
-    out
-}
-
-/// Per-class totals of a cost block as CSV (one row per class).
-pub fn class_totals_csv(cost: &ProtocolCost) -> String {
-    let mut out = String::from("class,source,destination\n");
-    let s = cost.endpoint_classes(Endpoint::Source);
-    let d = cost.endpoint_classes(Endpoint::Destination);
-    for c in Class::ALL {
-        writeln!(out, "{},{},{}", c.label(), s.class(c), d.class(c))
-            .expect("writing to String cannot fail");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,25 +78,5 @@ mod tests {
     fn series_csv_format() {
         let csv = series_csv("n", "overhead", &[(4, 0.709), (8, 0.7)]);
         assert_eq!(csv, "n,overhead\n4,0.709\n8,0.7\n");
-    }
-
-    #[test]
-    fn fine_csv_skips_empty_rows() {
-        let csv = fine_csv(
-            &analytic::single_packet_fine(Endpoint::Source),
-            &analytic::single_packet_fine(Endpoint::Destination),
-        );
-        assert!(csv.contains("Call/Return,3,10"));
-        assert!(csv.contains("Write to NI,2,0"));
-        assert!(!csv.contains("Handler"));
-    }
-
-    #[test]
-    fn class_totals_csv_has_three_rows() {
-        let c = analytic::single_packet();
-        let csv = class_totals_csv(&c);
-        assert!(csv.contains("reg,15,22"));
-        assert!(csv.contains("dev,5,5"));
-        assert_eq!(csv.lines().count(), 4);
     }
 }

@@ -20,7 +20,6 @@ use crate::vector::CostVector;
 pub struct CostRecorder {
     vector: CostVector,
     feature: Option<Feature>,
-    enabled: bool,
 }
 
 impl Default for CostRecorder {
@@ -30,12 +29,11 @@ impl Default for CostRecorder {
 }
 
 impl CostRecorder {
-    /// New, enabled recorder attributing to [`Feature::Base`] by default.
+    /// New recorder attributing to [`Feature::Base`] by default.
     pub fn new() -> Self {
         CostRecorder {
             vector: CostVector::new(),
             feature: None,
-            enabled: true,
         }
     }
 
@@ -52,26 +50,10 @@ impl CostRecorder {
         std::mem::replace(&mut self.feature, feature)
     }
 
-    /// Stop recording (costed operations become free). Useful for harness
-    /// code that drives the protocols without wanting to measure itself.
-    pub fn disable(&mut self) {
-        self.enabled = false;
-    }
-
-    /// Resume recording.
-    pub fn enable(&mut self) {
-        self.enabled = true;
-    }
-
-    /// Whether recording is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Record `count` instructions of the given fine category and class
     /// under the current feature.
     pub fn record(&mut self, fine: Fine, class: Class, count: u64) {
-        if self.enabled && count > 0 {
+        if count > 0 {
             self.vector.record(self.current_feature(), fine, class, count);
         }
     }
@@ -180,17 +162,6 @@ impl CostHandle {
         self.inner.borrow().current_feature()
     }
 
-    /// Run `body` with recording suppressed (for harness-internal work).
-    pub fn without_recording<T>(&self, body: impl FnOnce(&CostHandle) -> T) -> T {
-        let was = self.inner.borrow().is_enabled();
-        self.inner.borrow_mut().disable();
-        let out = body(self);
-        if was {
-            self.inner.borrow_mut().enable();
-        }
-        out
-    }
-
     /// A copy of the accumulated costs.
     pub fn snapshot(&self) -> CostVector {
         self.inner.borrow().vector().clone()
@@ -233,14 +204,6 @@ mod tests {
         assert_eq!(v.feature_total(Feature::Base), 2);
         assert_eq!(v.feature_total(Feature::InOrder), 4);
         assert_eq!(v.feature_total(Feature::FaultTol), 1);
-    }
-
-    #[test]
-    fn disable_suppresses_recording() {
-        let h = CostHandle::new();
-        h.without_recording(|h| h.reg_op(100));
-        h.reg_op(1);
-        assert_eq!(h.snapshot().total(), 1);
     }
 
     #[test]

@@ -66,7 +66,6 @@ mod stats;
 mod switched;
 mod time;
 pub mod topology;
-mod trace;
 mod wormhole;
 
 pub use cr::{CrConfig, CrNetwork};
@@ -82,5 +81,4 @@ pub use stats::{LatencyStats, NetStats, NodeOccupancy, OrderTracker};
 pub use switched::{RouteStrategy, SwappedContext, SwitchedConfig, SwitchedNetwork};
 pub use time::Time;
 pub use topology::{FatTree, Hypercube, LinkId, Mesh2D, Topology, Torus2D};
-pub use trace::{TraceBuffer, TraceEvent, TraceKind};
 pub use wormhole::{CrMode, VcDiscipline, WormholeConfig, WormholeNetwork};

@@ -70,7 +70,7 @@ use crate::id::{NodeId, PacketId};
 use crate::network::{Guarantees, InjectError, Network, RxMeta, WakeSet};
 use crate::packet::Packet;
 use crate::rng::splitmix64;
-use crate::stats::{NetStats, NodeOccupancy};
+use crate::stats::NetStats;
 use crate::switched::{SwitchedConfig, SwitchedNetwork};
 use crate::time::Time;
 use crate::topology::FatTree;
@@ -180,9 +180,7 @@ struct Ctl {
 /// The aggregate [`stats`](Network::stats) carry exact scalar counters,
 /// order verdicts, and latency histograms reduced over all shards; the
 /// per-node occupancy table at that level is intentionally empty (it
-/// would cost O(nodes) per advance to maintain) — use
-/// [`merged_occupancy`](ShardedNetwork::merged_occupancy) to compute it
-/// on demand.
+/// would cost O(nodes) per advance to maintain).
 pub struct ShardedNetwork {
     nodes: usize,
     threads: usize,
@@ -413,23 +411,6 @@ impl ShardedNetwork {
     /// The shard owning global node `node`.
     pub fn shard_of(&self, node: NodeId) -> usize {
         self.shard_of[node.index()]
-    }
-
-    /// The per-node occupancy table reduced over every shard (and the
-    /// boundary path), indexed by global node id. Computed on demand —
-    /// the trait-level [`stats`](Network::stats) deliberately leave it
-    /// empty to keep the per-advance aggregate O(shards).
-    pub fn merged_occupancy(&self) -> Vec<NodeOccupancy> {
-        let mut tmp = NetStats::new();
-        for (s, cell) in self.pool.cells.iter().enumerate() {
-            let cell = lock(cell);
-            tmp.absorb_per_node_offset(cell.subnet.stats(), self.base[s]);
-            // Boundary stats are already under global ids.
-            tmp.absorb_per_node_offset(&cell.ingress_stats, 0);
-        }
-        let mut table = tmp.occupancy_table().to_vec();
-        table.resize(self.nodes, NodeOccupancy::default());
-        table
     }
 
     fn local(&self, node: NodeId) -> (usize, usize) {
@@ -964,21 +945,6 @@ mod tests {
         net.try_inject(pkt(1, 9, 1)).unwrap();
         assert!(net.drain(1_000));
         assert_eq!(net.stats().delivered, 1, "traffic flows after the restart");
-    }
-
-    #[test]
-    fn merged_occupancy_reduces_over_shards_and_boundary() {
-        let mut net = ShardedNetwork::new(16, cfg(4, 1));
-        net.try_inject(pkt(1, 2, 0)).unwrap(); // intra-shard
-        net.try_inject(pkt(1, 9, 1)).unwrap(); // cross-shard
-        assert!(net.drain(1_000));
-        let occ = net.merged_occupancy();
-        assert_eq!(occ.len(), 16);
-        assert_eq!(occ[1].delivered_from, 2);
-        assert_eq!(occ[2].delivered_to, 1);
-        assert_eq!(occ[9].delivered_to, 1);
-        // Trait-level per-node table is documented empty.
-        assert!(net.stats().occupancy_table().is_empty());
     }
 
     #[test]

@@ -372,8 +372,7 @@ impl NetStats {
     /// Fold another instance's aggregate counters into this one: scalar
     /// counters and order verdicts add, the latency histograms merge.
     /// The per-node table is *not* absorbed (composite substrates index
-    /// it differently per part — see
-    /// [`absorb_per_node_offset`](Self::absorb_per_node_offset)).
+    /// it differently per part).
     pub(crate) fn absorb(&mut self, other: &NetStats) {
         self.injected += other.injected;
         self.delivered += other.delivered;
@@ -389,22 +388,6 @@ impl NetStats {
         self.crash_drops += other.crash_drops;
         self.order.absorb_counts(&other.order);
         self.latency.merge(&other.latency);
-    }
-
-    /// Fold another instance's per-node table into this one, shifting
-    /// its indices by `offset` (a sharded substrate's shard-local node
-    /// `i` is global node `offset + i`): delivery counts add, high-water
-    /// marks take the maximum.
-    pub(crate) fn absorb_per_node_offset(&mut self, other: &NetStats, offset: usize) {
-        for (i, occ) in other.per_node.iter().enumerate() {
-            if *occ == NodeOccupancy::default() {
-                continue;
-            }
-            let slot = self.node_mut(NodeId::new(offset + i));
-            slot.delivered_to += occ.delivered_to;
-            slot.delivered_from += occ.delivered_from;
-            slot.peak_rx_depth = slot.peak_rx_depth.max(occ.peak_rx_depth);
-        }
     }
 
     /// Overwrite this instance's per-node table with the elementwise

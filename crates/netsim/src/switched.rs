@@ -19,7 +19,6 @@ use crate::rng::SimRng;
 use crate::stats::NetStats;
 use crate::time::Time;
 use crate::topology::{rng_fn, LinkId, Topology};
-use crate::trace::{TraceBuffer, TraceEvent, TraceKind};
 
 /// How the network chooses among minimal paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,7 +144,6 @@ pub struct SwitchedNetwork<T> {
     in_flight: usize,
     last_progress: Time,
     stats: NetStats,
-    trace: Option<TraceBuffer>,
     rng: SimRng,
     faults: FaultSchedule,
     wake: WakeSet,
@@ -190,7 +188,6 @@ impl<T: Topology> SwitchedNetwork<T> {
             in_flight: 0,
             last_progress: Time::ZERO,
             stats: NetStats::new(),
-            trace: None,
             rng,
             faults,
             wake,
@@ -202,27 +199,6 @@ impl<T: Topology> SwitchedNetwork<T> {
     /// The fault schedule driving this network's fault plane.
     pub fn fault_schedule(&self) -> &FaultSchedule {
         &self.faults
-    }
-
-    /// Start recording packet events into a ring of `capacity` entries
-    /// (see [`TraceBuffer`]). Tracing is off by default.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn enable_tracing(&mut self, capacity: usize) {
-        self.trace = Some(TraceBuffer::new(capacity));
-    }
-
-    /// The trace buffer, if tracing is enabled.
-    pub fn trace(&self) -> Option<&TraceBuffer> {
-        self.trace.as_ref()
-    }
-
-    fn record_trace(&mut self, packet: Option<crate::id::PacketId>, src: NodeId, dst: NodeId, kind: TraceKind) {
-        if let Some(t) = self.trace.as_mut() {
-            t.push(TraceEvent { time: self.now, packet, src, dst, kind });
-        }
     }
 
     /// Suspend the network for a timesharing context switch: every
@@ -317,11 +293,10 @@ impl<T: Topology> SwitchedNetwork<T> {
         let packet = transit.packet;
         self.in_flight -= 1;
         self.last_progress = self.now;
-        let (src, dst, id) = (packet.src(), packet.dst(), packet.id());
+        let (src, dst) = (packet.src(), packet.dst());
         if packet.is_corrupted() {
             // CRC check at the receiving NI: detect and discard.
             self.stats.dropped_corrupt += 1;
-            self.record_trace(id, src, dst, TraceKind::DropCorrupt);
             return;
         }
         let seq = packet.pair_seq().expect("stamped at injection");
@@ -331,7 +306,6 @@ impl<T: Topology> SwitchedNetwork<T> {
         let depth = self.rx[dst.index()].len();
         self.stats
             .record_delivery(src, dst, seq, injected, self.now, depth);
-        self.record_trace(id, src, dst, TraceKind::Deliver);
     }
 
     fn step(&mut self) {
@@ -407,15 +381,9 @@ impl<T: Topology> SwitchedNetwork<T> {
                 } else {
                     Time::from_cycles(u64::MAX)
                 };
-                let (tid, tsrc, tdst) = (
-                    transit.packet.id(),
-                    transit.packet.src(),
-                    transit.packet.dst(),
-                );
                 self.links[next].queues[vc].push_back(transit);
                 self.last_progress = self.now;
                 self.wake_new_head(li, vc);
-                self.record_trace(tid, tsrc, tdst, TraceKind::Hop(LinkId(next)));
                 return true;
             }
             false
@@ -536,7 +504,6 @@ impl<T: Topology> Network for SwitchedNetwork<T> {
             // The pair sequence is *not* advanced — the order tracker
             // only reasons about packets that can still be delivered.
             self.stats.injected += 1;
-            self.record_trace(None, src, dst, TraceKind::Inject);
             return Ok(());
         }
 
@@ -552,7 +519,6 @@ impl<T: Topology> Network for SwitchedNetwork<T> {
             self.stats.injected += 1;
             self.in_flight += 1;
             self.last_progress = self.now;
-            self.record_trace(Some(PacketId::new(self.next_id - 1)), src, dst, TraceKind::Inject);
             self.faults.hold(packet, self.now);
             return Ok(());
         }
@@ -567,7 +533,6 @@ impl<T: Topology> Network for SwitchedNetwork<T> {
         };
         if self.links[first].queues[vc].len() >= self.cfg.link_queue_capacity {
             self.stats.backpressure += 1;
-            self.record_trace(None, src, dst, TraceKind::Backpressure);
             return Err(InjectError::Backpressure);
         }
 
@@ -596,7 +561,6 @@ impl<T: Topology> Network for SwitchedNetwork<T> {
         self.in_flight += 1;
         self.stats.injected += 1;
         self.last_progress = self.now;
-        self.record_trace(Some(PacketId::new(self.next_id - 1)), src, dst, TraceKind::Inject);
 
         // Link-level retry duplication: a second, identical copy enters
         // on its own (freshly routed) path with its own pair sequence,
@@ -967,36 +931,6 @@ mod tests {
         assert!(ctx.is_empty());
         net.swap_in(ctx);
         assert_eq!(net.in_flight(), 0);
-    }
-
-    #[test]
-    fn tracing_records_the_packets_journey() {
-        use crate::trace::TraceKind;
-        let mut net = SwitchedNetwork::new(Mesh2D::new(4, 1), SwitchedConfig::default());
-        net.enable_tracing(256);
-        net.try_inject(pkt(0, 3, 5)).unwrap();
-        assert!(net.drain(1_000));
-        let trace = net.trace().expect("tracing enabled");
-        let id = trace
-            .events()
-            .find(|e| e.kind == TraceKind::Inject)
-            .and_then(|e| e.packet)
-            .expect("inject recorded");
-        let journey = trace.journey(id);
-        // inject + 2 intermediate hops + deliver on a 3-hop path.
-        assert!(journey.contains("inject"));
-        assert_eq!(journey.matches("hop link#").count(), 2);
-        assert!(journey.trim_end().ends_with("deliver"));
-        assert_eq!(trace.of_packet(id).len(), 4);
-    }
-
-    #[test]
-    fn tracing_is_off_by_default_and_free() {
-        let mut net = SwitchedNetwork::new(Mesh2D::new(2, 1), SwitchedConfig::default());
-        assert!(net.trace().is_none());
-        net.try_inject(pkt(0, 1, 0)).unwrap();
-        net.drain(100);
-        assert!(net.trace().is_none());
     }
 
     #[test]

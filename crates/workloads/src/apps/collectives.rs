@@ -470,21 +470,6 @@ pub fn barrier(m: &mut Machine) -> Result<(), ProtocolError> {
     allreduce_sum(m, &zeros).map(|_| ())
 }
 
-/// The pre-dependency barrier baseline (round-serial all-reduce of
-/// zeros), for the bench comparison.
-///
-/// # Errors
-///
-/// [`ProtocolError::Timeout`] if an exchange starves.
-///
-/// # Panics
-///
-/// Panics if the node count is not a power of two.
-pub fn barrier_phased(m: &mut Machine) -> Result<(), ProtocolError> {
-    let zeros = vec![0u32; m.num_nodes()];
-    allreduce_phased(m, &zeros).map(|_| ())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -102,23 +102,6 @@ impl Pattern {
     }
 }
 
-/// A random background-traffic generator: `count` packets between
-/// uniformly random distinct pairs.
-pub fn random_pairs(nodes: usize, count: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
-    assert!(nodes >= 2, "need at least two nodes for traffic");
-    let mut rng = SimRng::new(seed);
-    (0..count)
-        .map(|_| {
-            let s = rng.gen_index(nodes);
-            let mut d = rng.gen_index(nodes - 1);
-            if d >= s {
-                d += 1;
-            }
-            (NodeId::new(s), NodeId::new(d))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,14 +153,6 @@ mod tests {
     #[test]
     fn all_to_all_size() {
         assert_eq!(Pattern::AllToAll.pairs(4).len(), 12);
-    }
-
-    #[test]
-    fn random_pairs_are_distinct_and_in_range() {
-        for (s, d) in random_pairs(8, 100, 3) {
-            assert_ne!(s, d);
-            assert!(s.index() < 8 && d.index() < 8);
-        }
     }
 
     #[test]

@@ -18,7 +18,8 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use timego_am::{
-    CmamConfig, Engine, EngineEvent, Machine, Op, OpId, OpOutcome, RetryPolicy, TracedEvent,
+    CmamConfig, Engine, EngineEvent, Machine, Op, OpId, OpOutcome, ProtocolError, RecoveryPolicy,
+    RetryPolicy, TracedEvent,
 };
 use timego_cost::Feature;
 use timego_netsim::{DeliveryScript, NodeId, ScriptedNetwork};
@@ -304,6 +305,150 @@ fn completion_percentiles_derive_from_cycle_stamped_trace() {
         assert_eq!(stats.quantile(q), by_hand.quantile(q), "q={q}");
     }
     assert!(stats.quantile(0.99) > 0, "real transfers take real cycles");
+}
+
+/// What the engine's latency accessors must report, re-derived from
+/// the raw trace alone.
+struct TraceDerivation {
+    /// `(id, Completed - Submitted)` in trace (= completion) order.
+    completion_times: Vec<(OpId, u64)>,
+    /// `(id, Released - Submitted)`, ascending by id.
+    hold_times: Vec<(OpId, u64)>,
+    /// `(id, ok, Completed stamp)` in trace order.
+    completions: Vec<(OpId, bool, u64)>,
+}
+
+fn derive_from_trace(trace: &[TracedEvent]) -> TraceDerivation {
+    let mut submitted = HashMap::new();
+    let mut d = TraceDerivation {
+        completion_times: Vec::new(),
+        hold_times: Vec::new(),
+        completions: Vec::new(),
+    };
+    for e in trace {
+        match e.event {
+            EngineEvent::Submitted(id) => {
+                submitted.insert(id, e.at);
+            }
+            EngineEvent::Released(id) => d.hold_times.push((id, e.at - submitted[&id])),
+            EngineEvent::Completed(id, ok) => {
+                d.completion_times.push((id, e.at - submitted[&id]));
+                d.completions.push((id, ok, e.at));
+            }
+            _ => {}
+        }
+    }
+    d.hold_times.sort_unstable();
+    d
+}
+
+#[test]
+fn ledger_accessors_equal_the_trace_derivation_on_a_mixed_run() {
+    // The engine answers latency questions from its op ledger, never by
+    // reading its own trace. This pins ledger == trace on one run that
+    // takes every path an op can: run-after holds, a failed predecessor
+    // (while held, and already failed at submission), a cancel, a
+    // deadline expiry, and a recovery re-execution that dependents
+    // stay held across — so the trace can stay the oracle.
+    const NODES: usize = 16;
+    const FAST: u8 = 1;
+    const SLOW: u8 = 2;
+    let mut m = concurrent::switched_machine(NODES, 29);
+    let mut eng = Engine::new();
+    let small = payloads::mixed(48, 1);
+    let big = payloads::mixed(512, 2);
+    let retry = RetryPolicy::default();
+    let mut class_of = HashMap::new();
+    let mut submit = |eng: &mut Engine, m: &mut Machine, op: Op, class: u8| {
+        let id = eng.submit(m, op.class(class)).expect("valid");
+        class_of.insert(id, class);
+        id
+    };
+
+    let a = submit(&mut eng, &mut m, Op::xfer(n(0), n(1), &small), FAST);
+    // Held behind `a`, then released.
+    let b = submit(&mut eng, &mut m, Op::xfer(n(2), n(3), &small).after(&[a]), FAST);
+    // Same pair as `a`: released at once, pending behind its conflict key.
+    let same_pair = submit(&mut eng, &mut m, Op::xfer(n(0), n(1), &small), SLOW);
+    // Cannot finish in 10 cycles and has no recovery: fails by deadline.
+    let doomed =
+        submit(&mut eng, &mut m, Op::xfer_reliable(n(4), n(5), &big, &retry).deadline(10), SLOW);
+    // Held behind `doomed`: felled by its failure, never released.
+    let felled = submit(&mut eng, &mut m, Op::xfer(n(6), n(7), &small).after(&[doomed]), SLOW);
+    // Same deadline, but recovery-armed: parks, re-executes, completes.
+    let healed = submit(
+        &mut eng,
+        &mut m,
+        Op::xfer_reliable(n(8), n(9), &big, &retry)
+            .recovering(&RecoveryPolicy::default())
+            .deadline(10),
+        FAST,
+    );
+    // Stays held across the re-execution of `healed`.
+    let patient = submit(&mut eng, &mut m, Op::xfer(n(10), n(11), &small).after(&[healed]), FAST);
+    // Cancelled while still held behind `a`.
+    let cancelled = submit(&mut eng, &mut m, Op::xfer(n(12), n(13), &small).after(&[a]), SLOW);
+
+    let mut cursor = 0;
+    let mut harvested = Vec::new();
+    let mut late = None;
+    let mut first_pump = true;
+    while eng.pump(&mut m) > 0 {
+        if std::mem::take(&mut first_pump) {
+            assert!(eng.cancel(&m, cancelled), "found still held behind `a`");
+        }
+        harvested.extend(eng.completions_since(&mut cursor));
+        if late.is_none() && harvested.iter().any(|&(id, ..)| id == doomed) {
+            // Submitted after its predecessor failed: felled on arrival.
+            let op = Op::xfer(n(14), n(15), &small).after(&[doomed]);
+            late = Some(submit(&mut eng, &mut m, op, SLOW));
+        }
+    }
+    harvested.extend(eng.completions_since(&mut cursor));
+    let late = late.expect("the doomed op's failure was harvested mid-run");
+
+    // The run took the paths it was built to take.
+    let traced = |event: EngineEvent| eng.trace().iter().any(|e| e.event == event);
+    assert!(traced(EngineEvent::Cancelled(cancelled)));
+    assert!(traced(EngineEvent::Recovering(healed)));
+    assert_eq!(eng.recovery_executions(healed), 1, "answerable after settlement");
+    for ok in [a, b, same_pair, healed, patient] {
+        assert!(eng.take_outcome(ok).unwrap().is_ok(), "op {} completes", ok.raw());
+    }
+    assert!(matches!(
+        eng.take_outcome(doomed).unwrap(),
+        Err(ProtocolError::DeadlineExceeded { what: "deadline", cycles: 10 })
+    ));
+    for dep in [felled, late] {
+        assert!(matches!(
+            eng.take_outcome(dep).unwrap(),
+            Err(ProtocolError::DependencyFailed { failed, .. }) if failed == doomed
+        ));
+    }
+    assert_eq!(eng.take_outcome(cancelled).unwrap(), Err(ProtocolError::Cancelled));
+
+    // Ledger == trace.
+    let derived = derive_from_trace(eng.trace());
+    assert_eq!(derived.completions.len(), 9, "every op settled exactly once");
+    assert_eq!(eng.completion_times(), derived.completion_times);
+    assert_eq!(eng.hold_times(), derived.hold_times);
+    assert_eq!(harvested, derived.completions, "harvests concatenate to the Completed events");
+    for class in [FAST, SLOW] {
+        let of_class: Vec<(OpId, u64)> = derived
+            .completion_times
+            .iter()
+            .copied()
+            .filter(|(id, _)| class_of[id] == class)
+            .collect();
+        assert!(!of_class.is_empty());
+        assert_eq!(eng.completion_times_for_class(class), of_class, "class {class}");
+    }
+    let hold = |id: OpId| derived.hold_times.iter().find(|(i, _)| *i == id).map(|&(_, h)| h);
+    assert!(hold(b).unwrap() > 0 && hold(patient).unwrap() > 0, "held ops report their wait");
+    assert_eq!(hold(same_pair), Some(0), "queueing on a conflict key is not a hold");
+    for never_released in [felled, late, cancelled] {
+        assert_eq!(hold(never_released), None);
+    }
 }
 
 #[test]

@@ -228,3 +228,26 @@ fn rejected_submission_changes_nothing() {
     };
     assert_eq!(wire_call_id(rejects), wire_call_id(Vec::new()));
 }
+
+#[test]
+fn an_id_this_engine_never_minted_is_unknown_not_a_panic() {
+    // Ids are positions in the minting engine's ledger; another
+    // engine's id may lie past the end of this one's.
+    let (mut m, _, _) = machine();
+    let foreign: OpId = {
+        let mut other = Engine::new();
+        (0..3).map(|_| other.submit_xfer(&m, n(2), n(3), &[1]).unwrap()).last().unwrap()
+    };
+    let mut eng = Engine::new();
+    let own = eng.submit_xfer(&m, n(0), n(1), &[1, 2]).unwrap();
+    assert!(foreign.raw() > own.raw());
+    for _ in 0..2 {
+        assert_eq!(eng.take_outcome(foreign), None);
+        assert!(!eng.cancel(&m, foreign));
+        assert_eq!(eng.recovery_executions(foreign), 0);
+        eng.run(&mut m);
+    }
+    let refused = EngineEvent::Cancelled(foreign);
+    assert!(eng.trace().iter().all(|e| e.event != refused), "a refused cancel leaves no trace");
+    assert!(eng.take_outcome(own).unwrap().is_ok(), "the engine's own op is untouched");
+}
