@@ -15,6 +15,7 @@ use timego_netsim::NodeId;
 use crate::costs::{segment, xfer_order, xfer_recv, xfer_send};
 use crate::error::ProtocolError;
 use crate::machine::{Machine, Tags};
+use crate::op::transfer_prologue;
 use crate::xfer::{send_ctl_retrying, XferOutcome, XferRx};
 
 impl Machine {
@@ -29,19 +30,16 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::BadTransfer`] if the batch or any message is
-    /// empty; otherwise as [`Machine::xfer`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` or `dst` is out of range or `src == dst`.
+    /// [`ProtocolError::BadTransfer`] for equal or out-of-range
+    /// endpoints, or if the batch or any message is empty; otherwise as
+    /// [`Machine::xfer`].
     pub fn xfer_batch(
         &mut self,
         src: NodeId,
         dst: NodeId,
         messages: &[&[u32]],
     ) -> Result<Vec<XferOutcome>, ProtocolError> {
-        assert_ne!(src, dst, "transfer endpoints must differ");
+        self.check_endpoints(src, dst)?;
         if messages.is_empty() {
             return Err(ProtocolError::BadTransfer("empty batch".into()));
         }
@@ -71,19 +69,7 @@ impl Machine {
             let mut send_retries = 0;
 
             // Per-message prologue/entry, exactly as in a lone transfer.
-            {
-                let node = self.node_mut(src);
-                node.cpu.reg(Fine::CallReturn, xfer_send::PROLOGUE_REG);
-                node.cpu.mem_load(xfer_send::PROLOGUE_MEM);
-            }
-            {
-                let node = self.node_mut(dst);
-                node.cpu.call(xfer_recv::ENTRY_CALL);
-                node.cpu.ctrl(xfer_recv::ENTRY_CTRL);
-                node.cpu.handler(xfer_recv::ENTRY_HANDLER);
-                node.cpu.mem_load(xfer_recv::ENTRY_STATE_MEM);
-                let _ = self.nodes[dst.index()].ni.poll_status();
-            }
+            transfer_prologue(self, src, dst);
 
             for k in 0..packets {
                 // Offsets are absolute within the shared segment but the

@@ -5,6 +5,12 @@
 //! send, RPC, active message) is a state machine whose `step` performs
 //! exactly one iteration of the corresponding blocking driver loop —
 //! minus the `advance(1)` the blocking loop used to pass time. The
+//! machines live with their families (`xfer`, `xfer_reliable`, `stream`,
+//! `rpc`, `am`) behind one private trait, `OpMachine` (`op.rs` states
+//! its contract); this module is the scheduler, the op ledger,
+//! supervision, recovery policy and the class plane, and the only
+//! family-aware code in it is the [`Op`] constructors, their validation
+//! and the body → machine constructor. The
 //! [`Engine`] owns the clock and schedules by *readiness*: an operation
 //! whose step finds nothing to do sleeps until a packet touches one of
 //! its endpoints or its own timer (retry window, timeout, RTO) comes
@@ -29,9 +35,9 @@
 //!
 //! Everything per-operation that outlives a run slot lives in one row
 //! of the ledger (`Engine::ops`, indexed by [`OpId::raw`]): the
-//! lifecycle stage — and with it the held state machine or the parked
-//! resume cycle — the modifiers landed at submission (class, deadline
-//! budget, recovery recipe and re-execution count), the run-after
+//! lifecycle stage — and with it the held state machine, or the parked
+//! one and its resume cycle — the modifiers landed at submission (class,
+//! deadline budget, recovery policy and re-execution count), the run-after
 //! dependents, the outcome and flattened root error, and the
 //! `Submitted` / `Released` stamps. Admitted and queued state machines
 //! belong to the container the stage names (a run slot, `pending`);
@@ -84,10 +90,31 @@
 //! modifiers ([`Op::after`], [`Op::recovering`], [`Op::deadline`],
 //! [`Op::class`]) — and handed to [`Engine::submit`], which validates
 //! everything before touching any state (a rejected submission consumes
-//! no id, call id or trace event), then lands the id, the state
-//! machine and every modifier together with the `Submitted` event. A
-//! new family is one constructor; a new option is one modifier.
+//! no id, call id or trace event), then builds the state machine and
+//! lands it, the id and every modifier together with the `Submitted`
+//! event. The description ends there: from submission on the state
+//! machine is the operation's only representation. A new family is one
+//! module and one constructor; a new option is one modifier.
 //! [`Engine::submit_xfer`] is shorthand for the commonest case.
+//!
+//! ## Recovery: the machine is its own re-execution recipe
+//!
+//! [`Op::recovering`] lands a [`RecoveryPolicy`] in the op's ledger row.
+//! When a running op fails with a retryable error and the policy (and
+//! its class's retry budget) has executions left, the engine does not
+//! settle it: it bills the session-restart shape to `Feature::FaultTol`
+//! at the op's source, records [`EngineEvent::Recovering`], and *parks
+//! the failed machine itself* in the row for the backoff window, its
+//! conflict key still busy. When the window closes the machine is
+//! `reset` — `Self::new` over the arguments it was built with, so a
+//! re-execution is the first execution again by construction — and
+//! spawned back onto the running set; `start` opens a fresh session
+//! epoch. What exactly-once needs across executions survives the reset
+//! inside the machine: the stream's resume base (learned from the first
+//! failed run), the RPC call id, the am4 delivery token. Nothing is
+//! cloned, at submission or per re-execution, and an expiry that finds
+//! the op parked (a deadline firing mid-backoff) re-parks the same
+//! machine.
 //!
 //! ## Run-after dependencies
 //!
@@ -144,18 +171,18 @@ use std::time::Instant;
 
 use timego_cost::{CostVector, Feature, Fine};
 use timego_netsim::{LatencyStats, NodeId, RxMeta};
-use timego_ni::Addr;
 
-use crate::am::PollOutcome;
-use crate::costs::{recovery, segment, xfer_order, xfer_recv, xfer_send};
+use crate::am::Am4Op;
+use crate::costs::recovery;
 use crate::error::ProtocolError;
-use crate::machine::{Machine, SessionEntry, Tags};
+use crate::machine::{Machine, Tags};
+use crate::op::{GcExempt, KeyClass, OpMachine, Stepped};
 use crate::retry::{RecoveryPolicy, RetryPolicy};
-use crate::rpc::RpcEvent;
+use crate::rpc::RpcOp;
 use crate::sched::{SchedCounters, SchedMode, SchedPhase, SchedProfiler, Slab, TimingWheel};
-use crate::stream::{StreamId, StreamOutcome};
-use crate::xfer::{PayloadEngine, XferOutcome, XferRx};
-use crate::xfer_reliable::{ReliableOutcome, OFFSET_BITS, OFFSET_MASK};
+use crate::stream::{StreamId, StreamOp, StreamOutcome};
+use crate::xfer::{PayloadEngine, XferOp, XferOutcome};
+use crate::xfer_reliable::{ReliableOp, ReliableOutcome, OFFSET_BITS};
 
 /// Identifies one submitted operation within an [`Engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -250,45 +277,31 @@ pub struct TracedEvent {
     pub event: EngineEvent,
 }
 
-/// One step's verdict.
-enum Stepped {
-    /// The operation did real protocol work this step.
-    Progress,
-    /// Nothing to do until the world changes (a packet arrives or a
-    /// cycle passes).
-    Idle,
-    /// The operation finished.
-    Done(OpOutcome),
-}
-
 /// Conflict key: operations with equal keys are serialized.
-type ConflictKey = (u8, NodeId, NodeId);
+type ConflictKey = (KeyClass, NodeId, NodeId);
 
-const CLASS_XFER: u8 = 0;
-const CLASS_STREAM: u8 = 1;
-const CLASS_AM: u8 = 2;
-
-impl ActiveOp {
-    /// `body` as a fresh state machine, for a first execution and a
-    /// recovery re-execution alike.
-    fn new(id: OpId, body: OpBody, m: &Machine, managed: bool) -> Self {
-        let (key, endpoints) = (body.conflict_key(m), body.endpoints(m));
-        ActiveOp { id, op: body.build(m, managed), key, endpoints, last_progress_at: 0 }
-    }
-}
-
+/// One submitted operation: its state machine — the operation's only
+/// representation from submission on, parked between recovery
+/// executions included — plus what the scheduler reads every pass.
 struct ActiveOp {
     id: OpId,
-    op: OpKind,
-    /// Operations with equal keys are serialized ([`OpBody::conflict_key`]).
+    op: Box<dyn OpMachine>,
+    /// `op.conflict_key()`, read once (admission compares keys across
+    /// the whole pending queue).
     key: Option<ConflictKey>,
-    /// The two endpoint nodes whose packet activity can change this
-    /// op's behavior — what the event scheduler subscribes it to, and
-    /// where the class plane looks for its cost.
+    /// `op.endpoints()`, read once — what the event scheduler
+    /// subscribes the op to, and where the class plane looks for its
+    /// cost.
     endpoints: (NodeId, NodeId),
     /// Substrate clock at admission / last step that made progress —
     /// what the no-progress watchdog measures against.
     last_progress_at: u64,
+}
+
+impl ActiveOp {
+    fn new(id: OpId, op: Box<dyn OpMachine>) -> Self {
+        ActiveOp { id, key: op.conflict_key(), endpoints: op.endpoints(), op, last_progress_at: 0 }
+    }
 }
 
 /// A submitted operation still waiting on run-after predecessors.
@@ -310,10 +323,11 @@ enum Stage {
     Pending,
     /// Admitted, in a run slot (`Engine::slots` / `run_order`).
     Running,
-    /// Between recovery executions, indexed by `Engine::parked`: no
-    /// state machine exists, the conflict key stays busy, and the
-    /// backoff window closes at substrate cycle `resume_at`.
-    Parked { resume_at: u64 },
+    /// Between recovery executions, indexed by `Engine::parked`: the
+    /// failed state machine waits here for its `reset`, the conflict
+    /// key stays busy, and the backoff window closes at substrate cycle
+    /// `resume_at`.
+    Parked { resume_at: u64, op: Box<ActiveOp> },
     /// Settled; verdict and `Completed` stamp are in
     /// `Engine::completions`, a failure's cause in `root_error`.
     Done,
@@ -330,9 +344,9 @@ struct OpEntry {
     /// Landed by [`Op::deadline`]: the budget, in cycles from
     /// `submitted_at`. Armed while the id is in `Engine::deadlines`.
     deadline: Option<u64>,
-    /// Landed by [`Op::recovering`]. Dropped at settlement — it pins a
-    /// payload clone — while `re_executions` stays answerable.
-    recovery: Option<Box<RecoveryRecipe>>,
+    /// Landed by [`Op::recovering`]. Dropped at settlement, while
+    /// `re_executions` stays answerable.
+    recovery: Option<Box<RecoveryPolicy>>,
     re_executions: u32,
     /// Held operations naming this one as a run-after predecessor.
     dependents: Vec<OpId>,
@@ -355,7 +369,7 @@ impl OpEntry {
     /// When a parked op's backoff window closes.
     fn resume_at(&self) -> Option<u64> {
         match self.stage {
-            Stage::Parked { resume_at } => Some(resume_at),
+            Stage::Parked { resume_at, .. } => Some(resume_at),
             _ => None,
         }
     }
@@ -413,26 +427,16 @@ enum WheelItem {
     ParkResume,
 }
 
-/// Re-execution recipe for one recovery-armed operation (see
-/// [`RecoveryPolicy`] and [`Op::recovering`]).
-struct RecoveryRecipe {
-    /// The resolved body the operation was submitted with; every
-    /// re-execution is [`OpBody::build`] over a clone of it.
-    body: OpBody,
-    policy: RecoveryPolicy,
-}
-
 /// The family-specific half of an [`Op`]: what to run, between whom.
+/// It exists only until submission — [`OpBody::build`] turns it into the
+/// state machine, which is the operation from then on.
 ///
-/// `call_id`, `token` and `resume_base` are *resolved* fields — zero /
-/// `None` as constructed, filled in by the engine — and they are where
-/// exactly-once semantics need continuity across re-executions: an RPC
+/// `call_id` and `token` are *resolved* fields — zero as constructed,
+/// filled in by [`Engine::submit`] — and the machine keeps them across
+/// re-executions, which is where exactly-once needs continuity: an RPC
 /// re-execution reuses its call id so the callee's reply cache
-/// deduplicates a handler that already ran, a recovering am4 keeps its
-/// delivery token, and a stream re-execution resumes at the receiver's
-/// contiguous mark instead of re-sending delivered packets. Everything
-/// else is rebuilt from first principles (a fresh `start` allocates a
-/// fresh session epoch).
+/// deduplicates a handler that already ran, and a recovering am4 keeps
+/// its delivery token.
 #[derive(Debug, Clone)]
 enum OpBody {
     Xfer {
@@ -450,10 +454,6 @@ enum OpBody {
     Stream {
         id: StreamId,
         data: Vec<u32>,
-        /// First sequence number of the burst, learned from the first
-        /// execution's `start` (earlier same-stream sends may still be
-        /// advancing the sequence at submission time).
-        resume_base: Option<u64>,
     },
     Rpc {
         src: NodeId,
@@ -473,63 +473,32 @@ enum OpBody {
 }
 
 impl OpBody {
-    /// `(source, destination)`. The source is where recovery work is
-    /// billed.
+    /// Build the state machine — the only body → machine constructor;
+    /// a recovery re-execution is the machine's own `reset`. `managed`
+    /// marks the op as recovery-managed (see [`Op::recovering`]).
     ///
     /// # Panics
     ///
-    /// Panics on a stream id the machine never opened (submission
-    /// rejects those before anything calls this).
-    fn endpoints(&self, m: &Machine) -> (NodeId, NodeId) {
-        match self {
-            OpBody::Xfer { src, dst, .. }
-            | OpBody::Reliable { src, dst, .. }
-            | OpBody::Rpc { src, dst, .. }
-            | OpBody::Am4 { src, dst, .. } => (*src, *dst),
-            OpBody::Stream { id, .. } => {
-                let st = m.stream_state(*id);
-                (st.src, st.dst)
-            }
-        }
-    }
-
-    /// Operations with equal keys are serialized; `None` never
-    /// conflicts. Answerable while the op is parked (no live [`OpKind`]
-    /// exists between executions).
-    fn conflict_key(&self, m: &Machine) -> Option<ConflictKey> {
-        let class = match self {
-            OpBody::Xfer { .. } | OpBody::Reliable { .. } => CLASS_XFER,
-            OpBody::Stream { .. } => CLASS_STREAM,
-            OpBody::Rpc { .. } => return None,
-            OpBody::Am4 { .. } => CLASS_AM,
-        };
-        let (src, dst) = self.endpoints(m);
-        Some((class, src, dst))
-    }
-
-    /// Build a fresh state machine — the one constructor behind the
-    /// first execution and every recovery re-execution. `managed` marks
-    /// the op as recovery-managed (see [`Op::recovering`]).
-    fn build(self, m: &Machine, managed: bool) -> OpKind {
+    /// Panics on a stream id the machine never opened
+    /// ([`Op::validate`] rejects those first).
+    fn build(self, m: &Machine, managed: bool) -> Box<dyn OpMachine> {
         let n = m.config().packet_words;
         match self {
             OpBody::Xfer { src, dst, data, engine } => {
-                OpKind::Xfer(XferOp::new(src, dst, data, engine, n))
+                Box::new(XferOp::new(src, dst, data, engine, n))
             }
             OpBody::Reliable { src, dst, data, policy } => {
-                OpKind::Reliable(ReliableOp::new(src, dst, data, n, policy))
+                Box::new(ReliableOp::new(src, dst, data, n, policy))
             }
-            OpBody::Stream { id, data, resume_base } => {
+            OpBody::Stream { id, data } => {
                 let st = m.stream_state(id);
-                let mut op = StreamOp::new(id, st.src, st.dst, data, n, st.rto_iterations());
-                op.resume_base = resume_base;
-                OpKind::Stream(op)
+                Box::new(StreamOp::new(id, st.src, st.dst, data, n, st.rto_iterations(), None))
             }
             OpBody::Rpc { src, dst, tag, args, policy, call_id } => {
-                OpKind::Rpc(RpcOp::new(src, dst, tag, args, call_id, policy, managed))
+                Box::new(RpcOp::new(src, dst, tag, args, call_id, policy, managed))
             }
             OpBody::Am4 { src, dst, tag, words, token } => {
-                OpKind::Am4(Am4Op::new(src, dst, tag, words, token, managed))
+                Box::new(Am4Op::new(src, dst, tag, words, token, managed))
             }
         }
     }
@@ -588,7 +557,7 @@ impl Op {
     /// serialized in submission order.
     #[must_use]
     pub fn stream_send(id: StreamId, data: &[u32]) -> Self {
-        Op::new(OpBody::Stream { id, data: data.to_vec(), resume_base: None })
+        Op::new(OpBody::Stream { id, data: data.to_vec() })
     }
 
     /// An RPC (the engine form of [`Machine::rpc_call`] without a
@@ -704,20 +673,20 @@ impl Op {
     /// the only way a dependency cycle could ever be expressed.
     fn validate(&self, m: &Machine, next_id: u64) -> Result<(), ProtocolError> {
         let bad = |what: String| Err(ProtocolError::BadTransfer(what));
-        if let OpBody::Stream { id, .. } = &self.body {
-            if !m.has_stream(*id) {
+        let (src, dst) = match &self.body {
+            OpBody::Xfer { src, dst, .. }
+            | OpBody::Reliable { src, dst, .. }
+            | OpBody::Rpc { src, dst, .. }
+            | OpBody::Am4 { src, dst, .. } => (*src, *dst),
+            OpBody::Stream { id, .. } if m.has_stream(*id) => {
+                let st = m.stream_state(*id);
+                (st.src, st.dst)
+            }
+            OpBody::Stream { .. } => {
                 return bad("stream id was not opened on this machine".into());
             }
-        }
-        let (src, dst) = self.body.endpoints(m);
-        for (field, node) in [("src", src), ("dst", dst)] {
-            if node.index() >= m.num_nodes() {
-                return bad(format!("{field} {node} is out of range ({} nodes)", m.num_nodes()));
-            }
-        }
-        if src == dst {
-            return bad(format!("src and dst are both {src}; endpoints must differ"));
-        }
+        };
+        m.check_endpoints(src, dst)?;
         match &self.body {
             OpBody::Reliable { policy, .. } | OpBody::Rpc { policy: Some(policy), .. }
                 if policy.max_attempts == 0 =>
@@ -765,128 +734,9 @@ impl Op {
     }
 }
 
-enum OpKind {
-    Xfer(XferOp),
-    Reliable(ReliableOp),
-    Stream(StreamOp),
-    Rpc(RpcOp),
-    Am4(Am4Op),
-}
-
-impl OpKind {
-    fn start(&mut self, m: &mut Machine) {
-        match self {
-            OpKind::Xfer(op) => op.start(m),
-            OpKind::Reliable(op) => op.start(m),
-            OpKind::Stream(op) => op.start(m),
-            OpKind::Rpc(op) => op.start(m),
-            OpKind::Am4(op) => op.start(m),
-        }
-    }
-
-    fn step(&mut self, m: &mut Machine) -> Result<Stepped, ProtocolError> {
-        match self {
-            OpKind::Xfer(op) => op.step(m),
-            OpKind::Reliable(op) => op.step(m),
-            OpKind::Stream(op) => op.step(m),
-            OpKind::Rpc(op) => op.step(m),
-            OpKind::Am4(op) => op.step(m),
-        }
-    }
-
-    /// Deliver `k` timer ticks at once — exactly what `k` consecutive
-    /// single ticks with no intervening steps would do. The
-    /// event scheduler ticks sleeping ops lazily on wake, and a
-    /// sleeping op by construction takes no steps in between, so the
-    /// per-op closed forms are exact. `k == 0` is a no-op: a same-cycle
-    /// wake must preserve `stalled` (the reference only clears it when
-    /// a cycle actually passes).
-    fn tick_n(&mut self, k: u64) {
-        if k == 0 {
-            return;
-        }
-        match self {
-            OpKind::Xfer(op) => op.tick_n(k),
-            OpKind::Reliable(op) => op.tick_n(k),
-            OpKind::Stream(op) => op.tick_n(k),
-            OpKind::Rpc(op) => op.tick_n(k),
-            OpKind::Am4(op) => op.tick_n(k),
-        }
-    }
-
-    /// Cycles until this op's next step could be anything but a
-    /// cost-free `Idle`, absent packet activity at its endpoints (which
-    /// wakes it earlier). `u64::MAX` means purely packet-driven — no
-    /// timer tick alone can change its behavior (the no-progress
-    /// watchdog still bounds how long it can sleep). Conservative by
-    /// design: waking early costs one traceless idle step; waking late
-    /// would diverge from the reference scheduler.
-    fn wake_in(&self, m: &Machine) -> u64 {
-        let max_wait = m.config().max_wait_cycles;
-        match self {
-            OpKind::Xfer(op) => op.wake_in(max_wait),
-            OpKind::Reliable(op) => op.wake_in(max_wait),
-            OpKind::Stream(op) => op.wake_in(max_wait),
-            OpKind::Rpc(op) => op.wake_in(max_wait),
-            OpKind::Am4(op) => op.wake_in(max_wait),
-        }
-    }
-
-    /// Does a reserved-tag packet at `node`'s queue head belong to this
-    /// operation? Claims are pair-wide and conservative: anything an
-    /// operation might still consume must be claimed, or the engine's
-    /// orphan discard would eat it.
-    fn claims(&self, node: NodeId, meta: &RxMeta) -> bool {
-        const XFER_TAGS: [u8; 6] = [
-            Tags::XFER_REQ,
-            Tags::XFER_REPLY,
-            Tags::XFER_DATA,
-            Tags::XFER_ACK,
-            Tags::XFER_NACK,
-            Tags::XFER_PROBE,
-        ];
-        match self {
-            OpKind::Xfer(op) => {
-                pairwise(node, meta.src, op.src, op.dst) && XFER_TAGS.contains(&meta.tag)
-            }
-            OpKind::Reliable(op) => {
-                pairwise(node, meta.src, op.src, op.dst) && XFER_TAGS.contains(&meta.tag)
-            }
-            OpKind::Stream(op) => {
-                pairwise(node, meta.src, op.src, op.dst)
-                    && (meta.tag == Tags::STREAM_DATA || meta.tag == Tags::STREAM_ACK)
-            }
-            OpKind::Rpc(op) => {
-                (node == op.dst && meta.src == op.src && meta.tag == op.tag)
-                    || (node == op.src
-                        && meta.src == op.dst
-                        && meta.tag == Tags::RPC_REPLY
-                        && meta.header == op.call_id as u32)
-            }
-            OpKind::Am4(op) => {
-                node == op.dst
-                    && meta.src == op.src
-                    && meta.tag == op.tag
-                    && meta.header == op.token
-            }
-        }
-    }
-}
-
-fn pairwise(node: NodeId, pkt_src: NodeId, a: NodeId, b: NodeId) -> bool {
-    (node == a || node == b) && (pkt_src == a || pkt_src == b)
-}
-
 /// The substrate clock, as raw network cycles (cost-free introspection).
 fn clock(m: &Machine) -> u64 {
     m.network().borrow().now().cycles()
-}
-
-/// Ticks until a `waited`-style counter first *exceeds* `bound` (the
-/// protocols' window checks are all `waited > bound`), clamped to at
-/// least one cycle out.
-fn win(bound: u64, waited: u64) -> u64 {
-    bound.saturating_add(1).saturating_sub(waited).max(1)
 }
 
 /// The protocol engine: a scheduler interleaving NI polls, timer
@@ -1092,23 +942,15 @@ impl Engine {
         op.validate(m, self.ops.len() as u64).map(|()| self.enqueue(m, op))
     }
 
-    /// The one submission path, past validation: open the op's ledger
-    /// row with every modifier landed, build the state machine, then
+    /// The one submission path, past validation: build the state
+    /// machine, open the op's ledger row with every modifier landed, then
     /// either release the operation into the admission queue or hold it
     /// until its predecessors complete.
     fn enqueue(&mut self, m: &Machine, op: Op) -> OpId {
         let Op { body, after, recovery, deadline, class } = op;
         let id = OpId(self.ops.len() as u64);
-        let managed = recovery.is_some();
-        let (op, recovery) = match recovery {
-            // The one extra payload copy recovery costs: the body stays
-            // behind as the re-execution recipe.
-            Some(policy) if policy.max_executions > 1 => {
-                let op = ActiveOp::new(id, body.clone(), m, managed);
-                (op, Some(Box::new(RecoveryRecipe { body, policy })))
-            }
-            _ => (ActiveOp::new(id, body, m, managed), None),
-        };
+        let op = ActiveOp::new(id, body.build(m, recovery.is_some()));
+        let recovery = recovery.map(Box::new);
         self.class_plane |= class.is_some();
         let submitted_at = self.record(m, EngineEvent::Submitted(id));
         self.ops.push(OpEntry { class, deadline, recovery, submitted_at, ..OpEntry::default() });
@@ -1799,7 +1641,9 @@ impl Engine {
         // Invalidate the outstanding wheel wake for this sleep.
         s.sleep_gen += 1;
         let elapsed = epoch.saturating_sub(s.slept_epoch);
-        s.a.op.tick_n(elapsed);
+        if elapsed > 0 {
+            s.a.op.tick_n(elapsed);
+        }
     }
 
     /// Put a slot to sleep after an `Idle` step: record the sleep
@@ -1809,7 +1653,7 @@ impl Engine {
     /// its endpoints wakes it earlier.
     fn sleep_slot(&mut self, m: &Machine, slot: u32) {
         let now = clock(m);
-        let wake_in = self.slots[slot].a.op.wake_in(m);
+        let wake_in = self.slots[slot].a.op.wake_in(m.config().max_wait_cycles);
         let endpoints = self.slots[slot].a.endpoints;
         let epoch = self.tick_epoch;
         let s = &mut self.slots[slot];
@@ -1903,59 +1747,42 @@ impl Engine {
         // reveal: mark both endpoints and wake their subscribers.
         self.touch_node(endpoints.0);
         self.touch_node(endpoints.1);
-        if self.try_recover(m, s.a.id, Some(&s.a.op), &result) {
-            // The parked op keeps its conflict key: queued same-key
-            // work must not overtake the re-execution.
-            return;
-        }
-        if let Some(k) = s.a.key {
-            self.busy.remove(&k);
-        }
-        self.settle(m, s.a.id, result);
+        self.conclude(m, s.a, result);
     }
 
-    /// Engine-native recovery decision: a retryable failure of a
-    /// recovery-armed op with budget left *parks* the op for its
-    /// backoff window instead of settling it, billing the
-    /// session-restart instruction shape to `Feature::FaultTol` at the
-    /// op's source — the same shape (and feature) the caller-side
-    /// restart loop this replaces used to bill. Returns `true` if the
-    /// op was parked.
-    fn try_recover(
-        &mut self,
-        m: &Machine,
-        id: OpId,
-        op: Option<&OpKind>,
-        result: &Result<OpOutcome, ProtocolError>,
-    ) -> bool {
-        let Err(err) = result else { return false };
-        if !err.is_retryable() {
-            return false;
-        }
+    /// An admitted op (running, or parked and expired) ended with
+    /// `result`. Engine-native recovery decision: a retryable failure
+    /// of a recovery-armed op with budget left *parks* the op — as its
+    /// state machine, which `release_recovered` resets — for its backoff
+    /// window instead of settling it, billing the session-restart
+    /// instruction shape to `Feature::FaultTol` at the op's source —
+    /// the same shape (and feature) the caller-side restart loop this
+    /// replaces used to bill. Anything else frees the op's conflict key
+    /// and settles it.
+    fn conclude(&mut self, m: &Machine, a: ActiveOp, result: Result<OpOutcome, ProtocolError>) {
+        let id = a.id;
         let entry = &self.ops[id.index()];
-        let Some(recipe) = &entry.recovery else { return false };
-        if entry.re_executions + 1 >= recipe.policy.max_executions {
-            return false;
-        }
+        let budget_left = entry
+            .recovery
+            .as_ref()
+            .is_some_and(|policy| entry.re_executions + 1 < policy.max_executions);
         // The class retry budget is spent *before* parking: a denial
         // means the failure settles normally (and is counted), capping
         // recovery amplification under correlated failure.
-        if !self.charge_retry_budget(m, id) {
-            return false;
+        let retry = result.as_ref().is_err_and(ProtocolError::is_retryable)
+            && budget_left
+            && self.charge_retry_budget(m, id);
+        if !retry {
+            if let Some(k) = a.key {
+                self.busy.remove(&k);
+            }
+            return self.settle(m, id, result);
         }
         let entry = &mut self.ops[id.index()];
-        let recipe = entry.recovery.as_mut().expect("recovery recipe just checked");
-        // A failed first execution teaches the stream recipe its base
-        // sequence, so re-executions resume the burst (exactly-once)
-        // instead of restarting it at a fresh sequence range.
-        if let (OpBody::Stream { resume_base, .. }, Some(OpKind::Stream(s))) =
-            (&mut recipe.body, op)
-        {
-            resume_base.get_or_insert(s.first_seq);
-        }
         entry.re_executions += 1;
-        let wait = recipe.policy.window(entry.re_executions);
-        let src = recipe.body.endpoints(m).0;
+        let policy = entry.recovery.as_ref().expect("recovery policy just checked");
+        let wait = policy.window(entry.re_executions);
+        let src = a.endpoints.0;
         let cpu = m.cpu(src);
         let cls = self.class_pre(m, id, (src, src));
         cpu.with_feature(Feature::FaultTol, |c| {
@@ -1965,20 +1792,21 @@ impl Engine {
         self.class_post(m, cls, (src, src));
         self.record(m, EngineEvent::Recovering(id));
         let resume_at = clock(m).saturating_add(wait);
-        self.ops[id.index()].stage = Stage::Parked { resume_at };
+        // The parked op keeps its conflict key: queued same-key work
+        // must not overtake the re-execution.
+        self.ops[id.index()].stage = Stage::Parked { resume_at, op: Box::new(a) };
         self.parked.insert(id);
         if self.mode == SchedMode::EventDriven {
             // Jump-bound marker only: release is decided from the
             // ledger, but the idle jump must not overshoot the resume.
             self.wheel.insert(resume_at, WheelItem::ParkResume);
         }
-        true
     }
 
-    /// Re-admit parked ops whose backoff window has closed: rebuild the
-    /// state machine from its recovery recipe (a fresh session epoch is
-    /// allocated in `start`) and put it straight back on the running
-    /// set — its conflict key never left `busy`.
+    /// Re-admit parked ops whose backoff window has closed: reset the
+    /// retained state machine (a fresh session epoch is allocated in
+    /// `start`) and put it straight back on the running set — its
+    /// conflict key never left `busy`.
     fn release_recovered(&mut self, m: &mut Machine) {
         let now = clock(m);
         let due: Vec<OpId> = self
@@ -1988,20 +1816,27 @@ impl Engine {
             .filter(|id| self.ops[id.index()].resume_at().is_some_and(|at| at <= now))
             .collect();
         for id in due {
-            self.parked.remove(&id);
-            let recipe = self.ops[id.index()].recovery.as_ref().expect("parked ops keep a recipe");
-            let op = ActiveOp::new(id, recipe.body.clone(), m, true);
-            self.spawn(m, op);
+            let mut a = self.unpark(id);
+            a.op.reset();
+            self.spawn(m, a);
+        }
+    }
+
+    /// Take a parked op out of the ledger row and the `parked` index.
+    fn unpark(&mut self, id: OpId) -> ActiveOp {
+        self.parked.remove(&id);
+        match std::mem::take(&mut self.ops[id.index()].stage) {
+            Stage::Parked { op, .. } => *op,
+            _ => unreachable!("the parked index names only parked rows"),
         }
     }
 
     /// Epoch-TTL sweep of receiver-side tables (dead sessions left by
     /// crashed senders, reply-cache entries of long-settled calls).
-    /// Sessions and replies belonging to live operations are exempt —
-    /// including replies awaited by *parked* RPCs, so re-execution
-    /// still deduplicates against a handler that already ran. The
-    /// sweep itself happens in [`Machine::gc_expired`], billed to
-    /// `Feature::FaultTol` at each reclaiming receiver.
+    /// What an unfinished operation shields is its own to say
+    /// ([`OpMachine::gc_exempt`]). The sweep itself happens in
+    /// [`Machine::gc_expired`], billed to `Feature::FaultTol` at each
+    /// reclaiming receiver.
     fn collect_garbage(&mut self, m: &mut Machine) {
         // Fast path: nothing is past its TTL, so the sweep would
         // reclaim (and bill) nothing. The check is conservative —
@@ -2011,37 +1846,23 @@ impl Engine {
         }
         let mut live_sessions: HashSet<(NodeId, NodeId)> = HashSet::new();
         let mut live_replies: HashSet<(NodeId, NodeId, u32)> = HashSet::new();
-        let live_ops = self
-            .run_order
-            .iter()
-            .map(|&s| &self.slots[s].a)
-            .chain(self.pending.iter())
-            .chain(self.held.iter().filter_map(|id| match &self.ops[id.index()].stage {
-                Stage::Held(h) => Some(&h.op),
+        let admitted = self.run_order.iter().map(|&s| &self.slots[s].a).chain(&self.pending);
+        let staged = self.held.iter().chain(&self.parked).filter_map(|id| {
+            match &self.ops[id.index()].stage {
+                Stage::Held(h) => Some((&h.op, false)),
+                Stage::Parked { op, .. } => Some((&**op, true)),
                 _ => None,
-            }));
-        for op in live_ops {
-            match &op.op {
-                OpKind::Xfer(o) => {
-                    live_sessions.insert((o.dst, o.src));
-                }
-                OpKind::Reliable(o) => {
-                    live_sessions.insert((o.dst, o.src));
-                }
-                OpKind::Rpc(o) => {
-                    live_replies.insert((o.dst, o.src, o.call_id as u32));
-                }
-                OpKind::Stream(_) | OpKind::Am4(_) => {}
             }
-        }
-        // Parked reliable transfers are deliberately *not* exempt: the
-        // next execution opens a fresh epoch, so the receiver's
-        // stale-epoch session is exactly what the sweep should reclaim.
-        for id in &self.parked {
-            if let Some(OpBody::Rpc { src, dst, call_id, .. }) =
-                self.ops[id.index()].recovery.as_ref().map(|r| &r.body)
-            {
-                live_replies.insert((*dst, *src, *call_id as u32));
+        });
+        for (a, parked) in admitted.map(|a| (a, false)).chain(staged) {
+            match a.op.gc_exempt(parked) {
+                Some(GcExempt::Session(receiver, sender)) => {
+                    live_sessions.insert((receiver, sender));
+                }
+                Some(GcExempt::Reply(callee, caller, call_id)) => {
+                    live_replies.insert((callee, caller, call_id));
+                }
+                None => {}
             }
         }
         m.gc_expired(&live_sessions, &live_replies);
@@ -2217,18 +2038,12 @@ impl Engine {
                 self.settle(m, id, Err(err));
             }
             Stage::Parked { .. } => {
-                self.parked.remove(&id);
                 // A retryable expiry (a deadline firing mid-backoff)
                 // consumes recovery budget and re-parks; anything else —
                 // cancellation included — releases the conflict key the
                 // parked op was holding and settles it.
-                if !self.try_recover(m, id, None, &Err(err.clone())) {
-                    let recipe = self.ops[id.index()].recovery.as_ref();
-                    if let Some(k) = recipe.and_then(|r| r.body.conflict_key(m)) {
-                        self.busy.remove(&k);
-                    }
-                    self.settle(m, id, Err(err));
-                }
+                let a = self.unpark(id);
+                self.conclude(m, a, Err(err));
             }
             Stage::Done => unreachable!("settled ops returned above"),
         }
@@ -2329,1472 +2144,4 @@ impl Engine {
         }
         drained
     }
-}
-
-// ---------------------------------------------------------------------
-// Finite-sequence transfer (plain).
-// ---------------------------------------------------------------------
-
-enum XferPhase {
-    Handshake,
-    Transfer,
-    SendAck,
-    AwaitAck,
-}
-
-struct XferOp {
-    src: NodeId,
-    dst: NodeId,
-    data: Vec<u32>,
-    engine: PayloadEngine,
-    n: usize,
-    packets: u64,
-    phase: XferPhase,
-    src_buf: Addr,
-    req_sent: bool,
-    reply_sent: bool,
-    segment: Option<(u32, Addr)>,
-    rx: XferRx,
-    next_packet: u64,
-    send_retries: u64,
-    waited: u64,
-    stalled: bool,
-    // Endpoint restart counters at start; see `check_restart`.
-    peer_restarts: (u32, u32),
-}
-
-impl XferOp {
-    fn new(src: NodeId, dst: NodeId, data: Vec<u32>, engine: PayloadEngine, n: usize) -> Self {
-        let packets = (data.len() as u64).div_ceil(n as u64);
-        XferOp {
-            src,
-            dst,
-            data,
-            engine,
-            n,
-            packets,
-            phase: XferPhase::Handshake,
-            src_buf: Addr(0),
-            req_sent: false,
-            reply_sent: false,
-            segment: None,
-            rx: XferRx {
-                buffer: Addr(0),
-                packets_expected: packets,
-                packets_received: 0,
-            },
-            next_packet: 0,
-            send_retries: 0,
-            waited: 0,
-            stalled: false,
-            peer_restarts: (0, 0),
-        }
-    }
-
-    fn start(&mut self, m: &mut Machine) {
-        // Harness setup: stage the data in source memory (cost-free).
-        self.src_buf = m.write_buffer(self.src, &self.data);
-        self.peer_restarts = (m.restarts_of(self.src), m.restarts_of(self.dst));
-    }
-
-    fn tick_n(&mut self, k: u64) {
-        self.waited += k;
-        self.stalled = false;
-    }
-
-    /// Every injection attempt sets `stalled` on backpressure and every
-    /// receive path is head-gated on a packet being present, so an idle
-    /// step without `stalled` can only become non-idle when `waited`
-    /// crosses the protocol's wait window (or a packet arrives, which
-    /// wakes the op through its endpoint subscription).
-    fn wake_in(&self, max_wait: u64) -> u64 {
-        if self.stalled {
-            return 1;
-        }
-        win(max_wait, self.waited)
-    }
-
-    fn step(&mut self, m: &mut Machine) -> Result<Stepped, ProtocolError> {
-        if let Some(e) = check_restart(m, self.src, self.dst, self.peer_restarts) {
-            return Err(e);
-        }
-        let max_wait = m.config().max_wait_cycles;
-        let (src, dst, n) = (self.src, self.dst, self.n);
-        match self.phase {
-            XferPhase::Handshake => {
-                if self.waited > max_wait {
-                    return Err(ProtocolError::timeout("xfer reply", self.waited));
-                }
-                let mut progress = false;
-                // Step 1: allocation request (buffer management).
-                if !self.req_sent && !self.stalled {
-                    let node = m.node_mut(src);
-                    let sent = node.cpu.clone().with_feature(Feature::BufferMgmt, |_| {
-                        node.send_ctl(dst, Tags::XFER_REQ, self.data.len() as u32, [0; 4])
-                    });
-                    if sent {
-                        self.req_sent = true;
-                        progress = true;
-                    } else {
-                        self.stalled = true;
-                    }
-                }
-                // Step 2: receiver allocates a segment.
-                if self.segment.is_none() && peek_is(m, dst, src, Tags::XFER_REQ) {
-                    let node = m.node_mut(dst);
-                    let cpu = node.cpu.clone();
-                    let seg = cpu.with_feature(Feature::BufferMgmt, |_| {
-                        let (_, tag, header, _) = node.recv_ctl_now();
-                        debug_assert_eq!(tag, Tags::XFER_REQ);
-                        let words = header as usize;
-                        let buffer = node.mem.alloc(words.div_ceil(n) * n);
-                        node.cpu.reg(Fine::RegOp, segment::ASSOCIATE_REG);
-                        node.cpu.mem_store(segment::ASSOCIATE_MEM);
-                        ((buffer.0 & 0xffff) as u32 ^ 0x5e60_0000, buffer)
-                    });
-                    self.segment = Some(seg);
-                    progress = true;
-                }
-                // Step 3: the reply.
-                if let Some((seg, _)) = self.segment {
-                    if !self.reply_sent && !self.stalled {
-                        let node = m.node_mut(dst);
-                        let sent = node.cpu.clone().with_feature(Feature::BufferMgmt, |_| {
-                            node.send_ctl(src, Tags::XFER_REPLY, seg, [0; 4])
-                        });
-                        if sent {
-                            self.reply_sent = true;
-                            progress = true;
-                        } else {
-                            self.stalled = true;
-                        }
-                    }
-                    if self.reply_sent && peek_is(m, src, dst, Tags::XFER_REPLY) {
-                        let node = m.node_mut(src);
-                        let cpu = node.cpu.clone();
-                        cpu.with_feature(Feature::BufferMgmt, |_| {
-                            let (_, tag, header, _) = node.recv_ctl_now();
-                            debug_assert_eq!(tag, Tags::XFER_REPLY);
-                            debug_assert_eq!(header, seg);
-                        });
-                        self.rx.buffer = self.segment.expect("just checked").1;
-                        transfer_prologue(m, src, dst);
-                        self.phase = XferPhase::Transfer;
-                        self.waited = 0;
-                        return Ok(Stepped::Progress);
-                    }
-                }
-                Ok(if progress { Stepped::Progress } else { Stepped::Idle })
-            }
-            XferPhase::Transfer => {
-                if self.waited > max_wait {
-                    return Err(ProtocolError::timeout("xfer data packets", self.waited));
-                }
-                let mut progress = false;
-                // Step 4: inject (source side).
-                if !self.stalled {
-                    while self.next_packet < self.packets {
-                        let offset = self.next_packet * n as u64;
-                        if m.send_data_packet(src, dst, self.src_buf, offset, n, self.engine, 0) {
-                            self.next_packet += 1;
-                            progress = true;
-                        } else {
-                            self.send_retries += 1;
-                            self.stalled = true;
-                            break;
-                        }
-                    }
-                }
-                // Step 4: drain (destination side), gated on our data.
-                while self.rx.packets_received < self.rx.packets_expected
-                    && peek_is(m, dst, src, Tags::XFER_DATA)
-                {
-                    m.recv_one_data_packet(dst, n, &mut self.rx);
-                    progress = true;
-                }
-                if progress {
-                    self.waited = 0;
-                }
-                if self.next_packet == self.packets
-                    && self.rx.packets_received == self.rx.packets_expected
-                {
-                    // Step 5: free the segment.
-                    let node = m.node_mut(dst);
-                    node.cpu.clone().with_feature(Feature::InOrder, |cpu| {
-                        cpu.reg(Fine::RegOp, xfer_order::DST_FINAL);
-                    });
-                    node.cpu.mem_store(xfer_recv::EXIT_STATE_MEM);
-                    node.cpu.clone().with_feature(Feature::BufferMgmt, |cpu| {
-                        cpu.reg(Fine::RegOp, segment::DISASSOCIATE_REG);
-                        cpu.mem_store(segment::DISASSOCIATE_MEM);
-                    });
-                    self.phase = XferPhase::SendAck;
-                    self.waited = 0;
-                    return Ok(Stepped::Progress);
-                }
-                Ok(if progress { Stepped::Progress } else { Stepped::Idle })
-            }
-            XferPhase::SendAck => {
-                if self.waited > max_wait {
-                    return Err(ProtocolError::timeout("control-packet injection", self.waited));
-                }
-                if self.stalled {
-                    return Ok(Stepped::Idle);
-                }
-                let seg = self.segment.expect("segment allocated").0;
-                let node = m.node_mut(dst);
-                let sent = node.cpu.clone().with_feature(Feature::FaultTol, |_| {
-                    node.send_ctl(src, Tags::XFER_ACK, seg, [0; 4])
-                });
-                if sent {
-                    self.phase = XferPhase::AwaitAck;
-                    self.waited = 0;
-                    Ok(Stepped::Progress)
-                } else {
-                    self.stalled = true;
-                    Ok(Stepped::Idle)
-                }
-            }
-            XferPhase::AwaitAck => {
-                if self.waited > max_wait {
-                    return Err(ProtocolError::timeout("xfer acknowledgement", self.waited));
-                }
-                if !peek_is(m, src, dst, Tags::XFER_ACK) {
-                    return Ok(Stepped::Idle);
-                }
-                let seg = self.segment.expect("segment allocated").0;
-                let node = m.node_mut(src);
-                let cpu = node.cpu.clone();
-                cpu.with_feature(Feature::FaultTol, |_| {
-                    let (_, tag, header, _) = node.recv_ctl_now();
-                    debug_assert_eq!(tag, Tags::XFER_ACK);
-                    debug_assert_eq!(header, seg);
-                });
-                Ok(Stepped::Done(OpOutcome::Xfer(XferOutcome {
-                    dst_buffer: self.rx.buffer,
-                    packets: self.packets,
-                    segment_id: seg,
-                    send_retries: self.send_retries,
-                })))
-            }
-        }
-    }
-}
-
-/// The per-message source prologue and destination handler entry charged
-/// between the handshake and the data phase (identical in the plain and
-/// reliable protocols).
-fn transfer_prologue(m: &mut Machine, src: NodeId, dst: NodeId) {
-    {
-        let node = m.node_mut(src);
-        node.cpu.reg(Fine::CallReturn, xfer_send::PROLOGUE_REG);
-        node.cpu.mem_load(xfer_send::PROLOGUE_MEM);
-    }
-    {
-        let node = m.node_mut(dst);
-        node.cpu.call(xfer_recv::ENTRY_CALL);
-        node.cpu.ctrl(xfer_recv::ENTRY_CTRL);
-        node.cpu.handler(xfer_recv::ENTRY_HANDLER);
-        node.cpu.mem_load(xfer_recv::ENTRY_STATE_MEM);
-        let _ = node.ni.poll_status();
-    }
-}
-
-/// Cost-free gate: is the packet at `node`'s queue head from `from`
-/// with tag `tag`?
-fn peek_is(m: &mut Machine, node: NodeId, from: NodeId, tag: u8) -> bool {
-    m.rx_peek_at(node)
-        .is_some_and(|meta| meta.src == from && meta.tag == tag)
-}
-
-// ---------------------------------------------------------------------
-// RPC.
-// ---------------------------------------------------------------------
-
-struct RpcOp {
-    src: NodeId,
-    dst: NodeId,
-    tag: u8,
-    args: [u32; 4],
-    call_id: u64,
-    policy: Option<RetryPolicy>,
-    sent: bool,
-    stalled: bool,
-    attempt: u32,
-    waited: u64,
-    total_waited: u64,
-    // Recovery-managed ops fail fast with the retryable `SessionReset`
-    // when an endpoint crash-restarts mid-call (counters captured at
-    // start); unmanaged ops keep the pre-recovery-plane behavior and
-    // ride out crashes through their own retry windows.
-    managed: bool,
-    peer_restarts: (u32, u32),
-}
-
-impl RpcOp {
-    fn new(
-        src: NodeId,
-        dst: NodeId,
-        tag: u8,
-        args: [u32; 4],
-        call_id: u64,
-        policy: Option<RetryPolicy>,
-        managed: bool,
-    ) -> Self {
-        RpcOp {
-            src,
-            dst,
-            tag,
-            args,
-            call_id,
-            policy,
-            sent: false,
-            stalled: false,
-            attempt: 0,
-            waited: 0,
-            total_waited: 0,
-            managed,
-            peer_restarts: (0, 0),
-        }
-    }
-
-    fn start(&mut self, m: &Machine) {
-        self.peer_restarts = (m.restarts_of(self.src), m.restarts_of(self.dst));
-    }
-
-    fn tick_n(&mut self, k: u64) {
-        self.stalled = false;
-        self.waited += k;
-        if self.sent {
-            self.total_waited += k;
-        }
-    }
-
-    /// Unsent requests retry injection every cycle once the stall
-    /// clears; a sent request is quiet until its retry window (or the
-    /// global wait bound) closes. Request service and reply pickup are
-    /// packet-driven and wake the op through its endpoints.
-    fn wake_in(&self, max_wait: u64) -> u64 {
-        if self.stalled || !self.sent {
-            return 1;
-        }
-        match &self.policy {
-            Some(p) => win(p.backoff(self.attempt), self.waited),
-            None => win(max_wait, self.waited),
-        }
-    }
-
-    fn step(&mut self, m: &mut Machine) -> Result<Stepped, ProtocolError> {
-        if self.managed {
-            if let Some(e) = check_restart(m, self.src, self.dst, self.peer_restarts) {
-                return Err(e);
-            }
-        }
-        // Deadline / retry-window bookkeeping.
-        if let Some(policy) = self.policy.clone() {
-            if self.sent && self.waited > policy.backoff(self.attempt) {
-                self.attempt += 1;
-                if self.attempt >= policy.max_attempts {
-                    return Err(ProtocolError::Timeout {
-                        waiting_for: "rpc reply",
-                        cycles: self.total_waited,
-                        node: Some(self.src),
-                        attempts: policy.max_attempts - 1,
-                    });
-                }
-                // Recover: retransmit the request in the next window.
-                self.sent = false;
-                self.waited = 0;
-            }
-        } else if self.sent && self.waited > m.config().max_wait_cycles {
-            return Err(ProtocolError::timeout("rpc reply", self.waited));
-        }
-        if !self.sent && self.waited > m.config().max_wait_cycles {
-            return Err(ProtocolError::timeout("rpc injection", self.waited));
-        }
-
-        let mut progress = false;
-        if !self.sent && !self.stalled {
-            let ok = if self.attempt == 0 {
-                m.rpc_send_once(self.src, self.dst, self.tag, self.call_id, self.args)
-            } else {
-                let cpu = m.cpu(self.src);
-                cpu.with_feature(Feature::FaultTol, |_| {
-                    m.rpc_send_once(self.src, self.dst, self.tag, self.call_id, self.args)
-                })
-            };
-            if ok {
-                self.sent = true;
-                self.waited = 0;
-                progress = true;
-            } else {
-                self.stalled = true;
-            }
-        }
-
-        // Serve the callee when our request is at its queue head.
-        if peek_is(m, self.dst, self.src, self.tag) {
-            let _ = m.rpc_service(self.dst);
-            progress = true;
-        }
-
-        // Surface the reply when it is at the caller's queue head and
-        // carries our correlation id (a concurrent call's reply stays
-        // for its own operation).
-        if m.rx_peek_at(self.src).is_some_and(|meta| {
-            meta.src == self.dst
-                && meta.tag == Tags::RPC_REPLY
-                && meta.header == self.call_id as u32
-        }) {
-            match m.rpc_service(self.src) {
-                RpcEvent::Reply(id, words) => {
-                    debug_assert_eq!(id, self.call_id);
-                    return Ok(Stepped::Done(OpOutcome::Rpc(words)));
-                }
-                other => unreachable!("gated reply peek yielded {other:?}"),
-            }
-        }
-        Ok(if progress { Stepped::Progress } else { Stepped::Idle })
-    }
-}
-
-// ---------------------------------------------------------------------
-// Four-word active message (the paper's CMAM_4).
-// ---------------------------------------------------------------------
-
-/// One user-tag four-word active message as an engine operation: the
-/// Table 1 20-instruction send on `src`, then a destination poll once
-/// the packet is at `dst`'s queue head. The building block the
-/// engine-native collectives compose into dependency DAGs.
-struct Am4Op {
-    src: NodeId,
-    dst: NodeId,
-    tag: u8,
-    words: [u32; 4],
-    // Delivery token riding the header word: 0 for plain submissions
-    // (matching `Machine::am4_send`), nonzero for recovery-managed ops
-    // so a duplicate left by a crash-straddling re-execution is
-    // attributable — consumption is token-gated, and an unclaimed
-    // leftover is orphan-discardable.
-    token: u32,
-    // Recovery-managed ops fail fast with `SessionReset` on an
-    // endpoint crash-restart (counters captured at start).
-    managed: bool,
-    sent: bool,
-    stalled: bool,
-    waited: u64,
-    peer_restarts: (u32, u32),
-}
-
-impl Am4Op {
-    fn new(src: NodeId, dst: NodeId, tag: u8, words: [u32; 4], token: u32, managed: bool) -> Self {
-        Am4Op {
-            src,
-            dst,
-            tag,
-            words,
-            token,
-            managed,
-            sent: false,
-            stalled: false,
-            waited: 0,
-            peer_restarts: (0, 0),
-        }
-    }
-
-    fn start(&mut self, m: &Machine) {
-        self.peer_restarts = (m.restarts_of(self.src), m.restarts_of(self.dst));
-    }
-
-    fn tick_n(&mut self, k: u64) {
-        self.stalled = false;
-        self.waited += k;
-    }
-
-    /// Unsent messages retry injection every cycle once the stall
-    /// clears; a sent message only acts again when the wait bound
-    /// closes (delivery wakes it through the destination endpoint).
-    fn wake_in(&self, max_wait: u64) -> u64 {
-        if self.stalled || !self.sent {
-            return 1;
-        }
-        win(max_wait, self.waited)
-    }
-
-    fn step(&mut self, m: &mut Machine) -> Result<Stepped, ProtocolError> {
-        if self.managed {
-            if let Some(e) = check_restart(m, self.src, self.dst, self.peer_restarts) {
-                return Err(e);
-            }
-        }
-        if self.waited > m.config().max_wait_cycles {
-            let what = if self.sent { "am4 delivery" } else { "am4 injection" };
-            return Err(ProtocolError::timeout(what, self.waited));
-        }
-        let mut progress = false;
-        if !self.sent && !self.stalled {
-            // One attempt of the Table 1 single-packet send; identical
-            // instruction shape to `Machine::am4_send`'s loop body
-            // (the token rides the header word the packet already
-            // carries), paid again on every backpressure retry.
-            if m.rpc_send_once(self.src, self.dst, self.tag, u64::from(self.token), self.words) {
-                self.sent = true;
-                self.waited = 0;
-                progress = true;
-            } else {
-                self.stalled = true;
-            }
-        }
-        // Consume the message once it surfaces at the destination's
-        // queue head (a cost-free harness peek gated on our delivery
-        // token; the poll itself pays Table 1's 27-instruction message
-        // path, plus handler dispatch when a handler is registered for
-        // the tag).
-        let token = self.token;
-        if m.rx_peek_at(self.dst).is_some_and(|meta| {
-            meta.src == self.src && meta.tag == self.tag && meta.header == token
-        }) {
-            return match m.poll(self.dst) {
-                PollOutcome::Unclaimed(msg) => Ok(Stepped::Done(OpOutcome::Am4(msg.words))),
-                // A registered handler consumed the payload; the
-                // outcome reports zeros (the handler owns the words).
-                PollOutcome::Handled(_) => Ok(Stepped::Done(OpOutcome::Am4([0; 4]))),
-                PollOutcome::Idle => unreachable!("gated poll found an empty queue"),
-            };
-        }
-        Ok(if progress { Stepped::Progress } else { Stepped::Idle })
-    }
-}
-
-// ---------------------------------------------------------------------
-// Stream send.
-// ---------------------------------------------------------------------
-
-struct StreamOp {
-    id: StreamId,
-    src: NodeId,
-    dst: NodeId,
-    data: Vec<u32>,
-    n: usize,
-    packets: u64,
-    rto_iterations: u64,
-    // Captured at start (an earlier send on the same stream may still
-    // be advancing the sequence when this op is submitted).
-    first_seq: u64,
-    // Set on recovery re-executions: the first execution's `first_seq`.
-    // Resuming from it (instead of reading `next_seq`) keeps the burst
-    // in its original sequence range, and the start logic skips packets
-    // the receiver has already delivered in-sequence — exactly-once.
-    resume_base: Option<u64>,
-    target_contig: u64,
-    expected_acks: u64,
-    outcome: StreamOutcome,
-    sent: u64,
-    pending_acks: VecDeque<(u64, bool)>,
-    stalled: bool,
-    rto_due: bool,
-    idle_iterations: u64,
-    total_iterations: u64,
-    // Endpoint restart counters at start; see `check_restart`.
-    peer_restarts: (u32, u32),
-}
-
-impl StreamOp {
-    fn new(
-        id: StreamId,
-        src: NodeId,
-        dst: NodeId,
-        data: Vec<u32>,
-        n: usize,
-        rto_iterations: u64,
-    ) -> Self {
-        let packets = (data.len() as u64).div_ceil(n as u64);
-        StreamOp {
-            id,
-            src,
-            dst,
-            data,
-            n,
-            packets,
-            rto_iterations,
-            first_seq: 0,
-            resume_base: None,
-            target_contig: 0,
-            expected_acks: 0,
-            outcome: StreamOutcome {
-                packets,
-                acks: 0,
-                retransmits: 0,
-                duplicates: 0,
-                out_of_order: 0,
-            },
-            sent: 0,
-            pending_acks: VecDeque::new(),
-            stalled: false,
-            rto_due: false,
-            idle_iterations: 0,
-            total_iterations: 0,
-            peer_restarts: (0, 0),
-        }
-    }
-
-    fn start(&mut self, m: &mut Machine) {
-        let st = m.stream_state(self.id);
-        let next_seq = st.next_seq;
-        let ack_period = st.ack_period().max(1);
-        self.first_seq = self.resume_base.unwrap_or(next_seq);
-        self.target_contig = self.first_seq + self.packets;
-        self.expected_acks = self.packets.div_ceil(ack_period);
-        if self.resume_base.is_some() {
-            // Resume where the receiver's contiguous prefix ends:
-            // packets already delivered in-sequence are not re-sent
-            // (exactly-once); anything at or past the receiver's
-            // expectation is. Stale unacked copies at the source drain
-            // via the ordinary RTO/duplicate-ack machinery.
-            self.sent =
-                m.stream_expected(self.id).saturating_sub(self.first_seq).min(self.packets);
-        }
-        self.peer_restarts = (m.restarts_of(self.src), m.restarts_of(self.dst));
-        m.stream_entry_charge(self.id);
-    }
-
-    fn tick_n(&mut self, k: u64) {
-        self.stalled = false;
-        // `total_iterations` counts engine cycles without progress
-        // anywhere (each reference quantum that advances the clock
-        // ticks every running op exactly once), so a batched tick is a
-        // plain sum and the RTO counter wraps modulo its period.
-        self.total_iterations += k;
-        let total = self.idle_iterations + k;
-        if total >= self.rto_iterations {
-            self.rto_due = true;
-            self.idle_iterations = total % self.rto_iterations.max(1);
-        } else {
-            self.idle_iterations = total;
-        }
-    }
-
-    /// Injection stalls and ack-flush stalls set `stalled`; receives
-    /// are head-gated. With neither a stall nor a due RTO, only the RTO
-    /// counter reaching its period or the completion-timeout window
-    /// closing can make a step non-idle without new packets.
-    fn wake_in(&self, max_wait: u64) -> u64 {
-        if self.stalled || self.rto_due {
-            return 1;
-        }
-        win(max_wait, self.total_iterations)
-            .min(self.rto_iterations.saturating_sub(self.idle_iterations).max(1))
-    }
-
-    fn flush_acks(&mut self, m: &mut Machine) -> bool {
-        let mut progress = false;
-        while let Some(&(value, cumulative)) = self.pending_acks.front() {
-            if self.stalled {
-                break;
-            }
-            if m.stream_try_send_ack(self.id, value, cumulative) {
-                self.pending_acks.pop_front();
-                progress = true;
-            } else {
-                self.stalled = true;
-            }
-        }
-        progress
-    }
-
-    fn step(&mut self, m: &mut Machine) -> Result<Stepped, ProtocolError> {
-        if let Some(e) = check_restart(m, self.src, self.dst, self.peer_restarts) {
-            return Err(e);
-        }
-        let n = self.n;
-        let mut progress = false;
-
-        // Acknowledgements owed from earlier drains go out first: they
-        // release source window slots.
-        progress |= self.flush_acks(m);
-
-        // Fault tolerance in action: retransmit the oldest
-        // unacknowledged packet after a quiet window.
-        if self.rto_due {
-            self.rto_due = false;
-            if m.stream_retransmit_oldest(self.id) {
-                self.outcome.retransmits += 1;
-                progress = true;
-            }
-        }
-
-        // Phase 1: inject while the window is open.
-        while self.sent < self.packets && !self.stalled && m.stream_window_open(self.id) {
-            let seq = self.first_seq + self.sent;
-            let base = (self.sent as usize) * n;
-            let payload: Vec<u32> = (0..n)
-                .map(|i| self.data.get(base + i).copied().unwrap_or(0))
-                .collect();
-            if m.stream_inject(self.id, seq, &payload) {
-                self.sent += 1;
-                progress = true;
-            } else {
-                self.stalled = true;
-            }
-        }
-
-        // Phase 2: the receiver drains data gated on this stream,
-        // queueing acknowledgements as it goes.
-        while self.pending_acks.is_empty()
-            && m.stream_drain_one(self.id, n, &mut self.outcome, &mut self.pending_acks)
-        {
-            progress = true;
-            progress |= self.flush_acks(m);
-        }
-
-        // Group-ack flush: the burst fully arrived but the final
-        // partial group is not yet acknowledged.
-        if m.stream_group_ack_due(self.id, self.target_contig) {
-            let cum = m.stream_contig_mark(self.id);
-            self.pending_acks.push_back((cum, true));
-            m.stream_reset_ack_counter(self.id);
-            progress = true;
-            progress |= self.flush_acks(m);
-        }
-
-        // Phase 3: the source processes acknowledgements.
-        while (self.outcome.acks < self.expected_acks || !m.stream_unacked_empty(self.id))
-            && m.stream_take_ack(self.id, &mut self.outcome)
-        {
-            progress = true;
-        }
-
-        // Termination: everything sent, delivered, and acknowledged.
-        if self.sent == self.packets
-            && m.stream_unacked_empty(self.id)
-            && m.stream_contig_mark(self.id) >= self.target_contig
-            && self.pending_acks.is_empty()
-        {
-            m.stream_epilogue(self.id, self.data.len());
-            return Ok(Stepped::Done(OpOutcome::Stream(self.outcome)));
-        }
-
-        if progress {
-            self.idle_iterations = 0;
-        }
-        // `total_iterations` advances on ticks (once per no-progress
-        // engine cycle), making the completion timeout a bound on quiet
-        // *time* rather than on scheduler step count — the same clock
-        // under both schedulers.
-        if self.total_iterations > m.config().max_wait_cycles {
-            return Err(ProtocolError::timeout(
-                "stream completion",
-                self.total_iterations,
-            ));
-        }
-        Ok(if progress { Stepped::Progress } else { Stepped::Idle })
-    }
-}
-
-// ---------------------------------------------------------------------
-// Fault-tolerant finite-sequence transfer.
-// ---------------------------------------------------------------------
-
-enum ReliablePhase {
-    Handshake,
-    Transfer,
-    SendAck,
-    AwaitAck,
-}
-
-struct ReliableOp {
-    src: NodeId,
-    dst: NodeId,
-    data: Vec<u32>,
-    n: usize,
-    packets: u64,
-    policy: RetryPolicy,
-    phase: ReliablePhase,
-    src_buf: Addr,
-    // Session epoch for this (src, dst) handshake, allocated at start;
-    // the data nonce is derived from it, so packets of a prior epoch
-    // between the same pair are recognizably stale.
-    epoch: u32,
-    nonce: u32,
-    // Restart counters of both endpoints observed at start; a mismatch
-    // mid-flight means a peer crashed and restarted — fail fast with a
-    // retryable `SessionReset`.
-    peer_restarts: (u32, u32),
-    // Handshake state.
-    req_sent: bool,
-    resend_due: bool,
-    segment: Option<(u32, Addr)>,
-    reply_pending: Option<Feature>,
-    hs_attempt: u32,
-    hs_waited: u64,
-    // Transfer state.
-    rx: XferRx,
-    seen: Vec<bool>,
-    next_packet: u64,
-    send_retries: u64,
-    data_retransmits: u64,
-    nack_rounds: u32,
-    drain_attempt: u32,
-    drain_waited: u64,
-    nack_pending: bool,
-    nack_charge_due: bool,
-    retransmit_queue: VecDeque<u64>,
-    // Acknowledgement state.
-    ack_attempt: u32,
-    ack_waited: u64,
-    ack_probes: u32,
-    probe_pending: bool,
-    reack_pending: bool,
-    stalled: bool,
-}
-
-impl ReliableOp {
-    fn new(src: NodeId, dst: NodeId, data: Vec<u32>, n: usize, policy: RetryPolicy) -> Self {
-        let packets = (data.len() as u64).div_ceil(n as u64);
-        ReliableOp {
-            src,
-            dst,
-            data,
-            n,
-            packets,
-            policy,
-            phase: ReliablePhase::Handshake,
-            src_buf: Addr(0),
-            epoch: 0,
-            nonce: 0,
-            peer_restarts: (0, 0),
-            req_sent: false,
-            resend_due: false,
-            segment: None,
-            reply_pending: None,
-            hs_attempt: 0,
-            hs_waited: 0,
-            rx: XferRx {
-                buffer: Addr(0),
-                packets_expected: packets,
-                packets_received: 0,
-            },
-            seen: vec![false; packets as usize],
-            next_packet: 0,
-            send_retries: 0,
-            data_retransmits: 0,
-            nack_rounds: 0,
-            drain_attempt: 0,
-            drain_waited: 0,
-            nack_pending: false,
-            nack_charge_due: false,
-            retransmit_queue: VecDeque::new(),
-            ack_attempt: 0,
-            ack_waited: 0,
-            ack_probes: 0,
-            probe_pending: false,
-            reack_pending: false,
-            stalled: false,
-        }
-    }
-
-    fn start(&mut self, m: &mut Machine) {
-        self.src_buf = m.write_buffer(self.src, &self.data);
-        // Epoch allocation is host-side session bookkeeping (the epoch
-        // rides in header fields the wire format already carries), so a
-        // clean run stays instruction-identical to the plain protocol.
-        self.epoch = m.next_session_epoch(self.src, self.dst);
-        self.nonce = (self.epoch & 0xfff) << OFFSET_BITS;
-        self.peer_restarts = (m.restarts_of(self.src), m.restarts_of(self.dst));
-    }
-
-    fn tick_n(&mut self, k: u64) {
-        self.stalled = false;
-        match self.phase {
-            ReliablePhase::Handshake => self.hs_waited += k,
-            ReliablePhase::Transfer => self.drain_waited += k,
-            ReliablePhase::SendAck | ReliablePhase::AwaitAck => self.ack_waited += k,
-        }
-    }
-
-    /// Per-phase quiet windows. Only the phase's own waited counter
-    /// advances on a tick, so the next timer-driven action (handshake
-    /// resend, receiver NACK round, ack resend/probe) is a closed form
-    /// over that counter. A source mid-burst or a receiver mid-drain is
-    /// packet-driven: it acts on arrivals (endpoint wakes) or because
-    /// an injection stall cleared, never from a timer alone — `MAX`
-    /// with the no-progress watchdog as the backstop.
-    fn wake_in(&self, max_wait: u64) -> u64 {
-        if self.stalled {
-            return 1;
-        }
-        match self.phase {
-            ReliablePhase::Handshake => {
-                if self.req_sent {
-                    win(self.policy.backoff(self.hs_attempt), self.hs_waited)
-                } else {
-                    1
-                }
-            }
-            ReliablePhase::Transfer => {
-                if self.rx.packets_received < self.rx.packets_expected
-                    && self.next_packet == self.packets
-                {
-                    // Receiver drain window: a quiet stretch triggers
-                    // the next NACK round.
-                    win(self.policy.backoff(self.drain_attempt), self.drain_waited)
-                } else {
-                    u64::MAX
-                }
-            }
-            ReliablePhase::SendAck => win(max_wait, self.ack_waited),
-            ReliablePhase::AwaitAck => win(self.policy.backoff(self.ack_attempt), self.ack_waited),
-        }
-    }
-
-    fn step(&mut self, m: &mut Machine) -> Result<Stepped, ProtocolError> {
-        if let Some(e) = check_restart(m, self.src, self.dst, self.peer_restarts) {
-            return Err(e);
-        }
-        if self.sweep_stale(m) {
-            return Ok(Stepped::Progress);
-        }
-        match self.phase {
-            ReliablePhase::Handshake => self.step_handshake(m),
-            ReliablePhase::Transfer => self.step_transfer(m),
-            ReliablePhase::SendAck => self.step_send_ack(m),
-            ReliablePhase::AwaitAck => self.step_await_ack(m),
-        }
-    }
-
-    /// Discard stale packets of *prior* epochs between this pair at
-    /// either endpoint's queue head: duplicated handshakes or data of an
-    /// earlier same-pair transfer must not be mistaken for this
-    /// session's traffic. Every discard is recovery work
-    /// ([`Feature::FaultTol`]); a clean run peeks (cost-free) and finds
-    /// nothing stale. Returns `true` if anything was discarded.
-    fn sweep_stale(&mut self, m: &mut Machine) -> bool {
-        let mut any = false;
-        while let Some(meta) = m.rx_peek_at(self.src) {
-            if meta.src != self.dst {
-                break;
-            }
-            let stale = match meta.tag {
-                Tags::XFER_REPLY | Tags::XFER_ACK => meta.header != self.epoch,
-                Tags::XFER_NACK => (meta.header & !OFFSET_MASK) != self.nonce,
-                _ => false,
-            };
-            if !stale {
-                break;
-            }
-            m.discard_stray(self.src);
-            any = true;
-        }
-        while let Some(meta) = m.rx_peek_at(self.dst) {
-            if meta.src != self.src {
-                break;
-            }
-            let stale = match meta.tag {
-                Tags::XFER_REQ | Tags::XFER_PROBE => meta.header != self.epoch,
-                Tags::XFER_DATA => (meta.header & !OFFSET_MASK) != self.nonce,
-                _ => false,
-            };
-            if !stale {
-                break;
-            }
-            m.discard_stray(self.dst);
-            any = true;
-        }
-        any
-    }
-
-    fn step_handshake(&mut self, m: &mut Machine) -> Result<Stepped, ProtocolError> {
-        let (src, dst, n) = (self.src, self.dst, self.n);
-        // Window expiry: the reply is overdue — retransmit the request.
-        if self.req_sent && self.hs_waited > self.policy.backoff(self.hs_attempt) {
-            self.hs_attempt += 1;
-            if self.hs_attempt >= self.policy.max_attempts {
-                return Err(ProtocolError::Timeout {
-                    waiting_for: "xfer reply",
-                    cycles: self.policy.backoff(self.hs_attempt - 1),
-                    node: Some(src),
-                    attempts: self.hs_attempt,
-                });
-            }
-            self.resend_due = true;
-            self.hs_waited = 0;
-        }
-        let mut progress = false;
-        // Allocation request. The first issue is ordinary buffer
-        // management; recovery retransmissions are fault tolerance.
-        if !self.stalled && (!self.req_sent || self.resend_due) {
-            let feature = if self.req_sent {
-                Feature::FaultTol
-            } else {
-                Feature::BufferMgmt
-            };
-            // The request is epoch-stamped: the header carries the
-            // session epoch, the length rides in the (always-sent)
-            // payload words — same packet shape, same cost.
-            let len = self.data.len() as u32;
-            let epoch = self.epoch;
-            let node = m.node_mut(src);
-            let sent = {
-                let cpu = node.cpu.clone();
-                cpu.with_feature(feature, |_| {
-                    node.send_ctl(dst, Tags::XFER_REQ, epoch, [len, 0, 0, 0])
-                })
-            };
-            if sent {
-                self.req_sent = true;
-                self.resend_due = false;
-                progress = true;
-            } else {
-                self.stalled = true;
-            }
-        }
-        // The destination answers a request — the first from the
-        // allocation body (buffer management), a duplicate from its
-        // epoch-keyed session table (fault tolerance). The table lookup
-        // is what a crash-restart observably erases.
-        if self.reply_pending.is_none() && peek_is(m, dst, src, Tags::XFER_REQ) {
-            let open = m.sessions.get(&(dst, src)).copied().filter(|s| s.epoch == self.epoch);
-            if let Some(entry) = open {
-                debug_assert_eq!(Some((entry.seg, entry.buffer)), self.segment);
-                let node = m.node_mut(dst);
-                let cpu = node.cpu.clone();
-                cpu.with_feature(Feature::FaultTol, |_| {
-                    let (_, tag, _, _) = node.recv_ctl_now();
-                    debug_assert_eq!(tag, Tags::XFER_REQ);
-                });
-                self.reply_pending = Some(Feature::FaultTol);
-            } else {
-                // A leftover same-pair session of an *earlier* epoch —
-                // its sender crashed mid-transfer, or the op was
-                // re-executed by the recovery plane — is reclaimed
-                // before the fresh allocation. Recovery work, billed
-                // like the TTL sweep would bill it.
-                if m.sessions.get(&(dst, src)).is_some_and(|s| s.epoch != self.epoch) {
-                    m.sessions.remove(&(dst, src));
-                    let cpu = m.cpu(dst);
-                    cpu.with_feature(Feature::FaultTol, |c| {
-                        c.reg(Fine::RegOp, recovery::SESSION_GC_REG);
-                        c.mem_store(recovery::SESSION_GC_MEM);
-                    });
-                }
-                let epoch = self.epoch;
-                let node = m.node_mut(dst);
-                let cpu = node.cpu.clone();
-                let seg = cpu.with_feature(Feature::BufferMgmt, |_| {
-                    let (_, tag, header, words) = node.recv_ctl_now();
-                    debug_assert_eq!(tag, Tags::XFER_REQ);
-                    debug_assert_eq!(header, epoch);
-                    let words = words[0] as usize;
-                    let buffer = node.mem.alloc(words.div_ceil(n) * n);
-                    node.cpu.reg(Fine::RegOp, segment::ASSOCIATE_REG);
-                    node.cpu.mem_store(segment::ASSOCIATE_MEM);
-                    ((buffer.0 & 0xffff) as u32 ^ 0x5e60_0000, buffer)
-                });
-                self.segment = Some(seg);
-                // Record the open session so a crash-restart of the
-                // receiver observably erases it — and so the TTL sweep
-                // can reclaim it if the *sender* crashes and never
-                // finishes the transfer (host-side bookkeeping, no
-                // simulated instructions on the clean path).
-                let opened_at = clock(m);
-                m.sessions.insert(
-                    (dst, src),
-                    SessionEntry { epoch: self.epoch, seg: seg.0, buffer: seg.1, opened_at },
-                );
-                self.reply_pending = Some(Feature::BufferMgmt);
-            }
-            progress = true;
-        }
-        // The reply itself.
-        if let Some(feature) = self.reply_pending {
-            if !self.stalled {
-                let seg = self.segment.expect("reply implies allocation").0;
-                let epoch = self.epoch;
-                let node = m.node_mut(dst);
-                let sent = {
-                    let cpu = node.cpu.clone();
-                    cpu.with_feature(feature, |_| {
-                        node.send_ctl(src, Tags::XFER_REPLY, epoch, [seg, 0, 0, 0])
-                    })
-                };
-                if sent {
-                    self.reply_pending = None;
-                    progress = true;
-                } else {
-                    self.stalled = true;
-                }
-            }
-        }
-        // Source receives the reply. On the first window this is what
-        // the plain protocol pays (buffer management); after a
-        // retransmission it is recovery work.
-        if let Some((seg, buffer)) = self.segment.filter(|_| peek_is(m, src, dst, Tags::XFER_REPLY)) {
-            let feature = if self.hs_attempt == 0 {
-                Feature::BufferMgmt
-            } else {
-                Feature::FaultTol
-            };
-            let epoch = self.epoch;
-            let node = m.node_mut(src);
-            let cpu = node.cpu.clone();
-            cpu.with_feature(feature, |_| {
-                let (_, tag, header, words) = node.recv_ctl_now();
-                debug_assert_eq!(tag, Tags::XFER_REPLY);
-                debug_assert_eq!(header, epoch);
-                debug_assert_eq!(words[0], seg);
-            });
-            self.rx.buffer = buffer;
-            transfer_prologue(m, src, dst);
-            self.phase = ReliablePhase::Transfer;
-            self.drain_waited = 0;
-            return Ok(Stepped::Progress);
-        }
-        Ok(if progress { Stepped::Progress } else { Stepped::Idle })
-    }
-
-    fn step_transfer(&mut self, m: &mut Machine) -> Result<Stepped, ProtocolError> {
-        let (src, dst, n) = (self.src, self.dst, self.n);
-        // Drain stalled for a whole backoff window with packets still
-        // missing: recover via NACK + selective retransmission.
-        if self.rx.packets_received < self.rx.packets_expected
-            && self.next_packet == self.packets
-            && self.drain_waited > self.policy.backoff(self.drain_attempt)
-        {
-            self.drain_attempt += 1;
-            if self.drain_attempt >= self.policy.max_attempts {
-                return Err(ProtocolError::Timeout {
-                    waiting_for: "xfer data packets",
-                    cycles: self.drain_waited,
-                    node: Some(dst),
-                    attempts: self.drain_attempt,
-                });
-            }
-            self.nack_rounds += 1;
-            self.nack_pending = true;
-            self.nack_charge_due = true;
-            self.drain_waited = 0;
-        }
-        let mut progress = false;
-        // Selective retransmissions named by a received NACK go first.
-        while let Some(&k) = self.retransmit_queue.front() {
-            if self.stalled {
-                break;
-            }
-            let offset = k * n as u64;
-            let nonce = self.nonce;
-            let src_buf = self.src_buf;
-            let cpu = m.cpu(src);
-            let accepted = cpu.with_feature(Feature::FaultTol, |_| {
-                m.send_data_packet(src, dst, src_buf, offset, n, PayloadEngine::Cpu, nonce)
-            });
-            if accepted {
-                self.retransmit_queue.pop_front();
-                self.data_retransmits += 1;
-                progress = true;
-            } else {
-                self.stalled = true;
-            }
-        }
-        // Initial injection — identical to the plain protocol.
-        if !self.stalled {
-            while self.next_packet < self.packets {
-                let offset = self.next_packet * n as u64;
-                if m.send_data_packet(
-                    src,
-                    dst,
-                    self.src_buf,
-                    offset,
-                    n,
-                    PayloadEngine::Cpu,
-                    self.nonce,
-                ) {
-                    self.next_packet += 1;
-                    progress = true;
-                } else {
-                    self.send_retries += 1;
-                    self.stalled = true;
-                    break;
-                }
-            }
-        }
-        // Fault-tolerant drain. Anything from our source at the queue
-        // head is ours to classify (data, duplicated handshake
-        // request, stray probe).
-        while self.rx.packets_received < self.rx.packets_expected {
-            let Some(meta) = m.rx_peek_at(dst) else { break };
-            if meta.src != src
-                || !(meta.tag == Tags::XFER_DATA
-                    || meta.tag == Tags::XFER_REQ
-                    || meta.tag == Tags::XFER_PROBE)
-            {
-                break;
-            }
-            if m.recv_one_data_tolerant(dst, n, &mut self.rx, &mut self.seen, self.nonce) {
-                progress = true;
-            } else {
-                break;
-            }
-        }
-        // A late duplicated reply at the source is recovery noise.
-        if peek_is(m, src, dst, Tags::XFER_REPLY) {
-            m.discard_stray(src);
-            progress = true;
-        }
-        // NACK emission (destination): gap scan + NACK packet.
-        if self.nack_pending && !self.stalled {
-            if self.nack_charge_due {
-                let node = m.node_mut(dst);
-                let cpu = node.cpu.clone();
-                cpu.with_feature(Feature::FaultTol, |_| {
-                    node.cpu.reg(Fine::RegOp, recovery::GAP_SCAN_REG);
-                    node.cpu.mem_store(recovery::NACK_STATE_MEM);
-                });
-                self.nack_charge_due = false;
-            }
-            match first_missing(&self.seen) {
-                None => self.nack_pending = false, // gap closed meanwhile
-                Some(first) => {
-                    let bits = missing_bitmap(&self.seen, first);
-                    // Epoch-stamp the NACK: nonce in the high bits, the
-                    // first missing offset (< 2^20) below it.
-                    let hdr = self.nonce | first as u32;
-                    let node = m.node_mut(dst);
-                    let sent = {
-                        let cpu = node.cpu.clone();
-                        cpu.with_feature(Feature::FaultTol, |_| {
-                            node.send_ctl(src, Tags::XFER_NACK, hdr, bits)
-                        })
-                    };
-                    if sent {
-                        self.nack_pending = false;
-                        progress = true;
-                    } else {
-                        self.stalled = true;
-                    }
-                }
-            }
-        }
-        // NACK reception (source): build the retransmit queue.
-        if peek_is(m, src, dst, Tags::XFER_NACK) {
-            let node = m.node_mut(src);
-            let cpu = node.cpu.clone();
-            let (first, bits) = cpu.with_feature(Feature::FaultTol, |c| {
-                let (_, tag, header, words) = node.recv_ctl_now();
-                debug_assert_eq!(tag, Tags::XFER_NACK);
-                c.reg(Fine::RegOp, recovery::RETRANSMIT_SETUP_REG);
-                (header & OFFSET_MASK, words)
-            });
-            for rel in 0..128u32 {
-                if bits[rel as usize / 32] >> (rel % 32) & 1 == 0 {
-                    continue;
-                }
-                let k = u64::from(first) + u64::from(rel);
-                if k >= self.packets {
-                    break;
-                }
-                self.retransmit_queue.push_back(k);
-            }
-            progress = true;
-        }
-        if progress {
-            self.drain_waited = 0;
-        }
-        if self.next_packet == self.packets
-            && self.rx.packets_received == self.rx.packets_expected
-            && self.retransmit_queue.is_empty()
-            && !self.nack_pending
-        {
-            // Free the segment — identical to the plain protocol.
-            let node = m.node_mut(dst);
-            node.cpu.clone().with_feature(Feature::InOrder, |cpu| {
-                cpu.reg(Fine::RegOp, xfer_order::DST_FINAL);
-            });
-            node.cpu.mem_store(xfer_recv::EXIT_STATE_MEM);
-            node.cpu.clone().with_feature(Feature::BufferMgmt, |cpu| {
-                cpu.reg(Fine::RegOp, segment::DISASSOCIATE_REG);
-                cpu.mem_store(segment::DISASSOCIATE_MEM);
-            });
-            m.sessions.remove(&(dst, src));
-            self.phase = ReliablePhase::SendAck;
-            self.ack_waited = 0;
-            return Ok(Stepped::Progress);
-        }
-        Ok(if progress { Stepped::Progress } else { Stepped::Idle })
-    }
-
-    fn step_send_ack(&mut self, m: &mut Machine) -> Result<Stepped, ProtocolError> {
-        if self.ack_waited > m.config().max_wait_cycles {
-            return Err(ProtocolError::timeout(
-                "control-packet injection",
-                self.ack_waited,
-            ));
-        }
-        if self.stalled {
-            return Ok(Stepped::Idle);
-        }
-        let seg = self.segment.expect("segment allocated").0;
-        let epoch = self.epoch;
-        let src = self.src;
-        let node = m.node_mut(self.dst);
-        let sent = {
-            let cpu = node.cpu.clone();
-            cpu.with_feature(Feature::FaultTol, |_| {
-                node.send_ctl(src, Tags::XFER_ACK, epoch, [seg, 0, 0, 0])
-            })
-        };
-        if sent {
-            self.phase = ReliablePhase::AwaitAck;
-            self.ack_waited = 0;
-            Ok(Stepped::Progress)
-        } else {
-            self.stalled = true;
-            Ok(Stepped::Idle)
-        }
-    }
-
-    fn step_await_ack(&mut self, m: &mut Machine) -> Result<Stepped, ProtocolError> {
-        let (src, dst) = (self.src, self.dst);
-        let seg = self.segment.expect("segment allocated").0;
-        let epoch = self.epoch;
-        // Window expiry: the acknowledgement is overdue — probe.
-        if self.ack_waited > self.policy.backoff(self.ack_attempt) {
-            self.ack_attempt += 1;
-            if self.ack_attempt >= self.policy.max_attempts {
-                return Err(ProtocolError::Timeout {
-                    waiting_for: "xfer acknowledgement",
-                    cycles: self.policy.backoff(self.ack_attempt - 1),
-                    node: Some(src),
-                    attempts: self.ack_attempt,
-                });
-            }
-            self.ack_probes += 1;
-            self.probe_pending = true;
-            self.ack_waited = 0;
-        }
-        let mut progress = false;
-        if self.probe_pending && !self.stalled {
-            let node = m.node_mut(src);
-            let sent = {
-                let cpu = node.cpu.clone();
-                cpu.with_feature(Feature::FaultTol, |_| {
-                    node.send_ctl(dst, Tags::XFER_PROBE, epoch, [seg, 0, 0, 0])
-                })
-            };
-            if sent {
-                self.probe_pending = false;
-                progress = true;
-            } else {
-                self.stalled = true;
-            }
-        }
-        // The destination answers a probe with a re-acknowledgement.
-        if peek_is(m, dst, src, Tags::XFER_PROBE) {
-            let node = m.node_mut(dst);
-            let cpu = node.cpu.clone();
-            cpu.with_feature(Feature::FaultTol, |_| {
-                let (_, tag, _, _) = node.recv_ctl_now();
-                debug_assert_eq!(tag, Tags::XFER_PROBE);
-            });
-            self.reack_pending = true;
-            progress = true;
-        }
-        if self.reack_pending && !self.stalled {
-            let node = m.node_mut(dst);
-            let sent = {
-                let cpu = node.cpu.clone();
-                cpu.with_feature(Feature::FaultTol, |_| {
-                    node.send_ctl(src, Tags::XFER_ACK, epoch, [seg, 0, 0, 0])
-                })
-            };
-            if sent {
-                self.reack_pending = false;
-                progress = true;
-            } else {
-                self.stalled = true;
-            }
-        }
-        // Stray late data at the destination (retransmitted duplicates
-        // still in flight) is discarded as recovery work.
-        if m.rx_peek_at(dst).is_some_and(|meta| {
-            meta.src == src && (meta.tag == Tags::XFER_DATA || meta.tag == Tags::XFER_REQ)
-        }) {
-            m.discard_stray(dst);
-            progress = true;
-        }
-        // A duplicated reply of this same epoch arriving after the
-        // transfer completed (handshake retransmission crossing the
-        // data phase) would otherwise sit at the head of the source's
-        // queue and block the final acknowledgement.
-        if peek_is(m, src, dst, Tags::XFER_REPLY) {
-            m.discard_stray(src);
-            progress = true;
-        }
-        if peek_is(m, src, dst, Tags::XFER_ACK) {
-            let node = m.node_mut(src);
-            let cpu = node.cpu.clone();
-            cpu.with_feature(Feature::FaultTol, |_| {
-                let (_, tag, header, words) = node.recv_ctl_now();
-                debug_assert_eq!(tag, Tags::XFER_ACK);
-                debug_assert_eq!(header, epoch);
-                debug_assert_eq!(words[0], seg);
-            });
-            return Ok(Stepped::Done(OpOutcome::Reliable(ReliableOutcome {
-                xfer: XferOutcome {
-                    dst_buffer: self.rx.buffer,
-                    packets: self.packets,
-                    segment_id: seg,
-                    send_retries: self.send_retries,
-                },
-                handshake_retries: self.hs_attempt,
-                data_retransmits: self.data_retransmits,
-                nack_rounds: self.nack_rounds,
-                ack_probes: self.ack_probes,
-            })));
-        }
-        // A stale NACK arriving after the data phase completed.
-        if peek_is(m, src, dst, Tags::XFER_NACK) {
-            m.discard_stray(src);
-            progress = true;
-        }
-        Ok(if progress { Stepped::Progress } else { Stepped::Idle })
-    }
-}
-
-/// Compare both endpoints' crash-restart counters against the values
-/// `seen` at the operation's start. A mismatch means that peer crashed
-/// and lost its protocol state mid-flight: fail fast with the retryable
-/// [`ProtocolError::SessionReset`] instead of timing out against a node
-/// that no longer remembers the session. Pure host-side comparison —
-/// no simulated instructions.
-fn check_restart(
-    m: &Machine,
-    src: NodeId,
-    dst: NodeId,
-    seen: (u32, u32),
-) -> Option<ProtocolError> {
-    if m.restarts_of(src) != seen.0 {
-        return Some(ProtocolError::SessionReset { node: src });
-    }
-    if m.restarts_of(dst) != seen.1 {
-        return Some(ProtocolError::SessionReset { node: dst });
-    }
-    None
-}
-
-fn first_missing(seen: &[bool]) -> Option<u64> {
-    seen.iter().position(|&s| !s).map(|i| i as u64)
-}
-
-fn missing_bitmap(seen: &[bool], first: u64) -> [u32; 4] {
-    let mut bits = [0u32; 4];
-    for (i, &got) in seen.iter().enumerate().skip(first as usize).take(first as usize + 128) {
-        if !got {
-            let rel = i - first as usize;
-            if rel >= 128 {
-                break;
-            }
-            bits[rel / 32] |= 1 << (rel % 32);
-        }
-    }
-    bits
 }

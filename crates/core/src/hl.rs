@@ -41,13 +41,10 @@ impl Machine {
     ///
     /// [`ProtocolError::MissingGuarantees`] if the substrate is not a
     /// high-level network; [`ProtocolError::BadTransfer`] for empty
-    /// data; [`ProtocolError::Timeout`] if the substrate wedges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is out of range or `src == dst`.
+    /// data or equal or out-of-range endpoints;
+    /// [`ProtocolError::Timeout`] if the substrate wedges.
     pub fn hl_xfer(&mut self, src: NodeId, dst: NodeId, data: &[u32]) -> Result<XferOutcome, ProtocolError> {
-        assert_ne!(src, dst, "transfer endpoints must differ");
+        self.check_endpoints(src, dst)?;
         self.require_high_level()?;
         if data.is_empty() {
             return Err(ProtocolError::BadTransfer("empty transfer".into()));
@@ -143,11 +140,9 @@ impl Machine {
                 }
             }
 
-            if !drained && sent < packets {
-                // blocked on injection and nothing arrived: let time pass
-                self.advance(1);
-                waited += 1;
-            } else if !drained {
+            if !drained {
+                // Nothing arrived (and injection may be blocked): let
+                // time pass.
                 self.advance(1);
                 waited += 1;
             }
@@ -174,18 +169,15 @@ impl Machine {
     ///
     /// [`ProtocolError::MissingGuarantees`] if the substrate is not a
     /// high-level network; [`ProtocolError::BadTransfer`] for empty
-    /// data; [`ProtocolError::Timeout`] if the substrate wedges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is out of range or `src == dst`.
+    /// data or equal or out-of-range endpoints;
+    /// [`ProtocolError::Timeout`] if the substrate wedges.
     pub fn hl_stream_send(
         &mut self,
         src: NodeId,
         dst: NodeId,
         data: &[u32],
     ) -> Result<Vec<u32>, ProtocolError> {
-        assert_ne!(src, dst, "stream endpoints must differ");
+        self.check_endpoints(src, dst)?;
         self.require_high_level()?;
         if data.is_empty() {
             return Err(ProtocolError::BadTransfer("empty stream send".into()));

@@ -69,6 +69,7 @@ mod hl;
 mod interrupt;
 mod machine;
 mod measure;
+mod op;
 mod retry;
 mod rpc;
 mod sched;

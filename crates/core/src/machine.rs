@@ -117,6 +117,18 @@ impl Node {
         }
     }
 
+    /// [`send_ctl`](Node::send_ctl), billed to `feature`.
+    pub(crate) fn send_ctl_as(
+        &mut self,
+        feature: Feature,
+        dst: NodeId,
+        tag: u8,
+        header: u32,
+        words: [u32; 4],
+    ) -> bool {
+        self.cpu.clone().with_feature(feature, |_| self.send_ctl(dst, tag, header, words))
+    }
+
     /// Wait until a packet is pending, polling the receive-status
     /// register (1 `dev` per probe — exactly one on an idle, instant
     /// network, the paper's favorable path).
@@ -231,7 +243,7 @@ pub struct Machine {
     pub(crate) nodes: Vec<Node>,
     pub(crate) cfg: CmamConfig,
     pub(crate) streams: Vec<StreamState>,
-    pub(crate) next_call_id: u64,
+    next_call_id: u64,
     /// Replies already computed per (callee, caller, call id), kept by
     /// the callee so a retransmitted request is answered from cache
     /// instead of re-running the handler (exactly-once execution under
@@ -242,14 +254,14 @@ pub struct Machine {
     /// transfers. Epochs survive restarts (model them as
     /// incarnation-qualified counters) so a post-restart session can
     /// never collide with a pre-restart one.
-    pub(crate) session_epochs: HashMap<(NodeId, NodeId), u32>,
+    session_epochs: HashMap<(NodeId, NodeId), u32>,
     /// Open reliable-transfer sessions at each receiver, keyed by
     /// (receiver, sender). Erased wholesale for a node when it
     /// crash-restarts.
     pub(crate) sessions: HashMap<(NodeId, NodeId), SessionEntry>,
     /// Per-node restart counts already absorbed by
     /// [`Machine::observe_restarts`] (indexed by node).
-    pub(crate) restart_seen: Vec<u32>,
+    restart_seen: Vec<u32>,
     /// Last [`Network::restarts_hint`] value absorbed — the O(1) change
     /// detector that lets `observe_restarts` skip the per-node scan on
     /// crash-free quanta.
@@ -339,6 +351,21 @@ impl Machine {
 
     pub(crate) fn node_mut(&mut self, node: NodeId) -> &mut Node {
         &mut self.nodes[node.index()]
+    }
+
+    /// The endpoint check every transfer entry point shares: both nodes
+    /// in range, and distinct.
+    pub(crate) fn check_endpoints(&self, src: NodeId, dst: NodeId) -> Result<(), ProtocolError> {
+        let bad = |what: String| Err(ProtocolError::BadTransfer(what));
+        for (field, node) in [("src", src), ("dst", dst)] {
+            if node.index() >= self.nodes.len() {
+                return bad(format!("{field} {node} is out of range ({} nodes)", self.nodes.len()));
+            }
+        }
+        if src == dst {
+            return bad(format!("src and dst are both {src}; endpoints must differ"));
+        }
+        Ok(())
     }
 
     /// Cost-free peek at the packet waiting at `node`'s NI (latched
@@ -720,7 +747,7 @@ mod tests {
     use timego_netsim::{DeliveryScript, ScriptedNetwork};
     use timego_ni::share;
 
-    pub(crate) fn scripted_machine(nodes: usize, script: DeliveryScript) -> Machine {
+    fn scripted_machine(nodes: usize, script: DeliveryScript) -> Machine {
         Machine::new(
             share(ScriptedNetwork::new(nodes, script)),
             nodes,

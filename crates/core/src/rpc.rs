@@ -11,7 +11,7 @@
 //! saturated).
 
 use timego_cost::{Feature, Fine};
-use timego_netsim::NodeId;
+use timego_netsim::{NodeId, RxMeta};
 use timego_ni::Memory;
 
 use crate::am::{Am4Msg, PollOutcome};
@@ -19,6 +19,7 @@ use crate::costs::{am4_recv, am4_send, recovery};
 use crate::engine::{Op, OpOutcome};
 use crate::error::ProtocolError;
 use crate::machine::{Machine, Tags};
+use crate::op::{check_restart, peek_is, win, GcExempt, KeyClass, OpMachine, Stepped};
 use crate::retry::{RecoveryPolicy, RetryPolicy};
 
 /// The result of servicing one node once (see [`Machine::rpc_service`]).
@@ -265,6 +266,191 @@ impl Machine {
             waited += 1;
         }
         Ok(())
+    }
+}
+
+/// One call as an engine operation: the request send, the callee's
+/// service poll once the request heads its queue, and the reply pickup
+/// gated on this call's correlation id.
+pub(crate) struct RpcOp {
+    src: NodeId,
+    dst: NodeId,
+    tag: u8,
+    args: [u32; 4],
+    call_id: u64,
+    policy: Option<RetryPolicy>,
+    sent: bool,
+    stalled: bool,
+    attempt: u32,
+    waited: u64,
+    total_waited: u64,
+    // Recovery-managed ops fail fast with the retryable `SessionReset`
+    // when an endpoint crash-restarts mid-call (counters captured at
+    // start); unmanaged ops keep the pre-recovery-plane behavior and
+    // ride out crashes through their own retry windows.
+    managed: bool,
+    peer_restarts: (u32, u32),
+}
+
+impl RpcOp {
+    pub(crate) fn new(
+        src: NodeId,
+        dst: NodeId,
+        tag: u8,
+        args: [u32; 4],
+        call_id: u64,
+        policy: Option<RetryPolicy>,
+        managed: bool,
+    ) -> Self {
+        RpcOp {
+            src,
+            dst,
+            tag,
+            args,
+            call_id,
+            policy,
+            sent: false,
+            stalled: false,
+            attempt: 0,
+            waited: 0,
+            total_waited: 0,
+            managed,
+            peer_restarts: (0, 0),
+        }
+    }
+}
+
+impl OpMachine for RpcOp {
+    fn endpoints(&self) -> (NodeId, NodeId) {
+        (self.src, self.dst)
+    }
+
+    /// Replies are correlated by call id, so calls never conflict —
+    /// even between the same pair.
+    fn conflict_key(&self) -> Option<(KeyClass, NodeId, NodeId)> {
+        None
+    }
+
+    fn claims(&self, node: NodeId, meta: &RxMeta) -> bool {
+        (node == self.dst && meta.src == self.src && meta.tag == self.tag)
+            || (node == self.src
+                && meta.src == self.dst
+                && meta.tag == Tags::RPC_REPLY
+                && meta.header == self.call_id as u32)
+    }
+
+    /// The cached reply stays shielded while the call is parked, so the
+    /// re-execution still deduplicates against a handler that already
+    /// ran.
+    fn gc_exempt(&self, _parked: bool) -> Option<GcExempt> {
+        Some(GcExempt::Reply(self.dst, self.src, self.call_id as u32))
+    }
+
+    /// Keeps the call id: the callee's reply cache answers a handler
+    /// that already ran.
+    fn reset(&mut self) {
+        *self = RpcOp::new(
+            self.src,
+            self.dst,
+            self.tag,
+            self.args,
+            self.call_id,
+            self.policy.take(),
+            self.managed,
+        );
+    }
+
+    fn start(&mut self, m: &mut Machine) {
+        self.peer_restarts = (m.restarts_of(self.src), m.restarts_of(self.dst));
+    }
+
+    fn tick_n(&mut self, k: u64) {
+        self.stalled = false;
+        self.waited += k;
+        if self.sent {
+            self.total_waited += k;
+        }
+    }
+
+    /// Unsent requests retry injection every cycle once the stall
+    /// clears; a sent request is quiet until its retry window (or the
+    /// global wait bound) closes. Request service and reply pickup are
+    /// packet-driven and wake the op through its endpoints.
+    fn wake_in(&self, max_wait: u64) -> u64 {
+        if self.stalled || !self.sent {
+            return 1;
+        }
+        match &self.policy {
+            Some(p) => win(p.backoff(self.attempt), self.waited),
+            None => win(max_wait, self.waited),
+        }
+    }
+
+    fn step(&mut self, m: &mut Machine) -> Result<Stepped, ProtocolError> {
+        if self.managed {
+            check_restart(m, self.src, self.dst, self.peer_restarts)?;
+        }
+        // Deadline / retry-window bookkeeping.
+        if let Some(policy) = self.policy.clone() {
+            if self.sent && self.waited > policy.backoff(self.attempt) {
+                self.attempt += 1;
+                if self.attempt >= policy.max_attempts {
+                    return Err(ProtocolError::Timeout {
+                        waiting_for: "rpc reply",
+                        cycles: self.total_waited,
+                        node: Some(self.src),
+                        attempts: policy.max_attempts - 1,
+                    });
+                }
+                // Recover: retransmit the request in the next window.
+                self.sent = false;
+                self.waited = 0;
+            }
+        } else if self.sent && self.waited > m.config().max_wait_cycles {
+            return Err(ProtocolError::timeout("rpc reply", self.waited));
+        }
+        if !self.sent && self.waited > m.config().max_wait_cycles {
+            return Err(ProtocolError::timeout("rpc injection", self.waited));
+        }
+
+        let mut progress = false;
+        if !self.sent && !self.stalled {
+            let ok = if self.attempt == 0 {
+                m.rpc_send_once(self.src, self.dst, self.tag, self.call_id, self.args)
+            } else {
+                let cpu = m.cpu(self.src);
+                cpu.with_feature(Feature::FaultTol, |_| {
+                    m.rpc_send_once(self.src, self.dst, self.tag, self.call_id, self.args)
+                })
+            };
+            if ok {
+                self.sent = true;
+                self.waited = 0;
+                progress = true;
+            } else {
+                self.stalled = true;
+            }
+        }
+
+        // Serve the callee when our request is at its queue head.
+        if peek_is(m, self.dst, self.src, self.tag) {
+            let _ = m.rpc_service(self.dst);
+            progress = true;
+        }
+
+        // Surface the reply when it is at the caller's queue head and
+        // carries our correlation id (a concurrent call's reply stays
+        // for its own operation).
+        if m.rx_peek_at(self.src).is_some_and(|meta| self.claims(self.src, &meta)) {
+            match m.rpc_service(self.src) {
+                RpcEvent::Reply(id, words) => {
+                    debug_assert_eq!(id, self.call_id);
+                    return Ok(Stepped::Done(OpOutcome::Rpc(words)));
+                }
+                other => unreachable!("gated reply peek yielded {other:?}"),
+            }
+        }
+        Ok(if progress { Stepped::Progress } else { Stepped::Idle })
     }
 }
 

@@ -23,17 +23,18 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use timego_cost::{Feature, Fine};
-use timego_netsim::NodeId;
+use timego_netsim::{NodeId, RxMeta};
 
 use crate::costs::{ctl_send, stream_dst, stream_src};
 use crate::engine::{Op, OpOutcome};
-use crate::retry::RecoveryPolicy;
 use crate::error::ProtocolError;
 use crate::machine::{Machine, Tags};
+use crate::op::{check_restart, pairwise, win, KeyClass, OpMachine, Stepped};
+use crate::retry::RecoveryPolicy;
 
 /// Identifies an open stream on a [`Machine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct StreamId(pub(crate) usize);
+pub struct StreamId(usize);
 
 /// Stream protocol parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,7 +85,7 @@ pub(crate) struct StreamState {
     pub(crate) dst: NodeId,
     cfg: StreamConfig,
     // Source side.
-    pub(crate) next_seq: u64,
+    next_seq: u64,
     unacked: BTreeMap<u64, Vec<u32>>,
     // Destination side.
     expected: u64,
@@ -97,7 +98,7 @@ pub(crate) struct StreamState {
 
 impl StreamState {
     /// The configured acknowledgement grouping (at least 1).
-    pub(crate) fn ack_period(&self) -> u64 {
+    fn ack_period(&self) -> u64 {
         self.cfg.ack_period.max(1)
     }
 
@@ -113,6 +114,11 @@ impl StreamState {
         if self.dst == node {
             self.ooo.clear();
         }
+    }
+
+    /// Whether the source window admits another in-flight packet.
+    fn window_open(&self) -> bool {
+        self.unacked.len() < self.cfg.window
     }
 
     /// Idle iterations before the retransmission timer fires.
@@ -220,20 +226,9 @@ impl Machine {
         id.0 < self.streams.len()
     }
 
-    /// The receiver's next-expected (contiguous) sequence number for
-    /// `id` — what a resumed send consults to skip packets the first
-    /// execution already delivered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is stale.
-    pub(crate) fn stream_expected(&self, id: StreamId) -> u64 {
-        self.streams[id.0].expected
-    }
-
     /// Per-burst receiver entry: one receive poll + handler prologue
     /// (the "+13" constant of Table 3's destination base).
-    pub(crate) fn stream_entry_charge(&mut self, id: StreamId) {
+    fn stream_entry_charge(&mut self, id: StreamId) {
         let dstn = self.streams[id.0].dst;
         let node = self.node_mut(dstn);
         node.cpu.call(stream_dst::ENTRY_CALL);
@@ -241,15 +236,9 @@ impl Machine {
         let _ = node.ni.poll_status();
     }
 
-    /// Whether the source window admits another in-flight packet.
-    pub(crate) fn stream_window_open(&self, id: StreamId) -> bool {
-        let st = &self.streams[id.0];
-        st.unacked.len() < st.cfg.window
-    }
-
     /// Retransmit the oldest unacknowledged packet (one attempt, charged
     /// to fault tolerance). Returns `false` when nothing is buffered.
-    pub(crate) fn stream_retransmit_oldest(&mut self, id: StreamId) -> bool {
+    fn stream_retransmit_oldest(&mut self, id: StreamId) -> bool {
         let Some((&seq, payload)) = self.streams[id.0].unacked.iter().next().map(|(s, p)| (s, p.clone()))
         else {
             return false;
@@ -262,32 +251,9 @@ impl Machine {
         true
     }
 
-    /// Whether the burst-closing cumulative acknowledgement is owed: the
-    /// whole burst has arrived but a partial final group has not been
-    /// acknowledged yet.
-    pub(crate) fn stream_group_ack_due(&self, id: StreamId, target_contig: u64) -> bool {
-        let st = &self.streams[id.0];
-        st.cfg.ack_period > 1 && st.arrived_contig >= target_contig && st.arrivals_since_ack > 0
-    }
-
-    /// The receiver's contiguous-arrival mark.
-    pub(crate) fn stream_contig_mark(&self, id: StreamId) -> u64 {
-        self.streams[id.0].arrived_contig
-    }
-
-    /// Reset the receiver's arrivals-since-acknowledgement counter.
-    pub(crate) fn stream_reset_ack_counter(&mut self, id: StreamId) {
-        self.streams[id.0].arrivals_since_ack = 0;
-    }
-
-    /// Whether every source buffer slot has been released.
-    pub(crate) fn stream_unacked_empty(&self, id: StreamId) -> bool {
-        self.streams[id.0].unacked.is_empty()
-    }
-
     /// Trim padding from the final packet (harness bookkeeping; the
     /// application-level framing is outside the measured layer).
-    pub(crate) fn stream_epilogue(&mut self, id: StreamId, pushed_words: usize) {
+    fn stream_epilogue(&mut self, id: StreamId, pushed_words: usize) {
         let st = &mut self.streams[id.0];
         st.total_pushed_words += pushed_words;
         st.delivered.truncate(st.total_pushed_words);
@@ -295,7 +261,7 @@ impl Machine {
 
     /// Inject one sequenced, source-buffered data packet. Returns
     /// `false` on backpressure.
-    pub(crate) fn stream_inject(&mut self, id: StreamId, seq: u64, payload: &[u32]) -> bool {
+    fn stream_inject(&mut self, id: StreamId, seq: u64, payload: &[u32]) -> bool {
         let (srcn, dstn) = (self.streams[id.0].src, self.streams[id.0].dst);
         let node = self.node_mut(srcn);
 
@@ -327,7 +293,7 @@ impl Machine {
     /// acknowledgements are queued on `acks` as `(value, cumulative)`
     /// pairs rather than injected inline, so the caller can retry them
     /// under backpressure without re-draining.
-    pub(crate) fn stream_drain_one(
+    fn stream_drain_one(
         &mut self,
         id: StreamId,
         n: usize,
@@ -430,19 +396,15 @@ impl Machine {
     /// One attempt at injecting a (possibly cumulative) acknowledgement
     /// from the stream's receiver back to its source. Returns `false` on
     /// backpressure; the caller requeues and retries.
-    pub(crate) fn stream_try_send_ack(&mut self, id: StreamId, value: u64, cumulative: bool) -> bool {
+    fn stream_try_send_ack(&mut self, id: StreamId, value: u64, cumulative: bool) -> bool {
         let (srcn, dstn) = (self.streams[id.0].src, self.streams[id.0].dst);
-        let node = self.node_mut(dstn);
-        let cpu = node.cpu.clone();
         let flags = if cumulative { [1, 0, 0, 0] } else { [0, 0, 0, 0] };
-        cpu.with_feature(Feature::FaultTol, |_| {
-            node.send_ctl(srcn, Tags::STREAM_ACK, value as u32, flags)
-        })
+        self.node_mut(dstn).send_ctl_as(Feature::FaultTol, srcn, Tags::STREAM_ACK, value as u32, flags)
     }
 
     /// Receive one acknowledgement at the source, if pending, releasing
     /// the covered source-buffer slot(s).
-    pub(crate) fn stream_take_ack(&mut self, id: StreamId, outcome: &mut StreamOutcome) -> bool {
+    fn stream_take_ack(&mut self, id: StreamId, outcome: &mut StreamOutcome) -> bool {
         let srcn = self.streams[id.0].src;
         let dstn = self.streams[id.0].dst;
         // Cost-free emptiness/identification check, as in the drain
@@ -480,6 +442,261 @@ impl Machine {
         }
         outcome.acks += 1;
         true
+    }
+}
+
+/// One burst on an open stream as an engine operation: both endpoints
+/// of Figure 4's four steps, interleaved one driver iteration per step.
+pub(crate) struct StreamOp {
+    id: StreamId,
+    src: NodeId,
+    dst: NodeId,
+    data: Vec<u32>,
+    n: usize,
+    packets: u64,
+    rto_iterations: u64,
+    // Captured at start (an earlier send on the same stream may still
+    // be advancing the sequence when this op is submitted).
+    first_seq: u64,
+    // Set on recovery re-executions: the first execution's `first_seq`,
+    // learned once by `reset`. Resuming from it (instead of reading
+    // `next_seq`) keeps the burst in its original sequence range, and
+    // the start logic skips packets the receiver has already delivered
+    // in-sequence — exactly-once.
+    resume_base: Option<u64>,
+    target_contig: u64,
+    expected_acks: u64,
+    outcome: StreamOutcome,
+    sent: u64,
+    pending_acks: VecDeque<(u64, bool)>,
+    stalled: bool,
+    rto_due: bool,
+    idle_iterations: u64,
+    total_iterations: u64,
+    // Endpoint restart counters at start; see `check_restart`.
+    peer_restarts: (u32, u32),
+}
+
+impl StreamOp {
+    pub(crate) fn new(
+        id: StreamId,
+        src: NodeId,
+        dst: NodeId,
+        data: Vec<u32>,
+        n: usize,
+        rto_iterations: u64,
+        resume_base: Option<u64>,
+    ) -> Self {
+        let packets = (data.len() as u64).div_ceil(n as u64);
+        StreamOp {
+            id,
+            src,
+            dst,
+            data,
+            n,
+            packets,
+            rto_iterations,
+            first_seq: 0,
+            resume_base,
+            target_contig: 0,
+            expected_acks: 0,
+            outcome: StreamOutcome {
+                packets,
+                acks: 0,
+                retransmits: 0,
+                duplicates: 0,
+                out_of_order: 0,
+            },
+            sent: 0,
+            pending_acks: VecDeque::new(),
+            stalled: false,
+            rto_due: false,
+            idle_iterations: 0,
+            total_iterations: 0,
+            peer_restarts: (0, 0),
+        }
+    }
+
+    fn flush_acks(&mut self, m: &mut Machine) -> bool {
+        let mut progress = false;
+        while let Some(&(value, cumulative)) = self.pending_acks.front() {
+            if self.stalled {
+                break;
+            }
+            if m.stream_try_send_ack(self.id, value, cumulative) {
+                self.pending_acks.pop_front();
+                progress = true;
+            } else {
+                self.stalled = true;
+            }
+        }
+        progress
+    }
+}
+
+impl OpMachine for StreamOp {
+    fn endpoints(&self) -> (NodeId, NodeId) {
+        (self.src, self.dst)
+    }
+
+    fn conflict_key(&self) -> Option<(KeyClass, NodeId, NodeId)> {
+        Some((KeyClass::Stream, self.src, self.dst))
+    }
+
+    fn claims(&self, node: NodeId, meta: &RxMeta) -> bool {
+        pairwise(node, meta.src, self.src, self.dst)
+            && (meta.tag == Tags::STREAM_DATA || meta.tag == Tags::STREAM_ACK)
+    }
+
+    /// A failed first execution teaches the machine its base sequence,
+    /// so re-executions resume the burst (exactly-once) instead of
+    /// restarting it at a fresh sequence range.
+    fn reset(&mut self) {
+        let base = *self.resume_base.get_or_insert(self.first_seq);
+        *self = StreamOp::new(
+            self.id,
+            self.src,
+            self.dst,
+            std::mem::take(&mut self.data),
+            self.n,
+            self.rto_iterations,
+            Some(base),
+        );
+    }
+
+    fn start(&mut self, m: &mut Machine) {
+        let st = &m.streams[self.id.0];
+        self.first_seq = self.resume_base.unwrap_or(st.next_seq);
+        self.target_contig = self.first_seq + self.packets;
+        self.expected_acks = self.packets.div_ceil(st.ack_period());
+        if self.resume_base.is_some() {
+            // Resume where the receiver's contiguous prefix ends:
+            // packets already delivered in-sequence are not re-sent
+            // (exactly-once); anything at or past the receiver's
+            // expectation is. Stale unacked copies at the source drain
+            // via the ordinary RTO/duplicate-ack machinery.
+            self.sent = st.expected.saturating_sub(self.first_seq).min(self.packets);
+        }
+        self.peer_restarts = (m.restarts_of(self.src), m.restarts_of(self.dst));
+        m.stream_entry_charge(self.id);
+    }
+
+    fn tick_n(&mut self, k: u64) {
+        self.stalled = false;
+        // `total_iterations` counts engine cycles without progress
+        // anywhere (each reference quantum that advances the clock
+        // ticks every running op exactly once), so a batched tick is a
+        // plain sum and the RTO counter wraps modulo its period.
+        self.total_iterations += k;
+        let total = self.idle_iterations + k;
+        if total >= self.rto_iterations {
+            self.rto_due = true;
+            self.idle_iterations = total % self.rto_iterations.max(1);
+        } else {
+            self.idle_iterations = total;
+        }
+    }
+
+    /// Injection stalls and ack-flush stalls set `stalled`; receives
+    /// are head-gated. With neither a stall nor a due RTO, only the RTO
+    /// counter reaching its period or the completion-timeout window
+    /// closing can make a step non-idle without new packets.
+    fn wake_in(&self, max_wait: u64) -> u64 {
+        if self.stalled || self.rto_due {
+            return 1;
+        }
+        win(max_wait, self.total_iterations)
+            .min(self.rto_iterations.saturating_sub(self.idle_iterations).max(1))
+    }
+
+    fn step(&mut self, m: &mut Machine) -> Result<Stepped, ProtocolError> {
+        check_restart(m, self.src, self.dst, self.peer_restarts)?;
+        let n = self.n;
+        let mut progress = false;
+
+        // Acknowledgements owed from earlier drains go out first: they
+        // release source window slots.
+        progress |= self.flush_acks(m);
+
+        // Fault tolerance in action: retransmit the oldest
+        // unacknowledged packet after a quiet window.
+        if self.rto_due {
+            self.rto_due = false;
+            if m.stream_retransmit_oldest(self.id) {
+                self.outcome.retransmits += 1;
+                progress = true;
+            }
+        }
+
+        // Phase 1: inject while the window is open.
+        while self.sent < self.packets && !self.stalled && m.streams[self.id.0].window_open() {
+            let seq = self.first_seq + self.sent;
+            let base = (self.sent as usize) * n;
+            let payload: Vec<u32> = (0..n)
+                .map(|i| self.data.get(base + i).copied().unwrap_or(0))
+                .collect();
+            if m.stream_inject(self.id, seq, &payload) {
+                self.sent += 1;
+                progress = true;
+            } else {
+                self.stalled = true;
+            }
+        }
+
+        // Phase 2: the receiver drains data gated on this stream,
+        // queueing acknowledgements as it goes.
+        while self.pending_acks.is_empty()
+            && m.stream_drain_one(self.id, n, &mut self.outcome, &mut self.pending_acks)
+        {
+            progress = true;
+            progress |= self.flush_acks(m);
+        }
+
+        // Group-ack flush: the burst fully arrived but the final
+        // partial group is not yet acknowledged.
+        let st = &mut m.streams[self.id.0];
+        if st.cfg.ack_period > 1
+            && st.arrived_contig >= self.target_contig
+            && st.arrivals_since_ack > 0
+        {
+            self.pending_acks.push_back((st.arrived_contig, true));
+            st.arrivals_since_ack = 0;
+            progress = true;
+            progress |= self.flush_acks(m);
+        }
+
+        // Phase 3: the source processes acknowledgements.
+        while (self.outcome.acks < self.expected_acks || !m.streams[self.id.0].unacked.is_empty())
+            && m.stream_take_ack(self.id, &mut self.outcome)
+        {
+            progress = true;
+        }
+
+        // Termination: everything sent, delivered, and acknowledged.
+        let st = &m.streams[self.id.0];
+        if self.sent == self.packets
+            && st.unacked.is_empty()
+            && st.arrived_contig >= self.target_contig
+            && self.pending_acks.is_empty()
+        {
+            m.stream_epilogue(self.id, self.data.len());
+            return Ok(Stepped::Done(OpOutcome::Stream(self.outcome)));
+        }
+
+        if progress {
+            self.idle_iterations = 0;
+        }
+        // `total_iterations` advances on ticks (once per no-progress
+        // engine cycle), making the completion timeout a bound on quiet
+        // *time* rather than on scheduler step count — the same clock
+        // under both schedulers.
+        if self.total_iterations > m.config().max_wait_cycles {
+            return Err(ProtocolError::timeout(
+                "stream completion",
+                self.total_iterations,
+            ));
+        }
+        Ok(if progress { Stepped::Progress } else { Stepped::Idle })
     }
 }
 

@@ -17,13 +17,17 @@
 //! base data movement.
 
 use timego_cost::{Feature, Fine};
-use timego_netsim::NodeId;
+use timego_netsim::{NodeId, RxMeta};
 use timego_ni::Addr;
 
 use crate::costs::{segment, xfer_order, xfer_recv, xfer_send};
 use crate::engine::{Op, OpOutcome};
 use crate::error::ProtocolError;
 use crate::machine::{Machine, Node, Tags};
+use crate::op::{
+    check_restart, pairwise, peek_is, transfer_prologue, win, GcExempt, KeyClass, OpMachine,
+    Stepped,
+};
 
 /// Result of a completed finite-sequence transfer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -228,7 +232,7 @@ impl Machine {
     /// Receive exactly one data packet of the transfer, storing its
     /// payload at the carried offset. Returns `false` (after the
     /// discovery latch) when nothing is waiting.
-    pub(crate) fn recv_one_data_packet(&mut self, dst: NodeId, n: usize, rx: &mut XferRx) -> bool {
+    fn recv_one_data_packet(&mut self, dst: NodeId, n: usize, rx: &mut XferRx) -> bool {
         let node = self.node_mut(dst);
         let Some((_, tag)) = node.ni.latch_rx() else {
             return false;
@@ -269,6 +273,292 @@ pub(crate) fn send_ctl_retrying(
         waited += 1;
     }
     Ok(())
+}
+
+/// Every tag of the finite-transfer protocols, plain and reliable.
+const XFER_TAGS: [u8; 6] = [
+    Tags::XFER_REQ,
+    Tags::XFER_REPLY,
+    Tags::XFER_DATA,
+    Tags::XFER_ACK,
+    Tags::XFER_NACK,
+    Tags::XFER_PROBE,
+];
+
+/// The claim of a finite transfer (plain or reliable) between `src` and
+/// `dst`: any transfer-protocol packet at either endpoint from the
+/// other.
+pub(crate) fn claims_transfer(node: NodeId, meta: &RxMeta, src: NodeId, dst: NodeId) -> bool {
+    pairwise(node, meta.src, src, dst) && XFER_TAGS.contains(&meta.tag)
+}
+
+enum XferPhase {
+    Handshake,
+    Transfer,
+    SendAck,
+    AwaitAck,
+}
+
+/// The six steps of `CMAM_xfer` as an engine operation.
+pub(crate) struct XferOp {
+    src: NodeId,
+    dst: NodeId,
+    data: Vec<u32>,
+    engine: PayloadEngine,
+    n: usize,
+    packets: u64,
+    phase: XferPhase,
+    src_buf: Addr,
+    req_sent: bool,
+    reply_sent: bool,
+    segment: Option<(u32, Addr)>,
+    rx: XferRx,
+    next_packet: u64,
+    send_retries: u64,
+    waited: u64,
+    stalled: bool,
+    // Endpoint restart counters at start; see `check_restart`.
+    peer_restarts: (u32, u32),
+}
+
+impl XferOp {
+    pub(crate) fn new(
+        src: NodeId,
+        dst: NodeId,
+        data: Vec<u32>,
+        engine: PayloadEngine,
+        n: usize,
+    ) -> Self {
+        let packets = (data.len() as u64).div_ceil(n as u64);
+        XferOp {
+            src,
+            dst,
+            data,
+            engine,
+            n,
+            packets,
+            phase: XferPhase::Handshake,
+            src_buf: Addr(0),
+            req_sent: false,
+            reply_sent: false,
+            segment: None,
+            rx: XferRx {
+                buffer: Addr(0),
+                packets_expected: packets,
+                packets_received: 0,
+            },
+            next_packet: 0,
+            send_retries: 0,
+            waited: 0,
+            stalled: false,
+            peer_restarts: (0, 0),
+        }
+    }
+}
+
+impl OpMachine for XferOp {
+    fn endpoints(&self) -> (NodeId, NodeId) {
+        (self.src, self.dst)
+    }
+
+    fn conflict_key(&self) -> Option<(KeyClass, NodeId, NodeId)> {
+        Some((KeyClass::Xfer, self.src, self.dst))
+    }
+
+    fn claims(&self, node: NodeId, meta: &RxMeta) -> bool {
+        claims_transfer(node, meta, self.src, self.dst)
+    }
+
+    fn gc_exempt(&self, _parked: bool) -> Option<GcExempt> {
+        Some(GcExempt::Session(self.dst, self.src))
+    }
+
+    /// Never reached: submission rejects a recovery policy on a plain
+    /// transfer, whose packets carry no epoch to tell a re-execution's
+    /// from the dead run's.
+    fn reset(&mut self) {
+        let data = std::mem::take(&mut self.data);
+        *self = XferOp::new(self.src, self.dst, data, self.engine, self.n);
+    }
+
+    fn start(&mut self, m: &mut Machine) {
+        // Harness setup: stage the data in source memory (cost-free).
+        self.src_buf = m.write_buffer(self.src, &self.data);
+        self.peer_restarts = (m.restarts_of(self.src), m.restarts_of(self.dst));
+    }
+
+    fn tick_n(&mut self, k: u64) {
+        self.waited += k;
+        self.stalled = false;
+    }
+
+    /// Every injection attempt sets `stalled` on backpressure and every
+    /// receive path is head-gated on a packet being present, so an idle
+    /// step without `stalled` can only become non-idle when `waited`
+    /// crosses the protocol's wait window (or a packet arrives, which
+    /// wakes the op through its endpoint subscription).
+    fn wake_in(&self, max_wait: u64) -> u64 {
+        if self.stalled {
+            return 1;
+        }
+        win(max_wait, self.waited)
+    }
+
+    fn step(&mut self, m: &mut Machine) -> Result<Stepped, ProtocolError> {
+        check_restart(m, self.src, self.dst, self.peer_restarts)?;
+        let max_wait = m.config().max_wait_cycles;
+        let (src, dst, n) = (self.src, self.dst, self.n);
+        match self.phase {
+            XferPhase::Handshake => {
+                if self.waited > max_wait {
+                    return Err(ProtocolError::timeout("xfer reply", self.waited));
+                }
+                let mut progress = false;
+                // Step 1: allocation request (buffer management).
+                if !self.req_sent && !self.stalled {
+                    let len = self.data.len() as u32;
+                    let node = m.node_mut(src);
+                    if node.send_ctl_as(Feature::BufferMgmt, dst, Tags::XFER_REQ, len, [0; 4]) {
+                        self.req_sent = true;
+                        progress = true;
+                    } else {
+                        self.stalled = true;
+                    }
+                }
+                // Step 2: receiver allocates a segment.
+                if self.segment.is_none() && peek_is(m, dst, src, Tags::XFER_REQ) {
+                    let node = m.node_mut(dst);
+                    let cpu = node.cpu.clone();
+                    let seg = cpu.with_feature(Feature::BufferMgmt, |_| {
+                        let (_, tag, header, _) = node.recv_ctl_now();
+                        debug_assert_eq!(tag, Tags::XFER_REQ);
+                        let words = header as usize;
+                        let buffer = node.mem.alloc(words.div_ceil(n) * n);
+                        node.cpu.reg(Fine::RegOp, segment::ASSOCIATE_REG);
+                        node.cpu.mem_store(segment::ASSOCIATE_MEM);
+                        ((buffer.0 & 0xffff) as u32 ^ 0x5e60_0000, buffer)
+                    });
+                    self.segment = Some(seg);
+                    progress = true;
+                }
+                // Step 3: the reply.
+                if let Some((seg, _)) = self.segment {
+                    if !self.reply_sent && !self.stalled {
+                        let node = m.node_mut(dst);
+                        if node.send_ctl_as(Feature::BufferMgmt, src, Tags::XFER_REPLY, seg, [0; 4]) {
+                            self.reply_sent = true;
+                            progress = true;
+                        } else {
+                            self.stalled = true;
+                        }
+                    }
+                    if self.reply_sent && peek_is(m, src, dst, Tags::XFER_REPLY) {
+                        let node = m.node_mut(src);
+                        let cpu = node.cpu.clone();
+                        cpu.with_feature(Feature::BufferMgmt, |_| {
+                            let (_, tag, header, _) = node.recv_ctl_now();
+                            debug_assert_eq!(tag, Tags::XFER_REPLY);
+                            debug_assert_eq!(header, seg);
+                        });
+                        self.rx.buffer = self.segment.expect("just checked").1;
+                        transfer_prologue(m, src, dst);
+                        self.phase = XferPhase::Transfer;
+                        self.waited = 0;
+                        return Ok(Stepped::Progress);
+                    }
+                }
+                Ok(if progress { Stepped::Progress } else { Stepped::Idle })
+            }
+            XferPhase::Transfer => {
+                if self.waited > max_wait {
+                    return Err(ProtocolError::timeout("xfer data packets", self.waited));
+                }
+                let mut progress = false;
+                // Step 4: inject (source side).
+                if !self.stalled {
+                    while self.next_packet < self.packets {
+                        let offset = self.next_packet * n as u64;
+                        if m.send_data_packet(src, dst, self.src_buf, offset, n, self.engine, 0) {
+                            self.next_packet += 1;
+                            progress = true;
+                        } else {
+                            self.send_retries += 1;
+                            self.stalled = true;
+                            break;
+                        }
+                    }
+                }
+                // Step 4: drain (destination side), gated on our data.
+                while self.rx.packets_received < self.rx.packets_expected
+                    && peek_is(m, dst, src, Tags::XFER_DATA)
+                {
+                    m.recv_one_data_packet(dst, n, &mut self.rx);
+                    progress = true;
+                }
+                if progress {
+                    self.waited = 0;
+                }
+                if self.next_packet == self.packets
+                    && self.rx.packets_received == self.rx.packets_expected
+                {
+                    // Step 5: free the segment.
+                    let node = m.node_mut(dst);
+                    node.cpu.clone().with_feature(Feature::InOrder, |cpu| {
+                        cpu.reg(Fine::RegOp, xfer_order::DST_FINAL);
+                    });
+                    node.cpu.mem_store(xfer_recv::EXIT_STATE_MEM);
+                    node.cpu.clone().with_feature(Feature::BufferMgmt, |cpu| {
+                        cpu.reg(Fine::RegOp, segment::DISASSOCIATE_REG);
+                        cpu.mem_store(segment::DISASSOCIATE_MEM);
+                    });
+                    self.phase = XferPhase::SendAck;
+                    self.waited = 0;
+                    return Ok(Stepped::Progress);
+                }
+                Ok(if progress { Stepped::Progress } else { Stepped::Idle })
+            }
+            XferPhase::SendAck => {
+                if self.waited > max_wait {
+                    return Err(ProtocolError::timeout("control-packet injection", self.waited));
+                }
+                if self.stalled {
+                    return Ok(Stepped::Idle);
+                }
+                let seg = self.segment.expect("segment allocated").0;
+                let node = m.node_mut(dst);
+                if node.send_ctl_as(Feature::FaultTol, src, Tags::XFER_ACK, seg, [0; 4]) {
+                    self.phase = XferPhase::AwaitAck;
+                    self.waited = 0;
+                    Ok(Stepped::Progress)
+                } else {
+                    self.stalled = true;
+                    Ok(Stepped::Idle)
+                }
+            }
+            XferPhase::AwaitAck => {
+                if self.waited > max_wait {
+                    return Err(ProtocolError::timeout("xfer acknowledgement", self.waited));
+                }
+                if !peek_is(m, src, dst, Tags::XFER_ACK) {
+                    return Ok(Stepped::Idle);
+                }
+                let seg = self.segment.expect("segment allocated").0;
+                let node = m.node_mut(src);
+                let cpu = node.cpu.clone();
+                cpu.with_feature(Feature::FaultTol, |_| {
+                    let (_, tag, header, _) = node.recv_ctl_now();
+                    debug_assert_eq!(tag, Tags::XFER_ACK);
+                    debug_assert_eq!(header, seg);
+                });
+                Ok(Stepped::Done(OpOutcome::Xfer(XferOutcome {
+                    dst_buffer: self.rx.buffer,
+                    packets: self.packets,
+                    segment_id: seg,
+                    send_retries: self.send_retries,
+                })))
+            }
+        }
+    }
 }
 
 #[cfg(test)]

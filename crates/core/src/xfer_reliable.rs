@@ -39,20 +39,26 @@
 //! the whole transfer under a fresh epoch until the policy's attempt
 //! budget runs out, converging to exactly-once byte-exact delivery.
 
-use timego_cost::{Feature, Fine};
-use timego_netsim::NodeId;
+use std::collections::VecDeque;
 
-use crate::costs::{recovery, xfer_order, xfer_recv};
+use timego_cost::{Feature, Fine};
+use timego_netsim::{NodeId, RxMeta};
+use timego_ni::Addr;
+
+use crate::costs::{recovery, segment, xfer_order, xfer_recv};
 use crate::engine::{Op, OpOutcome};
 use crate::error::ProtocolError;
-use crate::machine::{Machine, Tags};
+use crate::machine::{Machine, SessionEntry, Tags};
+use crate::op::{
+    check_restart, peek_is, transfer_prologue, win, GcExempt, KeyClass, OpMachine, Stepped,
+};
 use crate::retry::{RecoveryPolicy, RetryPolicy};
-use crate::xfer::{XferOutcome, XferRx};
+use crate::xfer::{claims_transfer, PayloadEngine, XferOutcome, XferRx};
 
 /// Offset bits in a reliable data-packet header; the bits above hold the
 /// transfer nonce.
 pub(crate) const OFFSET_BITS: u32 = 20;
-pub(crate) const OFFSET_MASK: u32 = (1 << OFFSET_BITS) - 1;
+const OFFSET_MASK: u32 = (1 << OFFSET_BITS) - 1;
 
 /// Result of a completed fault-tolerant transfer: the underlying
 /// [`XferOutcome`] plus recovery statistics (all zero on a clean run).
@@ -149,7 +155,7 @@ impl Machine {
     /// (fresh in-nonce packet) is instruction-identical to
     /// [`Machine::recv_one_data_packet`]. Returns `false` (after the
     /// discovery latch) when nothing is waiting.
-    pub(crate) fn recv_one_data_tolerant(
+    fn recv_one_data_tolerant(
         &mut self,
         dst: NodeId,
         n: usize,
@@ -204,6 +210,684 @@ impl Machine {
         rx.packets_received += 1;
         true
     }
+}
+
+enum ReliablePhase {
+    Handshake,
+    Transfer,
+    SendAck,
+    AwaitAck,
+}
+
+/// `CMAM_xfer` plus end-to-end recovery, as an engine operation.
+pub(crate) struct ReliableOp {
+    src: NodeId,
+    dst: NodeId,
+    data: Vec<u32>,
+    n: usize,
+    packets: u64,
+    policy: RetryPolicy,
+    phase: ReliablePhase,
+    src_buf: Addr,
+    // Session epoch for this (src, dst) handshake, allocated at start;
+    // the data nonce is derived from it, so packets of a prior epoch
+    // between the same pair are recognizably stale.
+    epoch: u32,
+    nonce: u32,
+    // Restart counters of both endpoints observed at start; a mismatch
+    // mid-flight means a peer crashed and restarted — fail fast with a
+    // retryable `SessionReset`.
+    peer_restarts: (u32, u32),
+    // Handshake state.
+    req_sent: bool,
+    resend_due: bool,
+    segment: Option<(u32, Addr)>,
+    reply_pending: Option<Feature>,
+    hs_attempt: u32,
+    hs_waited: u64,
+    // Transfer state.
+    rx: XferRx,
+    seen: Vec<bool>,
+    next_packet: u64,
+    send_retries: u64,
+    data_retransmits: u64,
+    nack_rounds: u32,
+    drain_attempt: u32,
+    drain_waited: u64,
+    nack_pending: bool,
+    nack_charge_due: bool,
+    retransmit_queue: VecDeque<u64>,
+    // Acknowledgement state.
+    ack_attempt: u32,
+    ack_waited: u64,
+    ack_probes: u32,
+    probe_pending: bool,
+    reack_pending: bool,
+    stalled: bool,
+}
+
+impl ReliableOp {
+    pub(crate) fn new(
+        src: NodeId,
+        dst: NodeId,
+        data: Vec<u32>,
+        n: usize,
+        policy: RetryPolicy,
+    ) -> Self {
+        let packets = (data.len() as u64).div_ceil(n as u64);
+        ReliableOp {
+            src,
+            dst,
+            data,
+            n,
+            packets,
+            policy,
+            phase: ReliablePhase::Handshake,
+            src_buf: Addr(0),
+            epoch: 0,
+            nonce: 0,
+            peer_restarts: (0, 0),
+            req_sent: false,
+            resend_due: false,
+            segment: None,
+            reply_pending: None,
+            hs_attempt: 0,
+            hs_waited: 0,
+            rx: XferRx {
+                buffer: Addr(0),
+                packets_expected: packets,
+                packets_received: 0,
+            },
+            seen: vec![false; packets as usize],
+            next_packet: 0,
+            send_retries: 0,
+            data_retransmits: 0,
+            nack_rounds: 0,
+            drain_attempt: 0,
+            drain_waited: 0,
+            nack_pending: false,
+            nack_charge_due: false,
+            retransmit_queue: VecDeque::new(),
+            ack_attempt: 0,
+            ack_waited: 0,
+            ack_probes: 0,
+            probe_pending: false,
+            reack_pending: false,
+            stalled: false,
+        }
+    }
+
+    /// Discard stale packets of *prior* epochs between this pair at
+    /// either endpoint's queue head: duplicated handshakes or data of an
+    /// earlier same-pair transfer must not be mistaken for this
+    /// session's traffic. Every discard is recovery work
+    /// ([`Feature::FaultTol`]); a clean run peeks (cost-free) and finds
+    /// nothing stale. Returns `true` if anything was discarded.
+    fn sweep_stale(&mut self, m: &mut Machine) -> bool {
+        let mut any = false;
+        while let Some(meta) = m.rx_peek_at(self.src) {
+            if meta.src != self.dst {
+                break;
+            }
+            let stale = match meta.tag {
+                Tags::XFER_REPLY | Tags::XFER_ACK => meta.header != self.epoch,
+                Tags::XFER_NACK => (meta.header & !OFFSET_MASK) != self.nonce,
+                _ => false,
+            };
+            if !stale {
+                break;
+            }
+            m.discard_stray(self.src);
+            any = true;
+        }
+        while let Some(meta) = m.rx_peek_at(self.dst) {
+            if meta.src != self.src {
+                break;
+            }
+            let stale = match meta.tag {
+                Tags::XFER_REQ | Tags::XFER_PROBE => meta.header != self.epoch,
+                Tags::XFER_DATA => (meta.header & !OFFSET_MASK) != self.nonce,
+                _ => false,
+            };
+            if !stale {
+                break;
+            }
+            m.discard_stray(self.dst);
+            any = true;
+        }
+        any
+    }
+
+    fn step_handshake(&mut self, m: &mut Machine) -> Result<Stepped, ProtocolError> {
+        let (src, dst, n) = (self.src, self.dst, self.n);
+        // Window expiry: the reply is overdue — retransmit the request.
+        if self.req_sent && self.hs_waited > self.policy.backoff(self.hs_attempt) {
+            self.hs_attempt += 1;
+            if self.hs_attempt >= self.policy.max_attempts {
+                return Err(ProtocolError::Timeout {
+                    waiting_for: "xfer reply",
+                    cycles: self.policy.backoff(self.hs_attempt - 1),
+                    node: Some(src),
+                    attempts: self.hs_attempt,
+                });
+            }
+            self.resend_due = true;
+            self.hs_waited = 0;
+        }
+        let mut progress = false;
+        // Allocation request. The first issue is ordinary buffer
+        // management; recovery retransmissions are fault tolerance.
+        if !self.stalled && (!self.req_sent || self.resend_due) {
+            let feature = if self.req_sent {
+                Feature::FaultTol
+            } else {
+                Feature::BufferMgmt
+            };
+            // The request is epoch-stamped: the header carries the
+            // session epoch, the length rides in the (always-sent)
+            // payload words — same packet shape, same cost.
+            let len = self.data.len() as u32;
+            let epoch = self.epoch;
+            let node = m.node_mut(src);
+            if node.send_ctl_as(feature, dst, Tags::XFER_REQ, epoch, [len, 0, 0, 0]) {
+                self.req_sent = true;
+                self.resend_due = false;
+                progress = true;
+            } else {
+                self.stalled = true;
+            }
+        }
+        // The destination answers a request — the first from the
+        // allocation body (buffer management), a duplicate from its
+        // epoch-keyed session table (fault tolerance). The table lookup
+        // is what a crash-restart observably erases.
+        if self.reply_pending.is_none() && peek_is(m, dst, src, Tags::XFER_REQ) {
+            let open = m.sessions.get(&(dst, src)).copied().filter(|s| s.epoch == self.epoch);
+            if let Some(entry) = open {
+                debug_assert_eq!(Some((entry.seg, entry.buffer)), self.segment);
+                let node = m.node_mut(dst);
+                let cpu = node.cpu.clone();
+                cpu.with_feature(Feature::FaultTol, |_| {
+                    let (_, tag, _, _) = node.recv_ctl_now();
+                    debug_assert_eq!(tag, Tags::XFER_REQ);
+                });
+                self.reply_pending = Some(Feature::FaultTol);
+            } else {
+                // A leftover same-pair session of an *earlier* epoch —
+                // its sender crashed mid-transfer, or the op was
+                // re-executed by the recovery plane — is reclaimed
+                // before the fresh allocation. Recovery work, billed
+                // like the TTL sweep would bill it.
+                if m.sessions.get(&(dst, src)).is_some_and(|s| s.epoch != self.epoch) {
+                    m.sessions.remove(&(dst, src));
+                    let cpu = m.cpu(dst);
+                    cpu.with_feature(Feature::FaultTol, |c| {
+                        c.reg(Fine::RegOp, recovery::SESSION_GC_REG);
+                        c.mem_store(recovery::SESSION_GC_MEM);
+                    });
+                }
+                let epoch = self.epoch;
+                let node = m.node_mut(dst);
+                let cpu = node.cpu.clone();
+                let seg = cpu.with_feature(Feature::BufferMgmt, |_| {
+                    let (_, tag, header, words) = node.recv_ctl_now();
+                    debug_assert_eq!(tag, Tags::XFER_REQ);
+                    debug_assert_eq!(header, epoch);
+                    let words = words[0] as usize;
+                    let buffer = node.mem.alloc(words.div_ceil(n) * n);
+                    node.cpu.reg(Fine::RegOp, segment::ASSOCIATE_REG);
+                    node.cpu.mem_store(segment::ASSOCIATE_MEM);
+                    ((buffer.0 & 0xffff) as u32 ^ 0x5e60_0000, buffer)
+                });
+                self.segment = Some(seg);
+                // Record the open session so a crash-restart of the
+                // receiver observably erases it — and so the TTL sweep
+                // can reclaim it if the *sender* crashes and never
+                // finishes the transfer (host-side bookkeeping, no
+                // simulated instructions on the clean path).
+                let opened_at = m.network().borrow().now().cycles();
+                m.sessions.insert(
+                    (dst, src),
+                    SessionEntry { epoch: self.epoch, seg: seg.0, buffer: seg.1, opened_at },
+                );
+                self.reply_pending = Some(Feature::BufferMgmt);
+            }
+            progress = true;
+        }
+        // The reply itself.
+        if let Some(feature) = self.reply_pending {
+            if !self.stalled {
+                let seg = self.segment.expect("reply implies allocation").0;
+                let epoch = self.epoch;
+                let node = m.node_mut(dst);
+                if node.send_ctl_as(feature, src, Tags::XFER_REPLY, epoch, [seg, 0, 0, 0]) {
+                    self.reply_pending = None;
+                    progress = true;
+                } else {
+                    self.stalled = true;
+                }
+            }
+        }
+        // Source receives the reply. On the first window this is what
+        // the plain protocol pays (buffer management); after a
+        // retransmission it is recovery work.
+        if let Some((seg, buffer)) = self.segment.filter(|_| peek_is(m, src, dst, Tags::XFER_REPLY)) {
+            let feature = if self.hs_attempt == 0 {
+                Feature::BufferMgmt
+            } else {
+                Feature::FaultTol
+            };
+            let epoch = self.epoch;
+            let node = m.node_mut(src);
+            let cpu = node.cpu.clone();
+            cpu.with_feature(feature, |_| {
+                let (_, tag, header, words) = node.recv_ctl_now();
+                debug_assert_eq!(tag, Tags::XFER_REPLY);
+                debug_assert_eq!(header, epoch);
+                debug_assert_eq!(words[0], seg);
+            });
+            self.rx.buffer = buffer;
+            transfer_prologue(m, src, dst);
+            self.phase = ReliablePhase::Transfer;
+            self.drain_waited = 0;
+            return Ok(Stepped::Progress);
+        }
+        Ok(if progress { Stepped::Progress } else { Stepped::Idle })
+    }
+
+    fn step_transfer(&mut self, m: &mut Machine) -> Result<Stepped, ProtocolError> {
+        let (src, dst, n) = (self.src, self.dst, self.n);
+        // Drain stalled for a whole backoff window with packets still
+        // missing: recover via NACK + selective retransmission.
+        if self.rx.packets_received < self.rx.packets_expected
+            && self.next_packet == self.packets
+            && self.drain_waited > self.policy.backoff(self.drain_attempt)
+        {
+            self.drain_attempt += 1;
+            if self.drain_attempt >= self.policy.max_attempts {
+                return Err(ProtocolError::Timeout {
+                    waiting_for: "xfer data packets",
+                    cycles: self.drain_waited,
+                    node: Some(dst),
+                    attempts: self.drain_attempt,
+                });
+            }
+            self.nack_rounds += 1;
+            self.nack_pending = true;
+            self.nack_charge_due = true;
+            self.drain_waited = 0;
+        }
+        let mut progress = false;
+        // Selective retransmissions named by a received NACK go first.
+        while let Some(&k) = self.retransmit_queue.front() {
+            if self.stalled {
+                break;
+            }
+            let offset = k * n as u64;
+            let nonce = self.nonce;
+            let src_buf = self.src_buf;
+            let cpu = m.cpu(src);
+            let accepted = cpu.with_feature(Feature::FaultTol, |_| {
+                m.send_data_packet(src, dst, src_buf, offset, n, PayloadEngine::Cpu, nonce)
+            });
+            if accepted {
+                self.retransmit_queue.pop_front();
+                self.data_retransmits += 1;
+                progress = true;
+            } else {
+                self.stalled = true;
+            }
+        }
+        // Initial injection — identical to the plain protocol.
+        if !self.stalled {
+            while self.next_packet < self.packets {
+                let offset = self.next_packet * n as u64;
+                if m.send_data_packet(
+                    src,
+                    dst,
+                    self.src_buf,
+                    offset,
+                    n,
+                    PayloadEngine::Cpu,
+                    self.nonce,
+                ) {
+                    self.next_packet += 1;
+                    progress = true;
+                } else {
+                    self.send_retries += 1;
+                    self.stalled = true;
+                    break;
+                }
+            }
+        }
+        // Fault-tolerant drain. Anything from our source at the queue
+        // head is ours to classify (data, duplicated handshake
+        // request, stray probe).
+        while self.rx.packets_received < self.rx.packets_expected {
+            let Some(meta) = m.rx_peek_at(dst) else { break };
+            if meta.src != src
+                || !(meta.tag == Tags::XFER_DATA
+                    || meta.tag == Tags::XFER_REQ
+                    || meta.tag == Tags::XFER_PROBE)
+            {
+                break;
+            }
+            if m.recv_one_data_tolerant(dst, n, &mut self.rx, &mut self.seen, self.nonce) {
+                progress = true;
+            } else {
+                break;
+            }
+        }
+        // A late duplicated reply at the source is recovery noise.
+        if peek_is(m, src, dst, Tags::XFER_REPLY) {
+            m.discard_stray(src);
+            progress = true;
+        }
+        // NACK emission (destination): gap scan + NACK packet.
+        if self.nack_pending && !self.stalled {
+            if self.nack_charge_due {
+                let node = m.node_mut(dst);
+                let cpu = node.cpu.clone();
+                cpu.with_feature(Feature::FaultTol, |_| {
+                    node.cpu.reg(Fine::RegOp, recovery::GAP_SCAN_REG);
+                    node.cpu.mem_store(recovery::NACK_STATE_MEM);
+                });
+                self.nack_charge_due = false;
+            }
+            match first_missing(&self.seen) {
+                None => self.nack_pending = false, // gap closed meanwhile
+                Some(first) => {
+                    let bits = missing_bitmap(&self.seen, first);
+                    // Epoch-stamp the NACK: nonce in the high bits, the
+                    // first missing offset (< 2^20) below it.
+                    let hdr = self.nonce | first as u32;
+                    let node = m.node_mut(dst);
+                    if node.send_ctl_as(Feature::FaultTol, src, Tags::XFER_NACK, hdr, bits) {
+                        self.nack_pending = false;
+                        progress = true;
+                    } else {
+                        self.stalled = true;
+                    }
+                }
+            }
+        }
+        // NACK reception (source): build the retransmit queue.
+        if peek_is(m, src, dst, Tags::XFER_NACK) {
+            let node = m.node_mut(src);
+            let cpu = node.cpu.clone();
+            let (first, bits) = cpu.with_feature(Feature::FaultTol, |c| {
+                let (_, tag, header, words) = node.recv_ctl_now();
+                debug_assert_eq!(tag, Tags::XFER_NACK);
+                c.reg(Fine::RegOp, recovery::RETRANSMIT_SETUP_REG);
+                (header & OFFSET_MASK, words)
+            });
+            for rel in 0..128u32 {
+                if bits[rel as usize / 32] >> (rel % 32) & 1 == 0 {
+                    continue;
+                }
+                let k = u64::from(first) + u64::from(rel);
+                if k >= self.packets {
+                    break;
+                }
+                self.retransmit_queue.push_back(k);
+            }
+            progress = true;
+        }
+        if progress {
+            self.drain_waited = 0;
+        }
+        if self.next_packet == self.packets
+            && self.rx.packets_received == self.rx.packets_expected
+            && self.retransmit_queue.is_empty()
+            && !self.nack_pending
+        {
+            // Free the segment — identical to the plain protocol.
+            let node = m.node_mut(dst);
+            node.cpu.clone().with_feature(Feature::InOrder, |cpu| {
+                cpu.reg(Fine::RegOp, xfer_order::DST_FINAL);
+            });
+            node.cpu.mem_store(xfer_recv::EXIT_STATE_MEM);
+            node.cpu.clone().with_feature(Feature::BufferMgmt, |cpu| {
+                cpu.reg(Fine::RegOp, segment::DISASSOCIATE_REG);
+                cpu.mem_store(segment::DISASSOCIATE_MEM);
+            });
+            m.sessions.remove(&(dst, src));
+            self.phase = ReliablePhase::SendAck;
+            self.ack_waited = 0;
+            return Ok(Stepped::Progress);
+        }
+        Ok(if progress { Stepped::Progress } else { Stepped::Idle })
+    }
+
+    fn step_send_ack(&mut self, m: &mut Machine) -> Result<Stepped, ProtocolError> {
+        if self.ack_waited > m.config().max_wait_cycles {
+            return Err(ProtocolError::timeout(
+                "control-packet injection",
+                self.ack_waited,
+            ));
+        }
+        if self.stalled {
+            return Ok(Stepped::Idle);
+        }
+        let seg = self.segment.expect("segment allocated").0;
+        let epoch = self.epoch;
+        let src = self.src;
+        let node = m.node_mut(self.dst);
+        if node.send_ctl_as(Feature::FaultTol, src, Tags::XFER_ACK, epoch, [seg, 0, 0, 0]) {
+            self.phase = ReliablePhase::AwaitAck;
+            self.ack_waited = 0;
+            Ok(Stepped::Progress)
+        } else {
+            self.stalled = true;
+            Ok(Stepped::Idle)
+        }
+    }
+
+    fn step_await_ack(&mut self, m: &mut Machine) -> Result<Stepped, ProtocolError> {
+        let (src, dst) = (self.src, self.dst);
+        let seg = self.segment.expect("segment allocated").0;
+        let epoch = self.epoch;
+        // Window expiry: the acknowledgement is overdue — probe.
+        if self.ack_waited > self.policy.backoff(self.ack_attempt) {
+            self.ack_attempt += 1;
+            if self.ack_attempt >= self.policy.max_attempts {
+                return Err(ProtocolError::Timeout {
+                    waiting_for: "xfer acknowledgement",
+                    cycles: self.policy.backoff(self.ack_attempt - 1),
+                    node: Some(src),
+                    attempts: self.ack_attempt,
+                });
+            }
+            self.ack_probes += 1;
+            self.probe_pending = true;
+            self.ack_waited = 0;
+        }
+        let mut progress = false;
+        if self.probe_pending && !self.stalled {
+            let node = m.node_mut(src);
+            if node.send_ctl_as(Feature::FaultTol, dst, Tags::XFER_PROBE, epoch, [seg, 0, 0, 0]) {
+                self.probe_pending = false;
+                progress = true;
+            } else {
+                self.stalled = true;
+            }
+        }
+        // The destination answers a probe with a re-acknowledgement.
+        if peek_is(m, dst, src, Tags::XFER_PROBE) {
+            let node = m.node_mut(dst);
+            let cpu = node.cpu.clone();
+            cpu.with_feature(Feature::FaultTol, |_| {
+                let (_, tag, _, _) = node.recv_ctl_now();
+                debug_assert_eq!(tag, Tags::XFER_PROBE);
+            });
+            self.reack_pending = true;
+            progress = true;
+        }
+        if self.reack_pending && !self.stalled {
+            let node = m.node_mut(dst);
+            if node.send_ctl_as(Feature::FaultTol, src, Tags::XFER_ACK, epoch, [seg, 0, 0, 0]) {
+                self.reack_pending = false;
+                progress = true;
+            } else {
+                self.stalled = true;
+            }
+        }
+        // Stray late data at the destination (retransmitted duplicates
+        // still in flight) is discarded as recovery work.
+        if m.rx_peek_at(dst).is_some_and(|meta| {
+            meta.src == src && (meta.tag == Tags::XFER_DATA || meta.tag == Tags::XFER_REQ)
+        }) {
+            m.discard_stray(dst);
+            progress = true;
+        }
+        // A duplicated reply of this same epoch arriving after the
+        // transfer completed (handshake retransmission crossing the
+        // data phase) would otherwise sit at the head of the source's
+        // queue and block the final acknowledgement.
+        if peek_is(m, src, dst, Tags::XFER_REPLY) {
+            m.discard_stray(src);
+            progress = true;
+        }
+        if peek_is(m, src, dst, Tags::XFER_ACK) {
+            let node = m.node_mut(src);
+            let cpu = node.cpu.clone();
+            cpu.with_feature(Feature::FaultTol, |_| {
+                let (_, tag, header, words) = node.recv_ctl_now();
+                debug_assert_eq!(tag, Tags::XFER_ACK);
+                debug_assert_eq!(header, epoch);
+                debug_assert_eq!(words[0], seg);
+            });
+            return Ok(Stepped::Done(OpOutcome::Reliable(ReliableOutcome {
+                xfer: XferOutcome {
+                    dst_buffer: self.rx.buffer,
+                    packets: self.packets,
+                    segment_id: seg,
+                    send_retries: self.send_retries,
+                },
+                handshake_retries: self.hs_attempt,
+                data_retransmits: self.data_retransmits,
+                nack_rounds: self.nack_rounds,
+                ack_probes: self.ack_probes,
+            })));
+        }
+        // A stale NACK arriving after the data phase completed.
+        if peek_is(m, src, dst, Tags::XFER_NACK) {
+            m.discard_stray(src);
+            progress = true;
+        }
+        Ok(if progress { Stepped::Progress } else { Stepped::Idle })
+    }
+}
+
+impl OpMachine for ReliableOp {
+    fn endpoints(&self) -> (NodeId, NodeId) {
+        (self.src, self.dst)
+    }
+
+    fn conflict_key(&self) -> Option<(KeyClass, NodeId, NodeId)> {
+        Some((KeyClass::Xfer, self.src, self.dst))
+    }
+
+    fn claims(&self, node: NodeId, meta: &RxMeta) -> bool {
+        claims_transfer(node, meta, self.src, self.dst)
+    }
+
+    /// A parked transfer shields nothing: its next execution opens a
+    /// fresh epoch, so the receiver's stale-epoch session is exactly
+    /// what the sweep should reclaim.
+    fn gc_exempt(&self, parked: bool) -> Option<GcExempt> {
+        (!parked).then_some(GcExempt::Session(self.dst, self.src))
+    }
+
+    /// A re-execution restarts from scratch (`start` opens a fresh
+    /// session epoch).
+    fn reset(&mut self) {
+        let data = std::mem::take(&mut self.data);
+        *self = ReliableOp::new(self.src, self.dst, data, self.n, self.policy.clone());
+    }
+
+    fn start(&mut self, m: &mut Machine) {
+        self.src_buf = m.write_buffer(self.src, &self.data);
+        // Epoch allocation is host-side session bookkeeping (the epoch
+        // rides in header fields the wire format already carries), so a
+        // clean run stays instruction-identical to the plain protocol.
+        self.epoch = m.next_session_epoch(self.src, self.dst);
+        self.nonce = (self.epoch & 0xfff) << OFFSET_BITS;
+        self.peer_restarts = (m.restarts_of(self.src), m.restarts_of(self.dst));
+    }
+
+    fn tick_n(&mut self, k: u64) {
+        self.stalled = false;
+        match self.phase {
+            ReliablePhase::Handshake => self.hs_waited += k,
+            ReliablePhase::Transfer => self.drain_waited += k,
+            ReliablePhase::SendAck | ReliablePhase::AwaitAck => self.ack_waited += k,
+        }
+    }
+
+    /// Per-phase quiet windows. Only the phase's own waited counter
+    /// advances on a tick, so the next timer-driven action (handshake
+    /// resend, receiver NACK round, ack resend/probe) is a closed form
+    /// over that counter. A source mid-burst or a receiver mid-drain is
+    /// packet-driven: it acts on arrivals (endpoint wakes) or because
+    /// an injection stall cleared, never from a timer alone — `MAX`
+    /// with the no-progress watchdog as the backstop.
+    fn wake_in(&self, max_wait: u64) -> u64 {
+        if self.stalled {
+            return 1;
+        }
+        match self.phase {
+            ReliablePhase::Handshake => {
+                if self.req_sent {
+                    win(self.policy.backoff(self.hs_attempt), self.hs_waited)
+                } else {
+                    1
+                }
+            }
+            ReliablePhase::Transfer => {
+                if self.rx.packets_received < self.rx.packets_expected
+                    && self.next_packet == self.packets
+                {
+                    // Receiver drain window: a quiet stretch triggers
+                    // the next NACK round.
+                    win(self.policy.backoff(self.drain_attempt), self.drain_waited)
+                } else {
+                    u64::MAX
+                }
+            }
+            ReliablePhase::SendAck => win(max_wait, self.ack_waited),
+            ReliablePhase::AwaitAck => win(self.policy.backoff(self.ack_attempt), self.ack_waited),
+        }
+    }
+
+    fn step(&mut self, m: &mut Machine) -> Result<Stepped, ProtocolError> {
+        check_restart(m, self.src, self.dst, self.peer_restarts)?;
+        if self.sweep_stale(m) {
+            return Ok(Stepped::Progress);
+        }
+        match self.phase {
+            ReliablePhase::Handshake => self.step_handshake(m),
+            ReliablePhase::Transfer => self.step_transfer(m),
+            ReliablePhase::SendAck => self.step_send_ack(m),
+            ReliablePhase::AwaitAck => self.step_await_ack(m),
+        }
+    }
+}
+
+fn first_missing(seen: &[bool]) -> Option<u64> {
+    seen.iter().position(|&s| !s).map(|i| i as u64)
+}
+
+/// The NACK's missing-set bitmap: bit `rel` is set when packet
+/// `first + rel` has not arrived, for the 128 packets from `first`.
+fn missing_bitmap(seen: &[bool], first: u64) -> [u32; 4] {
+    let mut bits = [0u32; 4];
+    for (rel, &got) in seen.iter().skip(first as usize).take(128).enumerate() {
+        if !got {
+            bits[rel / 32] |= 1 << (rel % 32);
+        }
+    }
+    bits
 }
 
 #[cfg(test)]
@@ -383,6 +1067,24 @@ mod tests {
             return;
         }
         panic!("no seed exercised a data retransmission");
+    }
+
+    #[test]
+    fn nack_bitmap_names_exactly_the_128_packets_from_first() {
+        // 40 packets arrived, then 260 gaps with three arrivals among
+        // them: far more missing than one NACK can name.
+        let mut seen = vec![false; 300];
+        seen[..40].fill(true);
+        for k in [41, 100, 167] {
+            seen[k] = true;
+        }
+        let first = first_missing(&seen).unwrap();
+        assert_eq!(first, 40);
+        let bits = missing_bitmap(&seen, first);
+        for rel in 0..128 {
+            let named = bits[rel / 32] >> (rel % 32) & 1 == 1;
+            assert_eq!(named, !seen[40 + rel], "packet {}", 40 + rel);
+        }
     }
 
     #[test]

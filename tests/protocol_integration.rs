@@ -2,7 +2,7 @@
 //! substrate, with multiple nodes, concurrent channels, and data
 //! integrity verified end to end.
 
-use timego_am::{CmamConfig, Machine, PollOutcome, StreamConfig, Tags};
+use timego_am::{CmamConfig, Machine, PollOutcome, ProtocolError, StreamConfig, Tags};
 use timego_netsim::NodeId;
 use timego_ni::share;
 use timego_workloads::{patterns::Pattern, payloads, scenarios};
@@ -212,4 +212,36 @@ fn stream_window_limits_inflight_buffers() {
     let out = m.stream_send(id, &data).expect("completes with a tiny window");
     assert_eq!(m.stream_received(id), data.as_slice());
     assert_eq!(out.packets, 50);
+}
+
+#[test]
+fn entry_points_outside_the_engine_reject_bad_endpoints_instead_of_panicking() {
+    // `xfer_batch`, `hl_xfer` and `hl_stream_send` drive both endpoints
+    // themselves; they share the engine's endpoint check, so the error
+    // names the offending field.
+    let mut m = Machine::new(share(scenarios::cr(4, 2)), 4, CmamConfig::default());
+    let data = payloads::mixed(16, 5);
+    let cases = [
+        (node(1), node(1), "src and dst are both"),
+        (node(4), node(1), "src n4 is out of range"),
+        (node(1), node(9), "dst n9 is out of range"),
+    ];
+    for (src, dst, needle) in cases {
+        let errors = [
+            m.xfer_batch(src, dst, &[&data]).unwrap_err(),
+            m.hl_xfer(src, dst, &data).unwrap_err(),
+            m.hl_stream_send(src, dst, &data).unwrap_err(),
+        ];
+        for err in errors {
+            match err {
+                ProtocolError::BadTransfer(what) => {
+                    assert!(what.contains(needle), "{what:?} should name {needle:?}")
+                }
+                other => panic!("{src}->{dst}: expected BadTransfer, got {other:?}"),
+            }
+        }
+    }
+    // Nothing was injected or billed by the rejected calls.
+    assert_eq!(m.network().borrow().in_flight(), 0);
+    assert!((0..4).all(|i| m.cpu(node(i)).snapshot().total() == 0));
 }

@@ -26,8 +26,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use timego_am::{
-    CmamConfig, Engine, EngineEvent, Machine, Op, OpOutcome, ProtocolError, RecoveryPolicy,
-    RetryPolicy, StreamConfig, Tags,
+    CmamConfig, Engine, EngineEvent, Machine, Op, OpId, OpOutcome, ProtocolError, RecoveryPolicy,
+    RetryPolicy, SchedMode, StreamConfig, Tags, TracedEvent,
 };
 use timego_cost::Feature;
 use timego_netsim::{
@@ -374,6 +374,227 @@ fn collectives_survive_node_crash_restart() {
         recovered += re;
     }
     assert!(recovered > 0, "the crash window must force at least one edge re-execution");
+}
+
+// ---------------------------------------------------------------------
+// Re-execution from the retained state machine.
+// ---------------------------------------------------------------------
+
+const MODES: [SchedMode; 2] = [SchedMode::EventDriven, SchedMode::ReferenceRoundRobin];
+
+/// A recovery policy that parks for exactly `wait` cycles before every
+/// re-execution, so crash windows can be placed against resume cycles.
+fn fixed_backoff(wait: u64) -> RecoveryPolicy {
+    let backoff =
+        RetryPolicy { base_wait: wait, max_wait: wait, jitter: 0, ..RetryPolicy::default() };
+    RecoveryPolicy { max_executions: 4, backoff }
+}
+
+/// Two crash windows on `node`, placed against `fixed_backoff(1000)`:
+/// the first (from `first_start`) fells the first execution when it
+/// closes at cycle 3000, so the second execution starts at 4000; the
+/// second (from `second_start`) fells that one at 6000, and the third
+/// execution, at 7000, runs clean.
+fn two_crashes(node: NodeId, first_start: u64, second_start: u64) -> FaultConfig {
+    FaultConfig {
+        crashes: vec![
+            CrashWindow { node, start: first_start, end: 3000 },
+            CrashWindow { node, start: second_start, end: 6000 },
+        ],
+        ..FaultConfig::default()
+    }
+}
+
+fn executions(trace: &[TracedEvent], id: OpId) -> Vec<u64> {
+    trace.iter().filter(|e| e.event == EngineEvent::Started(id)).map(|e| e.at).collect()
+}
+
+/// Run the op `prepare` describes under `fault` in both scheduler
+/// modes. Every run must take exactly two re-executions — three
+/// `Started` events at cycles 0, 4000 and 7000 under one `OpId` — and
+/// converge to an outcome `check` accepts; the two modes must agree on
+/// the whole trace, stamps included.
+fn twice_felled<T>(
+    fault: &FaultConfig,
+    prepare: impl Fn(&mut Machine) -> (Op, T),
+    check: impl Fn(&Machine, T, OpOutcome),
+) {
+    let mut traces = Vec::new();
+    for mode in MODES {
+        let mut m = machine("switched", fault, 1);
+        let (op, ctx) = prepare(&mut m);
+        let mut eng = Engine::with_mode(mode);
+        let id = eng.submit(&mut m, op.recovering(&fixed_backoff(1000))).unwrap();
+        eng.run(&mut m);
+        assert_eq!(eng.recovery_executions(id), 2, "{mode:?}: each crash window fells one run");
+        assert_eq!(executions(eng.trace(), id), [0, 4000, 7000], "{mode:?}");
+        let out = eng
+            .take_outcome(id)
+            .unwrap()
+            .unwrap_or_else(|e| panic!("{mode:?}: the third execution must converge: {e}"));
+        check(&m, ctx, out);
+        traces.push(eng.trace().to_vec());
+    }
+    assert_eq!(traces[0], traces[1], "re-execution is scheduler-independent");
+}
+
+/// A reliable transfer felled twice restarts from scratch both times:
+/// each execution opens a fresh epoch over the same retained payload,
+/// and the third delivers it word-exact, leaving no session behind.
+#[test]
+fn reliable_transfer_survives_two_re_executions() {
+    let data = payloads::mixed(1024, 31);
+    twice_felled(
+        &two_crashes(n(9), 50, 4040),
+        |_| (Op::xfer_reliable(n(2), n(9), &data, &RetryPolicy::default()), ()),
+        |m, (), out| {
+            let OpOutcome::Reliable(out) = out else { panic!("reliable outcome, got {out:?}") };
+            assert_eq!(m.read_buffer(n(9), out.xfer.dst_buffer, data.len()), data);
+            assert_eq!(m.open_sessions(), 0, "no half-filled segment survives");
+        },
+    );
+}
+
+/// A stream send felled twice resumes twice from the *same* base: the
+/// first failure teaches the machine its sequence range, the second
+/// re-execution reuses it, and each run skips what the receiver already
+/// holds — the delivered stream is the data, once. (A base re-learned
+/// from the stream's advanced `next_seq` would leave a gap the receiver
+/// can never close.)
+#[test]
+fn stream_send_survives_two_re_executions_on_one_resume_base() {
+    let data = payloads::mixed(1024, 32);
+    twice_felled(
+        &two_crashes(n(9), 50, 4040),
+        |m| {
+            let id = m.open_stream(n(2), n(9), StreamConfig::default());
+            (Op::stream_send(id, &data), id)
+        },
+        |m, id, out| {
+            let OpOutcome::Stream(out) = out else { panic!("stream outcome, got {out:?}") };
+            assert_eq!(out.packets, 256);
+            assert_eq!(m.stream_received(id), &data[..], "exactly-once, word-exact");
+        },
+    );
+}
+
+/// An RPC whose *caller* crashes twice keeps one call id throughout:
+/// the callee served the first execution's request (the reply died with
+/// the caller), so the third execution is answered from the reply cache
+/// and the handler runs exactly once.
+#[test]
+fn rpc_survives_two_re_executions_on_one_call_id() {
+    twice_felled(
+        &two_crashes(n(4), 5, 3500),
+        |m| {
+            let runs = Rc::new(RefCell::new(0u32));
+            let runs2 = Rc::clone(&runs);
+            m.register_rpc_handler(n(11), 40, move |_, msg| {
+                *runs2.borrow_mut() += 1;
+                [msg.words[0] * 3, 0, 0, 0]
+            });
+            (Op::rpc(n(4), n(11), 40, [14, 0, 0, 0], Some(&RetryPolicy::default())), runs)
+        },
+        |_, runs, out| {
+            assert_eq!(out, OpOutcome::Rpc([42, 0, 0, 0]));
+            assert_eq!(*runs.borrow(), 1, "the call id is reused, so the cache deduplicates");
+        },
+    );
+}
+
+/// A recovering am4 whose destination is down for its first two
+/// executions is delivered by the third, to its handler, exactly once.
+#[test]
+fn am4_survives_two_re_executions() {
+    twice_felled(
+        &two_crashes(n(9), 0, 3500),
+        |m| {
+            let seen = Rc::new(RefCell::new(Vec::new()));
+            let seen2 = Rc::clone(&seen);
+            m.register_handler(n(9), 50, move |_, msg| seen2.borrow_mut().push(msg.words));
+            (Op::am4(n(2), n(9), 50, [7, 8, 9, 10]), seen)
+        },
+        |_, seen, out| {
+            assert_eq!(out, OpOutcome::Am4([0; 4]), "the handler owns the words");
+            assert_eq!(*seen.borrow(), [[7, 8, 9, 10]], "exactly-once delivery");
+        },
+    );
+}
+
+/// A deadline that fires while the op is parked consumes recovery
+/// budget and re-parks it — with no running machine to learn from. The
+/// parked stream machine still carries the base its one execution
+/// learned, so the resumed send is exact.
+#[test]
+fn deadline_while_parked_re_parks_and_still_resumes_exactly() {
+    let data = payloads::mixed(1024, 33);
+    let mut traces = Vec::new();
+    for mode in MODES {
+        let mut m = machine("switched", &crash(n(9), 50, 3000), 1);
+        let stream = m.open_stream(n(2), n(9), StreamConfig::default());
+        let mut eng = Engine::with_mode(mode);
+        // Felled at 3000 and parked until 5000; the deadline is due at
+        // 3500, mid-park, and re-parks the op until 7000.
+        let op = Op::stream_send(stream, &data).recovering(&fixed_backoff(2000)).deadline(3500);
+        let id = eng.submit(&mut m, op).unwrap();
+        eng.run(&mut m);
+        assert_eq!(eng.recovery_executions(id), 2, "{mode:?}: the crash, then the deadline");
+        assert_eq!(executions(eng.trace(), id), [0, 7000], "{mode:?}: one run per side of the park");
+        let parks = eng.trace().iter().filter(|e| e.event == EngineEvent::Recovering(id)).count();
+        assert_eq!(parks, 2, "{mode:?}");
+        assert!(matches!(eng.take_outcome(id), Some(Ok(OpOutcome::Stream(_)))), "{mode:?}");
+        assert_eq!(m.stream_received(stream), &data[..], "{mode:?}: exactly-once, word-exact");
+        traces.push(eng.trace().to_vec());
+    }
+    assert_eq!(traces[0], traces[1], "re-parking is scheduler-independent");
+}
+
+/// Cancelling a parked op settles it where it waits and frees the
+/// conflict key it was holding: the same-pair transfer queued behind it
+/// is admitted at once and completes.
+#[test]
+fn cancelling_a_parked_op_frees_its_conflict_key() {
+    let policy = RetryPolicy::default();
+    let data = payloads::mixed(256, 34);
+    // As in the quiesce test below: an outage keeps a bystander running
+    // so `pump` returns while the felled op sits parked.
+    let fault = FaultConfig {
+        crashes: vec![CrashWindow { node: n(9), start: 50, end: 600 }],
+        outages: vec![OutageWindow { node: n(14), start: 0, end: 50_000 }],
+        ..FaultConfig::default()
+    };
+    for mode in MODES {
+        let mut m = machine("switched", &fault, 3);
+        let mut eng = Engine::with_mode(mode);
+        let parked = eng
+            .submit(
+                &mut m,
+                Op::xfer_reliable(n(2), n(9), &data, &policy).recovering(&RecoveryPolicy::default()),
+            )
+            .unwrap();
+        let queued = eng.submit(&mut m, Op::xfer_reliable(n(2), n(9), &data, &policy)).unwrap();
+        let patient = RetryPolicy { max_attempts: 4, base_wait: 512, ..RetryPolicy::default() };
+        eng.submit(&mut m, Op::xfer_reliable(n(3), n(14), &data, &patient)).unwrap();
+        let mut guard = 0;
+        while eng.parked_count() == 0 {
+            eng.pump(&mut m);
+            guard += 1;
+            assert!(guard < 200_000, "{mode:?}: the crash must park the recovering op");
+        }
+        assert!(executions(eng.trace(), queued).is_empty(), "{mode:?}: the parked op holds the key");
+        assert!(eng.cancel(&m, parked));
+        assert_eq!(eng.parked_count(), 0);
+        eng.pump(&mut m);
+        assert_eq!(executions(eng.trace(), queued).len(), 1, "{mode:?}: the key is free");
+        eng.run(&mut m);
+        assert_eq!(eng.take_outcome(parked).unwrap(), Err(ProtocolError::Cancelled));
+        match eng.take_outcome(queued).unwrap() {
+            Ok(OpOutcome::Reliable(out)) => {
+                assert_eq!(m.read_buffer(n(9), out.xfer.dst_buffer, data.len()), data, "{mode:?}");
+            }
+            other => panic!("{mode:?}: the queued transfer must complete, got {other:?}"),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
