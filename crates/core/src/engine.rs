@@ -736,7 +736,7 @@ impl Op {
 
 /// The substrate clock, as raw network cycles (cost-free introspection).
 fn clock(m: &Machine) -> u64 {
-    m.network().borrow().now().cycles()
+    m.now()
 }
 
 /// The protocol engine: a scheduler interleaving NI polls, timer
@@ -1840,7 +1840,9 @@ impl Engine {
     fn collect_garbage(&mut self, m: &mut Machine) {
         // Fast path: nothing is past its TTL, so the sweep would
         // reclaim (and bill) nothing. The check is conservative —
-        // ignoring live-set exemptions — so a `false` is always exact.
+        // ignoring live-set exemptions — so a `false` is always exact,
+        // and O(1): the machine compares the clock with the earliest
+        // cycle anything could expire and walks its tables only then.
         if !m.gc_has_expired() {
             return;
         }

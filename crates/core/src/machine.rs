@@ -68,7 +68,9 @@ pub struct CmamConfig {
     /// operation — are reclaimed by the engine's epoch-TTL sweep
     /// (billed to `Feature::FaultTol` at the receiver). The default
     /// equals `max_wait_cycles`, comfortably past every protocol's own
-    /// retry envelope, so nothing live is ever collected.
+    /// retry envelope, so nothing live is ever collected. Must be ≥ 1:
+    /// at zero every cached reply is expired at the next pump and a
+    /// retransmitted request would re-run its handler.
     pub gc_ttl_cycles: u64,
 }
 
@@ -203,11 +205,11 @@ pub(crate) struct SessionEntry {
 /// so the epoch-TTL sweep can age it out once no live caller can still
 /// retransmit the request.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ReplyEntry {
+struct ReplyEntry {
     /// The reply words the handler produced.
-    pub(crate) words: [u32; 4],
+    words: [u32; 4],
     /// Substrate clock when the reply was cached.
-    pub(crate) cached_at: u64,
+    cached_at: u64,
 }
 
 /// The simulated machine: `n` nodes over one shared network substrate.
@@ -248,8 +250,9 @@ pub struct Machine {
     /// the callee so a retransmitted request is answered from cache
     /// instead of re-running the handler (exactly-once execution under
     /// retry). Keyed by callee so a crash-restart can erase exactly the
-    /// restarted node's cache.
-    pub(crate) rpc_replies: HashMap<(NodeId, NodeId, u32), ReplyEntry>,
+    /// restarted node's cache. Private so that [`Machine::cache_reply`]
+    /// is the only insert (see `gc_not_before`).
+    rpc_replies: HashMap<(NodeId, NodeId, u32), ReplyEntry>,
     /// Monotonic per-ordered-pair session epoch counters for reliable
     /// transfers. Epochs survive restarts (model them as
     /// incarnation-qualified counters) so a post-restart session can
@@ -257,8 +260,20 @@ pub struct Machine {
     session_epochs: HashMap<(NodeId, NodeId), u32>,
     /// Open reliable-transfer sessions at each receiver, keyed by
     /// (receiver, sender). Erased wholesale for a node when it
-    /// crash-restarts.
-    pub(crate) sessions: HashMap<(NodeId, NodeId), SessionEntry>,
+    /// crash-restarts. Private so that [`Machine::open_session`] is the
+    /// only insert (see `gc_not_before`).
+    sessions: HashMap<(NodeId, NodeId), SessionEntry>,
+    /// No session or cached reply can be TTL-expired before this
+    /// substrate cycle: a lower bound on `oldest stamp + gc_ttl_cycles`
+    /// over both tables (`u64::MAX` while nothing has been inserted
+    /// since they were last seen empty). The two insert helpers stamp
+    /// with the substrate clock, which never runs backwards, so an
+    /// insert can only arm an unarmed bound; a removal leaves it
+    /// conservatively early. [`Machine::gc_has_expired`] is one
+    /// comparison until the clock gets here.
+    gc_not_before: u64,
+    /// Full-table walks [`Machine::gc_has_expired`] has made.
+    gc_scans: u64,
     /// Per-node restart counts already absorbed by
     /// [`Machine::observe_restarts`] (indexed by node).
     restart_seen: Vec<u32>,
@@ -274,7 +289,8 @@ impl Machine {
     /// # Panics
     ///
     /// Panics if `nodes` is zero or exceeds the substrate's node count,
-    /// or if `cfg.packet_words` is zero or odd.
+    /// if `cfg.packet_words` is zero or odd, or if `cfg.gc_ttl_cycles`
+    /// is zero.
     pub fn new(net: SharedNetwork, nodes: usize, cfg: CmamConfig) -> Self {
         assert!(nodes > 0, "need at least one node");
         assert!(
@@ -286,6 +302,7 @@ impl Machine {
             cfg.packet_words >= 2 && cfg.packet_words.is_multiple_of(2),
             "packet_words must be even and at least 2"
         );
+        assert!(cfg.gc_ttl_cycles >= 1, "gc_ttl_cycles must be at least 1");
         let mut node_vec = Vec::with_capacity(nodes);
         for i in 0..nodes {
             let cpu = CostHandle::new();
@@ -306,6 +323,8 @@ impl Machine {
             rpc_replies: HashMap::new(),
             session_epochs: HashMap::new(),
             sessions: HashMap::new(),
+            gc_not_before: u64::MAX,
+            gc_scans: 0,
             restart_seen: vec![0; nodes],
             restart_hint_seen: 0,
         }
@@ -478,6 +497,58 @@ impl Machine {
         n.ni.drop_latched();
     }
 
+    /// The substrate clock, as raw network cycles (cost-free
+    /// introspection).
+    pub(crate) fn now(&self) -> u64 {
+        self.net.borrow().now().cycles()
+    }
+
+    /// Arm the expiry bound for an entry stamped `now`. Every armed
+    /// bound is some stamp ≤ `now` plus the TTL, so the `min` acts only
+    /// on an unarmed one.
+    fn gc_note_insert(&mut self, now: u64) {
+        self.gc_not_before = self.gc_not_before.min(now.saturating_add(self.cfg.gc_ttl_cycles));
+    }
+
+    /// The open session `sender → receiver`, if any.
+    pub(crate) fn session(&self, receiver: NodeId, sender: NodeId) -> Option<&SessionEntry> {
+        self.sessions.get(&(receiver, sender))
+    }
+
+    /// Record a freshly opened session at `receiver`, stamped with the
+    /// substrate clock (host-side bookkeeping, no simulated
+    /// instructions).
+    pub(crate) fn open_session(
+        &mut self,
+        receiver: NodeId,
+        sender: NodeId,
+        epoch: u32,
+        (seg, buffer): (u32, Addr),
+    ) {
+        let opened_at = self.now();
+        self.gc_note_insert(opened_at);
+        self.sessions.insert((receiver, sender), SessionEntry { epoch, seg, buffer, opened_at });
+    }
+
+    /// Forget the session `sender → receiver` (transfer complete, or
+    /// replaced by a later epoch).
+    pub(crate) fn close_session(&mut self, receiver: NodeId, sender: NodeId) {
+        self.sessions.remove(&(receiver, sender));
+    }
+
+    /// The reply `callee` cached for `caller`'s call `id`, if any.
+    pub(crate) fn cached_reply(&self, callee: NodeId, caller: NodeId, id: u32) -> Option<[u32; 4]> {
+        self.rpc_replies.get(&(callee, caller, id)).map(|r| r.words)
+    }
+
+    /// Remember a handler's reply for duplicate suppression, stamped
+    /// with the substrate clock (harness state, cost-free).
+    pub(crate) fn cache_reply(&mut self, callee: NodeId, caller: NodeId, id: u32, words: [u32; 4]) {
+        let cached_at = self.now();
+        self.gc_note_insert(cached_at);
+        self.rpc_replies.insert((callee, caller, id), ReplyEntry { words, cached_at });
+    }
+
     /// Epoch-TTL garbage sweep over the receiver-side protocol tables:
     /// reclaim reliable-transfer sessions and cached RPC replies whose
     /// age (against [`CmamConfig::gc_ttl_cycles`]) says no live peer can
@@ -504,14 +575,49 @@ impl Machine {
     /// is guaranteed to reclaim (and bill) nothing, so the engine can
     /// skip building the live sets entirely. Conservative in the safe
     /// direction: a live-exempt expired entry still returns `true`.
-    pub(crate) fn gc_has_expired(&self) -> bool {
+    ///
+    /// One comparison while the clock is short of `gc_not_before`.
+    /// Once it gets there the tables are walked, and either the oldest
+    /// entry really has expired (`true`; the bound stays behind the
+    /// clock, so while an expired entry is live-exempt every pump walks
+    /// and sweeps) or the bound was conservative and re-arms from the
+    /// oldest survivor.
+    pub(crate) fn gc_has_expired(&mut self) -> bool {
         if self.sessions.is_empty() && self.rpc_replies.is_empty() {
             return false;
         }
-        let now = self.net.borrow().now().cycles();
+        let now = self.now();
         let ttl = self.cfg.gc_ttl_cycles;
-        self.sessions.values().any(|s| now.saturating_sub(s.opened_at) >= ttl)
-            || self.rpc_replies.values().any(|r| now.saturating_sub(r.cached_at) >= ttl)
+        if now < self.gc_not_before {
+            // Debug builds check the bound against the full scan on
+            // every quantum.
+            debug_assert!(
+                self.gc_oldest_stamp().is_none_or(|s| now.saturating_sub(s) < ttl),
+                "an entry expired before gc_not_before = {}",
+                self.gc_not_before
+            );
+            return false;
+        }
+        self.gc_scans += 1;
+        let oldest = self.gc_oldest_stamp().expect("a table is non-empty");
+        self.gc_not_before = oldest.saturating_add(ttl);
+        now.saturating_sub(oldest) >= ttl
+    }
+
+    /// The oldest stamp in either table — the full walk.
+    fn gc_oldest_stamp(&self) -> Option<u64> {
+        let sessions = self.sessions.values().map(|s| s.opened_at);
+        sessions.chain(self.rpc_replies.values().map(|r| r.cached_at)).min()
+    }
+
+    /// How many times the per-pump garbage pre-check has had to walk
+    /// the session table and reply cache: once per expiry (or per pump
+    /// while an expired entry is live-exempt), never on a run shorter
+    /// than [`CmamConfig::gc_ttl_cycles`]. A deterministic stand-in for
+    /// the sweep's wall-time cost; part of no outcome signature.
+    #[must_use]
+    pub fn gc_scans(&self) -> u64 {
+        self.gc_scans
     }
 
     /// Force-run the garbage sweep with a zero TTL and no live-set
@@ -529,37 +635,43 @@ impl Machine {
         live_sessions: &HashSet<(NodeId, NodeId)>,
         live_replies: &HashSet<(NodeId, NodeId, u32)>,
     ) -> (usize, usize) {
-        let now = self.net.borrow().now().cycles();
-        let dead_sessions: Vec<(NodeId, NodeId)> = self
-            .sessions
-            .iter()
-            .filter(|(k, s)| {
-                !live_sessions.contains(*k) && now.saturating_sub(s.opened_at) >= ttl
-            })
-            .map(|(&k, _)| k)
-            .collect();
-        for k in &dead_sessions {
-            self.sessions.remove(k);
-            self.cpu(k.0).with_feature(Feature::FaultTol, |c| {
+        let now = self.now();
+        // The same walk that picks the dead finds the oldest survivor,
+        // which re-arms the expiry bound.
+        let mut oldest = u64::MAX;
+        let mut dead_sessions = Vec::new();
+        self.sessions.retain(|k, s| {
+            let dead = !live_sessions.contains(k) && now.saturating_sub(s.opened_at) >= ttl;
+            if dead {
+                dead_sessions.push(k.0);
+            } else {
+                oldest = oldest.min(s.opened_at);
+            }
+            !dead
+        });
+        for &receiver in &dead_sessions {
+            self.cpu(receiver).with_feature(Feature::FaultTol, |c| {
                 c.reg(Fine::RegOp, recovery::SESSION_GC_REG);
                 c.mem_store(recovery::SESSION_GC_MEM);
             });
         }
-        let dead_replies: Vec<(NodeId, NodeId, u32)> = self
-            .rpc_replies
-            .iter()
-            .filter(|(k, r)| {
-                !live_replies.contains(*k) && now.saturating_sub(r.cached_at) >= ttl
-            })
-            .map(|(&k, _)| k)
-            .collect();
-        for k in &dead_replies {
-            self.rpc_replies.remove(k);
-            self.cpu(k.0).with_feature(Feature::FaultTol, |c| {
+        let mut dead_replies = Vec::new();
+        self.rpc_replies.retain(|k, r| {
+            let dead = !live_replies.contains(k) && now.saturating_sub(r.cached_at) >= ttl;
+            if dead {
+                dead_replies.push(k.0);
+            } else {
+                oldest = oldest.min(r.cached_at);
+            }
+            !dead
+        });
+        for &callee in &dead_replies {
+            self.cpu(callee).with_feature(Feature::FaultTol, |c| {
                 c.reg(Fine::RegOp, recovery::REPLY_GC_REG);
                 c.mem_store(recovery::REPLY_GC_MEM);
             });
         }
+        self.gc_not_before = oldest.saturating_add(self.cfg.gc_ttl_cycles);
         (dead_sessions.len(), dead_replies.len())
     }
 
@@ -744,7 +856,10 @@ impl std::fmt::Debug for Machine {
 mod tests {
     use super::*;
     use timego_cost::{Class, Endpoint, Feature};
-    use timego_netsim::{DeliveryScript, ScriptedNetwork};
+    use timego_netsim::{
+        CrashWindow, DeliveryScript, FaultConfig, Mesh2D, ScriptedNetwork, SwitchedConfig,
+        SwitchedNetwork,
+    };
     use timego_ni::share;
 
     fn scripted_machine(nodes: usize, script: DeliveryScript) -> Machine {
@@ -840,6 +955,127 @@ mod tests {
     fn registering_reserved_tag_panics() {
         let mut m = scripted_machine(2, DeliveryScript::InOrder);
         m.register_handler(n(0), Tags::XFER_DATA, |_, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "gc_ttl_cycles must be at least 1")]
+    fn zero_gc_ttl_is_rejected() {
+        let cfg = CmamConfig { gc_ttl_cycles: 0, ..CmamConfig::default() };
+        let _ = Machine::new(share(ScriptedNetwork::new(2, DeliveryScript::InOrder)), 2, cfg);
+    }
+
+    // --- the TTL sweep's expiry bound ----------------------------------
+
+    const TTL: u64 = 100;
+
+    /// Four nodes, TTL 100, node 1 crash-restarting over cycles 10..20.
+    fn gc_machine() -> Machine {
+        let crashes = vec![CrashWindow { node: n(1), start: 10, end: 20 }];
+        let net = SwitchedNetwork::new(
+            Mesh2D::new(2, 2),
+            SwitchedConfig {
+                fault: FaultConfig { crashes, ..FaultConfig::default() },
+                ..SwitchedConfig::default()
+            },
+        );
+        Machine::new(share(net), 4, CmamConfig { gc_ttl_cycles: TTL, ..CmamConfig::default() })
+    }
+
+    /// The pre-check as it was before the bound: walk both tables.
+    fn walk_has_expired(m: &Machine) -> bool {
+        let now = m.now();
+        m.sessions.values().any(|s| now.saturating_sub(s.opened_at) >= TTL)
+            || m.rpc_replies.values().any(|r| now.saturating_sub(r.cached_at) >= TTL)
+    }
+
+    /// Advance cycle by cycle to `until`, holding `gc_has_expired` to
+    /// the walk's answer on every one, as a pump would ask it.
+    fn tick_to(m: &mut Machine, until: u64) {
+        loop {
+            let walk = walk_has_expired(m);
+            assert_eq!(m.gc_has_expired(), walk, "at cycle {}", m.now());
+            if m.now() >= until {
+                return;
+            }
+            m.advance(1);
+        }
+    }
+
+    #[test]
+    fn expiry_bound_walks_once_per_expiry_and_every_pump_while_exempt() {
+        let mut m = gc_machine();
+        m.cache_reply(n(2), n(0), 1, [7; 4]);
+        tick_to(&mut m, 40);
+        m.open_session(n(3), n(0), 1, (9, Addr(0)));
+        tick_to(&mut m, 99);
+        assert_eq!(m.gc_scans(), 0, "nothing can expire before cycle 100");
+        tick_to(&mut m, 100);
+        assert!(walk_has_expired(&m));
+        assert_eq!(m.gc_expired(&HashSet::new(), &HashSet::new()), (0, 1));
+        // The sweep re-armed the bound from the surviving session.
+        tick_to(&mut m, 139);
+        assert_eq!(m.gc_scans(), 1);
+        // Expired but live-exempt: every pump walks and sweeps, as the
+        // unbounded pre-check made it.
+        let live = HashSet::from([(n(3), n(0))]);
+        for _ in 0..3 {
+            m.advance(1);
+            assert!(m.gc_has_expired());
+            assert_eq!(m.gc_expired(&live, &HashSet::new()), (0, 0));
+        }
+        assert_eq!(m.gc_scans(), 4);
+        assert_eq!(m.gc_expired(&HashSet::new(), &HashSet::new()), (1, 0));
+        tick_to(&mut m, 400);
+        assert_eq!(m.gc_scans(), 4, "empty tables never walk");
+    }
+
+    #[test]
+    fn expiry_bound_survives_epoch_replace_and_close() {
+        let mut m = gc_machine();
+        m.open_session(n(3), n(0), 1, (9, Addr(0)));
+        tick_to(&mut m, 50);
+        // What `xfer_reliable` does on a later-epoch handshake.
+        m.close_session(n(3), n(0));
+        m.open_session(n(3), n(0), 2, (9, Addr(0)));
+        // The bound still says 100: one walk there finds nothing
+        // expired and re-arms from the replacement's stamp.
+        tick_to(&mut m, 149);
+        assert_eq!(m.gc_scans(), 1);
+        assert!(!walk_has_expired(&m));
+        tick_to(&mut m, 150);
+        assert!(walk_has_expired(&m));
+    }
+
+    #[test]
+    fn expiry_bound_survives_restart_amnesia() {
+        let mut m = gc_machine();
+        m.cache_reply(n(1), n(0), 1, [1; 4]);
+        m.open_session(n(1), n(2), 1, (9, Addr(0)));
+        tick_to(&mut m, 5);
+        m.cache_reply(n(2), n(0), 2, [2; 4]);
+        tick_to(&mut m, 30);
+        assert_eq!(m.observe_restarts(), vec![n(1)]);
+        assert_eq!((m.open_sessions(), m.reply_cache_len()), (0, 1));
+        tick_to(&mut m, 104);
+        assert!(!walk_has_expired(&m), "node 1's cycle-0 entries are gone");
+        tick_to(&mut m, 105);
+        assert!(walk_has_expired(&m));
+    }
+
+    #[test]
+    fn expiry_bound_rearms_when_emptied_tables_refill() {
+        let mut m = gc_machine();
+        m.cache_reply(n(2), n(0), 1, [1; 4]);
+        m.open_session(n(3), n(0), 1, (9, Addr(0)));
+        tick_to(&mut m, 10);
+        assert_eq!(m.gc_sweep(), (1, 1));
+        tick_to(&mut m, 20);
+        m.cache_reply(n(2), n(0), 2, [2; 4]);
+        tick_to(&mut m, 119);
+        assert_eq!(m.gc_scans(), 0);
+        assert!(!walk_has_expired(&m));
+        tick_to(&mut m, 120);
+        assert!(walk_has_expired(&m));
     }
 
     #[test]

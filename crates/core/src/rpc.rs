@@ -191,7 +191,7 @@ impl Machine {
         // charged on a hit — on the fault-free path the lookup folds
         // into the existing dispatch and the service costs exactly what
         // it did without retry support.
-        if let Some(cached) = self.rpc_replies.get(&(node, msg_src, header)).map(|r| r.words) {
+        if let Some(cached) = self.cached_reply(node, msg_src, header) {
             self.nodes[node.index()].rpc_handlers.insert(tag, h);
             let cpu = self.nodes[node.index()].cpu.clone();
             cpu.with_feature(Feature::FaultTol, |c| {
@@ -207,12 +207,9 @@ impl Machine {
         n.cpu.handler(2);
         let reply = h(&mut n.mem, msg);
         self.nodes[node.index()].rpc_handlers.insert(tag, h);
-        // Remember the reply for duplicate suppression (harness state,
-        // cost-free; the probe above is what a hit costs). The clock
-        // stamp is what the epoch-TTL sweep ages against.
-        let cached_at = self.net.borrow().now().cycles();
-        self.rpc_replies
-            .insert((node, msg_src, header), crate::machine::ReplyEntry { words: reply, cached_at });
+        // Remember the reply for duplicate suppression (the probe
+        // above is what a hit costs).
+        self.cache_reply(node, msg_src, header, reply);
         // Inject the reply (a Table 1 single-packet send, carrying
         // the correlation id in the header word).
         self.rpc_send(node, msg_src, Tags::RPC_REPLY, u64::from(header), reply)

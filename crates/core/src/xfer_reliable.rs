@@ -48,7 +48,7 @@ use timego_ni::Addr;
 use crate::costs::{recovery, segment, xfer_order, xfer_recv};
 use crate::engine::{Op, OpOutcome};
 use crate::error::ProtocolError;
-use crate::machine::{Machine, SessionEntry, Tags};
+use crate::machine::{Machine, Tags};
 use crate::op::{
     check_restart, peek_is, transfer_prologue, win, GcExempt, KeyClass, OpMachine, Stepped,
 };
@@ -402,7 +402,7 @@ impl ReliableOp {
         // epoch-keyed session table (fault tolerance). The table lookup
         // is what a crash-restart observably erases.
         if self.reply_pending.is_none() && peek_is(m, dst, src, Tags::XFER_REQ) {
-            let open = m.sessions.get(&(dst, src)).copied().filter(|s| s.epoch == self.epoch);
+            let open = m.session(dst, src).copied().filter(|s| s.epoch == self.epoch);
             if let Some(entry) = open {
                 debug_assert_eq!(Some((entry.seg, entry.buffer)), self.segment);
                 let node = m.node_mut(dst);
@@ -418,8 +418,8 @@ impl ReliableOp {
                 // re-executed by the recovery plane — is reclaimed
                 // before the fresh allocation. Recovery work, billed
                 // like the TTL sweep would bill it.
-                if m.sessions.get(&(dst, src)).is_some_and(|s| s.epoch != self.epoch) {
-                    m.sessions.remove(&(dst, src));
+                if m.session(dst, src).is_some_and(|s| s.epoch != self.epoch) {
+                    m.close_session(dst, src);
                     let cpu = m.cpu(dst);
                     cpu.with_feature(Feature::FaultTol, |c| {
                         c.reg(Fine::RegOp, recovery::SESSION_GC_REG);
@@ -443,13 +443,8 @@ impl ReliableOp {
                 // Record the open session so a crash-restart of the
                 // receiver observably erases it — and so the TTL sweep
                 // can reclaim it if the *sender* crashes and never
-                // finishes the transfer (host-side bookkeeping, no
-                // simulated instructions on the clean path).
-                let opened_at = m.network().borrow().now().cycles();
-                m.sessions.insert(
-                    (dst, src),
-                    SessionEntry { epoch: self.epoch, seg: seg.0, buffer: seg.1, opened_at },
-                );
+                // finishes the transfer.
+                m.open_session(dst, src, self.epoch, seg);
                 self.reply_pending = Some(Feature::BufferMgmt);
             }
             progress = true;
@@ -651,7 +646,7 @@ impl ReliableOp {
                 cpu.reg(Fine::RegOp, segment::DISASSOCIATE_REG);
                 cpu.mem_store(segment::DISASSOCIATE_MEM);
             });
-            m.sessions.remove(&(dst, src));
+            m.close_session(dst, src);
             self.phase = ReliablePhase::SendAck;
             self.ack_waited = 0;
             return Ok(Stepped::Progress);

@@ -805,6 +805,10 @@ impl Rt<'_> {
         }
         let mut verdicts: Vec<(NodeId, bool)> = Vec::new();
         for (id, ok, at) in done {
+            // `ok` is all the driver reads; collect the boxed outcome
+            // (leg, hedge loser or probe) so the ledger does not pin
+            // one per settled op for the whole run.
+            eng.take_outcome(id);
             let Some(leg) = self.legs.get(&id).copied() else {
                 if let Some(ds) = self.det.as_mut() {
                     if let Some(server) = ds.outstanding.remove(&id) {

@@ -671,6 +671,22 @@ fn sender_crash_cycles_leave_no_residual_receiver_state() {
         max_replies <= 3,
         "reply cache must stay bounded by the TTL sweep, saw {max_replies}"
     );
+    // The expiry bound changes when the tables are walked, never what a
+    // walk reclaims or bills: every cycle's cached reply but the last
+    // was reclaimed, and the `FaultTol` bills are the ones this run
+    // produced when the pre-check walked both tables on every pump.
+    let swept = CYCLES as usize - m.reply_cache_len();
+    assert_eq!(swept, 21, "the TTL sweep reclaims each cycle's reply during the next");
+    assert_eq!(fault_tol(&m, n(11)), 4 * swept as u64, "callee: 3 reg + 1 mem per reclaimed reply");
+    assert_eq!(fault_tol(&m, n(9)), 854, "receiver: duplicate handshakes and epoch replaces");
+    assert_eq!(fault_tol(&m, n(2)), 814, "sender: recovery re-executions");
+    // One walk per reclaim, plus slack for a conservative bound — not
+    // one per pump (this run pumps tens of thousands of times).
+    assert!(
+        m.gc_scans() <= swept as u64 + 2,
+        "{} table walks to reclaim {swept} entries",
+        m.gc_scans()
+    );
     // A forced sweep returns both tables to the empty baseline and
     // reports exactly what it reclaimed.
     let before = (m.open_sessions(), m.reply_cache_len());

@@ -21,6 +21,9 @@
 //! * **Overload knee** — past the admission knee, goodput holds within
 //!   5% of its peak while the shed fraction keeps rising: admission
 //!   control converts overload into shedding, not congestion collapse.
+//! * **Sweep scaling** — the TTL sweep's pre-check walks the reply
+//!   cache the same number of times at N and 4N requests (a count, not
+//!   a wall time, so the tripwire is deterministic).
 
 use timego_netsim::{CrashWindow, FaultConfig, NodeId};
 use timego_workloads::service::{
@@ -185,6 +188,41 @@ fn outcome_signature_is_identical_at_every_thread_count() {
         );
     }
     println!("thread invariance: signature {pinned:#018x} at t1/t2/t4");
+}
+
+#[test]
+fn gc_scans_stay_constant_as_requests_grow() {
+    // The scaling tripwire, as a count rather than a wall time: the
+    // reply cache grows by one entry per request and the TTL sweep's
+    // pre-check runs on every engine pump, so a pre-check that walks
+    // the cache makes a run cost requests^2. A clean run shorter than
+    // the TTL must walk it the same (small) number of times at N and
+    // at 4N requests.
+    let run = |requests: usize| {
+        let mut m = serving_machine(64, 2, 1, 42);
+        let spec = ServiceSpec {
+            gateways: vec![n(0), n(1)],
+            servers: nodes(8, 4),
+            policy: BalancerPolicy::RoundRobin,
+            window: AdmissionWindow::TierGlobal(64),
+            classes: vec![QosClass::batch(12, requests)],
+            seed: 42,
+            ..ServiceSpec::default()
+        };
+        let out = run_service(&mut m, &spec);
+        assert_conserved(&out);
+        let c = &out.classes[0];
+        assert_eq!((c.shed, c.failed), (0, 0), "the fixture must stay clean");
+        assert_eq!(c.admitted, requests);
+        let runs: u64 = out.handler_runs.values().sum();
+        assert_eq!(runs, requests as u64, "exactly-once: one handler run per admitted request");
+        assert_eq!(m.reply_cache_len(), requests, "every reply must still be cached");
+        m.gc_scans()
+    };
+    let (small, large) = (run(100), run(400));
+    assert_eq!(small, large, "table walks must not grow with the request count");
+    assert!(large <= 2, "a run shorter than the TTL has nothing to walk for, saw {large} walks");
+    println!("gc scans: {small} at 100 requests, {large} at 400");
 }
 
 #[test]
