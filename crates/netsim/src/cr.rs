@@ -20,11 +20,12 @@
 //! backoff when the destination buffer is full. Software on top of this
 //! substrate observes [`Guarantees::HIGH_LEVEL`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::id::{NodeId, PacketId};
 use crate::network::{Guarantees, InjectError, Network, RxMeta, WakeSet};
 use crate::packet::Packet;
+use crate::pair::{sorted_keys, PairMap};
 use crate::rng::SimRng;
 use crate::stats::NetStats;
 use crate::time::Time;
@@ -80,10 +81,10 @@ struct CrTransit {
 pub struct CrNetwork {
     cfg: CrConfig,
     now: Time,
-    pairs: HashMap<(NodeId, NodeId), VecDeque<CrTransit>>,
+    pairs: PairMap<VecDeque<CrTransit>>,
     rx: Vec<VecDeque<Packet>>,
     next_id: u64,
-    pair_seq: HashMap<(NodeId, NodeId), u64>,
+    pair_seq: PairMap<u64>,
     in_flight: usize,
     stats: NetStats,
     rng: SimRng,
@@ -106,10 +107,10 @@ impl CrNetwork {
         CrNetwork {
             cfg,
             now: Time::ZERO,
-            pairs: HashMap::new(),
+            pairs: PairMap::default(),
             rx,
             next_id: 0,
-            pair_seq: HashMap::new(),
+            pair_seq: PairMap::default(),
             in_flight: 0,
             stats: NetStats::new(),
             rng,
@@ -128,7 +129,10 @@ impl CrNetwork {
         let cap = self.cfg.rx_queue_capacity;
         let backoff = self.cfg.reject_backoff;
         let mut delivered: Vec<Packet> = Vec::new();
-        for queue in self.pairs.values_mut() {
+        // Pairs compete for the room left in a receive queue, so the
+        // walk order is the arbitration rule: ascending `(src, dst)`.
+        for key in sorted_keys(&self.pairs, |_, _, q| q.front().is_some_and(|h| h.deliver_at <= now)) {
+            let queue = self.pairs.get_mut(&key).expect("key just listed");
             // In-order: only the head of a pair channel may complete.
             while let Some(head) = queue.front() {
                 if head.deliver_at > now {
@@ -352,6 +356,30 @@ mod tests {
             net.advance(1);
         }
         assert_eq!(got, (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn fan_in_arbitration_is_ascending_pair_order_on_every_rerun() {
+        // 15 sources race for a one-packet receive queue. Which header
+        // is accepted each round used to follow the hash map's walk —
+        // a different order on every construction, same seed or not.
+        let run = || {
+            let mut net = CrNetwork::new(CrConfig { rx_queue_capacity: 1, ..CrConfig::new(16) });
+            for src in (1..16).rev() {
+                net.try_inject(pkt(src, 0, src as u32)).unwrap();
+            }
+            let mut got = Vec::new();
+            while net.in_flight() > 0 {
+                net.advance(1);
+                got.extend(net.try_receive(n(0)).map(|p| p.header()));
+            }
+            (got, net.stats().rejects)
+        };
+        let first = run();
+        assert_eq!(first.0, (1..16).collect::<Vec<_>>(), "lowest (src, dst) wins each round");
+        for _ in 0..10 {
+            assert_eq!(run(), first, "same seed, same run");
+        }
     }
 
     #[test]

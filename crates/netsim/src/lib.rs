@@ -59,6 +59,7 @@ mod fault;
 mod id;
 mod network;
 mod packet;
+mod pair;
 pub mod rng;
 mod scripted;
 pub mod sharded;

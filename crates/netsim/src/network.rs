@@ -119,6 +119,12 @@ impl WakeSet {
         }
     }
 
+    /// Whether no delivery has been recorded since the last
+    /// [`take`](WakeSet::take).
+    pub fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+
     /// Drain the recorded nodes, clearing the marks.
     pub fn take(&mut self) -> Vec<NodeId> {
         for n in &self.nodes {

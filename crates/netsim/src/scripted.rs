@@ -13,11 +13,12 @@
 //! an even packet count exactly half the packets are out of order —
 //! precisely the paper's assumption.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::id::{NodeId, PacketId};
 use crate::network::{Guarantees, InjectError, Network, RxMeta};
 use crate::packet::Packet;
+use crate::pair::{sorted_keys, PairMap};
 use crate::rng::SimRng;
 use crate::stats::NetStats;
 use crate::time::Time;
@@ -52,9 +53,9 @@ pub struct ScriptedNetwork {
     script: DeliveryScript,
     now: Time,
     rx: Vec<VecDeque<Packet>>,
-    buffers: HashMap<(NodeId, NodeId), PairBuffer>,
+    buffers: PairMap<PairBuffer>,
     next_id: u64,
-    pair_seq: HashMap<(NodeId, NodeId), u64>,
+    pair_seq: PairMap<u64>,
     held_count: usize,
     stats: NetStats,
     rng: SimRng,
@@ -87,9 +88,9 @@ impl ScriptedNetwork {
             script,
             now: Time::ZERO,
             rx: (0..nodes).map(|_| VecDeque::new()).collect(),
-            buffers: HashMap::new(),
+            buffers: PairMap::default(),
             next_id: 0,
-            pair_seq: HashMap::new(),
+            pair_seq: PairMap::default(),
             held_count: 0,
             stats: NetStats::new(),
             rng: SimRng::new(seed),
@@ -115,12 +116,12 @@ impl ScriptedNetwork {
     /// ends with a packet still buffered by the script). Passing `None`
     /// flushes every pair.
     fn flush_node(&mut self, node: Option<NodeId>) {
-        let keys: Vec<(NodeId, NodeId)> = self
-            .buffers
-            .iter()
-            .filter(|((_, dst), b)| node.is_none_or(|n| *dst == n) && !b.held.is_empty())
-            .map(|(k, _)| *k)
-            .collect();
+        // Several pairs may release into one receive queue (and draw on
+        // one shuffle stream), so the walk order decides what software
+        // sees: ascending `(src, dst)`.
+        let keys = sorted_keys(&self.buffers, |_, dst, b| {
+            node.is_none_or(|n| dst == n) && !b.held.is_empty()
+        });
         for key in keys {
             let mut held = std::mem::take(
                 &mut self.buffers.get_mut(&key).expect("key just listed").held,
@@ -315,6 +316,28 @@ mod tests {
         // Both held (seq 0 per pair); a read flushes both.
         let got = receive_all(&mut net, n(2));
         assert_eq!(got.len(), 2);
+    }
+
+    #[test]
+    fn flush_releases_pairs_in_ascending_order_on_every_rerun() {
+        // 15 pairs each hold a partial shuffle window for node 0; the
+        // flush that releases them decides both the receive order and
+        // which pair draws from the shuffle stream first.
+        let run = || {
+            let mut net = ScriptedNetwork::with_seed(16, DeliveryScript::WindowShuffle { window: 4 }, 9);
+            for src in (1..16).rev() {
+                for k in 0..3 {
+                    net.try_inject(pkt(src, 0, (src * 10 + k) as u32)).unwrap();
+                }
+            }
+            receive_all(&mut net, n(0))
+        };
+        let first = run();
+        let sources: Vec<u32> = first.iter().map(|h| h / 10).collect();
+        assert!(sources.is_sorted(), "pairs release in ascending (src, dst) order: {first:?}");
+        for _ in 0..10 {
+            assert_eq!(run(), first, "same seed, same run");
+        }
     }
 
     #[test]

@@ -61,7 +61,8 @@
 //! assert_eq!(got.data(), &[42]);
 //! ```
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::cell::OnceCell;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
@@ -69,6 +70,7 @@ use crate::fault::{FaultConfig, FaultSchedule};
 use crate::id::{NodeId, PacketId};
 use crate::network::{Guarantees, InjectError, Network, RxMeta, WakeSet};
 use crate::packet::Packet;
+use crate::pair::PairMap;
 use crate::rng::splitmix64;
 use crate::stats::NetStats;
 use crate::switched::{SwitchedConfig, SwitchedNetwork};
@@ -192,15 +194,22 @@ pub struct ShardedNetwork {
     workers: Vec<JoinHandle<()>>,
     now: Time,
     next_id: u64,
-    pair_seq: HashMap<(NodeId, NodeId), u64>,
+    pair_seq: PairMap<u64>,
     /// The full fault mix under global ids: decides cross-shard packet
     /// fates and answers all restart queries. Engine-thread only.
     boundary_faults: FaultSchedule,
     /// Boundary-path injection-side counters (global ids).
     boundary_stats: NetStats,
-    /// Cached aggregate, refreshed after every mutation.
-    merged: NetStats,
+    /// The aggregate statistics, merged on demand: nothing reads them
+    /// before a run ends, so [`stats`](Network::stats) fills the cell
+    /// and the entry points that can move a counter (`advance`,
+    /// `try_inject`) empty it.
+    merged: OnceCell<NetStats>,
+    /// The in-flight total, kept eagerly: the engine reads it every pump.
     in_flight_cache: usize,
+    /// Whether some shard may hold a wake mark that
+    /// [`take_delivered`](Network::take_delivered) has not collected.
+    wakes_pending: bool,
 }
 
 fn fat_tree_for(nodes: usize) -> FatTree {
@@ -377,7 +386,7 @@ impl ShardedNetwork {
             .collect();
 
         let boundary_faults = FaultSchedule::new(cfg.switched.fault.clone(), cfg.switched.seed);
-        let mut net = ShardedNetwork {
+        ShardedNetwork {
             nodes,
             threads,
             cross_latency: cfg.cross_latency,
@@ -388,14 +397,13 @@ impl ShardedNetwork {
             workers,
             now: Time::ZERO,
             next_id: 0,
-            pair_seq: HashMap::new(),
+            pair_seq: PairMap::default(),
             boundary_faults,
             boundary_stats: NetStats::new(),
-            merged: NetStats::new(),
+            merged: OnceCell::new(),
             in_flight_cache: 0,
-        };
-        net.refresh();
-        net
+            wakes_pending: false,
+        }
     }
 
     /// Number of shards.
@@ -418,21 +426,31 @@ impl ShardedNetwork {
         (s, node.index() - self.base[s])
     }
 
-    /// Recompute the aggregate statistics and in-flight count. O(shards)
-    /// — each shard contributes its counters, histogram, and in-flight
-    /// totals in index order (a fixed reduction order, so the aggregate
-    /// never depends on worker interleaving).
-    fn refresh(&mut self) {
+    /// Compute the aggregate statistics. O(shards) — each shard
+    /// contributes its counters and histograms in index order (a fixed
+    /// reduction order, so the aggregate never depends on worker
+    /// interleaving).
+    fn merge_stats(&self) -> NetStats {
         let mut merged = NetStats::new();
         merged.absorb(&self.boundary_stats);
-        let mut in_flight = self.boundary_faults.held_count();
         for cell in &self.pool.cells {
             let cell = lock(cell);
             merged.absorb(cell.subnet.stats());
             merged.absorb(&cell.ingress_stats);
-            in_flight += cell.subnet.in_flight() + cell.ingress_len;
         }
-        self.merged = merged;
+        merged
+    }
+
+    /// Read back, in shard index order, what an advance window changed
+    /// and the engine polls: the in-flight total and whether any shard
+    /// marked a delivery.
+    fn resync(&mut self) {
+        let mut in_flight = self.boundary_faults.held_count();
+        for cell in &self.pool.cells {
+            let cell = lock(cell);
+            in_flight += cell.subnet.in_flight() + cell.ingress_len;
+            self.wakes_pending |= cell.subnet.has_delivered() || !cell.wake.is_empty();
+        }
         self.in_flight_cache = in_flight;
     }
 
@@ -504,7 +522,8 @@ impl Network for ShardedNetwork {
             }
         }
         self.release_boundary_holds();
-        self.refresh();
+        self.merged.take();
+        self.resync();
     }
 
     fn try_inject(&mut self, mut packet: Packet) -> Result<(), InjectError> {
@@ -517,13 +536,19 @@ impl Network for ShardedNetwork {
         }
         let (ss, lsrc) = self.local(src);
         let (ds, ldst) = self.local(dst);
+        self.merged.take();
 
         if ss == ds {
             // Intra-shard (including loopback): the shard's subnet does
             // everything — routing, faults, stats — over local ids.
             packet.set_endpoints(NodeId::new(lsrc), NodeId::new(ldst));
-            let out = lock(&self.pool.cells[ss]).subnet.try_inject(packet);
-            self.refresh();
+            let mut cell = lock(&self.pool.cells[ss]);
+            let before = cell.subnet.in_flight();
+            let out = cell.subnet.try_inject(packet);
+            // An injection only ever adds packets (the accepted one, a
+            // duplicate); a loopback delivers, and marks its wake, at once.
+            self.in_flight_cache += cell.subnet.in_flight() - before;
+            self.wakes_pending |= cell.subnet.has_delivered();
             return out;
         }
 
@@ -536,7 +561,6 @@ impl Network for ShardedNetwork {
         if faults.vanish {
             // Lost outright: software paid for a successful injection.
             self.boundary_stats.injected += 1;
-            self.refresh();
             return Ok(());
         }
 
@@ -548,16 +572,14 @@ impl Network for ShardedNetwork {
             *seq += 1;
             self.boundary_stats.injected += 1;
             self.boundary_faults.hold(packet, self.now);
-            self.refresh();
+            self.in_flight_cache += 1;
             return Ok(());
         }
 
         {
             let mut cell = lock(&self.pool.cells[ds]);
             if cell.pending_to[ldst] >= self.boundary_capacity {
-                drop(cell);
                 self.boundary_stats.backpressure += 1;
-                self.refresh();
                 return Err(InjectError::Backpressure);
             }
 
@@ -574,6 +596,7 @@ impl Network for ShardedNetwork {
             cell.ingress_len += 1;
             cell.pending_to[ldst] += 1;
             self.boundary_stats.injected += 1;
+            self.in_flight_cache += 1;
 
             // Link-level retry duplication: a second, identical copy
             // with its own pair sequence, if the boundary has room.
@@ -588,14 +611,15 @@ impl Network for ShardedNetwork {
                     cell.ingress_len += 1;
                     cell.pending_to[ldst] += 1;
                     self.boundary_stats.duplicated += 1;
+                    self.in_flight_cache += 1;
                 }
             }
         }
 
-        // Accepted traffic pushes reorder-held packets toward release.
+        // Accepted traffic pushes reorder-held packets toward release
+        // (held to in transit: the in-flight total does not move).
         self.boundary_faults.note_injection();
         self.release_boundary_holds();
-        self.refresh();
         Ok(())
     }
 
@@ -649,7 +673,7 @@ impl Network for ShardedNetwork {
     }
 
     fn stats(&self) -> &NetStats {
-        &self.merged
+        self.merged.get_or_init(|| self.merge_stats())
     }
 
     fn guarantees(&self) -> Guarantees {
@@ -669,6 +693,11 @@ impl Network for ShardedNetwork {
     }
 
     fn take_delivered(&mut self) -> Vec<NodeId> {
+        // Called every pump, mostly with nothing to collect: skip the
+        // locks unless some shard marked a wake since the last take.
+        if !std::mem::take(&mut self.wakes_pending) {
+            return Vec::new();
+        }
         if self.pool.cells.len() == 1 {
             // Exact pass-through (boundary wake is necessarily empty):
             // the unsharded substrate's wake order, byte for byte.
@@ -747,6 +776,29 @@ mod tests {
                 ..SwitchedConfig::default()
             },
         }
+    }
+
+    /// The lazily merged statistics and the eagerly kept in-flight total
+    /// against a from-scratch reduction over the shards: a mutation
+    /// that forgot to empty the cell, or to count a packet, shows here.
+    fn assert_front_is_current(net: &ShardedNetwork) {
+        let (lazy, eager) = (net.stats(), net.merge_stats());
+        assert_eq!(lazy.to_string(), eager.to_string(), "stale merged stats");
+        assert_eq!(
+            (lazy.order.in_order(), lazy.order.out_of_order()),
+            (eager.order.in_order(), eager.order.out_of_order()),
+            "stale order verdicts"
+        );
+        let in_shards: usize = net
+            .pool
+            .cells
+            .iter()
+            .map(|cell| {
+                let cell = lock(cell);
+                cell.subnet.in_flight() + cell.ingress_len
+            })
+            .sum();
+        assert_eq!(net.in_flight(), net.boundary_faults.held_count() + in_shards, "in-flight total");
     }
 
     #[test]
@@ -853,7 +905,9 @@ mod tests {
                 let src = (s as usize) % 16;
                 let dst = (src + 1 + (s as usize) % 11) % 16;
                 let _ = net.try_inject(pkt(src, dst, s));
+                assert_front_is_current(&net);
                 net.advance(1 + (s as u64) % 3);
+                assert_front_is_current(&net);
                 wakes.push(net.take_delivered());
                 for i in 0..16 {
                     while let Some(p) = net.try_receive(n(i)) {
@@ -877,6 +931,32 @@ mod tests {
         let t1 = run(1);
         assert_eq!(t1, run(2), "2 threads must match 1 thread bit for bit");
         assert_eq!(t1, run(4), "4 threads must match 1 thread bit for bit");
+    }
+
+    #[test]
+    fn take_delivered_never_loses_a_loopback_or_boundary_wake() {
+        let mut net = ShardedNetwork::new(16, cfg(4, 2));
+        assert!(net.take_delivered().is_empty(), "nothing delivered yet");
+        // A loopback delivers inside `try_inject`, between advances.
+        net.try_inject(pkt(5, 5, 0)).unwrap();
+        assert_eq!(net.take_delivered(), vec![n(5)]);
+        assert!(net.take_delivered().is_empty(), "a take collects everything");
+        // Boundary and intra-shard deliveries, taken every cycle and
+        // never received: a node with a packet waiting was reported.
+        let mut reported = [false; 16];
+        reported[5] = true;
+        for s in 0..60u32 {
+            let src = (s as usize * 5) % 16;
+            let _ = net.try_inject(pkt(src, (src + 1 + (s as usize) % 9) % 16, s));
+            net.advance(1);
+            for node in net.take_delivered() {
+                reported[node.index()] = true;
+            }
+            for (i, &seen) in reported.iter().enumerate() {
+                assert!(seen || net.rx_pending(n(i)) == 0, "cycle {s}: node {i}'s wake was lost");
+            }
+        }
+        assert!(net.stats().delivered > 20, "traffic flowed: {}", net.stats());
     }
 
     #[test]

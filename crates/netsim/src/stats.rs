@@ -1,9 +1,9 @@
 //! Network statistics: delivery counts, reordering, latency.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::id::NodeId;
+use crate::pair::PairMap;
 use crate::time::Time;
 
 /// Running latency summary (cycles from injection to delivery), with a
@@ -191,7 +191,7 @@ impl fmt::Display for LatencyStats {
 pub struct OrderTracker {
     // For each pair: next pair_seq expected in order, plus the set of
     // early-delivered seqs awaiting their predecessors.
-    state: HashMap<(NodeId, NodeId), PairOrder>,
+    state: PairMap<PairOrder>,
     in_order: u64,
     out_of_order: u64,
 }

@@ -30,6 +30,7 @@ use crate::fault::{FaultConfig, FaultSchedule};
 use crate::id::{NodeId, PacketId};
 use crate::network::{Guarantees, InjectError, Network, RxMeta, WakeSet};
 use crate::packet::Packet;
+use crate::pair::PairMap;
 use crate::rng::SimRng;
 use crate::stats::NetStats;
 use crate::time::Time;
@@ -158,8 +159,8 @@ pub struct WormholeNetwork<T> {
     rx: Vec<std::collections::VecDeque<Packet>>,
     now: Time,
     next_id: u64,
-    pair_seq: HashMap<(NodeId, NodeId), u64>,
-    pair_active: HashMap<(NodeId, NodeId), u64>, // CR serialization
+    pair_seq: PairMap<u64>,
+    pair_active: PairMap<u64>, // CR serialization
     last_progress: Time,
     stats: NetStats,
     kills: u64,
@@ -197,8 +198,8 @@ impl<T: Topology> WormholeNetwork<T> {
             rx,
             now: Time::ZERO,
             next_id: 0,
-            pair_seq: HashMap::new(),
-            pair_active: HashMap::new(),
+            pair_seq: PairMap::default(),
+            pair_active: PairMap::default(),
             last_progress: Time::ZERO,
             stats: NetStats::new(),
             kills: 0,
