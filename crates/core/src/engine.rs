@@ -12,10 +12,14 @@
 //! family-aware code in it is the [`Op`] constructors, their validation
 //! and the body → machine constructor. The
 //! [`Engine`] owns the clock and schedules by *readiness*: an operation
-//! whose step finds nothing to do sleeps until a packet touches one of
-//! its endpoints or its own timer (retry window, timeout, RTO) comes
-//! due on the timing wheel, and a pass steps only operations that are
-//! awake. When a pass makes no progress, time passes — one cycle while
+//! whose step finds nothing to do sleeps until a packet it can consume
+//! reaches the head of one of its endpoints' queues (running operations
+//! are indexed by `(endpoint, peer)`, and a touch at a node wakes the
+//! sleepers its head's `claims` names — not everyone with an endpoint
+//! there), an endpoint crash-restarts, or its own timer (retry window,
+//! timeout, RTO) comes due on the timing wheel; a pass visits only the
+//! ordered set of operations that are awake. When a pass makes no
+//! progress, time passes — one cycle while
 //! packets are in flight, otherwise an *idle jump* straight to the next
 //! wheel event — and a sleeper receives the timer ticks it slept
 //! through at once when it wakes (this is what drives retry deadlines
@@ -167,6 +171,7 @@
 //! protocol billed.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::ops::Bound;
 use std::time::Instant;
 
 use timego_cost::{CostVector, Feature, Fine};
@@ -289,9 +294,8 @@ struct ActiveOp {
     /// `op.conflict_key()`, read once (admission compares keys across
     /// the whole pending queue).
     key: Option<ConflictKey>,
-    /// `op.endpoints()`, read once — what the event scheduler
-    /// subscribes the op to, and where the class plane looks for its
-    /// cost.
+    /// `op.endpoints()`, read once — what the event scheduler indexes
+    /// the op under, and where the class plane looks for its cost.
     endpoints: (NodeId, NodeId),
     /// Substrate clock at admission / last step that made progress —
     /// what the no-progress watchdog measures against.
@@ -321,8 +325,8 @@ enum Stage {
     /// Released, in the `Engine::pending` admission queue.
     #[default]
     Pending,
-    /// Admitted, in a run slot (`Engine::slots` / `run_order`).
-    Running,
+    /// Admitted, in run slot `slot` (`Engine::slots` / `run_order`).
+    Running { slot: u32 },
     /// Between recovery executions, indexed by `Engine::parked`: the
     /// failed state machine waits here for its `reset`, the conflict
     /// key stays busy, and the backoff window closes at substrate cycle
@@ -377,18 +381,19 @@ impl OpEntry {
 
 /// One admitted operation's scheduler slot in the run arena. Both
 /// scheduler modes share this storage; the readiness fields (`ready`,
-/// `slept_epoch`, `sleep_gen`, `subbed`) are only consulted by the
-/// event-driven mode — the reference round-robin sweeps every slot in
-/// `run_order` regardless.
+/// `slept_epoch`, `sleep_gen`) are only consulted by the event-driven
+/// mode — the reference round-robin sweeps every slot in `run_order`
+/// regardless.
 struct RunSlot {
     a: ActiveOp,
     /// Incarnation number, unique across the engine's lifetime. Slab
     /// slots are reused, so timing-wheel entries validate `(slot, inc)`
     /// before acting.
     inc: u64,
-    /// Eligible to be stepped this sweep. Cleared when a step returns
-    /// `Idle` (the op goes to sleep on its wake conditions), set again
-    /// by a packet touch or wheel timer.
+    /// Eligible to be stepped: exactly the slots in `Engine::ready`.
+    /// Cleared when a step returns `Idle` (the op goes to sleep on its
+    /// wake conditions), set again by a touch that concerns it or its
+    /// wheel timer.
     ready: bool,
     /// The engine's tick epoch when the op last went to sleep — the
     /// lazy-tick anchor: on wake it receives `tick_epoch - slept_epoch`
@@ -400,13 +405,19 @@ struct RunSlot {
     /// Bumped on every wake so a stale wheel wake for an earlier sleep
     /// of the same slot is recognized and ignored.
     sleep_gen: u64,
-    /// Whether this op currently holds a live entry in the subscriber
-    /// list of `endpoints().0` / `endpoints().1` respectively. Lists
-    /// hold only *sleeping* ops and are drained wholesale on touch, so
-    /// a touch at a hot node costs its sleeper count, not its lifetime
-    /// subscriber count; these flags keep re-sleeps from pushing
-    /// duplicate entries while an undrained one is still queued.
-    subbed: [bool; 2],
+}
+
+/// Why a node is being touched — which sleepers the touch can concern
+/// (see [`Engine::touch_node`]).
+enum Touch {
+    /// A delivery, or an engine stray discard surfacing the next packet:
+    /// only the queue head's claimants.
+    Packet,
+    /// An op between this node and `peer` progressed or finished here:
+    /// the head's claimants, plus the sleepers on that same pair.
+    Pair { peer: NodeId },
+    /// The node crash-restarted: every op with an endpoint here.
+    Restart,
 }
 
 /// What one timing-wheel expiry means to the event-driven scheduler.
@@ -768,13 +779,20 @@ pub struct Engine {
     // `supervise`. Watchdog tuples are `(slot, inc)`.
     fired_deadlines: Vec<OpId>,
     fired_watchdogs: Vec<(u32, u64)>,
-    // node index -> `(slot, inc, endpoint idx)` entries for ops
-    // currently *sleeping* on packet activity at that node. Pushed by
-    // `sleep_slot`, drained wholesale by `touch_node` (waking each
-    // still-valid sleeper), so the total list work is bounded by the
-    // number of sleeps rather than touches x lifetime subscribers —
-    // the difference between O(n) and O(n^2) under hotspot traffic.
-    node_subs: Vec<Vec<(u32, u64, u8)>>,
+    // The ready set: `(inc, slot)` of every running op whose `ready`
+    // flag is set. `inc` order is `run_order` order, so a pass that
+    // visits it from a cursor steps ops exactly where the reference
+    // sweep would reach them, at the cost of the ops awake.
+    ready: BTreeSet<(u64, u32)>,
+    // Running ops by `(endpoint node, peer node)`: `by_pair[node]` holds
+    // `(peer, slot)` for every running op with an endpoint at `node`,
+    // sorted, so the ops a queue head from `peer` can concern are one
+    // binary search away. Each op is in it twice (once per endpoint),
+    // from `spawn` to `finish`, asleep or awake.
+    by_pair: Vec<Vec<(NodeId, u32)>>,
+    // Per node, how many of `by_pair[node]`'s ops are asleep. Zero makes
+    // a touch free: nothing to wake, so no look at the substrate.
+    sleepers: Vec<u32>,
     // Nodes whose rx queue saw activity since the orphan sweep last
     // proved their head clean. Invariant: any node whose queue head is
     // a discardable unclaimed packet is in this set, so scanning it
@@ -1272,7 +1290,10 @@ impl Engine {
     /// each scheduler container holds only ops whose row names it, and
     /// — a row names exactly one — together they hold every unfinished
     /// op. That second half walks the whole ledger, so it is sampled
-    /// (power-of-two quanta, and whenever the engine drains).
+    /// (power-of-two quanta, and whenever the engine drains) — and with
+    /// it the scheduler's indices over the running set: the ready set is
+    /// the ready flags, every running op is indexed once under each
+    /// endpoint, and the per-node sleeper counts are the sleeping slots.
     #[cfg(debug_assertions)]
     fn check_ledger(&self) {
         let pending = self.pending.iter().map(|op| (op.id, "pending"));
@@ -1282,7 +1303,10 @@ impl Engine {
         for (id, container) in pending.chain(running).chain(held).chain(parked) {
             let named = match self.ops[id.index()].stage {
                 Stage::Pending => "pending",
-                Stage::Running => "running",
+                Stage::Running { slot } => {
+                    assert_eq!(self.slots[slot].a.id, id, "op {}: row names another's slot", id.0);
+                    "running"
+                }
                 Stage::Held(_) => "held",
                 Stage::Parked { .. } => "parked",
                 Stage::Done => "done",
@@ -1297,7 +1321,34 @@ impl Engine {
             let live = self.ops.iter().filter(|e| !e.done()).count();
             assert_eq!(live, self.unfinished(), "an unfinished op is in no container, or in two");
             assert_eq!(self.completions.len(), self.ops.len() - live, "completion log out of step");
+            self.check_run_indices();
         }
+    }
+
+    #[cfg(debug_assertions)]
+    fn check_run_indices(&self) {
+        let mut ready = BTreeSet::new();
+        let mut sleepers = vec![0u32; self.sleepers.len()];
+        let mut last_inc = None;
+        for &slot in &self.run_order {
+            let s = &self.slots[slot];
+            assert!(last_inc < Some(s.inc), "run_order is not in incarnation order");
+            last_inc = Some(s.inc);
+            if s.ready {
+                ready.insert((s.inc, slot));
+            }
+            let (a, b) = s.a.endpoints;
+            for (node, peer) in [(a, b), (b, a)] {
+                let listed = self.by_pair[node.index()].binary_search(&(peer, slot));
+                assert!(listed.is_ok(), "slot {slot}: not indexed under ({node}, {peer})");
+                sleepers[node.index()] += u32::from(!s.ready);
+            }
+        }
+        assert_eq!(ready, self.ready, "ready set vs ready flags");
+        assert_eq!(sleepers, self.sleepers, "per-node sleeper counts vs sleeping slots");
+        let indexed: usize = self.by_pair.iter().map(Vec::len).sum();
+        assert_eq!(indexed, 2 * self.run_order.len(), "an op indexed twice, or one not running");
+        assert!(self.by_pair.iter().all(|v| v.is_sorted()), "pair index out of order");
     }
 
     /// The retained reference scheduler: round-robin every running op
@@ -1345,12 +1396,14 @@ impl Engine {
                         i += 1;
                     }
                     Ok(Stepped::Idle) => i += 1,
+                    // `finish` takes the slot out of `run_order`: the
+                    // next op slides into position `i`.
                     Ok(Stepped::Done(out)) => {
-                        self.finish(m, i, Ok(out));
+                        self.finish(m, slot, Ok(out));
                         progressed = true;
                     }
                     Err(e) => {
-                        self.finish(m, i, Err(e));
+                        self.finish(m, slot, Err(e));
                         progressed = true;
                     }
                 }
@@ -1385,12 +1438,18 @@ impl Engine {
     /// never sleep through a step the reference would have made
     /// non-idle. That is what makes the two schedulers
     /// trace-equivalent.
+    ///
+    /// A pass visits the ready set in `(inc, slot)` order from a cursor
+    /// — `run_order` order, so ops are stepped in the order the
+    /// reference sweep reaches them. The visit-time rule: an op woken
+    /// mid-pass joins *this* pass iff its `inc` is past the cursor,
+    /// which is exactly when the reference sweep would still reach it.
     fn pump_event(&mut self, m: &mut Machine) -> usize {
         // Restart folding first, same slot the reference gives it; ops
-        // subscribed at a restarted endpoint wake so their next step
+        // with an endpoint at a restarted node wake so their next step
         // observes the `SessionReset`.
         for node in m.observe_restarts() {
-            self.touch_node(node);
+            self.touch_node(m, node, Touch::Restart);
         }
         let t = self.profiler.as_ref().map(|_| Instant::now());
         self.absorb_wakes(m);
@@ -1403,8 +1462,8 @@ impl Engine {
             self.release_recovered(m);
             self.admit(m);
             // Collect clock-free delivery marks (self-sends during
-            // `start`, same-cycle fast paths) so sleepers subscribed at
-            // those nodes join the coming pass.
+            // `start`, same-cycle fast paths) so the sleepers they
+            // concern join the coming pass.
             self.absorb_wakes(m);
             if self.run_order.is_empty() {
                 if self.jump_to_parked(m) {
@@ -1417,20 +1476,26 @@ impl Engine {
                 return 0;
             }
             let mut progressed = false;
-            let mut i = 0;
             let now = clock(m);
             self.counters.passes += 1;
             let pass_t = self.profiler.as_ref().map(|_| Instant::now());
             let mut step_ns: u64 = 0;
-            while i < self.run_order.len() {
-                let slot = self.run_order[i];
-                // Visit-time readiness: an op woken by an earlier op's
-                // progress in this pass is stepped *in this pass* —
-                // exactly when the reference sweep would reach it.
-                if !self.slots[slot].ready {
-                    i += 1;
-                    continue;
+            let mut cursor = Bound::Unbounded;
+            // Whether the op at the cursor is still in the ready set.
+            let mut stays = false;
+            // Visit-time readiness: an op woken by an earlier op's
+            // progress in this pass is found past the cursor and stepped
+            // *in this pass* — exactly when the reference sweep would
+            // reach it.
+            loop {
+                // Most passes have no ready op, or the one just stepped:
+                // then there is nothing past the cursor to search for.
+                if self.ready.len() == usize::from(stays) {
+                    break;
                 }
+                let next = self.ready.range((cursor, Bound::Unbounded)).next();
+                let Some(&(inc, slot)) = next else { break };
+                cursor = Bound::Excluded((inc, slot));
                 self.counters.steps += 1;
                 let st = self.profiler.as_ref().map(|_| Instant::now());
                 let clock_before = clock(m);
@@ -1451,6 +1516,7 @@ impl Engine {
                 if let Some(st) = st {
                     step_ns += st.elapsed().as_nanos() as u64;
                 }
+                stays = matches!(stepped, Ok(Stepped::Progress));
                 match stepped {
                     Ok(Stepped::Progress) => {
                         let id = self.slots[slot].a.id;
@@ -1458,23 +1524,18 @@ impl Engine {
                         self.record(m, EngineEvent::Progressed(id));
                         // Progress may have consumed or injected at the
                         // endpoints, revealing queued packets there:
-                        // wake the subscribers and mark the orphan
-                        // sweep.
-                        self.touch_node(endpoints.0);
-                        self.touch_node(endpoints.1);
+                        // wake whom the new heads concern and mark the
+                        // orphan sweep.
+                        self.touch_endpoints(m, endpoints);
                         progressed = true;
-                        i += 1;
                     }
-                    Ok(Stepped::Idle) => {
-                        self.sleep_slot(m, slot);
-                        i += 1;
-                    }
+                    Ok(Stepped::Idle) => self.sleep_slot(m, slot),
                     Ok(Stepped::Done(out)) => {
-                        self.finish(m, i, Ok(out));
+                        self.finish(m, slot, Ok(out));
                         progressed = true;
                     }
                     Err(e) => {
-                        self.finish(m, i, Err(e));
+                        self.finish(m, slot, Err(e));
                         progressed = true;
                     }
                 }
@@ -1596,34 +1657,95 @@ impl Engine {
         }
         for node in m.take_delivered() {
             self.counters.packet_wakes += 1;
-            self.touch_node(node);
+            self.touch_node(m, node, Touch::Packet);
         }
     }
 
-    /// Note packet activity at `node`: mark it for the orphan sweep and
-    /// wake every op sleeping there. Called on substrate deliveries,
+    /// Note activity at `node`: mark it for the orphan sweep and wake the
+    /// sleepers the touch can concern. Called on substrate deliveries,
     /// crash-restarts, engine stray discards, and whenever an op
     /// progresses or finishes at its endpoints (consumption can reveal
-    /// the next queued packet). Consumes the node's subscriber entries
-    /// — woken ops re-subscribe when they next sleep — and skips stale
-    /// entries whose slot was reused (incarnation mismatch).
-    fn touch_node(&mut self, node: NodeId) {
+    /// the next queued packet).
+    ///
+    /// By the [`OpMachine`] contract a sleeper's next step is non-idle
+    /// only through its own timer (the wheel's business), a restart of
+    /// an endpoint, or a queue head it `claims` — and every `claims`
+    /// requires the head's sender to be the op's other endpoint. So, by
+    /// cause:
+    ///
+    /// 1. any touch with a packet at the head wakes the sleepers keyed
+    ///    `(node, head.src)` that claim it;
+    /// 2. a touch by an op's own progress or finish also wakes the
+    ///    sleepers on that op's pair, whatever the head (a handful at
+    ///    most): one of them may have slept behind the head this op just
+    ///    consumed with a packet of its own still held by a scripted
+    ///    substrate, which holds per pair — nothing of its own reaches a
+    ///    queue head to wake it by, but its next look at the emptied
+    ///    queue releases the packet, as the reference's re-step would;
+    /// 3. a restart wakes every op with an endpoint here — the
+    ///    `SessionReset` is each one's to observe;
+    /// 4. a head sent by the node itself fits no pair key and falls back
+    ///    to 3.
+    ///
+    /// The look at the head is pure ([`Machine::rx_head_at`]): an empty
+    /// queue is "no head", never a substrate peek. And when nothing
+    /// sleeps here the touch returns before any substrate call.
+    fn touch_node(&mut self, m: &Machine, node: NodeId, cause: Touch) {
         self.orphan_dirty.insert(node.index());
-        if node.index() >= self.node_subs.len() {
+        if self.sleepers.get(node.index()).is_none_or(|&n| n == 0) {
             return;
         }
-        let mut subs = std::mem::take(&mut self.node_subs[node.index()]);
-        for &(slot, inc, ep) in &subs {
-            let Some(s) = self.slots.get_mut(slot) else { continue };
-            if s.inc != inc {
-                continue;
+        let woken = match cause {
+            Touch::Restart => return self.wake_all_at(node),
+            Touch::Pair { peer } => {
+                self.wake_pair(node, peer, None);
+                Some(peer)
             }
-            s.subbed[ep as usize] = false;
+            Touch::Packet => None,
+        };
+        match m.rx_head_at(node) {
+            Some(head) if head.src == node => self.wake_all_at(node),
+            // A head from the pair just woken wholesale has no one left
+            // to name.
+            Some(head) if Some(head.src) != woken => self.wake_pair(node, head.src, Some(&head)),
+            _ => {}
+        }
+    }
+
+    /// [`Engine::touch_node`] at both endpoints of an op that progressed
+    /// or finished.
+    fn touch_endpoints(&mut self, m: &Machine, (a, b): (NodeId, NodeId)) {
+        self.touch_node(m, a, Touch::Pair { peer: b });
+        self.touch_node(m, b, Touch::Pair { peer: a });
+    }
+
+    /// Where the ops keyed `(node, peer)` start in `by_pair[node]`.
+    fn pair_start(&self, node: NodeId, peer: NodeId) -> usize {
+        self.by_pair.get(node.index()).map_or(0, |v| v.partition_point(|e| e.0 < peer))
+    }
+
+    /// Wake the sleepers keyed `(node, peer)` — those that claim `head`,
+    /// or all of them when there is no head to ask about.
+    fn wake_pair(&mut self, node: NodeId, peer: NodeId, head: Option<&RxMeta>) {
+        let mut k = self.pair_start(node, peer);
+        while let Some(&(p, slot)) = self.by_pair[node.index()].get(k) {
+            if p != peer {
+                break;
+            }
+            k += 1;
+            let s = &self.slots[slot];
+            if !s.ready && head.is_none_or(|h| s.a.op.claims(node, h)) {
+                self.wake_slot(slot);
+            }
+        }
+    }
+
+    /// Wake every sleeper with an endpoint at `node`.
+    fn wake_all_at(&mut self, node: NodeId) {
+        for k in 0..self.by_pair[node.index()].len() {
+            let slot = self.by_pair[node.index()][k].1;
             self.wake_slot(slot);
         }
-        // Hand the emptied allocation back for the next sleepers.
-        subs.clear();
-        self.node_subs[node.index()] = subs;
     }
 
     /// Wake a sleeping slot, delivering the timer ticks it slept
@@ -1644,17 +1766,20 @@ impl Engine {
         if elapsed > 0 {
             s.a.op.tick_n(elapsed);
         }
+        self.ready.insert((s.inc, slot));
+        let (a, b) = s.a.endpoints;
+        self.sleepers[a.index()] -= 1;
+        self.sleepers[b.index()] -= 1;
     }
 
     /// Put a slot to sleep after an `Idle` step: record the sleep
-    /// anchor, subscribe its endpoints for packet wakes, and schedule
-    /// the op's own timer wake — the earliest future cycle at which a
-    /// timer tick could make its next step non-idle. Packet activity at
-    /// its endpoints wakes it earlier.
+    /// anchor, take it out of the ready set, and schedule the op's own
+    /// timer wake — the earliest future cycle at which a timer tick
+    /// could make its next step non-idle. A touch that concerns it
+    /// ([`Engine::touch_node`]) wakes it earlier.
     fn sleep_slot(&mut self, m: &Machine, slot: u32) {
         let now = clock(m);
         let wake_in = self.slots[slot].a.op.wake_in(m.config().max_wait_cycles);
-        let endpoints = self.slots[slot].a.endpoints;
         let epoch = self.tick_epoch;
         let s = &mut self.slots[slot];
         s.ready = false;
@@ -1664,36 +1789,25 @@ impl Engine {
             let item = WheelItem::Wake { slot, inc, gen: s.sleep_gen };
             self.wheel.insert(now.saturating_add(wake_in), item);
         }
-        // Re-subscribe endpoints whose entry was consumed by a touch
-        // since the last sleep; a wake that didn't come through
-        // `touch_node` (timer, spurious) leaves the entries queued, so
-        // the flags keep this duplicate-free.
-        for (ep, node) in [endpoints.0, endpoints.1].into_iter().enumerate() {
-            if self.slots[slot].subbed[ep] {
-                continue;
-            }
-            self.slots[slot].subbed[ep] = true;
-            let ni = node.index();
-            if ni >= self.node_subs.len() {
-                self.node_subs.resize_with(ni + 1, Vec::new);
-            }
-            self.node_subs[ni].push((slot, inc, ep as u8));
-        }
+        self.ready.remove(&(inc, slot));
+        let (a, b) = s.a.endpoints;
+        self.sleepers[a.index()] += 1;
+        self.sleepers[b.index()] += 1;
     }
 
     /// Start an admitted op — a first execution and a recovery
     /// re-execution alike — under its class tag, then move it into the
-    /// run arena: allocate its slot and arm its no-progress watchdog on
-    /// the wheel. Endpoint subscriptions happen lazily on first sleep —
-    /// the op spawns ready.
+    /// run arena: allocate its slot, enter it — ready — in the ready set
+    /// and the pair index, and arm its no-progress watchdog on the
+    /// wheel.
     fn spawn(&mut self, m: &mut Machine, mut a: ActiveOp) {
         self.record(m, EngineEvent::Started(a.id));
-        self.ops[a.id.index()].stage = Stage::Running;
         let cls = self.class_pre(m, a.id, a.endpoints);
         a.op.start(m);
         self.class_post(m, cls, a.endpoints);
         let now = clock(m);
         a.last_progress_at = now;
+        let (id, endpoints) = (a.id, a.endpoints);
         let inc = self.next_inc;
         self.next_inc += 1;
         let slot = self.slots.insert(RunSlot {
@@ -1702,9 +1816,21 @@ impl Engine {
             ready: true,
             slept_epoch: self.tick_epoch,
             sleep_gen: 0,
-            subbed: [false; 2],
         });
+        self.ops[id.index()].stage = Stage::Running { slot };
+        // `inc` only grows, so pushing keeps `run_order` sorted by it.
         self.run_order.push(slot);
+        self.ready.insert((inc, slot));
+        let nodes = endpoints.0.index().max(endpoints.1.index()) + 1;
+        if self.by_pair.len() < nodes {
+            self.by_pair.resize_with(nodes, Vec::new);
+            self.sleepers.resize(nodes, 0);
+        }
+        for (node, peer) in [endpoints, (endpoints.1, endpoints.0)] {
+            let list = &mut self.by_pair[node.index()];
+            let at = list.partition_point(|e| *e < (peer, slot));
+            list.insert(at, (peer, slot));
+        }
         if self.mode == SchedMode::EventDriven {
             let bound = self.watchdog.unwrap_or(4 * m.config().max_wait_cycles);
             let due = now.saturating_add(bound).saturating_add(1);
@@ -1736,17 +1862,25 @@ impl Engine {
         self.pending = still_pending;
     }
 
-    fn finish(&mut self, m: &Machine, idx: usize, result: Result<OpOutcome, ProtocolError>) {
-        let slot = self.run_order.remove(idx);
+    /// A running op ended with `result`: take its slot out of the run
+    /// arena and every index over it, then decide its fate.
+    fn finish(&mut self, m: &Machine, slot: u32, result: Result<OpOutcome, ProtocolError>) {
+        let inc = self.slots[slot].inc;
+        let idx = self.run_order.binary_search_by_key(&inc, |&r| self.slots[r].inc);
+        self.run_order.remove(idx.expect("a running op is in run_order"));
         let s = self.slots.remove(slot);
         let endpoints = s.a.endpoints;
-        // Any subscriber entries the op still holds go stale with its
-        // slot: touches validate the incarnation and drop them lazily.
+        for (node, peer) in [endpoints, (endpoints.1, endpoints.0)] {
+            let list = &mut self.by_pair[node.index()];
+            let at = list.binary_search(&(peer, slot)).expect("a running op is indexed by pair");
+            list.remove(at);
+            self.sleepers[node.index()] -= u32::from(!s.ready);
+        }
+        self.ready.remove(&(inc, slot));
         // The op's remaining packets just became unclaimed, and a queue
         // head it was about to consume may now be someone else's to
-        // reveal: mark both endpoints and wake their subscribers.
-        self.touch_node(endpoints.0);
-        self.touch_node(endpoints.1);
+        // reveal: mark both endpoints and wake whom they concern.
+        self.touch_endpoints(m, endpoints);
         self.conclude(m, s.a, result);
     }
 
@@ -1923,7 +2057,7 @@ impl Engine {
     /// for stray discards. Returns `true` if something was discarded.
     fn discard_orphan(&mut self, m: &mut Machine) -> bool {
         for node in (0..m.num_nodes()).map(NodeId::new) {
-            if m.rx_peek_at(node).is_some_and(|meta| self.orphaned(node, &meta)) {
+            if m.rx_peek_at(node).is_some_and(|meta| self.orphaned(node, &meta, true)) {
                 m.discard_stray(node);
                 return true;
             }
@@ -1936,10 +2070,24 @@ impl Engine {
     /// nonzero header are recovery-stamped am4 sends (plain user traffic
     /// always rides header 0) and equally discardable once no running
     /// op claims their token.
-    fn orphaned(&self, node: NodeId, meta: &RxMeta) -> bool {
+    ///
+    /// `by_scan` asks every running op (the reference's oracle);
+    /// otherwise only the ops keyed `(node, meta.src)` are asked — every
+    /// `claims` requires the sender to be the op's other endpoint, so no
+    /// one else can. A packet the node sent itself fits no pair key and
+    /// is scanned for.
+    fn orphaned(&self, node: NodeId, meta: &RxMeta, by_scan: bool) -> bool {
         let reserved = meta.tag < Tags::USER_BASE || meta.tag == Tags::RPC_REPLY;
-        (reserved || meta.header != 0)
-            && !self.run_order.iter().any(|&s| self.slots[s].a.op.claims(node, meta))
+        if !reserved && meta.header == 0 {
+            return false;
+        }
+        let claims = |slot: u32| self.slots[slot].a.op.claims(node, meta);
+        if by_scan || meta.src == node {
+            return !self.run_order.iter().any(|&slot| claims(slot));
+        }
+        let keyed = self.by_pair.get(node.index()).map_or(&[][..], Vec::as_slice);
+        let keyed = &keyed[self.pair_start(node, meta.src)..];
+        !keyed.iter().take_while(|e| e.0 == meta.src).any(|e| claims(e.1))
     }
 
     /// Event-mode orphan discard: same decision as
@@ -1951,18 +2099,14 @@ impl Engine {
     fn discard_orphan_event(&mut self, m: &mut Machine) -> bool {
         while let Some(&ni) = self.orphan_dirty.iter().next() {
             let node = NodeId::new(ni);
-            let Some(meta) = m.rx_peek_at(node) else {
-                self.orphan_dirty.remove(&ni);
-                continue;
-            };
-            if !self.orphaned(node, &meta) {
+            if !m.rx_head_at(node).is_some_and(|meta| self.orphaned(node, &meta, false)) {
                 self.orphan_dirty.remove(&ni);
                 continue;
             }
             m.discard_stray(node);
             // The next queued packet (if any) surfaced: leave the node
-            // dirty and wake its subscribers.
-            self.touch_node(node);
+            // dirty and wake whom it concerns.
+            self.touch_node(m, node, Touch::Packet);
             return true;
         }
         debug_assert!(
@@ -1975,10 +2119,10 @@ impl Engine {
     /// Debug cross-check for [`Engine::discard_orphan_event`]: would the
     /// reference full scan have discarded something the dirty scan just
     /// declared absent?
-    fn discard_scan_would_find(&self, m: &mut Machine) -> bool {
+    fn discard_scan_would_find(&self, m: &Machine) -> bool {
         (0..m.num_nodes())
             .map(NodeId::new)
-            .any(|node| m.rx_peek_at(node).is_some_and(|meta| self.orphaned(node, &meta)))
+            .any(|node| m.rx_head_at(node).is_some_and(|meta| self.orphaned(node, &meta, true)))
     }
 
     // -----------------------------------------------------------------
@@ -2027,10 +2171,7 @@ impl Engine {
             self.record(m, EngineEvent::Cancelled(id));
         }
         match self.ops[id.index()].stage {
-            Stage::Running => {
-                let idx = self.run_order.iter().position(|&s| self.slots[s].a.id == id);
-                self.finish(m, idx.expect("a running op holds a run slot"), Err(err));
-            }
+            Stage::Running { slot } => self.finish(m, slot, Err(err)),
             Stage::Pending => {
                 self.pending.retain(|op| op.id != id);
                 self.settle(m, id, Err(err));
@@ -2073,10 +2214,9 @@ impl Engine {
             let mut deadlines = std::mem::take(&mut self.fired_deadlines);
             deadlines.sort_unstable();
             let mut watchdogs = std::mem::take(&mut self.fired_watchdogs);
-            // Fired order is wheel (due, seq) order: re-sort by position.
-            watchdogs.sort_by_key(|&(slot, _)| {
-                self.run_order.iter().position(|&s| s == slot).unwrap_or(usize::MAX)
-            });
+            // Fired order is wheel (due, seq) order: re-sort into run
+            // order, which is `inc` order.
+            watchdogs.sort_unstable_by_key(|&(_, inc)| inc);
             (deadlines, watchdogs)
         } else {
             let running = self.run_order.iter().map(|&s| (s, self.slots[s].inc));
@@ -2145,5 +2285,105 @@ impl Engine {
             guard += 1;
         }
         drained
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    use timego_netsim::{
+        DeliveryScript, Guarantees, InjectError, NetStats, Network, Packet, ScriptedNetwork, Time,
+    };
+    use timego_ni::share;
+
+    use super::*;
+    use crate::machine::CmamConfig;
+
+    /// A scripted substrate that counts the `rx_peek` calls it receives.
+    struct PeekCounting {
+        inner: ScriptedNetwork,
+        peeks: Rc<Cell<u64>>,
+    }
+
+    impl Network for PeekCounting {
+        fn num_nodes(&self) -> usize {
+            self.inner.num_nodes()
+        }
+        fn now(&self) -> Time {
+            self.inner.now()
+        }
+        fn advance(&mut self, cycles: u64) {
+            self.inner.advance(cycles);
+        }
+        fn try_inject(&mut self, packet: Packet) -> Result<(), InjectError> {
+            self.inner.try_inject(packet)
+        }
+        fn try_receive(&mut self, node: NodeId) -> Option<Packet> {
+            self.inner.try_receive(node)
+        }
+        fn rx_peek(&mut self, node: NodeId) -> Option<RxMeta> {
+            self.peeks.set(self.peeks.get() + 1);
+            self.inner.rx_peek(node)
+        }
+        fn rx_pending(&self, node: NodeId) -> usize {
+            self.inner.rx_pending(node)
+        }
+        fn in_flight(&self) -> usize {
+            self.inner.in_flight()
+        }
+        fn stats(&self) -> &NetStats {
+            self.inner.stats()
+        }
+        fn guarantees(&self) -> Guarantees {
+            self.inner.guarantees()
+        }
+    }
+
+    /// The scheduler's look at a queue head is pure: a touch at a node
+    /// whose queue is empty makes no `rx_peek` call, so a packet the
+    /// script holds for that node stays held — whatever the cause of the
+    /// touch, sleepers or not.
+    #[test]
+    fn a_touch_at_an_empty_queue_never_peeks_the_substrate() {
+        let n = NodeId::new;
+        let peeks = Rc::new(Cell::new(0));
+        let inner = ScriptedNetwork::new(3, DeliveryScript::AlternateSwap);
+        let net = share(PeekCounting { inner, peeks: peeks.clone() });
+        let mut m = Machine::new(net, 3, CmamConfig::default());
+        let mut eng = Engine::new();
+        let id = eng.submit_xfer(&m, n(1), n(0), &[1, 2, 3, 4]).expect("valid");
+        eng.admit(&mut m);
+        let Stage::Running { slot } = eng.ops[id.index()].stage else { panic!("admitted") };
+        eng.sleep_slot(&m, slot);
+        assert_eq!(eng.sleepers, [1, 1], "one sleeper at each endpoint");
+
+        // The first packet of a pair is held by the script: nothing is
+        // pending at node 1, one packet is in flight.
+        let held = Packet::new(n(2), n(1), 50, 0, vec![7]);
+        m.network().borrow_mut().try_inject(held).expect("accepted");
+        assert_eq!((m.network().borrow().rx_pending(n(1)), m.network().borrow().in_flight()), (0, 1));
+
+        let before = peeks.get();
+        eng.touch_node(&m, n(1), Touch::Packet);
+        assert!(!eng.slots[slot].ready, "an empty queue names no claimant");
+        eng.touch_node(&m, n(2), Touch::Pair { peer: n(0) });
+        eng.touch_node(&m, n(1), Touch::Restart);
+        assert!(eng.slots[slot].ready, "a restart wakes every op at the node");
+        eng.sleep_slot(&m, slot);
+        eng.touch_node(&m, n(1), Touch::Pair { peer: n(0) });
+        assert!(eng.slots[slot].ready, "its own pair's progress wakes the sleeper");
+        assert_eq!(peeks.get(), before, "no touch peeked an empty queue");
+        assert_eq!(m.network().borrow().in_flight(), 1, "the held packet is still held");
+
+        // A packet at the head is looked at once, and wakes its claimant.
+        eng.sleep_slot(&m, slot);
+        let reply = Packet::new(n(0), n(1), Tags::XFER_REPLY, 0, vec![0; 4]);
+        m.network().borrow_mut().try_inject(reply).expect("accepted");
+        m.advance(1);
+        eng.touch_node(&m, n(1), Touch::Packet);
+        assert_eq!(peeks.get(), before + 1);
+        assert!(eng.slots[slot].ready, "the head's claimant wakes");
     }
 }

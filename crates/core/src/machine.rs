@@ -393,6 +393,12 @@ impl Machine {
         self.nodes[node.index()].ni.rx_peek()
     }
 
+    /// The scheduler's look at the same head: pure — an empty queue is
+    /// "no head", never a substrate peek (see [`NiPort::rx_head`]).
+    pub(crate) fn rx_head_at(&self, node: NodeId) -> Option<RxMeta> {
+        self.nodes[node.index()].ni.rx_head()
+    }
+
     /// The body of every blocking protocol entry point: submit `op` on
     /// a fresh engine, run it to completion, and harvest its outcome
     /// plus the number of engine-native re-executions it took.

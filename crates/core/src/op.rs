@@ -27,7 +27,13 @@
 //!   diverge from the reference scheduler.
 //! * **`claims`** is pair-wide and conservative: anything the op might
 //!   still consume must be claimed, or the engine's orphan discard
-//!   (billed to `Feature::FaultTol`) would eat it.
+//!   (billed to `Feature::FaultTol`) would eat it. It is also *what the
+//!   scheduler wakes by*: a touch at a node wakes the sleepers that
+//!   claim its queue head, and no one else, so a `step` may receive
+//!   only what `claims` names — too narrow is a missed wake, not only
+//!   an eaten packet. And it must hold only for a `node` that is one of
+//!   the op's endpoints and a `meta.src` that is the other: the engine
+//!   looks claimants up by `(node, meta.src)`.
 //! * **`gc_exempt`** is bill-visible: the epoch-TTL sweep bills every
 //!   entry it reclaims to `Feature::FaultTol` at the holder, so what an
 //!   op shields — and that a *parked* reliable transfer shields

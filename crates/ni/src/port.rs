@@ -199,6 +199,23 @@ impl NiPort {
         self.net.borrow_mut().rx_peek(self.node)
     }
 
+    /// [`rx_peek`](NiPort::rx_peek) for an observer that must not
+    /// disturb the substrate: the latched packet, else the queue head
+    /// *only if the queue is non-empty*. An empty queue is "no head" —
+    /// never a peek, because a holding substrate (the scripted
+    /// network's liveness flush) releases packets when an empty queue is
+    /// peeked, and a scheduler deciding whom to wake may not move them.
+    pub fn rx_head(&self) -> Option<RxMeta> {
+        if let Some(l) = &self.latched {
+            return Some(RxMeta::of(&l.packet));
+        }
+        let mut net = self.net.borrow_mut();
+        if net.rx_pending(self.node) == 0 {
+            return None;
+        }
+        net.rx_peek(self.node)
+    }
+
     /// Pop the next waiting packet into the receive latch and load its
     /// source/tag word for handler vectoring (1 `dev`). Returns `None`
     /// if nothing is waiting.

@@ -19,7 +19,7 @@ use std::rc::Rc;
 
 use timego_am::{
     CmamConfig, Engine, EngineEvent, Machine, Op, OpId, OpOutcome, ProtocolError, RecoveryPolicy,
-    RetryPolicy, TracedEvent,
+    RetryPolicy, SchedMode, StreamConfig, StreamId, TracedEvent,
 };
 use timego_cost::Feature;
 use timego_netsim::{DeliveryScript, NodeId, ScriptedNetwork};
@@ -590,4 +590,84 @@ fn small_rx_queues_refuse_injections_but_never_livelock() {
             count(pair[1])
         );
     }
+}
+
+/// Holding scripts. A scripted substrate holds packets per `(src, dst)`
+/// pair — the trailing packet of an odd-length `AlternateSwap` run, a
+/// partial shuffle window — until the pair's next injection, time
+/// passing, or a receive-side look at an *empty* queue releases them.
+/// With several senders sharing one receiver an op can go to sleep
+/// behind another's queue head while its own packet is still held:
+/// nothing of its own reaches that queue's head to wake it by.
+///
+/// Liveness: the event scheduler completes every op word-exact and
+/// without a timeout, like the reference.
+#[test]
+fn holding_scripts_stay_live_with_three_senders_to_one_receiver() {
+    for script in [DeliveryScript::AlternateSwap, DeliveryScript::WindowShuffle { window: 4 }] {
+        for mode in [SchedMode::EventDriven, SchedMode::ReferenceRoundRobin] {
+            let ctx = format!("{script:?}/{mode:?}");
+            let mut m =
+                Machine::new(share(ScriptedNetwork::new(4, script)), 4, CmamConfig::default());
+            let mut eng = Engine::with_mode(mode);
+            // Odd packet counts (4 payload words per packet): 5, 7 and 9.
+            let xfers: Vec<(OpId, usize, Vec<u32>)> = (1..=3)
+                .map(|s| {
+                    let data = payloads::mixed(12 + 8 * s, 70 + s as u64);
+                    (eng.submit_xfer(&m, n(s), n(0), &data).expect("valid"), s, data)
+                })
+                .collect();
+            // And a 3-packet stream burst on each of the same pairs.
+            let streams: Vec<(OpId, StreamId, Vec<u32>)> = (1..=3)
+                .map(|s| {
+                    let sid = m.open_stream(n(s), n(0), StreamConfig::default());
+                    let data = payloads::mixed(12, 90 + s as u64);
+                    (eng.submit(&mut m, Op::stream_send(sid, &data)).expect("valid"), sid, data)
+                })
+                .collect();
+            eng.run(&mut m);
+            let now = m.network().borrow().now().cycles();
+            assert!(now < 1 << 16, "{ctx}: finished at cycle {now} — something timed out");
+            for (id, s, data) in xfers {
+                match eng.take_outcome(id).expect("finished") {
+                    Ok(OpOutcome::Xfer(out)) => {
+                        let got = m.read_buffer(n(0), out.dst_buffer, data.len());
+                        assert_eq!(got, data, "{ctx}: xfer from {s}");
+                    }
+                    other => panic!("{ctx}: xfer from {s} ended {other:?}"),
+                }
+            }
+            for (id, sid, data) in streams {
+                let out = eng.take_outcome(id).expect("finished");
+                assert!(matches!(out, Ok(OpOutcome::Stream(_))), "{ctx}: stream ended {out:?}");
+                assert_eq!(m.stream_received(sid), data.as_slice(), "{ctx}: stream words");
+            }
+        }
+    }
+}
+
+/// ... and between one pair the event scheduler stays the reference to
+/// the cycle. Transfers `1 -> 0` and `0 -> 1` run concurrently (their
+/// conflict keys are ordered pairs) and claim each other's tags, so one
+/// sleeps behind the other's head with a packet of its own held; when
+/// the other progresses, the wake of its own pair's sleepers lets the
+/// held packet be found in the same cycle the reference's re-step finds
+/// it, not one `advance` later.
+#[test]
+fn holding_script_same_pair_ops_keep_the_reference_trace() {
+    let run = |mode: SchedMode| {
+        let script = DeliveryScript::AlternateSwap;
+        let mut m = Machine::new(share(ScriptedNetwork::new(3, script)), 3, CmamConfig::default());
+        let mut eng = Engine::with_mode(mode);
+        for (s, d, words) in [(1, 0, 24), (0, 1, 16), (1, 2, 4)] {
+            eng.submit_xfer(&m, n(s), n(d), &payloads::mixed(words, 11233 + words as u64))
+                .expect("valid");
+        }
+        eng.run(&mut m);
+        (eng.trace().to_vec(), feature_matrix(&m, 3))
+    };
+    let (evt, rr) = (run(SchedMode::EventDriven), run(SchedMode::ReferenceRoundRobin));
+    assert!(evt.0.iter().all(|e| !matches!(e.event, EngineEvent::Completed(_, false))));
+    assert_eq!(evt.0, rr.0, "event vs reference trace");
+    assert_eq!(evt.1, rr.1, "event vs reference bills");
 }

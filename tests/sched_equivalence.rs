@@ -23,6 +23,12 @@
 //! A second soak re-runs the same workload on the parallel sharded
 //! substrate at 1, 2 and 4 worker threads and requires every thread
 //! count to be byte-identical to the single-threaded run.
+//!
+//! A third turns the traffic into a fan-in — 63 senders of all five
+//! families into node 0 — where the event scheduler wakes by `(node,
+//! peer)` pair rather than by node: same trace, bills and outcomes as
+//! the reference, at a step count that no longer grows with the number
+//! of ops sharing the hot endpoint.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -47,15 +53,17 @@ fn n(i: usize) -> NodeId {
 }
 
 fn machine(sub: &str, fault: &FaultConfig, seed: u64) -> Machine {
-    match sub {
-        "switched" => Machine::new(
-            share(scenarios::cm5_chaos(NODES, fault.clone(), seed)),
-            NODES,
-            CmamConfig::default(),
-        ),
-        "wormhole" => Machine::new(
+    machine_of(sub, NODES, CmamConfig::default(), fault, seed)
+}
+
+fn machine_of(sub: &str, nodes: usize, cfg: CmamConfig, fault: &FaultConfig, seed: u64) -> Machine {
+    let net = match sub {
+        "switched" => share(scenarios::cm5_chaos(nodes, fault.clone(), seed)),
+        "wormhole" => {
+            let side = nodes.isqrt();
+            assert_eq!(side * side, nodes, "the torus is square");
             share(WormholeNetwork::new(
-                Torus2D::new(4, 4),
+                Torus2D::new(side, side),
                 WormholeConfig {
                     virtual_channels: 2,
                     discipline: VcDiscipline::Dateline,
@@ -63,32 +71,23 @@ fn machine(sub: &str, fault: &FaultConfig, seed: u64) -> Machine {
                     seed,
                     ..WormholeConfig::default()
                 },
-            )),
-            NODES,
-            CmamConfig::default(),
-        ),
-        "dual" => Machine::new(
-            share(DualNetwork::new(
-                scenarios::cm5_chaos(NODES, fault.clone(), seed),
-                scenarios::cm5_chaos(NODES, fault.clone(), seed ^ 0x9e37),
-                Tags::RPC_REPLY,
-            )),
-            NODES,
-            CmamConfig::default(),
-        ),
+            ))
+        }
+        "dual" => share(DualNetwork::new(
+            scenarios::cm5_chaos(nodes, fault.clone(), seed),
+            scenarios::cm5_chaos(nodes, fault.clone(), seed ^ 0x9e37),
+            Tags::RPC_REPLY,
+        )),
         // Parallel sharded substrate at each thread count: the shard
-        // layout (4 shards of 4 nodes) is fixed, only the worker count
-        // varies — results must not.
+        // layout (4 shards) is fixed, only the worker count varies —
+        // results must not.
         "sharded-t1" | "sharded-t2" | "sharded-t4" => {
             let threads = sub.trim_start_matches("sharded-t").parse().expect("thread suffix");
-            Machine::new(
-                share(scenarios::cm5_sharded_chaos(NODES, 4, threads, fault.clone(), seed)),
-                NODES,
-                CmamConfig::default(),
-            )
+            share(scenarios::cm5_sharded_chaos(nodes, 4, threads, fault.clone(), seed))
         }
         other => panic!("unknown substrate {other}"),
-    }
+    };
+    Machine::new(net, nodes, cfg)
 }
 
 fn fault_variant(name: &str) -> FaultConfig {
@@ -121,8 +120,23 @@ struct Fingerprint {
     steps: u64,
 }
 
-/// Drive the mixed workload to completion under `mode` and capture
-/// everything observable about the run.
+impl Fingerprint {
+    /// Drive everything submitted to completion and capture everything
+    /// observable about the run.
+    fn of_run(mut eng: Engine, mut m: Machine, nodes: usize, ids: &[OpId]) -> Fingerprint {
+        eng.run(&mut m);
+        assert_eq!(eng.unfinished(), 0, "run must settle everything");
+        let trace = eng.trace().to_vec();
+        let bills = feature_matrix(&m, nodes);
+        let outcomes = ids
+            .iter()
+            .map(|&id| (id, format!("{:?}", eng.take_outcome(id).expect("finished"))))
+            .collect();
+        Fingerprint { trace, bills, outcomes, steps: eng.counters().steps }
+    }
+}
+
+/// Build the mixed workload under `mode` and run it.
 fn run_one(mode: SchedMode, sub: &str, fault: &FaultConfig, seed: u64) -> Fingerprint {
     let mut m = machine(sub, fault, seed);
     let calls = Rc::new(RefCell::new(0u32));
@@ -167,16 +181,37 @@ fn run_one(mode: SchedMode, sub: &str, fault: &FaultConfig, seed: u64) -> Finger
             .expect("valid am4 chain"),
     );
 
-    eng.run(&mut m);
-    assert_eq!(eng.unfinished(), 0, "{sub}/seed {seed}: run must settle everything");
+    Fingerprint::of_run(eng, m, NODES, &ids)
+}
 
-    let trace = eng.trace().to_vec();
-    let bills = feature_matrix(&m, NODES);
-    let outcomes = ids
-        .iter()
-        .map(|&id| (id, format!("{:?}", eng.take_outcome(id).expect("finished"))))
-        .collect();
-    Fingerprint { trace, bills, outcomes, steps: eng.counters().steps }
+/// The event run must be the reference run: same trace (the first
+/// divergence is printed with its neighbourhood), same bills, same
+/// outcomes, no more steps.
+fn assert_same_run(ctx: &str, evt: &Fingerprint, rr: &Fingerprint) {
+    if evt.trace != rr.trace {
+        let at = evt
+            .trace
+            .iter()
+            .zip(rr.trace.iter())
+            .position(|(a, b)| a != b)
+            .unwrap_or_else(|| evt.trace.len().min(rr.trace.len()));
+        let window = |t: &[TracedEvent]| t[at.saturating_sub(3)..(at + 4).min(t.len())].to_vec();
+        panic!(
+            "{ctx}: traces diverge at entry {at} (event {} entries, reference {}):\n  event: {:?}\n  reference: {:?}",
+            evt.trace.len(),
+            rr.trace.len(),
+            window(&evt.trace),
+            window(&rr.trace),
+        );
+    }
+    assert_eq!(evt.bills, rr.bills, "{ctx}: per-feature bills must match node by node");
+    assert_eq!(evt.outcomes, rr.outcomes, "{ctx}: outcomes must match");
+    assert!(
+        evt.steps <= rr.steps,
+        "{ctx}: event scheduler took more steps ({} > {})",
+        evt.steps,
+        rr.steps
+    );
 }
 
 #[test]
@@ -190,35 +225,7 @@ fn event_scheduler_is_trace_and_bill_identical_to_reference() {
                 let evt = run_one(SchedMode::EventDriven, sub, &fault, seed);
                 let rr = run_one(SchedMode::ReferenceRoundRobin, sub, &fault, seed);
                 let ctx = format!("{sub}/{variant}/seed {seed}");
-                if evt.trace != rr.trace {
-                    let at = evt
-                        .trace
-                        .iter()
-                        .zip(rr.trace.iter())
-                        .position(|(a, b)| a != b)
-                        .unwrap_or_else(|| evt.trace.len().min(rr.trace.len()));
-                    let window = |t: &[TracedEvent]| {
-                        t[at.saturating_sub(3)..(at + 4).min(t.len())].to_vec()
-                    };
-                    panic!(
-                        "{ctx}: traces diverge at entry {at} (event {} entries, reference {}):\n  event: {:?}\n  reference: {:?}",
-                        evt.trace.len(),
-                        rr.trace.len(),
-                        window(&evt.trace),
-                        window(&rr.trace),
-                    );
-                }
-                assert_eq!(
-                    evt.bills, rr.bills,
-                    "{ctx}: per-feature bills must match node by node"
-                );
-                assert_eq!(evt.outcomes, rr.outcomes, "{ctx}: outcomes must match");
-                assert!(
-                    evt.steps <= rr.steps,
-                    "{ctx}: event scheduler took more steps ({} > {})",
-                    evt.steps,
-                    rr.steps
-                );
+                assert_same_run(&ctx, &evt, &rr);
                 ref_steps += rr.steps;
                 evt_steps += evt.steps;
             }
@@ -257,6 +264,91 @@ fn sharded_substrate_is_equivalent_at_every_thread_count() {
                 assert_eq!(threaded.bills, baseline.bills, "{ctx}: bills vs 1 thread");
                 assert_eq!(threaded.outcomes, baseline.outcomes, "{ctx}: outcomes vs 1 thread");
                 assert_eq!(threaded.steps, baseline.steps, "{ctx}: step count vs 1 thread");
+            }
+        }
+    }
+}
+
+const FAN_NODES: usize = 64;
+
+/// 63 senders into node 0, all five families mixed: plain and
+/// recovery-armed reliable transfers, one stream, retried RPCs to the
+/// one callee, and an am4 run-after chain. Every op has the hot node as
+/// an endpoint, so a scheduler that wakes by node steps all of them on
+/// every packet; one that wakes by `(node, peer)` steps the claimant.
+fn run_fan_in(mode: SchedMode, sub: &str, fault: &FaultConfig, seed: u64) -> Fingerprint {
+    // A short wait bound: ops the crash variants strand (plain
+    // transfers and unmanaged am4s have no recovery) time out in
+    // thousands of reference cycles, not a million.
+    let cfg = CmamConfig { max_wait_cycles: 1 << 13, gc_ttl_cycles: 1 << 13, ..CmamConfig::default() };
+    let mut m = machine_of(sub, FAN_NODES, cfg, fault, seed);
+    m.register_rpc_handler(n(0), 40, |_, msg| [msg.words[0].wrapping_mul(3), 0, 0, 0]);
+
+    let mut eng = Engine::with_mode(mode);
+    let policy = RetryPolicy::default();
+    let recovery = RecoveryPolicy::default();
+    let sid = m.open_stream(n(4), n(0), StreamConfig { rto_iterations: 256, ..StreamConfig::default() });
+    let mut ids: Vec<OpId> = Vec::new();
+    let mut last_hop: Option<OpId> = None;
+    for i in 1..FAN_NODES {
+        let data = payloads::mixed(8 + 4 * (i % 3), seed + i as u64);
+        let op = match i % 5 {
+            _ if i == 4 => Op::stream_send(sid, &payloads::mixed(20, seed.wrapping_add(55))),
+            0 => Op::xfer_reliable(n(i), n(0), &data, &policy).recovering(&recovery),
+            1 | 4 => Op::xfer(n(i), n(0), &data),
+            2 => Op::rpc(n(i), n(0), 40, [i as u32, 0, 0, 0], Some(&policy)),
+            _ => {
+                // Recovery-managed, so a duplicated hop carries a token
+                // and is orphan-discarded instead of blocking node 0.
+                let hop = Op::am4(n(i), n(0), 50, [seed as u32, i as u32, 2, 3])
+                    .recovering(&recovery);
+                last_hop.map_or(hop.clone(), |prev| hop.after(&[prev]))
+            }
+        };
+        let id = eng.submit(&mut m, op).expect("valid op");
+        if i % 5 == 3 {
+            last_hop = Some(id);
+        }
+        ids.push(id);
+    }
+
+    Fingerprint::of_run(eng, m, FAN_NODES, &ids)
+}
+
+/// Fan-in equivalence: on the switched and the sharded substrate, clean
+/// and under duplication, a crash of the hot node and a crash of one
+/// sender, the event scheduler is the reference — and on the clean
+/// variant it gets there in a bounded number of steps per op, however
+/// many ops share node 0.
+#[test]
+fn fan_in_wakes_by_pair_and_stays_equivalent() {
+    let ops = (FAN_NODES - 1) as u64;
+    for sub in ["switched", "sharded-t1"] {
+        for variant in ["clean", "dup+jitter", "crash-hot", "crash-sender"] {
+            let fault = match variant {
+                "crash-hot" => FaultConfig {
+                    crashes: vec![CrashWindow { node: n(0), start: 80, end: 220 }],
+                    ..FaultConfig::default()
+                },
+                "crash-sender" => FaultConfig {
+                    crashes: vec![CrashWindow { node: n(10), start: 40, end: 220 }],
+                    ..FaultConfig::default()
+                },
+                other => fault_variant(other),
+            };
+            for seed in 0..SEEDS {
+                let evt = run_fan_in(SchedMode::EventDriven, sub, &fault, seed);
+                let rr = run_fan_in(SchedMode::ReferenceRoundRobin, sub, &fault, seed);
+                let ctx = format!("fan-in {sub}/{variant}/seed {seed}");
+                assert_same_run(&ctx, &evt, &rr);
+                if variant == "clean" {
+                    assert!(
+                        evt.steps <= 16 * ops,
+                        "{ctx}: {} steps for {ops} ops — more than 16 each ({} reference)",
+                        evt.steps,
+                        rr.steps
+                    );
+                }
             }
         }
     }
