@@ -19,9 +19,13 @@
 //! there), an endpoint crash-restarts, or its own timer (retry window,
 //! timeout, RTO) comes due on the timing wheel; a pass visits only the
 //! ordered set of operations that are awake. When a pass makes no
-//! progress, time passes — one cycle while
-//! packets are in flight, otherwise an *idle jump* straight to the next
-//! wheel event — and a sleeper receives the timer ticks it slept
+//! progress, time passes — to the *next event*, not the next cycle: the
+//! first of the next wheel entry, the next scripted crash-restart, the
+//! cycle the substrate says its receive queues stay quiet until
+//! ([`Network::quiet_until`](timego_netsim::Network::quiet_until) —
+//! packets on the wire are time no software runs in) and the caller's
+//! own next event ([`Engine::pump_until`]) — and a sleeper receives the
+//! timer ticks it slept
 //! through at once when it wakes (this is what drives retry deadlines
 //! from [`RetryPolicy`](crate::RetryPolicy) and stream retransmission
 //! timeouts). The scheduler this replaced — step everything, advance
@@ -64,7 +68,7 @@
 //! happen between advances (which is exactly the property the sharded
 //! substrate's determinism argument rests on), `take_delivered` feeds
 //! [`absorb_wakes`](Engine) the same byte-identical sequence at every
-//! worker-thread count, and idle clock-jumps hand the substrate one
+//! worker-thread count, and clock-jumps hand the substrate one
 //! big `advance(n)` — which the sharded network turns into a single
 //! parallel dispatch rather than `n` sequential ones.
 //!
@@ -1243,42 +1247,83 @@ impl Engine {
     /// Drive every submitted operation to completion (success or
     /// error), interleaving all of them over the machine's substrate.
     /// Outcomes are collected per [`OpId`]; an individual operation's
-    /// failure does not abort the others.
+    /// failure does not abort the others. Nothing outside the engine is
+    /// waiting on the clock, so every quantum may let time pass to the
+    /// engine's own next event ([`Engine::pump_until`] with no limit).
     pub fn run(&mut self, m: &mut Machine) {
         while self.unfinished() > 0 {
-            self.pump(m);
+            self.pump_until(m, u64::MAX);
         }
+    }
+
+    /// One scheduler quantum that lets exactly one cycle pass while
+    /// packets are in flight: [`Engine::pump_until`] with a limit that
+    /// has already passed.
+    ///
+    /// This is the open-loop building block for a driver that wants to
+    /// look at the world every cycle: it alternates `pump` with
+    /// [`Engine::submit`] calls to inject new operations at a controlled
+    /// offered rate while earlier ones are still in flight. When the
+    /// engine is empty, `pump` advances the clock one cycle so a driver
+    /// waiting for its next injection slot still makes time pass.
+    pub fn pump(&mut self, m: &mut Machine) -> usize {
+        self.pump_until(m, 0)
     }
 
     /// One scheduler quantum: expire what supervision says is due,
     /// admit what is admissible, and step every *ready* operation in
     /// admission order, repeating until a pass makes no progress; then
-    /// let time pass — one cycle while packets are in flight, or an
-    /// *idle jump* straight to the next timer-wheel event when the
-    /// fabric is empty. An operation whose step finds nothing to do
-    /// leaves the ready set until a packet touches one of its endpoints
-    /// or its own timer comes due (it then receives the ticks it slept
-    /// through at once), so a quantum costs the runnable work, not the
-    /// operations in flight. [`SchedMode::ReferenceRoundRobin`] instead
-    /// steps everything every pass and always advances one cycle, for
-    /// the identical trace and bills. Returns the number of operations
-    /// still unfinished.
+    /// let time pass, at least one cycle and otherwise to the next
+    /// event. An operation whose step finds nothing to do leaves the
+    /// ready set until a packet touches one of its endpoints or its own
+    /// timer comes due (it then receives the ticks it slept through at
+    /// once), so a quantum costs the runnable work, not the operations
+    /// in flight. Returns the number of operations still unfinished.
     ///
-    /// This is the open-loop building block: a paced driver alternates
-    /// `pump` with [`Engine::submit`] calls to inject new operations at a
-    /// controlled offered rate while earlier ones are still in flight
-    /// ([`Engine::run`] is just `pump` until nothing is left). When the
-    /// engine is empty, `pump` advances the clock one cycle so a driver
-    /// waiting for its next injection slot still makes time pass.
-    pub fn pump(&mut self, m: &mut Machine) -> usize {
+    /// **How much time passes** is one rule. With every running
+    /// operation asleep, the next quantum can do something only when a
+    /// wheel entry comes due (a timer wake, deadline, watchdog or
+    /// park-resume), a scripted crash-restart closes, or a receive
+    /// queue gains a packet; the caller can do something at `limit`,
+    /// the substrate cycle of its own next event (an arrival to submit,
+    /// a probe round). The clock moves to the earliest of the four —
+    /// the substrate answers the third with
+    /// [`Network::quiet_until`](timego_netsim::Network::quiet_until), a
+    /// lower bound, so a quantum may end early and find nothing to do,
+    /// never late. Two refinements keep existing callers exact:
+    ///
+    /// * a quantum in which an operation *settled* lets exactly one
+    ///   cycle pass, so a caller that harvests completions
+    ///   ([`Engine::completions_since`]) reacts to them — cancels a
+    ///   hedge loser, frees an admission slot — on the cycle it would
+    ///   have under [`Engine::pump`];
+    /// * with the fabric empty the wheel and the restart schedule alone
+    ///   decide, `limit` or no (what `pump` has always done), so
+    ///   `pump_until` never lets *less* time pass than `pump` would.
+    ///
+    /// The skipped quanta are exactly those that would have stepped no
+    /// operation, recorded no trace event and billed no instruction:
+    /// traces, bills and outcomes do not depend on `limit`, nor on
+    /// whether the substrate answers `quiet_until` at all. The sweep of
+    /// TTL-expired receiver state ([`CmamConfig::gc_ttl_cycles`]) may
+    /// come due inside a skipped span; it runs at the top of the next
+    /// quantum, before any operation steps or could have looked.
+    ///
+    /// [`SchedMode::ReferenceRoundRobin`] instead steps everything
+    /// every pass and always advances one cycle, for the identical
+    /// trace and bills. When the engine is empty the clock simply moves
+    /// to `limit` (one cycle if that has passed).
+    ///
+    /// [`CmamConfig::gc_ttl_cycles`]: crate::CmamConfig::gc_ttl_cycles
+    pub fn pump_until(&mut self, m: &mut Machine, limit: u64) -> usize {
         self.counters.quanta += 1;
         if self.unfinished() == 0 {
-            m.advance(1);
+            m.advance(limit.saturating_sub(clock(m)).max(1));
             self.counters.advances += 1;
             return 0;
         }
         let left = match self.mode {
-            SchedMode::EventDriven => self.pump_event(m),
+            SchedMode::EventDriven => self.pump_event(m, limit),
             SchedMode::ReferenceRoundRobin => self.pump_reference(m),
         };
         #[cfg(debug_assertions)]
@@ -1424,8 +1469,8 @@ impl Engine {
         }
     }
 
-    /// The readiness-driven scheduler ([`Engine::pump`] describes its
-    /// quantum). Same observable semantics as
+    /// The readiness-driven scheduler ([`Engine::pump_until`] describes
+    /// its quantum). Same observable semantics as
     /// [`Engine::pump_reference`] — identical trace, identical
     /// per-feature bills — reached with far fewer op steps: idle ops
     /// sleep on their wake conditions; deadlines, watchdogs and
@@ -1444,7 +1489,8 @@ impl Engine {
     /// reference sweep reaches them. The visit-time rule: an op woken
     /// mid-pass joins *this* pass iff its `inc` is past the cursor,
     /// which is exactly when the reference sweep would still reach it.
-    fn pump_event(&mut self, m: &mut Machine) -> usize {
+    fn pump_event(&mut self, m: &mut Machine, limit: u64) -> usize {
+        let settled = self.completions.len();
         // Restart folding first, same slot the reference gives it; ops
         // with an endpoint at a restarted node wake so their next step
         // observes the `SessionReset`.
@@ -1554,11 +1600,12 @@ impl Engine {
                 continue;
             }
             // Every running op is now asleep (a ready op either
-            // progressed — and we looped — or idled and slept). With
-            // traffic in flight a delivery can wake someone next cycle;
-            // with the fabric empty nothing observable happens before
-            // the next wheel event, so jump the clock straight there.
-            let jump = self.idle_jump(m);
+            // progressed — and we looped — or idled and slept), so
+            // nothing observable happens before the next event: jump
+            // the clock straight there. Unless something settled: then
+            // the caller has a completion to react to next cycle.
+            let limit = if self.completions.len() == settled { limit } else { 0 };
+            let jump = self.idle_jump(m, limit);
             let t = self.profiler.as_ref().map(|_| Instant::now());
             m.advance(jump);
             self.profile(SchedPhase::SubstrateStep, t);
@@ -1612,20 +1659,34 @@ impl Engine {
     }
 
     /// How far the clock may advance in one quantum with every running
-    /// op asleep. One cycle while packets are in flight (a delivery can
-    /// wake someone); otherwise straight to the next wheel event,
-    /// clamped so a scripted crash-restart is observed on the cycle its
-    /// window closes — exactly when the reference would observe it.
-    fn idle_jump(&self, m: &Machine) -> u64 {
+    /// op asleep ([`Engine::pump_until`] states the rule): to the next
+    /// wheel event, clamped so a scripted crash-restart is observed on
+    /// the cycle its window closes — exactly when the reference would
+    /// observe it — and, while packets are in flight, to the first
+    /// cycle a delivery could wake someone and to the caller's `limit`.
+    fn idle_jump(&self, m: &Machine, limit: u64) -> u64 {
         let net = m.network().borrow();
-        if net.in_flight() > 0 {
-            return 1;
-        }
-        let Some(mut due) = self.wheel.next_due() else { return 1 };
+        let now = net.now().cycles();
+        let mut until = if net.in_flight() > 0 {
+            // The cheap questions first: `pump`'s limit has passed, and
+            // a contended fabric answers "next cycle" — neither needs
+            // the wheel consulted.
+            if limit <= now + 1 {
+                return 1;
+            }
+            let quiet = net.quiet_until().cycles().min(limit);
+            if quiet <= now + 1 {
+                return 1;
+            }
+            self.wheel.next_due().map_or(quiet, |due| due.min(quiet))
+        } else {
+            let Some(due) = self.wheel.next_due() else { return 1 };
+            due
+        };
         if let Some(r) = net.next_restart_at() {
-            due = due.min(r.cycles());
+            until = until.min(r.cycles());
         }
-        due.saturating_sub(net.now().cycles()).max(1)
+        until.saturating_sub(now).max(1)
     }
 
     /// Advance the timing wheel to the substrate clock, harvest every
@@ -2269,9 +2330,7 @@ impl Engine {
         for id in waiting {
             self.cancel(m, id);
         }
-        while self.unfinished() > 0 {
-            self.pump(m);
-        }
+        self.run(m);
         let mut drained = 0;
         let mut guard = 0;
         loop {

@@ -255,6 +255,24 @@ pub trait Network {
         None
     }
 
+    /// A cycle after [`now`](Network::now) before which no receive queue
+    /// can gain a packet: for every `k` with `now + k < quiet_until()`,
+    /// `advance(k)` pushes onto no receive queue and marks no node for
+    /// [`take_delivered`](Network::take_delivered). An injection may
+    /// lower the answer; time passing, receives and peeks never do. An
+    /// event-driven scheduler whose operations all sleep on deliveries
+    /// may therefore hand the substrate the whole quiet span in one
+    /// `advance` instead of one cycle at a time.
+    ///
+    /// The answer is a lower bound on the next delivery, not a
+    /// prediction of it, and callers may use it for speed only — a
+    /// decorator that does not forward this method gets the default,
+    /// `now + 1` ("I don't know"), and must see the same run. A
+    /// substrate with nothing in transit answers the far future.
+    fn quiet_until(&self) -> Time {
+        self.now() + 1
+    }
+
     /// Advance until the network is drained (nothing in flight) or
     /// `max_cycles` have elapsed; returns `true` if drained. Default
     /// implementation steps one cycle at a time.

@@ -169,7 +169,34 @@ struct Ctl {
     remaining: usize,
     /// Cycles to step each shard this window.
     cycles: u64,
+    /// What the shards finished so far this window left behind.
+    seen: Readback,
     shutdown: bool,
+}
+
+/// What an advance window left behind in the shards and the engine
+/// polls, reduced as each shard finishes — a sum, an or and a minimum,
+/// so the order workers finish in cannot show.
+#[derive(Debug, Clone, Copy)]
+struct Readback {
+    /// Packets inside subnets and on ingress calendars.
+    in_flight: usize,
+    /// Whether any shard holds a wake mark not yet taken.
+    woke: bool,
+    /// The earliest cycle any shard's receive queues can gain a packet:
+    /// its subnet's [`Network::quiet_until`] or the first key of its
+    /// ingress calendar (`u64::MAX` with nothing in transit).
+    quiet: u64,
+}
+
+impl Readback {
+    const NOTHING: Readback = Readback { in_flight: 0, woke: false, quiet: u64::MAX };
+
+    fn absorb(&mut self, shard: Readback) {
+        self.in_flight += shard.in_flight;
+        self.woke |= shard.woke;
+        self.quiet = self.quiet.min(shard.quiet);
+    }
 }
 
 /// A [`SwitchedNetwork`] sharded across worker threads — see the
@@ -210,6 +237,10 @@ pub struct ShardedNetwork {
     /// Whether some shard may hold a wake mark that
     /// [`take_delivered`](Network::take_delivered) has not collected.
     wakes_pending: bool,
+    /// No shard's receive queues can gain a packet before this cycle
+    /// ([`Readback::quiet`]): read back by `advance`, lowered by every
+    /// injection that files something earlier.
+    quiet: u64,
 }
 
 fn fat_tree_for(nodes: usize) -> FatTree {
@@ -253,23 +284,34 @@ fn shard_fault(cfg: &FaultConfig, base: usize, len: usize) -> FaultConfig {
     }
 }
 
-/// Step one shard through `cycles` cycles: advance the subnet, then
-/// deliver every boundary packet that came due, in due-cycle order and
-/// injection order within a cycle. Runs on worker threads; touches
-/// nothing outside the cell.
-fn step_cell(cell: &mut ShardCell, cycles: u64) {
-    for _ in 0..cycles {
-        cell.subnet.advance(1);
+/// Step one shard through `cycles` cycles: advance the subnet, and
+/// deliver every boundary packet on the cycle it comes due, in due-cycle
+/// order and injection order within a cycle. The subnet and the boundary
+/// path share nothing, so the subnet is handed the whole stretch to the
+/// next due crossing at once — a shard with nothing in transit costs
+/// clock arithmetic. Runs on worker threads; touches nothing outside the
+/// cell, and says what the front would otherwise lock it again to read.
+fn step_cell(cell: &mut ShardCell, cycles: u64) -> Readback {
+    let end = cell.subnet.now().cycles() + cycles;
+    loop {
         let now = cell.subnet.now();
-        while let Some((&due, _)) = cell.ingress.first_key_value() {
-            if due > now.cycles() {
-                break;
-            }
-            let batch = cell.ingress.remove(&due).expect("key just observed");
+        // Calendar keys are always ahead of the clock.
+        let next = cell.ingress.first_key_value().map_or(end, |(&due, _)| due.min(end));
+        cell.subnet.advance(next - now.cycles());
+        if let Some(batch) = cell.ingress.remove(&next) {
             for packet in batch {
-                deliver_boundary(cell, packet, now);
+                deliver_boundary(cell, packet, cell.subnet.now());
             }
         }
+        if next == end {
+            break;
+        }
+    }
+    let crossing = cell.ingress.first_key_value().map_or(u64::MAX, |(&due, _)| due);
+    Readback {
+        in_flight: cell.subnet.in_flight() + cell.ingress_len,
+        woke: cell.subnet.has_delivered() || !cell.wake.is_empty(),
+        quiet: cell.subnet.quiet_until().cycles().min(crossing),
     }
 }
 
@@ -305,8 +347,9 @@ fn worker_loop(pool: &Pool) {
             ctl.next += 1;
             let cycles = ctl.cycles;
             drop(ctl);
-            step_cell(&mut lock(&pool.cells[i]), cycles);
+            let shard = step_cell(&mut lock(&pool.cells[i]), cycles);
             ctl = lock(&pool.ctl);
+            ctl.seen.absorb(shard);
             ctl.remaining -= 1;
             if ctl.remaining == 0 {
                 pool.done.notify_all();
@@ -374,7 +417,13 @@ impl ShardedNetwork {
 
         let pool = Arc::new(Pool {
             cells,
-            ctl: Mutex::new(Ctl { next: shards, remaining: 0, cycles: 0, shutdown: false }),
+            ctl: Mutex::new(Ctl {
+                next: shards,
+                remaining: 0,
+                cycles: 0,
+                seen: Readback::NOTHING,
+                shutdown: false,
+            }),
             work: Condvar::new(),
             done: Condvar::new(),
         });
@@ -403,6 +452,7 @@ impl ShardedNetwork {
             merged: OnceCell::new(),
             in_flight_cache: 0,
             wakes_pending: false,
+            quiet: u64::MAX,
         }
     }
 
@@ -441,19 +491,6 @@ impl ShardedNetwork {
         merged
     }
 
-    /// Read back, in shard index order, what an advance window changed
-    /// and the engine polls: the in-flight total and whether any shard
-    /// marked a delivery.
-    fn resync(&mut self) {
-        let mut in_flight = self.boundary_faults.held_count();
-        for cell in &self.pool.cells {
-            let cell = lock(cell);
-            in_flight += cell.subnet.in_flight() + cell.ingress_len;
-            self.wakes_pending |= cell.subnet.has_delivered() || !cell.wake.is_empty();
-        }
-        self.in_flight_cache = in_flight;
-    }
-
     /// Re-enter boundary packets the reorder fault released: they join
     /// their destination shard's ingress calendar a fresh crossing away.
     /// Like the unsharded substrate's held packets, they bypass the
@@ -466,6 +503,7 @@ impl ShardedNetwork {
         for packet in self.boundary_faults.take_released(now) {
             let (ds, ldst) = self.local(packet.dst());
             let due = now.cycles() + self.cross_latency;
+            self.quiet = self.quiet.min(due);
             let mut cell = lock(&self.pool.cells[ds]);
             cell.ingress.entry(due).or_default().push_back(packet);
             cell.ingress_len += 1;
@@ -488,28 +526,28 @@ impl Network for ShardedNetwork {
             return;
         }
         self.now += cycles;
+        let mut seen = Readback::NOTHING;
         if self.workers.is_empty() {
             for cell in &self.pool.cells {
-                step_cell(&mut lock(cell), cycles);
+                seen.absorb(step_cell(&mut lock(cell), cycles));
             }
         } else {
-            {
-                let mut ctl = lock(&self.pool.ctl);
-                ctl.next = 0;
-                ctl.remaining = self.pool.cells.len();
-                ctl.cycles = cycles;
-                self.pool.work.notify_all();
-            }
             // The calling thread is worker 0: claim shards alongside
             // the spawned workers, then wait out the stragglers.
             let mut ctl = lock(&self.pool.ctl);
+            ctl.next = 0;
+            ctl.remaining = self.pool.cells.len();
+            ctl.cycles = cycles;
+            ctl.seen = Readback::NOTHING;
+            self.pool.work.notify_all();
             loop {
                 if ctl.next < self.pool.cells.len() {
                     let i = ctl.next;
                     ctl.next += 1;
                     drop(ctl);
-                    step_cell(&mut lock(&self.pool.cells[i]), cycles);
+                    let shard = step_cell(&mut lock(&self.pool.cells[i]), cycles);
                     ctl = lock(&self.pool.ctl);
+                    ctl.seen.absorb(shard);
                     ctl.remaining -= 1;
                     if ctl.remaining == 0 {
                         self.pool.done.notify_all();
@@ -520,10 +558,16 @@ impl Network for ShardedNetwork {
                     break;
                 }
             }
+            seen = ctl.seen;
         }
+        // What the engine polls, as the window left it. A boundary hold
+        // released below moves from held to in transit (the total stays)
+        // and lowers the quiet bound itself.
+        self.in_flight_cache = self.boundary_faults.held_count() + seen.in_flight;
+        self.wakes_pending |= seen.woke;
+        self.quiet = seen.quiet;
         self.release_boundary_holds();
         self.merged.take();
-        self.resync();
     }
 
     fn try_inject(&mut self, mut packet: Packet) -> Result<(), InjectError> {
@@ -549,6 +593,7 @@ impl Network for ShardedNetwork {
             // duplicate); a loopback delivers, and marks its wake, at once.
             self.in_flight_cache += cell.subnet.in_flight() - before;
             self.wakes_pending |= cell.subnet.has_delivered();
+            self.quiet = self.quiet.min(cell.subnet.quiet_until().cycles());
             return out;
         }
 
@@ -592,6 +637,7 @@ impl Network for ShardedNetwork {
                 packet.corrupt();
             }
             let due = self.now.cycles() + self.cross_latency + faults.extra_delay;
+            self.quiet = self.quiet.min(due);
             cell.ingress.entry(due).or_default().push_back(packet);
             cell.ingress_len += 1;
             cell.pending_to[ldst] += 1;
@@ -607,6 +653,7 @@ impl Network for ShardedNetwork {
                     self.next_id += 1;
                     *seq += 1;
                     let dup_due = self.now.cycles() + self.cross_latency;
+                    self.quiet = self.quiet.min(dup_due);
                     cell.ingress.entry(dup_due).or_default().push_back(dup);
                     cell.ingress_len += 1;
                     cell.pending_to[ldst] += 1;
@@ -690,6 +737,14 @@ impl Network for ShardedNetwork {
 
     fn next_restart_at(&self) -> Option<Time> {
         self.boundary_faults.next_restart_after(self.now)
+    }
+
+    fn quiet_until(&self) -> Time {
+        // A boundary hold is released by traffic as well as by time.
+        if self.boundary_faults.held_count() > 0 {
+            return self.now + 1;
+        }
+        Time::from_cycles(self.quiet)
     }
 
     fn take_delivered(&mut self) -> Vec<NodeId> {
@@ -799,6 +854,12 @@ mod tests {
             })
             .sum();
         assert_eq!(net.in_flight(), net.boundary_faults.held_count() + in_shards, "in-flight total");
+        let quiet = net.pool.cells.iter().map(|cell| {
+            let cell = lock(cell);
+            let crossing = cell.ingress.first_key_value().map_or(u64::MAX, |(&due, _)| due);
+            cell.subnet.quiet_until().cycles().min(crossing)
+        });
+        assert_eq!(net.quiet, quiet.min().expect("a shard"), "quiet bound");
     }
 
     #[test]
@@ -931,6 +992,101 @@ mod tests {
         let t1 = run(1);
         assert_eq!(t1, run(2), "2 threads must match 1 thread bit for bit");
         assert_eq!(t1, run(4), "4 threads must match 1 thread bit for bit");
+    }
+
+    /// Cross-shard, intra-shard and loopback traffic with boundary and
+    /// subnet reorder holds, duplicates and jitter, partly drained: the
+    /// bound is read every cycle, and on a cycle short of the latest
+    /// reading since the last injection no receive queue may grow and no
+    /// wake may be marked. Every reading is returned, so thread counts
+    /// can be compared.
+    fn quiet_bounds_hold(threads: usize) -> Vec<u64> {
+        let mut net = ShardedNetwork::new(
+            16,
+            ShardedConfig {
+                switched: SwitchedConfig {
+                    fault: FaultConfig {
+                        duplicate_prob: 0.1,
+                        delay_jitter: 5,
+                        reorder_prob: 0.15,
+                        reorder_depth: 3,
+                        ..FaultConfig::default()
+                    },
+                    rx_queue_capacity: 3,
+                    ..cfg(4, threads).switched
+                },
+                ..cfg(4, threads)
+            },
+        );
+        let depths = |net: &ShardedNetwork| (0..16).map(|i| net.rx_pending(n(i))).collect::<Vec<_>>();
+        let mut rng = crate::rng::SimRng::new(21);
+        let mut promised = net.quiet_until();
+        let (mut readings, mut looked_ahead, mut held) = (Vec::new(), 0, false);
+        for s in 0..400u32 {
+            // Injections thin out, so stretches with a few packets on
+            // the wire (where the bound says something) alternate with
+            // bursts (where contention makes packets overdue).
+            let burst = if s % 40 < 10 { rng.gen_index(4) } else { usize::from(rng.gen_index(4) == 0) };
+            for k in 0..burst {
+                let src = rng.gen_index(16);
+                let dst = if rng.gen_index(8) == 0 { src } else { rng.gen_index(16) };
+                let _ = net.try_inject(pkt(src, dst, s * 4 + k as u32));
+                assert_front_is_current(&net);
+                promised = net.quiet_until();
+            }
+            held |= net.boundary_faults.held_count() > 0;
+            // A loopback delivers, and marks its wake, inside `try_inject`.
+            let _ = net.take_delivered();
+            let before = depths(&net);
+            net.advance(1);
+            assert_front_is_current(&net);
+            let woken = net.take_delivered();
+            if net.now() < promised {
+                assert_eq!((before, Vec::new()), (depths(&net), woken), "delivery at {} before {promised}", net.now());
+                looked_ahead += 1;
+            }
+            assert!(net.quiet_until() > net.now(), "the bound is ahead of the clock");
+            promised = net.quiet_until().max(promised);
+            readings.push(net.quiet_until().cycles());
+            if s % 3 == 0 {
+                let _ = net.try_receive(n(rng.gen_index(16)));
+            }
+        }
+        assert!(held, "the boundary reorder fault held something");
+        assert!(net.stats().delivered > 100, "traffic flowed: {}", net.stats());
+        assert!(looked_ahead > 40, "only {looked_ahead} cycles were promised quiet ahead of time");
+        readings
+    }
+
+    #[test]
+    fn no_packet_arrives_before_the_quiet_bound_at_any_thread_count() {
+        assert_eq!(quiet_bounds_hold(1), quiet_bounds_hold(2), "the bound must not depend on threads");
+    }
+
+    #[test]
+    fn a_long_advance_is_the_single_cycles_it_stands_for() {
+        let run = |chunk: u64| {
+            let mut net = ShardedNetwork::new(16, cfg(4, 2));
+            let mut seen = Vec::new();
+            for s in 0..30u32 {
+                let src = (s as usize * 5) % 16;
+                let _ = net.try_inject(pkt(src, (src + 1 + (s as usize) % 9) % 16, s));
+                for _ in 0..60 / chunk {
+                    net.advance(chunk);
+                    assert_front_is_current(&net);
+                }
+                seen.push((net.now().cycles(), net.take_delivered()));
+                for i in 0..16 {
+                    while let Some(p) = net.try_receive(n(i)) {
+                        seen.push((u64::from(p.header()), vec![p.src(), p.dst()]));
+                    }
+                }
+            }
+            (seen, net.stats().to_string())
+        };
+        let single = run(1);
+        assert_eq!(single, run(60), "one advance per burst");
+        assert_eq!(single, run(4), "boundary crossings come due mid-advance");
     }
 
     #[test]

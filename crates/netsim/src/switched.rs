@@ -37,6 +37,20 @@
 //! state (`rr` and `last_progress` only change on a move), and an extra
 //! visit is one the full scan makes anyway, so the schedule is exact:
 //! the test module steps a clone by the full scan and compares.
+//!
+//! ## How long the receive queues stay quiet
+//!
+//! A packet accepted at cycle `t` onto a path of `L` links cannot reach
+//! its receive queue before `t + L × link_latency`: it occupies every
+//! link for `link_latency` cycles, and contention, jitter and a full
+//! buffer only ever add to that. The bound is filed once, when the
+//! packet enters the link queues (injection, a released reorder hold, a
+//! duplicate, `swap_in`), in a 64-slot ring of counts indexed by cycle;
+//! a slot the clock passes moves its count to `overdue`, and every
+//! delivery (or CRC drop) takes one from `overdue` — so no per-packet
+//! state, no allocation. [`Network::quiet_until`] is then the first
+//! occupied slot, or `now + 1` while anything is overdue or held by the
+//! reorder fault (whose release is not a matter of time alone).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -130,6 +144,13 @@ const NOT_HEAD: Time = Time::from_cycles(u64::MAX);
 /// cursor rule sends every wake to the next cycle.
 const NO_SCAN: usize = usize::MAX;
 
+/// Slots in the arrival-bound ring: bounds are filed at most
+/// `BOUND_SLOTS - 1` cycles out (a nearer bound is still a bound).
+const BOUND_SLOTS: u64 = 64;
+
+/// [`Network::quiet_until`] of a network with nothing in transit.
+const NEVER: Time = Time::from_cycles(u64::MAX);
+
 /// What a visit found at the head of one `(link, vc)` queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Head {
@@ -195,6 +216,13 @@ pub struct SwitchedNetwork<T> {
     cursor: usize,
     visits: u64,
     moves: u64,
+    // Arrival bounds (module docs): `bound_counts[c % 64]` queued
+    // packets cannot be delivered before cycle `c`, for `c` in
+    // `now + 1 ..= now + 63`; `bound_mask` has a bit per non-zero slot;
+    // `overdue` packets are past their bound and still queued.
+    bound_counts: [u32; BOUND_SLOTS as usize],
+    bound_mask: u64,
+    overdue: usize,
 }
 
 /// Register `li` with whatever blocks its head (sources 2 and 3).
@@ -260,6 +288,9 @@ impl<T: Topology> SwitchedNetwork<T> {
             cursor: NO_SCAN,
             visits: 0,
             moves: 0,
+            bound_counts: [0; BOUND_SLOTS as usize],
+            bound_mask: 0,
+            overdue: 0,
         }
     }
 
@@ -284,6 +315,7 @@ impl<T: Topology> SwitchedNetwork<T> {
         for waiters in self.link_waiters.iter_mut().chain(&mut self.node_waiters) {
             waiters.clear();
         }
+        (self.bound_counts, self.bound_mask, self.overdue) = ([0; BOUND_SLOTS as usize], 0, 0);
         self.in_flight -= transits.len();
         SwappedContext { transits }
     }
@@ -304,6 +336,7 @@ impl<T: Topology> SwitchedNetwork<T> {
             } else {
                 NOT_HEAD
             };
+            self.file_bound(transit.path.len() - transit.hop);
             self.enqueue(li, transit);
         }
         self.last_progress = self.now;
@@ -365,6 +398,27 @@ impl<T: Topology> SwitchedNetwork<T> {
         self.queue_mut(li, transit.vc).push_back(transit);
     }
 
+    /// File the arrival bound of a packet entering the link queues with
+    /// `links` links still to cross.
+    fn file_bound(&mut self, links: usize) {
+        debug_assert!(links >= 1, "a queued packet has a link to cross");
+        let ahead = (links as u64).saturating_mul(self.cfg.link_latency).min(BOUND_SLOTS - 1);
+        let slot = (self.now.cycles() + ahead) % BOUND_SLOTS;
+        self.bound_counts[slot as usize] += 1;
+        self.bound_mask |= 1 << slot;
+    }
+
+    /// Let one cycle pass: whatever was bound to this cycle is overdue
+    /// from here on.
+    fn tick(&mut self) {
+        self.now += 1;
+        let slot = self.now.cycles() % BOUND_SLOTS;
+        if self.bound_mask & (1 << slot) != 0 {
+            self.overdue += std::mem::take(&mut self.bound_counts[slot as usize]) as usize;
+            self.bound_mask &= !(1 << slot);
+        }
+    }
+
     fn choose_path(&mut self, src: NodeId, dst: NodeId) -> Vec<LinkId> {
         match self.cfg.strategy {
             RouteStrategy::Deterministic => self.topo.canonical_path(src, dst),
@@ -396,6 +450,8 @@ impl<T: Topology> SwitchedNetwork<T> {
     fn deliver(&mut self, transit: Transit) {
         let packet = transit.packet;
         self.in_flight -= 1;
+        // A packet leaves the last link at or after its bound.
+        self.overdue -= 1;
         self.last_progress = self.now;
         let (src, dst) = (packet.src(), packet.dst());
         if packet.is_corrupted() {
@@ -415,7 +471,7 @@ impl<T: Topology> SwitchedNetwork<T> {
     fn step(&mut self) {
         #[cfg(debug_assertions)]
         let was_busy = self.in_flight > 0;
-        self.now += 1;
+        self.tick();
         self.release_due_holds();
         // Every visit due this cycle, in ascending link order — the
         // order the full scan reaches them. Wakes filed for this cycle
@@ -446,8 +502,9 @@ impl<T: Topology> SwitchedNetwork<T> {
     /// every queued head has a registered reason to wait — a visit
     /// filed at its `ready_at` while it traverses; once ready, its link
     /// on the waiter list of the buffer that blocks it, or a visit
-    /// filed for the next cycle (mandatory if it could move right now).
-    /// Holds whenever no scan is running.
+    /// filed for the next cycle (mandatory if it could move right now);
+    /// and every queued packet is counted once by the arrival bounds,
+    /// in the ring or as overdue. Holds whenever no scan is running.
     #[cfg(any(test, debug_assertions))]
     fn check_schedule(&self) {
         let vcs = self.cfg.virtual_channels;
@@ -481,13 +538,17 @@ impl<T: Topology> SwitchedNetwork<T> {
             );
         }
         assert_eq!(queued + self.faults.held_count(), self.in_flight, "in_flight out of step with the queues");
+        let bound: usize = self.bound_counts.iter().map(|&c| c as usize).sum();
+        assert_eq!(bound + self.overdue, queued, "arrival bounds out of step with the queues");
+        let occupied = (0..BOUND_SLOTS).filter(|&s| self.bound_counts[s as usize] > 0);
+        assert_eq!(occupied.fold(0, |mask, s| mask | 1 << s), self.bound_mask, "bound mask vs counts");
     }
 
     /// The model the schedule stands in for, kept as the test oracle:
     /// visit every link, every cycle, in ascending order.
     #[cfg(test)]
     fn step_full_scan(&mut self) {
-        self.now += 1;
+        self.tick();
         self.release_due_holds();
         for li in 0..self.rr.len() {
             self.cursor = li;
@@ -609,6 +670,7 @@ impl<T: Topology> SwitchedNetwork<T> {
         } else {
             (NOT_HEAD, jitter)
         };
+        self.file_bound(path.len());
         self.enqueue(
             first,
             Transit { packet, path, hop: 0, vc, ready_at, jitter: pending_jitter },
@@ -644,9 +706,36 @@ impl<T: Topology> Network for SwitchedNetwork<T> {
     }
 
     fn advance(&mut self, cycles: u64) {
-        for _ in 0..cycles {
+        for left in (1..=cycles).rev() {
+            if self.in_flight == 0 && self.due.is_empty() {
+                // Nothing queued, held or filed: the remaining cycles
+                // are clock arithmetic (the ring is empty, so there is
+                // nothing to roll either).
+                #[cfg(debug_assertions)]
+                let sampled = (self.now.cycles() + 1).next_power_of_two() <= self.now.cycles() + left;
+                self.now += left;
+                #[cfg(debug_assertions)]
+                if sampled {
+                    self.check_schedule();
+                }
+                return;
+            }
             self.step();
         }
+    }
+
+    fn quiet_until(&self) -> Time {
+        if self.overdue > 0 || self.faults.held_count() > 0 {
+            return self.now + 1;
+        }
+        if self.bound_mask == 0 {
+            return NEVER;
+        }
+        // Slot `now % 64` was emptied by `tick`, so the ring reads
+        // `now + 1 ..= now + 63` in order from the slot after it.
+        let next = self.now.cycles() + 1;
+        let ahead = self.bound_mask.rotate_right((next % BOUND_SLOTS) as u32).trailing_zeros();
+        Time::from_cycles(next + u64::from(ahead))
     }
 
     fn try_inject(&mut self, mut packet: Packet) -> Result<(), InjectError> {
@@ -734,6 +823,7 @@ impl<T: Topology> Network for SwitchedNetwork<T> {
         } else {
             (NOT_HEAD, faults.extra_delay)
         };
+        self.file_bound(path.len());
         self.enqueue(first, Transit { packet, path, hop: 0, vc, ready_at, jitter });
         self.in_flight += 1;
         self.stats.injected += 1;
@@ -1337,29 +1427,49 @@ mod tests {
         );
     }
 
+    /// Receive-queue depths and marked wakes: what a delivery changes.
+    fn arrivals<T: Topology>(net: &SwitchedNetwork<T>) -> (Vec<usize>, usize) {
+        (net.rx.iter().map(VecDeque::len).collect(), net.wake.clone().take().len())
+    }
+
     /// Drive `net` by the schedule and a clone by the full scan through
     /// the same seeded traffic — bursts toward a few hot nodes, partial
     /// draining, multi-cycle advances, a swap-out/swap-in — comparing
-    /// after every cycle.
-    fn drive_against_full_scan<T: Topology + Clone>(mut net: SwitchedNetwork<T>, what: &str) {
+    /// after every cycle, and holding every cycle to the quiet bound:
+    /// `promised` is the latest `quiet_until()` any reading since the
+    /// last injection gave, and no receive queue may grow and no wake be
+    /// marked on a cycle short of it. Returns the cycles that were
+    /// promised quiet more than one cycle ahead.
+    fn drive_against_full_scan<T: Topology + Clone>(mut net: SwitchedNetwork<T>, what: &str) -> u64 {
         let mut oracle = net.clone();
         let mut rng = SimRng::new(net.cfg.seed ^ 0xD1FF);
         let nodes = net.num_nodes();
         let hot = 1 + rng.gen_index(3);
-        let cycle = |net: &mut SwitchedNetwork<T>, oracle: &mut SwitchedNetwork<T>| {
+        let mut promised = net.quiet_until();
+        let mut looked_ahead = 0;
+        let mut cycle = |net: &mut SwitchedNetwork<T>, oracle: &mut SwitchedNetwork<T>, promised: &mut Time| {
+            let before = arrivals(net);
             net.advance(1);
             oracle.step_full_scan();
             net.check_schedule();
             assert_same(net, oracle, what);
+            if net.now() < *promised {
+                assert_eq!(before, arrivals(net), "{what}: delivery at {}, promised quiet until {promised}", net.now());
+                looked_ahead += 1;
+            }
+            assert!(net.quiet_until() > net.now(), "{what}: the bound is ahead of the clock");
+            *promised = net.quiet_until().max(*promised);
         };
         for round in 0..48u32 {
             for k in 0..rng.gen_index(4) {
                 let dst = if rng.gen_index(4) == 0 { rng.gen_index(nodes) } else { rng.gen_index(hot) };
                 let p = pkt(rng.gen_index(nodes), dst, round * 4 + k as u32);
                 assert_eq!(net.try_inject(p.clone()), oracle.try_inject(p), "{what}: inject");
+                // An injection may lower the bound: earlier promises lapse.
+                promised = net.quiet_until();
             }
             for _ in 0..1 + rng.gen_index(3) {
-                cycle(&mut net, &mut oracle);
+                cycle(&mut net, &mut oracle, &mut promised);
             }
             assert_eq!(net.take_delivered(), oracle.take_delivered(), "{what}: wakes");
             for _ in 0..rng.gen_index(3) {
@@ -1369,13 +1479,18 @@ mod tests {
             if round == 30 {
                 let (ctx, octx) = (net.swap_out(), oracle.swap_out());
                 assert_eq!(ctx.len(), octx.len(), "{what}: swapped packets");
+                // The reorder fault's holds are not part of the context.
+                if net.in_flight() == 0 {
+                    assert_eq!(net.quiet_until(), NEVER, "{what}: nothing is in transit during a swap");
+                }
                 for _ in 0..3 {
-                    cycle(&mut net, &mut oracle);
+                    cycle(&mut net, &mut oracle, &mut promised);
                 }
                 net.swap_in(ctx);
                 oracle.swap_in(octx);
                 net.check_schedule();
                 assert_same(&net, &oracle, what);
+                promised = net.quiet_until();
             }
         }
         // Drain with every node extracting, so the last packets move too.
@@ -1383,14 +1498,16 @@ mod tests {
             if net.in_flight() == 0 {
                 break;
             }
-            cycle(&mut net, &mut oracle);
+            cycle(&mut net, &mut oracle, &mut promised);
             for node in 0..nodes {
                 assert_eq!(net.try_receive(n(node)), oracle.try_receive(n(node)), "{what}: drain");
             }
         }
         assert_eq!(net.in_flight(), 0, "{what}: drained");
+        assert_eq!(net.quiet_until(), NEVER, "{what}: a drained network stays quiet");
         let (visits, moves) = net.link_visits();
         assert!(visits >= moves && visits < oracle.link_visits().0, "{what}: the schedule visits less");
+        looked_ahead
     }
 
     #[test]
@@ -1423,6 +1540,7 @@ mod tests {
         // axis, so each value of each axis still comes up.
         let grid = 3 * 3 * 5 * 3 * 4 * 5;
         let stride = if cfg!(debug_assertions) { 23 } else { 1 };
+        let (mut runs, mut looked_ahead) = (0, 0);
         for i in (0..grid).step_by(stride) {
             let cfg = SwitchedConfig {
                 virtual_channels: 1 + i % 3,
@@ -1434,9 +1552,51 @@ mod tests {
                 seed: 0x5EED ^ i as u64,
             };
             let what = format!("config {i} {cfg:?}");
-            drive_against_full_scan(SwitchedNetwork::new(FatTree::new(2, 3, 2), cfg.clone()), &what);
-            drive_against_full_scan(SwitchedNetwork::new(Mesh2D::new(3, 3), cfg), &what);
+            looked_ahead += drive_against_full_scan(SwitchedNetwork::new(FatTree::new(2, 3, 2), cfg.clone()), &what);
+            looked_ahead += drive_against_full_scan(SwitchedNetwork::new(Mesh2D::new(3, 3), cfg), &what);
+            runs += 2;
         }
+        // The bound has to say something: a run is ~100 busy cycles, and
+        // an uncontended packet is promised its whole route.
+        assert!(looked_ahead >= 10 * runs, "{looked_ahead} cycles promised quiet ahead of time over {runs} runs");
+    }
+
+    #[test]
+    fn a_long_advance_is_the_single_cycles_it_stands_for() {
+        let cfg = SwitchedConfig {
+            fault: FaultConfig { delay_jitter: 6, duplicate_prob: 0.2, ..FaultConfig::default() },
+            virtual_channels: 2,
+            seed: 9,
+            ..SwitchedConfig::default()
+        };
+        let mut net = SwitchedNetwork::new(FatTree::new(4, 2, 2), cfg);
+        let mut single = net.clone();
+        let mut rng = SimRng::new(3);
+        for round in 0..40u32 {
+            // Bursts with long idle stretches between them, so an
+            // advance starts busy and ends idle, or is idle throughout.
+            for k in 0..rng.gen_index(3) {
+                let p = pkt(rng.gen_index(16), rng.gen_index(16), round * 4 + k as u32);
+                assert_eq!(net.try_inject(p.clone()), single.try_inject(p));
+            }
+            let cycles = [1, 3, 40, 1000, 1 << 20][rng.gen_index(5)];
+            net.advance(cycles);
+            // The arm under test returns at the first idle cycle; the
+            // reference makes every step (it drains within the first 200).
+            for _ in 0..cycles.min(200) {
+                single.step();
+            }
+            single.now += cycles - cycles.min(200);
+            net.check_schedule();
+            assert_same(&net, &single, "long advance");
+            assert_eq!(net.now(), single.now());
+            assert_eq!(net.take_delivered(), single.take_delivered());
+            for node in 0..16 {
+                assert_eq!(net.try_receive(n(node)), single.try_receive(n(node)));
+            }
+        }
+        assert!(net.stats().delivered > 20, "traffic flowed: {}", net.stats());
+        assert!(net.now().cycles() > 1 << 20, "the idle stretches were long");
     }
 
     /// Acknowledged traffic, the shape every protocol above offers: each

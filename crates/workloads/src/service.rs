@@ -313,49 +313,54 @@ impl Balancer {
     /// Panics if every server has been removed.
     pub fn pick(&mut self, key: u64, view: &LoadView) -> NodeId {
         assert!(!self.servers.is_empty(), "balancer has no live servers");
-        let live: Vec<NodeId> = self
-            .servers
-            .iter()
-            .copied()
-            .filter(|s| !self.ejected.contains(s))
-            .collect();
-        let pool: &[NodeId] = if live.is_empty() { &self.servers } else { &live };
         match self.policy {
             BalancerPolicy::Random => {
-                let i = self.rng.gen_index(pool.len());
-                pool[i]
+                let pool = self.pool();
+                pool[self.rng.gen_index(pool.len())]
             }
             BalancerPolicy::RoundRobin => {
+                let pool = self.pool();
                 let s = pool[self.rr_cursor % pool.len()];
                 self.rr_cursor = self.rr_cursor.wrapping_add(1);
                 s
             }
-            BalancerPolicy::LeastLoaded => {
-                *pool
-                    .iter()
-                    .min_by_key(|&&s| {
-                        (view.outstanding.get(&s).copied().unwrap_or(0), s.index())
-                    })
-                    .expect("non-empty pool")
-            }
-            BalancerPolicy::LatencyEwma => {
-                *pool
-                    .iter()
-                    .min_by_key(|&&s| (view.ewma.get(&s).copied().unwrap_or(0), s.index()))
-                    .expect("non-empty pool")
-            }
+            BalancerPolicy::LeastLoaded => self
+                .pool()
+                .into_iter()
+                .min_by_key(|&s| (view.outstanding.get(&s).copied().unwrap_or(0), s.index()))
+                .expect("non-empty pool"),
+            BalancerPolicy::LatencyEwma => self
+                .pool()
+                .into_iter()
+                .min_by_key(|&s| (view.ewma.get(&s).copied().unwrap_or(0), s.index()))
+                .expect("non-empty pool"),
             BalancerPolicy::ConsistentHash { .. } => {
                 let h = splitmix64(key);
                 if self.ring.is_empty() {
                     // Every member ejected: degraded fallback keeps the
                     // key → server mapping stable (pure hash over the
                     // member list) until someone recovers.
+                    let pool = self.pool();
                     pool[(h % pool.len() as u64) as usize]
                 } else {
+                    // The ring holds live members' points only: the
+                    // pool is never built on this path.
                     let at = self.ring.partition_point(|&(p, _)| p < h);
                     self.ring[at % self.ring.len()].1
                 }
             }
+        }
+    }
+
+    /// The servers a pick draws from: the live members in insertion
+    /// order, or every member when all are ejected.
+    fn pool(&self) -> Vec<NodeId> {
+        let live: Vec<NodeId> =
+            self.servers.iter().copied().filter(|s| !self.ejected.contains(s)).collect();
+        if live.is_empty() {
+            self.servers.clone()
+        } else {
+            live
         }
     }
 
@@ -640,6 +645,17 @@ pub struct ServiceOutcome {
     /// [`DETECTOR_CLASS`] (the probe ops) plus the driver-side
     /// suspicion bookkeeping billed at the gateways.
     pub detector_bill: CostVector,
+    /// Engine quanta the driver pumped — host-side work, not simulated
+    /// behaviour: the driver lets time pass to its next event, so this
+    /// counts the cycles on which something could happen, and is not in
+    /// [`ServiceOutcome::signature`].
+    pub pumps: u64,
+    /// Arrivals submitted (and timed from) a cycle later than their
+    /// slot: with the fabric empty the engine's idle jump runs to its
+    /// next timer whatever the driver is waiting for, and can overshoot
+    /// an arrival. Implied by the rest of the outcome, so not in
+    /// [`ServiceOutcome::signature`].
+    pub late_arrivals: u64,
 }
 
 impl ServiceOutcome {
@@ -998,10 +1014,14 @@ impl Rt<'_> {
         self.hedges[ci] += 1;
     }
 
-    /// One pacing step: pump the engine, absorb completions, probe, and
-    /// hedge.
-    fn step(&mut self, m: &mut Machine, eng: &mut Engine) {
-        eng.pump(m);
+    /// One pacing step: pump the engine — letting time pass no further
+    /// than the driver's own next event: the next arrival (`arrival`,
+    /// `u64::MAX` once they are all in), the next probe round, the first
+    /// hedge coming due — then absorb completions, probe, and hedge.
+    fn step(&mut self, m: &mut Machine, eng: &mut Engine, arrival: u64) {
+        let round = self.det.as_ref().filter(|ds| ds.active).map_or(u64::MAX, |ds| ds.next_round);
+        let hedge = self.hedge_due.first_key_value().map_or(u64::MAX, |(&due, _)| due);
+        eng.pump_until(m, arrival.min(round).min(hedge));
         self.harvest(m, eng);
         self.tick_detector(m, eng);
         self.tick_hedges(m, eng);
@@ -1104,6 +1124,7 @@ pub fn run_service(m: &mut Machine, spec: &ServiceSpec) -> ServiceOutcome {
         .map(|mig| ((arrivals.len() as f64) * mig.at.clamp(0.0, 1.0)) as usize);
 
     let mut admitted = vec![0usize; nclasses];
+    let mut late_arrivals = 0;
     for (k, &(due, ci, i)) in arrivals.iter().enumerate() {
         if migrate_after == Some(k) {
             let mig = spec.migration.as_ref().expect("migrate_after implies migration");
@@ -1127,8 +1148,9 @@ pub fn run_service(m: &mut Machine, spec: &ServiceSpec) -> ServiceOutcome {
             }
         }
         while clock(m) < due {
-            rt.step(m, &mut eng);
+            rt.step(m, &mut eng, due);
         }
+        late_arrivals += u64::from(clock(m) > due);
         rt.tick_detector(m, &mut eng);
         rt.tick_hedges(m, &mut eng);
         let c = &spec.classes[ci];
@@ -1185,7 +1207,7 @@ pub fn run_service(m: &mut Machine, spec: &ServiceSpec) -> ServiceOutcome {
     // Drain phase 1: every admitted request settles (probes keep
     // cycling so mid-drain crashes are still detected).
     while rt.gateway.in_flight_total() > 0 {
-        rt.step(m, &mut eng);
+        rt.step(m, &mut eng, u64::MAX);
     }
     // Drain phase 2: stop probing, discard in-flight probe verdicts
     // (a post-run ejection would be noise), and let the engine empty.
@@ -1198,7 +1220,7 @@ pub fn run_service(m: &mut Machine, spec: &ServiceSpec) -> ServiceOutcome {
         }
     }
     while eng.unfinished() > 0 {
-        eng.pump(m);
+        eng.pump_until(m, u64::MAX);
         rt.harvest(m, &mut eng);
     }
     rt.harvest(m, &mut eng);
@@ -1251,6 +1273,8 @@ pub fn run_service(m: &mut Machine, spec: &ServiceSpec) -> ServiceOutcome {
         ejections,
         reinstatements,
         detector_bill: det_bill + eng.class_bill(DETECTOR_CLASS),
+        pumps: eng.counters().quanta,
+        late_arrivals,
     }
 }
 

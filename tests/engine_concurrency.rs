@@ -12,6 +12,9 @@
 //!   operations the engine serializes by conflict key.
 //! * **Correlation**: concurrent RPCs to one server match replies by
 //!   call id and run handlers exactly once each.
+//! * **Time passes to the next event**: `pump_until` moves the clock to
+//!   the first of the substrate's quiet bound and the caller's limit,
+//!   one cycle when something settled, and never less than `pump`.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -670,4 +673,51 @@ fn holding_script_same_pair_ops_keep_the_reference_trace() {
     assert!(evt.0.iter().all(|e| !matches!(e.event, EngineEvent::Completed(_, false))));
     assert_eq!(evt.0, rr.0, "event vs reference trace");
     assert_eq!(evt.1, rr.1, "event vs reference bills");
+}
+
+/// `pump_until` against `pump` on one packet crossing a 64-node fat
+/// tree (six links at two cycles each): the quantum that finds every op
+/// asleep lets the whole crossing pass, or as much of it as the limit
+/// allows; the quantum in which the op settles lets one cycle pass; an
+/// empty engine moves straight to the limit; and `pump` is a limit that
+/// has already passed.
+#[test]
+fn pump_until_lets_time_pass_to_the_next_event_and_no_further_than_the_limit() {
+    let clock = |m: &Machine| m.network().borrow().now().cycles();
+    let hop = |eng: &mut Engine, m: &mut Machine| {
+        let id = eng.submit(m, Op::am4(n(0), n(63), 50, [1, 2, 3, 4])).expect("valid hop");
+        (id, clock(m))
+    };
+    let mut m = Machine::new(share(scenarios::cm5_deterministic(64, 7)), 64, CmamConfig::default());
+    let mut eng = Engine::new();
+
+    // No limit: inject, then straight to the delivery cycle.
+    let (id, t0) = hop(&mut eng, &mut m);
+    assert_eq!(eng.pump_until(&mut m, u64::MAX), 1);
+    assert_eq!(clock(&m), t0 + 12, "the packet cannot arrive sooner, and nothing else is due");
+    // The delivery settles the op: one cycle, whatever the limit.
+    assert_eq!(eng.pump_until(&mut m, u64::MAX), 0);
+    assert_eq!(eng.completions_since(&mut 0), vec![(id, true, t0 + 12)]);
+
+    // An empty engine moves to the limit, or one cycle past a stale one.
+    let now = clock(&m);
+    eng.pump_until(&mut m, now + 40);
+    eng.pump_until(&mut m, 3);
+    eng.pump(&mut m);
+    assert_eq!(clock(&m), now + 42);
+
+    // A limit inside the crossing stops the clock there; then the rest.
+    let (_, t0) = hop(&mut eng, &mut m);
+    eng.pump_until(&mut m, t0 + 5);
+    assert_eq!(clock(&m), t0 + 5);
+    eng.pump_until(&mut m, t0 + 30);
+    assert_eq!(clock(&m), t0 + 12, "the bound, not the limit");
+    eng.run(&mut m);
+
+    // `pump` makes the crossing one cycle at a time, to the same stamp.
+    let (id, t0) = hop(&mut eng, &mut m);
+    let quanta = eng.counters().quanta;
+    while eng.pump(&mut m) > 0 {}
+    assert_eq!(eng.counters().quanta - quanta, 13, "twelve cycles on the wire and the delivery");
+    assert_eq!(eng.completions_since(&mut 2).last(), Some(&(id, true, t0 + 12)));
 }

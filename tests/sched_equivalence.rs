@@ -29,13 +29,19 @@
 //! peer)` pair rather than by node: same trace, bills and outcomes as
 //! the reference, at a step count that no longer grows with the number
 //! of ops sharing the hot endpoint.
+//!
+//! A fourth hides [`Network::quiet_until`](timego_netsim::Network::quiet_until)
+//! behind a decorator that does not forward it (`blind:` substrates):
+//! the engine lets time pass to the next event only where the substrate
+//! says how long its receive queues stay quiet, and a run must not be
+//! able to tell — same trace, bills, outcomes and steps, fewer quanta.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use timego_am::{
-    CmamConfig, Engine, Machine, Op, OpId, RecoveryPolicy, RetryPolicy, SchedMode, StreamConfig,
-    Tags, TracedEvent,
+    CmamConfig, Engine, EngineEvent, Machine, Op, OpId, RecoveryPolicy, RetryPolicy, SchedMode,
+    StreamConfig, Tags, TracedEvent,
 };
 use timego_cost::Feature;
 use timego_netsim::{
@@ -43,7 +49,12 @@ use timego_netsim::{
     WormholeNetwork,
 };
 use timego_ni::share;
+use timego_workloads::patterns::Pattern;
 use timego_workloads::{payloads, scenarios};
+
+#[path = "support/blind_net.rs"]
+mod blind_net;
+use blind_net::shared;
 
 const NODES: usize = 16;
 const SEEDS: u64 = 6;
@@ -57,8 +68,9 @@ fn machine(sub: &str, fault: &FaultConfig, seed: u64) -> Machine {
 }
 
 fn machine_of(sub: &str, nodes: usize, cfg: CmamConfig, fault: &FaultConfig, seed: u64) -> Machine {
+    let (blind, sub) = sub.strip_prefix("blind:").map_or((false, sub), |bare| (true, bare));
     let net = match sub {
-        "switched" => share(scenarios::cm5_chaos(nodes, fault.clone(), seed)),
+        "switched" => shared(scenarios::cm5_chaos(nodes, fault.clone(), seed), blind),
         "wormhole" => {
             let side = nodes.isqrt();
             assert_eq!(side * side, nodes, "the torus is square");
@@ -83,7 +95,7 @@ fn machine_of(sub: &str, nodes: usize, cfg: CmamConfig, fault: &FaultConfig, see
         // results must not.
         "sharded-t1" | "sharded-t2" | "sharded-t4" => {
             let threads = sub.trim_start_matches("sharded-t").parse().expect("thread suffix");
-            share(scenarios::cm5_sharded_chaos(nodes, 4, threads, fault.clone(), seed))
+            shared(scenarios::cm5_sharded_chaos(nodes, 4, threads, fault.clone(), seed), blind)
         }
         other => panic!("unknown substrate {other}"),
     };
@@ -118,6 +130,7 @@ struct Fingerprint {
     bills: Vec<Vec<u64>>,
     outcomes: Vec<(OpId, String)>,
     steps: u64,
+    quanta: u64,
 }
 
 impl Fingerprint {
@@ -132,7 +145,8 @@ impl Fingerprint {
             .iter()
             .map(|&id| (id, format!("{:?}", eng.take_outcome(id).expect("finished"))))
             .collect();
-        Fingerprint { trace, bills, outcomes, steps: eng.counters().steps }
+        let (steps, quanta) = (eng.counters().steps, eng.counters().quanta);
+        Fingerprint { trace, bills, outcomes, steps, quanta }
     }
 }
 
@@ -352,6 +366,110 @@ fn fan_in_wakes_by_pair_and_stays_equivalent() {
             }
         }
     }
+}
+
+/// One plain transfer per pair of `pattern`, all submitted up front: the
+/// benchmark's permutation and hotspot plans at test size. The short
+/// wait bound lets transfers a crash strands time out in thousands of
+/// cycles.
+fn run_plan(pattern: Pattern, sub: &str, fault: &FaultConfig, seed: u64) -> Fingerprint {
+    let cfg = CmamConfig { max_wait_cycles: 1 << 13, gc_ttl_cycles: 1 << 13, ..CmamConfig::default() };
+    let m = machine_of(sub, FAN_NODES, cfg, fault, seed);
+    let mut eng = Engine::new();
+    let ids: Vec<OpId> = (0u64..)
+        .zip(pattern.pairs(FAN_NODES))
+        .map(|(i, (src, dst))| {
+            eng.submit_xfer(&m, src, dst, &payloads::mixed(8, seed + i)).expect("valid transfer")
+        })
+        .collect();
+    Fingerprint::of_run(eng, m, FAN_NODES, &ids)
+}
+
+/// The lookahead is invisible: on the flat and the sharded substrate
+/// (one and two workers), clean, under duplication and jitter, and
+/// across a crash window, every plan — the mixed workload, the fan-in,
+/// a random permutation, a hotspot — gives the same run whether or not
+/// the substrate answers `quiet_until`. The answer buys quanta, nothing
+/// else: never more of them, and in aggregate fewer (not many fewer —
+/// plans submitted up front keep the fabric contended, and a contended
+/// packet is past its bound; the serving cells are where it pays).
+#[test]
+fn lookahead_is_invisible_to_engine_run() {
+    let (mut bare_quanta, mut blind_quanta) = (0u64, 0u64);
+    for sub in ["switched", "sharded-t1", "sharded-t2"] {
+        let blind_sub = format!("blind:{sub}");
+        for variant in ["clean", "dup+jitter", "crash"] {
+            let fault = fault_variant(variant);
+            for seed in 0..SEEDS / 2 {
+                for plan in ["mixed", "fan-in", "permutation", "hotspot"] {
+                    let run = |sub: &str| match plan {
+                        "mixed" => run_one(SchedMode::EventDriven, sub, &fault, seed),
+                        "fan-in" => run_fan_in(SchedMode::EventDriven, sub, &fault, seed),
+                        "permutation" => run_plan(Pattern::RandomPermutation(seed), sub, &fault, seed),
+                        _ => run_plan(Pattern::Hotspot, sub, &fault, seed),
+                    };
+                    let (bare, blind) = (run(sub), run(&blind_sub));
+                    let ctx = format!("{plan} on {sub}/{variant}/seed {seed}, bare vs blind");
+                    assert_same_run(&ctx, &bare, &blind);
+                    assert_eq!(bare.steps, blind.steps, "{ctx}: op steps");
+                    assert!(bare.quanta <= blind.quanta, "{ctx}: {} > {} quanta", bare.quanta, blind.quanta);
+                    bare_quanta += bare.quanta;
+                    blind_quanta += blind.quanta;
+                }
+            }
+        }
+    }
+    assert!(
+        bare_quanta < blind_quanta,
+        "the bound must save quanta somewhere ({bare_quanta} with it, {blind_quanta} without)"
+    );
+}
+
+/// A crash window that closes while a packet is on the wire and nothing
+/// else is due: a recovery-armed transfer into the crashed node 9 sleeps
+/// on its retry timers while a chain of single-packet hops between two
+/// far-apart nodes keeps exactly one packet in flight, twelve cycles a
+/// hop, with every op asleep in between.
+fn run_across_restart(mode: SchedMode, sub: &str, restart_at: u64) -> Fingerprint {
+    let fault = FaultConfig {
+        crashes: vec![CrashWindow { node: n(9), start: 20, end: restart_at }],
+        ..FaultConfig::default()
+    };
+    let cfg = CmamConfig { max_wait_cycles: 1 << 13, gc_ttl_cycles: 1 << 13, ..CmamConfig::default() };
+    let mut m = machine_of(sub, FAN_NODES, cfg, &fault, 1);
+    let mut eng = Engine::with_mode(mode);
+    let victim = Op::xfer_reliable(n(2), n(9), &payloads::mixed(24, 1), &RetryPolicy::default())
+        .recovering(&RecoveryPolicy::default());
+    let mut ids = vec![eng.submit(&mut m, victim).expect("valid transfer")];
+    for hop in 0..60u32 {
+        let (src, dst) = if hop % 2 == 0 { (n(16), n(63)) } else { (n(63), n(16)) };
+        let op = Op::am4(src, dst, 50, [hop, 0, 0, 0]);
+        let op = if hop == 0 { op } else { op.after(&ids[ids.len() - 1..]) };
+        ids.push(eng.submit(&mut m, op).expect("valid hop"));
+    }
+    Fingerprint::of_run(eng, m, FAN_NODES, &ids)
+}
+
+/// The jump never crosses a restart. Fourteen consecutive window ends —
+/// a hop and its hand-over take fewer cycles than that, so at least one
+/// end falls strictly inside a span the quiet bound would let the clock
+/// jump — and on each the victim must observe the `SessionReset` on the
+/// cycle the window closes: the run with the bound is the run without
+/// it and the reference's.
+#[test]
+fn lookahead_never_jumps_a_restart() {
+    let mut jumped = 0;
+    for restart_at in 300..314 {
+        let bare = run_across_restart(SchedMode::EventDriven, "switched", restart_at);
+        let blind = run_across_restart(SchedMode::EventDriven, "blind:switched", restart_at);
+        let rr = run_across_restart(SchedMode::ReferenceRoundRobin, "switched", restart_at);
+        assert_same_run(&format!("restart at {restart_at}, bare vs blind"), &bare, &blind);
+        assert_same_run(&format!("restart at {restart_at}, event vs reference"), &bare, &rr);
+        let observed = TracedEvent { at: restart_at, event: EngineEvent::Recovering(bare.outcomes[0].0) };
+        assert!(bare.trace.contains(&observed), "the victim observes the restart at {restart_at}");
+        jumped += blind.quanta - bare.quanta;
+    }
+    assert!(jumped > 14 * 100, "the chain's hops were jumped ({jumped} quanta saved)");
 }
 
 /// The default engine is the event scheduler — the whole test suite

@@ -24,12 +24,24 @@
 //! * **Sweep scaling** — the TTL sweep's pre-check walks the reply
 //!   cache the same number of times at N and 4N requests (a count, not
 //!   a wall time, so the tripwire is deterministic).
+//! * **Lookahead invariance** — the driver lets time pass to its next
+//!   event where the substrate says how long its receive queues stay
+//!   quiet; hiding that answer changes the number of engine quanta and
+//!   nothing else (signature and per-node bills, at 1, 2 and 4
+//!   threads), and the quanta on the failover cell are pinned.
 
+use timego_am::{CmamConfig, Machine, RecoveryPolicy, RetryPolicy};
+use timego_cost::Feature;
 use timego_netsim::{CrashWindow, FaultConfig, NodeId};
+use timego_workloads::scenarios;
 use timego_workloads::service::{
     run_service, serving_machine, serving_machine_chaos, AdmissionWindow, BalancerPolicy,
-    QosClass, ServiceOutcome, ServiceSpec,
+    DetectorSpec, HedgeSpec, QosClass, ServiceOutcome, ServiceSpec,
 };
+
+#[path = "support/blind_net.rs"]
+mod blind_net;
+use blind_net::shared;
 
 fn n(i: usize) -> NodeId {
     NodeId::new(i)
@@ -260,4 +272,111 @@ fn goodput_holds_within_five_percent_of_peak_past_the_admission_knee() {
         }
     }
     let _ = past_g;
+}
+
+/// The frozen benchmark's two serving workloads at its `--smoke` sizes
+/// (`benchmark/src/workloads.rs`, `Sizes::SMOKE`): the policy cell — two
+/// QoS classes on 4 gateways and 16 servers of a clean 512-node tier —
+/// and the failover cell — one recovery-armed, hedged class on 4
+/// gateways and 8 servers of a 256-node tier with the detector armed
+/// and four crash-restart windows, `requests` of them (5000 in the
+/// benchmark). `blind` hides the substrate's `quiet_until` behind a
+/// decorator that does not forward it.
+fn smoke_cell(failover: bool, requests: usize, threads: usize, blind: bool) -> (Machine, ServiceSpec) {
+    const SEED: u64 = 42;
+    let (tier, gateways, servers) = if failover { (256, 4, 8) } else { (512, 4, 16) };
+    let classes = if failover {
+        vec![QosClass {
+            name: "interactive",
+            class: 0,
+            interval: 12,
+            requests,
+            work: 4,
+            deadline: None,
+            recovery: Some(RecoveryPolicy::default()),
+            retry: RetryPolicy::default(),
+            hedge: true,
+            sheddable: true,
+            retry_budget: None,
+        }]
+    } else {
+        vec![QosClass::interactive(16, 450, 1 << 20), QosClass::batch(24, 300)]
+    };
+    let spec = ServiceSpec {
+        gateways: nodes(0, gateways),
+        servers: nodes(gateways, servers),
+        policy: BalancerPolicy::ConsistentHash { vnodes: 64 },
+        window: AdmissionWindow::TierGlobal(4 * servers),
+        classes,
+        detector: failover.then_some(DetectorSpec { period: 600, timeout: 500, threshold: 2 }),
+        hedge: failover.then_some(HedgeSpec { quantile: 0.95, min_samples: 32, bootstrap: 2048 }),
+        seed: SEED,
+        ..ServiceSpec::default()
+    };
+    let net = if failover {
+        // Server `k` is dark for the middle half of the `k`-th quarter
+        // of the arrival span.
+        let quarter = 12 * requests as u64 / 4;
+        let crashes = (0..4u64).map(|k| CrashWindow {
+            node: n(gateways + k as usize),
+            start: k * quarter + quarter / 4,
+            end: k * quarter + 3 * quarter / 4,
+        });
+        let fault = FaultConfig { crashes: crashes.collect(), ..FaultConfig::default() };
+        scenarios::cm5_sharded_chaos(tier, 2, threads, fault, SEED)
+    } else {
+        scenarios::cm5_sharded_serving(tier, 2, threads, SEED)
+    };
+    (Machine::new(shared(net, blind), tier, CmamConfig::default()), spec)
+}
+
+#[test]
+fn hiding_the_quiet_bound_changes_the_pump_count_and_nothing_else() {
+    // A debug build checks the TTL bound against a walk of the reply
+    // cache on every pump, which makes the failover cell cost
+    // requests^2 there: it runs a quarter of the cell, the release
+    // build (CI's serving smoke step) all of it.
+    let requests = if cfg!(debug_assertions) { 1250 } else { 5000 };
+    for failover in [false, true] {
+        let mut pinned = None;
+        for threads in [1usize, 2, 4] {
+            let run = |blind: bool| {
+                let (mut m, spec) = smoke_cell(failover, requests, threads, blind);
+                let out = run_service(&mut m, &spec);
+                assert_conserved(&out);
+                let bills: Vec<Vec<u64>> = (0..m.num_nodes())
+                    .map(|i| Feature::ALL.iter().map(|&f| m.cpu(n(i)).snapshot().feature_total(f)).collect())
+                    .collect();
+                ((out.signature(), bills, out.late_arrivals), out.pumps)
+            };
+            let ((bare, bare_pumps), (blind, blind_pumps)) = (run(false), run(true));
+            let ctx = format!("failover {failover}, {threads} threads");
+            assert!(bare == blind, "{ctx}: signature, per-node per-feature bills or late arrivals differ");
+            assert!(bare_pumps < blind_pumps, "{ctx}: {bare_pumps} pumps with the bound, {blind_pumps} without");
+            let pinned = pinned.get_or_insert((bare.clone(), bare_pumps));
+            assert!(*pinned == (bare, bare_pumps), "{ctx}: thread count changed the run");
+        }
+    }
+}
+
+#[test]
+fn pumps_stay_pinned_on_the_failover_smoke_cell() {
+    // The driver's shape as a count: engine quanta for 5000 requests
+    // over 60 005 cycles. Pumping once per cycle made one per cycle;
+    // letting time pass to the next event makes the pinned count. A
+    // quarter over it means the driver (or the bound the substrate
+    // reports) is polling again.
+    const PINNED: u64 = 25_691;
+    let (mut m, spec) = smoke_cell(true, 5000, 1, false);
+    let out = run_service(&mut m, &spec);
+    assert_conserved(&out);
+    println!(
+        "failover smoke cell: {} pumps for {} requests over {} cycles, {} late arrivals",
+        out.pumps, spec.classes[0].requests, out.elapsed_cycles, out.late_arrivals
+    );
+    assert!(
+        4 * out.pumps <= 5 * PINNED,
+        "{} pumps, more than 1.25x the pinned {PINNED}",
+        out.pumps
+    );
 }
