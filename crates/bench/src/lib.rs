@@ -1,8 +1,9 @@
 //! # timego-bench — table and figure regeneration harness
 //!
 //! One function per paper artifact, each returning the full plain-text
-//! report; the `src/bin/*` binaries print them, the integration tests
-//! assert their contents, and `EXPERIMENTS.md` records their output.
+//! report; the one binary (`timego-bench <suite>`, `src/main.rs`)
+//! prints them, `tests/golden_reports.rs` pins their bytes, and
+//! `EXPERIMENTS.md` records their output.
 //!
 //! Every number in these reports is *measured* by running the real
 //! protocol implementations over the simulated substrates — the
@@ -13,4 +14,3 @@
 #![warn(missing_docs)]
 
 pub mod reports;
-pub mod results;

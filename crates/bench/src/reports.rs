@@ -218,7 +218,7 @@ pub fn figure6() -> String {
 /// **Figure 8 left** — the generalized cost formulas, cross-validated:
 /// for every packet size the closed form must equal the simulated
 /// protocol execution cell by cell.
-pub fn figure8_left() -> String {
+fn figure8_left() -> String {
     let mut out = String::new();
     out.push_str("== Figure 8 (left): generalized CMAM cost breakdown ==\n");
     out.push_str("n = payload words per packet, p = packets per message\n\n");
@@ -255,7 +255,7 @@ pub fn figure8_left() -> String {
 
 /// **Figure 8 right** — messaging-layer overhead fraction versus packet
 /// size for a 1024-word message, measured.
-pub fn figure8_right() -> String {
+fn figure8_right() -> String {
     let mut out = String::new();
     out.push_str("== Figure 8 (right): messaging overhead vs packet size, 1024-word message ==\n\n");
     let mut finite = Vec::new();
@@ -978,36 +978,34 @@ pub fn tension() -> String {
 
 /// One row of the engine-concurrency scaling study.
 #[derive(Debug, Clone)]
-pub struct ConcurrencyRow {
+struct ConcurrencyRow {
     /// Concurrent transfers interleaved through one engine run.
-    pub k: usize,
+    k: usize,
     /// Total payload words moved.
-    pub words: u64,
+    words: u64,
     /// Network cycles for the same transfers run back to back through
     /// the blocking API.
-    pub serial_cycles: u64,
+    serial_cycles: u64,
     /// Network cycles for one engine run interleaving all `k`.
-    pub engine_cycles: u64,
+    engine_cycles: u64,
     /// Instructions charged across all nodes by the engine run.
-    pub instr_engine: u64,
+    instr_engine: u64,
     /// Instructions charged across all nodes by the serial runs.
-    pub instr_serial: u64,
+    instr_serial: u64,
     /// Per-feature instruction totals of the engine run, summed over
     /// all nodes, in [`Feature::ALL`] order.
-    pub per_feature: [u64; 4],
+    per_feature: [u64; 4],
 }
 
 impl ConcurrencyRow {
     /// Serial cycles over engine cycles: the overlap win.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
+    fn speedup(&self) -> f64 {
         self.serial_cycles as f64 / self.engine_cycles as f64
     }
 
     /// Aggregate throughput of the engine run, payload words per
     /// network cycle.
-    #[must_use]
-    pub fn words_per_cycle(&self) -> f64 {
+    fn words_per_cycle(&self) -> f64 {
         self.words as f64 / self.engine_cycles as f64
     }
 }
@@ -1021,8 +1019,7 @@ fn total_instr(m: &Machine, nodes: usize) -> u64 {
 /// once back to back through the blocking API and once interleaved
 /// through a single engine run, for every `k` in
 /// [`sweeps::CONCURRENCY_KS`].
-#[must_use]
-pub fn concurrency_rows() -> Vec<ConcurrencyRow> {
+fn concurrency_rows() -> Vec<ConcurrencyRow> {
     const NODES: usize = 32;
     const WORDS: usize = 256;
     let policy = RetryPolicy::default();
@@ -1132,46 +1129,37 @@ pub fn concurrency() -> String {
 pub struct CongestionRow {
     /// Substrate label (`"cm5"` for the switched adaptive fat tree,
     /// `"cr"` for the in-order/reliable/flow-controlled network).
-    pub substrate: &'static str,
+    substrate: &'static str,
     /// Traffic pattern name (from [`Pattern::name`]).
-    pub pattern: String,
+    pattern: String,
     /// Cycles between submissions (the open-loop injection interval).
-    pub interval: u64,
+    interval: u64,
     /// Offered load, payload words per cycle (`words / interval`).
-    pub offered: f64,
+    offered: f64,
     /// Delivered throughput, payload words per elapsed cycle.
-    pub delivered: f64,
+    delivered: f64,
     /// Operations that completed, of those offered.
-    pub completed: usize,
+    completed: usize,
     /// Operations offered at this load point.
-    pub offered_ops: usize,
+    offered_ops: usize,
     /// Injection attempts the substrate refused with backpressure.
-    pub backpressure: u64,
+    backpressure: u64,
     /// Highest receive-queue depth any node reached.
-    pub peak_rx_depth: usize,
+    peak_rx_depth: usize,
     /// Packet injection→delivery latency percentiles (histogram bucket
     /// upper bounds), in cycles.
-    pub pkt_p50: u64,
+    pkt_p50: u64,
     /// Packet latency p95, cycles.
-    pub pkt_p95: u64,
+    pkt_p95: u64,
     /// Packet latency p99, cycles.
-    pub pkt_p99: u64,
+    pkt_p99: u64,
     /// Operation submission→completion percentiles from the
     /// cycle-stamped engine trace (queueing included), in cycles.
-    pub comp_p50: u64,
+    comp_p50: u64,
     /// Completion time p95, cycles.
-    pub comp_p95: u64,
+    comp_p95: u64,
     /// Completion time p99, cycles.
-    pub comp_p99: u64,
-}
-
-impl CongestionRow {
-    /// Delivered throughput in milli-words per cycle, rounded — the
-    /// integer form emitted into `BENCH_results.json`.
-    #[must_use]
-    pub fn delivered_milli(&self) -> u64 {
-        (self.delivered * 1000.0).round() as u64
-    }
+    comp_p99: u64,
 }
 
 /// The patterns the congestion study sweeps.
@@ -1293,19 +1281,13 @@ pub fn congestion_report(rows: &[CongestionRow]) -> String {
     out
 }
 
-/// **Congestion & saturation report** over the full interval grid.
-#[must_use]
-pub fn congestion() -> String {
-    congestion_report(&congestion_rows(&sweeps::CONGESTION_INTERVALS))
-}
-
 /// **Congestion sweep as CSV** (for plotting), one row per load point.
 #[must_use]
-pub fn congestion_csv() -> String {
+pub fn congestion_csv(rows: &[CongestionRow]) -> String {
     let mut out = String::from(
         "substrate,pattern,interval,offered_wpc,delivered_wpc,completed,offered_ops,backpressure,peak_rx_depth,pkt_p50,pkt_p95,pkt_p99,comp_p50,comp_p95,comp_p99\n",
     );
-    for r in congestion_rows(&sweeps::CONGESTION_INTERVALS) {
+    for r in rows {
         writeln!(
             out,
             "{},{},{},{:.4},{:.4},{},{},{},{},{},{},{},{},{},{}",
@@ -1361,24 +1343,23 @@ pub fn concurrency_csv() -> String {
 #[derive(Debug, Clone)]
 pub struct CollectivesRow {
     /// Which collective: `"broadcast"` or `"allreduce"`.
-    pub collective: &'static str,
+    collective: &'static str,
     /// Participating nodes (power of two).
-    pub nodes: usize,
+    nodes: usize,
     /// Network cycles when rounds are separated by full barriers (one
     /// engine run per tree round).
-    pub phased_cycles: u64,
+    phased_cycles: u64,
     /// Network cycles for the single engine run over the run-after DAG.
-    pub engine_cycles: u64,
+    engine_cycles: u64,
     /// Instructions charged across all nodes by the engine-native run.
-    pub instr_engine: u64,
+    instr_engine: u64,
     /// Instructions charged across all nodes by the phase-serial run.
-    pub instr_phased: u64,
+    instr_phased: u64,
 }
 
 impl CollectivesRow {
     /// Phased cycles over engine cycles: what run-after overlap buys.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
+    fn speedup(&self) -> f64 {
         self.phased_cycles as f64 / self.engine_cycles as f64
     }
 }
@@ -1478,19 +1459,13 @@ pub fn collectives_report(rows: &[CollectivesRow]) -> String {
     out
 }
 
-/// **Collectives scaling report** over the full node grid.
-#[must_use]
-pub fn collectives() -> String {
-    collectives_report(&collectives_rows(&sweeps::COLLECTIVE_NODES))
-}
-
 /// **Collectives sweep as CSV** (for plotting), one row per cell.
 #[must_use]
-pub fn collectives_csv() -> String {
+pub fn collectives_csv(rows: &[CollectivesRow]) -> String {
     let mut out = String::from(
         "collective,nodes,phased_cycles,engine_cycles,speedup,instr_engine,instr_phased\n",
     );
-    for r in collectives_rows(&sweeps::COLLECTIVE_NODES) {
+    for r in rows {
         writeln!(
             out,
             "{},{},{},{},{:.4},{},{}",
@@ -1513,27 +1488,27 @@ pub fn collectives_csv() -> String {
 pub struct RecoveryRow {
     /// Protocol family measured: `"xfer"`, `"stream"`, `"rpc"`, or
     /// `"collective"`.
-    pub family: &'static str,
+    family: &'static str,
     /// Crash window length in cycles (`0` = no crash, the baseline).
-    pub window: u64,
+    window: u64,
     /// Seeds run at this point.
-    pub seeds: u64,
+    seeds: u64,
     /// Transfers that converged to byte-exact delivery (must be all).
-    pub completed: u64,
+    completed: u64,
     /// Whole-session re-executions summed over all seeds.
-    pub re_executions: u64,
+    re_executions: u64,
     /// Mean network cycles to converged delivery, across seeds.
-    pub avg_cycles: u64,
+    avg_cycles: u64,
     /// Fault-tolerance instructions at the measured nodes (both
     /// endpoints; every node for the collective), summed over seeds —
     /// the full price of recovery.
-    pub fault_tol_instr: u64,
+    fault_tol_instr: u64,
     /// All other feature instructions (base + buffer management +
     /// in-order) at the measured nodes, summed over seeds. Each
     /// re-execution is a fresh session paying the ordinary protocol
     /// bill, so this scales with `1 + re_executions` per seed — never
     /// with the fault itself.
-    pub other_instr: u64,
+    other_instr: u64,
 }
 
 /// Measure one (family, window) cell of the crash-recovery study on a
@@ -1551,8 +1526,7 @@ pub struct RecoveryRow {
 ///   re-executions, a restarted incarnation legitimately runs afresh).
 /// * `"collective"` — binomial-tree broadcast from node 0; an interior
 ///   node (5) crashes mid-fan-out and its subtree recovers in-DAG.
-#[must_use]
-pub fn recovery_family_row(family: &'static str, window: u64, seeds: u64) -> RecoveryRow {
+fn recovery_family_row(family: &'static str, window: u64, seeds: u64) -> RecoveryRow {
     let nodes = sweeps::RECOVERY_NODES;
     let policy = RetryPolicy::default();
     let recovery = RecoveryPolicy::default();
@@ -1661,7 +1635,7 @@ pub fn recovery_family_row(family: &'static str, window: u64, seeds: u64) -> Rec
 }
 
 /// The full crash-recovery grid: every protocol family crossed with
-/// every crash-window length. See [`recovery_family_row`].
+/// every crash-window length. See `recovery_family_row`.
 #[must_use]
 pub fn recovery_rows(windows: &[u64], seeds: u64) -> Vec<RecoveryRow> {
     sweeps::RECOVERY_FAMILIES
@@ -1876,6 +1850,9 @@ mod tests {
         let f = figure8_csv();
         assert!(f.contains("packet_words,overhead_fraction"));
         assert_eq!(f.matches('\n').count(), 2 + 2 + 2 * 6); // headers + comments + 12 rows
+        let c = collectives_csv(&collectives_rows(&sweeps::COLLECTIVE_NODES_QUICK));
+        assert!(c.starts_with("collective,nodes,phased_cycles"));
+        assert_eq!(c.matches('\n').count(), 1 + 2 * sweeps::COLLECTIVE_NODES_QUICK.len());
     }
 
     #[test]
@@ -1963,12 +1940,13 @@ mod tests {
 
     #[test]
     fn congestion_csv_has_one_row_per_cell() {
-        let csv = congestion_csv();
-        assert!(csv.starts_with("substrate,pattern,interval"));
-        assert_eq!(
-            csv.matches('\n').count(),
-            1 + 2 * 3 * sweeps::CONGESTION_INTERVALS.len()
-        );
+        // The CSV renders the grid it is handed: `--quick --csv` used
+        // to print the full one.
+        for intervals in [&sweeps::CONGESTION_INTERVALS[..], &sweeps::CONGESTION_QUICK_INTERVALS] {
+            let csv = congestion_csv(&congestion_rows(intervals));
+            assert!(csv.starts_with("substrate,pattern,interval"));
+            assert_eq!(csv.matches('\n').count(), 1 + 2 * 3 * intervals.len());
+        }
     }
 
     #[test]

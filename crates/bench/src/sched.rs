@@ -4,25 +4,23 @@
 //!
 //! For every `(pattern, nodes)` cell the same plain-transfer plan is
 //! driven to completion once per [`SchedMode`] on identically-seeded
-//! machines, recording:
+//! machines, printing:
 //!
 //! * op `step()` invocations per mode and their ratio — the refactor's
 //!   acceptance metric (sleeping ops are skipped, so the ratio grows
 //!   with scale);
-//! * wall time and delivered packets per second per mode;
-//! * the event scheduler's self-profiled phase shares (ready-queue
-//!   sweep, op steps, wheel/wake absorption, substrate stepping);
-//! * wake/jump counters (timer wakes, packet wakes, idle clock-jumps).
+//! * delivered packets per wall-clock second per mode.
 //!
 //! A second, *parallel* report drives the same permutation plan over
 //! the sharded substrate (`ShardedNetwork`, 4 shards) at several thread
-//! counts, recording packets/sec, the substrate-step phase share, and
-//! the speedup against the flat (unsharded) substrate under
-//! `sched/parallel/`. Each thread count is asserted to produce the
-//! identical step count, simulated-cycle count, and delivery total —
-//! the bench doubles as a determinism check.
+//! counts, printing packets/sec, the substrate-step phase share, and
+//! the speedup against the flat (unsharded) substrate. Each thread
+//! count is asserted to produce the identical step count,
+//! simulated-cycle count, and delivery total — the bench doubles as a
+//! determinism check. (Phase shares and wake/jump counters of the
+//! engine are the frozen `benchmark/` crate's per-layer metrics.)
 //!
-//! Everything lands in `BENCH_results.json` under `sched/`. Flags:
+//! Flags:
 //!
 //! * `--quick`: cap the sweep at 1024 nodes (CI-friendly);
 //! * `--threads N`: sweep the parallel report over thread counts
@@ -34,10 +32,11 @@
 use std::time::Instant;
 
 use timego_am::{Engine, Machine, SchedMode, SchedPhase};
-use timego_bench::results::BenchResults;
 use timego_ni::{share, SharedNetwork};
 use timego_workloads::concurrent::{PlannedOp, TrafficKind};
 use timego_workloads::{patterns::Pattern, payloads, scenarios};
+
+use crate::Opts;
 
 const SEED: u64 = 42;
 const WORDS: usize = 8;
@@ -52,15 +51,12 @@ const BASELINE_1024_PERM_STEPS: u64 = 13_299;
 
 struct RunStats {
     steps: u64,
-    timer_wakes: u64,
-    packet_wakes: u64,
-    idle_jumps: u64,
-    jumped_cycles: u64,
     elapsed_cycles: u64,
     delivered: u64,
     wall_ns: u128,
-    /// (phase name, total ns) for the event scheduler's profiled phases.
-    phases: Vec<(&'static str, u64)>,
+    /// Substrate stepping's share of the profiled phases, in thousandths
+    /// (0 for an unprofiled run).
+    substrate_milli: u64,
 }
 
 fn plan_for(pattern: Pattern, nodes: usize) -> Vec<PlannedOp> {
@@ -115,30 +111,19 @@ fn drive_net(
             .expect("clean substrate: every transfer completes");
     }
 
-    let c = *eng.counters();
-    let phases = match eng.profiler_mut() {
-        Some(p) => {
-            p.flush();
-            SchedPhase::ALL
-                .iter()
-                .zip(p.totals())
-                .map(|(ph, t)| (ph.name(), t.total_ns))
-                .collect()
-        }
-        None => Vec::new(),
-    };
+    let steps = eng.counters().steps;
+    let substrate_milli = eng.profiler_mut().map_or(0, |p| {
+        p.flush();
+        let phases = SchedPhase::ALL.iter().zip(p.totals());
+        let total: u64 = phases.clone().map(|(_, t)| t.total_ns).sum();
+        let substrate: u64 = phases
+            .filter(|(ph, _)| **ph == SchedPhase::SubstrateStep)
+            .map(|(_, t)| t.total_ns)
+            .sum();
+        (substrate * 1000).checked_div(total).unwrap_or(0)
+    });
     let delivered = m.network().borrow().stats().delivered;
-    RunStats {
-        steps: c.steps,
-        timer_wakes: c.timer_wakes,
-        packet_wakes: c.packet_wakes,
-        idle_jumps: c.idle_jumps,
-        jumped_cycles: c.jumped_cycles,
-        elapsed_cycles,
-        delivered,
-        wall_ns,
-        phases,
-    }
+    RunStats { steps, elapsed_cycles, delivered, wall_ns, substrate_milli }
 }
 
 fn pkts_per_sec(s: &RunStats) -> u64 {
@@ -174,16 +159,6 @@ fn perf_smoke() -> i32 {
     failed
 }
 
-/// Find the share recorded for `name` in a profiled run's phase list.
-fn phase_share_milli(phases: &[(&'static str, u64)], name: &str) -> u64 {
-    let total: u64 = phases.iter().map(|&(_, ns)| ns).sum();
-    phases
-        .iter()
-        .find(|&&(n, _)| n == name)
-        .map(|&(_, ns)| (ns * 1000).checked_div(total).unwrap_or(0))
-        .unwrap_or(0)
-}
-
 const PARALLEL_SHARDS: usize = 4;
 
 /// The shard-scaling report: the permutation plan on the flat substrate
@@ -191,7 +166,7 @@ const PARALLEL_SHARDS: usize = 4;
 /// must not change results, so the report asserts step counts, elapsed
 /// cycles, and delivery totals identical across the sweep — every
 /// benchmark run is also a determinism soak.
-fn parallel_report(res: &mut BenchResults, quick: bool, threads: &[usize]) {
+fn parallel_report(quick: bool, threads: &[usize]) {
     let node_counts: &[usize] = if quick { &[1024] } else { &[4096, 8192, 16384] };
     println!(
         "\n{:<26} {:>10} {:>10} {:>8} {:>10}",
@@ -199,12 +174,11 @@ fn parallel_report(res: &mut BenchResults, quick: bool, threads: &[usize]) {
     );
     for &nodes in node_counts {
         let plan = plan_for(Pattern::RandomPermutation(SEED), nodes);
-        let cell = |tail: &str| format!("parallel/perm/n{nodes}/{tail}");
 
         let flat = drive(SchedMode::EventDriven, &plan, nodes, false);
         let flat_prof = drive(SchedMode::EventDriven, &plan, nodes, true);
         assert_eq!(flat.steps, flat_prof.steps, "profiling must not change scheduling");
-        let flat_sub = phase_share_milli(&flat_prof.phases, "substrate_step");
+        let flat_sub = flat_prof.substrate_milli;
         println!(
             "{:<26} {:>10} {:>10} {:>7}x {:>8}.{:01}%",
             format!("perm/n{nodes}/flat"),
@@ -214,11 +188,6 @@ fn parallel_report(res: &mut BenchResults, quick: bool, threads: &[usize]) {
             flat_sub / 10,
             flat_sub % 10,
         );
-        res.record_count(&cell("flat/event_steps"), flat.steps);
-        res.record_wall(&cell("flat/event_wall"), flat.wall_ns);
-        res.record_count(&cell("flat/event_packets_per_sec"), pkts_per_sec(&flat));
-        res.record_count(&cell("flat/substrate_step_share_milli"), flat_sub);
-        res.record_cycles(&cell("flat/elapsed_cycles"), flat.elapsed_cycles);
 
         let mut pinned: Option<(u64, u64, u64)> = None;
         for &t in threads {
@@ -242,7 +211,7 @@ fn parallel_report(res: &mut BenchResults, quick: bool, threads: &[usize]) {
                     "thread count changed results at {nodes} nodes, {t} threads"
                 ),
             }
-            let sub = phase_share_milli(&prof.phases, "substrate_step");
+            let sub = prof.substrate_milli;
             let speedup_milli =
                 (flat.wall_ns * 1000).checked_div(run.wall_ns).unwrap_or(0) as u64;
             println!(
@@ -255,34 +224,21 @@ fn parallel_report(res: &mut BenchResults, quick: bool, threads: &[usize]) {
                 sub / 10,
                 sub % 10,
             );
-            res.record_count(&cell(&format!("t{t}/event_steps")), run.steps);
-            res.record_wall(&cell(&format!("t{t}/event_wall")), run.wall_ns);
-            res.record_count(&cell(&format!("t{t}/event_packets_per_sec")), pkts_per_sec(&run));
-            res.record_count(&cell(&format!("t{t}/substrate_step_share_milli")), sub);
-            res.record_count(&cell(&format!("t{t}/speedup_vs_flat_milli")), speedup_milli);
-            res.record_cycles(&cell(&format!("t{t}/elapsed_cycles")), run.elapsed_cycles);
         }
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--perf-smoke") {
+/// The `sched` suite (`--quick`, `--threads N`, `--perf-smoke`).
+pub fn run(opts: &Opts) {
+    if opts.perf_smoke {
         std::process::exit(perf_smoke());
     }
-    let quick = args.iter().any(|a| a == "--quick");
-    let threads_flag: Option<usize> = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--threads takes a positive integer"));
-    let thread_sweep: Vec<usize> = match threads_flag {
+    let thread_sweep: Vec<usize> = match opts.threads {
         Some(1) | None => vec![1, 2, 4],
         Some(n) => vec![1, n],
     };
-    let max_nodes = if quick { 1024 } else { 4096 };
+    let max_nodes = if opts.quick { 1024 } else { 4096 };
 
-    let mut res = BenchResults::new("sched/");
     println!(
         "{:<22} {:>10} {:>12} {:>7} {:>10} {:>10}",
         "cell", "evt steps", "ref steps", "ratio", "evt pkt/s", "ref pkt/s"
@@ -315,31 +271,8 @@ fn main() {
                 pkts_per_sec(&evt),
                 pkts_per_sec(&rr),
             );
-            res.record_count(&format!("{cell}/event_steps"), evt.steps);
-            res.record_count(&format!("{cell}/ref_steps"), rr.steps);
-            res.record_count(&format!("{cell}/step_ratio_milli"), ratio_milli);
-            res.record_cycles(&format!("{cell}/elapsed_cycles"), evt.elapsed_cycles);
-            res.record_wall(&format!("{cell}/event_wall"), evt.wall_ns);
-            res.record_wall(&format!("{cell}/ref_wall"), rr.wall_ns);
-            res.record_count(&format!("{cell}/event_packets_per_sec"), pkts_per_sec(&evt));
-            res.record_count(&format!("{cell}/ref_packets_per_sec"), pkts_per_sec(&rr));
-            res.record_count(&format!("{cell}/timer_wakes"), evt.timer_wakes);
-            res.record_count(&format!("{cell}/packet_wakes"), evt.packet_wakes);
-            res.record_count(&format!("{cell}/idle_jumps"), evt.idle_jumps);
-            res.record_count(&format!("{cell}/jumped_cycles"), evt.jumped_cycles);
-            let profiled: u64 = prof.phases.iter().map(|&(_, ns)| ns).sum();
-            for (name, ns) in &prof.phases {
-                let share = (ns * 1000).checked_div(profiled).unwrap_or(0);
-                res.record_count(&format!("{cell}/phase/{name}_share_milli"), share);
-            }
         }
     }
 
-    parallel_report(&mut res, quick, &thread_sweep);
-
-    let path = BenchResults::default_path();
-    match res.write_merged(&path) {
-        Ok(n) => println!("\nwrote {n} entries to {}", path.display()),
-        Err(e) => eprintln!("\ncould not write {}: {e}", path.display()),
-    }
+    parallel_report(opts.quick, &thread_sweep);
 }

@@ -7,9 +7,9 @@
 //! * **Policy sweep** — two open-loop QoS populations (a
 //!   deadline-supervised `interactive` class and a recovery-armed
 //!   `batch` class) drive a gateway tier + server pool at 4096 nodes
-//!   (512 under `--quick`) once per balancer policy. Each cell records
-//!   per-class p50/p99/p999 completion times and the Table-1-style
-//!   per-feature instruction breakdown split by class. The round-robin
+//!   (512 under `--quick`) once per balancer policy. Each cell prints
+//!   per-class p50/p99/p999 completion times, the class's instruction
+//!   bill and its overhead share. The round-robin
 //!   cell re-runs at several substrate worker-thread counts and asserts
 //!   the full [`ServiceOutcome::signature`] identical — the bench
 //!   doubles as a determinism soak.
@@ -33,7 +33,7 @@
 //!   admission windows at the same total bound: un-shared counters
 //!   shed more because a hot gateway can't borrow a cold one's room.
 //!
-//! Everything lands in `BENCH_results.json` under `serving/`. Flags:
+//! Flags:
 //!
 //! * `--quick`: small node counts and populations (CI-friendly);
 //! * `--threads N`: determinism sweep over `{1, N}` instead of
@@ -43,14 +43,14 @@
 use std::time::Instant;
 
 use timego_am::{RecoveryPolicy, RetryPolicy};
-use timego_bench::results::BenchResults;
-use timego_cost::Feature;
 use timego_netsim::{CrashWindow, FaultConfig, NodeId};
 use timego_workloads::service::{
     run_service, serving_machine, serving_machine_chaos, AdmissionWindow, BalancerPolicy,
     BreakerSpec, ClassOutcome, DetectorSpec, HedgeSpec, Migration, QosClass, RetryBudget,
     ServiceOutcome, ServiceSpec,
 };
+
+use crate::Opts;
 
 const SEED: u64 = 42;
 
@@ -101,45 +101,6 @@ fn drive(spec: &ServiceSpec, nodes: usize, shards: usize, threads: usize) -> (Se
     (out, wall.elapsed().as_nanos())
 }
 
-fn record_class(res: &mut BenchResults, cell: &str, c: &ClassOutcome) {
-    let k = |tail: &str| format!("{cell}/{}/{tail}", c.name);
-    res.record_count(&k("offered"), c.offered as u64);
-    res.record_count(&k("admitted"), c.admitted as u64);
-    res.record_count(&k("shed"), c.shed as u64);
-    res.record_count(&k("completed"), c.completed as u64);
-    res.record_count(&k("failed"), c.failed as u64);
-    res.record_count(&k("re_executions"), c.re_executions);
-    res.record_count(&k("breaker_shed"), c.breaker_shed as u64);
-    res.record_count(&k("budget_denied"), c.budget_denied);
-    res.record_count(&k("hedges"), c.hedges as u64);
-    res.record_count(&k("hedge_wins"), c.hedge_wins as u64);
-    res.record_cycles(&k("p50"), c.completion.quantile(0.50));
-    res.record_cycles(&k("p99"), c.completion.quantile(0.99));
-    res.record_cycles(&k("p999"), c.completion.quantile(0.999));
-    res.record_cycles(&k("max"), c.completion.max());
-    res.record_count(&k("mean_milli"), (c.completion.mean() * 1000.0) as u64);
-    for f in Feature::ALL {
-        res.record_count(
-            &k(&format!("bill/{}", feature_slug(f))),
-            c.bill.feature_total(f),
-        );
-    }
-    res.record_count(&k("bill/total"), c.bill.total());
-    res.record_count(
-        &k("bill/overhead_milli"),
-        (c.bill.overhead_fraction() * 1000.0) as u64,
-    );
-}
-
-fn feature_slug(f: Feature) -> &'static str {
-    match f {
-        Feature::Base => "base",
-        Feature::BufferMgmt => "buffer_mgmt",
-        Feature::InOrder => "in_order",
-        Feature::FaultTol => "fault_tol",
-    }
-}
-
 fn print_class(policy: &str, c: &ClassOutcome) {
     println!(
         "{:<18} {:<12} {:>6} {:>6} {:>5} {:>8} {:>8} {:>8}  {:>10} {:>6.1}%",
@@ -156,7 +117,7 @@ fn print_class(policy: &str, c: &ClassOutcome) {
     );
 }
 
-fn policy_sweep(res: &mut BenchResults, quick: bool, threads: &[usize]) {
+fn policy_sweep(quick: bool, threads: &[usize]) {
     let s = policy_sizing(quick);
     let policies = [
         BalancerPolicy::RoundRobin,
@@ -174,29 +135,19 @@ fn policy_sweep(res: &mut BenchResults, quick: bool, threads: &[usize]) {
     );
     for policy in policies {
         let spec = policy_spec(&s, policy);
-        let (out, wall_ns) = drive(&spec, s.nodes, s.shards, 1);
-        let cell = format!("policy/{}/n{}", policy.name(), s.nodes);
+        let (out, _) = drive(&spec, s.nodes, s.shards, 1);
         assert_eq!(out.in_flight_at_end, 0, "serving run must drain");
         for c in &out.classes {
             assert_eq!(c.offered, c.admitted + c.shed, "conservation ({})", c.name);
             assert_eq!(c.admitted, c.completed + c.failed, "conservation ({})", c.name);
             print_class(policy.name(), c);
-            record_class(res, &cell, c);
         }
-        res.record_cycles(&format!("{cell}/elapsed_cycles"), out.elapsed_cycles);
-        res.record_count(&format!("{cell}/peak_in_flight"), out.peak_in_flight as u64);
-        res.record_count(
-            &format!("{cell}/goodput_per_kcycle_milli"),
-            (out.goodput_per_kcycle() * 1000.0) as u64,
-        );
-        res.record_wall(&format!("{cell}/wall"), wall_ns);
 
         // The determinism soak rides the round-robin cell: the same
         // spec at every worker-thread count must produce the identical
         // outcome signature, bills and histograms included.
         if policy == BalancerPolicy::RoundRobin {
             let pinned = out.signature();
-            res.record_count(&format!("{cell}/signature_lo32"), pinned & 0xffff_ffff);
             for &t in threads {
                 let (run, t_wall) = drive(&spec, s.nodes, s.shards, t);
                 assert_eq!(
@@ -205,7 +156,6 @@ fn policy_sweep(res: &mut BenchResults, quick: bool, threads: &[usize]) {
                     "worker-thread count {t} changed the serving outcome"
                 );
                 println!("  t{t}: signature ok ({:.2}s)", t_wall as f64 / 1e9);
-                res.record_wall(&format!("{cell}/t{t}/wall"), t_wall);
             }
         }
     }
@@ -218,58 +168,43 @@ fn policy_sweep(res: &mut BenchResults, quick: bool, threads: &[usize]) {
     let spares = range(s.gateways + s.servers, s.servers / 4);
     spec.migration =
         Some(Migration { at: 0.5, retire: s.servers / 4, recruit: spares });
-    let (out, wall_ns) = drive(&spec, s.nodes, s.shards, 1);
-    let cell = format!("migration/consistent_hash/n{}", s.nodes);
+    let (out, _) = drive(&spec, s.nodes, s.shards, 1);
     assert_eq!(out.in_flight_at_end, 0);
     for c in &out.classes {
         assert_eq!(c.offered, c.admitted + c.shed);
         assert_eq!(c.admitted, c.completed + c.failed);
         print_class("ch+migration", c);
-        record_class(res, &cell, c);
     }
-    res.record_cycles(&format!("{cell}/elapsed_cycles"), out.elapsed_cycles);
-    res.record_wall(&format!("{cell}/wall"), wall_ns);
 }
 
 /// The overload scenario: a small pool whose admission window is the
-/// bottleneck, swept across arrival intervals. Returns the interval,
-/// outcome pairs so the knee test can reuse the exact bench
-/// configuration.
-pub fn overload_points(quick: bool) -> Vec<(u64, ServiceOutcome)> {
+/// bottleneck, swept across arrival intervals from light load to
+/// several times past the knee (`tests/serving_invariants.rs` pins the
+/// knee on its own `overload_spec`).
+fn overload_sweep(quick: bool) {
     let (nodes, shards) = if quick { (128, 2) } else { (256, 2) };
     let (interactive, batch) = if quick { (260, 130) } else { (900, 450) };
     let intervals: &[u64] = if quick { &[32, 8, 2, 1] } else { &[64, 32, 16, 8, 4, 2, 1] };
-    intervals
-        .iter()
-        .map(|&interval| {
-            let spec = ServiceSpec {
-                gateways: vec![n(0)],
-                servers: range(1, 3),
-                policy: BalancerPolicy::LeastLoaded,
-                window: AdmissionWindow::TierGlobal(32),
-                classes: vec![
-                    QosClass::interactive(interval, interactive, 1 << 17),
-                    QosClass::batch(interval * 2, batch),
-                ],
-                seed: SEED,
-                ..ServiceSpec::default()
-            };
-            let mut m = serving_machine(nodes, shards, 1, SEED);
-            (interval, run_service(&mut m, &spec))
-        })
-        .collect()
-}
-
-fn overload_sweep(res: &mut BenchResults, quick: bool) {
     println!(
         "\n{:<10} {:>10} {:>8} {:>8} {:>10} {:>10} {:>8}",
         "interval", "goodput/kc", "shed%", "fail", "int p99", "bat p99", "peak_if"
     );
-    let mut peak_goodput: f64 = 0.0;
-    for (interval, out) in overload_points(quick) {
-        let cell = format!("overload/i{interval}");
+    for &interval in intervals {
+        let spec = ServiceSpec {
+            gateways: vec![n(0)],
+            servers: range(1, 3),
+            policy: BalancerPolicy::LeastLoaded,
+            window: AdmissionWindow::TierGlobal(32),
+            classes: vec![
+                QosClass::interactive(interval, interactive, 1 << 17),
+                QosClass::batch(interval * 2, batch),
+            ],
+            seed: SEED,
+            ..ServiceSpec::default()
+        };
+        let mut m = serving_machine(nodes, shards, 1, SEED);
+        let out = run_service(&mut m, &spec);
         let failed: usize = out.classes.iter().map(|c| c.failed).sum();
-        peak_goodput = peak_goodput.max(out.goodput_per_kcycle());
         println!(
             "{:<10} {:>10.2} {:>7.1}% {:>8} {:>10} {:>10} {:>8}",
             interval,
@@ -283,21 +218,8 @@ fn overload_sweep(res: &mut BenchResults, quick: bool) {
         for c in &out.classes {
             assert_eq!(c.offered, c.admitted + c.shed, "conservation ({})", c.name);
             assert_eq!(c.admitted, c.completed + c.failed, "conservation ({})", c.name);
-            record_class(res, &cell, c);
         }
-        res.record_count(
-            &format!("{cell}/goodput_per_kcycle_milli"),
-            (out.goodput_per_kcycle() * 1000.0) as u64,
-        );
-        res.record_count(
-            &format!("{cell}/shed_milli"),
-            (out.shed_fraction() * 1000.0) as u64,
-        );
-        res.record_cycles(&format!("{cell}/elapsed_cycles"), out.elapsed_cycles);
-        res.record_count(&format!("{cell}/peak_in_flight"), out.peak_in_flight as u64);
-        res.record_count(&format!("{cell}/backpressure"), out.backpressure);
     }
-    res.record_count("overload/peak_goodput_per_kcycle_milli", (peak_goodput * 1000.0) as u64);
 }
 
 // ---------------------------------------------------------------------
@@ -395,31 +317,12 @@ fn drive_failover(
     (out, wall.elapsed().as_nanos())
 }
 
-fn record_failover(res: &mut BenchResults, cell: &str, out: &ServiceOutcome, wall_ns: u128) {
+fn assert_conserved(cell: &str, out: &ServiceOutcome) {
     for c in &out.classes {
         assert_eq!(c.offered, c.admitted + c.shed, "conservation ({})", c.name);
         assert_eq!(c.admitted, c.completed + c.failed, "conservation ({})", c.name);
-        record_class(res, cell, c);
     }
     assert_eq!(out.in_flight_at_end, 0, "failover run must drain ({cell})");
-    res.record_cycles(&format!("{cell}/elapsed_cycles"), out.elapsed_cycles);
-    res.record_count(
-        &format!("{cell}/goodput_per_kcycle_milli"),
-        (out.goodput_per_kcycle() * 1000.0) as u64,
-    );
-    res.record_count(&format!("{cell}/peak_in_flight"), out.peak_in_flight as u64);
-    res.record_count(&format!("{cell}/total_runs"), out.handler_runs.values().sum());
-    res.record_count(&format!("{cell}/dup_suppressed"), out.dup_suppressed);
-    res.record_count(&format!("{cell}/detector/probes"), out.probes);
-    res.record_count(&format!("{cell}/detector/failures"), out.probe_failures);
-    res.record_count(&format!("{cell}/detector/ejections"), out.ejections);
-    res.record_count(&format!("{cell}/detector/reinstatements"), out.reinstatements);
-    res.record_count(&format!("{cell}/detector/bill_total"), out.detector_bill.total());
-    res.record_count(
-        &format!("{cell}/detector/bill_fault_tol"),
-        out.detector_bill.feature_total(Feature::FaultTol),
-    );
-    res.record_wall(&format!("{cell}/wall"), wall_ns);
 }
 
 fn assert_exactly_once(cell: &str, out: &ServiceOutcome) {
@@ -453,7 +356,7 @@ fn print_failover(cell: &str, out: &ServiceOutcome) {
     );
 }
 
-fn failover_sweep(res: &mut BenchResults, quick: bool, threads: &[usize]) {
+fn failover_sweep(quick: bool, threads: &[usize]) {
     let s = failover_sizing(quick);
     let fault = failover_fault(&s);
     println!(
@@ -470,35 +373,35 @@ fn failover_sweep(res: &mut BenchResults, quick: bool, threads: &[usize]) {
     );
 
     // Clean reference: failure domain armed, nothing fails.
-    let (clean, clean_wall) = drive_failover(&failover_spec(&s, true, true), &s, None, 1);
+    let (clean, _) = drive_failover(&failover_spec(&s, true, true), &s, None, 1);
     print_failover("clean", &clean);
-    record_failover(res, "failover/clean", &clean, clean_wall);
+    assert_conserved("failover/clean", &clean);
     assert_exactly_once("failover/clean", &clean);
     assert_eq!(clean.ejections, 0, "clean run must not eject");
 
     // Detector-off baseline: the balancer keeps routing at the corpse
     // and stuck requests pile into the admission window.
-    let (base, base_wall) =
+    let (base, _) =
         drive_failover(&failover_spec(&s, false, false), &s, Some(&fault), 1);
     print_failover("crash_baseline", &base);
-    record_failover(res, "failover/crash_baseline", &base, base_wall);
+    assert_conserved("failover/crash_baseline", &base);
     assert_exactly_once("failover/crash_baseline", &base);
 
     // Detector only: routing reacts within ~2 probe periods, but
     // requests already stuck on the corpse wait out its restart.
-    let (det, det_wall) = drive_failover(&failover_spec(&s, true, false), &s, Some(&fault), 1);
+    let (det, _) = drive_failover(&failover_spec(&s, true, false), &s, Some(&fault), 1);
     print_failover("crash_detector", &det);
-    record_failover(res, "failover/crash_detector", &det, det_wall);
+    assert_conserved("failover/crash_detector", &det);
     assert_exactly_once("failover/crash_detector", &det);
     assert!(det.ejections >= 1, "the detector must eject the crashed server");
     assert!(det.reinstatements >= 1, "the restarted server must be reinstated");
 
     // Detector + hedging: stuck requests get a second leg on a healthy
     // server — the tentpole's acceptance cell.
-    let (hedged, hedged_wall) =
+    let (hedged, _) =
         drive_failover(&failover_spec(&s, true, true), &s, Some(&fault), 1);
     print_failover("crash_detector_hedged", &hedged);
-    record_failover(res, "failover/crash_detector_hedged", &hedged, hedged_wall);
+    assert_conserved("failover/crash_detector_hedged", &hedged);
     assert_exactly_once("failover/crash_detector_hedged", &hedged);
     assert!(hedged.ejections >= 1, "hedged cell must still eject");
     assert!(
@@ -528,16 +431,11 @@ fn failover_sweep(res: &mut BenchResults, quick: bool, threads: &[usize]) {
         p999_hedged < p999_det,
         "hedged p999 {p999_hedged} must beat unhedged {p999_det} under the crash"
     );
-    res.record_count(
-        "failover/goodput_retention_milli",
-        (g_hedged / g_clean * 1000.0) as u64,
-    );
 
     // Thread-invariance soak on the full failure domain: crash windows,
     // ejections, hedge races, and reinstatements — same signature at
     // every worker-thread count.
     let pinned = hedged.signature();
-    res.record_count("failover/crash_detector_hedged/signature_lo32", pinned & 0xffff_ffff);
     for &t in threads {
         let (run, t_wall) =
             drive_failover(&failover_spec(&s, true, true), &s, Some(&fault), t);
@@ -547,7 +445,6 @@ fn failover_sweep(res: &mut BenchResults, quick: bool, threads: &[usize]) {
             "worker-thread count {t} changed the failover outcome"
         );
         println!("  t{t}: signature ok ({:.2}s)", t_wall as f64 / 1e9);
-        res.record_wall(&format!("failover/crash_detector_hedged/t{t}/wall"), t_wall);
     }
 
     // Retry-budget cell: a near-dry bucket caps the crash's recovery
@@ -559,9 +456,9 @@ fn failover_sweep(res: &mut BenchResults, quick: bool, threads: &[usize]) {
     let mut spec = failover_spec(&s, true, false);
     spec.classes[0].retry_budget =
         Some(RetryBudget { capacity: 2, refill_milli_per_kcycle: 0 });
-    let (budget, budget_wall) = drive_failover(&spec, &s, Some(&fault), 1);
+    let (budget, _) = drive_failover(&spec, &s, Some(&fault), 1);
     print_failover("budget_capped", &budget);
-    record_failover(res, "failover/budget_capped", &budget, budget_wall);
+    assert_conserved("failover/budget_capped", &budget);
     assert!(
         budget.classes[0].budget_denied > 0,
         "the capped budget must deny some re-executions"
@@ -588,9 +485,9 @@ fn failover_sweep(res: &mut BenchResults, quick: bool, threads: &[usize]) {
     };
     let mut spec = failover_spec(&s, true, true);
     spec.breaker = Some(BreakerSpec { min_healthy_milli: 500 });
-    let (brown, brown_wall) = drive_failover(&spec, &s, Some(&brown_fault), 1);
+    let (brown, _) = drive_failover(&spec, &s, Some(&brown_fault), 1);
     print_failover("brownout_breaker", &brown);
-    record_failover(res, "failover/brownout_breaker", &brown, brown_wall);
+    assert_conserved("failover/brownout_breaker", &brown);
     assert_exactly_once("failover/brownout_breaker", &brown);
     assert!(
         brown.classes[0].breaker_shed > 0,
@@ -603,7 +500,7 @@ fn failover_sweep(res: &mut BenchResults, quick: bool, threads: &[usize]) {
 // the same total bound.
 // ---------------------------------------------------------------------
 
-fn admission_sweep(res: &mut BenchResults, quick: bool) {
+fn admission_sweep(quick: bool) {
     let (nodes, shards) = (256, 2);
     let (gateways, servers, bound) = (4usize, 8usize, 32usize);
     let (interactive, batch) = if quick { (400, 200) } else { (1200, 600) };
@@ -630,10 +527,7 @@ fn admission_sweep(res: &mut BenchResults, quick: bool) {
             ..ServiceSpec::default()
         };
         let mut m = serving_machine(nodes, shards, 1, SEED);
-        let wall = Instant::now();
         let out = run_service(&mut m, &spec);
-        let wall_ns = wall.elapsed().as_nanos();
-        let cell = format!("admission/{}", window.name());
         let shed: usize = out.classes.iter().map(|c| c.shed).sum();
         let done: usize = out.classes.iter().map(|c| c.completed).sum();
         let peak_gw = out.peak_per_gateway.values().copied().max().unwrap_or(0);
@@ -649,20 +543,11 @@ fn admission_sweep(res: &mut BenchResults, quick: bool) {
         for c in &out.classes {
             assert_eq!(c.offered, c.admitted + c.shed, "conservation ({})", c.name);
             assert_eq!(c.admitted, c.completed + c.failed, "conservation ({})", c.name);
-            record_class(res, &cell, c);
         }
         match window {
             AdmissionWindow::TierGlobal(b) => assert!(out.peak_in_flight <= b),
             AdmissionWindow::PerGateway(b) => assert!(peak_gw <= b),
         }
-        res.record_count(&format!("{cell}/shed"), shed as u64);
-        res.record_count(
-            &format!("{cell}/goodput_per_kcycle_milli"),
-            (out.goodput_per_kcycle() * 1000.0) as u64,
-        );
-        res.record_count(&format!("{cell}/peak_in_flight"), out.peak_in_flight as u64);
-        res.record_count(&format!("{cell}/peak_per_gateway"), peak_gw as u64);
-        res.record_wall(&format!("{cell}/wall"), wall_ns);
         sheds.push(shed);
     }
     // Un-shared counters can only shed more at the same total bound:
@@ -675,32 +560,16 @@ fn admission_sweep(res: &mut BenchResults, quick: bool) {
     );
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let threads_flag: Option<usize> = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--threads takes a positive integer"));
-    let thread_sweep: Vec<usize> = match threads_flag {
+/// The `serving` suite (`--quick`, `--threads N`, `--chaos`).
+pub fn run(opts: &Opts) {
+    let thread_sweep: Vec<usize> = match opts.threads {
         Some(1) | None => vec![2, 4],
         Some(t) => vec![t],
     };
-
-    let chaos = args.iter().any(|a| a == "--chaos");
-
-    let mut res = BenchResults::new("serving/");
-    policy_sweep(&mut res, quick, &thread_sweep);
-    overload_sweep(&mut res, quick);
-    if chaos {
-        failover_sweep(&mut res, quick, &thread_sweep);
-        admission_sweep(&mut res, quick);
-    }
-
-    let path = BenchResults::default_path();
-    match res.write_merged(&path) {
-        Ok(entries) => println!("\nwrote {entries} entries to {}", path.display()),
-        Err(e) => eprintln!("\ncould not write {}: {e}", path.display()),
+    policy_sweep(opts.quick, &thread_sweep);
+    overload_sweep(opts.quick);
+    if opts.chaos {
+        failover_sweep(opts.quick, &thread_sweep);
+        admission_sweep(opts.quick);
     }
 }

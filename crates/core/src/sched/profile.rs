@@ -33,8 +33,8 @@ impl SchedPhase {
         SchedPhase::SubstrateStep,
     ];
 
-    /// Stable snake_case name (used as the `BENCH_results.json` key
-    /// component).
+    /// Stable snake_case name (the frozen benchmark's
+    /// `core.engine.phase.<name>_share` metrics are spelled with it).
     pub fn name(self) -> &'static str {
         match self {
             SchedPhase::ReadyPop => "ready_pop",

@@ -1,7 +1,7 @@
 //! Plain-text rendering of the paper's tables and bar charts.
 //!
 //! The bench harness uses these helpers so that `cargo run -p timego-bench
-//! --bin table2` prints blocks in the same layout as the paper.
+//! -- table2` prints blocks in the same layout as the paper.
 
 use crate::analytic::ProtocolCost;
 use crate::axes::{Class, Endpoint, Feature, Fine};
