@@ -727,6 +727,9 @@ impl Op {
             OpBody::Stream { data, .. } if data.is_empty() => {
                 return bad("empty stream send".into());
             }
+            OpBody::Stream { id, .. } if m.stream_state(*id).window() == 0 => {
+                return bad("stream window is 0; need at least one source-buffer slot".into());
+            }
             OpBody::Am4 { tag, .. } if *tag < Tags::USER_BASE => {
                 return bad(format!(
                     "am4 tag {tag} is in the reserved protocol range (< {})",

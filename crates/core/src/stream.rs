@@ -20,7 +20,7 @@
 //! acknowledgement itself was lost), so a stream completes even over a
 //! corrupting, detect-only network.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use timego_cost::{Feature, Fine};
 use timego_netsim::{NodeId, RxMeta};
@@ -45,6 +45,8 @@ pub struct StreamConfig {
     /// for fewer acknowledgements).
     pub ack_period: u64,
     /// Maximum unacknowledged packets in flight (source-buffer slots).
+    /// A send on a stream with no slot could never inject, so it is
+    /// rejected at submission.
     pub window: usize,
     /// Driver iterations without progress before the oldest
     /// unacknowledged packet is retransmitted.
@@ -86,14 +88,170 @@ pub(crate) struct StreamState {
     cfg: StreamConfig,
     // Source side.
     next_seq: u64,
-    unacked: BTreeMap<u64, Vec<u32>>,
+    unacked: SeqWindow,
     // Destination side.
     expected: u64,
-    ooo: BTreeMap<u64, Vec<u32>>,
+    ooo: SeqWindow,
     arrived_contig: u64,
     arrivals_since_ack: u64,
     delivered: Vec<u32>,
     total_pushed_words: usize,
+    /// The payload of the packet being received, read out of the NI
+    /// before the sequence check decides where it goes.
+    rx: Vec<u32>,
+}
+
+/// The stream's host-side buffer of sequenced payloads — the source's
+/// unacknowledged copies and the destination's out-of-order arrivals:
+/// at most one `n`-word payload per sequence number, kept in a ring at
+/// slot `seq % capacity` with the payloads in one flat buffer of `n`
+/// words per slot. Insert, remove, lookup and the oldest entry are
+/// O(1) amortised and allocate nothing; the ring is re-laid at the next
+/// power of two only when a sequence number falls outside it, and a
+/// cumulative release walks the span it releases.
+///
+/// Every present sequence number lies in `base..end`, `base` is the
+/// oldest one present, and `end - base` never exceeds the capacity
+/// (0 or a power of two). While empty, `end == base`.
+#[derive(Debug)]
+struct SeqWindow {
+    /// Payload words per slot.
+    n: usize,
+    base: u64,
+    end: u64,
+    /// Present entries.
+    live: usize,
+    /// One occupancy flag per slot.
+    present: Vec<bool>,
+    /// `n` words per slot.
+    words: Vec<u32>,
+}
+
+impl SeqWindow {
+    fn new(n: usize) -> Self {
+        SeqWindow { n, base: 0, end: 0, live: 0, present: Vec::new(), words: Vec::new() }
+    }
+
+    fn len(&self) -> usize {
+        self.live
+    }
+
+    fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    /// The ring slot of `seq` (the capacity is a power of two).
+    fn slot(&self, seq: u64) -> usize {
+        (seq as usize) & (self.present.len() - 1)
+    }
+
+    fn payload(&self, slot: usize) -> &[u32] {
+        &self.words[slot * self.n..(slot + 1) * self.n]
+    }
+
+    fn contains(&self, seq: u64) -> bool {
+        (self.base..self.end).contains(&seq) && self.present[self.slot(seq)]
+    }
+
+    fn get(&self, seq: u64) -> Option<&[u32]> {
+        self.contains(seq).then(|| self.payload(self.slot(seq)))
+    }
+
+    /// The oldest entry.
+    fn oldest(&self) -> Option<(u64, &[u32])> {
+        (self.live > 0).then(|| (self.base, self.payload(self.slot(self.base))))
+    }
+
+    /// File `payload` (at most `n` words, zero-padded to `n`) under
+    /// `seq`, replacing what is there. `seq` may lie behind the oldest
+    /// entry: a resumed send refiles sequence numbers below `next_seq`.
+    fn insert(&mut self, seq: u64, payload: &[u32]) {
+        let (lo, hi) = if self.live == 0 {
+            (seq, seq + 1)
+        } else {
+            (self.base.min(seq), self.end.max(seq + 1))
+        };
+        if hi - lo > self.present.len() as u64 {
+            self.grow(hi - lo);
+        }
+        (self.base, self.end) = (lo, hi);
+        let slot = self.slot(seq);
+        if !self.present[slot] {
+            self.present[slot] = true;
+            self.live += 1;
+        }
+        let n = self.n;
+        let words = &mut self.words[slot * n..(slot + 1) * n];
+        words[..payload.len()].copy_from_slice(payload);
+        words[payload.len()..].fill(0);
+    }
+
+    /// Re-lay the ring at the power-of-two capacity covering `span`.
+    fn grow(&mut self, span: u64) {
+        let cap = usize::try_from(span)
+            .ok()
+            .and_then(usize::checked_next_power_of_two)
+            .expect("stream window span fits in memory");
+        let n = self.n;
+        let mut grown = SeqWindow {
+            present: vec![false; cap],
+            words: vec![0; cap * n],
+            ..*self
+        };
+        for seq in self.base..self.end {
+            if let Some(payload) = self.get(seq) {
+                let to = grown.slot(seq);
+                grown.present[to] = true;
+                grown.words[to * n..(to + 1) * n].copy_from_slice(payload);
+            }
+        }
+        *self = grown;
+    }
+
+    /// Drop `seq`'s entry (nothing if absent, e.g. a duplicate ack) and
+    /// return its payload, readable until the next insert.
+    fn remove(&mut self, seq: u64) -> Option<&[u32]> {
+        if !self.contains(seq) {
+            return None;
+        }
+        let slot = self.slot(seq);
+        self.present[slot] = false;
+        self.live -= 1;
+        self.settle();
+        Some(self.payload(slot))
+    }
+
+    /// Drop every entry below `seq` (a cumulative acknowledgement,
+    /// which may lie past the newest entry).
+    fn retain_from(&mut self, seq: u64) {
+        while self.live > 0 && self.base < seq {
+            let slot = self.slot(self.base);
+            if self.present[slot] {
+                self.present[slot] = false;
+                self.live -= 1;
+            }
+            self.base += 1;
+        }
+        self.settle();
+    }
+
+    /// Drop everything (a crash-restart of the holding node).
+    fn clear(&mut self) {
+        self.present.fill(false);
+        self.live = 0;
+        self.end = self.base;
+    }
+
+    /// Restore "`base` is the oldest entry" after a removal.
+    fn settle(&mut self) {
+        if self.live == 0 {
+            self.end = self.base;
+            return;
+        }
+        while !self.present[self.slot(self.base)] {
+            self.base += 1;
+        }
+    }
 }
 
 impl StreamState {
@@ -121,6 +279,11 @@ impl StreamState {
         self.unacked.len() < self.cfg.window
     }
 
+    /// Source-buffer slots (0 can never inject; submission rejects it).
+    pub(crate) fn window(&self) -> usize {
+        self.cfg.window
+    }
+
     /// Idle iterations before the retransmission timer fires.
     pub(crate) fn rto_iterations(&self) -> u64 {
         self.cfg.rto_iterations
@@ -138,18 +301,20 @@ impl Machine {
         assert!(src.index() < self.nodes.len() && dst.index() < self.nodes.len());
         assert_ne!(src, dst, "stream endpoints must differ");
         let id = StreamId(self.streams.len());
+        let n = self.cfg.packet_words;
         self.streams.push(StreamState {
             src,
             dst,
             cfg,
             next_seq: 0,
-            unacked: BTreeMap::new(),
+            unacked: SeqWindow::new(n),
             expected: 0,
-            ooo: BTreeMap::new(),
+            ooo: SeqWindow::new(n),
             arrived_contig: 0,
             arrivals_since_ack: 0,
             delivered: Vec::new(),
             total_pushed_words: 0,
+            rx: Vec::with_capacity(n),
         });
         id
     }
@@ -169,8 +334,9 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::BadTransfer`] for empty data or a stream id this
-    /// machine never opened; [`ProtocolError::Timeout`] if the stream
+    /// [`ProtocolError::BadTransfer`] for empty data, a stream id this
+    /// machine never opened, or a stream opened with `window: 0`;
+    /// [`ProtocolError::Timeout`] if the stream
     /// cannot make progress for the configured bound (even with
     /// retransmission — e.g. the substrate is wedged).
     pub fn stream_send(&mut self, id: StreamId, data: &[u32]) -> Result<StreamOutcome, ProtocolError> {
@@ -197,7 +363,8 @@ impl Machine {
     /// # Errors
     ///
     /// [`ProtocolError::BadTransfer`] for empty data, a stream id this
-    /// machine never opened, or a zero-execution policy; otherwise the
+    /// machine never opened, a stream opened with `window: 0`, or a
+    /// zero-execution policy; otherwise the
     /// last execution's error once the recovery budget is exhausted
     /// (non-retryable errors surface immediately).
     pub fn stream_send_recovering(
@@ -239,14 +406,14 @@ impl Machine {
     /// Retransmit the oldest unacknowledged packet (one attempt, charged
     /// to fault tolerance). Returns `false` when nothing is buffered.
     fn stream_retransmit_oldest(&mut self, id: StreamId) -> bool {
-        let Some((&seq, payload)) = self.streams[id.0].unacked.iter().next().map(|(s, p)| (s, p.clone()))
-        else {
+        let st = &self.streams[id.0];
+        let Some((seq, payload)) = st.unacked.oldest() else {
             return false;
         };
-        let (srcn, dstn) = (self.streams[id.0].src, self.streams[id.0].dst);
-        let node = self.node_mut(srcn);
+        let node = &mut self.nodes[st.src.index()];
+        let n = payload.len();
         node.cpu.clone().with_feature(Feature::FaultTol, |_| {
-            let _ = send_stream_packet(node, dstn, Tags::STREAM_DATA, seq, &payload);
+            let _ = send_stream_packet(node, st.dst, Tags::STREAM_DATA, seq, payload, n);
         });
         true
     }
@@ -259,9 +426,10 @@ impl Machine {
         st.delivered.truncate(st.total_pushed_words);
     }
 
-    /// Inject one sequenced, source-buffered data packet. Returns
-    /// `false` on backpressure.
-    fn stream_inject(&mut self, id: StreamId, seq: u64, payload: &[u32]) -> bool {
+    /// Inject one sequenced, source-buffered `n`-word data packet whose
+    /// payload is `payload` zero-padded to `n` words. Returns `false`
+    /// on backpressure.
+    fn stream_inject(&mut self, id: StreamId, seq: u64, payload: &[u32], n: usize) -> bool {
         let (srcn, dstn) = (self.streams[id.0].src, self.streams[id.0].dst);
         let node = self.node_mut(srcn);
 
@@ -275,15 +443,15 @@ impl Machine {
         // Fault tolerance: keep a copy for retransmission.
         node.cpu.clone().with_feature(Feature::FaultTol, |cpu| {
             cpu.reg(Fine::RegOp, stream_src::BUF_REG);
-            cpu.mem_store((payload.len() / 2) as u64);
+            cpu.mem_store((n / 2) as u64);
         });
         // Base: the single-packet send itself.
-        if !send_stream_packet(node, dstn, Tags::STREAM_DATA, seq, payload) {
+        if !send_stream_packet(node, dstn, Tags::STREAM_DATA, seq, payload, n) {
             return false;
         }
 
         let st = &mut self.streams[id.0];
-        st.unacked.insert(seq, payload.to_vec());
+        st.unacked.insert(seq, payload);
         st.next_seq = st.next_seq.max(seq + 1);
         true
     }
@@ -313,7 +481,7 @@ impl Machine {
         if meta.src != srcn || meta.tag != Tags::STREAM_DATA {
             return false;
         }
-        let node = self.node_mut(dstn);
+        let node = &mut self.nodes[dstn.index()];
 
         let Some((_, tag)) = node.ni.latch_rx() else {
             return false;
@@ -321,40 +489,32 @@ impl Machine {
         debug_assert_eq!(tag, Tags::STREAM_DATA);
         node.cpu.reg(Fine::Handler, stream_dst::PER_PACKET_REG);
         let seq = u64::from(node.ni.read_header());
-        let mut payload = Vec::with_capacity(n);
+        let st = &mut self.streams[id.0];
+        st.rx.clear();
         for _ in 0..(n / 2) {
             let (w0, w1) = node.ni.read_payload2();
-            payload.push(w0);
-            payload.push(w1);
+            st.rx.extend([w0, w1]);
         }
 
         let cpu = node.cpu.clone();
-        let expected = self.streams[id.0].expected;
-        if seq == expected {
+        if seq == st.expected {
             // In sequence: the cheap path — compare, deliver, bump.
             cpu.with_feature(Feature::InOrder, |cpu| {
                 cpu.reg(Fine::RegOp, stream_dst::INSEQ_REG);
             });
-            let st = &mut self.streams[id.0];
-            st.delivered.extend_from_slice(&payload);
+            st.delivered.extend_from_slice(&st.rx);
             st.expected += 1;
             // Drain any buffered successors now in sequence.
-            loop {
-                let next = self.streams[id.0].expected;
-                let Some(buffered) = self.streams[id.0].ooo.remove(&next) else {
-                    break;
-                };
-                let node = self.node_mut(dstn);
-                node.cpu.clone().with_feature(Feature::InOrder, |cpu| {
+            while let Some(buffered) = st.ooo.remove(st.expected) {
+                cpu.with_feature(Feature::InOrder, |cpu| {
                     cpu.reg(Fine::RegOp, stream_dst::OOO_DRAIN_REG);
                     cpu.mem_load((n + 1) as u64); // word-granularity copy-out
                     cpu.mem_load(stream_dst::OOO_UNLINK_MEM);
                 });
-                let st = &mut self.streams[id.0];
-                st.delivered.extend_from_slice(&buffered);
+                st.delivered.extend_from_slice(buffered);
                 st.expected += 1;
             }
-        } else if seq > expected {
+        } else if seq > st.expected {
             // Out of order: buffer it (the expensive path).
             outcome.out_of_order += 1;
             cpu.with_feature(Feature::InOrder, |cpu| {
@@ -362,7 +522,7 @@ impl Machine {
                 cpu.mem_store((n + 1) as u64); // word-granularity copy-in
                 cpu.mem_store(stream_dst::OOO_INSERT_MEM);
             });
-            self.streams[id.0].ooo.insert(seq, payload);
+            st.ooo.insert(seq, &st.rx);
         } else {
             // Duplicate (a retransmission of something already seen):
             // discard, and re-acknowledge in case the ack was lost.
@@ -436,9 +596,9 @@ impl Machine {
         };
         let st = &mut self.streams[id.0];
         if cumulative {
-            st.unacked.retain(|&s, _| s >= seq);
+            st.unacked.retain_from(seq);
         } else {
-            st.unacked.remove(&seq);
+            st.unacked.remove(seq);
         }
         outcome.acks += 1;
         true
@@ -632,10 +792,8 @@ impl OpMachine for StreamOp {
         while self.sent < self.packets && !self.stalled && m.streams[self.id.0].window_open() {
             let seq = self.first_seq + self.sent;
             let base = (self.sent as usize) * n;
-            let payload: Vec<u32> = (0..n)
-                .map(|i| self.data.get(base + i).copied().unwrap_or(0))
-                .collect();
-            if m.stream_inject(self.id, seq, &payload) {
+            let payload = &self.data[base..(base + n).min(self.data.len())];
+            if m.stream_inject(self.id, seq, payload, n) {
                 self.sent += 1;
                 progress = true;
             } else {
@@ -700,21 +858,24 @@ impl OpMachine for StreamOp {
     }
 }
 
-/// Send one stream data packet (the control-send shape generalized to
-/// `n` payload words: 14 reg + 1 mem + (n/2 + 3) dev).
+/// Send one stream data packet carrying `payload` zero-padded to `n`
+/// words (the control-send shape generalized to `n` payload words:
+/// 14 reg + 1 mem + (n/2 + 3) dev).
 fn send_stream_packet(
     node: &mut crate::machine::Node,
     dst: NodeId,
     tag: u8,
     seq: u64,
     payload: &[u32],
+    n: usize,
 ) -> bool {
     node.cpu.call(ctl_send::CALL);
     node.cpu.reg(Fine::NiSetup, ctl_send::SETUP_REG);
     node.cpu.mem_load(ctl_send::STATE_MEM);
     node.ni.stage_envelope(dst, tag, seq as u32);
-    for pair in payload.chunks(2) {
-        node.ni.push_payload2(pair[0], pair.get(1).copied().unwrap_or(0));
+    let word = |i: usize| payload.get(i).copied().unwrap_or(0);
+    for i in (0..n).step_by(2) {
+        node.ni.push_payload2(word(i), word(i + 1));
     }
     node.cpu.reg(Fine::CheckStatus, ctl_send::STATUS_REG);
     node.cpu.ctrl(ctl_send::CTRL);
@@ -728,12 +889,8 @@ fn contiguous_arrived(st: &StreamState) -> u64 {
     let mut mark = st.expected;
     // Packets buffered out of order extend the contiguous-arrival mark
     // only if they are consecutive from `expected`.
-    for (&s, _) in st.ooo.iter() {
-        if s == mark {
-            mark += 1;
-        } else if s > mark {
-            break;
-        }
+    while st.ooo.contains(mark) {
+        mark += 1;
     }
     mark
 }
@@ -868,5 +1025,80 @@ mod tests {
         assert!(ft_grouped < ft_per_packet / 2, "{ft_grouped} vs {ft_per_packet}");
         assert_eq!(grouped.stream_received(id2), data.as_slice());
         assert_eq!(out.acks, 8);
+    }
+
+    /// The window against the map it replaced, on seeded operation
+    /// mixes: inserts behind, at and far ahead of the oldest entry,
+    /// overwrites, removes of present and absent numbers, cumulative
+    /// releases short of and past the newest entry, and clears. After
+    /// every operation both agree on `len`, `is_empty`, the oldest
+    /// entry, and which numbers are present with which payload.
+    #[test]
+    fn window_matches_a_btreemap_model() {
+        use std::collections::BTreeMap;
+        use timego_netsim::rng::SimRng;
+
+        for n in [2usize, 8] {
+            for seed in 0..8u64 {
+                let mut rng = SimRng::new(seed * 2 + n as u64);
+                let mut win = SeqWindow::new(n);
+                let mut model: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+                // The stream's front moves forward; numbers land around it.
+                let mut head = 1000u64;
+                for step in 0..600 {
+                    head += rng.gen_inclusive(2);
+                    let near = |rng: &mut SimRng| head - 32 + rng.gen_inclusive(64);
+                    match rng.gen_index(20) {
+                        0..=8 => {
+                            let seq = if rng.gen_index(25) == 0 {
+                                head + 200 + rng.gen_inclusive(100)
+                            } else {
+                                near(&mut rng)
+                            };
+                            let len = 1 + rng.gen_index(n);
+                            let payload: Vec<u32> = (0..len).map(|_| rng.gen_u32()).collect();
+                            win.insert(seq, &payload);
+                            let mut padded = payload;
+                            padded.resize(n, 0);
+                            model.insert(seq, padded);
+                        }
+                        9..=15 => {
+                            let seq = match model.keys().nth(rng.gen_index(model.len() + 1)) {
+                                Some(&s) if rng.gen_bool(0.7) => s,
+                                _ => near(&mut rng),
+                            };
+                            let got = win.remove(seq).map(<[u32]>::to_vec);
+                            assert_eq!(got, model.remove(&seq), "n {n} seed {seed} step {step}");
+                        }
+                        16..=18 => {
+                            let seq = near(&mut rng) + rng.gen_inclusive(1) * 400;
+                            win.retain_from(seq);
+                            model.retain(|&s, _| s >= seq);
+                        }
+                        _ => {
+                            if rng.gen_index(10) == 0 {
+                                win.clear();
+                                model.clear();
+                            }
+                        }
+                    }
+                    let ctx = format!("n {n} seed {seed} step {step}");
+                    assert_eq!(win.len(), model.len(), "{ctx}");
+                    assert_eq!(win.is_empty(), model.is_empty(), "{ctx}");
+                    assert_eq!(
+                        win.oldest().map(|(s, p)| (s, p.to_vec())),
+                        model.first_key_value().map(|(&s, p)| (s, p.clone())),
+                        "{ctx}"
+                    );
+                    for (&seq, payload) in &model {
+                        assert_eq!(win.get(seq), Some(payload.as_slice()), "{ctx} seq {seq}");
+                    }
+                    for seq in head - 40..head + 40 {
+                        let present = model.contains_key(&seq);
+                        assert_eq!(win.get(seq).is_some(), present, "{ctx} seq {seq}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -11,6 +11,7 @@
 
 use timego_am::{CmamConfig, Machine, StreamConfig};
 use timego_cost::analytic::{self, IndefiniteOpts, MsgShape};
+use timego_cost::{Endpoint, Feature};
 use timego_netsim::rng::SimRng;
 use timego_netsim::{DeliveryScript, FaultConfig, Network, NodeId, ScriptedNetwork};
 use timego_ni::share;
@@ -81,6 +82,49 @@ fn stream_cost_matches_model_for_any_shape() {
             IndefiniteOpts { ooo_packets: shape.packets() / 2, ack_period },
         );
         assert_eq!(measured, model, "case {case}: words {words} pkt {pkt} ack {ack_period}");
+    }
+}
+
+/// The analytic model as an oracle under any reorder: whatever order
+/// the substrate delivers in, the measured per-endpoint, per-feature
+/// bill equals the closed form evaluated at the out-of-order count the
+/// run reports — across odd lengths, partial last packets and group
+/// acknowledgements.
+#[test]
+fn stream_cost_matches_model_under_any_reorder() {
+    let scripts = [
+        DeliveryScript::InOrder,
+        DeliveryScript::AlternateSwap,
+        DeliveryScript::WindowShuffle { window: 5 },
+        DeliveryScript::WindowShuffle { window: 11 },
+    ];
+    for words in [1u64, 3, 16, 17, 64, 100, 399, 1024] {
+        for pkt in [2u64, 4, 8] {
+            for ack_period in [1u64, 3, 8] {
+                for script in scripts {
+                    let cell = format!("words {words} pkt {pkt} ack {ack_period} {script:?}");
+                    let data = payloads::mixed(words as usize, words * 31 + pkt);
+                    let net = ScriptedNetwork::with_seed(2, script, words ^ pkt ^ ack_period);
+                    let cfg = CmamConfig { packet_words: pkt as usize, ..CmamConfig::default() };
+                    let mut m = Machine::new(share(net), 2, cfg);
+                    let stream_cfg = StreamConfig { ack_period, ..StreamConfig::default() };
+                    let id = m.open_stream(n(0), n(1), stream_cfg);
+                    m.reset_costs();
+                    let out = m.stream_send(id, &data).unwrap();
+                    assert_eq!(m.stream_received(id), data.as_slice(), "{cell}");
+                    let model = analytic::cmam_indefinite(
+                        MsgShape::for_message(words, pkt).unwrap(),
+                        IndefiniteOpts { ooo_packets: out.out_of_order, ack_period },
+                    );
+                    for (end, node) in [(Endpoint::Source, n(0)), (Endpoint::Destination, n(1))] {
+                        let bill = m.cpu(node).snapshot();
+                        for f in Feature::ALL {
+                            assert_eq!(bill.feature(f), model.get(end, f), "{cell}: {end:?} {f}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 

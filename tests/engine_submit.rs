@@ -173,9 +173,10 @@ fn rejected_submission_changes_nothing() {
         let mut other = Engine::new();
         (0..3).map(|_| other.submit_xfer(&m, n(0), n(1), &[1]).unwrap()).last().unwrap()
     };
-    // A stream id this machine never opened.
+    // A stream id this machine never opened (it opens two below).
     let foreign: StreamId = {
         let (mut other, _, _) = machine();
+        other.open_stream(n(2), n(3), StreamConfig::default());
         other.open_stream(n(2), n(3), StreamConfig::default())
     };
     let ok = RetryPolicy::default();
@@ -208,8 +209,13 @@ fn rejected_submission_changes_nothing() {
         let mut eng = Engine::new();
         eng.submit_xfer(&m, n(2), n(3), &[1, 2]).unwrap();
         let (events, unfinished) = (eng.trace().len(), eng.unfinished());
-        // The empty stream send needs this machine's own stream.
-        let own = std::iter::once((Op::stream_send(sid, &[]), "empty stream send"));
+        // The empty stream send and the stream that can never inject
+        // (no source-buffer slot) need this machine's own streams.
+        let shut = m.open_stream(n(0), n(1), StreamConfig { window: 0, ..StreamConfig::default() });
+        let own = [
+            (Op::stream_send(sid, &[]), "empty stream send"),
+            (Op::stream_send(shut, &[1]), "window"),
+        ];
         for (op, field) in rejects.into_iter().chain(own) {
             match eng.submit(&mut m, op.clone()) {
                 Err(ProtocolError::BadTransfer(msg)) => {
