@@ -65,7 +65,7 @@ const SUITES: &[Suite] = &[
     ("substrate_demo", "", "§2.2's network features made observable: reordering, drops, CR, stall",
      |_| print!("{}", reports::substrate_demo())),
     ("sched", "--quick --threads --perf-smoke",
-     "event scheduler vs reference stepper, 256-4096 nodes, and the sharded substrate", sched::run),
+     "scheduler steps per op and packets/s, 256-4096 nodes, and the sharded substrate", sched::run),
     ("serving", "--quick --threads --chaos",
      "RPC service plane: balancer policies, overload knee, failover and admission", serving::run),
 ];

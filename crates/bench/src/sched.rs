@@ -1,15 +1,15 @@
-//! Scheduler scaling report: the readiness-driven event scheduler vs
-//! the reference round-robin stepper, swept across node counts on
-//! permutation and hotspot traffic.
+//! Scheduler scaling report: the engine's readiness-driven scheduler
+//! swept across node counts on permutation and hotspot traffic.
 //!
-//! For every `(pattern, nodes)` cell the same plain-transfer plan is
-//! driven to completion once per [`SchedMode`] on identically-seeded
-//! machines, printing:
+//! For every `(pattern, nodes)` cell a plain-transfer plan is driven to
+//! completion, printing:
 //!
-//! * op `step()` invocations per mode and their ratio — the refactor's
-//!   acceptance metric (sleeping ops are skipped, so the ratio grows
-//!   with scale);
-//! * delivered packets per wall-clock second per mode.
+//! * op `step()` invocations, in total and per transfer — sleeping ops
+//!   are skipped, so what an op costs stays flat with scale and with
+//!   the number of ops sharing its endpoint (the reference round-robin
+//!   the scheduler replaced, now a test-only oracle inside `timego-am`,
+//!   grew with both; EXPERIMENTS.md's E19 keeps that comparison);
+//! * delivered packets per wall-clock second.
 //!
 //! A second, *parallel* report drives the same permutation plan over
 //! the sharded substrate (`ShardedNetwork`, 4 shards) at several thread
@@ -26,12 +26,12 @@
 //! * `--threads N`: sweep the parallel report over thread counts
 //!   `{1, N}` instead of the default `{1, 2, 4}`;
 //! * `--perf-smoke`: run only the 1024-node permutation and hotspot
-//!   cells in event mode and fail (exit 1) if either deterministic step
-//!   count exceeds the committed baseline by more than a quarter.
+//!   cells and fail (exit 1) if either deterministic step count exceeds
+//!   the committed baseline by more than a quarter.
 
 use std::time::Instant;
 
-use timego_am::{Engine, Machine, SchedMode, SchedPhase};
+use timego_am::{Engine, Machine, SchedPhase};
 use timego_ni::{share, SharedNetwork};
 use timego_workloads::concurrent::{PlannedOp, TrafficKind};
 use timego_workloads::{patterns::Pattern, payloads, scenarios};
@@ -41,7 +41,7 @@ use crate::Opts;
 const SEED: u64 = 42;
 const WORDS: usize = 8;
 
-/// Committed perf-smoke baseline: deterministic event-mode step count
+/// Committed perf-smoke baseline: deterministic step count
 /// for the 1024-node permutation cell — 13 steps per transfer, and the
 /// 1024-node hotspot plan takes exactly as many: what an op costs does
 /// not depend on how many ops share its endpoint. Regenerate by running
@@ -73,24 +73,18 @@ fn plan_for(pattern: Pattern, nodes: usize) -> Vec<PlannedOp> {
         .collect()
 }
 
-/// Run `plan` to completion under `mode`. Self-profiling costs two
+/// Run `plan` to completion. Self-profiling costs two
 /// clock reads per op step, which distorts wall time on hosts where
 /// `Instant::now` is a real syscall — so wall/throughput numbers come
 /// from an unprofiled run and phase shares from a separate profiled
 /// one (step counts are deterministic and identical across both).
-fn drive(mode: SchedMode, plan: &[PlannedOp], nodes: usize, profile: bool) -> RunStats {
-    drive_net(share(scenarios::cm5_deterministic(nodes, SEED)), mode, plan, nodes, profile)
+fn drive(plan: &[PlannedOp], nodes: usize, profile: bool) -> RunStats {
+    drive_net(share(scenarios::cm5_deterministic(nodes, SEED)), plan, nodes, profile)
 }
 
-fn drive_net(
-    net: SharedNetwork,
-    mode: SchedMode,
-    plan: &[PlannedOp],
-    nodes: usize,
-    profile: bool,
-) -> RunStats {
+fn drive_net(net: SharedNetwork, plan: &[PlannedOp], nodes: usize, profile: bool) -> RunStats {
     let mut m = Machine::new(net, nodes, timego_am::CmamConfig::default());
-    let mut eng = Engine::with_mode(mode);
+    let mut eng = Engine::new();
     if profile {
         eng.enable_profiling(1 << 16);
     }
@@ -137,18 +131,18 @@ fn perf_smoke() -> i32 {
     let mut failed = 0;
     for pattern in [Pattern::RandomPermutation(SEED), Pattern::Hotspot] {
         let plan = plan_for(pattern, 1024);
-        let evt = drive(SchedMode::EventDriven, &plan, 1024, false);
+        let run = drive(&plan, 1024, false);
         println!(
             "perf-smoke: 1024-node {} event steps = {} (baseline {})",
             pattern.name(),
-            evt.steps,
+            run.steps,
             BASELINE_1024_PERM_STEPS
         );
-        if evt.steps > bound {
+        if run.steps > bound {
             eprintln!(
                 "perf-smoke FAILED: {} step count regressed more than 1.25x ({} > {bound})",
                 pattern.name(),
-                evt.steps
+                run.steps
             );
             failed = 1;
         }
@@ -170,13 +164,13 @@ fn parallel_report(quick: bool, threads: &[usize]) {
     let node_counts: &[usize] = if quick { &[1024] } else { &[4096, 8192, 16384] };
     println!(
         "\n{:<26} {:>10} {:>10} {:>8} {:>10}",
-        "parallel cell", "evt steps", "pkt/s", "vs flat", "substrate"
+        "parallel cell", "steps", "pkt/s", "vs flat", "substrate"
     );
     for &nodes in node_counts {
         let plan = plan_for(Pattern::RandomPermutation(SEED), nodes);
 
-        let flat = drive(SchedMode::EventDriven, &plan, nodes, false);
-        let flat_prof = drive(SchedMode::EventDriven, &plan, nodes, true);
+        let flat = drive(&plan, nodes, false);
+        let flat_prof = drive(&plan, nodes, true);
         assert_eq!(flat.steps, flat_prof.steps, "profiling must not change scheduling");
         let flat_sub = flat_prof.substrate_milli;
         println!(
@@ -192,13 +186,8 @@ fn parallel_report(quick: bool, threads: &[usize]) {
         let mut pinned: Option<(u64, u64, u64)> = None;
         for &t in threads {
             let sharded = |profile| {
-                drive_net(
-                    share(scenarios::cm5_sharded(nodes, PARALLEL_SHARDS, t, SEED)),
-                    SchedMode::EventDriven,
-                    &plan,
-                    nodes,
-                    profile,
-                )
+                let net = share(scenarios::cm5_sharded(nodes, PARALLEL_SHARDS, t, SEED));
+                drive_net(net, &plan, nodes, profile)
             };
             let run = sharded(false);
             let prof = sharded(true);
@@ -239,37 +228,24 @@ pub fn run(opts: &Opts) {
     };
     let max_nodes = if opts.quick { 1024 } else { 4096 };
 
-    println!(
-        "{:<22} {:>10} {:>12} {:>7} {:>10} {:>10}",
-        "cell", "evt steps", "ref steps", "ratio", "evt pkt/s", "ref pkt/s"
-    );
+    println!("{:<24} {:>10} {:>9} {:>10}", "cell", "steps", "steps/op", "pkt/s");
     for &nodes in &[256usize, 1024, 4096] {
         if nodes > max_nodes {
             continue;
         }
         for pattern in [Pattern::RandomPermutation(SEED), Pattern::Hotspot] {
             let plan = plan_for(pattern, nodes);
-            let evt = drive(SchedMode::EventDriven, &plan, nodes, false);
-            let rr = drive(SchedMode::ReferenceRoundRobin, &plan, nodes, false);
-            let prof = drive(SchedMode::EventDriven, &plan, nodes, true);
-            assert_eq!(evt.steps, prof.steps, "profiling must not change scheduling");
-            assert_eq!(
-                evt.elapsed_cycles, rr.elapsed_cycles,
-                "modes must agree on simulated time ({} nodes, {})",
-                nodes,
-                pattern.name()
-            );
-            let cell = format!("{}/n{nodes}", pattern.name());
-            let ratio_milli = (rr.steps * 1000).checked_div(evt.steps).unwrap_or(0);
+            let run = drive(&plan, nodes, false);
+            let prof = drive(&plan, nodes, true);
+            assert_eq!(run.steps, prof.steps, "profiling must not change scheduling");
+            let per_op_milli = (run.steps * 1000).checked_div(plan.len() as u64).unwrap_or(0);
             println!(
-                "{:<22} {:>10} {:>12} {:>6}.{:01}x {:>10} {:>10}",
-                cell,
-                evt.steps,
-                rr.steps,
-                ratio_milli / 1000,
-                (ratio_milli % 1000) / 100,
-                pkts_per_sec(&evt),
-                pkts_per_sec(&rr),
+                "{:<24} {:>10} {:>7}.{:01} {:>10}",
+                format!("{}/n{nodes}", pattern.name()),
+                run.steps,
+                per_op_milli / 1000,
+                (per_op_milli % 1000) / 100,
+                pkts_per_sec(&run),
             );
         }
     }

@@ -29,8 +29,8 @@
 //! through at once when it wakes (this is what drives retry deadlines
 //! from [`RetryPolicy`](crate::RetryPolicy) and stream retransmission
 //! timeouts). The scheduler this replaced — step everything, advance
-//! one cycle, tick everyone — is kept as
-//! [`SchedMode::ReferenceRoundRobin`], the oracle the default is pinned
+//! one cycle, tick everyone — survives only as a test oracle (the
+//! `oracle` submodule, compiled for tests), which this one is pinned
 //! trace- and bill-identical to.
 //!
 //! Because a single-operation engine run performs the same instruction
@@ -49,8 +49,8 @@
 //! dependents, the outcome and flattened root error, and the
 //! `Submitted` / `Released` stamps. Admitted and queued state machines
 //! belong to the container the stage names (a run slot, `pending`);
-//! three ordered id sets (`held`, `parked`, armed `deadlines`) only
-//! index rows a loop visits in id order; the completion log owns
+//! three ordered sets only index rows — `held` and armed `deadlines` by
+//! id, `parked` by `(resume cycle, id)` — and the completion log owns
 //! completion order and `Completed` stamps. The trace is output: the
 //! engine appends to it, lends it out, and never reads it back.
 //!
@@ -188,10 +188,13 @@ use crate::machine::{Machine, Tags};
 use crate::op::{GcExempt, KeyClass, OpMachine, Stepped};
 use crate::retry::{RecoveryPolicy, RetryPolicy};
 use crate::rpc::RpcOp;
-use crate::sched::{SchedCounters, SchedMode, SchedPhase, SchedProfiler, Slab, TimingWheel};
+use crate::sched::{SchedCounters, SchedPhase, SchedProfiler, Slab, TimingWheel};
 use crate::stream::{StreamId, StreamOp, StreamOutcome};
 use crate::xfer::{PayloadEngine, XferOp, XferOutcome};
 use crate::xfer_reliable::{ReliableOp, ReliableOutcome, OFFSET_BITS};
+
+#[cfg(test)]
+mod oracle;
 
 /// Identifies one submitted operation within an [`Engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -331,7 +334,8 @@ enum Stage {
     Pending,
     /// Admitted, in run slot `slot` (`Engine::slots` / `run_order`).
     Running { slot: u32 },
-    /// Between recovery executions, indexed by `Engine::parked`: the
+    /// Between recovery executions, indexed by `Engine::parked` under
+    /// `(resume_at, id)`: the
     /// failed state machine waits here for its `reset`, the conflict
     /// key stays busy, and the backoff window closes at substrate cycle
     /// `resume_at`.
@@ -373,21 +377,9 @@ impl OpEntry {
     fn done(&self) -> bool {
         matches!(self.stage, Stage::Done)
     }
-
-    /// When a parked op's backoff window closes.
-    fn resume_at(&self) -> Option<u64> {
-        match self.stage {
-            Stage::Parked { resume_at, .. } => Some(resume_at),
-            _ => None,
-        }
-    }
 }
 
-/// One admitted operation's scheduler slot in the run arena. Both
-/// scheduler modes share this storage; the readiness fields (`ready`,
-/// `slept_epoch`, `sleep_gen`) are only consulted by the event-driven
-/// mode — the reference round-robin sweeps every slot in `run_order`
-/// regardless.
+/// One admitted operation's scheduler slot in the run arena.
 struct RunSlot {
     a: ActiveOp,
     /// Incarnation number, unique across the engine's lifetime. Slab
@@ -424,9 +416,9 @@ enum Touch {
     Restart,
 }
 
-/// What one timing-wheel expiry means to the event-driven scheduler.
-/// Every variant is validated against current engine state when it
-/// fires — entries are never eagerly cancelled, they just go stale.
+/// What one timing-wheel expiry means to the scheduler. Every variant
+/// is validated against current engine state when it fires — entries
+/// are never eagerly cancelled, they just go stale.
 enum WheelItem {
     /// Wake a sleeping op: the earliest future cycle at which its next
     /// step could be anything but a cost-free `Idle` (retry window,
@@ -436,10 +428,6 @@ enum WheelItem {
     Deadline { id: OpId },
     /// A running op's no-progress watchdog may have expired.
     Watchdog { slot: u32, inc: u64 },
-    /// A parked op's recovery backoff window closes here. Carries no
-    /// payload — it exists so `next_due` bounds idle clock-jumps and the
-    /// loop re-runs `release_recovered` at exactly the right cycle.
-    ParkResume,
 }
 
 /// The family-specific half of an [`Op`]: what to run, between whom.
@@ -752,11 +740,6 @@ impl Op {
     }
 }
 
-/// The substrate clock, as raw network cycles (cost-free introspection).
-fn clock(m: &Machine) -> u64 {
-    m.now()
-}
-
 /// The protocol engine: a scheduler interleaving NI polls, timer
 /// expiries, and injections across every submitted operation.
 ///
@@ -777,10 +760,7 @@ pub struct Engine {
     slots: Slab<RunSlot>,
     run_order: Vec<u32>,
     next_inc: u64,
-    mode: SchedMode,
-    // Timing wheel carrying op wakes, deadlines, watchdogs, and
-    // park-resume markers (event mode only; empty under the reference
-    // round-robin).
+    // Timing wheel carrying op wakes, deadlines and watchdogs.
     wheel: TimingWheel<WheelItem>,
     // Wheel expiries harvested by `absorb_wakes`, pending validation in
     // `supervise`. Watchdog tuples are `(slot, inc)`.
@@ -814,11 +794,13 @@ pub struct Engine {
     counters: SchedCounters,
     profiler: Option<SchedProfiler>,
     busy: HashSet<ConflictKey>,
-    // Ordered id indices over the ledger, for loops that visit "every
-    // op in this state, ascending by id". The state itself is in the
-    // row. A deadline is disarmed when it fires or its op settles.
+    // Ordered indices over the ledger; the state itself is in the row.
+    // `held` and `deadlines` serve loops that visit "every op in this
+    // state, ascending by id" (a deadline is disarmed when it fires or
+    // its op settles); `parked` is keyed by resume cycle first, so the
+    // next backoff window to close is its first entry.
     held: BTreeSet<OpId>,
-    parked: BTreeSet<OpId>,
+    parked: BTreeSet<(u64, OpId)>,
     deadlines: BTreeSet<OpId>,
     // No-progress watchdog bound in cycles; `None` derives
     // 4 × max_wait_cycles from the machine config at enforcement time.
@@ -864,25 +846,10 @@ impl RetryBudgetState {
 }
 
 impl Engine {
-    /// An empty engine running the default readiness-driven scheduler.
+    /// An empty engine.
     #[must_use]
     pub fn new() -> Self {
         Engine::default()
-    }
-
-    /// An empty engine with an explicit scheduler mode (see
-    /// [`SchedMode`]). Both modes produce the identical trace and
-    /// per-feature bills; [`SchedMode::ReferenceRoundRobin`] is kept as
-    /// the equivalence baseline and for benchmarking.
-    #[must_use]
-    pub fn with_mode(mode: SchedMode) -> Self {
-        Engine { mode, ..Engine::default() }
-    }
-
-    /// The scheduler mode this engine runs.
-    #[must_use]
-    pub fn mode(&self) -> SchedMode {
-        self.mode
     }
 
     /// Always-on scheduler counters (step invocations, quanta, wakes,
@@ -910,7 +877,7 @@ impl Engine {
     /// and hand the stamp back: the ledger writes the same value into
     /// the op's row, so the row and the trace agree by construction.
     fn record(&mut self, m: &Machine, event: EngineEvent) -> u64 {
-        let at = clock(m);
+        let at = m.now();
         self.trace.push(TracedEvent { at, event });
         at
     }
@@ -1002,12 +969,9 @@ impl Engine {
         }
         if let Some(budget) = deadline {
             self.deadlines.insert(id);
-            if self.mode == SchedMode::EventDriven {
-                // Wheel entries are never cancelled: one that outlives
-                // its op finds the deadline disarmed when it fires and
-                // is dropped.
-                self.wheel.insert(submitted_at.saturating_add(budget), WheelItem::Deadline { id });
-            }
+            // Wheel entries are never cancelled: one that outlives its op
+            // finds the deadline disarmed when it fires and is dropped.
+            self.wheel.insert(submitted_at.saturating_add(budget), WheelItem::Deadline { id });
         }
         id
     }
@@ -1086,7 +1050,8 @@ impl Engine {
     /// to its `Released` stamp. Operations submitted with no
     /// outstanding dependencies report `0` (they are released
     /// immediately); operations failed before release (a predecessor
-    /// failed, or the wedge backstop fired) do not appear.
+    /// failed, or a deadline or cancellation settled them while held)
+    /// do not appear.
     #[must_use]
     pub fn hold_times(&self) -> Vec<(OpId, u64)> {
         (0u64..)
@@ -1179,7 +1144,7 @@ impl Engine {
         }
         let Some(class) = self.ops[id.index()].class else { return true };
         let Some(b) = self.retry_budgets.get_mut(&class) else { return true };
-        let now = clock(m);
+        let now = m.now();
         let available = b.available_milli(now);
         if available < 1000 {
             b.denied += 1;
@@ -1283,14 +1248,25 @@ impl Engine {
     /// once), so a quantum costs the runnable work, not the operations
     /// in flight. Returns the number of operations still unfinished.
     ///
+    /// Sleeping is *conservative*: a spurious wake costs one cost-free
+    /// `Idle` step, while the wake conditions are chosen so an op can
+    /// never sleep through a step that stepping everything every pass
+    /// would have made non-idle — the trace and the bills are those of
+    /// that round-robin. A pass visits the ready set in `(inc, slot)`
+    /// order from a cursor — `run_order` order — and an op woken
+    /// mid-pass joins *this* pass iff its `inc` is past the cursor,
+    /// which is exactly when a sweep of `run_order` would still reach
+    /// it.
+    ///
     /// **How much time passes** is one rule. With every running
     /// operation asleep, the next quantum can do something only when a
-    /// wheel entry comes due (a timer wake, deadline, watchdog or
-    /// park-resume), a scripted crash-restart closes, or a receive
-    /// queue gains a packet; the caller can do something at `limit`,
-    /// the substrate cycle of its own next event (an arrival to submit,
-    /// a probe round). The clock moves to the earliest of the four —
-    /// the substrate answers the third with
+    /// wheel entry comes due (a timer wake, deadline or watchdog), a
+    /// parked operation's backoff window closes, a scripted
+    /// crash-restart closes, or a receive queue gains a packet; the
+    /// caller can do something at `limit`, the substrate cycle of its
+    /// own next event (an arrival to submit, a probe round). The clock
+    /// moves to the earliest of these — the substrate answers the
+    /// receive-queue question with
     /// [`Network::quiet_until`](timego_netsim::Network::quiet_until), a
     /// lower bound, so a quantum may end early and find nothing to do,
     /// never late. Two refinements keep existing callers exact:
@@ -1300,9 +1276,10 @@ impl Engine {
     ///   ([`Engine::completions_since`]) reacts to them — cancels a
     ///   hedge loser, frees an admission slot — on the cycle it would
     ///   have under [`Engine::pump`];
-    /// * with the fabric empty the wheel and the restart schedule alone
-    ///   decide, `limit` or no (what `pump` has always done), so
-    ///   `pump_until` never lets *less* time pass than `pump` would.
+    /// * with the fabric empty the wheel, the parked resumes and the
+    ///   restart schedule alone decide, `limit` or no (what `pump` has
+    ///   always done), so `pump_until` never lets *less* time pass than
+    ///   `pump` would.
     ///
     /// The skipped quanta are exactly those that would have stepped no
     /// operation, recorded no trace event and billed no instruction:
@@ -1310,24 +1287,153 @@ impl Engine {
     /// whether the substrate answers `quiet_until` at all. The sweep of
     /// TTL-expired receiver state ([`CmamConfig::gc_ttl_cycles`]) may
     /// come due inside a skipped span; it runs at the top of the next
-    /// quantum, before any operation steps or could have looked.
-    ///
-    /// [`SchedMode::ReferenceRoundRobin`] instead steps everything
-    /// every pass and always advances one cycle, for the identical
-    /// trace and bills. When the engine is empty the clock simply moves
-    /// to `limit` (one cycle if that has passed).
+    /// quantum, before any operation steps or could have looked. When
+    /// the engine is empty the clock simply moves to `limit` (one cycle
+    /// if that has passed).
     ///
     /// [`CmamConfig::gc_ttl_cycles`]: crate::CmamConfig::gc_ttl_cycles
     pub fn pump_until(&mut self, m: &mut Machine, limit: u64) -> usize {
         self.counters.quanta += 1;
         if self.unfinished() == 0 {
-            m.advance(limit.saturating_sub(clock(m)).max(1));
+            m.advance(limit.saturating_sub(m.now()).max(1));
             self.counters.advances += 1;
             return 0;
         }
-        let left = match self.mode {
-            SchedMode::EventDriven => self.pump_event(m, limit),
-            SchedMode::ReferenceRoundRobin => self.pump_reference(m),
+        let settled = self.completions.len();
+        // Fold node crash-restarts into protocol state before stepping:
+        // erase the crashed endpoint's sessions and caches, and wake the
+        // ops with an endpoint at a restarted node so their next step
+        // observes the `SessionReset`, not ghosts of the old incarnation.
+        for node in m.observe_restarts() {
+            self.touch_node(m, node, Touch::Restart);
+        }
+        let t = self.profiler.as_ref().map(|_| Instant::now());
+        self.absorb_wakes(m);
+        self.profile(SchedPhase::WheelAdvance, t);
+        // Receiver-side GC: epoch-TTL sweep of dead sessions and expired
+        // reply-cache entries. Tables owned by live operations are
+        // exempt; a clean run sweeps (and bills) nothing.
+        self.collect_garbage(m);
+        let left = loop {
+            let (deadlines, watchdogs) = self.take_fired();
+            if self.supervise(m, deadlines, watchdogs) {
+                continue;
+            }
+            self.release_recovered(m);
+            self.admit(m);
+            // Collect clock-free delivery marks (self-sends during
+            // `start`, same-cycle fast paths) so the sleepers they
+            // concern join the coming pass.
+            self.absorb_wakes(m);
+            if self.run_order.is_empty() {
+                if self.jump_to_parked(m) {
+                    // Restart folding waits for the next pump top; the
+                    // wheel catches up so deadlines due inside the
+                    // jumped window fire on this iteration.
+                    self.absorb_wakes(m);
+                    continue;
+                }
+                break 0;
+            }
+            let mut progressed = false;
+            let now = m.now();
+            self.counters.passes += 1;
+            let pass_t = self.profiler.as_ref().map(|_| Instant::now());
+            let mut step_ns: u64 = 0;
+            let mut cursor = Bound::Unbounded;
+            // Whether the op at the cursor is still in the ready set.
+            let mut stays = false;
+            // Visit-time readiness: an op woken by an earlier op's
+            // progress in this pass is found past the cursor and stepped
+            // *in this pass*.
+            loop {
+                // Most passes have no ready op, or the one just stepped:
+                // then there is nothing past the cursor to search for.
+                if self.ready.len() == usize::from(stays) {
+                    break;
+                }
+                let next = self.ready.range((cursor, Bound::Unbounded)).next();
+                let Some(&(inc, slot)) = next else { break };
+                cursor = Bound::Excluded((inc, slot));
+                self.counters.steps += 1;
+                let st = self.profiler.as_ref().map(|_| Instant::now());
+                let clock_before = m.now();
+                let endpoints = self.slots[slot].a.endpoints;
+                let cls = self.class_pre(m, self.slots[slot].a.id, endpoints);
+                let stepped = self.slots[slot].a.op.step(m);
+                self.class_post(m, cls, endpoints);
+                // Blocking NI waits inside a step advance the substrate
+                // clock mid-pass, delivering packets along the way.
+                // Absorb those wakes immediately so sleepers at the
+                // affected nodes are ready exactly when a sweep that
+                // re-steps everyone would next reach them. Note this
+                // burns *clock*, not tick epochs: in-step cycles tick
+                // nobody.
+                if m.now() != clock_before {
+                    self.absorb_wakes(m);
+                }
+                if let Some(st) = st {
+                    step_ns += st.elapsed().as_nanos() as u64;
+                }
+                stays = matches!(stepped, Ok(Stepped::Progress));
+                match stepped {
+                    Ok(Stepped::Progress) => {
+                        let id = self.slots[slot].a.id;
+                        self.slots[slot].a.last_progress_at = now;
+                        self.record(m, EngineEvent::Progressed(id));
+                        // Progress may have consumed or injected at the
+                        // endpoints, revealing queued packets there:
+                        // wake whom the new heads concern and mark the
+                        // orphan sweep.
+                        self.touch_endpoints(m, endpoints);
+                        progressed = true;
+                    }
+                    Ok(Stepped::Idle) => self.sleep_slot(m, slot),
+                    Ok(Stepped::Done(out)) => {
+                        self.finish(m, slot, Ok(out));
+                        progressed = true;
+                    }
+                    Err(e) => {
+                        self.finish(m, slot, Err(e));
+                        progressed = true;
+                    }
+                }
+            }
+            if let Some(pt) = pass_t {
+                let total = pt.elapsed().as_nanos() as u64;
+                if let Some(p) = self.profiler.as_mut() {
+                    p.record(SchedPhase::OpStep, step_ns);
+                    p.record(SchedPhase::ReadyPop, total.saturating_sub(step_ns));
+                }
+            }
+            if progressed {
+                continue;
+            }
+            if self.discard_orphan(m) {
+                continue;
+            }
+            // Every running op is now asleep (a ready op either
+            // progressed — and we looped — or idled and slept), so
+            // nothing observable happens before the next event: jump
+            // the clock straight there. Unless something settled: then
+            // the caller has a completion to react to next cycle.
+            let limit = if self.completions.len() == settled { limit } else { 0 };
+            let jump = self.idle_jump(m, limit);
+            let t = self.profiler.as_ref().map(|_| Instant::now());
+            m.advance(jump);
+            self.profile(SchedPhase::SubstrateStep, t);
+            self.counters.advances += 1;
+            // Engine-advance time: the cycles a round-robin would have
+            // spent ticking every op once each.
+            self.tick_epoch += jump;
+            if jump > 1 {
+                self.counters.idle_jumps += 1;
+                self.counters.jumped_cycles += jump - 1;
+            }
+            let t = self.profiler.as_ref().map(|_| Instant::now());
+            self.absorb_wakes(m);
+            self.profile(SchedPhase::WheelAdvance, t);
+            break self.unfinished();
         };
         #[cfg(debug_assertions)]
         self.check_ledger();
@@ -1347,7 +1453,7 @@ impl Engine {
         let pending = self.pending.iter().map(|op| (op.id, "pending"));
         let running = self.run_order.iter().map(|&s| (self.slots[s].a.id, "running"));
         let held = self.held.iter().map(|&id| (id, "held"));
-        let parked = self.parked.iter().map(|&id| (id, "parked"));
+        let parked = self.parked.iter().map(|&(_, id)| (id, "parked"));
         for (id, container) in pending.chain(running).chain(held).chain(parked) {
             let named = match self.ops[id.index()].stage {
                 Stage::Pending => "pending",
@@ -1356,7 +1462,11 @@ impl Engine {
                     "running"
                 }
                 Stage::Held(_) => "held",
-                Stage::Parked { .. } => "parked",
+                Stage::Parked { resume_at, .. } => {
+                    let keyed = self.parked.contains(&(resume_at, id));
+                    assert!(keyed, "op {}: parked index vs the row's resume cycle", id.0);
+                    "parked"
+                }
                 Stage::Done => "done",
             };
             assert_eq!(container, named, "op {}: container vs the stage its row names", id.0);
@@ -1399,242 +1509,12 @@ impl Engine {
         assert!(self.by_pair.iter().all(|v| v.is_sorted()), "pair index out of order");
     }
 
-    /// The retained reference scheduler: round-robin every running op
-    /// each pass, scan every deadline and watchdog, `advance(1)` when
-    /// nothing progresses. The `sched_equivalence` soak pins the
-    /// event-driven scheduler's trace and bills against this.
-    fn pump_reference(&mut self, m: &mut Machine) -> usize {
-        // Fold any node crash-restarts into protocol state before
-        // stepping: erase the crashed endpoint's sessions and caches so
-        // the ops observe the restart, not ghosts of the old incarnation.
-        m.observe_restarts();
-        // Receiver-side GC: epoch-TTL sweep of dead sessions and
-        // expired reply-cache entries. Tables owned by live operations
-        // are exempt; a clean run sweeps (and bills) nothing.
-        self.collect_garbage(m);
-        loop {
-            if self.supervise(m) {
-                continue;
-            }
-            self.release_recovered(m);
-            self.admit(m);
-            if self.run_order.is_empty() {
-                if self.jump_to_parked(m) {
-                    continue;
-                }
-                return 0;
-            }
-            let mut progressed = false;
-            let mut i = 0;
-            let now = clock(m);
-            self.counters.passes += 1;
-            while i < self.run_order.len() {
-                let slot = self.run_order[i];
-                self.counters.steps += 1;
-                let endpoints = self.slots[slot].a.endpoints;
-                let cls = self.class_pre(m, self.slots[slot].a.id, endpoints);
-                let stepped = self.slots[slot].a.op.step(m);
-                self.class_post(m, cls, endpoints);
-                match stepped {
-                    Ok(Stepped::Progress) => {
-                        let id = self.slots[slot].a.id;
-                        self.slots[slot].a.last_progress_at = now;
-                        self.record(m, EngineEvent::Progressed(id));
-                        progressed = true;
-                        i += 1;
-                    }
-                    Ok(Stepped::Idle) => i += 1,
-                    // `finish` takes the slot out of `run_order`: the
-                    // next op slides into position `i`.
-                    Ok(Stepped::Done(out)) => {
-                        self.finish(m, slot, Ok(out));
-                        progressed = true;
-                    }
-                    Err(e) => {
-                        self.finish(m, slot, Err(e));
-                        progressed = true;
-                    }
-                }
-            }
-            if progressed {
-                continue;
-            }
-            if self.discard_orphan(m) {
-                continue;
-            }
-            m.advance(1);
-            self.counters.advances += 1;
-            for i in 0..self.run_order.len() {
-                let slot = self.run_order[i];
-                self.slots[slot].a.op.tick_n(1);
-            }
-            return self.unfinished();
-        }
-    }
-
-    /// The readiness-driven scheduler ([`Engine::pump_until`] describes
-    /// its quantum). Same observable semantics as
-    /// [`Engine::pump_reference`] — identical trace, identical
-    /// per-feature bills — reached with far fewer op steps: idle ops
-    /// sleep on their wake conditions; deadlines, watchdogs and
-    /// park-resume markers ride the timing wheel instead of being
-    /// scanned every quantum; idle jumps never overshoot a scripted
-    /// crash-restart.
-    ///
-    /// Sleeping is *conservative*: a spurious wake costs one cost-free
-    /// `Idle` step, while the wake conditions are chosen so an op can
-    /// never sleep through a step the reference would have made
-    /// non-idle. That is what makes the two schedulers
-    /// trace-equivalent.
-    ///
-    /// A pass visits the ready set in `(inc, slot)` order from a cursor
-    /// — `run_order` order, so ops are stepped in the order the
-    /// reference sweep reaches them. The visit-time rule: an op woken
-    /// mid-pass joins *this* pass iff its `inc` is past the cursor,
-    /// which is exactly when the reference sweep would still reach it.
-    fn pump_event(&mut self, m: &mut Machine, limit: u64) -> usize {
-        let settled = self.completions.len();
-        // Restart folding first, same slot the reference gives it; ops
-        // with an endpoint at a restarted node wake so their next step
-        // observes the `SessionReset`.
-        for node in m.observe_restarts() {
-            self.touch_node(m, node, Touch::Restart);
-        }
-        let t = self.profiler.as_ref().map(|_| Instant::now());
-        self.absorb_wakes(m);
-        self.profile(SchedPhase::WheelAdvance, t);
-        self.collect_garbage(m);
-        loop {
-            if self.supervise(m) {
-                continue;
-            }
-            self.release_recovered(m);
-            self.admit(m);
-            // Collect clock-free delivery marks (self-sends during
-            // `start`, same-cycle fast paths) so the sleepers they
-            // concern join the coming pass.
-            self.absorb_wakes(m);
-            if self.run_order.is_empty() {
-                if self.jump_to_parked(m) {
-                    // Restart folding waits for the next pump top in
-                    // both modes; the wheel catches up so deadlines due
-                    // inside the jumped window fire on this iteration.
-                    self.absorb_wakes(m);
-                    continue;
-                }
-                return 0;
-            }
-            let mut progressed = false;
-            let now = clock(m);
-            self.counters.passes += 1;
-            let pass_t = self.profiler.as_ref().map(|_| Instant::now());
-            let mut step_ns: u64 = 0;
-            let mut cursor = Bound::Unbounded;
-            // Whether the op at the cursor is still in the ready set.
-            let mut stays = false;
-            // Visit-time readiness: an op woken by an earlier op's
-            // progress in this pass is found past the cursor and stepped
-            // *in this pass* — exactly when the reference sweep would
-            // reach it.
-            loop {
-                // Most passes have no ready op, or the one just stepped:
-                // then there is nothing past the cursor to search for.
-                if self.ready.len() == usize::from(stays) {
-                    break;
-                }
-                let next = self.ready.range((cursor, Bound::Unbounded)).next();
-                let Some(&(inc, slot)) = next else { break };
-                cursor = Bound::Excluded((inc, slot));
-                self.counters.steps += 1;
-                let st = self.profiler.as_ref().map(|_| Instant::now());
-                let clock_before = clock(m);
-                let endpoints = self.slots[slot].a.endpoints;
-                let cls = self.class_pre(m, self.slots[slot].a.id, endpoints);
-                let stepped = self.slots[slot].a.op.step(m);
-                self.class_post(m, cls, endpoints);
-                // Blocking NI waits inside a step advance the substrate
-                // clock mid-pass, delivering packets along the way.
-                // Absorb those wakes immediately so sleepers at the
-                // affected nodes are ready exactly when the reference
-                // sweep (which re-steps everyone) would next reach them.
-                // Note this burns *clock*, not tick epochs: the
-                // reference never ticks ops for in-step cycles.
-                if clock(m) != clock_before {
-                    self.absorb_wakes(m);
-                }
-                if let Some(st) = st {
-                    step_ns += st.elapsed().as_nanos() as u64;
-                }
-                stays = matches!(stepped, Ok(Stepped::Progress));
-                match stepped {
-                    Ok(Stepped::Progress) => {
-                        let id = self.slots[slot].a.id;
-                        self.slots[slot].a.last_progress_at = now;
-                        self.record(m, EngineEvent::Progressed(id));
-                        // Progress may have consumed or injected at the
-                        // endpoints, revealing queued packets there:
-                        // wake whom the new heads concern and mark the
-                        // orphan sweep.
-                        self.touch_endpoints(m, endpoints);
-                        progressed = true;
-                    }
-                    Ok(Stepped::Idle) => self.sleep_slot(m, slot),
-                    Ok(Stepped::Done(out)) => {
-                        self.finish(m, slot, Ok(out));
-                        progressed = true;
-                    }
-                    Err(e) => {
-                        self.finish(m, slot, Err(e));
-                        progressed = true;
-                    }
-                }
-            }
-            if let Some(pt) = pass_t {
-                let total = pt.elapsed().as_nanos() as u64;
-                if let Some(p) = self.profiler.as_mut() {
-                    p.record(SchedPhase::OpStep, step_ns);
-                    p.record(SchedPhase::ReadyPop, total.saturating_sub(step_ns));
-                }
-            }
-            if progressed {
-                continue;
-            }
-            if self.discard_orphan_event(m) {
-                continue;
-            }
-            // Every running op is now asleep (a ready op either
-            // progressed — and we looped — or idled and slept), so
-            // nothing observable happens before the next event: jump
-            // the clock straight there. Unless something settled: then
-            // the caller has a completion to react to next cycle.
-            let limit = if self.completions.len() == settled { limit } else { 0 };
-            let jump = self.idle_jump(m, limit);
-            let t = self.profiler.as_ref().map(|_| Instant::now());
-            m.advance(jump);
-            self.profile(SchedPhase::SubstrateStep, t);
-            self.counters.advances += 1;
-            // Engine-advance time: these are the cycles the reference
-            // scheduler would have spent ticking every op once each.
-            self.tick_epoch += jump;
-            if jump > 1 {
-                self.counters.idle_jumps += 1;
-                self.counters.jumped_cycles += jump - 1;
-            }
-            let t = self.profiler.as_ref().map(|_| Instant::now());
-            self.absorb_wakes(m);
-            self.profile(SchedPhase::WheelAdvance, t);
-            return self.unfinished();
-        }
-    }
-
-    /// Nothing is running (both pump loops share this). If an op is
-    /// parked, nothing is runnable until its backoff window closes:
+    /// Nothing is running. If an op is parked, nothing is runnable until its backoff window closes:
     /// jump the clock there and return `true` so the next iteration
     /// re-admits it. Otherwise the engine is drained — `false`.
     fn jump_to_parked(&mut self, m: &mut Machine) -> bool {
-        let resumes = self.parked.iter().filter_map(|id| self.ops[id.index()].resume_at());
-        if let Some(resume_at) = resumes.min() {
-            let now = clock(m);
+        if let Some(&(resume_at, _)) = self.parked.first() {
+            let now = m.now();
             if resume_at > now {
                 m.advance(resume_at - now);
                 self.counters.advances += 1;
@@ -1663,17 +1543,22 @@ impl Engine {
 
     /// How far the clock may advance in one quantum with every running
     /// op asleep ([`Engine::pump_until`] states the rule): to the next
-    /// wheel event, clamped so a scripted crash-restart is observed on
-    /// the cycle its window closes — exactly when the reference would
-    /// observe it — and, while packets are in flight, to the first
-    /// cycle a delivery could wake someone and to the caller's `limit`.
+    /// wheel event or parked resume, clamped so a scripted
+    /// crash-restart is observed on the cycle its window closes —
+    /// exactly when a per-cycle sweep would observe it — and, while
+    /// packets are in flight, to the first cycle a delivery could wake
+    /// someone and to the caller's `limit`.
     fn idle_jump(&self, m: &Machine, limit: u64) -> u64 {
+        let next_due = || {
+            let resume = self.parked.first().map(|&(at, _)| at);
+            self.wheel.next_due().into_iter().chain(resume).min()
+        };
         let net = m.network().borrow();
         let now = net.now().cycles();
         let mut until = if net.in_flight() > 0 {
             // The cheap questions first: `pump`'s limit has passed, and
             // a contended fabric answers "next cycle" — neither needs
-            // the wheel consulted.
+            // the wheel or the parked index consulted.
             if limit <= now + 1 {
                 return 1;
             }
@@ -1681,9 +1566,9 @@ impl Engine {
             if quiet <= now + 1 {
                 return 1;
             }
-            self.wheel.next_due().map_or(quiet, |due| due.min(quiet))
+            next_due().map_or(quiet, |due| due.min(quiet))
         } else {
-            let Some(due) = self.wheel.next_due() else { return 1 };
+            let Some(due) = next_due() else { return 1 };
             due
         };
         if let Some(r) = net.next_restart_at() {
@@ -1698,7 +1583,7 @@ impl Engine {
     /// generation (slots are reused; sleeps are re-entered); deadline
     /// and watchdog expiries are queued for [`Engine::supervise`].
     fn absorb_wakes(&mut self, m: &mut Machine) {
-        let now = clock(m);
+        let now = m.now();
         self.wheel.advance_to(now);
         for (_due, _seq, item) in self.wheel.take_ripe() {
             match item {
@@ -1716,9 +1601,13 @@ impl Engine {
                 WheelItem::Watchdog { slot, inc } => {
                     self.fired_watchdogs.push((slot, inc));
                 }
-                WheelItem::ParkResume => {}
             }
         }
+        self.absorb_deliveries(m);
+    }
+
+    /// Touch every node the substrate delivered to since the last call.
+    fn absorb_deliveries(&mut self, m: &mut Machine) {
         for node in m.take_delivered() {
             self.counters.packet_wakes += 1;
             self.touch_node(m, node, Touch::Packet);
@@ -1842,7 +1731,7 @@ impl Engine {
     /// could make its next step non-idle. A touch that concerns it
     /// ([`Engine::touch_node`]) wakes it earlier.
     fn sleep_slot(&mut self, m: &Machine, slot: u32) {
-        let now = clock(m);
+        let now = m.now();
         let wake_in = self.slots[slot].a.op.wake_in(m.config().max_wait_cycles);
         let epoch = self.tick_epoch;
         let s = &mut self.slots[slot];
@@ -1869,7 +1758,7 @@ impl Engine {
         let cls = self.class_pre(m, a.id, a.endpoints);
         a.op.start(m);
         self.class_post(m, cls, a.endpoints);
-        let now = clock(m);
+        let now = m.now();
         a.last_progress_at = now;
         let (id, endpoints) = (a.id, a.endpoints);
         let inc = self.next_inc;
@@ -1895,11 +1784,8 @@ impl Engine {
             let at = list.partition_point(|e| *e < (peer, slot));
             list.insert(at, (peer, slot));
         }
-        if self.mode == SchedMode::EventDriven {
-            let bound = self.watchdog.unwrap_or(4 * m.config().max_wait_cycles);
-            let due = now.saturating_add(bound).saturating_add(1);
-            self.wheel.insert(due, WheelItem::Watchdog { slot, inc });
-        }
+        let due = now.saturating_add(self.watchdog_bound(m)).saturating_add(1);
+        self.wheel.insert(due, WheelItem::Watchdog { slot, inc });
     }
 
     fn admit(&mut self, m: &mut Machine) {
@@ -1989,30 +1875,23 @@ impl Engine {
         });
         self.class_post(m, cls, (src, src));
         self.record(m, EngineEvent::Recovering(id));
-        let resume_at = clock(m).saturating_add(wait);
+        let resume_at = m.now().saturating_add(wait);
         // The parked op keeps its conflict key: queued same-key work
         // must not overtake the re-execution.
         self.ops[id.index()].stage = Stage::Parked { resume_at, op: Box::new(a) };
-        self.parked.insert(id);
-        if self.mode == SchedMode::EventDriven {
-            // Jump-bound marker only: release is decided from the
-            // ledger, but the idle jump must not overshoot the resume.
-            self.wheel.insert(resume_at, WheelItem::ParkResume);
-        }
+        self.parked.insert((resume_at, id));
     }
 
-    /// Re-admit parked ops whose backoff window has closed: reset the
+    /// Re-admit parked ops whose backoff window has closed — the due
+    /// prefix of the `parked` index, spawned in id order: reset the
     /// retained state machine (a fresh session epoch is allocated in
     /// `start`) and put it straight back on the running set — its
     /// conflict key never left `busy`.
     fn release_recovered(&mut self, m: &mut Machine) {
-        let now = clock(m);
-        let due: Vec<OpId> = self
-            .parked
-            .iter()
-            .copied()
-            .filter(|id| self.ops[id.index()].resume_at().is_some_and(|at| at <= now))
-            .collect();
+        let now = m.now();
+        let mut due: Vec<OpId> =
+            self.parked.iter().take_while(|&&(at, _)| at <= now).map(|&(_, id)| id).collect();
+        due.sort_unstable();
         for id in due {
             let mut a = self.unpark(id);
             a.op.reset();
@@ -2022,9 +1901,11 @@ impl Engine {
 
     /// Take a parked op out of the ledger row and the `parked` index.
     fn unpark(&mut self, id: OpId) -> ActiveOp {
-        self.parked.remove(&id);
         match std::mem::take(&mut self.ops[id.index()].stage) {
-            Stage::Parked { op, .. } => *op,
+            Stage::Parked { resume_at, op } => {
+                self.parked.remove(&(resume_at, id));
+                *op
+            }
             _ => unreachable!("the parked index names only parked rows"),
         }
     }
@@ -2047,13 +1928,13 @@ impl Engine {
         let mut live_sessions: HashSet<(NodeId, NodeId)> = HashSet::new();
         let mut live_replies: HashSet<(NodeId, NodeId, u32)> = HashSet::new();
         let admitted = self.run_order.iter().map(|&s| &self.slots[s].a).chain(&self.pending);
-        let staged = self.held.iter().chain(&self.parked).filter_map(|id| {
-            match &self.ops[id.index()].stage {
+        let parked = self.parked.iter().map(|(_, id)| id);
+        let staged =
+            self.held.iter().chain(parked).filter_map(|id| match &self.ops[id.index()].stage {
                 Stage::Held(h) => Some((&h.op, false)),
                 Stage::Parked { op, .. } => Some((&**op, true)),
                 _ => None,
-            }
-        });
+            });
         for (a, parked) in admitted.map(|a| (a, false)).chain(staged) {
             match a.op.gc_exempt(parked) {
                 Some(GcExempt::Session(receiver, sender)) => {
@@ -2115,38 +1996,26 @@ impl Engine {
         }
     }
 
-    /// Discard one reserved-tag packet claimed by no active operation
-    /// (a stale duplicate of an already-completed operation). Charged
-    /// with the same instruction shape the blocking recovery paths used
-    /// for stray discards. Returns `true` if something was discarded.
-    fn discard_orphan(&mut self, m: &mut Machine) -> bool {
-        for node in (0..m.num_nodes()).map(NodeId::new) {
-            if m.rx_peek_at(node).is_some_and(|meta| self.orphaned(node, &meta, true)) {
-                m.discard_stray(node);
-                return true;
-            }
-        }
-        false
+    /// Is a packet with this envelope the engine's to discard once no
+    /// running op claims it? Reserved protocol tags are engine-owned.
+    /// User-tag packets carrying a nonzero header are recovery-stamped
+    /// am4 sends (plain user traffic always rides header 0) and equally
+    /// discardable once no running op claims their token.
+    fn discardable(meta: &RxMeta) -> bool {
+        meta.tag < Tags::USER_BASE || meta.tag == Tags::RPC_REPLY || meta.header != 0
     }
 
-    /// Is the packet at `node`'s queue head discardable? Reserved
-    /// protocol tags are engine-owned. User-tag packets carrying a
-    /// nonzero header are recovery-stamped am4 sends (plain user traffic
-    /// always rides header 0) and equally discardable once no running
-    /// op claims their token.
-    ///
-    /// `by_scan` asks every running op (the reference's oracle);
-    /// otherwise only the ops keyed `(node, meta.src)` are asked — every
-    /// `claims` requires the sender to be the op's other endpoint, so no
-    /// one else can. A packet the node sent itself fits no pair key and
-    /// is scanned for.
-    fn orphaned(&self, node: NodeId, meta: &RxMeta, by_scan: bool) -> bool {
-        let reserved = meta.tag < Tags::USER_BASE || meta.tag == Tags::RPC_REPLY;
-        if !reserved && meta.header == 0 {
+    /// Is the packet at `node`'s queue head discardable and unclaimed?
+    /// Only the ops keyed `(node, meta.src)` are asked — every `claims`
+    /// requires the sender to be the op's other endpoint, so no one
+    /// else can. A packet the node sent itself fits no pair key and is
+    /// scanned for.
+    fn orphaned(&self, node: NodeId, meta: &RxMeta) -> bool {
+        if !Self::discardable(meta) {
             return false;
         }
         let claims = |slot: u32| self.slots[slot].a.op.claims(node, meta);
-        if by_scan || meta.src == node {
+        if meta.src == node {
             return !self.run_order.iter().any(|&slot| claims(slot));
         }
         let keyed = self.by_pair.get(node.index()).map_or(&[][..], Vec::as_slice);
@@ -2154,16 +2023,19 @@ impl Engine {
         !keyed.iter().take_while(|e| e.0 == meta.src).any(|e| claims(e.1))
     }
 
-    /// Event-mode orphan discard: same decision as
-    /// [`Engine::discard_orphan`], but only nodes with packet activity
-    /// since their last clean verdict are examined. Every path that can
-    /// surface a discardable head marks the node dirty (deliveries,
-    /// restarts, claimant progress/finish, prior discards), so the
-    /// dirty set is a superset of the nodes the full scan could act on.
-    fn discard_orphan_event(&mut self, m: &mut Machine) -> bool {
+    /// Discard one packet claimed by no active operation (a stale
+    /// duplicate of an already-completed operation), charged with the
+    /// same instruction shape the blocking recovery paths used for stray
+    /// discards. Returns `true` if something was discarded. Only nodes
+    /// with packet activity since their last clean verdict are
+    /// examined: every path that can surface a discardable head marks
+    /// the node dirty (deliveries, restarts, claimant progress/finish,
+    /// prior discards), so the dirty set is a superset of the nodes a
+    /// scan of every node could act on.
+    fn discard_orphan(&mut self, m: &mut Machine) -> bool {
         while let Some(&ni) = self.orphan_dirty.iter().next() {
             let node = NodeId::new(ni);
-            if !m.rx_head_at(node).is_some_and(|meta| self.orphaned(node, &meta, false)) {
+            if !m.rx_head_at(node).is_some_and(|meta| self.orphaned(node, &meta)) {
                 self.orphan_dirty.remove(&ni);
                 continue;
             }
@@ -2180,13 +2052,13 @@ impl Engine {
         false
     }
 
-    /// Debug cross-check for [`Engine::discard_orphan_event`]: would the
-    /// reference full scan have discarded something the dirty scan just
-    /// declared absent?
+    /// Debug cross-check for [`Engine::discard_orphan`]: would a scan of
+    /// every node have discarded something the dirty scan just declared
+    /// absent?
     fn discard_scan_would_find(&self, m: &Machine) -> bool {
         (0..m.num_nodes())
             .map(NodeId::new)
-            .any(|node| m.rx_head_at(node).is_some_and(|meta| self.orphaned(node, &meta, true)))
+            .any(|node| m.rx_head_at(node).is_some_and(|meta| self.orphaned(node, &meta)))
     }
 
     // -----------------------------------------------------------------
@@ -2200,19 +2072,23 @@ impl Engine {
     /// protocol's own internal timeout so op-level errors fire first.
     pub fn set_watchdog(&mut self, cycles: u64) {
         self.watchdog = Some(cycles);
-        if self.mode == SchedMode::EventDriven {
-            // Arm fresh wheel entries under the new bound: a shrunken
-            // bound must not wait out entries armed under the old one.
-            for &slot in &self.run_order {
-                let s = &self.slots[slot];
-                let due = s.a.last_progress_at.saturating_add(cycles).saturating_add(1);
-                self.wheel.insert(due, WheelItem::Watchdog { slot, inc: s.inc });
-            }
+        // Arm fresh wheel entries under the new bound: a shrunken bound
+        // must not wait out entries armed under the old one.
+        for &slot in &self.run_order {
+            let s = &self.slots[slot];
+            let due = s.a.last_progress_at.saturating_add(cycles).saturating_add(1);
+            self.wheel.insert(due, WheelItem::Watchdog { slot, inc: s.inc });
         }
     }
 
+    /// The no-progress watchdog bound in cycles (see
+    /// [`Engine::set_watchdog`]).
+    fn watchdog_bound(&self, m: &Machine) -> u64 {
+        self.watchdog.unwrap_or(4 * m.config().max_wait_cycles)
+    }
+
     /// Cancel an unfinished operation wherever it is (running, pending,
-    /// or held): it settles with [`ProtocolError::Cancelled`], its
+    /// held, or parked between recovery executions): it settles with [`ProtocolError::Cancelled`], its
     /// conflict key is released, and dependents fail with
     /// [`ProtocolError::DependencyFailed`] whose root is the
     /// cancellation. Returns `false` if the id was already finished (or
@@ -2257,36 +2133,33 @@ impl Engine {
         true
     }
 
-    /// Enforce deadlines and the no-progress watchdog. Returns `true`
-    /// if any operation was settled (the pump loop restarts its sweep
-    /// so released conflict keys are re-admitted in the same quantum).
+    /// The supervision candidates the wheel has fired since the last
+    /// call: deadlines by `OpId`, watchdogs in run order. Fired order is
+    /// wheel (due, seq) order, so both are re-sorted — run order is
+    /// `inc` order.
+    fn take_fired(&mut self) -> (Vec<OpId>, Vec<(u32, u64)>) {
+        let mut deadlines = std::mem::take(&mut self.fired_deadlines);
+        deadlines.sort_unstable();
+        let mut watchdogs = std::mem::take(&mut self.fired_watchdogs);
+        watchdogs.sort_unstable_by_key(|&(_, inc)| inc);
+        (deadlines, watchdogs)
+    }
+
+    /// Enforce deadlines and the no-progress watchdog over the
+    /// candidates given — `deadlines` ascending by `OpId`, then
+    /// `watchdogs` as `(slot, inc)` in run order. Returns `true` if any
+    /// operation was settled (the pump loop restarts its sweep so
+    /// released conflict keys are re-admitted in the same quantum).
     ///
-    /// The modes differ only in where candidates come from: the
-    /// reference scans every armed deadline and running op, the event
-    /// mode only what the wheel has fired. Wheel entries are never
-    /// cancelled, so each candidate is validated against current state
-    /// — a settled op's deadline is dropped, the watchdog of an op that
-    /// progressed since is re-armed at its pushed-out expiry. Expiry
-    /// order is shared: deadlines by `OpId`, then starved ops in run
-    /// order.
-    fn supervise(&mut self, m: &Machine) -> bool {
-        let event = self.mode == SchedMode::EventDriven;
-        let (deadlines, watchdogs): (Vec<OpId>, Vec<(u32, u64)>) = if event {
-            if self.fired_deadlines.is_empty() && self.fired_watchdogs.is_empty() {
-                return false;
-            }
-            let mut deadlines = std::mem::take(&mut self.fired_deadlines);
-            deadlines.sort_unstable();
-            let mut watchdogs = std::mem::take(&mut self.fired_watchdogs);
-            // Fired order is wheel (due, seq) order: re-sort into run
-            // order, which is `inc` order.
-            watchdogs.sort_unstable_by_key(|&(_, inc)| inc);
-            (deadlines, watchdogs)
-        } else {
-            let running = self.run_order.iter().map(|&s| (s, self.slots[s].inc));
-            (self.deadlines.iter().copied().collect(), running.collect())
-        };
-        let now = clock(m);
+    /// Wheel entries are never cancelled, so each candidate is
+    /// validated against current state: a settled op's deadline is
+    /// dropped, and the watchdog of an op that progressed since it was
+    /// armed is re-armed at its pushed-out expiry.
+    fn supervise(&mut self, m: &Machine, deadlines: Vec<OpId>, watchdogs: Vec<(u32, u64)>) -> bool {
+        if deadlines.is_empty() && watchdogs.is_empty() {
+            return false;
+        }
+        let now = m.now();
         let mut acted = false;
         for id in deadlines {
             let entry = &self.ops[id.index()];
@@ -2298,7 +2171,7 @@ impl Engine {
                 acted |= self.expire(m, id, err);
             }
         }
-        let bound = self.watchdog.unwrap_or(4 * m.config().max_wait_cycles);
+        let bound = self.watchdog_bound(m);
         for (slot, inc) in watchdogs {
             // Slots are reused: the incarnation tells whether this is
             // still the op the entry was armed for.
@@ -2307,7 +2180,7 @@ impl Engine {
             if now.saturating_sub(last) > bound {
                 let err = ProtocolError::DeadlineExceeded { what: "watchdog", cycles: now - last };
                 acted |= self.expire(m, id, err);
-            } else if event {
+            } else {
                 let due = last.saturating_add(bound).saturating_add(1);
                 self.wheel.insert(due, WheelItem::Watchdog { slot, inc });
             }
@@ -2323,12 +2196,14 @@ impl Engine {
     /// trace event before settling with [`ProtocolError::Cancelled`].
     /// Returns the number of stray packets discarded during the drain.
     pub fn quiesce(&mut self, m: &mut Machine) -> usize {
+        let mut parked: Vec<OpId> = self.parked.iter().map(|&(_, id)| id).collect();
+        parked.sort_unstable();
         let waiting: Vec<OpId> = self
             .pending
             .iter()
             .map(|op| op.id)
             .chain(self.held.iter().copied())
-            .chain(self.parked.iter().copied())
+            .chain(parked)
             .collect();
         for id in waiting {
             self.cancel(m, id);
@@ -2337,6 +2212,9 @@ impl Engine {
         let mut drained = 0;
         let mut guard = 0;
         loop {
+            // The pump's own orphan sweep, fed the way the pump feeds
+            // it: every delivery since the last look marks its node.
+            self.absorb_deliveries(m);
             while self.discard_orphan(m) {
                 drained += 1;
             }
@@ -2425,7 +2303,10 @@ mod tests {
         // pending at node 1, one packet is in flight.
         let held = Packet::new(n(2), n(1), 50, 0, vec![7]);
         m.network().borrow_mut().try_inject(held).expect("accepted");
-        assert_eq!((m.network().borrow().rx_pending(n(1)), m.network().borrow().in_flight()), (0, 1));
+        assert_eq!(
+            (m.network().borrow().rx_pending(n(1)), m.network().borrow().in_flight()),
+            (0, 1)
+        );
 
         let before = peeks.get();
         eng.touch_node(&m, n(1), Touch::Packet);
@@ -2447,5 +2328,111 @@ mod tests {
         eng.touch_node(&m, n(1), Touch::Packet);
         assert_eq!(peeks.get(), before + 1);
         assert!(eng.slots[slot].ready, "the head's claimant wakes");
+    }
+
+    /// An op that never has anything to do: every step is `Idle`, no
+    /// timer of its own wakes it, and it claims nothing.
+    struct Idler;
+
+    impl OpMachine for Idler {
+        fn start(&mut self, _: &mut Machine) {}
+        fn step(&mut self, _: &mut Machine) -> Result<Stepped, ProtocolError> {
+            Ok(Stepped::Idle)
+        }
+        fn tick_n(&mut self, _: u64) {}
+        fn wake_in(&self, _: u64) -> u64 {
+            u64::MAX
+        }
+        fn claims(&self, _: NodeId, _: &RxMeta) -> bool {
+            false
+        }
+        fn endpoints(&self) -> (NodeId, NodeId) {
+            (NodeId::new(0), NodeId::new(1))
+        }
+        fn conflict_key(&self) -> Option<ConflictKey> {
+            None
+        }
+        fn reset(&mut self) {}
+    }
+
+    /// Land an [`Idler`] as a released op, recovery-armed with a fixed
+    /// `wait`-cycle backoff when one is given.
+    fn land_idler(eng: &mut Engine, m: &Machine, wait: Option<u64>) -> OpId {
+        let id = OpId(eng.ops.len() as u64);
+        let recovery = wait.map(|w| {
+            let backoff =
+                RetryPolicy { base_wait: w, max_wait: w, jitter: 0, ..RetryPolicy::default() };
+            Box::new(RecoveryPolicy { max_executions: 4, backoff })
+        });
+        eng.ops.push(OpEntry { recovery, ..OpEntry::default() });
+        eng.release(m, ActiveOp::new(id, Box::new(Idler)));
+        id
+    }
+
+    /// Ops 0..=3 felled at cycle 0 and parked until 300, 200, 300 and
+    /// 100 — out of id order, two due together — then op 3 cancelled,
+    /// leaving the earliest resume stale. With `sleeper`, a fifth op
+    /// stays running.
+    fn parked_out_of_order(m: &mut Machine, sleeper: bool) -> Engine {
+        let mut eng = Engine::new();
+        let parked = [300, 200, 300, 100].map(|wait| land_idler(&mut eng, m, Some(wait)));
+        if sleeper {
+            land_idler(&mut eng, m, None);
+        }
+        eng.admit(m);
+        for id in parked {
+            let Stage::Running { slot } = eng.ops[id.index()].stage else { panic!("admitted") };
+            eng.finish(m, slot, Err(ProtocolError::SessionReset { node: NodeId::new(0) }));
+        }
+        assert!(eng.cancel(m, parked[3]));
+        assert_eq!(eng.parked_count(), 3);
+        eng
+    }
+
+    fn started_at(eng: &Engine, at: u64) -> Vec<u64> {
+        let started = eng.trace().iter().filter(|e| e.at == at);
+        started
+            .filter_map(|e| match e.event {
+                EngineEvent::Started(id) => Some(id.raw()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The parked index answers both questions the scheduler asks of
+    /// it: the next backoff window to close is its first *live* entry
+    /// (a cancelled op's resume does not linger), and everything due
+    /// respawns in id order, whatever order the windows close in.
+    #[test]
+    fn parked_ops_resume_in_id_order_at_the_earliest_live_window() {
+        let mut m = Machine::new(
+            share(ScriptedNetwork::new(2, DeliveryScript::InOrder)),
+            2,
+            CmamConfig::default(),
+        );
+        let mut eng = parked_out_of_order(&mut m, false);
+        assert!(eng.jump_to_parked(&mut m));
+        assert_eq!(m.now(), 200, "the cancelled op's stale resume at 100 is gone");
+        m.advance(100);
+        eng.release_recovered(&mut m);
+        assert_eq!(started_at(&eng, 300), [0, 1, 2], "due at 200, 300 and 300: respawned by id");
+        assert_eq!(eng.parked_count(), 0);
+
+        // With an op running and asleep, each quantum jumps to the next
+        // live resume: 200, then 300 — never the cancelled op's 100.
+        let mut m = Machine::new(
+            share(ScriptedNetwork::new(2, DeliveryScript::InOrder)),
+            2,
+            CmamConfig::default(),
+        );
+        let mut eng = parked_out_of_order(&mut m, true);
+        let ends: Vec<u64> = (0..2)
+            .map(|_| {
+                eng.pump_until(&mut m, u64::MAX);
+                m.now()
+            })
+            .collect();
+        assert_eq!(ends, [200, 300]);
+        assert_eq!(started_at(&eng, 200), [1]);
     }
 }

@@ -88,7 +88,7 @@ pub use measure::{
 };
 pub use retry::{RecoveryPolicy, RetryPolicy};
 pub use rpc::{classify_poll, RpcEvent};
-pub use sched::{PhaseTotal, SchedCounters, SchedMode, SchedPhase, SchedProfiler, Slab, TimingWheel};
+pub use sched::{PhaseTotal, SchedCounters, SchedPhase, SchedProfiler};
 pub use stream::{StreamConfig, StreamId, StreamOutcome};
 pub use xfer::XferOutcome;
 pub use xfer_reliable::ReliableOutcome;

@@ -1,19 +1,22 @@
-//! Scheduler internals: readiness plane, timing wheel, op slab, and the
-//! self-profiling harness.
+//! Scheduler internals: timing wheel, op slab, and the self-profiling
+//! harness.
 //!
 //! The engine ([`crate::Engine`]) owns the protocol semantics; this
 //! module owns the machinery that decides *when* each op gets CPU:
 //!
-//! * [`TimingWheel`] — a hierarchical timer wheel holding op wake
-//!   timers, deadlines, watchdogs and park-resume markers, so that
-//!   supervision never scans every op and idle time can clock-jump
-//!   straight to the next due event.
-//! * [`Slab`] — a free-list arena for running-op state: stable `u32`
-//!   indices, no per-step `Box`/`BTreeMap` churn on the hot path.
+//! * `TimingWheel` (crate-internal) — a hierarchical timer wheel holding
+//!   op wake timers, deadlines and watchdogs, so that supervision never
+//!   scans every op and idle time can clock-jump straight to the next
+//!   due event.
+//! * `Slab` (crate-internal) — a free-list arena for running-op state:
+//!   stable `u32` indices, no per-step `Box`/`BTreeMap` churn on the hot
+//!   path.
 //! * [`SchedProfiler`] / [`SchedCounters`] — cheap timestamps into a
 //!   ring buffer (aggregated outside the hot path) plus always-on
 //!   counters of steps/quanta/wakes, so the simulator's own overhead is
-//!   measured rather than guessed.
+//!   measured rather than guessed. These stay public: they are what
+//!   [`Engine::counters`](crate::Engine::counters) and
+//!   [`Engine::profiler_mut`](crate::Engine::profiler_mut) hand out.
 //!
 //! See `DESIGN.md` §10 for the full methodology.
 
@@ -22,25 +25,5 @@ mod slab;
 mod wheel;
 
 pub use profile::{PhaseTotal, SchedCounters, SchedPhase, SchedProfiler};
-pub use slab::Slab;
-pub use wheel::TimingWheel;
-
-/// Which scheduler the engine runs.
-///
-/// Both modes produce the identical [`crate::TracedEvent`] sequence and
-/// per-feature bills (pinned by the `sched_equivalence` soak); they
-/// differ only in how much work the *simulator* does to get there.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SchedMode {
-    /// Readiness-driven scheduling: ops sleep on wake conditions
-    /// (packet arrival, timer expiry, dependency release, park-resume)
-    /// and are stepped only when a condition fires; supervision rides
-    /// the timing wheel; idle time clock-jumps to the next due event.
-    #[default]
-    EventDriven,
-    /// The retained reference stepper: round-robin every running op
-    /// each quantum, scan all deadlines/watchdogs, `advance(1)` when
-    /// idle. Kept as the equivalence baseline and for benchmarking the
-    /// readiness win.
-    ReferenceRoundRobin,
-}
+pub(crate) use slab::Slab;
+pub(crate) use wheel::TimingWheel;

@@ -11,7 +11,6 @@
 pub struct Slab<T> {
     entries: Vec<Option<T>>,
     free: Vec<u32>,
-    len: usize,
 }
 
 impl<T> Default for Slab<T> {
@@ -23,28 +22,24 @@ impl<T> Default for Slab<T> {
 impl<T> Slab<T> {
     /// An empty slab.
     pub fn new() -> Self {
-        Slab { entries: Vec::new(), free: Vec::new(), len: 0 }
+        Slab { entries: Vec::new(), free: Vec::new() }
     }
 
     /// Number of occupied slots.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no slots are occupied.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.iter().count()
     }
 
     /// Total slots ever allocated (occupied + free-listed).
-    pub fn capacity(&self) -> usize {
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
         self.entries.len()
     }
 
     /// Store `value`, reusing a free slot when one exists; returns the
     /// slot key.
     pub fn insert(&mut self, value: T) -> u32 {
-        self.len += 1;
         if let Some(k) = self.free.pop() {
             debug_assert!(self.entries[k as usize].is_none());
             self.entries[k as usize] = Some(value);
@@ -62,7 +57,6 @@ impl<T> Slab<T> {
     /// Panics if the slot is vacant.
     pub fn remove(&mut self, key: u32) -> T {
         let v = self.entries[key as usize].take().expect("slab: remove of vacant slot");
-        self.len -= 1;
         self.free.push(key);
         v
     }
@@ -78,11 +72,9 @@ impl<T> Slab<T> {
     }
 
     /// Iterate occupied slots as `(key, &value)`.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.as_ref().map(|v| (i as u32, v)))
+    #[cfg(test)]
+    fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
+        self.entries.iter().enumerate().filter_map(|(i, e)| e.as_ref().map(|v| (i as u32, v)))
     }
 }
 

@@ -33,7 +33,6 @@ pub type Ripe<T> = (u64, u64, T);
 pub struct TimingWheel<T> {
     now: u64,
     next_seq: u64,
-    len: usize,
     slots: Vec<Vec<Entry<T>>>,
     /// Minimum due held by each slot (`u64::MAX` when empty).
     slot_min: Vec<u64>,
@@ -57,7 +56,6 @@ impl<T> TimingWheel<T> {
         TimingWheel {
             now: 0,
             next_seq: 0,
-            len: 0,
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             slot_min: vec![u64::MAX; LEVELS * SLOTS],
             occ: [0; LEVELS],
@@ -68,28 +66,30 @@ impl<T> TimingWheel<T> {
     }
 
     /// The wheel's current time.
-    pub fn now(&self) -> u64 {
+    #[cfg(test)]
+    fn now(&self) -> u64 {
         self.now
     }
 
     /// Number of entries held (including already-ripe ones not yet
     /// taken).
-    pub fn len(&self) -> usize {
-        self.len
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.slots.iter().map(Vec::len).sum::<usize>() + self.overflow.len() + self.ripe.len()
     }
 
     /// True when no entries are held at all.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
     /// Insert an entry due at absolute time `due`; returns its
-    /// insertion sequence (usable with [`TimingWheel::cancel`]).
-    /// A due at or before *now* is immediately ripe.
+    /// insertion sequence (usable with `cancel` in tests). A due at or
+    /// before *now* is immediately ripe.
     pub fn insert(&mut self, due: u64, item: T) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.len += 1;
         let e = Entry { due, seq, item };
         if due <= self.now {
             self.ripe.push(e);
@@ -171,7 +171,6 @@ impl<T> TimingWheel<T> {
             return Vec::new();
         }
         self.ripe.sort_by_key(|e| (e.due, e.seq));
-        self.len -= self.ripe.len();
         self.ripe.drain(..).map(|e| (e.due, e.seq, e.item)).collect()
     }
 
@@ -194,16 +193,14 @@ impl<T> TimingWheel<T> {
     }
 
     /// Remove the entry with insertion sequence `seq`, wherever it
-    /// lives (slot, overflow, or already ripe). Linear scan — meant for
-    /// tests and diagnostics; the engine invalidates entries lazily
-    /// instead.
-    pub fn cancel(&mut self, seq: u64) -> Option<T> {
+    /// lives (slot, overflow, or already ripe). Linear scan — the engine
+    /// invalidates entries lazily instead.
+    #[cfg(test)]
+    fn cancel(&mut self, seq: u64) -> Option<T> {
         if let Some(pos) = self.ripe.iter().position(|e| e.seq == seq) {
-            self.len -= 1;
             return Some(self.ripe.swap_remove(pos).item);
         }
         if let Some(pos) = self.overflow.iter().position(|e| e.seq == seq) {
-            self.len -= 1;
             let e = self.overflow.swap_remove(pos);
             self.overflow_min = self.overflow.iter().map(|e| e.due).min().unwrap_or(u64::MAX);
             return Some(e.item);
@@ -215,7 +212,6 @@ impl<T> TimingWheel<T> {
                 occ &= occ - 1;
                 let idx = l * SLOTS + s;
                 if let Some(pos) = self.slots[idx].iter().position(|e| e.seq == seq) {
-                    self.len -= 1;
                     let e = self.slots[idx].swap_remove(pos);
                     self.slot_min[idx] =
                         self.slots[idx].iter().map(|e| e.due).min().unwrap_or(u64::MAX);

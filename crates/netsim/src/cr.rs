@@ -22,7 +22,7 @@
 
 use std::collections::VecDeque;
 
-use crate::id::{NodeId, PacketId};
+use crate::id::NodeId;
 use crate::network::{Guarantees, InjectError, Network, RxMeta, WakeSet};
 use crate::packet::Packet;
 use crate::pair::{sorted_keys, PairMap};
@@ -83,7 +83,6 @@ pub struct CrNetwork {
     now: Time,
     pairs: PairMap<VecDeque<CrTransit>>,
     rx: Vec<VecDeque<Packet>>,
-    next_id: u64,
     pair_seq: PairMap<u64>,
     in_flight: usize,
     stats: NetStats,
@@ -109,7 +108,6 @@ impl CrNetwork {
             now: Time::ZERO,
             pairs: PairMap::default(),
             rx,
-            next_id: 0,
             pair_seq: PairMap::default(),
             in_flight: 0,
             stats: NetStats::new(),
@@ -203,8 +201,7 @@ impl Network for CrNetwork {
             return Err(InjectError::Backpressure);
         }
         let seq = self.pair_seq.entry((src, dst)).or_insert(0);
-        packet.stamp(PacketId::new(self.next_id), *seq, self.now);
-        self.next_id += 1;
+        packet.stamp(*seq, self.now);
         *seq += 1;
 
         let mut deliver_at = self.now + self.cfg.base_latency;

@@ -30,28 +30,6 @@ impl From<usize> for NodeId {
     }
 }
 
-/// Globally unique packet identifier, assigned at injection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct PacketId(u64);
-
-impl PacketId {
-    /// Construct from a raw id (used by the network implementations).
-    pub(crate) const fn new(raw: u64) -> Self {
-        PacketId(raw)
-    }
-
-    /// The raw id.
-    pub const fn raw(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for PacketId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "pkt{}", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,11 +40,5 @@ mod tests {
         assert_eq!(n.index(), 3);
         assert_eq!(NodeId::from(3), n);
         assert_eq!(n.to_string(), "n3");
-    }
-
-    #[test]
-    fn packet_id_display() {
-        assert_eq!(PacketId::new(9).to_string(), "pkt9");
-        assert_eq!(PacketId::new(9).raw(), 9);
     }
 }

@@ -72,7 +72,7 @@ mod wormhole;
 pub use cr::{CrConfig, CrNetwork};
 pub use dual::DualNetwork;
 pub use fault::{CrashWindow, FaultConfig, FaultSchedule, OutageWindow};
-pub use id::{NodeId, PacketId};
+pub use id::NodeId;
 pub use network::{Guarantees, InjectError, Network, RxMeta, WakeSet};
 pub use packet::Packet;
 pub use rng::SimRng;

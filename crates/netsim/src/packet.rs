@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::id::{NodeId, PacketId};
+use crate::id::NodeId;
 use crate::time::Time;
 
 /// A hardware network packet.
@@ -20,7 +20,6 @@ pub struct Packet {
     header: u32,
     data: Vec<u32>,
     // Envelope fields maintained by the network:
-    id: Option<PacketId>,
     pair_seq: Option<u64>,
     injected_at: Option<Time>,
     corrupted: bool,
@@ -37,7 +36,6 @@ impl Packet {
             tag,
             header,
             data,
-            id: None,
             pair_seq: None,
             injected_at: None,
             corrupted: false,
@@ -79,11 +77,6 @@ impl Packet {
         self.data.is_empty()
     }
 
-    /// Unique id assigned by the network at injection, if injected.
-    pub fn id(&self) -> Option<PacketId> {
-        self.id
-    }
-
     /// Injection sequence number within the `(src, dst)` pair, assigned
     /// by the network at injection. Delivery order can be compared
     /// against this to detect reordering.
@@ -103,8 +96,7 @@ impl Packet {
         self.corrupted
     }
 
-    pub(crate) fn stamp(&mut self, id: PacketId, pair_seq: u64, at: Time) {
-        self.id = Some(id);
+    pub(crate) fn stamp(&mut self, pair_seq: u64, at: Time) {
         self.pair_seq = Some(pair_seq);
         self.injected_at = Some(at);
     }
@@ -156,7 +148,7 @@ mod tests {
         assert_eq!(p.data(), &[1, 2]);
         assert_eq!(p.len(), 2);
         assert!(!p.is_empty());
-        assert!(p.id().is_none());
+        assert!(p.pair_seq().is_none());
         assert!(!p.is_corrupted());
     }
 
@@ -164,8 +156,7 @@ mod tests {
     fn stamping_and_corruption() {
         let mut p = Packet::new(NodeId::new(0), NodeId::new(1), 0, 0, vec![]);
         assert!(p.is_empty());
-        p.stamp(PacketId::new(7), 2, Time::from_cycles(5));
-        assert_eq!(p.id().unwrap().raw(), 7);
+        p.stamp(2, Time::from_cycles(5));
         assert_eq!(p.pair_seq(), Some(2));
         assert_eq!(p.injected_at(), Some(Time::from_cycles(5)));
         p.corrupt();

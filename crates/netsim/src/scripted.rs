@@ -15,7 +15,7 @@
 
 use std::collections::VecDeque;
 
-use crate::id::{NodeId, PacketId};
+use crate::id::NodeId;
 use crate::network::{Guarantees, InjectError, Network, RxMeta};
 use crate::packet::Packet;
 use crate::pair::{sorted_keys, PairMap};
@@ -54,7 +54,6 @@ pub struct ScriptedNetwork {
     now: Time,
     rx: Vec<VecDeque<Packet>>,
     buffers: PairMap<PairBuffer>,
-    next_id: u64,
     pair_seq: PairMap<u64>,
     held_count: usize,
     stats: NetStats,
@@ -89,7 +88,6 @@ impl ScriptedNetwork {
             now: Time::ZERO,
             rx: (0..nodes).map(|_| VecDeque::new()).collect(),
             buffers: PairMap::default(),
-            next_id: 0,
             pair_seq: PairMap::default(),
             held_count: 0,
             stats: NetStats::new(),
@@ -167,8 +165,7 @@ impl Network for ScriptedNetwork {
         }
         let seq = self.pair_seq.entry((src, dst)).or_insert(0);
         let this_seq = *seq;
-        packet.stamp(PacketId::new(self.next_id), this_seq, self.now);
-        self.next_id += 1;
+        packet.stamp(this_seq, self.now);
         *seq += 1;
         self.stats.injected += 1;
 

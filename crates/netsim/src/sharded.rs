@@ -67,7 +67,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use crate::fault::{FaultConfig, FaultSchedule};
-use crate::id::{NodeId, PacketId};
+use crate::id::NodeId;
 use crate::network::{Guarantees, InjectError, Network, RxMeta, WakeSet};
 use crate::packet::Packet;
 use crate::pair::PairMap;
@@ -220,7 +220,6 @@ pub struct ShardedNetwork {
     pool: Arc<Pool>,
     workers: Vec<JoinHandle<()>>,
     now: Time,
-    next_id: u64,
     pair_seq: PairMap<u64>,
     /// The full fault mix under global ids: decides cross-shard packet
     /// fates and answers all restart queries. Engine-thread only.
@@ -445,7 +444,6 @@ impl ShardedNetwork {
             pool,
             workers,
             now: Time::ZERO,
-            next_id: 0,
             pair_seq: PairMap::default(),
             boundary_faults,
             boundary_stats: NetStats::new(),
@@ -612,8 +610,7 @@ impl Network for ShardedNetwork {
         if faults.hold {
             // Reorder burst: park it so later crossings overtake it.
             let seq = self.pair_seq.entry((src, dst)).or_insert(0);
-            packet.stamp(PacketId::new(self.next_id), *seq, self.now);
-            self.next_id += 1;
+            packet.stamp(*seq, self.now);
             *seq += 1;
             self.boundary_stats.injected += 1;
             self.boundary_faults.hold(packet, self.now);
@@ -629,8 +626,7 @@ impl Network for ShardedNetwork {
             }
 
             let seq = self.pair_seq.entry((src, dst)).or_insert(0);
-            packet.stamp(PacketId::new(self.next_id), *seq, self.now);
-            self.next_id += 1;
+            packet.stamp(*seq, self.now);
             *seq += 1;
             let duplicate = faults.duplicate.then(|| packet.clone());
             if faults.corrupt {
@@ -649,8 +645,7 @@ impl Network for ShardedNetwork {
             if let Some(mut dup) = duplicate {
                 if cell.pending_to[ldst] < self.boundary_capacity {
                     let seq = self.pair_seq.get_mut(&(src, dst)).expect("pair just stamped");
-                    dup.stamp(PacketId::new(self.next_id), *seq, self.now);
-                    self.next_id += 1;
+                    dup.stamp(*seq, self.now);
                     *seq += 1;
                     let dup_due = self.now.cycles() + self.cross_latency;
                     self.quiet = self.quiet.min(dup_due);

@@ -56,7 +56,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::fault::{FaultConfig, FaultSchedule};
-use crate::id::{NodeId, PacketId};
+use crate::id::NodeId;
 use crate::network::{Guarantees, InjectError, Network, RxMeta, WakeSet};
 use crate::packet::Packet;
 use crate::pair::PairMap;
@@ -197,7 +197,6 @@ pub struct SwitchedNetwork<T> {
     rr: Vec<usize>,
     rx: Vec<VecDeque<Packet>>,
     now: Time,
-    next_id: u64,
     pair_seq: PairMap<u64>,
     in_flight: usize,
     last_progress: Time,
@@ -274,7 +273,6 @@ impl<T: Topology> SwitchedNetwork<T> {
             rr: vec![0; links],
             rx,
             now: Time::ZERO,
-            next_id: 0,
             pair_seq: PairMap::default(),
             in_flight: 0,
             last_progress: Time::ZERO,
@@ -754,8 +752,7 @@ impl<T: Topology> Network for SwitchedNetwork<T> {
                 return Err(InjectError::Backpressure);
             }
             let seq = self.pair_seq.entry((src, dst)).or_insert(0);
-            packet.stamp(PacketId::new(self.next_id), *seq, self.now);
-            self.next_id += 1;
+            packet.stamp(*seq, self.now);
             *seq += 1;
             self.stats.injected += 1;
             let pseq = packet.pair_seq().expect("just stamped");
@@ -787,8 +784,7 @@ impl<T: Topology> Network for SwitchedNetwork<T> {
             // conceptually, stuck inside the fabric), so no
             // backpressure applies.
             let seq = self.pair_seq.entry((src, dst)).or_insert(0);
-            packet.stamp(PacketId::new(self.next_id), *seq, self.now);
-            self.next_id += 1;
+            packet.stamp(*seq, self.now);
             *seq += 1;
             self.stats.injected += 1;
             self.in_flight += 1;
@@ -811,8 +807,7 @@ impl<T: Topology> Network for SwitchedNetwork<T> {
         }
 
         let seq = self.pair_seq.entry((src, dst)).or_insert(0);
-        packet.stamp(PacketId::new(self.next_id), *seq, self.now);
-        self.next_id += 1;
+        packet.stamp(*seq, self.now);
         *seq += 1;
         let duplicate = faults.duplicate.then(|| packet.clone());
         if faults.corrupt {
@@ -834,9 +829,8 @@ impl<T: Topology> Network for SwitchedNetwork<T> {
         // if the fabric has room for it.
         if let Some(mut dup) = duplicate {
             let next_seq = *self.pair_seq.get(&(src, dst)).expect("pair just stamped");
-            dup.stamp(PacketId::new(self.next_id), next_seq, self.now);
+            dup.stamp(next_seq, self.now);
             if self.enqueue_on_path(dup, 0) {
-                self.next_id += 1;
                 *self.pair_seq.get_mut(&(src, dst)).expect("pair just stamped") += 1;
                 self.in_flight += 1;
                 self.stats.duplicated += 1;

@@ -27,7 +27,7 @@
 use std::collections::HashMap;
 
 use crate::fault::{FaultConfig, FaultSchedule};
-use crate::id::{NodeId, PacketId};
+use crate::id::NodeId;
 use crate::network::{Guarantees, InjectError, Network, RxMeta, WakeSet};
 use crate::packet::Packet;
 use crate::pair::PairMap;
@@ -156,9 +156,9 @@ pub struct WormholeNetwork<T> {
     owners: HashMap<ChannelId, u64>,
     worms: HashMap<u64, Worm>,
     order: Vec<u64>, // processing order (injection order)
+    next_worm: u64,
     rx: Vec<std::collections::VecDeque<Packet>>,
     now: Time,
-    next_id: u64,
     pair_seq: PairMap<u64>,
     pair_active: PairMap<u64>, // CR serialization
     last_progress: Time,
@@ -195,9 +195,9 @@ impl<T: Topology> WormholeNetwork<T> {
             owners: HashMap::new(),
             worms: HashMap::new(),
             order: Vec::new(),
+            next_worm: 0,
             rx,
             now: Time::ZERO,
-            next_id: 0,
             pair_seq: PairMap::default(),
             pair_active: PairMap::default(),
             last_progress: Time::ZERO,
@@ -284,13 +284,12 @@ impl<T: Topology> WormholeNetwork<T> {
         }
         if !stamped {
             let seq = self.pair_seq.entry((src, dst)).or_insert(0);
-            packet.stamp(PacketId::new(self.next_id), *seq, self.now);
-            self.next_id += 1;
+            packet.stamp(*seq, self.now);
             *seq += 1;
         }
         let total_flits = self.flits_for(packet.len(), path.len());
-        let id = self.next_id;
-        self.next_id += 1;
+        let id = self.next_worm;
+        self.next_worm += 1;
         let worm = Worm {
             packet,
             path,
@@ -553,8 +552,7 @@ impl<T: Topology> Network for WormholeNetwork<T> {
                 return Err(InjectError::Backpressure);
             }
             let seq = self.pair_seq.entry((src, dst)).or_insert(0);
-            packet.stamp(PacketId::new(self.next_id), *seq, self.now);
-            self.next_id += 1;
+            packet.stamp(*seq, self.now);
             *seq += 1;
             self.stats.injected += 1;
             let pseq = packet.pair_seq().expect("stamped");
@@ -587,8 +585,7 @@ impl<T: Topology> Network for WormholeNetwork<T> {
             // the pair sequence) but let later traffic overtake it.
             // Suppressed under CR, whose contract is in-order delivery.
             let seq = self.pair_seq.entry((src, dst)).or_insert(0);
-            packet.stamp(PacketId::new(self.next_id), *seq, self.now);
-            self.next_id += 1;
+            packet.stamp(*seq, self.now);
             *seq += 1;
             self.stats.injected += 1;
             self.faults.hold(packet, self.now);

@@ -1,36 +1,32 @@
-//! Scheduler equivalence soak: the readiness-driven event scheduler
-//! must be observationally identical to the retained reference
-//! round-robin stepper.
+//! Scheduler equivalence soaks: a run must not be able to tell how the
+//! engine got there.
 //!
-//! For every substrate {switched, wormhole, dual} × fault variant
-//! {clean, dup+jitter, crash window} × 6 seeds, the same mixed workload
-//! (reliable transfers with engine-native recovery, a stream burst,
-//! retried RPCs, an am4 run-after chain) is driven to completion twice
-//! — once under [`SchedMode::EventDriven`], once under
-//! [`SchedMode::ReferenceRoundRobin`] — on identically-seeded machines,
-//! and the runs must agree on:
+//! Two runs are equivalent when they agree on:
 //!
 //! * the **full scheduler trace** ([`TracedEvent`] sequence, stamps
 //!   included) — same progress interleaving at the same cycles;
-//! * the **per-node, per-feature instruction bills** — sleeping is
-//!   cost-free, so skipping idle steps must not move a single count;
+//! * the **per-node, per-feature instruction bills**;
 //! * every operation's **outcome** (payloads, retransmit tallies,
-//!   errors);
-//! * while the event scheduler takes **no more op steps** than the
-//!   reference — and strictly fewer in aggregate, or the readiness
-//!   machinery isn't doing anything.
+//!   errors).
 //!
-//! A second soak re-runs the same workload on the parallel sharded
-//! substrate at 1, 2 and 4 worker threads and requires every thread
-//! count to be byte-identical to the single-threaded run.
+//! (That the engine's scheduler is equivalent to stepping every op
+//! every cycle is pinned inside `timego-am`, against the reference
+//! round-robin it keeps as a test-only oracle, on the mixed workload
+//! below over {switched, wormhole, dual, sharded} × {clean, dup+jitter,
+//! crash window} × 6 seeds, the fan-in, and the restart chain.)
 //!
-//! A third turns the traffic into a fan-in — 63 senders of all five
-//! families into node 0 — where the event scheduler wakes by `(node,
-//! peer)` pair rather than by node: same trace, bills and outcomes as
-//! the reference, at a step count that no longer grows with the number
-//! of ops sharing the hot endpoint.
+//! One soak runs a mixed workload (reliable transfers with
+//! engine-native recovery, a stream burst, retried RPCs, an am4
+//! run-after chain) on the parallel sharded substrate at 1, 2 and 4
+//! worker threads and requires every thread count to be byte-identical
+//! to the single-threaded run.
 //!
-//! A fourth hides [`Network::quiet_until`](timego_netsim::Network::quiet_until)
+//! A second turns the traffic into a fan-in — 63 senders of all five
+//! families into node 0 — where the scheduler wakes by `(node, peer)`
+//! pair rather than by node, at a step count that does not grow with
+//! the number of ops sharing the hot endpoint.
+//!
+//! A third hides [`Network::quiet_until`](timego_netsim::Network::quiet_until)
 //! behind a decorator that does not forward it (`blind:` substrates):
 //! the engine lets time pass to the next event only where the substrate
 //! says how long its receive queues stay quiet, and a run must not be
@@ -40,15 +36,11 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use timego_am::{
-    CmamConfig, Engine, EngineEvent, Machine, Op, OpId, RecoveryPolicy, RetryPolicy, SchedMode,
-    StreamConfig, Tags, TracedEvent,
+    CmamConfig, Engine, EngineEvent, Machine, Op, OpId, RecoveryPolicy, RetryPolicy, StreamConfig,
+    TracedEvent,
 };
 use timego_cost::Feature;
-use timego_netsim::{
-    CrashWindow, DualNetwork, FaultConfig, NodeId, Torus2D, VcDiscipline, WormholeConfig,
-    WormholeNetwork,
-};
-use timego_ni::share;
+use timego_netsim::{CrashWindow, FaultConfig, NodeId};
 use timego_workloads::patterns::Pattern;
 use timego_workloads::{payloads, scenarios};
 
@@ -71,25 +63,6 @@ fn machine_of(sub: &str, nodes: usize, cfg: CmamConfig, fault: &FaultConfig, see
     let (blind, sub) = sub.strip_prefix("blind:").map_or((false, sub), |bare| (true, bare));
     let net = match sub {
         "switched" => shared(scenarios::cm5_chaos(nodes, fault.clone(), seed), blind),
-        "wormhole" => {
-            let side = nodes.isqrt();
-            assert_eq!(side * side, nodes, "the torus is square");
-            share(WormholeNetwork::new(
-                Torus2D::new(side, side),
-                WormholeConfig {
-                    virtual_channels: 2,
-                    discipline: VcDiscipline::Dateline,
-                    fault: fault.clone(),
-                    seed,
-                    ..WormholeConfig::default()
-                },
-            ))
-        }
-        "dual" => share(DualNetwork::new(
-            scenarios::cm5_chaos(nodes, fault.clone(), seed),
-            scenarios::cm5_chaos(nodes, fault.clone(), seed ^ 0x9e37),
-            Tags::RPC_REPLY,
-        )),
         // Parallel sharded substrate at each thread count: the shard
         // layout (4 shards) is fixed, only the worker count varies —
         // results must not.
@@ -150,8 +123,8 @@ impl Fingerprint {
     }
 }
 
-/// Build the mixed workload under `mode` and run it.
-fn run_one(mode: SchedMode, sub: &str, fault: &FaultConfig, seed: u64) -> Fingerprint {
+/// Build the mixed workload and run it.
+fn run_one(sub: &str, fault: &FaultConfig, seed: u64) -> Fingerprint {
     let mut m = machine(sub, fault, seed);
     let calls = Rc::new(RefCell::new(0u32));
     let counter = calls.clone();
@@ -160,7 +133,7 @@ fn run_one(mode: SchedMode, sub: &str, fault: &FaultConfig, seed: u64) -> Finger
         [msg.words[0].wrapping_mul(3), 0, 0, 0]
     });
 
-    let mut eng = Engine::with_mode(mode);
+    let mut eng = Engine::new();
     let policy = RetryPolicy::default();
     let recovery = RecoveryPolicy::default();
     let mut ids: Vec<OpId> = Vec::new();
@@ -198,78 +171,44 @@ fn run_one(mode: SchedMode, sub: &str, fault: &FaultConfig, seed: u64) -> Finger
     Fingerprint::of_run(eng, m, NODES, &ids)
 }
 
-/// The event run must be the reference run: same trace (the first
+/// Two runs of the same plan must be one run: same trace (the first
 /// divergence is printed with its neighbourhood), same bills, same
-/// outcomes, no more steps.
-fn assert_same_run(ctx: &str, evt: &Fingerprint, rr: &Fingerprint) {
-    if evt.trace != rr.trace {
-        let at = evt
+/// outcomes, and the first takes no more steps than the second.
+fn assert_same_run(ctx: &str, a: &Fingerprint, b: &Fingerprint) {
+    if a.trace != b.trace {
+        let at = a
             .trace
             .iter()
-            .zip(rr.trace.iter())
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| evt.trace.len().min(rr.trace.len()));
+            .zip(b.trace.iter())
+            .position(|(x, y)| x != y)
+            .unwrap_or_else(|| a.trace.len().min(b.trace.len()));
         let window = |t: &[TracedEvent]| t[at.saturating_sub(3)..(at + 4).min(t.len())].to_vec();
         panic!(
-            "{ctx}: traces diverge at entry {at} (event {} entries, reference {}):\n  event: {:?}\n  reference: {:?}",
-            evt.trace.len(),
-            rr.trace.len(),
-            window(&evt.trace),
-            window(&rr.trace),
+            "{ctx}: traces diverge at entry {at} ({} entries vs {}):\n  first: {:?}\n  second: {:?}",
+            a.trace.len(),
+            b.trace.len(),
+            window(&a.trace),
+            window(&b.trace),
         );
     }
-    assert_eq!(evt.bills, rr.bills, "{ctx}: per-feature bills must match node by node");
-    assert_eq!(evt.outcomes, rr.outcomes, "{ctx}: outcomes must match");
-    assert!(
-        evt.steps <= rr.steps,
-        "{ctx}: event scheduler took more steps ({} > {})",
-        evt.steps,
-        rr.steps
-    );
+    assert_eq!(a.bills, b.bills, "{ctx}: per-feature bills must match node by node");
+    assert_eq!(a.outcomes, b.outcomes, "{ctx}: outcomes must match");
+    assert!(a.steps <= b.steps, "{ctx}: the first run took more steps ({} > {})", a.steps, b.steps);
 }
 
-#[test]
-fn event_scheduler_is_trace_and_bill_identical_to_reference() {
-    let mut ref_steps = 0u64;
-    let mut evt_steps = 0u64;
-    for sub in ["switched", "wormhole", "dual"] {
-        for variant in ["clean", "dup+jitter", "crash"] {
-            let fault = fault_variant(variant);
-            for seed in 0..SEEDS {
-                let evt = run_one(SchedMode::EventDriven, sub, &fault, seed);
-                let rr = run_one(SchedMode::ReferenceRoundRobin, sub, &fault, seed);
-                let ctx = format!("{sub}/{variant}/seed {seed}");
-                assert_same_run(&ctx, &evt, &rr);
-                ref_steps += rr.steps;
-                evt_steps += evt.steps;
-            }
-        }
-    }
-    assert!(
-        evt_steps < ref_steps,
-        "event scheduler must skip idle steps somewhere (event {evt_steps} vs reference {ref_steps})"
-    );
-}
-
-/// The PR 7 soak re-run on the parallel sharded substrate, at 1, 2 and
-/// 4 worker threads: within each thread count the event scheduler must
-/// be trace/bill/outcome-identical to the reference stepper, and across
-/// thread counts *everything* — traces, bills, outcomes, step counts —
-/// must be byte-identical to the single-threaded run. Thread count is
-/// an execution resource, never a model parameter.
+/// The mixed workload on the parallel sharded substrate, at 1, 2 and 4
+/// worker threads: across thread counts *everything* — traces, bills,
+/// outcomes, step counts — must be byte-identical to the
+/// single-threaded run. Thread count is an execution resource, never a
+/// model parameter.
 #[test]
 fn sharded_substrate_is_equivalent_at_every_thread_count() {
     for variant in ["clean", "dup+jitter", "crash"] {
         let fault = fault_variant(variant);
         for seed in 0..SEEDS {
-            let baseline = run_one(SchedMode::EventDriven, "sharded-t1", &fault, seed);
-            let rr = run_one(SchedMode::ReferenceRoundRobin, "sharded-t1", &fault, seed);
-            let ctx = format!("sharded/{variant}/seed {seed}");
-            assert_eq!(baseline.trace, rr.trace, "{ctx}: event vs reference trace");
-            assert_eq!(baseline.bills, rr.bills, "{ctx}: event vs reference bills");
-            assert_eq!(baseline.outcomes, rr.outcomes, "{ctx}: event vs reference outcomes");
+            let baseline = run_one("sharded-t1", &fault, seed);
             for sub in ["sharded-t2", "sharded-t4"] {
-                let threaded = run_one(SchedMode::EventDriven, sub, &fault, seed);
+                let threaded = run_one(sub, &fault, seed);
                 let ctx = format!("{sub}/{variant}/seed {seed}");
                 assert_eq!(
                     threaded.trace, baseline.trace,
@@ -290,7 +229,7 @@ const FAN_NODES: usize = 64;
 /// one callee, and an am4 run-after chain. Every op has the hot node as
 /// an endpoint, so a scheduler that wakes by node steps all of them on
 /// every packet; one that wakes by `(node, peer)` steps the claimant.
-fn run_fan_in(mode: SchedMode, sub: &str, fault: &FaultConfig, seed: u64) -> Fingerprint {
+fn run_fan_in(sub: &str, fault: &FaultConfig, seed: u64) -> Fingerprint {
     // A short wait bound: ops the crash variants strand (plain
     // transfers and unmanaged am4s have no recovery) time out in
     // thousands of reference cycles, not a million.
@@ -298,7 +237,7 @@ fn run_fan_in(mode: SchedMode, sub: &str, fault: &FaultConfig, seed: u64) -> Fin
     let mut m = machine_of(sub, FAN_NODES, cfg, fault, seed);
     m.register_rpc_handler(n(0), 40, |_, msg| [msg.words[0].wrapping_mul(3), 0, 0, 0]);
 
-    let mut eng = Engine::with_mode(mode);
+    let mut eng = Engine::new();
     let policy = RetryPolicy::default();
     let recovery = RecoveryPolicy::default();
     let sid = m.open_stream(n(4), n(0), StreamConfig { rto_iterations: 256, ..StreamConfig::default() });
@@ -329,41 +268,20 @@ fn run_fan_in(mode: SchedMode, sub: &str, fault: &FaultConfig, seed: u64) -> Fin
     Fingerprint::of_run(eng, m, FAN_NODES, &ids)
 }
 
-/// Fan-in equivalence: on the switched and the sharded substrate, clean
-/// and under duplication, a crash of the hot node and a crash of one
-/// sender, the event scheduler is the reference — and on the clean
-/// variant it gets there in a bounded number of steps per op, however
-/// many ops share node 0.
+/// Fan-in on the switched and the sharded substrate: the clean run gets
+/// there in a bounded number of steps per op, however many ops share
+/// node 0. (That it is the reference's run — clean, under duplication,
+/// with the hot node or one sender crashed — is pinned in-crate against
+/// the oracle.)
 #[test]
 fn fan_in_wakes_by_pair_and_stays_equivalent() {
     let ops = (FAN_NODES - 1) as u64;
     for sub in ["switched", "sharded-t1"] {
-        for variant in ["clean", "dup+jitter", "crash-hot", "crash-sender"] {
-            let fault = match variant {
-                "crash-hot" => FaultConfig {
-                    crashes: vec![CrashWindow { node: n(0), start: 80, end: 220 }],
-                    ..FaultConfig::default()
-                },
-                "crash-sender" => FaultConfig {
-                    crashes: vec![CrashWindow { node: n(10), start: 40, end: 220 }],
-                    ..FaultConfig::default()
-                },
-                other => fault_variant(other),
-            };
-            for seed in 0..SEEDS {
-                let evt = run_fan_in(SchedMode::EventDriven, sub, &fault, seed);
-                let rr = run_fan_in(SchedMode::ReferenceRoundRobin, sub, &fault, seed);
-                let ctx = format!("fan-in {sub}/{variant}/seed {seed}");
-                assert_same_run(&ctx, &evt, &rr);
-                if variant == "clean" {
-                    assert!(
-                        evt.steps <= 16 * ops,
-                        "{ctx}: {} steps for {ops} ops — more than 16 each ({} reference)",
-                        evt.steps,
-                        rr.steps
-                    );
-                }
-            }
+        for seed in 0..SEEDS {
+            let run = run_fan_in(sub, &FaultConfig::default(), seed);
+            let steps = run.steps;
+            let ctx = format!("fan-in {sub}/clean/seed {seed}");
+            assert!(steps <= 16 * ops, "{ctx}: {steps} steps for {ops} ops — more than 16 each");
         }
     }
 }
@@ -403,8 +321,8 @@ fn lookahead_is_invisible_to_engine_run() {
             for seed in 0..SEEDS / 2 {
                 for plan in ["mixed", "fan-in", "permutation", "hotspot"] {
                     let run = |sub: &str| match plan {
-                        "mixed" => run_one(SchedMode::EventDriven, sub, &fault, seed),
-                        "fan-in" => run_fan_in(SchedMode::EventDriven, sub, &fault, seed),
+                        "mixed" => run_one(sub, &fault, seed),
+                        "fan-in" => run_fan_in(sub, &fault, seed),
                         "permutation" => run_plan(Pattern::RandomPermutation(seed), sub, &fault, seed),
                         _ => run_plan(Pattern::Hotspot, sub, &fault, seed),
                     };
@@ -430,14 +348,14 @@ fn lookahead_is_invisible_to_engine_run() {
 /// on its retry timers while a chain of single-packet hops between two
 /// far-apart nodes keeps exactly one packet in flight, twelve cycles a
 /// hop, with every op asleep in between.
-fn run_across_restart(mode: SchedMode, sub: &str, restart_at: u64) -> Fingerprint {
+fn run_across_restart(sub: &str, restart_at: u64) -> Fingerprint {
     let fault = FaultConfig {
         crashes: vec![CrashWindow { node: n(9), start: 20, end: restart_at }],
         ..FaultConfig::default()
     };
     let cfg = CmamConfig { max_wait_cycles: 1 << 13, gc_ttl_cycles: 1 << 13, ..CmamConfig::default() };
     let mut m = machine_of(sub, FAN_NODES, cfg, &fault, 1);
-    let mut eng = Engine::with_mode(mode);
+    let mut eng = Engine::new();
     let victim = Op::xfer_reliable(n(2), n(9), &payloads::mixed(24, 1), &RetryPolicy::default())
         .recovering(&RecoveryPolicy::default());
     let mut ids = vec![eng.submit(&mut m, victim).expect("valid transfer")];
@@ -455,26 +373,17 @@ fn run_across_restart(mode: SchedMode, sub: &str, restart_at: u64) -> Fingerprin
 /// end falls strictly inside a span the quiet bound would let the clock
 /// jump — and on each the victim must observe the `SessionReset` on the
 /// cycle the window closes: the run with the bound is the run without
-/// it and the reference's.
+/// it (and, pinned in-crate, the reference oracle's).
 #[test]
 fn lookahead_never_jumps_a_restart() {
     let mut jumped = 0;
     for restart_at in 300..314 {
-        let bare = run_across_restart(SchedMode::EventDriven, "switched", restart_at);
-        let blind = run_across_restart(SchedMode::EventDriven, "blind:switched", restart_at);
-        let rr = run_across_restart(SchedMode::ReferenceRoundRobin, "switched", restart_at);
+        let bare = run_across_restart("switched", restart_at);
+        let blind = run_across_restart("blind:switched", restart_at);
         assert_same_run(&format!("restart at {restart_at}, bare vs blind"), &bare, &blind);
-        assert_same_run(&format!("restart at {restart_at}, event vs reference"), &bare, &rr);
         let observed = TracedEvent { at: restart_at, event: EngineEvent::Recovering(bare.outcomes[0].0) };
         assert!(bare.trace.contains(&observed), "the victim observes the restart at {restart_at}");
         jumped += blind.quanta - bare.quanta;
     }
     assert!(jumped > 14 * 100, "the chain's hops were jumped ({jumped} quanta saved)");
-}
-
-/// The default engine is the event scheduler — the whole test suite
-/// re-pins equivalence implicitly, but make the default explicit here.
-#[test]
-fn default_engine_mode_is_event_driven() {
-    assert_eq!(Engine::new().mode(), SchedMode::EventDriven);
 }

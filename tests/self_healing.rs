@@ -27,7 +27,7 @@ use std::rc::Rc;
 
 use timego_am::{
     CmamConfig, Engine, EngineEvent, Machine, Op, OpId, OpOutcome, ProtocolError, RecoveryPolicy,
-    RetryPolicy, SchedMode, StreamConfig, Tags, TracedEvent,
+    RetryPolicy, StreamConfig, Tags, TracedEvent,
 };
 use timego_cost::Feature;
 use timego_netsim::{
@@ -380,8 +380,6 @@ fn collectives_survive_node_crash_restart() {
 // Re-execution from the retained state machine.
 // ---------------------------------------------------------------------
 
-const MODES: [SchedMode; 2] = [SchedMode::EventDriven, SchedMode::ReferenceRoundRobin];
-
 /// A recovery policy that parks for exactly `wait` cycles before every
 /// re-execution, so crash windows can be placed against resume cycles.
 fn fixed_backoff(wait: u64) -> RecoveryPolicy {
@@ -409,33 +407,28 @@ fn executions(trace: &[TracedEvent], id: OpId) -> Vec<u64> {
     trace.iter().filter(|e| e.event == EngineEvent::Started(id)).map(|e| e.at).collect()
 }
 
-/// Run the op `prepare` describes under `fault` in both scheduler
-/// modes. Every run must take exactly two re-executions — three
-/// `Started` events at cycles 0, 4000 and 7000 under one `OpId` — and
-/// converge to an outcome `check` accepts; the two modes must agree on
-/// the whole trace, stamps included.
+/// Run the op `prepare` describes under `fault`. The run must take
+/// exactly two re-executions — three `Started` events at cycles 0, 4000
+/// and 7000 under one `OpId` — and converge to an outcome `check`
+/// accepts. (That the reference round-robin takes the identical trace
+/// is pinned in-crate against the oracle.)
 fn twice_felled<T>(
     fault: &FaultConfig,
     prepare: impl Fn(&mut Machine) -> (Op, T),
     check: impl Fn(&Machine, T, OpOutcome),
 ) {
-    let mut traces = Vec::new();
-    for mode in MODES {
-        let mut m = machine("switched", fault, 1);
-        let (op, ctx) = prepare(&mut m);
-        let mut eng = Engine::with_mode(mode);
-        let id = eng.submit(&mut m, op.recovering(&fixed_backoff(1000))).unwrap();
-        eng.run(&mut m);
-        assert_eq!(eng.recovery_executions(id), 2, "{mode:?}: each crash window fells one run");
-        assert_eq!(executions(eng.trace(), id), [0, 4000, 7000], "{mode:?}");
-        let out = eng
-            .take_outcome(id)
-            .unwrap()
-            .unwrap_or_else(|e| panic!("{mode:?}: the third execution must converge: {e}"));
-        check(&m, ctx, out);
-        traces.push(eng.trace().to_vec());
-    }
-    assert_eq!(traces[0], traces[1], "re-execution is scheduler-independent");
+    let mut m = machine("switched", fault, 1);
+    let (op, ctx) = prepare(&mut m);
+    let mut eng = Engine::new();
+    let id = eng.submit(&mut m, op.recovering(&fixed_backoff(1000))).unwrap();
+    eng.run(&mut m);
+    assert_eq!(eng.recovery_executions(id), 2, "each crash window fells one run");
+    assert_eq!(executions(eng.trace(), id), [0, 4000, 7000]);
+    let out = eng
+        .take_outcome(id)
+        .unwrap()
+        .unwrap_or_else(|e| panic!("the third execution must converge: {e}"));
+    check(&m, ctx, out);
 }
 
 /// A reliable transfer felled twice restarts from scratch both times:
@@ -528,25 +521,20 @@ fn am4_survives_two_re_executions() {
 #[test]
 fn deadline_while_parked_re_parks_and_still_resumes_exactly() {
     let data = payloads::mixed(1024, 33);
-    let mut traces = Vec::new();
-    for mode in MODES {
-        let mut m = machine("switched", &crash(n(9), 50, 3000), 1);
-        let stream = m.open_stream(n(2), n(9), StreamConfig::default());
-        let mut eng = Engine::with_mode(mode);
-        // Felled at 3000 and parked until 5000; the deadline is due at
-        // 3500, mid-park, and re-parks the op until 7000.
-        let op = Op::stream_send(stream, &data).recovering(&fixed_backoff(2000)).deadline(3500);
-        let id = eng.submit(&mut m, op).unwrap();
-        eng.run(&mut m);
-        assert_eq!(eng.recovery_executions(id), 2, "{mode:?}: the crash, then the deadline");
-        assert_eq!(executions(eng.trace(), id), [0, 7000], "{mode:?}: one run per side of the park");
-        let parks = eng.trace().iter().filter(|e| e.event == EngineEvent::Recovering(id)).count();
-        assert_eq!(parks, 2, "{mode:?}");
-        assert!(matches!(eng.take_outcome(id), Some(Ok(OpOutcome::Stream(_)))), "{mode:?}");
-        assert_eq!(m.stream_received(stream), &data[..], "{mode:?}: exactly-once, word-exact");
-        traces.push(eng.trace().to_vec());
-    }
-    assert_eq!(traces[0], traces[1], "re-parking is scheduler-independent");
+    let mut m = machine("switched", &crash(n(9), 50, 3000), 1);
+    let stream = m.open_stream(n(2), n(9), StreamConfig::default());
+    let mut eng = Engine::new();
+    // Felled at 3000 and parked until 5000; the deadline is due at 3500,
+    // mid-park, and re-parks the op until 7000.
+    let op = Op::stream_send(stream, &data).recovering(&fixed_backoff(2000)).deadline(3500);
+    let id = eng.submit(&mut m, op).unwrap();
+    eng.run(&mut m);
+    assert_eq!(eng.recovery_executions(id), 2, "the crash, then the deadline");
+    assert_eq!(executions(eng.trace(), id), [0, 7000], "one run per side of the park");
+    let parks = eng.trace().iter().filter(|e| e.event == EngineEvent::Recovering(id)).count();
+    assert_eq!(parks, 2);
+    assert!(matches!(eng.take_outcome(id), Some(Ok(OpOutcome::Stream(_)))));
+    assert_eq!(m.stream_received(stream), &data[..], "exactly-once, word-exact");
 }
 
 /// Cancelling a parked op settles it where it waits and frees the
@@ -563,37 +551,35 @@ fn cancelling_a_parked_op_frees_its_conflict_key() {
         outages: vec![OutageWindow { node: n(14), start: 0, end: 50_000 }],
         ..FaultConfig::default()
     };
-    for mode in MODES {
-        let mut m = machine("switched", &fault, 3);
-        let mut eng = Engine::with_mode(mode);
-        let parked = eng
-            .submit(
-                &mut m,
-                Op::xfer_reliable(n(2), n(9), &data, &policy).recovering(&RecoveryPolicy::default()),
-            )
-            .unwrap();
-        let queued = eng.submit(&mut m, Op::xfer_reliable(n(2), n(9), &data, &policy)).unwrap();
-        let patient = RetryPolicy { max_attempts: 4, base_wait: 512, ..RetryPolicy::default() };
-        eng.submit(&mut m, Op::xfer_reliable(n(3), n(14), &data, &patient)).unwrap();
-        let mut guard = 0;
-        while eng.parked_count() == 0 {
-            eng.pump(&mut m);
-            guard += 1;
-            assert!(guard < 200_000, "{mode:?}: the crash must park the recovering op");
-        }
-        assert!(executions(eng.trace(), queued).is_empty(), "{mode:?}: the parked op holds the key");
-        assert!(eng.cancel(&m, parked));
-        assert_eq!(eng.parked_count(), 0);
+    let mut m = machine("switched", &fault, 3);
+    let mut eng = Engine::new();
+    let parked = eng
+        .submit(
+            &mut m,
+            Op::xfer_reliable(n(2), n(9), &data, &policy).recovering(&RecoveryPolicy::default()),
+        )
+        .unwrap();
+    let queued = eng.submit(&mut m, Op::xfer_reliable(n(2), n(9), &data, &policy)).unwrap();
+    let patient = RetryPolicy { max_attempts: 4, base_wait: 512, ..RetryPolicy::default() };
+    eng.submit(&mut m, Op::xfer_reliable(n(3), n(14), &data, &patient)).unwrap();
+    let mut guard = 0;
+    while eng.parked_count() == 0 {
         eng.pump(&mut m);
-        assert_eq!(executions(eng.trace(), queued).len(), 1, "{mode:?}: the key is free");
-        eng.run(&mut m);
-        assert_eq!(eng.take_outcome(parked).unwrap(), Err(ProtocolError::Cancelled));
-        match eng.take_outcome(queued).unwrap() {
-            Ok(OpOutcome::Reliable(out)) => {
-                assert_eq!(m.read_buffer(n(9), out.xfer.dst_buffer, data.len()), data, "{mode:?}");
-            }
-            other => panic!("{mode:?}: the queued transfer must complete, got {other:?}"),
+        guard += 1;
+        assert!(guard < 200_000, "the crash must park the recovering op");
+    }
+    assert!(executions(eng.trace(), queued).is_empty(), "the parked op holds the key");
+    assert!(eng.cancel(&m, parked));
+    assert_eq!(eng.parked_count(), 0);
+    eng.pump(&mut m);
+    assert_eq!(executions(eng.trace(), queued).len(), 1, "the key is free");
+    eng.run(&mut m);
+    assert_eq!(eng.take_outcome(parked).unwrap(), Err(ProtocolError::Cancelled));
+    match eng.take_outcome(queued).unwrap() {
+        Ok(OpOutcome::Reliable(out)) => {
+            assert_eq!(m.read_buffer(n(9), out.xfer.dst_buffer, data.len()), data);
         }
+        other => panic!("the queued transfer must complete, got {other:?}"),
     }
 }
 
