@@ -83,7 +83,7 @@
 //! concurrent calls (even between the same pair) sort themselves out.
 //!
 //! Packet consumption is *gated*: an operation only issues the receive
-//! sequence when a cost-free NI peek ([`RxMeta`]) shows that the
+//! sequence when a cost-free NI peek ([`RxMeta`](timego_netsim::RxMeta)) shows that the
 //! packet at the head of its node's queue belongs to it. Reserved-tag
 //! packets claimed by no active operation (stale duplicates of
 //! completed operations) are discarded by the engine with the same
@@ -178,23 +178,27 @@ use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::ops::Bound;
 use std::time::Instant;
 
-use timego_cost::{CostVector, Feature, Fine};
-use timego_netsim::{LatencyStats, NodeId, RxMeta};
+use timego_cost::CostVector;
+use timego_netsim::{LatencyStats, NodeId};
 
-use crate::am::Am4Op;
-use crate::costs::recovery;
 use crate::error::ProtocolError;
-use crate::machine::{Machine, Tags};
-use crate::op::{GcExempt, KeyClass, OpMachine, Stepped};
-use crate::retry::{RecoveryPolicy, RetryPolicy};
-use crate::rpc::RpcOp;
+use crate::machine::Machine;
+use crate::op::{KeyClass, Op, OpBody, OpMachine, Stepped};
+use crate::retry::RecoveryPolicy;
 use crate::sched::{SchedCounters, SchedPhase, SchedProfiler, Slab, TimingWheel};
-use crate::stream::{StreamId, StreamOp, StreamOutcome};
-use crate::xfer::{PayloadEngine, XferOp, XferOutcome};
-use crate::xfer_reliable::{ReliableOp, ReliableOutcome, OFFSET_BITS};
+use crate::stream::StreamOutcome;
+use crate::xfer::XferOutcome;
+use crate::xfer_reliable::ReliableOutcome;
 
+mod class;
 #[cfg(test)]
 mod oracle;
+mod recovery;
+mod supervise;
+mod wake;
+
+use recovery::RetryBudgetState;
+use wake::Touch;
 
 /// Identifies one submitted operation within an [`Engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -403,19 +407,6 @@ struct RunSlot {
     sleep_gen: u64,
 }
 
-/// Why a node is being touched — which sleepers the touch can concern
-/// (see [`Engine::touch_node`]).
-enum Touch {
-    /// A delivery, or an engine stray discard surfacing the next packet:
-    /// only the queue head's claimants.
-    Packet,
-    /// An op between this node and `peer` progressed or finished here:
-    /// the head's claimants, plus the sleepers on that same pair.
-    Pair { peer: NodeId },
-    /// The node crash-restarted: every op with an endpoint here.
-    Restart,
-}
-
 /// What one timing-wheel expiry means to the scheduler. Every variant
 /// is validated against current engine state when it fires — entries
 /// are never eagerly cancelled, they just go stale.
@@ -428,316 +419,6 @@ enum WheelItem {
     Deadline { id: OpId },
     /// A running op's no-progress watchdog may have expired.
     Watchdog { slot: u32, inc: u64 },
-}
-
-/// The family-specific half of an [`Op`]: what to run, between whom.
-/// It exists only until submission — [`OpBody::build`] turns it into the
-/// state machine, which is the operation from then on.
-///
-/// `call_id` and `token` are *resolved* fields — zero as constructed,
-/// filled in by [`Engine::submit`] — and the machine keeps them across
-/// re-executions, which is where exactly-once needs continuity: an RPC
-/// re-execution reuses its call id so the callee's reply cache
-/// deduplicates a handler that already ran, and a recovering am4 keeps
-/// its delivery token.
-#[derive(Debug, Clone)]
-enum OpBody {
-    Xfer {
-        src: NodeId,
-        dst: NodeId,
-        data: Vec<u32>,
-        engine: PayloadEngine,
-    },
-    Reliable {
-        src: NodeId,
-        dst: NodeId,
-        data: Vec<u32>,
-        policy: RetryPolicy,
-    },
-    Stream {
-        id: StreamId,
-        data: Vec<u32>,
-    },
-    Rpc {
-        src: NodeId,
-        dst: NodeId,
-        tag: u8,
-        args: [u32; 4],
-        policy: Option<RetryPolicy>,
-        call_id: u64,
-    },
-    Am4 {
-        src: NodeId,
-        dst: NodeId,
-        tag: u8,
-        words: [u32; 4],
-        token: u32,
-    },
-}
-
-impl OpBody {
-    /// Build the state machine — the only body → machine constructor;
-    /// a recovery re-execution is the machine's own `reset`. `managed`
-    /// marks the op as recovery-managed (see [`Op::recovering`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a stream id the machine never opened
-    /// ([`Op::validate`] rejects those first).
-    fn build(self, m: &Machine, managed: bool) -> Box<dyn OpMachine> {
-        let n = m.config().packet_words;
-        match self {
-            OpBody::Xfer { src, dst, data, engine } => {
-                Box::new(XferOp::new(src, dst, data, engine, n))
-            }
-            OpBody::Reliable { src, dst, data, policy } => {
-                Box::new(ReliableOp::new(src, dst, data, n, policy))
-            }
-            OpBody::Stream { id, data } => {
-                let st = m.stream_state(id);
-                Box::new(StreamOp::new(id, st.src, st.dst, data, n, st.rto_iterations(), None))
-            }
-            OpBody::Rpc { src, dst, tag, args, policy, call_id } => {
-                Box::new(RpcOp::new(src, dst, tag, args, call_id, policy, managed))
-            }
-            OpBody::Am4 { src, dst, tag, words, token } => {
-                Box::new(Am4Op::new(src, dst, tag, words, token, managed))
-            }
-        }
-    }
-}
-
-/// One operation to submit: a family constructor ([`Op::xfer`],
-/// [`Op::xfer_reliable`], [`Op::stream_send`], [`Op::rpc`],
-/// [`Op::am4`]) plus orthogonal modifiers ([`Op::after`],
-/// [`Op::recovering`], [`Op::deadline`], [`Op::class`]), handed to
-/// [`Engine::submit`]. The description is plain data: nothing is
-/// validated, allocated or traced until submission.
-///
-/// ```
-/// # use timego_am::{Op, RecoveryPolicy};
-/// # use timego_netsim::NodeId;
-/// let op = Op::rpc(NodeId::new(0), NodeId::new(1), 40, [1, 2, 3, 4], None)
-///     .recovering(&RecoveryPolicy::default())
-///     .deadline(10_000)
-///     .class(2);
-/// # let _ = op;
-/// ```
-#[derive(Debug, Clone)]
-pub struct Op {
-    body: OpBody,
-    after: Vec<OpId>,
-    recovery: Option<RecoveryPolicy>,
-    deadline: Option<u64>,
-    class: Option<u8>,
-}
-
-impl Op {
-    fn new(body: OpBody) -> Self {
-        Op { body, after: Vec::new(), recovery: None, deadline: None, class: None }
-    }
-
-    /// A finite-sequence transfer (the engine form of
-    /// [`Machine::xfer`]).
-    #[must_use]
-    pub fn xfer(src: NodeId, dst: NodeId, data: &[u32]) -> Self {
-        Op::xfer_via(src, dst, data, PayloadEngine::Cpu)
-    }
-
-    pub(crate) fn xfer_via(src: NodeId, dst: NodeId, data: &[u32], engine: PayloadEngine) -> Self {
-        Op::new(OpBody::Xfer { src, dst, data: data.to_vec(), engine })
-    }
-
-    /// A fault-tolerant finite-sequence transfer (the engine form of
-    /// [`Machine::xfer_reliable`]).
-    #[must_use]
-    pub fn xfer_reliable(src: NodeId, dst: NodeId, data: &[u32], policy: &RetryPolicy) -> Self {
-        Op::new(OpBody::Reliable { src, dst, data: data.to_vec(), policy: policy.clone() })
-    }
-
-    /// A stream send (the engine form of [`Machine::stream_send`]).
-    /// Sends on the same stream (or between the same node pair) are
-    /// serialized in submission order.
-    #[must_use]
-    pub fn stream_send(id: StreamId, data: &[u32]) -> Self {
-        Op::new(OpBody::Stream { id, data: data.to_vec() })
-    }
-
-    /// An RPC (the engine form of [`Machine::rpc_call`] without a
-    /// policy, [`Machine::rpc_call_retrying`] with one). The call id is
-    /// allocated at submission, so replies of concurrent calls — even
-    /// between the same pair of nodes — are matched by correlation id.
-    #[must_use]
-    pub fn rpc(
-        src: NodeId,
-        dst: NodeId,
-        tag: u8,
-        args: [u32; 4],
-        policy: Option<&RetryPolicy>,
-    ) -> Self {
-        Op::new(OpBody::Rpc { src, dst, tag, args, policy: policy.cloned(), call_id: 0 })
-    }
-
-    /// A single four-word active message (the engine form of
-    /// [`Machine::am4_send`] plus the destination's gated poll) — the
-    /// building block of engine-native collectives, where every tree
-    /// edge is one active message released by the delivery that fed its
-    /// sender. The source pays Table 1's 20-instruction injection path
-    /// (again on every backpressure retry, exactly like the blocking
-    /// call); the destination pays the 27-instruction poll-with-message
-    /// path when the packet is latched — never an idle poll, because
-    /// consumption is peek-gated. The outcome carries the words the
-    /// destination read ([`OpOutcome::Am4`]).
-    ///
-    /// Messages between the same ordered pair are serialized in
-    /// submission order (conflict key), so two concurrent sends with the
-    /// same tag cannot swap deliveries.
-    #[must_use]
-    pub fn am4(src: NodeId, dst: NodeId, tag: u8, words: [u32; 4]) -> Self {
-        Op::new(OpBody::Am4 { src, dst, tag, words, token: 0 })
-    }
-
-    /// Run-after dependencies: hold the operation until every op in
-    /// `ids` completes successfully (repeated calls accumulate).
-    #[must_use]
-    pub fn after(mut self, ids: &[OpId]) -> Self {
-        self.after.extend_from_slice(ids);
-        self
-    }
-
-    /// Attach an engine-native [`RecoveryPolicy`]: if the operation
-    /// settles with a retryable error (`SessionReset`, `Timeout`,
-    /// `DeadlineExceeded`), the scheduler itself re-executes it under
-    /// the same [`OpId`] after the policy's backoff window — no
-    /// caller-side loop, and run-after dependents stay held instead of
-    /// cascading [`ProtocolError::DependencyFailed`]. Each re-execution
-    /// bills the session-restart instruction shape to
-    /// `Feature::FaultTol` at the source; a clean run is
-    /// instruction-identical to the unmodified op.
-    ///
-    /// Re-execution is exactly-once per family: a reliable transfer
-    /// restarts under a fresh session epoch; a stream send *resumes*
-    /// (packets the receiver already delivered in-sequence are not
-    /// re-sent); an RPC reuses its call id, so a callee whose handler
-    /// already ran answers from its reply cache (at most once per
-    /// callee incarnation); an am4 rides a nonzero *delivery token* in
-    /// the header word (plain user traffic always carries header `0`),
-    /// so a duplicate left by a crash-straddling re-execution can never
-    /// be mistaken for a later same-pair message and is
-    /// orphan-discarded once its operation completes.
-    ///
-    /// Attaching any policy — even [`RecoveryPolicy::none`] — marks an
-    /// RPC or am4 as *recovery-managed*: it fails fast with the
-    /// retryable `SessionReset` when an endpoint crash-restarts, and
-    /// the am4 carries its token. Plain [`Op::xfer`] has no
-    /// re-execution recipe; submitting it with a policy is rejected.
-    #[must_use]
-    pub fn recovering(mut self, policy: &RecoveryPolicy) -> Self {
-        self.recovery = Some(policy.clone());
-        self
-    }
-
-    /// A completion deadline, in substrate cycles from the submission
-    /// cycle: if the operation — running, pending, held or parked — has
-    /// not completed by then, the engine settles it with the retryable
-    /// [`ProtocolError::DeadlineExceeded`] and cascades
-    /// [`ProtocolError::DependencyFailed`] into its dependents, exactly
-    /// like any other failure. Supervision is host-side scheduling: it
-    /// charges no simulated instructions.
-    #[must_use]
-    pub fn deadline(mut self, cycles: u64) -> Self {
-        self.deadline = Some(cycles);
-        self
-    }
-
-    /// Tag the operation with a *request class* (QoS tier, tenant,
-    /// priority band — any `u8` the caller chooses). Every instruction
-    /// the operation causes at either of its endpoints — admission
-    /// `start`, every `step` (including callee handler work an RPC
-    /// drives at its destination), and engine-native recovery restarts
-    /// — is *also* accumulated into that class's [`CostVector`],
-    /// splitting the per-node bills by class. The split is attribution,
-    /// not double-billing: the node recorders are untouched, and on
-    /// clean runs the per-class bills sum exactly to the total the node
-    /// recorders saw (see `tests/serving_invariants.rs`). The tag lands
-    /// with the submission, so nothing the op costs escapes it.
-    /// Untagged operations are never snapshotted, and a fully untagged
-    /// engine skips the class plane entirely.
-    #[must_use]
-    pub fn class(mut self, class: u8) -> Self {
-        self.class = Some(class);
-        self
-    }
-
-    /// Everything that can reject the submission, checked before any
-    /// engine or machine state is touched. `next_id` is the id the
-    /// engine would assign: ids are handed out densely at submission,
-    /// so a dependency at or past it is a forward (or self) reference —
-    /// the only way a dependency cycle could ever be expressed.
-    fn validate(&self, m: &Machine, next_id: u64) -> Result<(), ProtocolError> {
-        let bad = |what: String| Err(ProtocolError::BadTransfer(what));
-        let (src, dst) = match &self.body {
-            OpBody::Xfer { src, dst, .. }
-            | OpBody::Reliable { src, dst, .. }
-            | OpBody::Rpc { src, dst, .. }
-            | OpBody::Am4 { src, dst, .. } => (*src, *dst),
-            OpBody::Stream { id, .. } if m.has_stream(*id) => {
-                let st = m.stream_state(*id);
-                (st.src, st.dst)
-            }
-            OpBody::Stream { .. } => {
-                return bad("stream id was not opened on this machine".into());
-            }
-        };
-        m.check_endpoints(src, dst)?;
-        match &self.body {
-            OpBody::Reliable { policy, .. } | OpBody::Rpc { policy: Some(policy), .. }
-                if policy.max_attempts == 0 =>
-            {
-                return bad("policy.max_attempts is 0; need at least one attempt".into());
-            }
-            OpBody::Xfer { data, .. } | OpBody::Reliable { data, .. } if data.is_empty() => {
-                return bad("empty transfer".into());
-            }
-            OpBody::Xfer { .. } if self.recovery.is_some() => {
-                return bad(
-                    "recovering: a plain xfer has no re-execution recipe (use Op::xfer_reliable)"
-                        .into(),
-                );
-            }
-            OpBody::Reliable { data, .. } if data.len() >= (1 << OFFSET_BITS) => {
-                return bad(format!(
-                    "reliable transfer caps at {} words, got {}",
-                    (1 << OFFSET_BITS) - 1,
-                    data.len()
-                ));
-            }
-            OpBody::Stream { data, .. } if data.is_empty() => {
-                return bad("empty stream send".into());
-            }
-            OpBody::Stream { id, .. } if m.stream_state(*id).window() == 0 => {
-                return bad("stream window is 0; need at least one source-buffer slot".into());
-            }
-            OpBody::Am4 { tag, .. } if *tag < Tags::USER_BASE => {
-                return bad(format!(
-                    "am4 tag {tag} is in the reserved protocol range (< {})",
-                    Tags::USER_BASE
-                ));
-            }
-            _ => {}
-        }
-        if self.recovery.as_ref().is_some_and(|p| p.max_executions == 0) {
-            return bad("recovery.max_executions is 0; need at least one execution".into());
-        }
-        if let Some(dep) = self.after.iter().find(|d| d.raw() >= next_id) {
-            return bad(format!(
-                "run-after dependency on op {} which this engine has not submitted; \
-                 edges must point backward, so dependency cycles are rejected at submission",
-                dep.raw()
-            ));
-        }
-        Ok(())
-    }
 }
 
 /// The protocol engine: a scheduler interleaving NI polls, timer
@@ -819,32 +500,6 @@ pub struct Engine {
     retry_budgets: BTreeMap<u8, RetryBudgetState>,
 }
 
-/// Token-bucket state of one class's retry budget. Tokens are held in
-/// milli-units (1000 = one re-execution) so slow refills stay integer
-/// and deterministic.
-#[derive(Debug, Clone)]
-struct RetryBudgetState {
-    capacity_milli: u64,
-    refill_milli_per_kcycle: u64,
-    tokens_milli: u64,
-    // Substrate clock of the last *spend* — refills are computed from
-    // here on demand, so precision is lost only when tokens move.
-    last_spend_at: u64,
-    denied: u64,
-}
-
-impl RetryBudgetState {
-    fn available_milli(&self, now: u64) -> u64 {
-        let gained = u64::try_from(
-            u128::from(now.saturating_sub(self.last_spend_at))
-                * u128::from(self.refill_milli_per_kcycle)
-                / 1000,
-        )
-        .unwrap_or(u64::MAX);
-        self.tokens_milli.saturating_add(gained).min(self.capacity_milli)
-    }
-}
-
 impl Engine {
     /// An empty engine.
     #[must_use]
@@ -894,7 +549,7 @@ impl Engine {
     /// [`ProtocolError::BadTransfer`], naming the offending field, for
     /// equal or out-of-range endpoints, a stream id this machine never
     /// opened, empty or oversized data, a reserved (protocol-range) am4
-    /// tag, a zero-attempt [`RetryPolicy`] or zero-execution
+    /// tag, a zero-attempt [`RetryPolicy`](crate::RetryPolicy) or zero-execution
     /// [`RecoveryPolicy`], [`Op::recovering`] on a plain transfer, or a
     /// dependency on an id this engine has not submitted (forward
     /// references — the only way to express a cycle). A rejected
@@ -1072,89 +727,6 @@ impl Engine {
         stats
     }
 
-    /// The accumulated cost attributed to `class` — the Table-1/2/3
-    /// projection for one request class. Empty if the class was never
-    /// billed.
-    #[must_use]
-    pub fn class_bill(&self, class: u8) -> CostVector {
-        self.class_bills.get(&class).cloned().unwrap_or_default()
-    }
-
-    /// Every `(class, bill)` pair accumulated so far, ascending by
-    /// class.
-    #[must_use]
-    pub fn class_bills(&self) -> Vec<(u8, CostVector)> {
-        self.class_bills.iter().map(|(&c, v)| (c, v.clone())).collect()
-    }
-
-    /// [`Engine::completion_times`] restricted to operations tagged
-    /// with `class`.
-    #[must_use]
-    pub fn completion_times_for_class(&self, class: u8) -> Vec<(OpId, u64)> {
-        self.completion_times()
-            .into_iter()
-            .filter(|(id, _)| self.ops[id.index()].class == Some(class))
-            .collect()
-    }
-
-    /// Arm a *retry budget* for `class`: a token bucket holding at most
-    /// `capacity` re-execution tokens, refilled at
-    /// `refill_milli_per_kcycle` milli-tokens per thousand substrate
-    /// cycles (1000 = one full re-execution per kilocycle). Every
-    /// engine-native re-execution of an op tagged with `class` (via
-    /// [`Op::class`]) spends one token *before* parking; when
-    /// the bucket is dry the recovery is **denied** — the op settles
-    /// with its retryable error exactly as if its
-    /// [`RecoveryPolicy`] budget were exhausted — and the denial is
-    /// counted ([`Engine::retry_budget_denied`]).
-    ///
-    /// This is the serving plane's cap on *recovery amplification*: a
-    /// correlated failure (a crashed server absorbing a whole class's
-    /// requests) otherwise multiplies every request into
-    /// `max_executions` attempts at the worst possible time. The bucket
-    /// starts full. Re-arming a class resets its bucket and counter.
-    /// Ops of classes without a budget — and untagged ops — are never
-    /// consulted.
-    pub fn set_retry_budget(&mut self, class: u8, capacity: u32, refill_milli_per_kcycle: u32) {
-        self.retry_budgets.insert(
-            class,
-            RetryBudgetState {
-                capacity_milli: u64::from(capacity) * 1000,
-                refill_milli_per_kcycle: u64::from(refill_milli_per_kcycle),
-                tokens_milli: u64::from(capacity) * 1000,
-                last_spend_at: 0,
-                denied: 0,
-            },
-        );
-    }
-
-    /// How many re-executions the retry budget of `class` has denied so
-    /// far (0 for classes without a budget).
-    #[must_use]
-    pub fn retry_budget_denied(&self, class: u8) -> u64 {
-        self.retry_budgets.get(&class).map_or(0, |b| b.denied)
-    }
-
-    /// Spend one re-execution token from `id`'s class budget, if its
-    /// class carries one. Returns `false` — and counts the denial — if
-    /// the bucket is dry; the caller then lets the failure settle.
-    fn charge_retry_budget(&mut self, m: &Machine, id: OpId) -> bool {
-        if self.retry_budgets.is_empty() {
-            return true;
-        }
-        let Some(class) = self.ops[id.index()].class else { return true };
-        let Some(b) = self.retry_budgets.get_mut(&class) else { return true };
-        let now = m.now();
-        let available = b.available_milli(now);
-        if available < 1000 {
-            b.denied += 1;
-            return false;
-        }
-        b.tokens_milli = available - 1000;
-        b.last_spend_at = now;
-        true
-    }
-
     /// Incremental completion harvest: every operation settled since
     /// `cursor` (opaque; start at `0`), in completion order, as `(id,
     /// ok, at)` tuples stamped like the `Completed` trace event,
@@ -1167,42 +739,6 @@ impl Engine {
         let out = self.completions[*cursor..].to_vec();
         *cursor = self.completions.len();
         out
-    }
-
-    /// Pre-step snapshot for the class plane: if `id` is tagged, the
-    /// cost recorders at both endpoints as they stand *before* the
-    /// about-to-run `start`/`step`. `None` (the untagged and
-    /// class-plane-off cases) makes the post hook free.
-    fn class_pre(
-        &self,
-        m: &Machine,
-        id: OpId,
-        endpoints: (NodeId, NodeId),
-    ) -> Option<(u8, CostVector, CostVector)> {
-        if !self.class_plane {
-            return None;
-        }
-        let class = self.ops[id.index()].class?;
-        Some((class, m.cpu(endpoints.0).snapshot(), m.cpu(endpoints.1).snapshot()))
-    }
-
-    /// Post-step accumulation: whatever the endpoints' recorders gained
-    /// since `pre` is credited to the op's class. Single-threaded
-    /// stepping means the delta is exactly the cost this op caused.
-    fn class_post(
-        &mut self,
-        m: &Machine,
-        pre: Option<(u8, CostVector, CostVector)>,
-        endpoints: (NodeId, NodeId),
-    ) {
-        let Some((class, before_a, before_b)) = pre else { return };
-        let mut delta = m.cpu(endpoints.0).snapshot() - before_a;
-        if endpoints.1 != endpoints.0 {
-            delta += m.cpu(endpoints.1).snapshot() - before_b;
-        }
-        if !delta.is_empty() {
-            *self.class_bills.entry(class).or_default() += delta;
-        }
     }
 
     /// Take the outcome of a finished operation (at most once). `None`
@@ -1509,32 +1045,6 @@ impl Engine {
         assert!(self.by_pair.iter().all(|v| v.is_sorted()), "pair index out of order");
     }
 
-    /// Nothing is running. If an op is parked, nothing is runnable until its backoff window closes:
-    /// jump the clock there and return `true` so the next iteration
-    /// re-admits it. Otherwise the engine is drained — `false`.
-    fn jump_to_parked(&mut self, m: &mut Machine) -> bool {
-        if let Some(&(resume_at, _)) = self.parked.first() {
-            let now = m.now();
-            if resume_at > now {
-                m.advance(resume_at - now);
-                self.counters.advances += 1;
-            }
-            return true;
-        }
-        // Pending ops blocked on keys held by nothing running:
-        // impossible, but don't spin.
-        assert!(self.pending.is_empty(), "pending operations with no running key holder");
-        // A held op always has a live predecessor somewhere in
-        // running/pending/parked (release and failure both move it out
-        // of `held` when the last one settles), so nothing can be held
-        // here; sweep defensively rather than spin if that invariant
-        // ever breaks.
-        while let Some(id) = self.held.pop_first() {
-            self.settle(m, id, Err(ProtocolError::timeout("engine progress", 0)));
-        }
-        false
-    }
-
     fn profile(&mut self, phase: SchedPhase, started: Option<Instant>) {
         if let (Some(t), Some(p)) = (started, self.profiler.as_mut()) {
             p.record(phase, t.elapsed().as_nanos() as u64);
@@ -1612,140 +1122,6 @@ impl Engine {
             self.counters.packet_wakes += 1;
             self.touch_node(m, node, Touch::Packet);
         }
-    }
-
-    /// Note activity at `node`: mark it for the orphan sweep and wake the
-    /// sleepers the touch can concern. Called on substrate deliveries,
-    /// crash-restarts, engine stray discards, and whenever an op
-    /// progresses or finishes at its endpoints (consumption can reveal
-    /// the next queued packet).
-    ///
-    /// By the [`OpMachine`] contract a sleeper's next step is non-idle
-    /// only through its own timer (the wheel's business), a restart of
-    /// an endpoint, or a queue head it `claims` — and every `claims`
-    /// requires the head's sender to be the op's other endpoint. So, by
-    /// cause:
-    ///
-    /// 1. any touch with a packet at the head wakes the sleepers keyed
-    ///    `(node, head.src)` that claim it;
-    /// 2. a touch by an op's own progress or finish also wakes the
-    ///    sleepers on that op's pair, whatever the head (a handful at
-    ///    most): one of them may have slept behind the head this op just
-    ///    consumed with a packet of its own still held by a scripted
-    ///    substrate, which holds per pair — nothing of its own reaches a
-    ///    queue head to wake it by, but its next look at the emptied
-    ///    queue releases the packet, as the reference's re-step would;
-    /// 3. a restart wakes every op with an endpoint here — the
-    ///    `SessionReset` is each one's to observe;
-    /// 4. a head sent by the node itself fits no pair key and falls back
-    ///    to 3.
-    ///
-    /// The look at the head is pure ([`Machine::rx_head_at`]): an empty
-    /// queue is "no head", never a substrate peek. And when nothing
-    /// sleeps here the touch returns before any substrate call.
-    fn touch_node(&mut self, m: &Machine, node: NodeId, cause: Touch) {
-        self.orphan_dirty.insert(node.index());
-        if self.sleepers.get(node.index()).is_none_or(|&n| n == 0) {
-            return;
-        }
-        let woken = match cause {
-            Touch::Restart => return self.wake_all_at(node),
-            Touch::Pair { peer } => {
-                self.wake_pair(node, peer, None);
-                Some(peer)
-            }
-            Touch::Packet => None,
-        };
-        match m.rx_head_at(node) {
-            Some(head) if head.src == node => self.wake_all_at(node),
-            // A head from the pair just woken wholesale has no one left
-            // to name.
-            Some(head) if Some(head.src) != woken => self.wake_pair(node, head.src, Some(&head)),
-            _ => {}
-        }
-    }
-
-    /// [`Engine::touch_node`] at both endpoints of an op that progressed
-    /// or finished.
-    fn touch_endpoints(&mut self, m: &Machine, (a, b): (NodeId, NodeId)) {
-        self.touch_node(m, a, Touch::Pair { peer: b });
-        self.touch_node(m, b, Touch::Pair { peer: a });
-    }
-
-    /// Where the ops keyed `(node, peer)` start in `by_pair[node]`.
-    fn pair_start(&self, node: NodeId, peer: NodeId) -> usize {
-        self.by_pair.get(node.index()).map_or(0, |v| v.partition_point(|e| e.0 < peer))
-    }
-
-    /// Wake the sleepers keyed `(node, peer)` — those that claim `head`,
-    /// or all of them when there is no head to ask about.
-    fn wake_pair(&mut self, node: NodeId, peer: NodeId, head: Option<&RxMeta>) {
-        let mut k = self.pair_start(node, peer);
-        while let Some(&(p, slot)) = self.by_pair[node.index()].get(k) {
-            if p != peer {
-                break;
-            }
-            k += 1;
-            let s = &self.slots[slot];
-            if !s.ready && head.is_none_or(|h| s.a.op.claims(node, h)) {
-                self.wake_slot(slot);
-            }
-        }
-    }
-
-    /// Wake every sleeper with an endpoint at `node`.
-    fn wake_all_at(&mut self, node: NodeId) {
-        for k in 0..self.by_pair[node.index()].len() {
-            let slot = self.by_pair[node.index()][k].1;
-            self.wake_slot(slot);
-        }
-    }
-
-    /// Wake a sleeping slot, delivering the timer ticks it slept
-    /// through in one lazy batch. Ticks are engine-advance epochs, not
-    /// raw clock cycles: a same-epoch wake delivers zero ticks —
-    /// preserving `stalled` until an idle advance actually passes,
-    /// exactly like the reference (which only clears it on a tick).
-    fn wake_slot(&mut self, slot: u32) {
-        let epoch = self.tick_epoch;
-        let Some(s) = self.slots.get_mut(slot) else { return };
-        if s.ready {
-            return;
-        }
-        s.ready = true;
-        // Invalidate the outstanding wheel wake for this sleep.
-        s.sleep_gen += 1;
-        let elapsed = epoch.saturating_sub(s.slept_epoch);
-        if elapsed > 0 {
-            s.a.op.tick_n(elapsed);
-        }
-        self.ready.insert((s.inc, slot));
-        let (a, b) = s.a.endpoints;
-        self.sleepers[a.index()] -= 1;
-        self.sleepers[b.index()] -= 1;
-    }
-
-    /// Put a slot to sleep after an `Idle` step: record the sleep
-    /// anchor, take it out of the ready set, and schedule the op's own
-    /// timer wake — the earliest future cycle at which a timer tick
-    /// could make its next step non-idle. A touch that concerns it
-    /// ([`Engine::touch_node`]) wakes it earlier.
-    fn sleep_slot(&mut self, m: &Machine, slot: u32) {
-        let now = m.now();
-        let wake_in = self.slots[slot].a.op.wake_in(m.config().max_wait_cycles);
-        let epoch = self.tick_epoch;
-        let s = &mut self.slots[slot];
-        s.ready = false;
-        s.slept_epoch = epoch;
-        let inc = s.inc;
-        if wake_in != u64::MAX {
-            let item = WheelItem::Wake { slot, inc, gen: s.sleep_gen };
-            self.wheel.insert(now.saturating_add(wake_in), item);
-        }
-        self.ready.remove(&(inc, slot));
-        let (a, b) = s.a.endpoints;
-        self.sleepers[a.index()] += 1;
-        self.sleepers[b.index()] += 1;
     }
 
     /// Start an admitted op — a first execution and a recovery
@@ -1834,121 +1210,6 @@ impl Engine {
         self.conclude(m, s.a, result);
     }
 
-    /// An admitted op (running, or parked and expired) ended with
-    /// `result`. Engine-native recovery decision: a retryable failure
-    /// of a recovery-armed op with budget left *parks* the op — as its
-    /// state machine, which `release_recovered` resets — for its backoff
-    /// window instead of settling it, billing the session-restart
-    /// instruction shape to `Feature::FaultTol` at the op's source —
-    /// the same shape (and feature) the caller-side restart loop this
-    /// replaces used to bill. Anything else frees the op's conflict key
-    /// and settles it.
-    fn conclude(&mut self, m: &Machine, a: ActiveOp, result: Result<OpOutcome, ProtocolError>) {
-        let id = a.id;
-        let entry = &self.ops[id.index()];
-        let budget_left = entry
-            .recovery
-            .as_ref()
-            .is_some_and(|policy| entry.re_executions + 1 < policy.max_executions);
-        // The class retry budget is spent *before* parking: a denial
-        // means the failure settles normally (and is counted), capping
-        // recovery amplification under correlated failure.
-        let retry = result.as_ref().is_err_and(ProtocolError::is_retryable)
-            && budget_left
-            && self.charge_retry_budget(m, id);
-        if !retry {
-            if let Some(k) = a.key {
-                self.busy.remove(&k);
-            }
-            return self.settle(m, id, result);
-        }
-        let entry = &mut self.ops[id.index()];
-        entry.re_executions += 1;
-        let policy = entry.recovery.as_ref().expect("recovery policy just checked");
-        let wait = policy.window(entry.re_executions);
-        let src = a.endpoints.0;
-        let cpu = m.cpu(src);
-        let cls = self.class_pre(m, id, (src, src));
-        cpu.with_feature(Feature::FaultTol, |c| {
-            c.reg(Fine::RegOp, recovery::SESSION_RESTART_REG);
-            c.mem_store(recovery::SESSION_RESTART_MEM);
-        });
-        self.class_post(m, cls, (src, src));
-        self.record(m, EngineEvent::Recovering(id));
-        let resume_at = m.now().saturating_add(wait);
-        // The parked op keeps its conflict key: queued same-key work
-        // must not overtake the re-execution.
-        self.ops[id.index()].stage = Stage::Parked { resume_at, op: Box::new(a) };
-        self.parked.insert((resume_at, id));
-    }
-
-    /// Re-admit parked ops whose backoff window has closed — the due
-    /// prefix of the `parked` index, spawned in id order: reset the
-    /// retained state machine (a fresh session epoch is allocated in
-    /// `start`) and put it straight back on the running set — its
-    /// conflict key never left `busy`.
-    fn release_recovered(&mut self, m: &mut Machine) {
-        let now = m.now();
-        let mut due: Vec<OpId> =
-            self.parked.iter().take_while(|&&(at, _)| at <= now).map(|&(_, id)| id).collect();
-        due.sort_unstable();
-        for id in due {
-            let mut a = self.unpark(id);
-            a.op.reset();
-            self.spawn(m, a);
-        }
-    }
-
-    /// Take a parked op out of the ledger row and the `parked` index.
-    fn unpark(&mut self, id: OpId) -> ActiveOp {
-        match std::mem::take(&mut self.ops[id.index()].stage) {
-            Stage::Parked { resume_at, op } => {
-                self.parked.remove(&(resume_at, id));
-                *op
-            }
-            _ => unreachable!("the parked index names only parked rows"),
-        }
-    }
-
-    /// Epoch-TTL sweep of receiver-side tables (dead sessions left by
-    /// crashed senders, reply-cache entries of long-settled calls).
-    /// What an unfinished operation shields is its own to say
-    /// ([`OpMachine::gc_exempt`]). The sweep itself happens in
-    /// [`Machine::gc_expired`], billed to `Feature::FaultTol` at each
-    /// reclaiming receiver.
-    fn collect_garbage(&mut self, m: &mut Machine) {
-        // Fast path: nothing is past its TTL, so the sweep would
-        // reclaim (and bill) nothing. The check is conservative —
-        // ignoring live-set exemptions — so a `false` is always exact,
-        // and O(1): the machine compares the clock with the earliest
-        // cycle anything could expire and walks its tables only then.
-        if !m.gc_has_expired() {
-            return;
-        }
-        let mut live_sessions: HashSet<(NodeId, NodeId)> = HashSet::new();
-        let mut live_replies: HashSet<(NodeId, NodeId, u32)> = HashSet::new();
-        let admitted = self.run_order.iter().map(|&s| &self.slots[s].a).chain(&self.pending);
-        let parked = self.parked.iter().map(|(_, id)| id);
-        let staged =
-            self.held.iter().chain(parked).filter_map(|id| match &self.ops[id.index()].stage {
-                Stage::Held(h) => Some((&h.op, false)),
-                Stage::Parked { op, .. } => Some((&**op, true)),
-                _ => None,
-            });
-        for (a, parked) in admitted.map(|a| (a, false)).chain(staged) {
-            match a.op.gc_exempt(parked) {
-                Some(GcExempt::Session(receiver, sender)) => {
-                    live_sessions.insert((receiver, sender));
-                }
-                Some(GcExempt::Reply(callee, caller, call_id)) => {
-                    live_replies.insert((callee, caller, call_id));
-                }
-                None => {}
-            }
-        }
-        m.gc_expired(&live_sessions, &live_replies);
-    }
-
     /// Record an operation's final outcome and propagate it along
     /// run-after edges. Success releases each dependent whose *last*
     /// outstanding predecessor this was (held → pending, with a
@@ -1995,237 +1256,6 @@ impl Engine {
             }
         }
     }
-
-    /// Is a packet with this envelope the engine's to discard once no
-    /// running op claims it? Reserved protocol tags are engine-owned.
-    /// User-tag packets carrying a nonzero header are recovery-stamped
-    /// am4 sends (plain user traffic always rides header 0) and equally
-    /// discardable once no running op claims their token.
-    fn discardable(meta: &RxMeta) -> bool {
-        meta.tag < Tags::USER_BASE || meta.tag == Tags::RPC_REPLY || meta.header != 0
-    }
-
-    /// Is the packet at `node`'s queue head discardable and unclaimed?
-    /// Only the ops keyed `(node, meta.src)` are asked — every `claims`
-    /// requires the sender to be the op's other endpoint, so no one
-    /// else can. A packet the node sent itself fits no pair key and is
-    /// scanned for.
-    fn orphaned(&self, node: NodeId, meta: &RxMeta) -> bool {
-        if !Self::discardable(meta) {
-            return false;
-        }
-        let claims = |slot: u32| self.slots[slot].a.op.claims(node, meta);
-        if meta.src == node {
-            return !self.run_order.iter().any(|&slot| claims(slot));
-        }
-        let keyed = self.by_pair.get(node.index()).map_or(&[][..], Vec::as_slice);
-        let keyed = &keyed[self.pair_start(node, meta.src)..];
-        !keyed.iter().take_while(|e| e.0 == meta.src).any(|e| claims(e.1))
-    }
-
-    /// Discard one packet claimed by no active operation (a stale
-    /// duplicate of an already-completed operation), charged with the
-    /// same instruction shape the blocking recovery paths used for stray
-    /// discards. Returns `true` if something was discarded. Only nodes
-    /// with packet activity since their last clean verdict are
-    /// examined: every path that can surface a discardable head marks
-    /// the node dirty (deliveries, restarts, claimant progress/finish,
-    /// prior discards), so the dirty set is a superset of the nodes a
-    /// scan of every node could act on.
-    fn discard_orphan(&mut self, m: &mut Machine) -> bool {
-        while let Some(&ni) = self.orphan_dirty.iter().next() {
-            let node = NodeId::new(ni);
-            if !m.rx_head_at(node).is_some_and(|meta| self.orphaned(node, &meta)) {
-                self.orphan_dirty.remove(&ni);
-                continue;
-            }
-            m.discard_stray(node);
-            // The next queued packet (if any) surfaced: leave the node
-            // dirty and wake whom it concerns.
-            self.touch_node(m, node, Touch::Packet);
-            return true;
-        }
-        debug_assert!(
-            !self.discard_scan_would_find(m),
-            "orphan-dirty set missed a discardable packet"
-        );
-        false
-    }
-
-    /// Debug cross-check for [`Engine::discard_orphan`]: would a scan of
-    /// every node have discarded something the dirty scan just declared
-    /// absent?
-    fn discard_scan_would_find(&self, m: &Machine) -> bool {
-        (0..m.num_nodes())
-            .map(NodeId::new)
-            .any(|node| m.rx_head_at(node).is_some_and(|meta| self.orphaned(node, &meta)))
-    }
-
-    // -----------------------------------------------------------------
-    // Supervision: deadlines, watchdog, cancellation, quiesce.
-    // -----------------------------------------------------------------
-
-    /// Override the per-operation no-progress watchdog bound (cycles an
-    /// admitted operation may go without a `Progressed` event before the
-    /// engine settles it with [`ProtocolError::DeadlineExceeded`]). The
-    /// default, `4 × max_wait_cycles`, is deliberately looser than every
-    /// protocol's own internal timeout so op-level errors fire first.
-    pub fn set_watchdog(&mut self, cycles: u64) {
-        self.watchdog = Some(cycles);
-        // Arm fresh wheel entries under the new bound: a shrunken bound
-        // must not wait out entries armed under the old one.
-        for &slot in &self.run_order {
-            let s = &self.slots[slot];
-            let due = s.a.last_progress_at.saturating_add(cycles).saturating_add(1);
-            self.wheel.insert(due, WheelItem::Watchdog { slot, inc: s.inc });
-        }
-    }
-
-    /// The no-progress watchdog bound in cycles (see
-    /// [`Engine::set_watchdog`]).
-    fn watchdog_bound(&self, m: &Machine) -> u64 {
-        self.watchdog.unwrap_or(4 * m.config().max_wait_cycles)
-    }
-
-    /// Cancel an unfinished operation wherever it is (running, pending,
-    /// held, or parked between recovery executions): it settles with [`ProtocolError::Cancelled`], its
-    /// conflict key is released, and dependents fail with
-    /// [`ProtocolError::DependencyFailed`] whose root is the
-    /// cancellation. Returns `false` if the id was already finished (or
-    /// never submitted). In-flight packets of a cancelled operation are
-    /// left to the orphan-discard sweep.
-    pub fn cancel(&mut self, m: &Machine, id: OpId) -> bool {
-        self.expire(m, id, ProtocolError::Cancelled)
-    }
-
-    /// Settle one unfinished op with `err`, wherever it currently is —
-    /// the ledger says where. Cancellations record the uniform
-    /// [`EngineEvent::Cancelled`] trace event first. `false` for an op
-    /// already settled or an id this engine never issued.
-    fn expire(&mut self, m: &Machine, id: OpId, err: ProtocolError) -> bool {
-        if self.ops.get(id.index()).is_none_or(OpEntry::done) {
-            return false;
-        }
-        self.deadlines.remove(&id);
-        if matches!(err, ProtocolError::Cancelled) {
-            self.record(m, EngineEvent::Cancelled(id));
-        }
-        match self.ops[id.index()].stage {
-            Stage::Running { slot } => self.finish(m, slot, Err(err)),
-            Stage::Pending => {
-                self.pending.retain(|op| op.id != id);
-                self.settle(m, id, Err(err));
-            }
-            Stage::Held(_) => {
-                self.held.remove(&id);
-                self.settle(m, id, Err(err));
-            }
-            Stage::Parked { .. } => {
-                // A retryable expiry (a deadline firing mid-backoff)
-                // consumes recovery budget and re-parks; anything else —
-                // cancellation included — releases the conflict key the
-                // parked op was holding and settles it.
-                let a = self.unpark(id);
-                self.conclude(m, a, Err(err));
-            }
-            Stage::Done => unreachable!("settled ops returned above"),
-        }
-        true
-    }
-
-    /// The supervision candidates the wheel has fired since the last
-    /// call: deadlines by `OpId`, watchdogs in run order. Fired order is
-    /// wheel (due, seq) order, so both are re-sorted — run order is
-    /// `inc` order.
-    fn take_fired(&mut self) -> (Vec<OpId>, Vec<(u32, u64)>) {
-        let mut deadlines = std::mem::take(&mut self.fired_deadlines);
-        deadlines.sort_unstable();
-        let mut watchdogs = std::mem::take(&mut self.fired_watchdogs);
-        watchdogs.sort_unstable_by_key(|&(_, inc)| inc);
-        (deadlines, watchdogs)
-    }
-
-    /// Enforce deadlines and the no-progress watchdog over the
-    /// candidates given — `deadlines` ascending by `OpId`, then
-    /// `watchdogs` as `(slot, inc)` in run order. Returns `true` if any
-    /// operation was settled (the pump loop restarts its sweep so
-    /// released conflict keys are re-admitted in the same quantum).
-    ///
-    /// Wheel entries are never cancelled, so each candidate is
-    /// validated against current state: a settled op's deadline is
-    /// dropped, and the watchdog of an op that progressed since it was
-    /// armed is re-armed at its pushed-out expiry.
-    fn supervise(&mut self, m: &Machine, deadlines: Vec<OpId>, watchdogs: Vec<(u32, u64)>) -> bool {
-        if deadlines.is_empty() && watchdogs.is_empty() {
-            return false;
-        }
-        let now = m.now();
-        let mut acted = false;
-        for id in deadlines {
-            let entry = &self.ops[id.index()];
-            let (true, Some(budget)) = (self.deadlines.contains(&id), entry.deadline) else {
-                continue;
-            };
-            if now >= entry.submitted_at.saturating_add(budget) {
-                let err = ProtocolError::DeadlineExceeded { what: "deadline", cycles: budget };
-                acted |= self.expire(m, id, err);
-            }
-        }
-        let bound = self.watchdog_bound(m);
-        for (slot, inc) in watchdogs {
-            // Slots are reused: the incarnation tells whether this is
-            // still the op the entry was armed for.
-            let Some(s) = self.slots.get(slot).filter(|s| s.inc == inc) else { continue };
-            let (id, last) = (s.a.id, s.a.last_progress_at);
-            if now.saturating_sub(last) > bound {
-                let err = ProtocolError::DeadlineExceeded { what: "watchdog", cycles: now - last };
-                acted |= self.expire(m, id, err);
-            } else {
-                let due = last.saturating_add(bound).saturating_add(1);
-                self.wheel.insert(due, WheelItem::Watchdog { slot, inc });
-            }
-        }
-        acted
-    }
-
-    /// Graceful shutdown: cancel everything still waiting (pending,
-    /// dependency-held, and parked between recovery executions), drive
-    /// the already-running operations to completion, then drain
-    /// orphaned in-flight packets until the network is empty. Every
-    /// cancellation records the uniform [`EngineEvent::Cancelled`]
-    /// trace event before settling with [`ProtocolError::Cancelled`].
-    /// Returns the number of stray packets discarded during the drain.
-    pub fn quiesce(&mut self, m: &mut Machine) -> usize {
-        let mut parked: Vec<OpId> = self.parked.iter().map(|&(_, id)| id).collect();
-        parked.sort_unstable();
-        let waiting: Vec<OpId> = self
-            .pending
-            .iter()
-            .map(|op| op.id)
-            .chain(self.held.iter().copied())
-            .chain(parked)
-            .collect();
-        for id in waiting {
-            self.cancel(m, id);
-        }
-        self.run(m);
-        let mut drained = 0;
-        let mut guard = 0;
-        loop {
-            // The pump's own orphan sweep, fed the way the pump feeds
-            // it: every delivery since the last look marks its node.
-            self.absorb_deliveries(m);
-            while self.discard_orphan(m) {
-                drained += 1;
-            }
-            if m.network().borrow().in_flight() == 0 || guard > m.config().max_wait_cycles {
-                break;
-            }
-            m.advance(1);
-            guard += 1;
-        }
-        drained
-    }
 }
 
 #[cfg(test)]
@@ -2234,12 +1264,13 @@ mod tests {
     use std::rc::Rc;
 
     use timego_netsim::{
-        DeliveryScript, Guarantees, InjectError, NetStats, Network, Packet, ScriptedNetwork, Time,
+        DeliveryScript, Guarantees, InjectError, NetStats, Network, Packet, RxMeta,
+        ScriptedNetwork, Time,
     };
     use timego_ni::share;
 
     use super::*;
-    use crate::machine::CmamConfig;
+    use crate::machine::{CmamConfig, Tags};
 
     /// A scripted substrate that counts the `rx_peek` calls it receives.
     struct PeekCounting {
@@ -2328,111 +1359,5 @@ mod tests {
         eng.touch_node(&m, n(1), Touch::Packet);
         assert_eq!(peeks.get(), before + 1);
         assert!(eng.slots[slot].ready, "the head's claimant wakes");
-    }
-
-    /// An op that never has anything to do: every step is `Idle`, no
-    /// timer of its own wakes it, and it claims nothing.
-    struct Idler;
-
-    impl OpMachine for Idler {
-        fn start(&mut self, _: &mut Machine) {}
-        fn step(&mut self, _: &mut Machine) -> Result<Stepped, ProtocolError> {
-            Ok(Stepped::Idle)
-        }
-        fn tick_n(&mut self, _: u64) {}
-        fn wake_in(&self, _: u64) -> u64 {
-            u64::MAX
-        }
-        fn claims(&self, _: NodeId, _: &RxMeta) -> bool {
-            false
-        }
-        fn endpoints(&self) -> (NodeId, NodeId) {
-            (NodeId::new(0), NodeId::new(1))
-        }
-        fn conflict_key(&self) -> Option<ConflictKey> {
-            None
-        }
-        fn reset(&mut self) {}
-    }
-
-    /// Land an [`Idler`] as a released op, recovery-armed with a fixed
-    /// `wait`-cycle backoff when one is given.
-    fn land_idler(eng: &mut Engine, m: &Machine, wait: Option<u64>) -> OpId {
-        let id = OpId(eng.ops.len() as u64);
-        let recovery = wait.map(|w| {
-            let backoff =
-                RetryPolicy { base_wait: w, max_wait: w, jitter: 0, ..RetryPolicy::default() };
-            Box::new(RecoveryPolicy { max_executions: 4, backoff })
-        });
-        eng.ops.push(OpEntry { recovery, ..OpEntry::default() });
-        eng.release(m, ActiveOp::new(id, Box::new(Idler)));
-        id
-    }
-
-    /// Ops 0..=3 felled at cycle 0 and parked until 300, 200, 300 and
-    /// 100 — out of id order, two due together — then op 3 cancelled,
-    /// leaving the earliest resume stale. With `sleeper`, a fifth op
-    /// stays running.
-    fn parked_out_of_order(m: &mut Machine, sleeper: bool) -> Engine {
-        let mut eng = Engine::new();
-        let parked = [300, 200, 300, 100].map(|wait| land_idler(&mut eng, m, Some(wait)));
-        if sleeper {
-            land_idler(&mut eng, m, None);
-        }
-        eng.admit(m);
-        for id in parked {
-            let Stage::Running { slot } = eng.ops[id.index()].stage else { panic!("admitted") };
-            eng.finish(m, slot, Err(ProtocolError::SessionReset { node: NodeId::new(0) }));
-        }
-        assert!(eng.cancel(m, parked[3]));
-        assert_eq!(eng.parked_count(), 3);
-        eng
-    }
-
-    fn started_at(eng: &Engine, at: u64) -> Vec<u64> {
-        let started = eng.trace().iter().filter(|e| e.at == at);
-        started
-            .filter_map(|e| match e.event {
-                EngineEvent::Started(id) => Some(id.raw()),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// The parked index answers both questions the scheduler asks of
-    /// it: the next backoff window to close is its first *live* entry
-    /// (a cancelled op's resume does not linger), and everything due
-    /// respawns in id order, whatever order the windows close in.
-    #[test]
-    fn parked_ops_resume_in_id_order_at_the_earliest_live_window() {
-        let mut m = Machine::new(
-            share(ScriptedNetwork::new(2, DeliveryScript::InOrder)),
-            2,
-            CmamConfig::default(),
-        );
-        let mut eng = parked_out_of_order(&mut m, false);
-        assert!(eng.jump_to_parked(&mut m));
-        assert_eq!(m.now(), 200, "the cancelled op's stale resume at 100 is gone");
-        m.advance(100);
-        eng.release_recovered(&mut m);
-        assert_eq!(started_at(&eng, 300), [0, 1, 2], "due at 200, 300 and 300: respawned by id");
-        assert_eq!(eng.parked_count(), 0);
-
-        // With an op running and asleep, each quantum jumps to the next
-        // live resume: 200, then 300 — never the cancelled op's 100.
-        let mut m = Machine::new(
-            share(ScriptedNetwork::new(2, DeliveryScript::InOrder)),
-            2,
-            CmamConfig::default(),
-        );
-        let mut eng = parked_out_of_order(&mut m, true);
-        let ends: Vec<u64> = (0..2)
-            .map(|_| {
-                eng.pump_until(&mut m, u64::MAX);
-                m.now()
-            })
-            .collect();
-        assert_eq!(ends, [200, 300]);
-        assert_eq!(started_at(&eng, 200), [1]);
     }
 }

@@ -144,7 +144,8 @@ mod tests {
     use timego_ni::share;
 
     use super::*;
-    use crate::machine::CmamConfig;
+    use crate::machine::{CmamConfig, Tags};
+    use crate::retry::RetryPolicy;
     use crate::stream::StreamConfig;
 
     /// Which scheduler drives a run.

@@ -10,8 +10,9 @@ use timego_ni::{Addr, Memory, NiPort, SharedNetwork};
 
 use crate::am::{Am4Msg, PollOutcome};
 use crate::costs::{am4_recv, am4_send, ctl_send, recovery};
-use crate::engine::{Engine, Op, OpOutcome};
+use crate::engine::{Engine, OpOutcome};
 use crate::error::ProtocolError;
+use crate::op::Op;
 use crate::stream::StreamState;
 
 /// Hardware message tags. Tags below [`Tags::USER_BASE`] are reserved

@@ -47,10 +47,16 @@
 use timego_cost::Fine;
 use timego_netsim::{NodeId, RxMeta};
 
+use crate::am::Am4Op;
 use crate::costs::{xfer_recv, xfer_send};
-use crate::engine::OpOutcome;
+use crate::engine::{OpId, OpOutcome};
 use crate::error::ProtocolError;
-use crate::machine::Machine;
+use crate::machine::{Machine, Tags};
+use crate::retry::{RecoveryPolicy, RetryPolicy};
+use crate::rpc::RpcOp;
+use crate::stream::{StreamId, StreamOp};
+use crate::xfer::{PayloadEngine, XferOp};
+use crate::xfer_reliable::{ReliableOp, OFFSET_BITS};
 
 /// One step's verdict.
 pub(crate) enum Stepped {
@@ -177,5 +183,315 @@ pub(crate) fn transfer_prologue(m: &mut Machine, src: NodeId, dst: NodeId) {
         node.cpu.handler(xfer_recv::ENTRY_HANDLER);
         node.cpu.mem_load(xfer_recv::ENTRY_STATE_MEM);
         let _ = node.ni.poll_status();
+    }
+}
+
+/// The family-specific half of an [`Op`]: what to run, between whom.
+/// It exists only until submission — [`OpBody::build`] turns it into the
+/// state machine, which is the operation from then on.
+///
+/// `call_id` and `token` are *resolved* fields — zero as constructed,
+/// filled in by [`Engine::submit`](crate::Engine::submit) — and the machine keeps them across
+/// re-executions, which is where exactly-once needs continuity: an RPC
+/// re-execution reuses its call id so the callee's reply cache
+/// deduplicates a handler that already ran, and a recovering am4 keeps
+/// its delivery token.
+#[derive(Debug, Clone)]
+pub(crate) enum OpBody {
+    Xfer {
+        src: NodeId,
+        dst: NodeId,
+        data: Vec<u32>,
+        engine: PayloadEngine,
+    },
+    Reliable {
+        src: NodeId,
+        dst: NodeId,
+        data: Vec<u32>,
+        policy: RetryPolicy,
+    },
+    Stream {
+        id: StreamId,
+        data: Vec<u32>,
+    },
+    Rpc {
+        src: NodeId,
+        dst: NodeId,
+        tag: u8,
+        args: [u32; 4],
+        policy: Option<RetryPolicy>,
+        call_id: u64,
+    },
+    Am4 {
+        src: NodeId,
+        dst: NodeId,
+        tag: u8,
+        words: [u32; 4],
+        token: u32,
+    },
+}
+
+impl OpBody {
+    /// Build the state machine — the only body → machine constructor;
+    /// a recovery re-execution is the machine's own `reset`. `managed`
+    /// marks the op as recovery-managed (see [`Op::recovering`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a stream id the machine never opened
+    /// ([`Op::validate`] rejects those first).
+    pub(crate) fn build(self, m: &Machine, managed: bool) -> Box<dyn OpMachine> {
+        let n = m.config().packet_words;
+        match self {
+            OpBody::Xfer { src, dst, data, engine } => {
+                Box::new(XferOp::new(src, dst, data, engine, n))
+            }
+            OpBody::Reliable { src, dst, data, policy } => {
+                Box::new(ReliableOp::new(src, dst, data, n, policy))
+            }
+            OpBody::Stream { id, data } => {
+                let st = m.stream_state(id);
+                Box::new(StreamOp::new(id, st.src, st.dst, data, n, st.rto_iterations(), None))
+            }
+            OpBody::Rpc { src, dst, tag, args, policy, call_id } => {
+                Box::new(RpcOp::new(src, dst, tag, args, call_id, policy, managed))
+            }
+            OpBody::Am4 { src, dst, tag, words, token } => {
+                Box::new(Am4Op::new(src, dst, tag, words, token, managed))
+            }
+        }
+    }
+}
+
+/// One operation to submit: a family constructor ([`Op::xfer`],
+/// [`Op::xfer_reliable`], [`Op::stream_send`], [`Op::rpc`],
+/// [`Op::am4`]) plus orthogonal modifiers ([`Op::after`],
+/// [`Op::recovering`], [`Op::deadline`], [`Op::class`]), handed to
+/// [`Engine::submit`](crate::Engine::submit). The description is plain data: nothing is
+/// validated, allocated or traced until submission.
+///
+/// ```
+/// # use timego_am::{Op, RecoveryPolicy};
+/// # use timego_netsim::NodeId;
+/// let op = Op::rpc(NodeId::new(0), NodeId::new(1), 40, [1, 2, 3, 4], None)
+///     .recovering(&RecoveryPolicy::default())
+///     .deadline(10_000)
+///     .class(2);
+/// # let _ = op;
+/// ```
+#[derive(Debug, Clone)]
+pub struct Op {
+    pub(crate) body: OpBody,
+    pub(crate) after: Vec<OpId>,
+    pub(crate) recovery: Option<RecoveryPolicy>,
+    pub(crate) deadline: Option<u64>,
+    pub(crate) class: Option<u8>,
+}
+
+impl Op {
+    fn new(body: OpBody) -> Self {
+        Op { body, after: Vec::new(), recovery: None, deadline: None, class: None }
+    }
+
+    /// A finite-sequence transfer (the engine form of
+    /// [`Machine::xfer`]).
+    #[must_use]
+    pub fn xfer(src: NodeId, dst: NodeId, data: &[u32]) -> Self {
+        Op::xfer_via(src, dst, data, PayloadEngine::Cpu)
+    }
+
+    pub(crate) fn xfer_via(src: NodeId, dst: NodeId, data: &[u32], engine: PayloadEngine) -> Self {
+        Op::new(OpBody::Xfer { src, dst, data: data.to_vec(), engine })
+    }
+
+    /// A fault-tolerant finite-sequence transfer (the engine form of
+    /// [`Machine::xfer_reliable`]).
+    #[must_use]
+    pub fn xfer_reliable(src: NodeId, dst: NodeId, data: &[u32], policy: &RetryPolicy) -> Self {
+        Op::new(OpBody::Reliable { src, dst, data: data.to_vec(), policy: policy.clone() })
+    }
+
+    /// A stream send (the engine form of [`Machine::stream_send`]).
+    /// Sends on the same stream (or between the same node pair) are
+    /// serialized in submission order.
+    #[must_use]
+    pub fn stream_send(id: StreamId, data: &[u32]) -> Self {
+        Op::new(OpBody::Stream { id, data: data.to_vec() })
+    }
+
+    /// An RPC (the engine form of [`Machine::rpc_call`] without a
+    /// policy, [`Machine::rpc_call_retrying`] with one). The call id is
+    /// allocated at submission, so replies of concurrent calls — even
+    /// between the same pair of nodes — are matched by correlation id.
+    #[must_use]
+    pub fn rpc(
+        src: NodeId,
+        dst: NodeId,
+        tag: u8,
+        args: [u32; 4],
+        policy: Option<&RetryPolicy>,
+    ) -> Self {
+        Op::new(OpBody::Rpc { src, dst, tag, args, policy: policy.cloned(), call_id: 0 })
+    }
+
+    /// A single four-word active message (the engine form of
+    /// [`Machine::am4_send`] plus the destination's gated poll) — the
+    /// building block of engine-native collectives, where every tree
+    /// edge is one active message released by the delivery that fed its
+    /// sender. The source pays Table 1's 20-instruction injection path
+    /// (again on every backpressure retry, exactly like the blocking
+    /// call); the destination pays the 27-instruction poll-with-message
+    /// path when the packet is latched — never an idle poll, because
+    /// consumption is peek-gated. The outcome carries the words the
+    /// destination read ([`OpOutcome::Am4`]).
+    ///
+    /// Messages between the same ordered pair are serialized in
+    /// submission order (conflict key), so two concurrent sends with the
+    /// same tag cannot swap deliveries.
+    #[must_use]
+    pub fn am4(src: NodeId, dst: NodeId, tag: u8, words: [u32; 4]) -> Self {
+        Op::new(OpBody::Am4 { src, dst, tag, words, token: 0 })
+    }
+
+    /// Run-after dependencies: hold the operation until every op in
+    /// `ids` completes successfully (repeated calls accumulate).
+    #[must_use]
+    pub fn after(mut self, ids: &[OpId]) -> Self {
+        self.after.extend_from_slice(ids);
+        self
+    }
+
+    /// Attach an engine-native [`RecoveryPolicy`]: if the operation
+    /// settles with a retryable error (`SessionReset`, `Timeout`,
+    /// `DeadlineExceeded`), the scheduler itself re-executes it under
+    /// the same [`OpId`] after the policy's backoff window — no
+    /// caller-side loop, and run-after dependents stay held instead of
+    /// cascading [`ProtocolError::DependencyFailed`]. Each re-execution
+    /// bills the session-restart instruction shape to
+    /// `Feature::FaultTol` at the source; a clean run is
+    /// instruction-identical to the unmodified op.
+    ///
+    /// Re-execution is exactly-once per family: a reliable transfer
+    /// restarts under a fresh session epoch; a stream send *resumes*
+    /// (packets the receiver already delivered in-sequence are not
+    /// re-sent); an RPC reuses its call id, so a callee whose handler
+    /// already ran answers from its reply cache (at most once per
+    /// callee incarnation); an am4 rides a nonzero *delivery token* in
+    /// the header word (plain user traffic always carries header `0`),
+    /// so a duplicate left by a crash-straddling re-execution can never
+    /// be mistaken for a later same-pair message and is
+    /// orphan-discarded once its operation completes.
+    ///
+    /// Attaching any policy — even [`RecoveryPolicy::none`] — marks an
+    /// RPC or am4 as *recovery-managed*: it fails fast with the
+    /// retryable `SessionReset` when an endpoint crash-restarts, and
+    /// the am4 carries its token. Plain [`Op::xfer`] has no
+    /// re-execution recipe; submitting it with a policy is rejected.
+    #[must_use]
+    pub fn recovering(mut self, policy: &RecoveryPolicy) -> Self {
+        self.recovery = Some(policy.clone());
+        self
+    }
+
+    /// A completion deadline, in substrate cycles from the submission
+    /// cycle: if the operation — running, pending, held or parked — has
+    /// not completed by then, the engine settles it with the retryable
+    /// [`ProtocolError::DeadlineExceeded`] and cascades
+    /// [`ProtocolError::DependencyFailed`] into its dependents, exactly
+    /// like any other failure. Supervision is host-side scheduling: it
+    /// charges no simulated instructions.
+    #[must_use]
+    pub fn deadline(mut self, cycles: u64) -> Self {
+        self.deadline = Some(cycles);
+        self
+    }
+
+    /// Tag the operation with a *request class* (QoS tier, tenant,
+    /// priority band — any `u8` the caller chooses). Every instruction
+    /// the operation causes at either of its endpoints — admission
+    /// `start`, every `step` (including callee handler work an RPC
+    /// drives at its destination), and engine-native recovery restarts
+    /// — is *also* accumulated into that class's [`CostVector`](timego_cost::CostVector),
+    /// splitting the per-node bills by class. The split is attribution,
+    /// not double-billing: the node recorders are untouched, and on
+    /// clean runs the per-class bills sum exactly to the total the node
+    /// recorders saw (see `tests/serving_invariants.rs`). The tag lands
+    /// with the submission, so nothing the op costs escapes it.
+    /// Untagged operations are never snapshotted, and a fully untagged
+    /// engine skips the class plane entirely.
+    #[must_use]
+    pub fn class(mut self, class: u8) -> Self {
+        self.class = Some(class);
+        self
+    }
+
+    /// Everything that can reject the submission, checked before any
+    /// engine or machine state is touched. `next_id` is the id the
+    /// engine would assign: ids are handed out densely at submission,
+    /// so a dependency at or past it is a forward (or self) reference —
+    /// the only way a dependency cycle could ever be expressed.
+    pub(crate) fn validate(&self, m: &Machine, next_id: u64) -> Result<(), ProtocolError> {
+        let bad = |what: String| Err(ProtocolError::BadTransfer(what));
+        let (src, dst) = match &self.body {
+            OpBody::Xfer { src, dst, .. }
+            | OpBody::Reliable { src, dst, .. }
+            | OpBody::Rpc { src, dst, .. }
+            | OpBody::Am4 { src, dst, .. } => (*src, *dst),
+            OpBody::Stream { id, .. } if m.has_stream(*id) => {
+                let st = m.stream_state(*id);
+                (st.src, st.dst)
+            }
+            OpBody::Stream { .. } => {
+                return bad("stream id was not opened on this machine".into());
+            }
+        };
+        m.check_endpoints(src, dst)?;
+        match &self.body {
+            OpBody::Reliable { policy, .. } | OpBody::Rpc { policy: Some(policy), .. }
+                if policy.max_attempts == 0 =>
+            {
+                return bad("policy.max_attempts is 0; need at least one attempt".into());
+            }
+            OpBody::Xfer { data, .. } | OpBody::Reliable { data, .. } if data.is_empty() => {
+                return bad("empty transfer".into());
+            }
+            OpBody::Xfer { .. } if self.recovery.is_some() => {
+                return bad(
+                    "recovering: a plain xfer has no re-execution recipe (use Op::xfer_reliable)"
+                        .into(),
+                );
+            }
+            OpBody::Reliable { data, .. } if data.len() >= (1 << OFFSET_BITS) => {
+                return bad(format!(
+                    "reliable transfer caps at {} words, got {}",
+                    (1 << OFFSET_BITS) - 1,
+                    data.len()
+                ));
+            }
+            OpBody::Stream { data, .. } if data.is_empty() => {
+                return bad("empty stream send".into());
+            }
+            OpBody::Stream { id, .. } if m.stream_state(*id).window() == 0 => {
+                return bad("stream window is 0; need at least one source-buffer slot".into());
+            }
+            OpBody::Am4 { tag, .. } if *tag < Tags::USER_BASE => {
+                return bad(format!(
+                    "am4 tag {tag} is in the reserved protocol range (< {})",
+                    Tags::USER_BASE
+                ));
+            }
+            _ => {}
+        }
+        if self.recovery.as_ref().is_some_and(|p| p.max_executions == 0) {
+            return bad("recovery.max_executions is 0; need at least one execution".into());
+        }
+        if let Some(dep) = self.after.iter().find(|d| d.raw() >= next_id) {
+            return bad(format!(
+                "run-after dependency on op {} which this engine has not submitted; \
+                 edges must point backward, so dependency cycles are rejected at submission",
+                dep.raw()
+            ));
+        }
+        Ok(())
     }
 }

@@ -16,10 +16,10 @@ use timego_ni::Memory;
 
 use crate::am::{Am4Msg, PollOutcome};
 use crate::costs::{am4_recv, am4_send, recovery};
-use crate::engine::{Op, OpOutcome};
+use crate::engine::OpOutcome;
 use crate::error::ProtocolError;
 use crate::machine::{Machine, Tags};
-use crate::op::{check_restart, peek_is, win, GcExempt, KeyClass, OpMachine, Stepped};
+use crate::op::{check_restart, peek_is, win, GcExempt, KeyClass, Op, OpMachine, Stepped};
 use crate::retry::{RecoveryPolicy, RetryPolicy};
 
 /// The result of servicing one node once (see [`Machine::rpc_service`]).

@@ -26,10 +26,10 @@ use timego_cost::{Feature, Fine};
 use timego_netsim::{NodeId, RxMeta};
 
 use crate::costs::{ctl_send, stream_dst, stream_src};
-use crate::engine::{Op, OpOutcome};
+use crate::engine::OpOutcome;
 use crate::error::ProtocolError;
 use crate::machine::{Machine, Tags};
-use crate::op::{check_restart, pairwise, win, KeyClass, OpMachine, Stepped};
+use crate::op::{check_restart, pairwise, win, KeyClass, Op, OpMachine, Stepped};
 use crate::retry::RecoveryPolicy;
 
 /// Identifies an open stream on a [`Machine`].

@@ -21,11 +21,11 @@ use timego_netsim::{NodeId, RxMeta};
 use timego_ni::Addr;
 
 use crate::costs::{segment, xfer_order, xfer_recv, xfer_send};
-use crate::engine::{Op, OpOutcome};
+use crate::engine::OpOutcome;
 use crate::error::ProtocolError;
 use crate::machine::{Machine, Node, Tags};
 use crate::op::{
-    check_restart, pairwise, peek_is, transfer_prologue, win, GcExempt, KeyClass, OpMachine,
+    check_restart, pairwise, peek_is, transfer_prologue, win, GcExempt, KeyClass, Op, OpMachine,
     Stepped,
 };
 

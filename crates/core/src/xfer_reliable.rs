@@ -46,11 +46,11 @@ use timego_netsim::{NodeId, RxMeta};
 use timego_ni::Addr;
 
 use crate::costs::{recovery, segment, xfer_order, xfer_recv};
-use crate::engine::{Op, OpOutcome};
+use crate::engine::OpOutcome;
 use crate::error::ProtocolError;
 use crate::machine::{Machine, Tags};
 use crate::op::{
-    check_restart, peek_is, transfer_prologue, win, GcExempt, KeyClass, OpMachine, Stepped,
+    check_restart, peek_is, transfer_prologue, win, GcExempt, KeyClass, Op, OpMachine, Stepped,
 };
 use crate::retry::{RecoveryPolicy, RetryPolicy};
 use crate::xfer::{claims_transfer, PayloadEngine, XferOutcome, XferRx};
