@@ -6,11 +6,14 @@
 //! exactly one iteration of the corresponding blocking driver loop —
 //! minus the `advance(1)` the blocking loop used to pass time. The
 //! machines live with their families (`xfer`, `xfer_reliable`, `stream`,
-//! `rpc`, `am`) behind one private trait, `OpMachine` (`op.rs` states
-//! its contract); this module is the scheduler, the op ledger,
-//! supervision, recovery policy and the class plane, and the only
-//! family-aware code in it is the [`Op`] constructors, their validation
-//! and the body → machine constructor. The
+//! `rpc`, `am`) behind one private trait, `OpMachine`; `op.rs` states
+//! its contract and holds the one piece of family-aware code, the [`Op`]
+//! descriptions with their validation and the body → machine
+//! constructor. This module is the op ledger, submission, the
+//! pump and settlement; over the same ledger, `wake` decides whom a
+//! touch wakes and sweeps orphans, `supervise` enforces deadlines and
+//! the watchdog, `recovery` parks and re-executes failed ops, and
+//! `class` attributes cost per request class. The
 //! [`Engine`] owns the clock and schedules by *readiness*: an operation
 //! whose step finds nothing to do sleeps until a packet it can consume
 //! reaches the head of one of its endpoints' queues (running operations
@@ -20,7 +23,8 @@
 //! timeout, RTO) comes due on the timing wheel; a pass visits only the
 //! ordered set of operations that are awake. When a pass makes no
 //! progress, time passes — to the *next event*, not the next cycle: the
-//! first of the next wheel entry, the next scripted crash-restart, the
+//! first of the next wheel entry, the next parked op's resume, the next
+//! scripted crash-restart, the
 //! cycle the substrate says its receive queues stay quiet until
 //! ([`Network::quiet_until`](timego_netsim::Network::quiet_until) —
 //! packets on the wire are time no software runs in) and the caller's

@@ -736,7 +736,7 @@ mod tests {
                     (eng.submit(&mut m, Op::stream_send(sid, &data)).expect("valid"), sid, data)
                 })
                 .collect();
-            eng.run_reference(&mut m);
+            Sched::Reference.run(&mut eng, &mut m);
             let now = m.now();
             assert!(now < 1 << 16, "{ctx}: finished at cycle {now} — something timed out");
             for (id, s, data) in xfers {

@@ -83,10 +83,10 @@ pub use engine::{Engine, EngineEvent, OpId, OpOutcome, TracedEvent};
 pub use error::ProtocolError;
 pub use interrupt::{polling_vs_interrupt, DisciplineCosts, InterruptModel};
 pub use machine::{CmamConfig, Machine, Tags};
-pub use op::Op;
 pub use measure::{
     measure_hl_stream, measure_hl_xfer, measure_single_packet, measure_stream, measure_xfer,
 };
+pub use op::Op;
 pub use retry::{RecoveryPolicy, RetryPolicy};
 pub use rpc::{classify_poll, RpcEvent};
 pub use sched::{PhaseTotal, SchedCounters, SchedPhase, SchedProfiler};
