@@ -147,7 +147,7 @@ impl OpMachine for Am4Op {
             // instruction shape to `Machine::am4_send`'s loop body
             // (the token rides the header word the packet already
             // carries), paid again on every backpressure retry.
-            if m.rpc_send_once(self.src, self.dst, self.tag, u64::from(self.token), self.words) {
+            if m.am4_send_once(self.src, self.dst, self.tag, self.token, self.words) {
                 self.sent = true;
                 self.waited = 0;
                 progress = true;

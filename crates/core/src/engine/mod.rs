@@ -233,6 +233,9 @@ impl OpId {
 pub enum OpOutcome {
     /// A finite-sequence transfer completed.
     Xfer(XferOutcome),
+    /// A segment-reuse batch ([`Machine::xfer_batch`]) completed: one
+    /// outcome per message, in order.
+    XferBatch(Vec<XferOutcome>),
     /// A fault-tolerant finite-sequence transfer completed.
     Reliable(ReliableOutcome),
     /// A stream send completed.

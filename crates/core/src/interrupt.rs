@@ -11,15 +11,15 @@
 //! The polling discipline costs `27` instructions per delivered message
 //! plus `13` per *idle* poll (the more often the application checks, the
 //! more it pays when nothing is there); the interrupt discipline costs
-//! `entry + 25 + exit` per message and nothing when idle. The crossover
+//! `entry + 16 + exit` per message and nothing when idle. The crossover
 //! analysis in [`polling_vs_interrupt`] quantifies when each wins.
 
 use timego_cost::Fine;
 use timego_netsim::NodeId;
 
-use crate::am::{Am4Msg, PollOutcome};
+use crate::am::PollOutcome;
 use crate::costs::am4_recv;
-use crate::machine::{Machine, Tags};
+use crate::machine::Machine;
 
 /// Cost model for a receive interrupt, in register instructions.
 ///
@@ -86,8 +86,9 @@ pub fn polling_vs_interrupt(model: InterruptModel, idle_poll_rates: &[u64]) -> V
 
 impl Machine {
     /// Deliver one waiting message to `node` via a simulated receive
-    /// interrupt: trap entry, latch + read (no status poll — the
-    /// interrupt is the notification), dispatch, trap exit.
+    /// interrupt: trap entry, then [`Machine::poll`]'s receive and
+    /// dispatch without the procedure call and the status probe — the
+    /// interrupt is the notification — then trap exit.
     ///
     /// Returns [`PollOutcome::Idle`] without cost if nothing is waiting
     /// (no interrupt would have fired).
@@ -99,33 +100,12 @@ impl Machine {
         if self.net.borrow().rx_pending(node) == 0 {
             return PollOutcome::Idle;
         }
-        let n = &mut self.nodes[node.index()];
+        let n = self.node_mut(node);
         n.cpu.reg(Fine::CallReturn, model.entry);
-        let Some((src, tag)) = n.ni.latch_rx() else {
-            n.cpu.reg(Fine::CallReturn, model.exit);
-            return PollOutcome::Idle;
-        };
-        // Same extraction as the polled path, minus the status poll.
-        n.cpu.reg(Fine::CheckStatus, am4_recv::STATUS_REG);
         n.cpu.ctrl(am4_recv::CTRL);
-        let header = n.ni.read_header();
-        let (w0, w1) = n.ni.read_payload2();
-        let (w2, w3) = n.ni.read_payload2();
-        let msg = Am4Msg { src, tag, header, words: [w0, w1, w2, w3] };
-        let out = if tag < Tags::USER_BASE {
-            PollOutcome::Unclaimed(msg)
-        } else {
-            match n.handlers_take(tag) {
-                Some(mut h) => {
-                    n.cpu.handler(2);
-                    h(&mut n.mem, msg);
-                    self.nodes[node.index()].handlers_put(tag, h);
-                    PollOutcome::Handled(tag)
-                }
-                None => PollOutcome::Unclaimed(msg),
-            }
-        };
-        self.nodes[node.index()].cpu.reg(Fine::CallReturn, model.exit);
+        n.cpu.reg(Fine::CheckStatus, am4_recv::STATUS_REG);
+        let out = n.read_msg().map_or(PollOutcome::Idle, |msg| n.dispatch(msg));
+        n.cpu.reg(Fine::CallReturn, model.exit);
         out
     }
 }

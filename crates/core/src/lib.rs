@@ -15,10 +15,18 @@
 //! | finite sequence, multi-packet | [`Machine::xfer`] | [`Machine::hl_xfer`] |
 //! | indefinite sequence, multi-packet | [`Machine::stream_send`] | [`Machine::hl_stream_send`] |
 //!
-//! Variants for the paper's discussion sections: DMA payload injection
-//! ([`Machine::xfer_dma`], §5), segment-reuse batching
-//! ([`Machine::xfer_batch`]), and interrupt-driven reception
-//! ([`Machine::deliver_by_interrupt`], footnote 2).
+//! Variants for the paper's discussion sections reuse the code of the
+//! protocol they vary: DMA payload injection ([`Machine::xfer_dma`], §5)
+//! and segment-reuse batching ([`Machine::xfer_batch`]) are the `xfer`
+//! operation with another payload engine or more than one message (a
+//! plain transfer is a batch of one), and interrupt-driven reception
+//! ([`Machine::deliver_by_interrupt`], footnote 2) is [`Machine::poll`]'s
+//! receive and dispatch between a trap entry and exit.
+//!
+//! Every CMAM-like multi-packet or RPC entry point is a thin
+//! run-to-completion wrapper over one [`Engine`] operation, so each
+//! protocol step has one implementation; only the high-level protocols
+//! of §4 drive the clock in loops of their own.
 //!
 //! The CMAM-like protocols implement in software everything the raw
 //! network lacks: the `xfer` protocol preallocates a destination segment
@@ -60,9 +68,7 @@
 #![warn(missing_docs)]
 
 mod am;
-mod batch;
 mod costs;
-mod dma;
 mod engine;
 mod error;
 mod hl;
@@ -78,17 +84,16 @@ mod xfer;
 mod xfer_reliable;
 
 pub use am::{Am4Msg, PollOutcome};
-pub use dma::{cmam_finite_dma, measure_xfer_dma};
 pub use engine::{Engine, EngineEvent, OpId, OpOutcome, TracedEvent};
 pub use error::ProtocolError;
 pub use interrupt::{polling_vs_interrupt, DisciplineCosts, InterruptModel};
 pub use machine::{CmamConfig, Machine, Tags};
 pub use measure::{
     measure_hl_stream, measure_hl_xfer, measure_single_packet, measure_stream, measure_xfer,
+    measure_xfer_dma,
 };
 pub use op::Op;
 pub use retry::{RecoveryPolicy, RetryPolicy};
-pub use rpc::{classify_poll, RpcEvent};
 pub use sched::{PhaseTotal, SchedCounters, SchedPhase, SchedProfiler};
 pub use stream::{StreamConfig, StreamId, StreamOutcome};
 pub use xfer::XferOutcome;

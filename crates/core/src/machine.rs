@@ -132,55 +132,54 @@ impl Node {
         self.cpu.clone().with_feature(feature, |_| self.send_ctl(dst, tag, header, words))
     }
 
-    /// Wait until a packet is pending, polling the receive-status
-    /// register (1 `dev` per probe — exactly one on an idle, instant
-    /// network, the paper's favorable path).
-    pub(crate) fn wait_rx(&mut self, max_cycles: u64, what: &'static str) -> Result<(), ProtocolError> {
-        let mut waited = 0;
-        while !self.ni.poll_status() {
-            if waited >= max_cycles {
-                return Err(ProtocolError::timeout(what, waited));
-            }
-            self.ni.advance(1);
-            waited += 1;
-        }
-        Ok(())
-    }
-
-    /// Receive one 4-word control packet: the 27-instruction shape
-    /// (22 reg + 5 dev) of the paper's acknowledgement/handshake
-    /// receives. Assumes [`wait_rx`](Node::wait_rx) said a packet is
-    /// pending.
-    pub(crate) fn recv_ctl(&mut self) -> Option<(NodeId, u8, u32, [u32; 4])> {
-        self.cpu.call(am4_recv::CALL);
-        self.cpu.reg(Fine::CheckStatus, am4_recv::STATUS_REG);
-        self.cpu.ctrl(am4_recv::CTRL);
+    /// Latch the packet at the head of the receive queue and read it as
+    /// a four-word message: latch, header and two double-word payload
+    /// loads (4 `dev`). `None`, after the latch, if nothing is waiting.
+    pub(crate) fn read_msg(&mut self) -> Option<Am4Msg> {
         let (src, tag) = self.ni.latch_rx()?;
         let header = self.ni.read_header();
         let (w0, w1) = self.ni.read_payload2();
         let (w2, w3) = self.ni.read_payload2();
-        Some((src, tag, header, [w0, w1, w2, w3]))
+        Some(Am4Msg { src, tag, header, words: [w0, w1, w2, w3] })
+    }
+
+    /// Table 1's polled receive up to the handler: procedure entry, the
+    /// receive-status probe and, when a packet is waiting, tag vectoring
+    /// and the latched read — 27 instructions with a message (22 reg +
+    /// 5 dev), 13 without.
+    pub(crate) fn poll_msg(&mut self) -> Option<Am4Msg> {
+        self.cpu.call(am4_recv::CALL);
+        self.cpu.ctrl(am4_recv::CTRL);
+        if !self.ni.poll_status() {
+            return None;
+        }
+        self.cpu.reg(Fine::CheckStatus, am4_recv::STATUS_REG);
+        self.read_msg()
     }
 
     /// Receive one control packet that a cost-free peek has already
-    /// shown to be pending: one favorable-path status probe plus the
-    /// 26-instruction receive — exactly what a successful
-    /// [`wait_rx`](Node::wait_rx) + [`recv_ctl`](Node::recv_ctl) costs.
-    pub(crate) fn recv_ctl_now(&mut self) -> (NodeId, u8, u32, [u32; 4]) {
-        let ok = self.ni.poll_status();
-        debug_assert!(ok, "recv_ctl_now requires a gated (peeked) packet");
-        self.recv_ctl().expect("gated receive")
+    /// shown to be pending: the 27-instruction shape of the paper's
+    /// acknowledgement and handshake receives.
+    pub(crate) fn recv_ctl_now(&mut self) -> Am4Msg {
+        self.poll_msg().expect("recv_ctl_now requires a gated (peeked) packet")
     }
 
-    /// Temporarily remove a user handler for dispatch (the handler gets
-    /// `&mut Memory`, which aliases `self`, so it cannot stay in place).
-    pub(crate) fn handlers_take(&mut self, tag: u8) -> Option<Handler> {
-        self.handlers.remove(&tag)
-    }
-
-    /// Restore a handler after dispatch.
-    pub(crate) fn handlers_put(&mut self, tag: u8, handler: Handler) {
-        self.handlers.insert(tag, handler);
+    /// Hand a received message to the user handler registered for its
+    /// tag (2 handler instructions plus whatever the handler does), or
+    /// back to the caller for a reserved tag or an unregistered one.
+    pub(crate) fn dispatch(&mut self, msg: Am4Msg) -> PollOutcome {
+        if msg.tag < Tags::USER_BASE {
+            return PollOutcome::Unclaimed(msg);
+        }
+        match self.handlers.get_mut(&msg.tag) {
+            Some(h) => {
+                let tag = msg.tag;
+                self.cpu.handler(2);
+                h(&mut self.mem, msg);
+                PollOutcome::Handled(tag)
+            }
+            None => PollOutcome::Unclaimed(msg),
+        }
     }
 }
 
@@ -756,27 +755,57 @@ impl Machine {
         words: [u32; 4],
     ) -> Result<(), ProtocolError> {
         assert!(dst.index() < self.nodes.len(), "destination out of range");
+        self.am4_send_retrying(src, dst, tag, 0, words, "am4 injection")
+    }
+
+    /// One attempt at Table 1's single-packet send, with `header` in the
+    /// header word (0 for a plain active message; the RPC correlation id;
+    /// an am4 delivery token). Returns `false` on backpressure; the
+    /// costs are paid again on re-issue, as on the real machine.
+    pub(crate) fn am4_send_once(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        tag: u8,
+        header: u32,
+        words: [u32; 4],
+    ) -> bool {
+        let node = self.node_mut(from);
+        node.cpu.call(am4_send::CALL);
+        node.cpu.reg(Fine::NiSetup, am4_send::SETUP_REG);
+        node.ni.stage_envelope(to, tag, header);
+        node.ni.push_payload2(words[0], words[1]);
+        node.ni.push_payload2(words[2], words[3]);
+        node.cpu.reg(Fine::CheckStatus, am4_send::STATUS_REG);
+        node.cpu.ctrl(am4_send::CTRL);
+        node.ni.commit_send() && {
+            node.ni.load_send_status();
+            true
+        }
+    }
+
+    /// [`Machine::am4_send_once`], re-issued on backpressure until the
+    /// network accepts it, or [`ProtocolError::Timeout`] on `what` once
+    /// the wait bound is exceeded.
+    pub(crate) fn am4_send_retrying(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        tag: u8,
+        header: u32,
+        words: [u32; 4],
+        what: &'static str,
+    ) -> Result<(), ProtocolError> {
         let max_wait = self.cfg.max_wait_cycles;
-        let node = self.node_mut(src);
         let mut waited = 0;
-        loop {
-            node.cpu.call(am4_send::CALL);
-            node.cpu.reg(Fine::NiSetup, am4_send::SETUP_REG);
-            node.ni.stage_envelope(dst, tag, 0);
-            node.ni.push_payload2(words[0], words[1]);
-            node.ni.push_payload2(words[2], words[3]);
-            node.cpu.reg(Fine::CheckStatus, am4_send::STATUS_REG);
-            node.cpu.ctrl(am4_send::CTRL);
-            if node.ni.commit_send() {
-                node.ni.load_send_status();
-                return Ok(());
-            }
+        while !self.am4_send_once(from, to, tag, header, words) {
             if waited >= max_wait {
-                return Err(ProtocolError::timeout("am4 injection", waited));
+                return Err(ProtocolError::timeout(what, waited));
             }
-            node.ni.advance(1);
+            self.node_mut(from).ni.advance(1);
             waited += 1;
         }
+        Ok(())
     }
 
     /// Register a user handler for `tag` on `node`. The handler runs
@@ -815,36 +844,9 @@ impl Machine {
     /// Panics if `node` is out of range.
     pub fn poll(&mut self, node: NodeId) -> PollOutcome {
         let n = &mut self.nodes[node.index()];
-        n.cpu.call(am4_recv::CALL);
-        n.cpu.ctrl(am4_recv::CTRL);
-        if !n.ni.poll_status() {
-            return PollOutcome::Idle;
-        }
-        // Latch + tag vectoring: the rest of Table 1's check-status row.
-        n.cpu.reg(Fine::CheckStatus, am4_recv::STATUS_REG);
-        let Some((src, tag)) = n.ni.latch_rx() else {
-            return PollOutcome::Idle;
-        };
-        let header = n.ni.read_header();
-        let (w0, w1) = n.ni.read_payload2();
-        let (w2, w3) = n.ni.read_payload2();
-        let msg = Am4Msg {
-            src,
-            tag,
-            header,
-            words: [w0, w1, w2, w3],
-        };
-        if tag < Tags::USER_BASE {
-            return PollOutcome::Unclaimed(msg);
-        }
-        match n.handlers.remove(&tag) {
-            Some(mut h) => {
-                n.cpu.handler(2);
-                h(&mut n.mem, msg);
-                self.nodes[node.index()].handlers.insert(tag, h);
-                PollOutcome::Handled(tag)
-            }
-            None => PollOutcome::Unclaimed(msg),
+        match n.poll_msg() {
+            Some(msg) => n.dispatch(msg),
+            None => PollOutcome::Idle,
         }
     }
 }

@@ -15,7 +15,7 @@ use timego_ni::share;
 
 use crate::machine::{CmamConfig, Machine};
 use crate::stream::{StreamConfig, StreamOutcome};
-use crate::xfer::XferOutcome;
+use crate::xfer::{PayloadEngine, XferOutcome};
 
 /// Assemble a [`ProtocolCost`] table from the two endpoints' recorded
 /// cost vectors.
@@ -69,10 +69,30 @@ pub fn measure_single_packet() -> ProtocolCost {
 ///
 /// Panics if the transfer fails or delivers wrong data.
 pub fn measure_xfer(words: usize, packet_words: usize) -> (ProtocolCost, XferOutcome) {
+    measure_finite(words, packet_words, PayloadEngine::Cpu)
+}
+
+/// Measure the DMA-assisted finite-sequence transfer
+/// ([`Machine::xfer_dma`]) like [`measure_xfer`].
+///
+/// # Panics
+///
+/// Panics if the transfer fails or delivers wrong data.
+pub fn measure_xfer_dma(words: usize, packet_words: usize) -> (ProtocolCost, XferOutcome) {
+    measure_finite(words, packet_words, PayloadEngine::Dma)
+}
+
+fn measure_finite(
+    words: usize,
+    packet_words: usize,
+    engine: PayloadEngine,
+) -> (ProtocolCost, XferOutcome) {
     let mut m = fresh_machine(DeliveryScript::InOrder, packet_words);
     let data = pattern(words);
     m.reset_costs();
-    let outcome = m.xfer(NodeId::new(0), NodeId::new(1), &data).expect("transfer completes");
+    let outcome = m
+        .xfer_with(NodeId::new(0), NodeId::new(1), &data, engine)
+        .expect("transfer completes");
     assert_eq!(
         m.read_buffer(NodeId::new(1), outcome.dst_buffer, words),
         data,
@@ -207,5 +227,50 @@ mod tests {
             let ind = measure_hl_stream(words as usize, 4);
             assert_eq!(ind, analytic::hl_indefinite(MsgShape::paper(words).unwrap()));
         }
+    }
+
+    // --- DMA payload injection (§5) --------------------------------------
+
+    #[test]
+    fn dma_transfer_delivers_correct_data() {
+        let (_, out) = measure_xfer_dma(1000, 4);
+        assert_eq!(out.packets, 250);
+    }
+
+    #[test]
+    fn dma_matches_its_closed_form() {
+        for (words, n) in [(16u64, 4usize), (1024, 4), (1024, 32)] {
+            let (measured, _) = measure_xfer_dma(words as usize, n);
+            let shape = MsgShape::for_message(words, n as u64).unwrap();
+            let model = analytic::cmam_finite_dma(shape);
+            assert_eq!(measured, model, "words={words} n={n}");
+        }
+    }
+
+    #[test]
+    fn dma_cuts_base_cost_but_not_overhead() {
+        let (pio, _) = measure_xfer(1024, 4);
+        let (dma, _) = measure_xfer_dma(1024, 4);
+        let (dma_base, pio_base) = (
+            dma.get(Endpoint::Source, Feature::Base).total(),
+            pio.get(Endpoint::Source, Feature::Base).total(),
+        );
+        assert!(
+            dma_base * 10 < pio_base * 6,
+            "DMA cuts the source base cost substantially ({dma_base} vs {pio_base})"
+        );
+        assert_eq!(dma.overhead_total(), pio.overhead_total(), "overheads untouched");
+        // …so the overhead *fraction* grows: the paper's §5 paradox.
+        assert!(dma.overhead_fraction() > pio.overhead_fraction());
+    }
+
+    #[test]
+    fn dma_destination_cost_is_unchanged() {
+        let (pio, _) = measure_xfer(256, 4);
+        let (dma, _) = measure_xfer_dma(256, 4);
+        assert_eq!(
+            dma.endpoint_total(Endpoint::Destination),
+            pio.endpoint_total(Endpoint::Destination)
+        );
     }
 }

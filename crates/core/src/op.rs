@@ -11,10 +11,10 @@
 //!
 //! What each method owes the scheduler:
 //!
-//! * **`step`** performs one iteration of the family's blocking driver
-//!   loop, minus the `advance(1)` that loop used to pass time, and
-//!   receives only behind a cost-free head-of-queue peek — an `Idle`
-//!   step bills nothing.
+//! * **`step`** performs one iteration of the family's driver loop,
+//!   leaving the passing of time to the engine, and receives only
+//!   behind a cost-free head-of-queue peek — an `Idle` step bills
+//!   nothing.
 //! * **`tick_n(k)`** is a closed form: exactly what `k ≥ 1` single timer
 //!   ticks with no step in between would do. The event scheduler ticks
 //!   a sleeper lazily on wake, and a sleeper by construction takes no
@@ -198,10 +198,13 @@ pub(crate) fn transfer_prologue(m: &mut Machine, src: NodeId, dst: NodeId) {
 /// its delivery token.
 #[derive(Debug, Clone)]
 pub(crate) enum OpBody {
+    /// `lens` splits `data` into the messages of a segment-reuse batch;
+    /// empty for a plain transfer of one message.
     Xfer {
         src: NodeId,
         dst: NodeId,
         data: Vec<u32>,
+        lens: Vec<usize>,
         engine: PayloadEngine,
     },
     Reliable {
@@ -243,8 +246,8 @@ impl OpBody {
     pub(crate) fn build(self, m: &Machine, managed: bool) -> Box<dyn OpMachine> {
         let n = m.config().packet_words;
         match self {
-            OpBody::Xfer { src, dst, data, engine } => {
-                Box::new(XferOp::new(src, dst, data, engine, n))
+            OpBody::Xfer { src, dst, data, lens, engine } => {
+                Box::new(XferOp::new(src, dst, data, lens, engine, n))
             }
             OpBody::Reliable { src, dst, data, policy } => {
                 Box::new(ReliableOp::new(src, dst, data, n, policy))
@@ -297,11 +300,19 @@ impl Op {
     /// [`Machine::xfer`]).
     #[must_use]
     pub fn xfer(src: NodeId, dst: NodeId, data: &[u32]) -> Self {
-        Op::xfer_via(src, dst, data, PayloadEngine::Cpu)
+        Op::finite(src, dst, data.to_vec(), Vec::new(), PayloadEngine::Cpu)
     }
 
-    pub(crate) fn xfer_via(src: NodeId, dst: NodeId, data: &[u32], engine: PayloadEngine) -> Self {
-        Op::new(OpBody::Xfer { src, dst, data: data.to_vec(), engine })
+    /// Every finite transfer: the messages of `data` split by `lens`
+    /// (empty for one message), their payload moved by `engine`.
+    pub(crate) fn finite(
+        src: NodeId,
+        dst: NodeId,
+        data: Vec<u32>,
+        lens: Vec<usize>,
+        engine: PayloadEngine,
+    ) -> Self {
+        Op::new(OpBody::Xfer { src, dst, data, lens, engine })
     }
 
     /// A fault-tolerant finite-sequence transfer (the engine form of
@@ -454,6 +465,9 @@ impl Op {
             }
             OpBody::Xfer { data, .. } | OpBody::Reliable { data, .. } if data.is_empty() => {
                 return bad("empty transfer".into());
+            }
+            OpBody::Xfer { lens, .. } if lens.contains(&0) => {
+                return bad("empty message in batch".into());
             }
             OpBody::Xfer { .. } if self.recovery.is_some() => {
                 return bad(

@@ -14,8 +14,8 @@ use timego_cost::{Feature, Fine};
 use timego_netsim::{NodeId, RxMeta};
 use timego_ni::Memory;
 
-use crate::am::{Am4Msg, PollOutcome};
-use crate::costs::{am4_recv, am4_send, recovery};
+use crate::am::Am4Msg;
+use crate::costs::recovery;
 use crate::engine::OpOutcome;
 use crate::error::ProtocolError;
 use crate::machine::{Machine, Tags};
@@ -23,19 +23,20 @@ use crate::op::{check_restart, peek_is, win, GcExempt, KeyClass, Op, OpMachine, 
 use crate::retry::{RecoveryPolicy, RetryPolicy};
 
 /// The result of servicing one node once (see [`Machine::rpc_service`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RpcEvent {
+#[derive(Debug)]
+pub(crate) enum RpcEvent {
     /// Nothing was waiting.
     Idle,
     /// A request was handled and its reply injected.
-    Served(u8),
+    Served,
     /// A reply arrived (correlation id, payload).
     Reply(u64, [u32; 4]),
     /// A retransmitted request for a call already served arrived; the
     /// cached reply was re-sent without re-running the handler.
-    Duplicate(u8),
-    /// A non-RPC message arrived; handed back unprocessed.
-    Other(Am4Msg),
+    Duplicate,
+    /// A message with no RPC handler for its tag arrived, and was
+    /// consumed unprocessed.
+    Other,
 }
 
 impl Machine {
@@ -157,34 +158,18 @@ impl Machine {
     }
 
     /// Poll `node` once in RPC terms: serve one pending request (run
-    /// its handler, inject the reply) or surface one reply. Useful for
-    /// building servers that interleave RPC service with other work.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn rpc_service(&mut self, node: NodeId) -> RpcEvent {
-        let n = &mut self.nodes[node.index()];
-        n.cpu.call(am4_recv::CALL);
-        n.cpu.ctrl(am4_recv::CTRL);
-        if !n.ni.poll_status() {
-            return RpcEvent::Idle;
-        }
-        n.cpu.reg(Fine::CheckStatus, am4_recv::STATUS_REG);
-        let Some((msg_src, tag)) = n.ni.latch_rx() else {
+    /// its handler, inject the reply) or surface one reply.
+    pub(crate) fn rpc_service(&mut self, node: NodeId) -> RpcEvent {
+        let Some(msg) = self.node_mut(node).poll_msg() else {
             return RpcEvent::Idle;
         };
-        let header = n.ni.read_header();
-        let (w0, w1) = n.ni.read_payload2();
-        let (w2, w3) = n.ni.read_payload2();
-        let msg = Am4Msg { src: msg_src, tag, header, words: [w0, w1, w2, w3] };
-
+        let (msg_src, tag, header) = (msg.src, msg.tag, msg.header);
         if tag == Tags::RPC_REPLY {
-            return RpcEvent::Reply(u64::from(msg.header), msg.words);
+            return RpcEvent::Reply(u64::from(header), msg.words);
         }
-        let Some(mut h) = n.rpc_handlers.remove(&tag) else {
-            return RpcEvent::Other(msg);
-        };
+        if !self.node_mut(node).rpc_handlers.contains_key(&tag) {
+            return RpcEvent::Other;
+        }
         // A retransmitted request for a call already served: answer from
         // the reply cache without re-running the handler, so handlers
         // execute exactly once per call id. The cache probe is only
@@ -192,77 +177,27 @@ impl Machine {
         // into the existing dispatch and the service costs exactly what
         // it did without retry support.
         if let Some(cached) = self.cached_reply(node, msg_src, header) {
-            self.nodes[node.index()].rpc_handlers.insert(tag, h);
-            let cpu = self.nodes[node.index()].cpu.clone();
-            cpu.with_feature(Feature::FaultTol, |c| {
-                c.reg(Fine::RegOp, recovery::RPC_DEDUP_REG);
-            });
-            cpu.with_feature(Feature::FaultTol, |_| {
-                self.rpc_send(node, msg_src, Tags::RPC_REPLY, u64::from(header), cached)
-            })
-            .expect("reply injection retries internally");
-            return RpcEvent::Duplicate(tag);
+            self.cpu(node)
+                .with_feature(Feature::FaultTol, |c| {
+                    c.reg(Fine::RegOp, recovery::RPC_DEDUP_REG);
+                    let what = "rpc injection";
+                    self.am4_send_retrying(node, msg_src, Tags::RPC_REPLY, header, cached, what)
+                })
+                .expect("reply injection retries internally");
+            return RpcEvent::Duplicate;
         }
-        let n = &mut self.nodes[node.index()];
+        let n = self.node_mut(node);
+        let handler = n.rpc_handlers.get_mut(&tag).expect("checked above");
         n.cpu.handler(2);
-        let reply = h(&mut n.mem, msg);
-        self.nodes[node.index()].rpc_handlers.insert(tag, h);
+        let reply = handler(&mut n.mem, msg);
         // Remember the reply for duplicate suppression (the probe
         // above is what a hit costs).
         self.cache_reply(node, msg_src, header, reply);
         // Inject the reply (a Table 1 single-packet send, carrying
         // the correlation id in the header word).
-        self.rpc_send(node, msg_src, Tags::RPC_REPLY, u64::from(header), reply)
+        self.am4_send_retrying(node, msg_src, Tags::RPC_REPLY, header, reply, "rpc injection")
             .expect("reply injection retries internally");
-        RpcEvent::Served(tag)
-    }
-
-    /// One attempt at the Table 1-shaped single-packet send with an
-    /// explicit header word (the RPC correlation id). Returns `false`
-    /// on backpressure; the costs are paid again on re-issue, as on the
-    /// real machine.
-    pub(crate) fn rpc_send_once(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        tag: u8,
-        header: u64,
-        words: [u32; 4],
-    ) -> bool {
-        let node = self.node_mut(from);
-        node.cpu.call(am4_send::CALL);
-        node.cpu.reg(Fine::NiSetup, am4_send::SETUP_REG);
-        node.ni.stage_envelope(to, tag, header as u32);
-        node.ni.push_payload2(words[0], words[1]);
-        node.ni.push_payload2(words[2], words[3]);
-        node.cpu.reg(Fine::CheckStatus, am4_send::STATUS_REG);
-        node.cpu.ctrl(am4_send::CTRL);
-        node.ni.commit_send() && {
-            node.ni.load_send_status();
-            true
-        }
-    }
-
-    /// A Table 1-shaped single-packet send, re-issued on backpressure
-    /// until the network accepts it or the wait bound is exceeded.
-    fn rpc_send(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        tag: u8,
-        header: u64,
-        words: [u32; 4],
-    ) -> Result<(), ProtocolError> {
-        let max_wait = self.cfg.max_wait_cycles;
-        let mut waited = 0;
-        while !self.rpc_send_once(from, to, tag, header, words) {
-            if waited >= max_wait {
-                return Err(ProtocolError::timeout("rpc injection", waited));
-            }
-            self.node_mut(from).ni.advance(1);
-            waited += 1;
-        }
-        Ok(())
+        RpcEvent::Served
     }
 }
 
@@ -412,12 +347,13 @@ impl OpMachine for RpcOp {
 
         let mut progress = false;
         if !self.sent && !self.stalled {
+            let id = self.call_id as u32;
             let ok = if self.attempt == 0 {
-                m.rpc_send_once(self.src, self.dst, self.tag, self.call_id, self.args)
+                m.am4_send_once(self.src, self.dst, self.tag, id, self.args)
             } else {
                 let cpu = m.cpu(self.src);
                 cpu.with_feature(Feature::FaultTol, |_| {
-                    m.rpc_send_once(self.src, self.dst, self.tag, self.call_id, self.args)
+                    m.am4_send_once(self.src, self.dst, self.tag, id, self.args)
                 })
             };
             if ok {
@@ -448,19 +384,6 @@ impl OpMachine for RpcOp {
             }
         }
         Ok(if progress { Stepped::Progress } else { Stepped::Idle })
-    }
-}
-
-/// Convert a [`PollOutcome`] into an [`RpcEvent`] mapping (test/debug
-/// aid): replies become `Reply`, everything else `Other`/`Idle`.
-pub fn classify_poll(outcome: PollOutcome) -> RpcEvent {
-    match outcome {
-        PollOutcome::Idle => RpcEvent::Idle,
-        PollOutcome::Handled(tag) => RpcEvent::Served(tag),
-        PollOutcome::Unclaimed(msg) if msg.tag == Tags::RPC_REPLY => {
-            RpcEvent::Reply(u64::from(msg.header), msg.words)
-        }
-        PollOutcome::Unclaimed(msg) => RpcEvent::Other(msg),
     }
 }
 
@@ -669,13 +592,5 @@ mod tests {
                 assert_eq!(reply[0], v + 100, "seed {seed} call {v}");
             }
         }
-    }
-
-    #[test]
-    fn classify_poll_maps_outcomes() {
-        assert_eq!(classify_poll(PollOutcome::Idle), RpcEvent::Idle);
-        assert_eq!(classify_poll(PollOutcome::Handled(40)), RpcEvent::Served(40));
-        let reply = Am4Msg { src: n(0), tag: Tags::RPC_REPLY, header: 7, words: [1; 4] };
-        assert_eq!(classify_poll(PollOutcome::Unclaimed(reply)), RpcEvent::Reply(7, [1; 4]));
     }
 }

@@ -583,13 +583,10 @@ impl Machine {
             if !node.ni.poll_status() {
                 return None;
             }
-            let (_, tag) = node.ni.latch_rx()?;
-            debug_assert_eq!(tag, Tags::STREAM_ACK);
+            let ack = node.read_msg()?;
+            debug_assert_eq!(ack.tag, Tags::STREAM_ACK);
             cpu.reg(Fine::RegOp, stream_src::ACK_RECV_REG);
-            let header = node.ni.read_header();
-            let (w0, _) = node.ni.read_payload2();
-            let _ = node.ni.read_payload2();
-            Some((u64::from(header), w0 == 1))
+            Some((u64::from(ack.header), ack.words[0] == 1))
         });
         let Some((seq, cumulative)) = taken else {
             return false;

@@ -15,6 +15,12 @@
 //! management, the offsets and the expected-count bookkeeping are
 //! in-order delivery, step 6 is fault tolerance, and everything else is
 //! base data movement.
+//!
+//! Two variants for the paper's discussion sections run the same six
+//! steps: DMA payload injection ([`Machine::xfer_dma`], §5), and
+//! segment reuse ([`Machine::xfer_batch`]), where one handshake and one
+//! disassociation serve a whole batch of messages to the same
+//! destination — a plain transfer is a batch of one.
 
 use timego_cost::{Feature, Fine};
 use timego_netsim::{NodeId, RxMeta};
@@ -23,7 +29,7 @@ use timego_ni::Addr;
 use crate::costs::{segment, xfer_order, xfer_recv, xfer_send};
 use crate::engine::OpOutcome;
 use crate::error::ProtocolError;
-use crate::machine::{Machine, Node, Tags};
+use crate::machine::{Machine, Tags};
 use crate::op::{
     check_restart, pairwise, peek_is, transfer_prologue, win, GcExempt, KeyClass, Op, OpMachine,
     Stepped,
@@ -85,6 +91,17 @@ impl Machine {
         self.xfer_with(src, dst, data, PayloadEngine::Cpu)
     }
 
+    /// Run the finite-sequence transfer protocol with DMA payload
+    /// injection at the source: only the per-packet data movement
+    /// differs from [`Machine::xfer`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Machine::xfer`].
+    pub fn xfer_dma(&mut self, src: NodeId, dst: NodeId, data: &[u32]) -> Result<XferOutcome, ProtocolError> {
+        self.xfer_with(src, dst, data, PayloadEngine::Dma)
+    }
+
     pub(crate) fn xfer_with(
         &mut self,
         src: NodeId,
@@ -92,68 +109,39 @@ impl Machine {
         data: &[u32],
         engine: PayloadEngine,
     ) -> Result<XferOutcome, ProtocolError> {
-        match self.run_blocking(Op::xfer_via(src, dst, data, engine))? {
+        match self.run_blocking(Op::finite(src, dst, data.to_vec(), Vec::new(), engine))? {
             (OpOutcome::Xfer(out), _) => Ok(out),
             _ => unreachable!("xfer op yields a transfer outcome"),
         }
     }
 
-    /// Steps 1–3 of the protocol: the sender requests a communication
-    /// segment sized for `words` words, the receiver allocates it,
-    /// associates a segment id, and replies. All costs are buffer
-    /// management. Returns the segment id and its buffer.
-    pub(crate) fn xfer_handshake(&mut self, src: NodeId, dst: NodeId, words: usize) -> Result<(u32, Addr), ProtocolError> {
-        let n = self.cfg.packet_words;
-        let max_wait = self.cfg.max_wait_cycles;
-
-        // Step 1: allocation request.
-        {
-            let node = self.node_mut(src);
-            node.cpu.clone().with_feature(Feature::BufferMgmt, |_| {
-                send_ctl_retrying(node, dst, Tags::XFER_REQ, words as u32, [0; 4], max_wait)
-            })?;
+    /// Transfer every message in `messages` from `src` to `dst` through
+    /// a single communication segment: the buffer-management handshake
+    /// and the segment disassociation are paid once for the whole
+    /// batch; each message still pays base data movement, in-order
+    /// offsets and its completion acknowledgement. A batch of one costs
+    /// exactly one [`Machine::xfer`].
+    ///
+    /// Returns one [`XferOutcome`] per message; the destination buffers
+    /// are consecutive sub-ranges of the shared segment.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::BadTransfer`] for equal or out-of-range
+    /// endpoints, or if the batch or any message is empty; otherwise as
+    /// [`Machine::xfer`].
+    pub fn xfer_batch(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        messages: &[&[u32]],
+    ) -> Result<Vec<XferOutcome>, ProtocolError> {
+        let lens = messages.iter().map(|msg| msg.len()).collect();
+        let op = Op::finite(src, dst, messages.concat(), lens, PayloadEngine::Cpu);
+        match self.run_blocking(op)? {
+            (OpOutcome::XferBatch(outs), _) => Ok(outs),
+            _ => unreachable!("batched xfer op yields one outcome per message"),
         }
-
-        // Steps 2–3: receiver allocates a segment and replies.
-        let (segment_id, rx_buffer) = {
-            let node = self.node_mut(dst);
-            let cpu = node.cpu.clone();
-            cpu.with_feature(Feature::BufferMgmt, |_| -> Result<_, ProtocolError> {
-                node.wait_rx(max_wait, "xfer request")?;
-                let (_, tag, header, _) = node.recv_ctl().expect("wait_rx saw a packet");
-                if tag != Tags::XFER_REQ {
-                    return Err(ProtocolError::UnexpectedPacket { tag });
-                }
-                let words = header as usize;
-                // Allocation itself is free (as in the paper); rounding
-                // up to whole packets keeps the double-word stores of a
-                // padded final packet in bounds.
-                let buffer = node.mem.alloc(words.div_ceil(n) * n);
-                // Associate the segment id with the target buffer.
-                node.cpu.reg(Fine::RegOp, segment::ASSOCIATE_REG);
-                node.cpu.mem_store(segment::ASSOCIATE_MEM);
-                let seg = (buffer.0 & 0xffff) as u32 ^ 0x5e60_0000;
-                send_ctl_retrying(node, src, Tags::XFER_REPLY, seg, [0; 4], max_wait)?;
-                Ok((seg, buffer))
-            })?
-        };
-
-        // Step 3 (source side): receive the reply.
-        {
-            let node = self.node_mut(src);
-            let cpu = node.cpu.clone();
-            cpu.with_feature(Feature::BufferMgmt, |_| -> Result<_, ProtocolError> {
-                node.wait_rx(max_wait, "xfer reply")?;
-                let (_, tag, header, _) = node.recv_ctl().expect("wait_rx saw a packet");
-                if tag != Tags::XFER_REPLY {
-                    return Err(ProtocolError::UnexpectedPacket { tag });
-                }
-                debug_assert_eq!(header, segment_id);
-                Ok(())
-            })?;
-        }
-
-        Ok((segment_id, rx_buffer))
     }
 
     /// Send one data packet of the transfer: move `n` words from the
@@ -219,16 +207,6 @@ impl Machine {
         }
     }
 
-    /// Drain every data packet currently waiting at the receiver,
-    /// storing payloads at their carried offsets.
-    pub(crate) fn drain_data_packets(&mut self, dst: NodeId, n: usize, rx: &mut XferRx) {
-        while rx.packets_received < rx.packets_expected {
-            if !self.recv_one_data_packet(dst, n, rx) {
-                return;
-            }
-        }
-    }
-
     /// Receive exactly one data packet of the transfer, storing its
     /// payload at the carried offset. Returns `false` (after the
     /// discovery latch) when nothing is waiting.
@@ -252,27 +230,6 @@ impl Machine {
         rx.packets_received += 1;
         true
     }
-}
-
-/// Issue a 4-word control packet, re-issuing on backpressure until the
-/// network accepts it or the wait bound is exceeded.
-pub(crate) fn send_ctl_retrying(
-    node: &mut Node,
-    dst: NodeId,
-    tag: u8,
-    header: u32,
-    words: [u32; 4],
-    max_wait: u64,
-) -> Result<(), ProtocolError> {
-    let mut waited = 0;
-    while !node.send_ctl(dst, tag, header, words) {
-        if waited >= max_wait {
-            return Err(ProtocolError::timeout("control-packet injection", waited));
-        }
-        node.ni.advance(1);
-        waited += 1;
-    }
-    Ok(())
 }
 
 /// Every tag of the finite-transfer protocols, plain and reliable.
@@ -299,22 +256,35 @@ enum XferPhase {
     AwaitAck,
 }
 
-/// The six steps of `CMAM_xfer` as an engine operation.
+/// The six steps of `CMAM_xfer` as an engine operation, over one or
+/// more messages sharing a segment: one handshake sized for them all,
+/// then per message the data phase and its acknowledgement, with the
+/// segment freed after the last.
 pub(crate) struct XferOp {
     src: NodeId,
     dst: NodeId,
+    /// The messages, back to back.
     data: Vec<u32>,
+    /// Each message's length; empty for a plain transfer, whose one
+    /// message is all of `data`.
+    lens: Vec<usize>,
     engine: PayloadEngine,
     n: usize,
-    packets: u64,
     phase: XferPhase,
     src_buf: Addr,
     req_sent: bool,
     reply_sent: bool,
     segment: Option<(u32, Addr)>,
+    // The message in flight: its index, its segment offset in words,
+    // and its data packets.
+    msg: usize,
+    base: u64,
+    packets: u64,
     rx: XferRx,
     next_packet: u64,
     send_retries: u64,
+    // Outcomes of a batch's finished messages.
+    done: Vec<XferOutcome>,
     waited: u64,
     stalled: bool,
     // Endpoint restart counters at start; see `check_restart`.
@@ -326,22 +296,26 @@ impl XferOp {
         src: NodeId,
         dst: NodeId,
         data: Vec<u32>,
+        lens: Vec<usize>,
         engine: PayloadEngine,
         n: usize,
     ) -> Self {
-        let packets = (data.len() as u64).div_ceil(n as u64);
+        let packets = (lens.first().copied().unwrap_or(data.len()) as u64).div_ceil(n as u64);
         XferOp {
             src,
             dst,
             data,
+            lens,
             engine,
             n,
-            packets,
             phase: XferPhase::Handshake,
             src_buf: Addr(0),
             req_sent: false,
             reply_sent: false,
             segment: None,
+            msg: 0,
+            base: 0,
+            packets,
             rx: XferRx {
                 buffer: Addr(0),
                 packets_expected: packets,
@@ -349,10 +323,27 @@ impl XferOp {
             },
             next_packet: 0,
             send_retries: 0,
+            done: Vec::new(),
             waited: 0,
             stalled: false,
             peer_restarts: (0, 0),
         }
+    }
+
+    fn messages(&self) -> usize {
+        self.lens.len().max(1)
+    }
+
+    fn len_of(&self, msg: usize) -> usize {
+        self.lens.get(msg).copied().unwrap_or(self.data.len())
+    }
+
+    /// Words of segment the messages occupy: each starts on a packet
+    /// boundary, so all but the last are rounded up to whole packets.
+    fn segment_words(&self) -> usize {
+        let (n, last) = (self.n, self.messages() - 1);
+        let spans: usize = (0..last).map(|i| self.len_of(i).div_ceil(n) * n).sum();
+        spans + self.len_of(last)
     }
 }
 
@@ -377,13 +368,23 @@ impl OpMachine for XferOp {
     /// transfer, whose packets carry no epoch to tell a re-execution's
     /// from the dead run's.
     fn reset(&mut self) {
-        let data = std::mem::take(&mut self.data);
-        *self = XferOp::new(self.src, self.dst, data, self.engine, self.n);
+        let (data, lens) = (std::mem::take(&mut self.data), std::mem::take(&mut self.lens));
+        *self = XferOp::new(self.src, self.dst, data, lens, self.engine, self.n);
     }
 
     fn start(&mut self, m: &mut Machine) {
-        // Harness setup: stage the data in source memory (cost-free).
-        self.src_buf = m.write_buffer(self.src, &self.data);
+        // Harness setup (cost-free): stage the messages in source memory
+        // at their segment offsets, so a packet's source offset is the
+        // offset its header carries.
+        self.src_buf = m.alloc(self.src, self.segment_words());
+        let (mut from, mut at) = (0, 0);
+        for msg in 0..self.messages() {
+            let len = self.len_of(msg);
+            let words = &self.data[from..from + len];
+            m.node_mut(self.src).mem.poke(self.src_buf.offset(at), words);
+            from += len;
+            at += len.div_ceil(self.n) * self.n;
+        }
         self.peer_restarts = (m.restarts_of(self.src), m.restarts_of(self.dst));
     }
 
@@ -416,7 +417,7 @@ impl OpMachine for XferOp {
                 let mut progress = false;
                 // Step 1: allocation request (buffer management).
                 if !self.req_sent && !self.stalled {
-                    let len = self.data.len() as u32;
+                    let len = self.segment_words() as u32;
                     let node = m.node_mut(src);
                     if node.send_ctl_as(Feature::BufferMgmt, dst, Tags::XFER_REQ, len, [0; 4]) {
                         self.req_sent = true;
@@ -430,9 +431,12 @@ impl OpMachine for XferOp {
                     let node = m.node_mut(dst);
                     let cpu = node.cpu.clone();
                     let seg = cpu.with_feature(Feature::BufferMgmt, |_| {
-                        let (_, tag, header, _) = node.recv_ctl_now();
-                        debug_assert_eq!(tag, Tags::XFER_REQ);
-                        let words = header as usize;
+                        let req = node.recv_ctl_now();
+                        debug_assert_eq!(req.tag, Tags::XFER_REQ);
+                        // Allocation itself is free (as in the paper);
+                        // rounding up to whole packets keeps the stores
+                        // of a padded final packet in bounds.
+                        let words = req.header as usize;
                         let buffer = node.mem.alloc(words.div_ceil(n) * n);
                         node.cpu.reg(Fine::RegOp, segment::ASSOCIATE_REG);
                         node.cpu.mem_store(segment::ASSOCIATE_MEM);
@@ -456,9 +460,8 @@ impl OpMachine for XferOp {
                         let node = m.node_mut(src);
                         let cpu = node.cpu.clone();
                         cpu.with_feature(Feature::BufferMgmt, |_| {
-                            let (_, tag, header, _) = node.recv_ctl_now();
-                            debug_assert_eq!(tag, Tags::XFER_REPLY);
-                            debug_assert_eq!(header, seg);
+                            let reply = node.recv_ctl_now();
+                            debug_assert_eq!((reply.tag, reply.header), (Tags::XFER_REPLY, seg));
                         });
                         self.rx.buffer = self.segment.expect("just checked").1;
                         transfer_prologue(m, src, dst);
@@ -477,7 +480,7 @@ impl OpMachine for XferOp {
                 // Step 4: inject (source side).
                 if !self.stalled {
                     while self.next_packet < self.packets {
-                        let offset = self.next_packet * n as u64;
+                        let offset = self.base + self.next_packet * n as u64;
                         if m.send_data_packet(src, dst, self.src_buf, offset, n, self.engine, 0) {
                             self.next_packet += 1;
                             progress = true;
@@ -501,16 +504,20 @@ impl OpMachine for XferOp {
                 if self.next_packet == self.packets
                     && self.rx.packets_received == self.rx.packets_expected
                 {
-                    // Step 5: free the segment.
+                    // The final count check and state writeback, then
+                    // step 5 after the last message: free the segment.
+                    let last = self.msg + 1 == self.messages();
                     let node = m.node_mut(dst);
                     node.cpu.clone().with_feature(Feature::InOrder, |cpu| {
                         cpu.reg(Fine::RegOp, xfer_order::DST_FINAL);
                     });
                     node.cpu.mem_store(xfer_recv::EXIT_STATE_MEM);
-                    node.cpu.clone().with_feature(Feature::BufferMgmt, |cpu| {
-                        cpu.reg(Fine::RegOp, segment::DISASSOCIATE_REG);
-                        cpu.mem_store(segment::DISASSOCIATE_MEM);
-                    });
+                    if last {
+                        node.cpu.clone().with_feature(Feature::BufferMgmt, |cpu| {
+                            cpu.reg(Fine::RegOp, segment::DISASSOCIATE_REG);
+                            cpu.mem_store(segment::DISASSOCIATE_MEM);
+                        });
+                    }
                     self.phase = XferPhase::SendAck;
                     self.waited = 0;
                     return Ok(Stepped::Progress);
@@ -546,16 +553,35 @@ impl OpMachine for XferOp {
                 let node = m.node_mut(src);
                 let cpu = node.cpu.clone();
                 cpu.with_feature(Feature::FaultTol, |_| {
-                    let (_, tag, header, _) = node.recv_ctl_now();
-                    debug_assert_eq!(tag, Tags::XFER_ACK);
-                    debug_assert_eq!(header, seg);
+                    let ack = node.recv_ctl_now();
+                    debug_assert_eq!((ack.tag, ack.header), (Tags::XFER_ACK, seg));
                 });
-                Ok(Stepped::Done(OpOutcome::Xfer(XferOutcome {
-                    dst_buffer: self.rx.buffer,
+                let out = XferOutcome {
+                    dst_buffer: self.rx.buffer.offset(self.base as usize),
                     packets: self.packets,
                     segment_id: seg,
                     send_retries: self.send_retries,
-                })))
+                };
+                if self.lens.is_empty() {
+                    return Ok(Stepped::Done(OpOutcome::Xfer(out)));
+                }
+                self.done.push(out);
+                if self.msg + 1 == self.lens.len() {
+                    let outs = std::mem::take(&mut self.done);
+                    return Ok(Stepped::Done(OpOutcome::XferBatch(outs)));
+                }
+                // The batch's next message: its prologue, then its data.
+                self.msg += 1;
+                self.base += self.packets * n as u64;
+                self.packets = (self.lens[self.msg] as u64).div_ceil(n as u64);
+                self.rx.packets_expected = self.packets;
+                self.rx.packets_received = 0;
+                self.next_packet = 0;
+                self.send_retries = 0;
+                transfer_prologue(m, src, dst);
+                self.phase = XferPhase::Transfer;
+                self.waited = 0;
+                Ok(Stepped::Progress)
             }
         }
     }
@@ -653,5 +679,118 @@ mod tests {
             );
         }
         assert_eq!(src.total() + dst.total(), 11737, "Table 2 grand total");
+    }
+
+    // --- segment reuse (`xfer_batch`) ------------------------------------
+
+    fn total(m: &Machine) -> u64 {
+        m.cpu(n(0)).snapshot().total() + m.cpu(n(1)).snapshot().total()
+    }
+
+    #[test]
+    fn batch_transfers_every_message_intact() {
+        let mut m = machine();
+        let a: Vec<u32> = (0..16).collect();
+        let b: Vec<u32> = (100..150).collect();
+        let c: Vec<u32> = (7..20).collect();
+        let outs = m.xfer_batch(n(0), n(1), &[&a, &b, &c]).unwrap();
+        assert_eq!(outs.len(), 3);
+        assert_eq!(m.read_buffer(n(1), outs[0].dst_buffer, a.len()), a);
+        assert_eq!(m.read_buffer(n(1), outs[1].dst_buffer, b.len()), b);
+        assert_eq!(m.read_buffer(n(1), outs[2].dst_buffer, c.len()), c);
+        assert!(outs.iter().all(|o| o.segment_id == outs[0].segment_id));
+    }
+
+    #[test]
+    fn batching_amortizes_buffer_management_exactly() {
+        const K: usize = 8;
+        let msg: Vec<u32> = (0..16).collect();
+
+        // K separate transfers.
+        let mut separate = machine();
+        separate.reset_costs();
+        for _ in 0..K {
+            separate.xfer(n(0), n(1), &msg).unwrap();
+        }
+        let sep_total = total(&separate);
+        let sep_bm = separate.cpu(n(0)).snapshot().feature_total(Feature::BufferMgmt)
+            + separate.cpu(n(1)).snapshot().feature_total(Feature::BufferMgmt);
+
+        // One batch of K.
+        let mut batched = machine();
+        batched.reset_costs();
+        let messages: Vec<&[u32]> = (0..K).map(|_| msg.as_slice()).collect();
+        batched.xfer_batch(n(0), n(1), &messages).unwrap();
+        let bat_total = total(&batched);
+        let bat_bm = batched.cpu(n(0)).snapshot().feature_total(Feature::BufferMgmt)
+            + batched.cpu(n(1)).snapshot().feature_total(Feature::BufferMgmt);
+
+        // Buffer management: K × 148 vs one 148.
+        assert_eq!(sep_bm, (K as u64) * 148);
+        assert_eq!(bat_bm, 148);
+        // Everything else is identical, so the whole saving is (K-1)×148.
+        assert_eq!(sep_total - bat_total, (K as u64 - 1) * 148);
+    }
+
+    #[test]
+    fn empty_batch_and_empty_message_are_rejected() {
+        let mut m = machine();
+        assert!(matches!(
+            m.xfer_batch(n(0), n(1), &[]),
+            Err(ProtocolError::BadTransfer(_))
+        ));
+        let a: Vec<u32> = vec![1];
+        assert!(matches!(
+            m.xfer_batch(n(0), n(1), &[&a, &[]]),
+            Err(ProtocolError::BadTransfer(_))
+        ));
+    }
+
+    #[test]
+    fn batch_of_one_costs_one_transfer() {
+        let msg: Vec<u32> = (0..64).collect();
+        let mut single = machine();
+        single.reset_costs();
+        single.xfer(n(0), n(1), &msg).unwrap();
+
+        let mut batch = machine();
+        batch.reset_costs();
+        batch.xfer_batch(n(0), n(1), &[&msg]).unwrap();
+        assert_eq!(total(&single), total(&batch));
+    }
+
+    /// On a substrate with latency the batch waits for packets like
+    /// `xfer` does — and, like `xfer`, pays nothing for the waiting: a
+    /// batch of one bills Table 2's 397, and each further message saves
+    /// exactly the 148-instruction handshake.
+    #[test]
+    fn batch_bills_like_xfer_on_a_latency_substrate() {
+        use timego_netsim::{Mesh2D, SwitchedConfig, SwitchedNetwork};
+        const K: usize = 8;
+        let mesh = || {
+            let net = SwitchedNetwork::new(Mesh2D::new(2, 2), SwitchedConfig::default());
+            Machine::new(share(net), 4, CmamConfig::default())
+        };
+        let pair_total =
+            |m: &Machine| m.cpu(n(0)).snapshot().total() + m.cpu(n(3)).snapshot().total();
+        let msg: Vec<u32> = (0..16).collect();
+
+        let mut single = mesh();
+        single.xfer(n(0), n(3), &msg).unwrap();
+        assert_eq!(pair_total(&single), 397);
+
+        let mut one = mesh();
+        let outs = one.xfer_batch(n(0), n(3), &[&msg]).unwrap();
+        assert_eq!(one.read_buffer(n(3), outs[0].dst_buffer, msg.len()), msg);
+        assert_eq!(pair_total(&one), 397);
+
+        let mut separate = mesh();
+        for _ in 0..K {
+            separate.xfer(n(0), n(3), &msg).unwrap();
+        }
+        let mut batched = mesh();
+        let messages: Vec<&[u32]> = (0..K).map(|_| msg.as_slice()).collect();
+        batched.xfer_batch(n(0), n(3), &messages).unwrap();
+        assert_eq!(pair_total(&separate) - pair_total(&batched), (K as u64 - 1) * 148);
     }
 }

@@ -45,6 +45,7 @@ use timego_cost::{Feature, Fine};
 use timego_netsim::{NodeId, RxMeta};
 use timego_ni::Addr;
 
+use crate::am::Am4Msg;
 use crate::costs::{recovery, segment, xfer_order, xfer_recv};
 use crate::engine::OpOutcome;
 use crate::error::ProtocolError;
@@ -408,7 +409,7 @@ impl ReliableOp {
                 let node = m.node_mut(dst);
                 let cpu = node.cpu.clone();
                 cpu.with_feature(Feature::FaultTol, |_| {
-                    let (_, tag, _, _) = node.recv_ctl_now();
+                    let tag = node.recv_ctl_now().tag;
                     debug_assert_eq!(tag, Tags::XFER_REQ);
                 });
                 self.reply_pending = Some(Feature::FaultTol);
@@ -430,7 +431,7 @@ impl ReliableOp {
                 let node = m.node_mut(dst);
                 let cpu = node.cpu.clone();
                 let seg = cpu.with_feature(Feature::BufferMgmt, |_| {
-                    let (_, tag, header, words) = node.recv_ctl_now();
+                    let Am4Msg { tag, header, words, .. } = node.recv_ctl_now();
                     debug_assert_eq!(tag, Tags::XFER_REQ);
                     debug_assert_eq!(header, epoch);
                     let words = words[0] as usize;
@@ -476,7 +477,7 @@ impl ReliableOp {
             let node = m.node_mut(src);
             let cpu = node.cpu.clone();
             cpu.with_feature(feature, |_| {
-                let (_, tag, header, words) = node.recv_ctl_now();
+                let Am4Msg { tag, header, words, .. } = node.recv_ctl_now();
                 debug_assert_eq!(tag, Tags::XFER_REPLY);
                 debug_assert_eq!(header, epoch);
                 debug_assert_eq!(words[0], seg);
@@ -611,7 +612,7 @@ impl ReliableOp {
             let node = m.node_mut(src);
             let cpu = node.cpu.clone();
             let (first, bits) = cpu.with_feature(Feature::FaultTol, |c| {
-                let (_, tag, header, words) = node.recv_ctl_now();
+                let Am4Msg { tag, header, words, .. } = node.recv_ctl_now();
                 debug_assert_eq!(tag, Tags::XFER_NACK);
                 c.reg(Fine::RegOp, recovery::RETRANSMIT_SETUP_REG);
                 (header & OFFSET_MASK, words)
@@ -712,7 +713,7 @@ impl ReliableOp {
             let node = m.node_mut(dst);
             let cpu = node.cpu.clone();
             cpu.with_feature(Feature::FaultTol, |_| {
-                let (_, tag, _, _) = node.recv_ctl_now();
+                let tag = node.recv_ctl_now().tag;
                 debug_assert_eq!(tag, Tags::XFER_PROBE);
             });
             self.reack_pending = true;
@@ -747,7 +748,7 @@ impl ReliableOp {
             let node = m.node_mut(src);
             let cpu = node.cpu.clone();
             cpu.with_feature(Feature::FaultTol, |_| {
-                let (_, tag, header, words) = node.recv_ctl_now();
+                let Am4Msg { tag, header, words, .. } = node.recv_ctl_now();
                 debug_assert_eq!(tag, Tags::XFER_ACK);
                 debug_assert_eq!(header, epoch);
                 debug_assert_eq!(words[0], seg);

@@ -338,6 +338,23 @@ pub fn cmam_finite(shape: MsgShape) -> ProtocolCost {
     c
 }
 
+/// [`cmam_finite`] with DMA payload injection at the source (§5's
+/// "improved network interfaces and DMA hardware"): identical except the
+/// source base cost, which drops to `8 reg + 4 dev` per packet
+/// (envelope, descriptor, commit and status accesses) with no per-word
+/// instructions — independent of the packet size `n`. The overheads are
+/// untouched, so their share of the total grows.
+pub fn cmam_finite_dma(shape: MsgShape) -> ProtocolCost {
+    let mut c = cmam_finite(shape);
+    let p = shape.packets();
+    c.set(
+        Endpoint::Source,
+        Feature::Base,
+        FeatureCost::new(8 * p + 2, 1, 4 * p),
+    );
+    c
+}
+
 // ---------------------------------------------------------------------
 // Indefinite-sequence, multi-packet delivery (CMAM)
 // ---------------------------------------------------------------------

@@ -292,11 +292,6 @@ impl<T: Topology> SwitchedNetwork<T> {
         }
     }
 
-    /// The fault schedule driving this network's fault plane.
-    pub fn fault_schedule(&self) -> &FaultSchedule {
-        &self.faults
-    }
-
     /// Suspend the network for a timesharing context switch: every
     /// in-flight packet is extracted from the links into an opaque
     /// context (the CM-5's "all-fall-down" mode, where packets drop out

@@ -209,11 +209,6 @@ impl<T: Topology> WormholeNetwork<T> {
         }
     }
 
-    /// The fault schedule driving this network's fault plane.
-    pub fn fault_schedule(&self) -> &FaultSchedule {
-        &self.faults
-    }
-
     /// The active configuration.
     pub fn config(&self) -> &WormholeConfig {
         &self.cfg

@@ -34,7 +34,7 @@ pub fn share<N: Network + 'static>(network: N) -> SharedNetwork {
 /// | [`poll_status`](NiPort::poll_status) | receive status | check NI status |
 /// | [`latch_rx`](NiPort::latch_rx) | receive latch + tag | check NI status |
 /// | [`read_header`](NiPort::read_header) | receive FIFO | read from NI |
-/// | [`read_payload2`](NiPort::read_payload2) / [`read_payload1`](NiPort::read_payload1) | receive FIFO | read from NI |
+/// | [`read_payload2`](NiPort::read_payload2) | receive FIFO | read from NI |
 pub struct NiPort {
     node: NodeId,
     net: SharedNetwork,
@@ -261,20 +261,6 @@ impl NiPort {
         latched.read_pos += 2;
         self.maybe_release();
         (w0, w1)
-    }
-
-    /// Load the next payload word (1 `dev`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no packet is latched.
-    pub fn read_payload1(&mut self) -> u32 {
-        self.cpu.dev(Fine::ReadNi, 1);
-        let latched = self.latched.as_mut().expect("no packet latched");
-        let w = latched.packet.data().get(latched.read_pos).copied().unwrap_or(0);
-        latched.read_pos += 1;
-        self.maybe_release();
-        w
     }
 
     /// Payload words remaining unread in the latch.

@@ -75,19 +75,10 @@ use timego_netsim::{FaultConfig, LatencyStats, NodeId, ShardedNetwork, SimRng};
 pub use crate::apps::service::{
     Admission, AdmissionWindow, BreakerSpec, Gateway, ServerPool,
 };
+/// The stateless mixer behind client keys and the consistent-hash ring.
+pub use timego_netsim::rng::splitmix64;
 use crate::apps::service::cost;
 use crate::scenarios;
-
-/// SplitMix64 — the stateless mixer used for client keys and the
-/// consistent-hash ring (same finalizer family as the netsim RNG, but
-/// usable as a pure function of the key).
-#[must_use]
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Load-balancing policy of the gateway tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -75,6 +75,14 @@ fn allocations_per_data_packet_stay_within_budget() {
     let (out, xfer) = counted(|| m.xfer(src, dst, &data));
     assert_eq!(m.read_buffer(dst, out.unwrap().dst_buffer, WORDS), data);
 
+    // The same words as a segment-reuse batch of 16 messages.
+    let messages: Vec<&[u32]> = data.chunks(WORDS / 16).collect();
+    let mut m = machine(DeliveryScript::InOrder);
+    let (outs, xfer_batch) = counted(|| m.xfer_batch(src, dst, &messages));
+    for (out, msg) in outs.unwrap().iter().zip(&messages) {
+        assert_eq!(m.read_buffer(dst, out.dst_buffer, msg.len()), *msg);
+    }
+
     let mut m = machine(DeliveryScript::InOrder);
     let (out, hl_xfer) = counted(|| m.hl_xfer(src, dst, &data));
     assert_eq!(m.read_buffer(dst, out.unwrap().dst_buffer, WORDS), data);
@@ -86,6 +94,7 @@ fn allocations_per_data_packet_stay_within_budget() {
     for (family, allocations, budget) in [
         ("stream", stream, 2.1),
         ("xfer", xfer, 1.05),
+        ("xfer_batch", xfer_batch, 1.05),
         ("hl_xfer", hl_xfer, 1.05),
         ("hl_stream_send", hl_stream, 1.05),
     ] {
