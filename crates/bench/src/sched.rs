@@ -107,7 +107,6 @@ fn drive_net(net: SharedNetwork, plan: &[PlannedOp], nodes: usize, profile: bool
 
     let steps = eng.counters().steps;
     let substrate_milli = eng.profiler_mut().map_or(0, |p| {
-        p.flush();
         let phases = SchedPhase::ALL.iter().zip(p.totals());
         let total: u64 = phases.clone().map(|(_, t)| t.total_ns).sum();
         let substrate: u64 = phases

@@ -20,10 +20,10 @@
 //! are indexed by `(endpoint, peer)`, and a touch at a node wakes the
 //! sleepers its head's `claims` names — not everyone with an endpoint
 //! there), an endpoint crash-restarts, or its own timer (retry window,
-//! timeout, RTO) comes due on the timing wheel; a pass visits only the
+//! timeout, RTO) comes due on the timer queue; a pass visits only the
 //! ordered set of operations that are awake. When a pass makes no
 //! progress, time passes — to the *next event*, not the next cycle: the
-//! first of the next wheel entry, the next parked op's resume, the next
+//! first of the next timer, the next parked op's resume, the next
 //! scripted crash-restart, the
 //! cycle the substrate says its receive queues stay quiet until
 //! ([`Network::quiet_until`](timego_netsim::Network::quiet_until) —
@@ -178,7 +178,8 @@
 //! paid to send, so a clean run bills exactly what the unstamped
 //! protocol billed.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashSet, VecDeque};
 use std::ops::Bound;
 use std::time::Instant;
 
@@ -189,7 +190,7 @@ use crate::error::ProtocolError;
 use crate::machine::Machine;
 use crate::op::{KeyClass, Op, OpBody, OpMachine, Stepped};
 use crate::retry::RecoveryPolicy;
-use crate::sched::{SchedCounters, SchedPhase, SchedProfiler, Slab, TimingWheel};
+use crate::sched::{SchedCounters, SchedPhase, SchedProfiler, Slab};
 use crate::stream::StreamOutcome;
 use crate::xfer::XferOutcome;
 use crate::xfer_reliable::ReliableOutcome;
@@ -394,13 +395,13 @@ impl OpEntry {
 struct RunSlot {
     a: ActiveOp,
     /// Incarnation number, unique across the engine's lifetime. Slab
-    /// slots are reused, so timing-wheel entries validate `(slot, inc)`
-    /// before acting.
+    /// slots are reused, so timers validate `(slot, inc)` before
+    /// acting.
     inc: u64,
     /// Eligible to be stepped: exactly the slots in `Engine::ready`.
     /// Cleared when a step returns `Idle` (the op goes to sleep on its
     /// wake conditions), set again by a touch that concerns it or its
-    /// wheel timer.
+    /// timer.
     ready: bool,
     /// The engine's tick epoch when the op last went to sleep — the
     /// lazy-tick anchor: on wake it receives `tick_epoch - slept_epoch`
@@ -409,15 +410,18 @@ struct RunSlot {
     /// ops once per engine-driven idle `advance`, while cycles burned
     /// *inside* an op's step (blocking NI waits) tick nobody.
     slept_epoch: u64,
-    /// Bumped on every wake so a stale wheel wake for an earlier sleep
+    /// Bumped on every wake so a stale timer wake for an earlier sleep
     /// of the same slot is recognized and ignored.
     sleep_gen: u64,
 }
 
-/// What one timing-wheel expiry means to the scheduler. Every variant
-/// is validated against current engine state when it fires — entries
-/// are never eagerly cancelled, they just go stale.
-enum WheelItem {
+/// What one timer expiry means to the scheduler. Every variant is
+/// validated against current engine state when it fires — timers are
+/// never eagerly cancelled, they just go stale. The derived order only
+/// breaks ties between timers due on the same cycle, and nothing depends
+/// on it: wakes are order-free, and `take_fired` sorts the rest.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Timer {
     /// Wake a sleeping op: the earliest future cycle at which its next
     /// step could be anything but a cost-free `Idle` (retry window,
     /// timeout threshold, RTO, or plain backpressure re-poll).
@@ -448,9 +452,10 @@ pub struct Engine {
     slots: Slab<RunSlot>,
     run_order: Vec<u32>,
     next_inc: u64,
-    // Timing wheel carrying op wakes, deadlines and watchdogs.
-    wheel: TimingWheel<WheelItem>,
-    // Wheel expiries harvested by `absorb_wakes`, pending validation in
+    // The timer queue: op wakes, deadlines and watchdogs, earliest due
+    // on top.
+    timers: BinaryHeap<Reverse<(u64, Timer)>>,
+    // Timers fired by `absorb_wakes`, pending validation in
     // `supervise`. Watchdog tuples are `(slot, inc)`.
     fired_deadlines: Vec<OpId>,
     fired_watchdogs: Vec<(u32, u64)>,
@@ -521,16 +526,17 @@ impl Engine {
         &self.counters
     }
 
-    /// Attach a self-profiling ring buffer of `capacity` samples; each
-    /// pump quantum then records per-phase wall times (see
-    /// [`SchedPhase`]). Off by default — profiling costs two `Instant`
-    /// reads per phase per quantum.
-    pub fn enable_profiling(&mut self, capacity: usize) {
-        self.profiler = Some(SchedProfiler::new(capacity));
+    /// Attach a self-profiler; each pump quantum then adds per-phase
+    /// wall times to its running totals (see [`SchedPhase`]). Off by
+    /// default — profiling costs two `Instant` reads per phase per
+    /// quantum. `capacity` is ignored: the totals take every sample, so
+    /// there is nothing to size.
+    pub fn enable_profiling(&mut self, _capacity: usize) {
+        self.profiler = Some(SchedProfiler::default());
     }
 
     /// The attached profiler, if [`Engine::enable_profiling`] was
-    /// called. Flush and read totals between runs, outside the hot path.
+    /// called. Read its totals between runs.
     pub fn profiler_mut(&mut self) -> Option<&mut SchedProfiler> {
         self.profiler.as_mut()
     }
@@ -631,9 +637,10 @@ impl Engine {
         }
         if let Some(budget) = deadline {
             self.deadlines.insert(id);
-            // Wheel entries are never cancelled: one that outlives its op
-            // finds the deadline disarmed when it fires and is dropped.
-            self.wheel.insert(submitted_at.saturating_add(budget), WheelItem::Deadline { id });
+            // Timers are never cancelled: one that outlives its op finds
+            // the deadline disarmed when it fires and is dropped.
+            let due = submitted_at.saturating_add(budget);
+            self.timers.push(Reverse((due, Timer::Deadline { id })));
         }
         id
     }
@@ -803,7 +810,7 @@ impl Engine {
     ///
     /// **How much time passes** is one rule. With every running
     /// operation asleep, the next quantum can do something only when a
-    /// wheel entry comes due (a timer wake, deadline or watchdog), a
+    /// timer comes due (an op wake, deadline or watchdog), a
     /// parked operation's backoff window closes, a scripted
     /// crash-restart closes, or a receive queue gains a packet; the
     /// caller can do something at `limit`, the substrate cycle of its
@@ -819,7 +826,7 @@ impl Engine {
     ///   ([`Engine::completions_since`]) reacts to them — cancels a
     ///   hedge loser, frees an admission slot — on the cycle it would
     ///   have under [`Engine::pump`];
-    /// * with the fabric empty the wheel, the parked resumes and the
+    /// * with the fabric empty the timers, the parked resumes and the
     ///   restart schedule alone decide, `limit` or no (what `pump` has
     ///   always done), so `pump_until` never lets *less* time pass than
     ///   `pump` would.
@@ -871,7 +878,7 @@ impl Engine {
             if self.run_order.is_empty() {
                 if self.jump_to_parked(m) {
                     // Restart folding waits for the next pump top; the
-                    // wheel catches up so deadlines due inside the
+                    // timers catch up so deadlines due inside the
                     // jumped window fire on this iteration.
                     self.absorb_wakes(m);
                     continue;
@@ -1060,22 +1067,23 @@ impl Engine {
 
     /// How far the clock may advance in one quantum with every running
     /// op asleep ([`Engine::pump_until`] states the rule): to the next
-    /// wheel event or parked resume, clamped so a scripted
+    /// timer or parked resume, clamped so a scripted
     /// crash-restart is observed on the cycle its window closes —
     /// exactly when a per-cycle sweep would observe it — and, while
     /// packets are in flight, to the first cycle a delivery could wake
     /// someone and to the caller's `limit`.
     fn idle_jump(&self, m: &Machine, limit: u64) -> u64 {
         let next_due = || {
+            let timer = self.timers.peek().map(|&Reverse((due, _))| due);
             let resume = self.parked.first().map(|&(at, _)| at);
-            self.wheel.next_due().into_iter().chain(resume).min()
+            timer.into_iter().chain(resume).min()
         };
         let net = m.network().borrow();
         let now = net.now().cycles();
         let mut until = if net.in_flight() > 0 {
             // The cheap questions first: `pump`'s limit has passed, and
             // a contended fabric answers "next cycle" — neither needs
-            // the wheel or the parked index consulted.
+            // the timers or the parked index consulted.
             if limit <= now + 1 {
                 return 1;
             }
@@ -1094,17 +1102,20 @@ impl Engine {
         until.saturating_sub(now).max(1)
     }
 
-    /// Advance the timing wheel to the substrate clock, harvest every
-    /// ripe entry, and absorb the substrate's delivery wake set. Wheel
-    /// wakes are validated against the slot's incarnation and sleep
-    /// generation (slots are reused; sleeps are re-entered); deadline
-    /// and watchdog expiries are queued for [`Engine::supervise`].
+    /// Fire every timer due by the substrate clock, and absorb the
+    /// substrate's delivery wake set. Timer wakes are validated against
+    /// the slot's incarnation and sleep generation (slots are reused;
+    /// sleeps are re-entered); deadline and watchdog expiries are queued
+    /// for [`Engine::supervise`].
     fn absorb_wakes(&mut self, m: &mut Machine) {
         let now = m.now();
-        self.wheel.advance_to(now);
-        for (_due, _seq, item) in self.wheel.take_ripe() {
-            match item {
-                WheelItem::Wake { slot, inc, gen } => {
+        while let Some(&Reverse((due, timer))) = self.timers.peek() {
+            if due > now {
+                break;
+            }
+            self.timers.pop();
+            match timer {
+                Timer::Wake { slot, inc, gen } => {
                     let live = self
                         .slots
                         .get(slot)
@@ -1114,10 +1125,8 @@ impl Engine {
                         self.wake_slot(slot);
                     }
                 }
-                WheelItem::Deadline { id } => self.fired_deadlines.push(id),
-                WheelItem::Watchdog { slot, inc } => {
-                    self.fired_watchdogs.push((slot, inc));
-                }
+                Timer::Deadline { id } => self.fired_deadlines.push(id),
+                Timer::Watchdog { slot, inc } => self.fired_watchdogs.push((slot, inc)),
             }
         }
         self.absorb_deliveries(m);
@@ -1134,8 +1143,7 @@ impl Engine {
     /// Start an admitted op — a first execution and a recovery
     /// re-execution alike — under its class tag, then move it into the
     /// run arena: allocate its slot, enter it — ready — in the ready set
-    /// and the pair index, and arm its no-progress watchdog on the
-    /// wheel.
+    /// and the pair index, and arm its no-progress watchdog.
     fn spawn(&mut self, m: &mut Machine, mut a: ActiveOp) {
         self.record(m, EngineEvent::Started(a.id));
         let cls = self.class_pre(m, a.id, a.endpoints);
@@ -1168,7 +1176,7 @@ impl Engine {
             list.insert(at, (peer, slot));
         }
         let due = now.saturating_add(self.watchdog_bound(m)).saturating_add(1);
-        self.wheel.insert(due, WheelItem::Watchdog { slot, inc });
+        self.timers.push(Reverse((due, Timer::Watchdog { slot, inc })));
     }
 
     fn admit(&mut self, m: &mut Machine) {
@@ -1366,5 +1374,30 @@ mod tests {
         eng.touch_node(&m, n(1), Touch::Packet);
         assert_eq!(peeks.get(), before + 1);
         assert!(eng.slots[slot].ready, "the head's claimant wakes");
+    }
+
+    /// A timer far in the future — past 2^24 cycles, beyond which a
+    /// four-level, 64-slot timing wheel needs an overflow list — fires
+    /// exactly on its due cycle, and idle time reaches it in one jump. The call's request is consumed
+    /// unhandled (no handler is registered), so after its first cycles
+    /// it waits for a reply that never comes; its own reply timeout and
+    /// the watchdog are both raised past the deadline.
+    #[test]
+    fn a_far_future_deadline_fires_exactly_after_one_idle_jump() {
+        const BUDGET: u64 = 20_000_000;
+        let net = share(ScriptedNetwork::new(2, DeliveryScript::InOrder));
+        let cfg = CmamConfig { max_wait_cycles: 1 << 26, ..CmamConfig::default() };
+        let mut m = Machine::new(net, 2, cfg);
+        let mut eng = Engine::new();
+        eng.set_watchdog(1 << 30);
+        let op = Op::rpc(NodeId::new(0), NodeId::new(1), Tags::USER_BASE, [0; 4], None);
+        let id = eng.submit(&mut m, op.deadline(BUDGET)).expect("valid");
+        let submitted_at = eng.ops[id.index()].submitted_at;
+        eng.run(&mut m);
+        let err = ProtocolError::DeadlineExceeded { what: "deadline", cycles: BUDGET };
+        assert_eq!(eng.take_outcome(id), Some(Err(err)));
+        assert_eq!(eng.completions, [(id, false, submitted_at + BUDGET)]);
+        assert_eq!(eng.counters.idle_jumps, 1, "one jump crosses the whole wait");
+        assert!(eng.counters.jumped_cycles > BUDGET - 10, "{:?}", eng.counters);
     }
 }

@@ -100,7 +100,7 @@ impl Engine {
     /// Supervision candidates by scan: every armed deadline, and the
     /// running ops — in run order — whose watchdog has actually expired.
     /// Handing over only the overdue ones keeps the shared expiry loop
-    /// from re-arming wheel entries on the oracle's behalf.
+    /// from re-arming timers on the oracle's behalf.
     fn scan_supervision(&self, m: &Machine) -> (Vec<OpId>, Vec<(u32, u64)>) {
         let (now, bound) = (m.now(), self.watchdog_bound(m));
         let overdue = self
@@ -163,7 +163,7 @@ mod tests {
                 Sched::Event => eng.run(m),
                 Sched::Reference => {
                     eng.run_reference(m);
-                    // The oracle never advances the wheel, so it holds
+                    // The oracle never fires a timer, so the queue holds
                     // exactly what submission and admission armed: one
                     // deadline per op that has one, one watchdog per
                     // execution. Anything more was re-armed on the
@@ -172,7 +172,7 @@ mod tests {
                         eng.trace.iter().filter(|e| matches!(e.event, EngineEvent::Started(_)));
                     let deadlines = eng.ops.iter().filter(|e| e.deadline.is_some()).count();
                     assert_eq!(
-                        eng.wheel.len(),
+                        eng.timers.len(),
                         started.count() + deadlines,
                         "the oracle re-armed a watchdog"
                     );

@@ -1,7 +1,9 @@
 //! Supervision: deadlines, the no-progress watchdog, cancellation and
 //! graceful shutdown.
 
-use super::{Engine, EngineEvent, OpEntry, OpId, Stage, WheelItem};
+use std::cmp::Reverse;
+
+use super::{Engine, EngineEvent, OpEntry, OpId, Stage, Timer};
 use crate::error::ProtocolError;
 use crate::machine::Machine;
 
@@ -13,12 +15,12 @@ impl Engine {
     /// protocol's own internal timeout so op-level errors fire first.
     pub fn set_watchdog(&mut self, cycles: u64) {
         self.watchdog = Some(cycles);
-        // Arm fresh wheel entries under the new bound: a shrunken bound
-        // must not wait out entries armed under the old one.
+        // Arm fresh timers under the new bound: a shrunken bound must
+        // not wait out timers armed under the old one.
         for &slot in &self.run_order {
             let s = &self.slots[slot];
             let due = s.a.last_progress_at.saturating_add(cycles).saturating_add(1);
-            self.wheel.insert(due, WheelItem::Watchdog { slot, inc: s.inc });
+            self.timers.push(Reverse((due, Timer::Watchdog { slot, inc: s.inc })));
         }
     }
 
@@ -74,10 +76,9 @@ impl Engine {
         true
     }
 
-    /// The supervision candidates the wheel has fired since the last
-    /// call: deadlines by `OpId`, watchdogs in run order. Fired order is
-    /// wheel (due, seq) order, so both are re-sorted — run order is
-    /// `inc` order.
+    /// The supervision candidates fired since the last call: deadlines
+    /// by `OpId`, watchdogs in run order. Timers fire in due order,
+    /// so both are sorted — run order is `inc` order.
     pub(super) fn take_fired(&mut self) -> (Vec<OpId>, Vec<(u32, u64)>) {
         let mut deadlines = std::mem::take(&mut self.fired_deadlines);
         deadlines.sort_unstable();
@@ -92,7 +93,7 @@ impl Engine {
     /// operation was settled (the pump loop restarts its sweep so
     /// released conflict keys are re-admitted in the same quantum).
     ///
-    /// Wheel entries are never cancelled, so each candidate is
+    /// Timers are never cancelled, so each candidate is
     /// validated against current state: a settled op's deadline is
     /// dropped, and the watchdog of an op that progressed since it was
     /// armed is re-armed at its pushed-out expiry.
@@ -128,7 +129,7 @@ impl Engine {
                 acted |= self.expire(m, id, err);
             } else {
                 let due = last.saturating_add(bound).saturating_add(1);
-                self.wheel.insert(due, WheelItem::Watchdog { slot, inc });
+                self.timers.push(Reverse((due, Timer::Watchdog { slot, inc })));
             }
         }
         acted

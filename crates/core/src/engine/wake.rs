@@ -1,9 +1,11 @@
 //! Readiness: whom a touch at a node wakes, how an op goes to sleep and
 //! wakes again, and the orphan sweep that rides the same touches.
 
+use std::cmp::Reverse;
+
 use timego_netsim::{NodeId, RxMeta};
 
-use super::{Engine, WheelItem};
+use super::{Engine, Timer};
 use crate::machine::{Machine, Tags};
 
 /// Why a node is being touched — which sleepers the touch can concern
@@ -27,8 +29,8 @@ impl Engine {
     /// the next queued packet).
     ///
     /// By the [`OpMachine`](crate::op::OpMachine) contract a sleeper's
-    /// next step is non-idle only through its own timer (the wheel's
-    /// business), a restart of an endpoint, or a queue head it `claims`
+    /// next step is non-idle only through its own timer (the timer
+    /// queue's business), a restart of an endpoint, or a queue head it `claims`
     /// — and every `claims` requires the head's sender to be the op's
     /// other endpoint. So, by cause:
     ///
@@ -119,7 +121,7 @@ impl Engine {
             return;
         }
         s.ready = true;
-        // Invalidate the outstanding wheel wake for this sleep.
+        // Invalidate the outstanding timer wake for this sleep.
         s.sleep_gen += 1;
         let elapsed = epoch.saturating_sub(s.slept_epoch);
         if elapsed > 0 {
@@ -145,8 +147,8 @@ impl Engine {
         s.slept_epoch = epoch;
         let inc = s.inc;
         if wake_in != u64::MAX {
-            let item = WheelItem::Wake { slot, inc, gen: s.sleep_gen };
-            self.wheel.insert(now.saturating_add(wake_in), item);
+            let timer = Timer::Wake { slot, inc, gen: s.sleep_gen };
+            self.timers.push(Reverse((now.saturating_add(wake_in), timer)));
         }
         self.ready.remove(&(inc, slot));
         let (a, b) = s.a.endpoints;

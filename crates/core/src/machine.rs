@@ -742,11 +742,9 @@ impl Machine {
     /// # Errors
     ///
     /// [`ProtocolError::Timeout`] if the network refuses the packet for
-    /// longer than `max_wait_cycles`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` or `dst` is out of range.
+    /// longer than `max_wait_cycles`; [`ProtocolError::BadTransfer`],
+    /// naming the field, for equal or out-of-range endpoints (nothing
+    /// is billed).
     pub fn am4_send(
         &mut self,
         src: NodeId,
@@ -754,7 +752,7 @@ impl Machine {
         tag: u8,
         words: [u32; 4],
     ) -> Result<(), ProtocolError> {
-        assert!(dst.index() < self.nodes.len(), "destination out of range");
+        self.check_endpoints(src, dst)?;
         self.am4_send_retrying(src, dst, tag, 0, words, "am4 injection")
     }
 
@@ -957,6 +955,22 @@ mod tests {
         m.am4_send(n(0), n(1), 20, [0; 4]).unwrap();
         let v = m.cpu(n(0)).snapshot();
         assert_eq!(v.feature_total(Feature::Base), v.total());
+    }
+
+    #[test]
+    fn am4_send_rejects_bad_endpoints_without_billing() {
+        let mut m = scripted_machine(2, DeliveryScript::InOrder);
+        let cases = [(n(2), n(1), "src n2"), (n(0), n(7), "dst n7"), (n(1), n(1), "both n1")];
+        for (src, dst, field) in cases {
+            match m.am4_send(src, dst, Tags::USER_BASE, [0; 4]) {
+                Err(ProtocolError::BadTransfer(why)) => assert!(why.contains(field), "{why}"),
+                other => panic!("{src} -> {dst} must be rejected, got {other:?}"),
+            }
+        }
+        for node in [n(0), n(1)] {
+            assert_eq!(m.cpu(node).snapshot().total(), 0, "a rejected send bills nothing");
+        }
+        assert_eq!(m.network().borrow().stats().injected, 0);
     }
 
     #[test]

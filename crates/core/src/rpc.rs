@@ -159,16 +159,21 @@ impl Machine {
 
     /// Poll `node` once in RPC terms: serve one pending request (run
     /// its handler, inject the reply) or surface one reply.
-    pub(crate) fn rpc_service(&mut self, node: NodeId) -> RpcEvent {
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Timeout`] (`"rpc injection"`) when the network
+    /// refuses the reply for longer than `max_wait_cycles`.
+    pub(crate) fn rpc_service(&mut self, node: NodeId) -> Result<RpcEvent, ProtocolError> {
         let Some(msg) = self.node_mut(node).poll_msg() else {
-            return RpcEvent::Idle;
+            return Ok(RpcEvent::Idle);
         };
         let (msg_src, tag, header) = (msg.src, msg.tag, msg.header);
         if tag == Tags::RPC_REPLY {
-            return RpcEvent::Reply(u64::from(header), msg.words);
+            return Ok(RpcEvent::Reply(u64::from(header), msg.words));
         }
         if !self.node_mut(node).rpc_handlers.contains_key(&tag) {
-            return RpcEvent::Other;
+            return Ok(RpcEvent::Other);
         }
         // A retransmitted request for a call already served: answer from
         // the reply cache without re-running the handler, so handlers
@@ -177,14 +182,12 @@ impl Machine {
         // into the existing dispatch and the service costs exactly what
         // it did without retry support.
         if let Some(cached) = self.cached_reply(node, msg_src, header) {
-            self.cpu(node)
-                .with_feature(Feature::FaultTol, |c| {
-                    c.reg(Fine::RegOp, recovery::RPC_DEDUP_REG);
-                    let what = "rpc injection";
-                    self.am4_send_retrying(node, msg_src, Tags::RPC_REPLY, header, cached, what)
-                })
-                .expect("reply injection retries internally");
-            return RpcEvent::Duplicate;
+            self.cpu(node).with_feature(Feature::FaultTol, |c| {
+                c.reg(Fine::RegOp, recovery::RPC_DEDUP_REG);
+                let what = "rpc injection";
+                self.am4_send_retrying(node, msg_src, Tags::RPC_REPLY, header, cached, what)
+            })?;
+            return Ok(RpcEvent::Duplicate);
         }
         let n = self.node_mut(node);
         let handler = n.rpc_handlers.get_mut(&tag).expect("checked above");
@@ -195,9 +198,8 @@ impl Machine {
         self.cache_reply(node, msg_src, header, reply);
         // Inject the reply (a Table 1 single-packet send, carrying
         // the correlation id in the header word).
-        self.am4_send_retrying(node, msg_src, Tags::RPC_REPLY, header, reply, "rpc injection")
-            .expect("reply injection retries internally");
-        RpcEvent::Served
+        self.am4_send_retrying(node, msg_src, Tags::RPC_REPLY, header, reply, "rpc injection")?;
+        Ok(RpcEvent::Served)
     }
 }
 
@@ -366,8 +368,9 @@ impl OpMachine for RpcOp {
         }
 
         // Serve the callee when our request is at its queue head.
+        // A reply the network refuses past the wait bound fails the call.
         if peek_is(m, self.dst, self.src, self.tag) {
-            let _ = m.rpc_service(self.dst);
+            m.rpc_service(self.dst)?;
             progress = true;
         }
 
@@ -375,7 +378,7 @@ impl OpMachine for RpcOp {
         // carries our correlation id (a concurrent call's reply stays
         // for its own operation).
         if m.rx_peek_at(self.src).is_some_and(|meta| self.claims(self.src, &meta)) {
-            match m.rpc_service(self.src) {
+            match m.rpc_service(self.src)? {
                 RpcEvent::Reply(id, words) => {
                     debug_assert_eq!(id, self.call_id);
                     return Ok(Stepped::Done(OpOutcome::Rpc(words)));
@@ -465,6 +468,36 @@ mod tests {
         for v in 0..32u32 {
             let reply = m.rpc_call(n(0), n(1), 33, [v, 0, 0, 0]).unwrap();
             assert_eq!(reply[0], v + 1);
+        }
+    }
+
+    /// A callee whose reply the network refuses past the wait bound
+    /// fails the call with a `Timeout`, not a panic: raw packets nobody
+    /// consumes fill every queue from the callee back to the caller.
+    #[test]
+    fn refused_reply_fails_the_call_with_a_timeout() {
+        use timego_netsim::Packet;
+
+        let cfg =
+            SwitchedConfig { link_queue_capacity: 2, rx_queue_capacity: 2, ..SwitchedConfig::default() };
+        let net = share(SwitchedNetwork::new(Mesh2D::new(2, 1), cfg));
+        let cfg = CmamConfig { max_wait_cycles: 256, ..CmamConfig::default() };
+        let mut m = Machine::new(net, 2, cfg);
+        m.register_rpc_handler(n(1), 40, |_, _| [1, 2, 3, 4]);
+        {
+            let raw = || Packet::new(n(1), n(0), Tags::USER_BASE, 0, vec![0; 4]);
+            let mut net = m.network().borrow_mut();
+            for _ in 0..64 {
+                while net.try_inject(raw()).is_ok() {}
+                net.advance(1);
+            }
+            assert!(net.try_inject(raw()).is_err(), "the path back to the caller is full");
+        }
+        match m.rpc_call(n(0), n(1), 40, [0; 4]) {
+            Err(ProtocolError::Timeout { waiting_for, .. }) => {
+                assert_eq!(waiting_for, "rpc injection");
+            }
+            other => panic!("the reply cannot be injected, got {other:?}"),
         }
     }
 

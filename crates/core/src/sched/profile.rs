@@ -2,12 +2,12 @@
 //! go?
 //!
 //! The same question the paper asks of messaging layers applies to the
-//! thing asking it. [`SchedProfiler`] timestamps the four scheduler
-//! phases into a fixed ring buffer — two `Instant` reads per phase per
-//! quantum, nothing else on the hot path — and aggregation happens only
-//! when the harness calls [`SchedProfiler::flush`] between runs.
-//! [`SchedCounters`] are always-on plain integer counters (the bench
-//! acceptance metric is `steps`, the number of op `step()` invocations).
+//! thing asking it. [`SchedProfiler`] times the four scheduler phases —
+//! two `Instant` reads per phase per quantum — and adds each sample
+//! straight into that phase's running total, so the totals cover the
+//! whole run in fixed memory. [`SchedCounters`] are always-on plain
+//! integer counters (the bench acceptance metric is `steps`, the number
+//! of op `step()` invocations).
 
 /// A scheduler phase whose wall time is sampled.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -17,8 +17,9 @@ pub enum SchedPhase {
     ReadyPop,
     /// Time inside op `step()` calls — the protocol work itself.
     OpStep,
-    /// Advancing the timing wheel, harvesting ripe timers, and
-    /// absorbing substrate wake sets.
+    /// Firing due timers from the timer queue and absorbing substrate
+    /// wake sets. (The name predates the queue; the frozen benchmark
+    /// spells its metric `wheel_advance_share`.)
     WheelAdvance,
     /// Advancing the network substrate (`Machine::advance`).
     SubstrateStep,
@@ -63,69 +64,28 @@ pub struct PhaseTotal {
     pub total_ns: u64,
 }
 
-/// Ring-buffered phase timer; see the module docs.
-#[derive(Debug)]
+/// Per-phase running totals; see the module docs.
+#[derive(Debug, Default)]
 pub struct SchedProfiler {
-    ring: Vec<(u8, u64)>,
-    head: usize,
-    filled: usize,
-    dropped: u64,
     totals: [PhaseTotal; 4],
 }
 
 impl SchedProfiler {
-    /// A profiler whose ring holds `capacity` samples before the oldest
-    /// are overwritten (and counted in [`SchedProfiler::dropped`]).
-    pub fn new(capacity: usize) -> Self {
-        SchedProfiler {
-            ring: Vec::with_capacity(capacity.max(1)),
-            head: 0,
-            filled: 0,
-            dropped: 0,
-            totals: [PhaseTotal::default(); 4],
-        }
-    }
-
-    /// Record one `(phase, nanoseconds)` sample. O(1), no allocation
-    /// once the ring is full.
+    /// Add one `(phase, nanoseconds)` sample to that phase's total.
     pub fn record(&mut self, phase: SchedPhase, ns: u64) {
-        let sample = (phase.index() as u8, ns);
-        if self.ring.len() < self.ring.capacity() {
-            self.ring.push(sample);
-            self.filled += 1;
-        } else {
-            if self.filled == self.ring.len() {
-                self.dropped += 1;
-            }
-            self.ring[self.head] = sample;
-            self.filled = self.ring.len();
-        }
-        self.head = (self.head + 1) % self.ring.capacity();
+        let t = &mut self.totals[phase.index()];
+        t.samples += 1;
+        t.total_ns += ns;
     }
 
-    /// Fold the ring's contents into the persistent per-phase totals
-    /// and clear it. Call this *outside* the hot path (between pump
-    /// batches or after a run).
-    pub fn flush(&mut self) {
-        for &(p, ns) in self.ring.iter().take(self.filled) {
-            let t = &mut self.totals[p as usize];
-            t.samples += 1;
-            t.total_ns += ns;
-        }
-        self.ring.clear();
-        self.head = 0;
-        self.filled = 0;
-    }
+    /// A no-op, kept for callers written against the earlier buffered
+    /// profiler: every sample is already in [`SchedProfiler::totals`].
+    pub fn flush(&mut self) {}
 
-    /// Per-phase totals accumulated by [`SchedProfiler::flush`],
-    /// indexed like [`SchedPhase::ALL`].
+    /// Per-phase totals of every sample recorded, indexed like
+    /// [`SchedPhase::ALL`].
     pub fn totals(&self) -> [PhaseTotal; 4] {
         self.totals
-    }
-
-    /// Samples lost to ring overwrite before they could be flushed.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 }
 
@@ -147,7 +107,7 @@ pub struct SchedCounters {
     /// Cycles skipped by those jumps (beyond the single cycle a
     /// reference advance would have made).
     pub jumped_cycles: u64,
-    /// Sleeping ops woken by a wheel timer.
+    /// Sleeping ops woken by their own timer.
     pub timer_wakes: u64,
     /// Sleeping ops woken by a packet arrival at a subscribed node.
     pub packet_wakes: u64,
@@ -157,20 +117,20 @@ pub struct SchedCounters {
 mod tests {
     use super::*;
 
+    /// More samples than the 65 536-entry ring the benchmark used to
+    /// size, and every one of them is in the totals — flushed or not.
     #[test]
-    fn ring_overwrites_oldest_and_flush_aggregates() {
-        let mut p = SchedProfiler::new(3);
-        p.record(SchedPhase::OpStep, 10);
-        p.record(SchedPhase::OpStep, 20);
-        p.record(SchedPhase::ReadyPop, 5);
-        p.record(SchedPhase::OpStep, 30); // overwrites the 10ns sample
-        assert_eq!(p.dropped(), 1);
+    fn totals_keep_every_sample() {
+        const SAMPLES: u64 = (1 << 16) + 4_000;
+        let mut p = SchedProfiler::default();
+        for i in 0..SAMPLES {
+            p.record(SchedPhase::ALL[(i % 4) as usize], i);
+        }
+        let sum_of = |phase: u64| (0..SAMPLES).filter(|i| i % 4 == phase).sum::<u64>();
+        let expected: Vec<PhaseTotal> =
+            (0..4).map(|ph| PhaseTotal { samples: SAMPLES / 4, total_ns: sum_of(ph) }).collect();
+        assert_eq!(p.totals().to_vec(), expected);
         p.flush();
-        let t = p.totals();
-        assert_eq!(t[SchedPhase::OpStep.index()], PhaseTotal { samples: 2, total_ns: 50 });
-        assert_eq!(t[SchedPhase::ReadyPop.index()], PhaseTotal { samples: 1, total_ns: 5 });
-        // Flush is idempotent on an empty ring.
-        p.flush();
-        assert_eq!(p.totals()[SchedPhase::OpStep.index()].samples, 2);
+        assert_eq!(p.totals().to_vec(), expected, "flush changes nothing");
     }
 }

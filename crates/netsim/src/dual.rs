@@ -69,21 +69,11 @@ impl<A: Network, B: Network> DualNetwork<A, B> {
     fn refresh_merged(&mut self) {
         let a = self.request.stats();
         let b = self.reply.stats();
-        // Scalar statistics merge; delivery-order accounting stays
-        // per-side (each side numbers its own pair sequences), so use
-        // `request_side()`/`reply_side()` for order statistics.
-        self.merged.injected = a.injected + b.injected;
-        self.merged.delivered = a.delivered + b.delivered;
-        self.merged.backpressure = a.backpressure + b.backpressure;
-        self.merged.dropped_corrupt = a.dropped_corrupt + b.dropped_corrupt;
-        self.merged.hw_retransmits = a.hw_retransmits + b.hw_retransmits;
-        self.merged.rejects = a.rejects + b.rejects;
-        self.merged.dropped_fault = a.dropped_fault + b.dropped_fault;
-        self.merged.duplicated = a.duplicated + b.duplicated;
-        self.merged.reordered = a.reordered + b.reordered;
-        self.merged.jitter_delayed = a.jitter_delayed + b.jitter_delayed;
-        self.merged.outage_drops = a.outage_drops + b.outage_drops;
-        self.merged.crash_drops = a.crash_drops + b.crash_drops;
+        // Scalar statistics merge; delivery-order accounting and
+        // latency stay per-side (each side numbers its own pair
+        // sequences), so use `request_side()`/`reply_side()` for them.
+        self.merged.zip_scalars(a, |m, x| *m = x);
+        self.merged.zip_scalars(b, |m, y| *m += y);
         self.merged.merge_per_node(a, b);
     }
 }

@@ -374,20 +374,27 @@ impl NetStats {
     /// The per-node table is *not* absorbed (composite substrates index
     /// it differently per part).
     pub(crate) fn absorb(&mut self, other: &NetStats) {
-        self.injected += other.injected;
-        self.delivered += other.delivered;
-        self.backpressure += other.backpressure;
-        self.dropped_corrupt += other.dropped_corrupt;
-        self.hw_retransmits += other.hw_retransmits;
-        self.rejects += other.rejects;
-        self.dropped_fault += other.dropped_fault;
-        self.duplicated += other.duplicated;
-        self.reordered += other.reordered;
-        self.jitter_delayed += other.jitter_delayed;
-        self.outage_drops += other.outage_drops;
-        self.crash_drops += other.crash_drops;
+        self.zip_scalars(other, |x, y| *x += y);
         self.order.absorb_counts(&other.order);
         self.latency.merge(&other.latency);
+    }
+
+    /// Apply `f` to each scalar counter of this instance paired with the
+    /// same counter of `other` — the one list of scalar counters every
+    /// composite substrate sums through.
+    pub(crate) fn zip_scalars(&mut self, other: &NetStats, f: impl Fn(&mut u64, u64)) {
+        f(&mut self.injected, other.injected);
+        f(&mut self.delivered, other.delivered);
+        f(&mut self.backpressure, other.backpressure);
+        f(&mut self.dropped_corrupt, other.dropped_corrupt);
+        f(&mut self.hw_retransmits, other.hw_retransmits);
+        f(&mut self.rejects, other.rejects);
+        f(&mut self.dropped_fault, other.dropped_fault);
+        f(&mut self.duplicated, other.duplicated);
+        f(&mut self.reordered, other.reordered);
+        f(&mut self.jitter_delayed, other.jitter_delayed);
+        f(&mut self.outage_drops, other.outage_drops);
+        f(&mut self.crash_drops, other.crash_drops);
     }
 
     /// Overwrite this instance's per-node table with the elementwise
