@@ -467,7 +467,7 @@ pub fn substrate_demo() -> String {
         for round in 0..40u32 {
             for (s, d) in &pairs {
                 if net
-                    .try_inject(Packet::new(*s, *d, 1, round, vec![round; 4]))
+                    .try_inject(Packet::new(*s, *d, 1, round, &[round; 4]))
                     .is_ok()
                 {
                     sent += 1;
@@ -503,7 +503,7 @@ pub fn substrate_demo() -> String {
         let mut sent = 0u32;
         while sent < 100 {
             if net
-                .try_inject(Packet::new(NodeId::new(0), NodeId::new(63), 1, sent, vec![sent; 4]))
+                .try_inject(Packet::new(NodeId::new(0), NodeId::new(63), 1, sent, &[sent; 4]))
                 .is_ok()
             {
                 sent += 1;
@@ -531,7 +531,7 @@ pub fn substrate_demo() -> String {
     {
         let mut net = scenarios::cm5_lossy(16, 0.05, 23);
         for (i, (s, d)) in Pattern::AllToAll.pairs(16).iter().enumerate() {
-            let _ = net.try_inject(Packet::new(*s, *d, 1, i as u32, vec![0; 4]));
+            let _ = net.try_inject(Packet::new(*s, *d, 1, i as u32, &[0; 4]));
         }
         net.drain_extracting(1_000_000);
         let st = net.stats();
@@ -552,7 +552,7 @@ pub fn substrate_demo() -> String {
         let mut tick = 0u64;
         while sent < 200 {
             if net
-                .try_inject(Packet::new(NodeId::new(0), NodeId::new(1), 1, sent, vec![sent; 4]))
+                .try_inject(Packet::new(NodeId::new(0), NodeId::new(1), 1, sent, &[sent; 4]))
                 .is_ok()
             {
                 sent += 1;
@@ -591,7 +591,7 @@ pub fn substrate_demo() -> String {
         let mut refused = 0;
         for i in 0..64u32 {
             if net
-                .try_inject(Packet::new(NodeId::new(0), NodeId::new(1), 1, i, vec![0; 4]))
+                .try_inject(Packet::new(NodeId::new(0), NodeId::new(1), 1, i, &[0; 4]))
                 .is_err()
             {
                 refused += 1;
@@ -651,7 +651,7 @@ pub fn substrate_demo() -> String {
             // cyclic allocation genuinely forms.
             for s in 0..4usize {
                 let d = (s + 2) % 4;
-                net.try_inject(Packet::new(NodeId::new(s), NodeId::new(d), 1, 0, vec![7; 8]))
+                net.try_inject(Packet::new(NodeId::new(s), NodeId::new(d), 1, 0, &[7; 8]))
                     .expect("first channels are free at time zero");
             }
             net.drain_extracting(20_000)
@@ -935,7 +935,7 @@ pub fn tension() -> String {
             let pairs = Pattern::RandomPermutation(11).pairs(64);
             for round in 0..(8 * burst) {
                 for (s, d) in &pairs {
-                    let _ = net.try_inject(Packet::new(*s, *d, 1, round, vec![round; 4]));
+                    let _ = net.try_inject(Packet::new(*s, *d, 1, round, &[round; 4]));
                 }
                 net.advance((16 / burst).max(1) as u64);
             }

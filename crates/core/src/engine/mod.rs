@@ -1347,7 +1347,7 @@ mod tests {
 
         // The first packet of a pair is held by the script: nothing is
         // pending at node 1, one packet is in flight.
-        let held = Packet::new(n(2), n(1), 50, 0, vec![7]);
+        let held = Packet::new(n(2), n(1), 50, 0, &[7]);
         m.network().borrow_mut().try_inject(held).expect("accepted");
         assert_eq!(
             (m.network().borrow().rx_pending(n(1)), m.network().borrow().in_flight()),
@@ -1368,7 +1368,7 @@ mod tests {
 
         // A packet at the head is looked at once, and wakes its claimant.
         eng.sleep_slot(&m, slot);
-        let reply = Packet::new(n(0), n(1), Tags::XFER_REPLY, 0, vec![0; 4]);
+        let reply = Packet::new(n(0), n(1), Tags::XFER_REPLY, 0, &[0; 4]);
         m.network().borrow_mut().try_inject(reply).expect("accepted");
         m.advance(1);
         eng.touch_node(&m, n(1), Touch::Packet);

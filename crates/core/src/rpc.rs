@@ -485,7 +485,7 @@ mod tests {
         let mut m = Machine::new(net, 2, cfg);
         m.register_rpc_handler(n(1), 40, |_, _| [1, 2, 3, 4]);
         {
-            let raw = || Packet::new(n(1), n(0), Tags::USER_BASE, 0, vec![0; 4]);
+            let raw = || Packet::new(n(1), n(0), Tags::USER_BASE, 0, &[0; 4]);
             let mut net = m.network().borrow_mut();
             for _ in 0..64 {
                 while net.try_inject(raw()).is_ok() {}

@@ -39,6 +39,7 @@ impl CostRecorder {
 
     /// The feature currently being attributed ([`Feature::Base`] unless a
     /// scope has been entered).
+    #[inline]
     pub fn current_feature(&self) -> Feature {
         self.feature.unwrap_or(Feature::Base)
     }
@@ -52,6 +53,7 @@ impl CostRecorder {
 
     /// Record `count` instructions of the given fine category and class
     /// under the current feature.
+    #[inline]
     pub fn record(&mut self, fine: Fine, class: Class, count: u64) {
         if count > 0 {
             self.vector.record(self.current_feature(), fine, class, count);
@@ -103,47 +105,56 @@ impl CostHandle {
     }
 
     /// Record `count` register instructions of category `fine`.
+    #[inline]
     pub fn reg(&self, fine: Fine, count: u64) {
         self.inner.borrow_mut().record(fine, Class::Reg, count);
     }
 
     /// Record procedure call/return overhead (`count` reg instructions).
+    #[inline]
     pub fn call(&self, count: u64) {
         self.reg(Fine::CallReturn, count);
     }
 
     /// Record control-flow instructions (branches, loop tests).
+    #[inline]
     pub fn ctrl(&self, count: u64) {
         self.reg(Fine::ControlFlow, count);
     }
 
     /// Record generic register arithmetic.
+    #[inline]
     pub fn reg_op(&self, count: u64) {
         self.reg(Fine::RegOp, count);
     }
 
     /// Record handler-dispatch instructions.
+    #[inline]
     pub fn handler(&self, count: u64) {
         self.reg(Fine::Handler, count);
     }
 
     /// Record `count` loads from ordinary memory.
+    #[inline]
     pub fn mem_load(&self, count: u64) {
         self.inner.borrow_mut().record(Fine::MemLoad, Class::Mem, count);
     }
 
     /// Record `count` stores to ordinary memory.
+    #[inline]
     pub fn mem_store(&self, count: u64) {
         self.inner.borrow_mut().record(Fine::MemStore, Class::Mem, count);
     }
 
     /// Record `count` device (NI) instructions of category `fine`.
     /// Normally called by the NI model, not by protocol code.
+    #[inline]
     pub fn dev(&self, fine: Fine, count: u64) {
         self.inner.borrow_mut().record(fine, Class::Dev, count);
     }
 
     /// Record with full control over all three axes.
+    #[inline]
     pub fn record(&self, fine: Fine, class: Class, count: u64) {
         self.inner.borrow_mut().record(fine, class, count);
     }

@@ -43,6 +43,7 @@ impl FeatureCost {
     }
 
     /// Mutable count for one class.
+    #[inline]
     pub fn class_mut(&mut self, class: Class) -> &mut u64 {
         match class {
             Class::Reg => &mut self.reg,
@@ -124,6 +125,7 @@ impl CostVector {
 
     /// Record `count` instructions of fine category `fine` and cost class
     /// `class`, attributed to `feature`.
+    #[inline]
     pub fn record(&mut self, feature: Feature, fine: Fine, class: Class, count: u64) {
         *self.by_feature[feature.index()].class_mut(class) += count;
         self.by_fine[fine.index()] += count;

@@ -156,7 +156,7 @@ impl CrNetwork {
         for packet in delivered {
             self.in_flight -= 1;
             let (src, dst) = (packet.src(), packet.dst());
-            let seq = packet.pair_seq().expect("stamped at injection");
+            let seq = packet.stamped_seq();
             let injected = packet.injected_at();
             self.rx[dst.index()].push_back(packet);
             self.wake.mark(dst);
@@ -258,7 +258,7 @@ mod tests {
     }
 
     fn pkt(src: usize, dst: usize, seq: u32) -> Packet {
-        Packet::new(n(src), n(dst), 1, seq, vec![seq; 4])
+        Packet::new(n(src), n(dst), 1, seq, &[seq; 4])
     }
 
     fn net(nodes: usize) -> CrNetwork {

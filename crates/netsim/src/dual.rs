@@ -202,7 +202,7 @@ mod tests {
     }
 
     fn pkt(src: usize, dst: usize, tag: u8, seq: u32) -> Packet {
-        Packet::new(NodeId::new(src), NodeId::new(dst), tag, seq, vec![seq; 4])
+        Packet::new(NodeId::new(src), NodeId::new(dst), tag, seq, &[seq; 4])
     }
 
     /// The classic fetch-deadlock workload: both nodes first flood each

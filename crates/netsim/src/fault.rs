@@ -364,7 +364,7 @@ mod tests {
     }
 
     fn pkt() -> Packet {
-        Packet::new(n(0), n(1), 1, 0, vec![1, 2, 3, 4])
+        Packet::new(n(0), n(1), 1, 0, &[1, 2, 3, 4])
     }
 
     #[test]

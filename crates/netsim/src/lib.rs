@@ -44,7 +44,7 @@
 //! let mut net = ScriptedNetwork::new(2, DeliveryScript::InOrder);
 //! let src = NodeId::new(0);
 //! let dst = NodeId::new(1);
-//! net.try_inject(Packet::new(src, dst, 7, 0, vec![1, 2, 3, 4])).unwrap();
+//! net.try_inject(Packet::new(src, dst, 7, 0, &[1, 2, 3, 4])).unwrap();
 //! net.advance(1);
 //! let got = net.try_receive(dst).expect("delivered");
 //! assert_eq!(got.data(), &[1, 2, 3, 4]);

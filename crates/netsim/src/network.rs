@@ -152,7 +152,7 @@ impl WakeSet {
 ///
 /// let mut net = ScriptedNetwork::new(4, DeliveryScript::InOrder);
 /// let (src, dst) = (NodeId::new(0), NodeId::new(3));
-/// net.try_inject(Packet::new(src, dst, 7, 99, vec![1, 2])).unwrap();
+/// net.try_inject(Packet::new(src, dst, 7, 99, &[1, 2])).unwrap();
 /// net.advance(1);
 /// assert_eq!(net.take_delivered(), vec![dst]); // the scheduler's wake set
 ///

@@ -1,19 +1,21 @@
-//! The `(src, dst)`-keyed table every substrate keeps, and its hasher.
+//! The `(src, dst)`-keyed table the fabric substrates keep, and its
+//! hasher.
 //!
-//! Pair sequence counters, order-tracker state, held-packet buffers and
-//! per-pair channels are all looked up once or more per packet under a
-//! key of two small node indices the simulator generated itself — no
-//! outside input, so SipHash's collision resistance buys nothing and
-//! its per-process random state costs reproducibility: with it, a map
-//! *walk* visits pairs in a different order on every construction.
-//! [`PairMap`] is a `HashMap` over a fixed multiply-mix hasher
-//! ([`splitmix64`]) instead.
+//! Pair sequence counters, order-tracker state and per-pair channels
+//! are all looked up once or more per packet under a key of two small
+//! node indices the simulator generated itself — no outside input, so
+//! SipHash's collision resistance buys nothing and its per-process
+//! random state costs reproducibility: with it, a map *walk* visits
+//! pairs in a different order on every construction. [`PairMap`] is a
+//! `HashMap` over a fixed multiply-mix hasher ([`splitmix64`]) instead.
 //!
 //! A fixed hasher makes a walk repeatable, not meaningful: iteration
 //! order still depends on table capacity and insertion history. The
 //! walks that *decide* behaviour (which pair delivers first into a
 //! nearly full receive queue) therefore go through [`sorted_keys`] —
-//! **ascending `(src, dst)` is the arbitration rule**.
+//! **ascending `(src, dst)` is the arbitration rule**. The scripted
+//! network, a measurement substrate of a handful of nodes, keeps a
+//! dense `nodes × nodes` table instead, whose index order is that rule.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

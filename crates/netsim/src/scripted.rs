@@ -12,13 +12,21 @@
 //! …`: every odd-numbered packet arrives before its predecessor, so for
 //! an even packet count exactly half the packets are out of order —
 //! precisely the paper's assumption.
+//!
+//! Per-pair state (the injection sequence counter and the packets the
+//! script is holding) lives in one dense `nodes × nodes` table indexed
+//! `src * nodes + dst`, so a lookup is an index, and walking the table
+//! in index order *is* ascending `(src, dst)`, the arbitration order
+//! every substrate uses. The table is sized at the first injection, not
+//! at construction: a paper sweep builds a fresh machine per message,
+//! thousands of them up front, and building one stays as cheap as an
+//! empty hash map made it.
 
 use std::collections::VecDeque;
 
 use crate::id::NodeId;
 use crate::network::{Guarantees, InjectError, Network, RxMeta};
 use crate::packet::Packet;
-use crate::pair::{sorted_keys, PairMap};
 use crate::rng::SimRng;
 use crate::stats::NetStats;
 use crate::time::Time;
@@ -40,8 +48,12 @@ pub enum DeliveryScript {
     },
 }
 
+/// One `(src, dst)` pair's entry in the dense table.
 #[derive(Debug, Default)]
-struct PairBuffer {
+struct PairSlot {
+    /// Sequence number of the pair's next injection.
+    next_seq: u64,
+    /// Packets the script is holding back.
     held: Vec<Packet>,
 }
 
@@ -53,8 +65,8 @@ pub struct ScriptedNetwork {
     script: DeliveryScript,
     now: Time,
     rx: Vec<VecDeque<Packet>>,
-    buffers: PairMap<PairBuffer>,
-    pair_seq: PairMap<u64>,
+    /// `nodes × nodes` pair slots, empty until the first injection.
+    pairs: Vec<PairSlot>,
     held_count: usize,
     stats: NetStats,
     rng: SimRng,
@@ -87,8 +99,7 @@ impl ScriptedNetwork {
             script,
             now: Time::ZERO,
             rx: (0..nodes).map(|_| VecDeque::new()).collect(),
-            buffers: PairMap::default(),
-            pair_seq: PairMap::default(),
+            pairs: Vec::new(),
             held_count: 0,
             stats: NetStats::new(),
             rng: SimRng::new(seed),
@@ -102,12 +113,27 @@ impl ScriptedNetwork {
 
     fn deliver(&mut self, packet: Packet) {
         let (src, dst) = (packet.src(), packet.dst());
-        let seq = packet.pair_seq().expect("stamped at injection");
+        let seq = packet.stamped_seq();
         let injected = packet.injected_at();
         self.rx[dst.index()].push_back(packet);
         let depth = self.rx[dst.index()].len();
         self.stats
             .record_delivery(src, dst, seq, injected, self.now, depth);
+    }
+
+    /// Where `(src, dst)` sits in the pair table.
+    fn pair_index(&self, src: NodeId, dst: NodeId) -> usize {
+        src.index() * self.nodes + dst.index()
+    }
+
+    /// The pair slot of `(src, dst)`, sizing the table on first use.
+    fn slot(&mut self, src: NodeId, dst: NodeId) -> &mut PairSlot {
+        if self.pairs.is_empty() {
+            self.pairs
+                .resize_with(self.nodes * self.nodes, PairSlot::default);
+        }
+        let i = self.pair_index(src, dst);
+        &mut self.pairs[i]
     }
 
     /// Release every held packet destined for `node` (used when a stream
@@ -116,22 +142,30 @@ impl ScriptedNetwork {
     fn flush_node(&mut self, node: Option<NodeId>) {
         // Several pairs may release into one receive queue (and draw on
         // one shuffle stream), so the walk order decides what software
-        // sees: ascending `(src, dst)`.
-        let keys = sorted_keys(&self.buffers, |_, dst, b| {
-            node.is_none_or(|n| dst == n) && !b.held.is_empty()
-        });
-        for key in keys {
-            let mut held = std::mem::take(
-                &mut self.buffers.get_mut(&key).expect("key just listed").held,
-            );
-            if matches!(self.script, DeliveryScript::WindowShuffle { .. }) {
-                self.rng.shuffle(&mut held);
-            }
-            self.held_count -= held.len();
-            for p in held {
-                self.deliver(p);
+        // sees: ascending `(src, dst)`, which is ascending slot index.
+        let (first, step) = match node {
+            Some(dst) => (dst.index(), self.nodes),
+            None => (0, 1),
+        };
+        for i in (first..self.pairs.len()).step_by(step) {
+            if !self.pairs[i].held.is_empty() {
+                self.release(i);
             }
         }
+    }
+
+    /// Deliver everything slot `i` holds (shuffled first under
+    /// [`DeliveryScript::WindowShuffle`]), keeping the slot's buffer.
+    fn release(&mut self, i: usize) {
+        let mut held = std::mem::take(&mut self.pairs[i].held);
+        if matches!(self.script, DeliveryScript::WindowShuffle { .. }) {
+            self.rng.shuffle(&mut held);
+        }
+        self.held_count -= held.len();
+        for p in held.drain(..) {
+            self.deliver(p);
+        }
+        self.pairs[i].held = held;
     }
 }
 
@@ -163,38 +197,32 @@ impl Network for ScriptedNetwork {
         if src.index() >= self.nodes {
             return Err(InjectError::BadDestination(src));
         }
-        let seq = self.pair_seq.entry((src, dst)).or_insert(0);
-        let this_seq = *seq;
-        packet.stamp(this_seq, self.now);
-        *seq += 1;
+        let slot = self.slot(src, dst);
+        let seq = slot.next_seq;
+        slot.next_seq += 1;
+        packet.stamp(seq, self.now);
         self.stats.injected += 1;
 
         match self.script {
             DeliveryScript::InOrder => self.deliver(packet),
             DeliveryScript::AlternateSwap => {
-                if this_seq.is_multiple_of(2) {
-                    self.buffers.entry((src, dst)).or_default().held.push(packet);
+                if seq.is_multiple_of(2) {
+                    self.slot(src, dst).held.push(packet);
                     self.held_count += 1;
                 } else {
                     self.deliver(packet);
-                    let buf = self.buffers.entry((src, dst)).or_default();
-                    if let Some(held) = buf.held.pop() {
+                    if let Some(held) = self.slot(src, dst).held.pop() {
                         self.held_count -= 1;
                         self.deliver(held);
                     }
                 }
             }
             DeliveryScript::WindowShuffle { window } => {
-                let buf = self.buffers.entry((src, dst)).or_default();
-                buf.held.push(packet);
                 self.held_count += 1;
-                if buf.held.len() >= window {
-                    let mut held = std::mem::take(&mut buf.held);
-                    self.rng.shuffle(&mut held);
-                    self.held_count -= held.len();
-                    for p in held {
-                        self.deliver(p);
-                    }
+                let slot = self.slot(src, dst);
+                slot.held.push(packet);
+                if slot.held.len() >= window {
+                    self.release(self.pair_index(src, dst));
                 }
             }
         }
@@ -250,7 +278,7 @@ mod tests {
     }
 
     fn pkt(src: usize, dst: usize, seq: u32) -> Packet {
-        Packet::new(n(src), n(dst), 1, seq, vec![seq])
+        Packet::new(n(src), n(dst), 1, seq, &[seq])
     }
 
     fn inject_burst(net: &mut ScriptedNetwork, count: u32) {
@@ -335,6 +363,28 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(run(), first, "same seed, same run");
         }
+    }
+
+    #[test]
+    fn alternate_swap_flush_on_advance_releases_ascending_pairs() {
+        // Three sources feed node 0 in interleaved odd-length bursts, so
+        // each pair ends up holding its last packet; time passing
+        // releases the three in ascending (src, dst) order. Headers are
+        // `src * 100 + global injection index`.
+        let mut net = ScriptedNetwork::new(4, DeliveryScript::AlternateSwap);
+        for (src, burst) in [(3, 3), (1, 5), (2, 1), (3, 2), (1, 2)] {
+            for _ in 0..burst {
+                let header = (src * 100) as u32 + net.stats().injected as u32;
+                net.try_inject(pkt(src, 0, header)).unwrap();
+            }
+        }
+        assert_eq!(net.in_flight(), 3);
+        net.advance(1);
+        assert_eq!(net.in_flight(), 0);
+        assert_eq!(
+            receive_all(&mut net, n(0)),
+            [301, 300, 104, 103, 106, 105, 309, 302, 111, 107, 112, 208, 310]
+        );
     }
 
     #[test]

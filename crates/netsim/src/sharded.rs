@@ -54,7 +54,7 @@
 //! });
 //! // Node 1 and node 9 live in different shards: the packet crosses a
 //! // boundary queue instead of a fat tree, but software can't tell.
-//! net.try_inject(Packet::new(NodeId::new(1), NodeId::new(9), 7, 0, vec![42])).unwrap();
+//! net.try_inject(Packet::new(NodeId::new(1), NodeId::new(9), 7, 0, &[42])).unwrap();
 //! net.drain(1_000);
 //! let got = net.try_receive(NodeId::new(9)).expect("delivered");
 //! assert_eq!(got.src(), NodeId::new(1));
@@ -327,7 +327,7 @@ fn deliver_boundary(cell: &mut ShardCell, packet: Packet, now: Time) {
         return;
     }
     let (src, dst) = (packet.src(), packet.dst());
-    let seq = packet.pair_seq().expect("stamped at injection");
+    let seq = packet.stamped_seq();
     let injected = packet.injected_at();
     cell.brx[local].push_back(packet);
     cell.wake.mark(NodeId::new(local));
@@ -811,7 +811,7 @@ mod tests {
     }
 
     fn pkt(src: usize, dst: usize, seq: u32) -> Packet {
-        Packet::new(n(src), n(dst), 1, seq, vec![seq; 4])
+        Packet::new(n(src), n(dst), 1, seq, &[seq; 4])
     }
 
     fn cfg(shards: usize, threads: usize) -> ShardedConfig {

@@ -452,7 +452,7 @@ impl<T: Topology> SwitchedNetwork<T> {
             self.stats.dropped_corrupt += 1;
             return;
         }
-        let seq = packet.pair_seq().expect("stamped at injection");
+        let seq = packet.stamped_seq();
         let injected = packet.injected_at();
         self.rx[dst.index()].push_back(packet);
         self.wake.mark(dst);
@@ -750,7 +750,7 @@ impl<T: Topology> Network for SwitchedNetwork<T> {
             packet.stamp(*seq, self.now);
             *seq += 1;
             self.stats.injected += 1;
-            let pseq = packet.pair_seq().expect("just stamped");
+            let pseq = packet.stamped_seq();
             let injected = packet.injected_at();
             self.rx[dst.index()].push_back(packet);
             self.wake.mark(dst);
@@ -896,7 +896,7 @@ mod tests {
     }
 
     fn pkt(src: usize, dst: usize, seq: u32) -> Packet {
-        Packet::new(n(src), n(dst), 1, seq, vec![seq; 4])
+        Packet::new(n(src), n(dst), 1, seq, &[seq; 4])
     }
 
     fn drain_all<T: Topology>(net: &mut SwitchedNetwork<T>, node: NodeId) -> Vec<Packet> {

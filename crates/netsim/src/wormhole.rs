@@ -439,11 +439,8 @@ impl<T: Topology> WormholeNetwork<T> {
             }
             if self.rx[dst.index()].len() < self.cfg.rx_queue_capacity {
                 let packet = self.worms.get(&id).expect("exists").packet.clone();
-                let (src, seq, injected) = (
-                    packet.src(),
-                    packet.pair_seq().expect("stamped"),
-                    packet.injected_at(),
-                );
+                let (src, seq, injected) =
+                    (packet.src(), packet.stamped_seq(), packet.injected_at());
                 self.rx[dst.index()].push_back(packet);
                 self.wake.mark(dst);
                 let depth = self.rx[dst.index()].len();
@@ -550,7 +547,7 @@ impl<T: Topology> Network for WormholeNetwork<T> {
             packet.stamp(*seq, self.now);
             *seq += 1;
             self.stats.injected += 1;
-            let pseq = packet.pair_seq().expect("stamped");
+            let pseq = packet.stamped_seq();
             let injected = packet.injected_at();
             self.rx[dst.index()].push_back(packet);
             self.wake.mark(dst);
@@ -657,7 +654,7 @@ mod tests {
     use crate::topology::{Mesh2D, Torus2D};
 
     fn pkt(src: usize, dst: usize, seq: u32) -> Packet {
-        Packet::new(NodeId::new(src), NodeId::new(dst), 1, seq, vec![seq; 4])
+        Packet::new(NodeId::new(src), NodeId::new(dst), 1, seq, &[seq; 4])
     }
 
     fn mesh(cfg: WormholeConfig) -> WormholeNetwork<Mesh2D> {
@@ -725,7 +722,7 @@ mod tests {
         );
         for s in 0..4usize {
             let d = (s + 2) % 4;
-            let p = Packet::new(NodeId::new(s), NodeId::new(d), 1, 0, vec![7; 8]);
+            let p = Packet::new(NodeId::new(s), NodeId::new(d), 1, 0, &[7; 8]);
             net.try_inject(p).unwrap();
         }
         net.advance(2_000);
@@ -750,7 +747,7 @@ mod tests {
         );
         for s in 0..4usize {
             let d = (s + 2) % 4;
-            let p = Packet::new(NodeId::new(s), NodeId::new(d), 1, 0, vec![7; 8]);
+            let p = Packet::new(NodeId::new(s), NodeId::new(d), 1, 0, &[7; 8]);
             net.try_inject(p).unwrap();
         }
         assert!(net.drain_extracting(20_000), "dateline VCs must drain the ring");
@@ -774,7 +771,7 @@ mod tests {
         // actually forms (distinct pairs, distinct first channels).
         for s in 0..4usize {
             let d = (s + 2) % 4;
-            net.try_inject(Packet::new(NodeId::new(s), NodeId::new(d), 1, 0, vec![7; 8]))
+            net.try_inject(Packet::new(NodeId::new(s), NodeId::new(d), 1, 0, &[7; 8]))
                 .unwrap();
         }
         assert!(net.drain_extracting(50_000), "CR must resolve the deadlock");

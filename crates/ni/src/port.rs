@@ -40,6 +40,9 @@ pub struct NiPort {
     net: SharedNetwork,
     cpu: CostHandle,
     staged: Option<Staged>,
+    /// The send FIFO's words for the staged packet: one buffer per port,
+    /// reused by every packet, copied into the packet on commit.
+    payload: Vec<u32>,
     latched: Option<Latched>,
 }
 
@@ -48,7 +51,6 @@ struct Staged {
     dst: NodeId,
     tag: u8,
     header: u32,
-    payload: Vec<u32>,
 }
 
 #[derive(Debug, Clone)]
@@ -65,6 +67,7 @@ impl NiPort {
             net,
             cpu,
             staged: None,
+            payload: Vec::new(),
             latched: None,
         }
     }
@@ -107,12 +110,8 @@ impl NiPort {
     /// Begins a new packet, discarding any previously staged one.
     pub fn stage_envelope(&mut self, dst: NodeId, tag: u8, header: u32) {
         self.cpu.dev(Fine::NiSetup, 1);
-        self.staged = Some(Staged {
-            dst,
-            tag,
-            header,
-            payload: Vec::with_capacity(4),
-        });
+        self.staged = Some(Staged { dst, tag, header });
+        self.payload.clear();
     }
 
     /// Store two payload words into the send FIFO with one double-word
@@ -123,9 +122,7 @@ impl NiPort {
     /// Panics if no envelope is staged.
     pub fn push_payload2(&mut self, w0: u32, w1: u32) {
         self.cpu.dev(Fine::WriteNi, 1);
-        let staged = self.staged.as_mut().expect("stage_envelope before push_payload");
-        staged.payload.push(w0);
-        staged.payload.push(w1);
+        self.send_fifo("push_payload").extend_from_slice(&[w0, w1]);
     }
 
     /// Store one payload word into the send FIFO (1 `dev`).
@@ -135,8 +132,7 @@ impl NiPort {
     /// Panics if no envelope is staged.
     pub fn push_payload1(&mut self, w: u32) {
         self.cpu.dev(Fine::WriteNi, 1);
-        let staged = self.staged.as_mut().expect("stage_envelope before push_payload");
-        staged.payload.push(w);
+        self.send_fifo("push_payload").push(w);
     }
 
     /// Store a DMA descriptor (1 `dev`): the NI's DMA engine fetches
@@ -151,8 +147,8 @@ impl NiPort {
     /// bounds.
     pub fn dma_stage_payload(&mut self, mem: &Memory, addr: Addr, words: usize) {
         self.cpu.dev(Fine::NiSetup, 1);
-        let staged = self.staged.as_mut().expect("stage_envelope before dma_stage_payload");
-        staged.payload.extend_from_slice(mem.peek(addr, words));
+        self.send_fifo("dma_stage_payload")
+            .extend_from_slice(mem.peek(addr, words));
     }
 
     /// Load the send-status register to commit and confirm the send
@@ -166,7 +162,13 @@ impl NiPort {
     pub fn commit_send(&mut self) -> bool {
         self.cpu.dev(Fine::CheckStatus, 1);
         let staged = self.staged.take().expect("nothing staged to send");
-        let packet = Packet::new(self.node, staged.dst, staged.tag, staged.header, staged.payload);
+        let packet = Packet::new(
+            self.node,
+            staged.dst,
+            staged.tag,
+            staged.header,
+            &self.payload,
+        );
         match self.net.borrow_mut().try_inject(packet) {
             Ok(()) => true,
             Err(InjectError::Backpressure) => false,
@@ -276,6 +278,12 @@ impl NiPort {
         self.latched = None;
     }
 
+    /// The send FIFO, once an envelope is staged.
+    fn send_fifo(&mut self, caller: &str) -> &mut Vec<u32> {
+        assert!(self.staged.is_some(), "stage_envelope before {caller}");
+        &mut self.payload
+    }
+
     fn maybe_release(&mut self) {
         if let Some(l) = &self.latched {
             if l.read_pos >= l.packet.len() {
@@ -290,6 +298,7 @@ impl fmt::Debug for NiPort {
         f.debug_struct("NiPort")
             .field("node", &self.node)
             .field("staged", &self.staged)
+            .field("payload", &self.payload)
             .field("latched", &self.latched)
             .finish_non_exhaustive()
     }

@@ -44,7 +44,7 @@ pub fn run_fetch(net: &mut dyn Network, rounds: u32, reply_packets: u32) -> Fetc
                         NodeId::new(1 - me),
                         REQUEST_TAG,
                         *sent,
-                        vec![0; 4],
+                        &[0; 4],
                     ))
                     .is_ok()
             {
@@ -65,7 +65,7 @@ pub fn run_fetch(net: &mut dyn Network, rounds: u32, reply_packets: u32) -> Fetc
             let peer = NodeId::new(1 - me);
             if reply_pkts_owed[me] > 0 {
                 if net
-                    .try_inject(Packet::new(NodeId::new(me), peer, REPLY_TAG, 0, vec![0; 4]))
+                    .try_inject(Packet::new(NodeId::new(me), peer, REPLY_TAG, 0, &[0; 4]))
                     .is_ok()
                 {
                     reply_pkts_owed[me] -= 1;
@@ -86,7 +86,7 @@ pub fn run_fetch(net: &mut dyn Network, rounds: u32, reply_packets: u32) -> Fetc
                         peer,
                         REQUEST_TAG,
                         requests_sent[me],
-                        vec![0; 4],
+                        &[0; 4],
                     ))
                     .is_ok()
             {

@@ -21,7 +21,7 @@ fn inject_ring(net: &mut dyn Network) {
     // allocation forms before anyone can slip through.
     for s in 0..4usize {
         let d = (s + 2) % 4;
-        net.try_inject(Packet::new(NodeId::new(s), NodeId::new(d), 1, 0, vec![7; 8]))
+        net.try_inject(Packet::new(NodeId::new(s), NodeId::new(d), 1, 0, &[7; 8]))
             .expect("first channels are free at time zero");
     }
 }
@@ -65,7 +65,7 @@ fn main() {
     while sent < 64 || net.in_flight() > 0 {
         if sent < 64
             && net
-                .try_inject(Packet::new(NodeId::new(0), NodeId::new(9), 1, sent, vec![sent; 4]))
+                .try_inject(Packet::new(NodeId::new(0), NodeId::new(9), 1, sent, &[sent; 4]))
                 .is_ok()
         {
             sent += 1;

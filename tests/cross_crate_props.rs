@@ -239,7 +239,7 @@ fn switched_network_conserves_packets() {
             let s = (sent as usize * 7) % 16;
             let d = (s + 1 + (sent as usize * 3) % 15) % 16;
             if net
-                .try_inject(timego_netsim::Packet::new(n(s), n(d), 1, sent, vec![sent; 4]))
+                .try_inject(timego_netsim::Packet::new(n(s), n(d), 1, sent, &[sent; 4]))
                 .is_ok()
             {
                 sent += 1;
@@ -291,7 +291,7 @@ fn wormhole_cr_conserves_and_orders_packets() {
         while (sent < count || net.in_flight() > 0) && spins < 1_000_000 {
             if sent < count
                 && net
-                    .try_inject(timego_netsim::Packet::new(n(0), n(2), 1, sent, vec![sent; 4]))
+                    .try_inject(timego_netsim::Packet::new(n(0), n(2), 1, sent, &[sent; 4]))
                     .is_ok()
             {
                 sent += 1;

@@ -529,7 +529,7 @@ fn small_rx_queues_refuse_injections_but_never_livelock() {
             for _ in 0..400 {
                 let accepted = {
                     let mut net = m.network().borrow_mut();
-                    match net.try_inject(Packet::new(n(6), n(7), tag, 0, words.to_vec())) {
+                    match net.try_inject(Packet::new(n(6), n(7), tag, 0, &words)) {
                         Ok(()) => true,
                         Err(InjectError::Backpressure) => false,
                         Err(e) => panic!("cap {cap}: unexpected inject error {e}"),

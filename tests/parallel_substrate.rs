@@ -69,7 +69,7 @@ fn observe(net: &mut dyn Network, seed: u64) -> Observation {
         // Alternating tags so a DualNetwork under test exercises both
         // sides (reply_tag_min = 2 routes the odd injections).
         let tag = if s % 2 == 0 { 1 } else { 3 };
-        let _ = net.try_inject(Packet::new(n(src), n(dst), tag, s, vec![s; 3]));
+        let _ = net.try_inject(Packet::new(n(src), n(dst), tag, s, &[s; 3]));
         net.advance(1 + (s as u64) % 3);
         wakes.push(net.take_delivered());
         for i in 0..NODES {
@@ -188,7 +188,7 @@ fn wake_merge_order_is_ascending_node_ids() {
         for s in 0..120u32 {
             let src = (s as usize) % NODES;
             let dst = (src + 5) % NODES;
-            let _ = net.try_inject(Packet::new(n(src), n(dst), 1, s, vec![s]));
+            let _ = net.try_inject(Packet::new(n(src), n(dst), 1, s, &[s]));
             net.advance(2);
             let wakes = net.take_delivered();
             let mut sorted = wakes.clone();
@@ -224,13 +224,13 @@ fn cross_shard_crash_window_bills_drops_and_restarts() {
             },
         );
         // 1 → 9 crosses shards into the dead node: silently dropped.
-        net.try_inject(Packet::new(n(1), n(9), 1, 0, vec![0])).unwrap();
+        net.try_inject(Packet::new(n(1), n(9), 1, 0, &[0])).unwrap();
         assert_eq!(net.stats().crash_drops, 1, "t{threads}");
         assert_eq!(net.restarts(n(9)), 0, "t{threads}");
         net.advance(120);
         assert_eq!(net.restarts(n(9)), 1, "t{threads}: restart after window close");
         assert!(net.restarts_hint() >= 1, "t{threads}");
-        net.try_inject(Packet::new(n(1), n(9), 1, 1, vec![1])).unwrap();
+        net.try_inject(Packet::new(n(1), n(9), 1, 1, &[1])).unwrap();
         assert!(net.drain(10_000), "t{threads}");
         assert_eq!(net.stats().delivered, 1, "t{threads}: post-restart delivery");
     }

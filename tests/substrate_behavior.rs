@@ -5,7 +5,7 @@ use timego_netsim::{Network, NodeId, Packet};
 use timego_workloads::{patterns, scenarios};
 
 fn pkt(src: usize, dst: usize, seq: u32) -> Packet {
-    Packet::new(NodeId::new(src), NodeId::new(dst), 1, seq, vec![seq; 4])
+    Packet::new(NodeId::new(src), NodeId::new(dst), 1, seq, &[seq; 4])
 }
 
 #[test]
@@ -19,7 +19,7 @@ fn adaptive_routing_reorders_deterministic_does_not() {
         let pairs = patterns::Pattern::RandomPermutation(3).pairs(64);
         for round in 0..30u32 {
             for (s, d) in &pairs {
-                let _ = net.try_inject(Packet::new(*s, *d, 1, round, vec![round; 4]));
+                let _ = net.try_inject(Packet::new(*s, *d, 1, round, &[round; 4]));
             }
             net.advance(2);
         }
@@ -148,7 +148,7 @@ fn torus_and_fat_tree_both_deliver_permutations() {
     let expected = pairs.len() as u64;
     for (i, (s, d)) in pairs.iter().enumerate() {
         while torus
-            .try_inject(Packet::new(*s, *d, 1, i as u32, vec![i as u32; 4]))
+            .try_inject(Packet::new(*s, *d, 1, i as u32, &[i as u32; 4]))
             .is_err()
         {
             torus.advance(1);
