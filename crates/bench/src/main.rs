@@ -6,20 +6,19 @@
 
 #![forbid(unsafe_code)]
 
+mod reports;
 mod sched;
 mod serving;
 
-use timego_bench::reports;
 use timego_workloads::sweeps;
 
-/// The five flags, parsed once. Which of them a suite takes is its
+/// The four flags, parsed once. Which of them a suite takes is its
 /// [`SUITES`] row's business; a suite never sees one it did not list.
 #[derive(Default)]
 struct Opts {
     quick: bool,
     csv: bool,
     chaos: bool,
-    perf_smoke: bool,
     threads: Option<usize>,
 }
 
@@ -64,7 +63,7 @@ const SUITES: &[Suite] = &[
      "exactly-once delivery across crash-restart windows, per protocol family", recovery),
     ("substrate_demo", "", "§2.2's network features made observable: reordering, drops, CR, stall",
      |_| print!("{}", reports::substrate_demo())),
-    ("sched", "--quick --threads --perf-smoke",
+    ("sched", "--quick --threads",
      "scheduler steps per op and packets/s, 256-4096 nodes, and the sharded substrate", sched::run),
     ("serving", "--quick --threads --chaos",
      "RPC service plane: balancer policies, overload knee, failover and admission", serving::run),
@@ -122,7 +121,6 @@ fn parse(args: &[String]) -> Result<(&'static Suite, Opts), String> {
             "--quick" if listed => opts.quick = true,
             "--csv" if listed => opts.csv = true,
             "--chaos" if listed => opts.chaos = true,
-            "--perf-smoke" if listed => opts.perf_smoke = true,
             "--threads" if listed => match rest.next().map(|v| v.parse()) {
                 Some(Ok(n)) if n > 0 => opts.threads = Some(n),
                 _ => return Err("`--threads` takes a positive integer".to_string()),

@@ -1,29 +1,149 @@
-//! Report builders — one per table/figure of the paper.
+//! Report builders — one per table/figure of the paper, plus the
+//! engine, congestion, collectives and recovery studies.
+//!
+//! Every number in these reports is *measured* by running the real
+//! protocol implementations over the simulated substrates — the
+//! analytic closed forms of [`timego_cost::analytic`] are printed
+//! alongside purely as cross-validation, and the paper's printed cells
+//! ([`timego_cost::paper`]) only as the reference of each `[OK ]` line.
+//! The paper reports (`table1` to `latency`) format one [`PaperCells`]
+//! grid, measured once per process. `main.rs` prints the reports,
+//! `tests/golden_reports.rs` pins their bytes, and `EXPERIMENTS.md`
+//! records their output.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 
 use timego_am::{
     measure_hl_stream, measure_hl_xfer, measure_single_packet, measure_stream, measure_xfer,
-    CmamConfig, Machine, StreamConfig,
+    measure_xfer_dma, CmamConfig, Machine, StreamConfig,
 };
 use timego_cost::analytic::{self, IndefiniteOpts, MsgShape, ProtocolCost};
 use timego_cost::cycles::CycleModel;
-use timego_cost::{table, Endpoint, Feature};
+use timego_cost::paper::{self, Block, Printed, Table};
+use timego_cost::{table, Class, Endpoint, Feature};
 use timego_netsim::{CrashWindow, FaultConfig, Network, NodeId, Packet};
 use timego_ni::share;
-use timego_am::{RecoveryPolicy, RetryPolicy};
+use timego_am::{ProtocolError, RecoveryPolicy, RetryPolicy};
 use timego_workloads::apps::collectives;
 use timego_workloads::{concurrent, patterns::Pattern, payloads, scenarios, sweeps};
+
+/// Message sizes of `ni_improvements`' PIO/DMA rows.
+const NI_WORDS: [u64; 3] = [64, 1024, 4096];
+
+/// Table 2/3's four blocks, in the paper's order, with their titles.
+const TABLE_BLOCKS: [(Block, &str); 4] = [
+    (Block::Finite16, "Message size = 16 words | Finite sequence, multi-packet delivery"),
+    (Block::Indefinite16, "Message size = 16 words | Indefinite sequence, multi-packet delivery"),
+    (Block::Finite1024, "Message size = 1024 words | Finite sequence, multi-packet delivery"),
+    (Block::Indefinite1024, "Message size = 1024 words | Indefinite sequence, multi-packet delivery"),
+];
+
+/// Every cell the paper reports format, each measured once. Keys are
+/// `(message words, packet words)`, with the acknowledgement period
+/// last for streams (whose value also counts the acknowledgements sent);
+/// the DMA and HL families use 4-word packets only.
+struct PaperCells {
+    single: ProtocolCost,
+    xfer: BTreeMap<(u64, u64), ProtocolCost>,
+    xfer_dma: BTreeMap<u64, ProtocolCost>,
+    stream: BTreeMap<(u64, u64, u64), (ProtocolCost, u64)>,
+    hl_xfer: BTreeMap<u64, ProtocolCost>,
+    hl_stream: BTreeMap<u64, ProtocolCost>,
+}
+
+/// `measure` run once per distinct key.
+fn measure_each<K: Ord + Copy, V>(
+    keys: impl IntoIterator<Item = K>,
+    measure: impl Fn(K) -> V,
+) -> BTreeMap<K, V> {
+    let keys: BTreeSet<K> = keys.into_iter().collect();
+    keys.into_iter().map(|k| (k, measure(k))).collect()
+}
+
+impl PaperCells {
+    /// The grid, measured on first use.
+    fn get() -> &'static PaperCells {
+        static CELLS: OnceLock<PaperCells> = OnceLock::new();
+        CELLS.get_or_init(PaperCells::measure)
+    }
+
+    /// The single packet; the two table sizes of every family; Figure
+    /// 8's packet sizes; the group-ack periods; the PIO/DMA sizes.
+    fn measure() -> PaperCells {
+        let sizes = sweeps::TABLE_MESSAGE_SIZES;
+        let figure8 = sweeps::FIGURE8_PACKET_SIZES.map(|n| (sweeps::FIGURE8_MESSAGE_WORDS, n));
+        let xfer_keys = sizes.iter().chain(&NI_WORDS).map(|&w| (w, 4)).chain(figure8);
+        let stream_keys = sizes.map(|w| (w, 4, 1)).into_iter()
+            .chain(figure8.map(|(w, n)| (w, n, 1)))
+            .chain(sweeps::GROUP_ACK_PERIODS.map(|g| (1024, 4, g)));
+        PaperCells {
+            single: measure_single_packet(),
+            xfer: measure_each(xfer_keys, |(w, n)| measure_xfer(w as usize, n as usize).0),
+            xfer_dma: measure_each(NI_WORDS, |w| measure_xfer_dma(w as usize, 4).0),
+            stream: measure_each(stream_keys, |(w, n, g)| {
+                let (cost, out) = measure_stream(w as usize, n as usize, g);
+                (cost, out.acks)
+            }),
+            hl_xfer: measure_each(sizes, |w| measure_hl_xfer(w as usize, 4).0),
+            hl_stream: measure_each(sizes, |w| measure_hl_stream(w as usize, 4)),
+        }
+    }
+
+    fn xfer(&self, words: u64) -> &ProtocolCost {
+        &self.xfer[&(words, 4)]
+    }
+
+    fn stream(&self, words: u64) -> &ProtocolCost {
+        &self.stream[&(words, 4, 1)].0
+    }
+
+    /// The measured execution one of the paper's blocks describes.
+    fn block(&self, block: Block) -> &ProtocolCost {
+        match block {
+            Block::SinglePacket => &self.single,
+            Block::Finite16 => self.xfer(16),
+            Block::Finite1024 => self.xfer(1024),
+            Block::Indefinite16 => self.stream(16),
+            Block::Indefinite1024 => self.stream(1024),
+            Block::HlIndefinite16 => &self.hl_stream[&16],
+            Block::HlIndefinite1024 => &self.hl_stream[&1024],
+        }
+    }
+
+    /// Figure 8's packet-size sweep of its message: `(n, finite,
+    /// indefinite)`.
+    fn figure8(&self) -> impl Iterator<Item = (u64, &ProtocolCost, &ProtocolCost)> {
+        let words = sweeps::FIGURE8_MESSAGE_WORDS;
+        sweeps::FIGURE8_PACKET_SIZES
+            .into_iter()
+            .map(move |n| (n, &self.xfer[&(words, n)], &self.stream[&(words, n, 1)].0))
+    }
+
+    /// Figure 8 (right): overhead fraction vs packet size, finite then
+    /// indefinite.
+    fn figure8_series(&self) -> [Vec<(u64, f64)>; 2] {
+        let finite = self.figure8().map(|(n, fin, _)| (n, fin.overhead_fraction())).collect();
+        let indef = self.figure8().map(|(n, _, ind)| (n, ind.overhead_fraction())).collect();
+        [finite, indef]
+    }
+}
 
 fn check(label: &str, measured: u64, paper: u64, out: &mut String) {
     let mark = if measured == paper { "OK " } else { "DIFF" };
     writeln!(out, "  [{mark}] {label}: measured {measured}, paper {paper}").unwrap();
 }
 
+/// "source" or "destination".
+fn side(endpoint: Endpoint) -> String {
+    endpoint.label().to_lowercase()
+}
+
 /// **Table 1** — single-packet delivery instruction counts by fine
 /// category, measured from one `am4` send + poll.
 pub fn table1() -> String {
-    let measured = measure_single_packet();
+    let measured = &PaperCells::get().single;
     let mut out = String::new();
     out.push_str("== Table 1: instruction counts for single-packet delivery ==\n\n");
     out.push_str(&table::render_fine_table(
@@ -32,57 +152,15 @@ pub fn table1() -> String {
         &analytic::single_packet_fine(Endpoint::Destination),
     ));
     out.push('\n');
-    check("source total", measured.endpoint_total(Endpoint::Source), 20, &mut out);
-    check(
-        "destination total",
-        measured.endpoint_total(Endpoint::Destination),
-        27,
-        &mut out,
-    );
-    check("end-to-end total", measured.total(), 47, &mut out);
+    for row in paper::rows(Table::Table1, Block::SinglePacket) {
+        let label = row.endpoint.map_or("end-to-end".to_string(), side) + " total";
+        check(&label, row.of(measured).count(), row.value.count(), &mut out);
+    }
     out.push_str(
         "\n34 of the 47 instructions access the NI — \"essentially the minimum\n\
          required to interface with the CM-5 hardware\" (§3.2).\n",
     );
     out
-}
-
-struct Table2Block {
-    title: &'static str,
-    cost: ProtocolCost,
-    paper_totals: Option<[u64; 3]>, // src, dst, total
-}
-
-fn table2_blocks() -> Vec<Table2Block> {
-    let (fin16, _) = measure_xfer(16, 4);
-    let (ind16, _) = measure_stream(16, 4, 1);
-    let (fin1024, _) = measure_xfer(1024, 4);
-    let (ind1024, _) = measure_stream(1024, 4, 1);
-    vec![
-        Table2Block {
-            title: "Message size = 16 words | Finite sequence, multi-packet delivery",
-            cost: fin16,
-            // Reconstructed from Table 3 (the paper's own Table 2 block
-            // for this case is not recoverable from the source text; see
-            // EXPERIMENTS.md).
-            paper_totals: Some([173, 224, 397]),
-        },
-        Table2Block {
-            title: "Message size = 16 words | Indefinite sequence, multi-packet delivery",
-            cost: ind16,
-            paper_totals: Some([216, 265, 481]),
-        },
-        Table2Block {
-            title: "Message size = 1024 words | Finite sequence, multi-packet delivery",
-            cost: fin1024,
-            paper_totals: Some([6221, 5516, 11737]),
-        },
-        Table2Block {
-            title: "Message size = 1024 words | Indefinite sequence, multi-packet delivery",
-            cost: ind1024,
-            paper_totals: Some([13824, 16141, 29965]),
-        },
-    ]
 }
 
 /// **Table 2** — multi-packet delivery costs by feature for 16- and
@@ -91,24 +169,20 @@ fn table2_blocks() -> Vec<Table2Block> {
 /// indefinite sequence with exactly half the packets delivered out of
 /// order, per the paper's assumption).
 pub fn table2() -> String {
+    let cells = PaperCells::get();
     let mut out = String::new();
     out.push_str("== Table 2: multi-packet delivery costs (packet = 4 words) ==\n\n");
-    for block in table2_blocks() {
-        out.push_str(&table::render_feature_table(block.title, &block.cost));
-        if let Some([s, d, t]) = block.paper_totals {
-            check("source", block.cost.endpoint_total(Endpoint::Source), s, &mut out);
-            check(
-                "destination",
-                block.cost.endpoint_total(Endpoint::Destination),
-                d,
-                &mut out,
-            );
-            check("total", block.cost.total(), t, &mut out);
+    for (block, title) in TABLE_BLOCKS {
+        let cost = cells.block(block);
+        out.push_str(&table::render_feature_table(title, cost));
+        for row in paper::rows(Table::Table2, block).filter(|r| r.feature.is_none()) {
+            let label = row.endpoint.map_or("total".to_string(), side);
+            check(&label, row.of(cost).count(), row.value.count(), &mut out);
         }
         out.push('\n');
     }
     // The prose claims of §3.2.
-    let (fin16, _) = measure_xfer(16, 4);
+    let fin16 = cells.xfer(16);
     let bm_frac = fin16.feature_total(Feature::BufferMgmt) as f64 / fin16.total() as f64;
     writeln!(
         out,
@@ -116,14 +190,12 @@ pub fn table2() -> String {
         bm_frac * 100.0
     )
     .unwrap();
-    let (ind1024, _) = measure_stream(1024, 4, 1);
-    let ovh = (ind1024.feature_total(Feature::InOrder) + ind1024.feature_total(Feature::FaultTol))
-        as f64
-        / ind1024.total() as f64;
+    // The indefinite protocol has no buffer management, so its in-order
+    // and fault-tolerance features are its whole overhead.
     writeln!(
         out,
         "In-order + fault-tolerance fraction of the indefinite protocol: {:.0}% (paper: ~70%, independent of volume)",
-        ovh * 100.0
+        cells.stream(1024).overhead_fraction() * 100.0
     )
     .unwrap();
     out
@@ -132,76 +204,60 @@ pub fn table2() -> String {
 /// **Table 3** (Appendix A) — the same four blocks broken into
 /// reg/mem/dev subcategories.
 pub fn table3() -> String {
+    let cells = PaperCells::get();
     let mut out = String::new();
     out.push_str("== Table 3 (Appendix A): reg/mem/dev instruction subcategories ==\n\n");
-    for block in table2_blocks() {
-        out.push_str(&table::render_class_table(block.title, &block.cost));
+    for (block, title) in TABLE_BLOCKS {
+        out.push_str(&table::render_class_table(title, cells.block(block)));
         out.push('\n');
     }
-    // Spot-check the printed totals of the paper's 16-word finite block.
-    let (fin16, _) = measure_xfer(16, 4);
-    let s = fin16.endpoint_classes(Endpoint::Source);
-    let d = fin16.endpoint_classes(Endpoint::Destination);
-    check("finite-16 source reg", s.reg, 128, &mut out);
-    check("finite-16 source mem", s.mem, 10, &mut out);
-    check("finite-16 source dev", s.dev, 35, &mut out);
-    check("finite-16 dest reg", d.reg, 168, &mut out);
-    check("finite-16 dest mem", d.mem, 24, &mut out);
-    check("finite-16 dest dev", d.dev, 32, &mut out);
-    let (ind1024, _) = measure_stream(1024, 4, 1);
-    let s = ind1024.endpoint_classes(Endpoint::Source);
-    let d = ind1024.endpoint_classes(Endpoint::Destination);
-    check("indef-1024 source reg", s.reg, 9728, &mut out);
-    check("indef-1024 source mem", s.mem, 1536, &mut out);
-    check("indef-1024 source dev", s.dev, 2560, &mut out);
-    check("indef-1024 dest reg", d.reg, 10636, &mut out);
-    check("indef-1024 dest mem", d.mem, 3200, &mut out);
-    check("indef-1024 dest dev", d.dev, 2305, &mut out);
+    // Spot-check the printed column totals of two blocks.
+    for (block, name) in [(Block::Finite16, "finite-16"), (Block::Indefinite1024, "indef-1024")] {
+        for row in paper::rows(Table::Table3, block).filter(|r| r.feature.is_none()) {
+            let (Printed::Classes(measured), Printed::Classes(printed), Some(endpoint)) =
+                (row.of(cells.block(block)), row.value, row.endpoint)
+            else {
+                continue;
+            };
+            let side = if endpoint == Endpoint::Source { "source" } else { "dest" };
+            for c in Class::ALL {
+                check(&format!("{name} {side} {c}"), measured.class(c), printed.class(c), &mut out);
+            }
+        }
+    }
     out
 }
 
 /// **Figure 6** — CMAM versus high-level-network messaging costs for
 /// both protocols at 16 and 1024 words, as measured bar data.
 pub fn figure6() -> String {
+    let cells = PaperCells::get();
     let mut out = String::new();
     out.push_str("== Figure 6: comparison of messaging layer costs ==\n\n");
 
-    let mut bars = Vec::new();
     let mut reductions = Vec::new();
-    for words in sweeps::TABLE_MESSAGE_SIZES {
-        let (cmam, _) = measure_xfer(words as usize, 4);
-        let (hl, _) = measure_hl_xfer(words as usize, 4);
-        bars.push((format!("finite {words}w CMAM src+dst"), cmam.total()));
-        bars.push((format!("finite {words}w HL   src+dst"), hl.total()));
-        reductions.push((
-            format!("finite sequence, {words} words"),
-            1.0 - hl.total() as f64 / cmam.total() as f64,
-        ));
+    let charts = [
+        ("finite", "finite ", "Finite sequence, multi-packet delivery (left chart)"),
+        ("indefinite", "indef  ", "Indefinite sequence, multi-packet delivery (right chart)"),
+    ];
+    for (kind, bar, title) in charts {
+        let mut bars = Vec::new();
+        for words in sweeps::TABLE_MESSAGE_SIZES {
+            let (cmam, hl) = if kind == "finite" {
+                (cells.xfer(words), &cells.hl_xfer[&words])
+            } else {
+                (cells.stream(words), &cells.hl_stream[&words])
+            };
+            bars.push((format!("{bar}{words}w CMAM src+dst"), cmam.total()));
+            bars.push((format!("{bar}{words}w HL   src+dst"), hl.total()));
+            reductions.push((
+                format!("{kind} sequence, {words} words"),
+                1.0 - hl.total() as f64 / cmam.total() as f64,
+            ));
+        }
+        out.push_str(&table::render_bars(title, &bars, 40));
+        out.push('\n');
     }
-    out.push_str(&table::render_bars(
-        "Finite sequence, multi-packet delivery (left chart)",
-        &bars,
-        40,
-    ));
-    out.push('\n');
-
-    let mut bars = Vec::new();
-    for words in sweeps::TABLE_MESSAGE_SIZES {
-        let (cmam, _) = measure_stream(words as usize, 4, 1);
-        let hl = measure_hl_stream(words as usize, 4);
-        bars.push((format!("indef  {words}w CMAM src+dst"), cmam.total()));
-        bars.push((format!("indef  {words}w HL   src+dst"), hl.total()));
-        reductions.push((
-            format!("indefinite sequence, {words} words"),
-            1.0 - hl.total() as f64 / cmam.total() as f64,
-        ));
-    }
-    out.push_str(&table::render_bars(
-        "Indefinite sequence, multi-packet delivery (right chart)",
-        &bars,
-        40,
-    ));
-    out.push('\n');
 
     out.push_str("Cost reductions from high-level network features:\n");
     for (label, r) in &reductions {
@@ -215,10 +271,12 @@ pub fn figure6() -> String {
     out
 }
 
-/// **Figure 8 left** — the generalized cost formulas, cross-validated:
-/// for every packet size the closed form must equal the simulated
-/// protocol execution cell by cell.
-fn figure8_left() -> String {
+/// **Figure 8** — left: the generalized cost formulas, cross-validated
+/// (for every packet size the closed form must equal the simulated
+/// protocol execution cell by cell); right: messaging-layer overhead
+/// fraction versus packet size for a 1024-word message, measured.
+pub fn figure8() -> String {
+    let cells = PaperCells::get();
     let mut out = String::new();
     out.push_str("== Figure 8 (left): generalized CMAM cost breakdown ==\n");
     out.push_str("n = payload words per packet, p = packets per message\n\n");
@@ -233,12 +291,10 @@ fn figure8_left() -> String {
     out.push_str("  In-order del.  5p                   | (6 + (29 + 2n+15))·p/2   [= 29p at n=4]\n");
     out.push_str("  Fault-toler.   p(4+n/2) + 23p       | 20p\n\n");
     out.push_str("Cross-validation (simulated protocol execution == closed form):\n");
-    for n in sweeps::FIGURE8_PACKET_SIZES {
+    for (n, fin, ind) in cells.figure8() {
         let shape = MsgShape::for_message(sweeps::FIGURE8_MESSAGE_WORDS, n).unwrap();
-        let (fin, _) = measure_xfer(sweeps::FIGURE8_MESSAGE_WORDS as usize, n as usize);
-        let fin_ok = fin == analytic::cmam_finite(shape);
-        let (ind, _) = measure_stream(sweeps::FIGURE8_MESSAGE_WORDS as usize, n as usize, 1);
-        let ind_ok = ind == analytic::cmam_indefinite(shape, IndefiniteOpts::paper(shape));
+        let fin_ok = *fin == analytic::cmam_finite(shape);
+        let ind_ok = *ind == analytic::cmam_indefinite(shape, IndefiniteOpts::paper(shape));
         writeln!(
             out,
             "  n={n:>3} p={:>3}: finite {} ({} instr), indefinite {} ({} instr)",
@@ -250,22 +306,10 @@ fn figure8_left() -> String {
         )
         .unwrap();
     }
-    out
-}
+    out.push('\n');
 
-/// **Figure 8 right** — messaging-layer overhead fraction versus packet
-/// size for a 1024-word message, measured.
-fn figure8_right() -> String {
-    let mut out = String::new();
     out.push_str("== Figure 8 (right): messaging overhead vs packet size, 1024-word message ==\n\n");
-    let mut finite = Vec::new();
-    let mut indef = Vec::new();
-    for n in sweeps::FIGURE8_PACKET_SIZES {
-        let (fin, _) = measure_xfer(sweeps::FIGURE8_MESSAGE_WORDS as usize, n as usize);
-        finite.push((n, fin.overhead_fraction()));
-        let (ind, _) = measure_stream(sweeps::FIGURE8_MESSAGE_WORDS as usize, n as usize, 1);
-        indef.push((n, ind.overhead_fraction()));
-    }
+    let [finite, indef] = cells.figure8_series();
     out.push_str(&table::render_series(
         "Finite sequence (paper: 9–11% across the range)",
         "pkt words",
@@ -282,30 +326,22 @@ fn figure8_right() -> String {
     out
 }
 
-/// **Figure 8** — both halves.
-pub fn figure8() -> String {
-    let mut out = figure8_left();
-    out.push('\n');
-    out.push_str(&figure8_right());
-    out
-}
-
 /// **Group-acknowledgement ablation** (§3.2 closing remark): overhead
 /// fraction of the indefinite-sequence protocol as the acknowledgement
 /// period grows.
 pub fn group_acks() -> String {
+    let cells = PaperCells::get();
     let mut out = String::new();
     out.push_str("== Group acknowledgements: overhead vs ack period (1024 words, n = 4) ==\n\n");
     let mut series = Vec::new();
     for g in sweeps::GROUP_ACK_PERIODS {
-        let (cost, outcome) = measure_stream(1024, 4, g);
+        let (cost, acks) = &cells.stream[&(1024, 4, g)];
         series.push((g, cost.overhead_fraction()));
         writeln!(
             out,
-            "  ack every {g:>2} packets: total {:>6} instr, overhead {:>4.1}%, acks {}",
+            "  ack every {g:>2} packets: total {:>6} instr, overhead {:>4.1}%, acks {acks}",
             cost.total(),
             cost.overhead_fraction() * 100.0,
-            outcome.acks
         )
         .unwrap();
     }
@@ -327,12 +363,11 @@ pub fn group_acks() -> String {
 
 /// **Table 2 as CSV** (for plotting): the four measured blocks.
 pub fn table2_csv() -> String {
+    let cells = PaperCells::get();
     let mut out = String::new();
-    for block in table2_blocks() {
-        out.push_str("# ");
-        out.push_str(block.title);
-        out.push('\n');
-        out.push_str(&timego_cost::export::protocol_cost_csv(&block.cost));
+    for (block, title) in TABLE_BLOCKS {
+        writeln!(out, "# {title}").unwrap();
+        out.push_str(&timego_cost::export::protocol_cost_csv(cells.block(block)));
         out.push('\n');
     }
     out
@@ -341,14 +376,7 @@ pub fn table2_csv() -> String {
 /// **Figure 8 (right) as CSV**: overhead fraction vs packet size for
 /// both protocols.
 pub fn figure8_csv() -> String {
-    let mut finite = Vec::new();
-    let mut indef = Vec::new();
-    for n in sweeps::FIGURE8_PACKET_SIZES {
-        let (fin, _) = measure_xfer(sweeps::FIGURE8_MESSAGE_WORDS as usize, n as usize);
-        finite.push((n, fin.overhead_fraction()));
-        let (ind, _) = measure_stream(sweeps::FIGURE8_MESSAGE_WORDS as usize, n as usize, 1);
-        indef.push((n, ind.overhead_fraction()));
-    }
+    let [finite, indef] = PaperCells::get().figure8_series();
     let mut out = String::from("# finite sequence\n");
     out.push_str(&timego_cost::export::series_csv("packet_words", "overhead_fraction", &finite));
     out.push_str("# indefinite sequence\n");
@@ -362,6 +390,7 @@ pub fn figure8_csv() -> String {
 pub fn latency() -> String {
     use timego_cost::latency::LatencyModel;
 
+    let cells = PaperCells::get();
     let mut out = String::new();
     out.push_str("== §5: communication cost versus latency ==\n\n");
     let model = LatencyModel::cm5ish();
@@ -380,21 +409,20 @@ pub fn latency() -> String {
         "workload", "unpipelined", "pipelined", "software%"
     )
     .unwrap();
-    let single = timego_cost::analytic::single_packet();
     for (name, cost, packets) in [
-        ("single packet", single, 1u64),
-        ("finite 1024w (CMAM)", measure_xfer(1024, 4).0, 256),
-        ("indefinite 1024w (CMAM)", measure_stream(1024, 4, 1).0, 256),
-        ("finite 1024w (HL)", measure_hl_xfer(1024, 4).0, 256),
-        ("indefinite 1024w (HL)", measure_hl_stream(1024, 4), 256),
+        ("single packet", &cells.single, 1u64),
+        ("finite 1024w (CMAM)", cells.xfer(1024), 256),
+        ("indefinite 1024w (CMAM)", cells.stream(1024), 256),
+        ("finite 1024w (HL)", &cells.hl_xfer[&1024], 256),
+        ("indefinite 1024w (HL)", &cells.hl_stream[&1024], 256),
     ] {
         writeln!(
             out,
             "{name:<26} | {:>11} | {:>11} | {:>8.1}% | {}",
-            model.one_way_unpipelined(&cost),
-            model.one_way_pipelined(&cost, packets),
-            model.software_fraction(&cost) * 100.0,
-            model.breakeven_hops(&cost)
+            model.one_way_unpipelined(cost),
+            model.one_way_pipelined(cost, packets),
+            model.software_fraction(cost) * 100.0,
+            model.breakeven_hops(cost)
         )
         .unwrap();
     }
@@ -407,6 +435,7 @@ pub fn latency() -> String {
 /// **Appendix A weighted cycle models**: the same measured costs under
 /// unit, CM-5 (dev = 5) and on-chip-NI weightings.
 pub fn cycle_model() -> String {
+    let cells = PaperCells::get();
     let mut out = String::new();
     out.push_str("== Appendix A: weighted cycle models ==\n\n");
     let models = [
@@ -414,27 +443,14 @@ pub fn cycle_model() -> String {
         ("CM-5 (reg=1 mem=1 dev=5)", CycleModel::CM5),
         ("on-chip NI (reg=1 mem=2 dev=1)", CycleModel::ONCHIP_NI),
     ];
-    for (what, cost) in [
-        ("finite 1024w", measure_xfer(1024, 4).0),
-        ("indefinite 1024w", measure_stream(1024, 4, 1).0),
-    ] {
+    for (what, cost) in [("finite 1024w", cells.xfer(1024)), ("indefinite 1024w", cells.stream(1024))] {
         writeln!(out, "{what}:").unwrap();
         for (name, model) in models {
-            let mut total = 0;
-            let mut overhead = 0;
-            for e in Endpoint::ALL {
-                for f in Feature::ALL {
-                    let c = model.cycles(cost.get(e, f));
-                    total += c;
-                    if f.is_overhead() {
-                        overhead += c;
-                    }
-                }
-            }
             writeln!(
                 out,
-                "  {name:<28} total {total:>7} cycles, overhead {:>4.1}%",
-                100.0 * overhead as f64 / total as f64
+                "  {name:<28} total {:>7} cycles, overhead {:>4.1}%",
+                model.total_cycles(cost),
+                100.0 * model.overhead_fraction(cost)
             )
             .unwrap();
         }
@@ -662,25 +678,15 @@ pub fn substrate_demo() -> String {
         let dateline_done = workload(&mut dateline);
         let mut cr = scenarios::wormhole_torus_cr(4, 1, 0.0, 3);
         let cr_done = workload(&mut cr);
-        writeln!(
-            out,
-            "  wormhole torus ring, 1 VC:        {} (cyclic channel dependency)",
-            if plain_done { "drained" } else { "DEADLOCKED" }
-        )
-        .unwrap();
-        writeln!(
-            out,
-            "  wormhole torus, dateline VCs:     {} (Dally-style avoidance)",
-            if dateline_done { "drained" } else { "DEADLOCKED" }
-        )
-        .unwrap();
-        writeln!(
-            out,
-            "  wormhole torus, CR kill-&-retry:  {} after {} path kills (deadlock freedom independent of acceptance)",
-            if cr_done { "drained" } else { "DEADLOCKED" },
-            cr.kills()
-        )
-        .unwrap();
+        let kills = format!("after {} path kills (deadlock freedom independent of acceptance)", cr.kills());
+        for (cell, done, why) in [
+            (" ring, 1 VC:       ", plain_done, "(cyclic channel dependency)"),
+            (", dateline VCs:    ", dateline_done, "(Dally-style avoidance)"),
+            (", CR kill-&-retry: ", cr_done, &kills),
+        ] {
+            let state = if done { "drained" } else { "DEADLOCKED" };
+            writeln!(out, "  wormhole torus{cell} {state} {why}").unwrap();
+        }
     }
 
     // 5. The paper's bottom line, measured end to end: the CMAM stream
@@ -797,13 +803,11 @@ pub fn interrupts() -> String {
 /// **Improved NIs and DMA** (§5): lowering the base cost raises the
 /// *relative* weight of the protocol overheads.
 pub fn ni_improvements() -> String {
-    use timego_am::measure_xfer_dma;
-
+    let cells = PaperCells::get();
     let mut out = String::new();
     out.push_str("== §5: improved network interfaces and DMA hardware ==\n\n");
-    for words in [64usize, 1024, 4096] {
-        let (pio, _) = measure_xfer(words, 4);
-        let (dma, _) = measure_xfer_dma(words, 4);
+    for words in NI_WORDS {
+        let (pio, dma) = (cells.xfer(words), &cells.xfer_dma[&words]);
         writeln!(
             out,
             "finite transfer, {words:>4} words: PIO {:>6} instr ({:>4.1}% overhead)  |  DMA {:>6} instr ({:>4.1}% overhead)",
@@ -817,27 +821,15 @@ pub fn ni_improvements() -> String {
     out.push('\n');
     // The same effect via cycle weighting: an on-chip NI makes dev
     // accesses cheap, deflating the (dev-heavy) base cost.
-    let (c, _) = measure_xfer(1024, 4);
     for (name, model) in [
         ("CM-5 weights (dev=5)", CycleModel::CM5),
         ("unit weights", CycleModel::UNIT),
         ("on-chip NI (dev=1, mem=2)", CycleModel::ONCHIP_NI),
     ] {
-        let mut total = 0u64;
-        let mut overhead = 0u64;
-        for e in Endpoint::ALL {
-            for f in Feature::ALL {
-                let cy = model.cycles(c.get(e, f));
-                total += cy;
-                if f.is_overhead() {
-                    overhead += cy;
-                }
-            }
-        }
         writeln!(
             out,
             "  {name:<26} overhead share {:>4.1}%",
-            100.0 * overhead as f64 / total as f64
+            100.0 * model.overhead_fraction(cells.xfer(1024))
         )
         .unwrap();
     }
@@ -863,12 +855,10 @@ pub fn segment_reuse() -> String {
     )
     .unwrap();
     let msg: Vec<u32> = (0..16).collect();
+    let machine =
+        || Machine::new(share(ScriptedNetwork::new(2, DeliveryScript::InOrder)), 2, CmamConfig::default());
     for k in [1usize, 2, 4, 8, 16, 64] {
-        let mut separate = Machine::new(
-            share(ScriptedNetwork::new(2, DeliveryScript::InOrder)),
-            2,
-            CmamConfig::default(),
-        );
+        let mut separate = machine();
         separate.reset_costs();
         for _ in 0..k {
             separate
@@ -878,11 +868,7 @@ pub fn segment_reuse() -> String {
         let sep = separate.cpu(NodeId::new(0)).snapshot().total()
             + separate.cpu(NodeId::new(1)).snapshot().total();
 
-        let mut batched = Machine::new(
-            share(ScriptedNetwork::new(2, DeliveryScript::InOrder)),
-            2,
-            CmamConfig::default(),
-        );
+        let mut batched = machine();
         batched.reset_costs();
         let messages: Vec<&[u32]> = (0..k).map(|_| msg.as_slice()).collect();
         batched
@@ -1371,49 +1357,51 @@ impl CollectivesRow {
 #[must_use]
 pub fn collectives_rows(node_counts: &[usize]) -> Vec<CollectivesRow> {
     use timego_workloads::apps::collectives as coll;
+    let root = NodeId::new(0);
     let mut out = Vec::new();
     for &nodes in node_counts {
-        let machine =
-            || Machine::new(share(scenarios::cm5_deterministic(nodes, 2)), nodes, CmamConfig::default());
         let inputs: Vec<u32> = (0..nodes as u32).map(|i| i * 3 + 1).collect();
-
-        let mut m = machine();
-        let t0 = m.network().borrow().now();
-        let phased = coll::broadcast_phased(&mut m, NodeId::new(0), [7; 4]).expect("clean substrate");
-        let bcast_phased_cycles = m.network().borrow().now() - t0;
-        let bcast_instr_phased = total_instr(&m, nodes);
-        let mut m = machine();
-        let t0 = m.network().borrow().now();
-        let dag = coll::broadcast(&mut m, NodeId::new(0), [7; 4]).expect("clean substrate");
-        assert_eq!(phased, dag, "broadcast results agree at {nodes} nodes");
-        out.push(CollectivesRow {
-            collective: "broadcast",
+        out.push(collective_row(
+            "broadcast",
             nodes,
-            phased_cycles: bcast_phased_cycles,
-            engine_cycles: m.network().borrow().now() - t0,
-            instr_engine: total_instr(&m, nodes),
-            instr_phased: bcast_instr_phased,
-        });
-
-        let mut m = machine();
-        let t0 = m.network().borrow().now();
-        let phased = coll::allreduce_phased(&mut m, &inputs).expect("clean substrate");
-        let ar_phased_cycles = m.network().borrow().now() - t0;
-        let ar_instr_phased = total_instr(&m, nodes);
-        let mut m = machine();
-        let t0 = m.network().borrow().now();
-        let dag = coll::allreduce_sum(&mut m, &inputs).expect("clean substrate");
-        assert_eq!(phased, dag, "allreduce results agree at {nodes} nodes");
-        out.push(CollectivesRow {
-            collective: "allreduce",
+            |m| coll::broadcast_phased(m, root, [7; 4]),
+            |m| coll::broadcast(m, root, [7; 4]),
+        ));
+        out.push(collective_row(
+            "allreduce",
             nodes,
-            phased_cycles: ar_phased_cycles,
-            engine_cycles: m.network().borrow().now() - t0,
-            instr_engine: total_instr(&m, nodes),
-            instr_phased: ar_instr_phased,
-        });
+            |m| coll::allreduce_phased(m, &inputs),
+            |m| coll::allreduce_sum(m, &inputs),
+        ));
     }
     out
+}
+
+/// One collective run both ways; the two must compute the same result.
+fn collective_row<T: PartialEq + std::fmt::Debug>(
+    collective: &'static str,
+    nodes: usize,
+    phased: impl FnOnce(&mut Machine) -> Result<T, ProtocolError>,
+    dag: impl FnOnce(&mut Machine) -> Result<T, ProtocolError>,
+) -> CollectivesRow {
+    let (want, phased_cycles, instr_phased) = timed_run(nodes, phased);
+    let (got, engine_cycles, instr_engine) = timed_run(nodes, dag);
+    assert_eq!(want, got, "{collective} results agree at {nodes} nodes");
+    CollectivesRow { collective, nodes, phased_cycles, engine_cycles, instr_engine, instr_phased }
+}
+
+/// `op` on a fresh `nodes`-node deterministic fat tree: its result, the
+/// network cycles it took and the instructions it charged.
+fn timed_run<T>(
+    nodes: usize,
+    op: impl FnOnce(&mut Machine) -> Result<T, ProtocolError>,
+) -> (T, u64, u64) {
+    let mut m =
+        Machine::new(share(scenarios::cm5_deterministic(nodes, 2)), nodes, CmamConfig::default());
+    let t0 = m.network().borrow().now();
+    let result = op(&mut m).expect("clean substrate");
+    let cycles = m.network().borrow().now() - t0;
+    (result, cycles, total_instr(&m, nodes))
 }
 
 /// Render the collectives scaling study from measured rows.
@@ -1621,13 +1609,9 @@ fn recovery_family_row(family: &'static str, window: u64, seeds: u64) -> Recover
         row.re_executions += re_execs;
         for node in billed {
             let snap = m.cpu(node).snapshot();
-            for f in Feature::ALL {
-                if f == Feature::FaultTol {
-                    row.fault_tol_instr += snap.feature_total(f);
-                } else {
-                    row.other_instr += snap.feature_total(f);
-                }
-            }
+            let fault_tol = snap.feature_total(Feature::FaultTol);
+            row.fault_tol_instr += fault_tol;
+            row.other_instr += snap.total() - fault_tol;
         }
     }
     row.avg_cycles = cycles_total / seeds.max(1);
@@ -1756,9 +1740,10 @@ mod tests {
     #[test]
     fn table2_report_matches_paper() {
         let t = table2();
-        assert!(t.contains("11737"));
-        assert!(t.contains("29965"));
-        assert!(t.contains("481"));
+        for (block, _) in TABLE_BLOCKS {
+            let total = paper::find(Table::Table2, block, None, None).unwrap();
+            assert!(t.contains(&format!("[OK ] total: measured {0}, paper {0}", total.value.count())));
+        }
         assert!(!t.contains("DIFF"));
     }
 
@@ -1798,8 +1783,8 @@ mod tests {
 
     #[test]
     fn group_ack_overhead_declines_with_period() {
-        let (g1, _) = measure_stream(1024, 4, 1);
-        let (g16, _) = measure_stream(1024, 4, 16);
+        let cells = PaperCells::get();
+        let (g1, g16) = (&cells.stream[&(1024, 4, 1)].0, &cells.stream[&(1024, 4, 16)].0);
         assert!(g16.overhead_fraction() < g1.overhead_fraction());
         assert!(g16.overhead_fraction() > 0.4, "remains significant");
     }
@@ -1846,7 +1831,10 @@ mod tests {
     fn csv_exports_parse_back() {
         let t = table2_csv();
         assert!(t.contains("feature,src_reg"));
-        assert!(t.contains("11737"));
+        for (block, _) in TABLE_BLOCKS {
+            let total = paper::find(Table::Table2, block, None, None).unwrap();
+            assert!(t.contains(&format!(",{}\n", total.value.count())), "{block:?}");
+        }
         let f = figure8_csv();
         assert!(f.contains("packet_words,overhead_fraction"));
         assert_eq!(f.matches('\n').count(), 2 + 2 + 2 * 6); // headers + comments + 12 rows

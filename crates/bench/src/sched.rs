@@ -24,10 +24,10 @@
 //!
 //! * `--quick`: cap the sweep at 1024 nodes (CI-friendly);
 //! * `--threads N`: sweep the parallel report over thread counts
-//!   `{1, N}` instead of the default `{1, 2, 4}`;
-//! * `--perf-smoke`: run only the 1024-node permutation and hotspot
-//!   cells and fail (exit 1) if either deterministic step count exceeds
-//!   the committed baseline by more than a quarter.
+//!   `{1, N}` instead of the default `{1, 2, 4}`.
+//!
+//! The deterministic step counts of the 1024-node cells are pinned by
+//! this module's tests.
 
 use std::time::Instant;
 
@@ -40,14 +40,6 @@ use crate::Opts;
 
 const SEED: u64 = 42;
 const WORDS: usize = 8;
-
-/// Committed perf-smoke baseline: deterministic step count
-/// for the 1024-node permutation cell — 13 steps per transfer, and the
-/// 1024-node hotspot plan takes exactly as many: what an op costs does
-/// not depend on how many ops share its endpoint. Regenerate by running
-/// `sched --perf-smoke` and copying the printed value after an
-/// *intentional* scheduler change.
-const BASELINE_1024_PERM_STEPS: u64 = 13_299;
 
 struct RunStats {
     steps: u64,
@@ -125,33 +117,6 @@ fn pkts_per_sec(s: &RunStats) -> u64 {
         .unwrap_or(0) as u64
 }
 
-fn perf_smoke() -> i32 {
-    let bound = BASELINE_1024_PERM_STEPS + BASELINE_1024_PERM_STEPS / 4;
-    let mut failed = 0;
-    for pattern in [Pattern::RandomPermutation(SEED), Pattern::Hotspot] {
-        let plan = plan_for(pattern, 1024);
-        let run = drive(&plan, 1024, false);
-        println!(
-            "perf-smoke: 1024-node {} event steps = {} (baseline {})",
-            pattern.name(),
-            run.steps,
-            BASELINE_1024_PERM_STEPS
-        );
-        if run.steps > bound {
-            eprintln!(
-                "perf-smoke FAILED: {} step count regressed more than 1.25x ({} > {bound})",
-                pattern.name(),
-                run.steps
-            );
-            failed = 1;
-        }
-    }
-    if failed == 0 {
-        println!("perf-smoke OK");
-    }
-    failed
-}
-
 const PARALLEL_SHARDS: usize = 4;
 
 /// The shard-scaling report: the permutation plan on the flat substrate
@@ -216,11 +181,8 @@ fn parallel_report(quick: bool, threads: &[usize]) {
     }
 }
 
-/// The `sched` suite (`--quick`, `--threads N`, `--perf-smoke`).
+/// The `sched` suite (`--quick`, `--threads N`).
 pub fn run(opts: &Opts) {
-    if opts.perf_smoke {
-        std::process::exit(perf_smoke());
-    }
     let thread_sweep: Vec<usize> = match opts.threads {
         Some(1) | None => vec![1, 2, 4],
         Some(n) => vec![1, n],
@@ -250,4 +212,33 @@ pub fn run(opts: &Opts) {
     }
 
     parallel_report(opts.quick, &thread_sweep);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Committed baseline: deterministic step count for the 1024-node
+    /// permutation cell — 13 steps per transfer, and the 1024-node
+    /// hotspot plan takes exactly as many: what an op costs does not
+    /// depend on how many ops share its endpoint. Update it, from the
+    /// count this test prints, only after an *intentional* scheduler
+    /// change.
+    const BASELINE_1024_PERM_STEPS: u64 = 13_299;
+
+    /// The step-count regression tripwire: neither 1024-node cell may
+    /// take more than 1.25x the baseline's steps.
+    #[test]
+    fn steps_at_1024_nodes_stay_within_a_quarter_of_the_baseline() {
+        let bound = BASELINE_1024_PERM_STEPS + BASELINE_1024_PERM_STEPS / 4;
+        for pattern in [Pattern::RandomPermutation(SEED), Pattern::Hotspot] {
+            let steps = drive(&plan_for(pattern, 1024), 1024, false).steps;
+            println!("1024-node {} event steps = {steps}", pattern.name());
+            assert!(
+                steps <= bound,
+                "{} step count regressed more than 1.25x ({steps} > {bound})",
+                pattern.name()
+            );
+        }
+    }
 }

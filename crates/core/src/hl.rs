@@ -262,8 +262,10 @@ impl Machine {
 mod tests {
     use super::*;
     use crate::machine::CmamConfig;
+    use crate::measure::pair_cost;
     use timego_cost::analytic::{hl_finite, hl_indefinite, MsgShape};
-    use timego_cost::{Endpoint, Feature};
+    use timego_cost::paper::{self, Block};
+    use timego_cost::Endpoint;
     use timego_netsim::{CrConfig, CrNetwork, DeliveryScript, ScriptedNetwork};
     use timego_ni::share;
 
@@ -307,22 +309,13 @@ mod tests {
             m.reset_costs();
             m.hl_xfer(n(0), n(1), &data).unwrap();
             let model = hl_finite(MsgShape::paper(words as u64).unwrap());
-            let src = m.cpu(n(0)).snapshot();
-            let dst = m.cpu(n(1)).snapshot();
-            for f in Feature::ALL {
-                assert_eq!(src.feature(f), model.get(Endpoint::Source, f), "src {f} @ {words}");
-                assert_eq!(
-                    dst.feature(f),
-                    model.get(Endpoint::Destination, f),
-                    "dst {f} @ {words}"
-                );
-            }
+            assert_eq!(pair_cost(&m), model, "{words} words");
         }
     }
 
     #[test]
     fn hl_stream_matches_analytic_model_and_figure6() {
-        for (words, expect_total) in [(16usize, 149u64), (1024, 8717)] {
+        for (words, figure6) in [(16usize, Block::HlIndefinite16), (1024, Block::HlIndefinite1024)] {
             let mut m = instant_hl_machine();
             let data: Vec<u32> = (0..words as u32).collect();
             m.reset_costs();
@@ -333,8 +326,10 @@ mod tests {
             let dst = m.cpu(n(1)).snapshot();
             assert_eq!(src.total(), model.endpoint_total(Endpoint::Source));
             assert_eq!(dst.total(), model.endpoint_total(Endpoint::Destination));
-            assert_eq!(src.total() + dst.total(), expect_total, "Figure 6 HL bar");
             assert_eq!(src.overhead_total() + dst.overhead_total(), 0);
+            for row in paper::block(figure6) {
+                assert_eq!(row.of(&pair_cost(&m)), row.value, "{row:?}");
+            }
         }
     }
 

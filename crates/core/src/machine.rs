@@ -862,6 +862,8 @@ impl std::fmt::Debug for Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use timego_cost::analytic::single_packet_fine;
+    use timego_cost::paper::{self, Block, Table};
     use timego_cost::{Class, Endpoint, Feature};
     use timego_netsim::{
         CrashWindow, DeliveryScript, FaultConfig, Mesh2D, ScriptedNetwork, SwitchedConfig,
@@ -881,19 +883,23 @@ mod tests {
         NodeId::new(i)
     }
 
+    /// The total Table 1 prints for `endpoint`.
+    fn table1(endpoint: Endpoint) -> u64 {
+        let row = paper::find(Table::Table1, Block::SinglePacket, Some(endpoint), None);
+        row.expect("Table 1 prints both endpoints").value.count()
+    }
+
     #[test]
     fn am4_send_costs_exactly_twenty_instructions() {
         let mut m = scripted_machine(2, DeliveryScript::InOrder);
         m.am4_send(n(0), n(1), Tags::USER_BASE, [1, 2, 3, 4]).unwrap();
         let v = m.cpu(n(0)).snapshot();
-        assert_eq!(v.total(), 20, "Table 1 source cost");
+        assert_eq!(v.total(), table1(Endpoint::Source), "Table 1 source cost");
         assert_eq!(v.class_total(Class::Dev), 5);
         assert_eq!(v.class_total(Class::Reg), 15);
-        assert_eq!(v.fine_total(Fine::CallReturn), 3);
-        assert_eq!(v.fine_total(Fine::NiSetup), 5);
-        assert_eq!(v.fine_total(Fine::WriteNi), 2);
-        assert_eq!(v.fine_total(Fine::CheckStatus), 7);
-        assert_eq!(v.fine_total(Fine::ControlFlow), 3);
+        for (fine, count) in single_packet_fine(Endpoint::Source) {
+            assert_eq!(v.fine_total(fine), count, "{fine}");
+        }
     }
 
     #[test]
@@ -906,12 +912,11 @@ mod tests {
         assert_eq!(outcome, PollOutcome::Handled(Tags::USER_BASE));
         let v = m.cpu(n(1)).snapshot();
         // 27 for the reception path + 2 for handler dispatch.
-        assert_eq!(v.fine_total(Fine::CallReturn), 10);
-        assert_eq!(v.fine_total(Fine::ReadNi), 3);
-        assert_eq!(v.fine_total(Fine::CheckStatus), 12);
-        assert_eq!(v.fine_total(Fine::ControlFlow), 2);
+        for (fine, count) in single_packet_fine(Endpoint::Destination) {
+            assert_eq!(v.fine_total(fine), count, "{fine}");
+        }
         assert_eq!(v.class_total(Class::Dev), 5);
-        assert_eq!(v.total(), 27 + 2);
+        assert_eq!(v.total(), table1(Endpoint::Destination) + 2);
     }
 
     #[test]
@@ -1106,21 +1111,13 @@ mod tests {
         let mut m = scripted_machine(2, DeliveryScript::InOrder);
         m.register_handler(n(1), 20, |_, _| {});
         m.am4_send(n(0), n(1), 20, [0; 4]).unwrap();
-        // Don't count handler dispatch: measure reception only up to the
-        // analytic model's boundary (the model excludes the user
-        // handler's own work but includes invoking it; our dispatch
-        // costs 2 extra handler instructions, so compare against src
-        // exactly and dst minus dispatch).
-        let model = timego_cost::analytic::single_packet();
-        assert_eq!(
-            m.cpu(n(0)).snapshot().total(),
-            model.endpoint_total(Endpoint::Source)
-        );
+        // Don't count handler dispatch: measure reception only up to
+        // Table 1's boundary (which excludes the user handler's own work
+        // but includes invoking it; our dispatch costs 2 extra handler
+        // instructions, so compare src exactly and dst minus dispatch).
+        assert_eq!(m.cpu(n(0)).snapshot().total(), table1(Endpoint::Source));
         m.cpu(n(1)).reset();
         let _ = m.poll(n(1));
-        assert_eq!(
-            m.cpu(n(1)).snapshot().total() - 2,
-            model.endpoint_total(Endpoint::Destination)
-        );
+        assert_eq!(m.cpu(n(1)).snapshot().total() - 2, table1(Endpoint::Destination));
     }
 }

@@ -9,7 +9,7 @@
 //! data actually arrived intact — the costs come from real executions.
 
 use timego_cost::analytic::ProtocolCost;
-use timego_cost::{CostVector, Endpoint, Feature};
+use timego_cost::{Endpoint, Feature};
 use timego_netsim::{DeliveryScript, NodeId, ScriptedNetwork};
 use timego_ni::share;
 
@@ -17,9 +17,10 @@ use crate::machine::{CmamConfig, Machine};
 use crate::stream::{StreamConfig, StreamOutcome};
 use crate::xfer::{PayloadEngine, XferOutcome};
 
-/// Assemble a [`ProtocolCost`] table from the two endpoints' recorded
-/// cost vectors.
-pub(crate) fn to_protocol_cost(src: &CostVector, dst: &CostVector) -> ProtocolCost {
+/// The [`ProtocolCost`] table node 0 (the source) and node 1 (the
+/// destination) have recorded.
+pub(crate) fn pair_cost(m: &Machine) -> ProtocolCost {
+    let (src, dst) = (m.cpu(NodeId::new(0)).snapshot(), m.cpu(NodeId::new(1)).snapshot());
     let mut c = ProtocolCost::new();
     for f in Feature::ALL {
         c.set(Endpoint::Source, f, src.feature(f));
@@ -59,7 +60,7 @@ pub fn measure_single_packet() -> ProtocolCost {
     // reception path and hands the message back.
     let out = m.poll(NodeId::new(1));
     assert!(out.received(), "message must be waiting");
-    to_protocol_cost(&m.cpu(NodeId::new(0)).snapshot(), &m.cpu(NodeId::new(1)).snapshot())
+    pair_cost(&m)
 }
 
 /// Measure the CMAM finite-sequence protocol for a `words`-word message
@@ -99,7 +100,7 @@ fn measure_finite(
         "transferred data must match"
     );
     (
-        to_protocol_cost(&m.cpu(NodeId::new(0)).snapshot(), &m.cpu(NodeId::new(1)).snapshot()),
+        pair_cost(&m),
         outcome,
     )
 }
@@ -126,7 +127,7 @@ pub fn measure_stream(words: usize, packet_words: usize, ack_period: u64) -> (Pr
     let outcome = m.stream_send(id, &data).expect("stream completes");
     assert_eq!(m.stream_received(id), data, "streamed data must arrive in order");
     (
-        to_protocol_cost(&m.cpu(NodeId::new(0)).snapshot(), &m.cpu(NodeId::new(1)).snapshot()),
+        pair_cost(&m),
         outcome,
     )
 }
@@ -148,7 +149,7 @@ pub fn measure_hl_xfer(words: usize, packet_words: usize) -> (ProtocolCost, Xfer
         "transferred data must match"
     );
     (
-        to_protocol_cost(&m.cpu(NodeId::new(0)).snapshot(), &m.cpu(NodeId::new(1)).snapshot()),
+        pair_cost(&m),
         outcome,
     )
 }
@@ -167,7 +168,7 @@ pub fn measure_hl_stream(words: usize, packet_words: usize) -> ProtocolCost {
         .hl_stream_send(NodeId::new(0), NodeId::new(1), &data)
         .expect("stream completes");
     assert_eq!(got, data, "streamed data must arrive in order");
-    to_protocol_cost(&m.cpu(NodeId::new(0)).snapshot(), &m.cpu(NodeId::new(1)).snapshot())
+    pair_cost(&m)
 }
 
 #[cfg(test)]

@@ -896,8 +896,10 @@ fn contiguous_arrived(st: &StreamState) -> u64 {
 mod tests {
     use super::*;
     use crate::machine::CmamConfig;
+    use crate::measure::pair_cost;
     use timego_cost::analytic::{cmam_indefinite, IndefiniteOpts, MsgShape};
-    use timego_cost::{Endpoint, Feature};
+    use timego_cost::paper::{self, Block};
+    use timego_cost::Feature;
     use timego_netsim::{DeliveryScript, ScriptedNetwork};
     use timego_ni::share;
 
@@ -956,6 +958,13 @@ mod tests {
         ));
     }
 
+    /// Every printed cell of `block` equals the measured pair's.
+    fn assert_paper(block: Block, m: &Machine) {
+        for row in paper::block(block) {
+            assert_eq!(row.of(&pair_cost(m)), row.value, "{row:?}");
+        }
+    }
+
     #[test]
     fn matches_table2_at_16_words() {
         let mut m = machine(DeliveryScript::AlternateSwap);
@@ -963,17 +972,7 @@ mod tests {
         let data: Vec<u32> = (0..16).collect();
         m.reset_costs();
         m.stream_send(id, &data).unwrap();
-        let src = m.cpu(n(0)).snapshot();
-        let dst = m.cpu(n(1)).snapshot();
-        assert_eq!(src.feature_total(Feature::Base), 80);
-        assert_eq!(dst.feature_total(Feature::Base), 69);
-        assert_eq!(src.feature_total(Feature::InOrder), 20);
-        assert_eq!(dst.feature_total(Feature::InOrder), 116);
-        assert_eq!(src.feature_total(Feature::FaultTol), 116);
-        assert_eq!(dst.feature_total(Feature::FaultTol), 80);
-        assert_eq!(src.total(), 216);
-        assert_eq!(dst.total(), 265);
-        assert_eq!(src.total() + dst.total(), 481, "Table 2 grand total");
+        assert_paper(Block::Indefinite16, &m);
     }
 
     #[test]
@@ -985,17 +984,8 @@ mod tests {
         m.stream_send(id, &data).unwrap();
         let shape = MsgShape::paper(1024).unwrap();
         let model = cmam_indefinite(shape, IndefiniteOpts::paper(shape));
-        let src = m.cpu(n(0)).snapshot();
-        let dst = m.cpu(n(1)).snapshot();
-        for f in Feature::ALL {
-            assert_eq!(src.feature(f), model.get(Endpoint::Source, f), "source {f}");
-            assert_eq!(
-                dst.feature(f),
-                model.get(Endpoint::Destination, f),
-                "destination {f}"
-            );
-        }
-        assert_eq!(src.total() + dst.total(), 29965, "Table 2 grand total");
+        assert_eq!(pair_cost(&m), model);
+        assert_paper(Block::Indefinite1024, &m);
     }
 
     #[test]

@@ -591,7 +591,9 @@ impl OpMachine for XferOp {
 mod tests {
     use super::*;
     use crate::machine::CmamConfig;
-    use timego_cost::{Endpoint, Feature};
+    use crate::measure::pair_cost;
+    use timego_cost::paper::{self, Block, Table};
+    use timego_cost::Feature;
     use timego_netsim::{DeliveryScript, ScriptedNetwork};
     use timego_ni::share;
 
@@ -634,25 +636,21 @@ mod tests {
         ));
     }
 
+    /// Every printed cell of `block` equals the measured pair's.
+    fn assert_paper(block: Block, m: &Machine) {
+        for row in paper::block(block) {
+            assert_eq!(row.of(&pair_cost(m)), row.value, "{row:?}");
+        }
+    }
+
     #[test]
     fn sixteen_word_costs_match_reconstructed_table2() {
         let mut m = machine();
         let data: Vec<u32> = (0..16).collect();
         m.reset_costs();
         m.xfer(n(0), n(1), &data).unwrap();
-        let src = m.cpu(n(0)).snapshot();
-        let dst = m.cpu(n(1)).snapshot();
         // DESIGN.md §3: reconstructed finite-sequence 16-word block.
-        assert_eq!(src.feature_total(Feature::Base), 91);
-        assert_eq!(dst.feature_total(Feature::Base), 90);
-        assert_eq!(src.feature_total(Feature::BufferMgmt), 47);
-        assert_eq!(dst.feature_total(Feature::BufferMgmt), 101);
-        assert_eq!(src.feature_total(Feature::InOrder), 8);
-        assert_eq!(dst.feature_total(Feature::InOrder), 13);
-        assert_eq!(src.feature_total(Feature::FaultTol), 27);
-        assert_eq!(dst.feature_total(Feature::FaultTol), 20);
-        assert_eq!(src.total(), 173);
-        assert_eq!(dst.total(), 224);
+        assert_paper(Block::Finite16, &m);
     }
 
     #[test]
@@ -664,21 +662,8 @@ mod tests {
         let model = timego_cost::analytic::cmam_finite(
             timego_cost::analytic::MsgShape::paper(1024).unwrap(),
         );
-        let src = m.cpu(n(0)).snapshot();
-        let dst = m.cpu(n(1)).snapshot();
-        for f in Feature::ALL {
-            assert_eq!(
-                src.feature(f),
-                model.get(Endpoint::Source, f),
-                "source {f} mismatch"
-            );
-            assert_eq!(
-                dst.feature(f),
-                model.get(Endpoint::Destination, f),
-                "destination {f} mismatch"
-            );
-        }
-        assert_eq!(src.total() + dst.total(), 11737, "Table 2 grand total");
+        assert_eq!(pair_cost(&m), model);
+        assert_paper(Block::Finite1024, &m);
     }
 
     // --- segment reuse (`xfer_batch`) ------------------------------------
@@ -774,15 +759,16 @@ mod tests {
         let pair_total =
             |m: &Machine| m.cpu(n(0)).snapshot().total() + m.cpu(n(3)).snapshot().total();
         let msg: Vec<u32> = (0..16).collect();
+        let table2 = paper::find(Table::Table2, Block::Finite16, None, None).unwrap();
 
         let mut single = mesh();
         single.xfer(n(0), n(3), &msg).unwrap();
-        assert_eq!(pair_total(&single), 397);
+        assert_eq!(pair_total(&single), table2.value.count());
 
         let mut one = mesh();
         let outs = one.xfer_batch(n(0), n(3), &[&msg]).unwrap();
         assert_eq!(one.read_buffer(n(3), outs[0].dst_buffer, msg.len()), msg);
-        assert_eq!(pair_total(&one), 397);
+        assert_eq!(pair_total(&one), table2.value.count());
 
         let mut separate = mesh();
         for _ in 0..K {

@@ -482,6 +482,7 @@ pub fn hl_indefinite(shape: MsgShape) -> ProtocolCost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paper::{self, Block};
 
     fn shape(words: u64) -> MsgShape {
         MsgShape::paper(words).unwrap()
@@ -498,135 +499,44 @@ mod tests {
         assert_eq!(s.message_words(), 20);
     }
 
+    /// Every printed cell of `block` read off `cost` equals the paper's.
+    fn assert_paper(block: Block, cost: &ProtocolCost) {
+        for row in paper::block(block) {
+            assert_eq!(row.of(cost), row.value, "{row:?}");
+        }
+    }
+
     #[test]
     fn single_packet_matches_table1() {
         let c = single_packet();
-        assert_eq!(c.endpoint_total(Endpoint::Source), 20);
-        assert_eq!(c.endpoint_total(Endpoint::Destination), 27);
-        assert_eq!(c.total(), 47);
-        let src: u64 = single_packet_fine(Endpoint::Source).iter().map(|(_, n)| n).sum();
-        let dst: u64 = single_packet_fine(Endpoint::Destination)
-            .iter()
-            .map(|(_, n)| n)
-            .sum();
-        assert_eq!(src, 20);
-        assert_eq!(dst, 27);
+        assert_paper(Block::SinglePacket, &c);
+        for e in Endpoint::ALL {
+            let fine: u64 = single_packet_fine(e).iter().map(|(_, n)| n).sum();
+            assert_eq!(fine, c.endpoint_total(e), "{e}");
+        }
     }
 
     #[test]
     fn cmam_finite_16_words_matches_table3() {
         // Reconstructed finite-sequence 16-word block (see DESIGN.md §3).
-        let c = cmam_finite(shape(16));
-        assert_eq!(c.get(Endpoint::Source, Feature::Base), FeatureCost::new(62, 9, 20));
-        assert_eq!(
-            c.get(Endpoint::Destination, Feature::Base),
-            FeatureCost::new(62, 11, 17)
-        );
-        assert_eq!(
-            c.get(Endpoint::Source, Feature::BufferMgmt),
-            FeatureCost::new(36, 1, 10)
-        );
-        assert_eq!(
-            c.get(Endpoint::Destination, Feature::BufferMgmt),
-            FeatureCost::new(79, 12, 10)
-        );
-        assert_eq!(c.get(Endpoint::Source, Feature::InOrder).total(), 8);
-        assert_eq!(c.get(Endpoint::Destination, Feature::InOrder).total(), 13);
-        assert_eq!(c.get(Endpoint::Source, Feature::FaultTol).total(), 27);
-        assert_eq!(c.get(Endpoint::Destination, Feature::FaultTol).total(), 20);
-        // Table 3 printed column totals.
-        assert_eq!(c.endpoint_classes(Endpoint::Source), FeatureCost::new(128, 10, 35));
-        assert_eq!(
-            c.endpoint_classes(Endpoint::Destination),
-            FeatureCost::new(168, 24, 32)
-        );
-        assert_eq!(c.endpoint_total(Endpoint::Source), 173);
-        assert_eq!(c.endpoint_total(Endpoint::Destination), 224);
-        assert_eq!(c.total(), 397);
+        assert_paper(Block::Finite16, &cmam_finite(shape(16)));
     }
 
     #[test]
     fn cmam_finite_1024_words_matches_table2_and_3() {
-        let c = cmam_finite(shape(1024));
-        assert_eq!(c.get(Endpoint::Source, Feature::Base).total(), 5635);
-        assert_eq!(c.get(Endpoint::Destination, Feature::Base).total(), 4626);
-        assert_eq!(c.feature_total(Feature::Base), 10261);
-        assert_eq!(c.feature_total(Feature::BufferMgmt), 148);
-        assert_eq!(c.get(Endpoint::Source, Feature::InOrder).total(), 512);
-        assert_eq!(c.get(Endpoint::Destination, Feature::InOrder).total(), 769);
-        assert_eq!(c.feature_total(Feature::FaultTol), 47);
-        assert_eq!(c.endpoint_total(Endpoint::Source), 6221);
-        assert_eq!(c.endpoint_total(Endpoint::Destination), 5516);
-        assert_eq!(c.total(), 11737);
-        // Table 3 class detail.
-        assert_eq!(
-            c.get(Endpoint::Source, Feature::Base),
-            FeatureCost::new(3842, 513, 1280)
-        );
-        assert_eq!(
-            c.get(Endpoint::Destination, Feature::Base),
-            FeatureCost::new(3086, 515, 1025)
-        );
-        assert_eq!(c.endpoint_classes(Endpoint::Source), FeatureCost::new(4412, 514, 1295));
-        assert_eq!(
-            c.endpoint_classes(Endpoint::Destination),
-            FeatureCost::new(3948, 528, 1040)
-        );
+        assert_paper(Block::Finite1024, &cmam_finite(shape(1024)));
     }
 
     #[test]
     fn cmam_indefinite_16_words_matches_table2() {
         let s = shape(16);
-        let c = cmam_indefinite(s, IndefiniteOpts::paper(s));
-        assert_eq!(c.get(Endpoint::Source, Feature::Base).total(), 80);
-        assert_eq!(c.get(Endpoint::Destination, Feature::Base).total(), 69);
-        assert_eq!(c.get(Endpoint::Source, Feature::InOrder).total(), 20);
-        assert_eq!(c.get(Endpoint::Destination, Feature::InOrder).total(), 116);
-        assert_eq!(c.get(Endpoint::Source, Feature::FaultTol).total(), 116);
-        assert_eq!(c.get(Endpoint::Destination, Feature::FaultTol).total(), 80);
-        assert_eq!(c.endpoint_total(Endpoint::Source), 216);
-        assert_eq!(c.endpoint_total(Endpoint::Destination), 265);
-        assert_eq!(c.total(), 481);
+        assert_paper(Block::Indefinite16, &cmam_indefinite(s, IndefiniteOpts::paper(s)));
     }
 
     #[test]
     fn cmam_indefinite_1024_words_matches_table2_and_3() {
         let s = shape(1024);
-        let c = cmam_indefinite(s, IndefiniteOpts::paper(s));
-        assert_eq!(c.get(Endpoint::Source, Feature::Base).total(), 5120);
-        assert_eq!(c.get(Endpoint::Destination, Feature::Base).total(), 3597);
-        assert_eq!(c.get(Endpoint::Source, Feature::InOrder).total(), 1280);
-        assert_eq!(c.get(Endpoint::Destination, Feature::InOrder).total(), 7424);
-        assert_eq!(c.get(Endpoint::Source, Feature::FaultTol).total(), 7424);
-        assert_eq!(c.get(Endpoint::Destination, Feature::FaultTol).total(), 5120);
-        assert_eq!(c.endpoint_total(Endpoint::Source), 13824);
-        assert_eq!(c.endpoint_total(Endpoint::Destination), 16141);
-        assert_eq!(c.total(), 29965);
-        // Table 3 class detail.
-        assert_eq!(
-            c.get(Endpoint::Source, Feature::Base),
-            FeatureCost::new(3584, 256, 1280)
-        );
-        assert_eq!(
-            c.get(Endpoint::Destination, Feature::Base),
-            FeatureCost::new(2572, 0, 1025)
-        );
-        assert_eq!(
-            c.get(Endpoint::Source, Feature::InOrder),
-            FeatureCost::new(512, 768, 0)
-        );
-        assert_eq!(
-            c.get(Endpoint::Destination, Feature::InOrder),
-            FeatureCost::new(4480, 2944, 0)
-        );
-        assert_eq!(
-            c.get(Endpoint::Source, Feature::FaultTol),
-            FeatureCost::new(5632, 512, 1280)
-        );
-        assert_eq!(
-            c.get(Endpoint::Destination, Feature::FaultTol),
-            FeatureCost::new(3584, 256, 1280)
-        );
+        assert_paper(Block::Indefinite1024, &cmam_indefinite(s, IndefiniteOpts::paper(s)));
     }
 
     #[test]
@@ -672,8 +582,8 @@ mod tests {
             );
             assert_eq!(hl.overhead_total(), 0);
         }
-        assert_eq!(hl_indefinite(shape(16)).total(), 149);
-        assert_eq!(hl_indefinite(shape(1024)).total(), 8717);
+        assert_paper(Block::HlIndefinite16, &hl_indefinite(shape(16)));
+        assert_paper(Block::HlIndefinite1024, &hl_indefinite(shape(1024)));
     }
 
     #[test]

@@ -9,8 +9,9 @@
 
 use std::fmt;
 
-use crate::axes::{Class, Feature};
-use crate::vector::{CostVector, FeatureCost};
+use crate::analytic::ProtocolCost;
+use crate::axes::{Class, Endpoint, Feature};
+use crate::vector::FeatureCost;
 
 /// A per-class cycle weighting applied to instruction counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,31 +59,29 @@ impl CycleModel {
         cost.reg * self.reg + cost.mem * self.mem + cost.dev * self.dev
     }
 
-    /// Total cycles for a full cost vector.
-    pub fn total_cycles(&self, vector: &CostVector) -> u64 {
-        Feature::ALL
-            .iter()
-            .map(|f| self.cycles(vector.feature(*f)))
-            .sum()
+    /// Total cycles of a protocol execution, both endpoints.
+    pub fn total_cycles(&self, cost: &ProtocolCost) -> u64 {
+        self.sum(cost, |_| true)
     }
 
     /// Cycles attributed to messaging-layer overhead (non-base features).
-    pub fn overhead_cycles(&self, vector: &CostVector) -> u64 {
-        Feature::ALL
-            .iter()
-            .filter(|f| f.is_overhead())
-            .map(|f| self.cycles(vector.feature(*f)))
-            .sum()
+    pub fn overhead_cycles(&self, cost: &ProtocolCost) -> u64 {
+        self.sum(cost, Feature::is_overhead)
     }
 
     /// Overhead fraction under this weighting, in `[0, 1]`.
-    pub fn overhead_fraction(&self, vector: &CostVector) -> f64 {
-        let total = self.total_cycles(vector);
+    pub fn overhead_fraction(&self, cost: &ProtocolCost) -> f64 {
+        let total = self.total_cycles(cost);
         if total == 0 {
             0.0
         } else {
-            self.overhead_cycles(vector) as f64 / total as f64
+            self.overhead_cycles(cost) as f64 / total as f64
         }
+    }
+
+    fn sum(&self, cost: &ProtocolCost, keep: impl Fn(Feature) -> bool) -> u64 {
+        let features = Feature::ALL.into_iter().filter(|f| keep(*f));
+        features.flat_map(|f| Endpoint::ALL.map(|e| self.cycles(cost.get(e, f)))).sum()
     }
 }
 
@@ -101,36 +100,34 @@ impl fmt::Display for CycleModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::axes::{Class, Feature, Fine};
 
     #[test]
     fn unit_model_equals_instruction_count() {
-        let mut v = CostVector::new();
-        v.record(Feature::Base, Fine::WriteNi, Class::Dev, 2);
-        v.record(Feature::InOrder, Fine::RegOp, Class::Reg, 3);
-        assert_eq!(CycleModel::UNIT.total_cycles(&v), v.total());
+        let mut c = ProtocolCost::new();
+        c.set(Endpoint::Source, Feature::Base, FeatureCost::new(0, 0, 2));
+        c.set(Endpoint::Destination, Feature::InOrder, FeatureCost::new(3, 0, 0));
+        assert_eq!(CycleModel::UNIT.total_cycles(&c), c.total());
     }
 
     #[test]
     fn cm5_model_weights_dev_by_five() {
-        let mut v = CostVector::new();
-        v.record(Feature::Base, Fine::WriteNi, Class::Dev, 2);
-        v.record(Feature::Base, Fine::MemLoad, Class::Mem, 1);
-        v.record(Feature::Base, Fine::RegOp, Class::Reg, 4);
-        assert_eq!(CycleModel::CM5.total_cycles(&v), 2 * 5 + 1 + 4);
+        let mut c = ProtocolCost::new();
+        c.set(Endpoint::Source, Feature::Base, FeatureCost::new(4, 1, 2));
+        assert_eq!(CycleModel::CM5.total_cycles(&c), 2 * 5 + 1 + 4);
     }
 
     #[test]
     fn overhead_fraction_shifts_with_weights() {
-        let mut v = CostVector::new();
+        let mut c = ProtocolCost::new();
         // base: dev-heavy; overhead: reg-heavy
-        v.record(Feature::Base, Fine::WriteNi, Class::Dev, 10);
-        v.record(Feature::InOrder, Fine::RegOp, Class::Reg, 10);
-        let unit = CycleModel::UNIT.overhead_fraction(&v);
-        let cm5 = CycleModel::CM5.overhead_fraction(&v);
+        c.set(Endpoint::Source, Feature::Base, FeatureCost::new(0, 0, 10));
+        c.set(Endpoint::Destination, Feature::InOrder, FeatureCost::new(10, 0, 0));
+        let unit = CycleModel::UNIT.overhead_fraction(&c);
+        let cm5 = CycleModel::CM5.overhead_fraction(&c);
         assert!((unit - 0.5).abs() < 1e-12);
         // weighting dev up makes the (dev-heavy) base dominate
         assert!(cm5 < unit);
+        assert_eq!(CycleModel::CM5.overhead_cycles(&c), 10);
     }
 
     #[test]

@@ -63,14 +63,24 @@ pub fn series_csv(x_label: &str, y_label: &str, points: &[(u64, f64)]) -> String
 mod tests {
     use super::*;
     use crate::analytic::{self, MsgShape};
+    use crate::paper::{self, Block, Printed, Table};
 
     #[test]
     fn protocol_cost_csv_round_numbers() {
         let c = analytic::cmam_finite(MsgShape::paper(1024).unwrap());
         let csv = protocol_cost_csv(&c);
         assert!(csv.starts_with("feature,src_reg"));
-        assert!(csv.contains("Base Cost,3842,513,1280,5635"));
-        assert!(csv.contains("Total,4412,514,1295,6221,3948,528,1040,5516,11737"));
+        // Each Table 3 triple, with its total, sits in its feature's line
+        // under its endpoint's four columns.
+        for row in paper::rows(Table::Table3, Block::Finite1024) {
+            let (Printed::Classes(t), Some(e)) = (row.value, row.endpoint) else { continue };
+            let label = row.feature.map_or("Total", Feature::label);
+            let line = csv.lines().find(|l| l.starts_with(&format!("{label},"))).unwrap();
+            let fields: Vec<&str> = line.split(',').skip(1 + 4 * e.index()).take(4).collect();
+            assert_eq!(fields.join(","), format!("{},{},{},{}", t.reg, t.mem, t.dev, t.total()));
+        }
+        let grand = paper::rows(Table::Table2, Block::Finite1024).last().unwrap();
+        assert!(csv.lines().last().unwrap().ends_with(&format!(",{}", grand.value.count())));
         assert_eq!(csv.lines().count(), 6);
     }
 

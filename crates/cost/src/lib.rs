@@ -21,9 +21,9 @@
 //! operations: every NI register access, every memory-buffer access, and
 //! every annotated register operation records one entry into a
 //! [`CostRecorder`]. Summing a recorder yields exactly the numbers the
-//! paper reports, and the [`analytic`] module provides the closed-form
-//! generalizations (`n` = packet payload words, `p` = packets per message)
-//! behind Figure 8.
+//! paper reports, which [`paper`] holds as printed; the [`analytic`]
+//! module provides the closed-form generalizations (`n` = packet payload
+//! words, `p` = packets per message) behind Figure 8.
 //!
 //! ## Example
 //!
@@ -50,6 +50,7 @@ pub mod analytic;
 pub mod cycles;
 pub mod export;
 pub mod latency;
+pub mod paper;
 pub mod table;
 
 pub use axes::{Class, Endpoint, Feature, Fine};

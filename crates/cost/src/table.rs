@@ -11,9 +11,10 @@ fn hline(widths: &[usize]) -> String {
     "-".repeat(total)
 }
 
-fn row_left_first(cells: &[String], widths: &[usize]) -> String {
+fn row_left_first<S: AsRef<str>>(cells: &[S], widths: &[usize]) -> String {
     cells
         .iter()
+        .map(AsRef::as_ref)
         .zip(widths)
         .enumerate()
         .map(|(i, (c, w))| {
@@ -32,26 +33,14 @@ fn row_left_first(cells: &[String], widths: &[usize]) -> String {
 /// Categories appearing at neither endpoint are omitted; a category
 /// present at only one endpoint shows `-` at the other, as in the paper.
 pub fn render_fine_table(title: &str, source: &[(Fine, u64)], dest: &[(Fine, u64)]) -> String {
-    let mut categories: Vec<Fine> = Vec::new();
-    for f in Fine::ALL {
-        if source.iter().any(|(s, _)| *s == f) || dest.iter().any(|(d, _)| *d == f) {
-            categories.push(f);
-        }
-    }
+    let categories = Fine::ALL.into_iter().filter(|f| source.iter().chain(dest).any(|(g, _)| g == f));
     let lookup = |rows: &[(Fine, u64)], f: Fine| rows.iter().find(|(g, _)| *g == f).map(|(_, n)| *n);
 
     let widths = [17usize, 8, 12];
     let mut out = String::new();
     out.push_str(title);
     out.push('\n');
-    out.push_str(&row_left_first(
-        &[
-            "Description".to_string(),
-            "Source".to_string(),
-            "Destination".to_string(),
-        ],
-        &widths,
-    ));
+    out.push_str(&row_left_first(&["Description", "Source", "Destination"], &widths));
     out.push('\n');
     out.push_str(&hline(&widths));
     out.push('\n');
@@ -86,15 +75,7 @@ pub fn render_feature_table(title: &str, cost: &ProtocolCost) -> String {
     let mut out = String::new();
     out.push_str(title);
     out.push('\n');
-    out.push_str(&row_left_first(
-        &[
-            "Feature".to_string(),
-            "Source".to_string(),
-            "Destination".to_string(),
-            "Total".to_string(),
-        ],
-        &widths,
-    ));
+    out.push_str(&row_left_first(&["Feature", "Source", "Destination", "Total"], &widths));
     out.push('\n');
     out.push_str(&hline(&widths));
     out.push('\n');
@@ -129,24 +110,11 @@ pub fn render_class_table(title: &str, cost: &ProtocolCost) -> String {
     let mut out = String::new();
     out.push_str(title);
     out.push('\n');
-    out.push_str(&row_left_first(
-        &[
-            "".to_string(),
-            "Source".to_string(),
-            "".to_string(),
-            "".to_string(),
-            "Dest".to_string(),
-            "".to_string(),
-            "".to_string(),
-        ],
-        &widths,
-    ));
+    out.push_str(&row_left_first(&["", "Source", "", "", "Dest", "", ""], &widths));
     out.push('\n');
-    let mut header = vec!["Feature".to_string()];
+    let mut header = vec!["Feature"];
     for _ in 0..2 {
-        for c in Class::ALL {
-            header.push(c.label().to_string());
-        }
+        header.extend(Class::ALL.map(Class::label));
     }
     out.push_str(&row_left_first(&header, &widths));
     out.push('\n');
@@ -228,6 +196,7 @@ pub fn render_series(title: &str, x_label: &str, y_label: &str, points: &[(u64, 
 mod tests {
     use super::*;
     use crate::analytic::{self, MsgShape};
+    use crate::paper::{self, Block, Printed, Table};
 
     #[test]
     fn fine_table_includes_totals_and_dashes() {
@@ -238,8 +207,9 @@ mod tests {
         );
         assert!(t.contains("Table 1"));
         assert!(t.contains("Write to NI"));
-        assert!(t.contains("20"));
-        assert!(t.contains("27"));
+        for row in paper::rows(Table::Table1, Block::SinglePacket).filter(|r| r.endpoint.is_some()) {
+            assert!(t.contains(&row.value.count().to_string()), "{row:?}");
+        }
         assert!(t.contains('-')); // read-from-NI has no source entry
     }
 
@@ -247,9 +217,9 @@ mod tests {
     fn feature_table_matches_protocol_totals() {
         let c = analytic::cmam_finite(MsgShape::paper(1024).unwrap());
         let t = render_feature_table("Finite sequence", &c);
-        assert!(t.contains("11737"));
-        assert!(t.contains("6221"));
-        assert!(t.contains("5516"));
+        for row in paper::rows(Table::Table2, Block::Finite1024).filter(|r| r.feature.is_none()) {
+            assert!(t.contains(&row.value.count().to_string()), "{row:?}");
+        }
         assert!(t.contains("Buffer Mgmt."));
     }
 
@@ -259,7 +229,12 @@ mod tests {
         let t = render_class_table("Finite 16", &c);
         assert!(t.contains("reg"));
         assert!(t.contains("dev"));
-        assert!(t.contains("128")); // source reg total
+        for row in paper::rows(Table::Table3, Block::Finite16).filter(|r| r.feature.is_none()) {
+            let Printed::Classes(total) = row.value else { panic!("{row:?}") };
+            for n in [total.reg, total.mem, total.dev] {
+                assert!(t.contains(&n.to_string()), "{row:?}");
+            }
+        }
     }
 
     #[test]

@@ -45,6 +45,6 @@ fn bad_command_lines_exit_2_and_print_nothing() {
         assert!(out.stdout.is_empty(), "{args:?} printed to stdout before failing");
         let usage = String::from_utf8_lossy(&out.stderr);
         assert!(usage.contains("usage: timego-bench <suite>"), "{args:?}: {usage}");
-        assert!(usage.contains("--quick --threads --perf-smoke"), "{args:?}: no suite table in {usage}");
+        assert!(usage.contains("--quick --threads --chaos"), "{args:?}: no suite table in {usage}");
     }
 }

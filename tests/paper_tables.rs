@@ -5,38 +5,38 @@
 use timego_am::{
     measure_hl_stream, measure_hl_xfer, measure_single_packet, measure_stream, measure_xfer,
 };
-use timego_cost::analytic::{self, IndefiniteOpts, MsgShape};
-use timego_cost::{Endpoint, Feature, FeatureCost};
+use timego_cost::analytic::{self, IndefiniteOpts, MsgShape, ProtocolCost};
+use timego_cost::paper::{self, Block, Table};
+use timego_cost::{Endpoint, Feature};
+
+/// Every cell `table` prints for `block` equals the one read off `cost`.
+fn assert_printed(table: Table, block: Block, cost: &ProtocolCost) {
+    let rows: Vec<_> = paper::rows(table, block).collect();
+    assert!(!rows.is_empty(), "{table:?} prints nothing for {block:?}");
+    for row in rows {
+        assert_eq!(row.of(cost), row.value, "{row:?}");
+    }
+}
+
+/// The end-to-end total `table` prints for `block`.
+fn printed_total(table: Table, block: Block) -> u64 {
+    paper::find(table, block, None, None).expect("a printed total").value.count()
+}
 
 #[test]
 fn e1_table1_single_packet() {
     let c = measure_single_packet();
-    assert_eq!(c.endpoint_total(Endpoint::Source), 20);
-    assert_eq!(c.endpoint_total(Endpoint::Destination), 27);
-    assert_eq!(c.total(), 47);
+    assert_printed(Table::Table1, Block::SinglePacket, &c);
     // "34 instructions are dedicated to accessing the NI": for us that
     // is NI setup + write/read + status/latch accesses; the paper's
     // boundary counts NI setup and check-status rows plus FIFO accesses
     // (5 + 2 + 7 at the source, 3 + 12 at the destination).
-    let fine = analytic::single_packet_fine(Endpoint::Source);
-    let src_ni: u64 = fine
-        .iter()
-        .filter(|(f, _)| {
-            use timego_cost::Fine::*;
-            matches!(f, NiSetup | WriteNi | ReadNi | CheckStatus)
-        })
-        .map(|(_, n)| n)
-        .sum();
-    let fine = analytic::single_packet_fine(Endpoint::Destination);
-    let dst_ni: u64 = fine
-        .iter()
-        .filter(|(f, _)| {
-            use timego_cost::Fine::*;
-            matches!(f, NiSetup | WriteNi | ReadNi | CheckStatus)
-        })
-        .map(|(_, n)| n)
-        .sum();
-    assert_eq!(src_ni + dst_ni, 29);
+    let ni = |e| -> u64 {
+        use timego_cost::Fine::*;
+        let fine = analytic::single_packet_fine(e);
+        fine.iter().filter(|(f, _)| matches!(f, NiSetup | WriteNi | ReadNi | CheckStatus)).map(|(_, n)| n).sum()
+    };
+    assert_eq!(ni(Endpoint::Source) + ni(Endpoint::Destination), 29);
 }
 
 #[test]
@@ -44,70 +44,30 @@ fn e2_table2_finite_sequence() {
     // 16 words: reconstructed block (DESIGN.md §3).
     let (c, out) = measure_xfer(16, 4);
     assert_eq!(out.packets, 4);
-    assert_eq!(c.endpoint_total(Endpoint::Source), 173);
-    assert_eq!(c.endpoint_total(Endpoint::Destination), 224);
-    assert_eq!(c.total(), 397);
+    assert_printed(Table::Table2, Block::Finite16, &c);
 
     // 1024 words: the paper's printed block, cell by cell.
     let (c, out) = measure_xfer(1024, 4);
     assert_eq!(out.packets, 256);
-    let expect = [
-        (Feature::Base, 5635, 4626),
-        (Feature::BufferMgmt, 47, 101),
-        (Feature::InOrder, 512, 769),
-        (Feature::FaultTol, 27, 20),
-    ];
-    for (f, s, d) in expect {
-        assert_eq!(c.get(Endpoint::Source, f).total(), s, "{f} source");
-        assert_eq!(c.get(Endpoint::Destination, f).total(), d, "{f} destination");
-    }
-    assert_eq!(c.total(), 11737);
+    assert_printed(Table::Table2, Block::Finite1024, &c);
 }
 
 #[test]
 fn e2_table2_indefinite_sequence() {
     let (c, _) = measure_stream(16, 4, 1);
-    let expect = [
-        (Feature::Base, 80, 69),
-        (Feature::BufferMgmt, 0, 0),
-        (Feature::InOrder, 20, 116),
-        (Feature::FaultTol, 116, 80),
-    ];
-    for (f, s, d) in expect {
-        assert_eq!(c.get(Endpoint::Source, f).total(), s, "{f} source");
-        assert_eq!(c.get(Endpoint::Destination, f).total(), d, "{f} destination");
-    }
-    assert_eq!(c.total(), 481);
-
+    assert_printed(Table::Table2, Block::Indefinite16, &c);
     let (c, _) = measure_stream(1024, 4, 1);
-    assert_eq!(c.endpoint_total(Endpoint::Source), 13824);
-    assert_eq!(c.endpoint_total(Endpoint::Destination), 16141);
-    assert_eq!(c.total(), 29965);
+    assert_printed(Table::Table2, Block::Indefinite1024, &c);
 }
 
 #[test]
 fn e3_table3_class_breakdown() {
-    // The full (feature × class) matrix of the 1024-word blocks.
+    // The (feature × class) matrix of the 1024-word blocks, with the
+    // printed column totals.
     let (c, _) = measure_xfer(1024, 4);
-    assert_eq!(c.get(Endpoint::Source, Feature::Base), FeatureCost::new(3842, 513, 1280));
-    assert_eq!(c.get(Endpoint::Destination, Feature::Base), FeatureCost::new(3086, 515, 1025));
-    assert_eq!(c.get(Endpoint::Source, Feature::BufferMgmt), FeatureCost::new(36, 1, 10));
-    assert_eq!(c.get(Endpoint::Destination, Feature::BufferMgmt), FeatureCost::new(79, 12, 10));
-    assert_eq!(c.get(Endpoint::Source, Feature::InOrder), FeatureCost::new(512, 0, 0));
-    assert_eq!(c.get(Endpoint::Destination, Feature::InOrder), FeatureCost::new(769, 0, 0));
-    assert_eq!(c.get(Endpoint::Source, Feature::FaultTol), FeatureCost::new(22, 0, 5));
-    assert_eq!(c.get(Endpoint::Destination, Feature::FaultTol), FeatureCost::new(14, 1, 5));
-
+    assert_printed(Table::Table3, Block::Finite1024, &c);
     let (c, _) = measure_stream(1024, 4, 1);
-    assert_eq!(c.get(Endpoint::Source, Feature::Base), FeatureCost::new(3584, 256, 1280));
-    assert_eq!(c.get(Endpoint::Destination, Feature::Base), FeatureCost::new(2572, 0, 1025));
-    assert_eq!(c.get(Endpoint::Source, Feature::InOrder), FeatureCost::new(512, 768, 0));
-    assert_eq!(c.get(Endpoint::Destination, Feature::InOrder), FeatureCost::new(4480, 2944, 0));
-    assert_eq!(c.get(Endpoint::Source, Feature::FaultTol), FeatureCost::new(5632, 512, 1280));
-    assert_eq!(c.get(Endpoint::Destination, Feature::FaultTol), FeatureCost::new(3584, 256, 1280));
-    // Printed column totals.
-    assert_eq!(c.endpoint_classes(Endpoint::Source), FeatureCost::new(9728, 1536, 2560));
-    assert_eq!(c.endpoint_classes(Endpoint::Destination), FeatureCost::new(10636, 3200, 2305));
+    assert_printed(Table::Table3, Block::Indefinite1024, &c);
 }
 
 #[test]
@@ -131,8 +91,8 @@ fn e4_figure6_cmam_vs_hl() {
     let (hl1024, _) = measure_hl_xfer(1024, 4);
     let r1024 = 1.0 - hl1024.total() as f64 / cmam1024.total() as f64;
     assert!((0.08..0.2).contains(&r1024), "1024w finite reduction {r1024}");
-    assert_eq!(measure_hl_stream(16, 4).total(), 149);
-    assert_eq!(measure_hl_stream(1024, 4).total(), 8717);
+    assert_printed(Table::Figure6, Block::HlIndefinite16, &measure_hl_stream(16, 4));
+    assert_printed(Table::Figure6, Block::HlIndefinite1024, &measure_hl_stream(1024, 4));
 }
 
 #[test]
@@ -205,8 +165,8 @@ fn conclusion_quote_16_word_cost_range() {
     // exactly; the lower end conflicts with the paper's own Table 3
     // (see EXPERIMENTS.md), which our finite measurement reproduces.
     let (ind, _) = measure_stream(16, 4, 1);
-    assert_eq!(ind.total(), 481);
+    assert_eq!(ind.total(), printed_total(Table::Table2, Block::Indefinite16));
     let (fin, _) = measure_xfer(16, 4);
-    assert_eq!(fin.total(), 397);
-    assert!(fin.total() > 285 && fin.total() < 481);
+    assert_eq!(fin.total(), printed_total(Table::Table2, Block::Finite16));
+    assert!(fin.total() > 285 && fin.total() < ind.total());
 }
