@@ -9,6 +9,18 @@
 //! never repaired — exactly the three network features whose software
 //! cost the paper measures.
 //!
+//! ## The link queues
+//!
+//! Every packet in the link queues sits in one slot of a single slab,
+//! and stays there from injection to delivery. Each `(link, vc)` FIFO
+//! is a head, a tail and a length, threaded through a `next` index per
+//! slot, so a hop unlinks a slot index from one FIFO and links it onto
+//! the next: the packet is not copied and no queue allocates. Freed
+//! slots go on a LIFO free list threaded the same way. A slot carries
+//! the packet's route inline (up to [`ROUTE_INLINE`] links, a boxed
+//! slice above that), filled from one reused path buffer, so a
+//! deterministic route allocates nothing either.
+//!
 //! ## The link schedule
 //!
 //! The model is a full scan: every cycle, every link in ascending index
@@ -28,15 +40,21 @@
 //!    was ready but never reached re-files the link for the next cycle
 //!    (one movement per physical link per cycle).
 //!
-//! Due visits pop in `(cycle, link)` order, duplicates collapse, and a
-//! wake obeys the *cursor rule*: a link woken while the scan stands at
-//! link `c` is visited this cycle if its index is above `c` — the full
-//! scan would still reach it and find the space — and next cycle
-//! otherwise, as is every wake outside a scan. A visit the schedule
-//! skips is one the full scan would have made without changing any
-//! state (`rr` and `last_progress` only change on a move), and an extra
-//! visit is one the full scan makes anyway, so the schedule is exact:
-//! the test module steps a clone by the full scan and compares.
+//! A filed visit is a bit in a ring of [`RING`] per-cycle link bitmaps,
+//! each with a summary word per 64 bitmap words; the rare visit filed
+//! further out (fault-plane jitter) waits in an overflow heap until its
+//! cycle comes within the ring. A cycle's scan takes its bitmap's set
+//! bits upward from the cursor, so duplicates collapse by construction:
+//! filing a visit twice sets one bit. A wake obeys the *cursor rule*: a
+//! link woken while the scan stands at link `c` is visited this cycle
+//! if its index is above `c` — its bit is set ahead of the scan, which
+//! reaches it in turn, as the full scan would still reach it and find
+//! the space — and next cycle otherwise, as is every wake outside a
+//! scan. A visit the schedule skips is one the full scan would have
+//! made without changing any state (`rr` and `last_progress` only
+//! change on a move), and an extra visit is one the full scan makes
+//! anyway, so the schedule is exact: the test module steps a clone by
+//! the full scan and compares.
 //!
 //! ## How long the receive queues stay quiet
 //!
@@ -124,16 +142,211 @@ impl Default for SwitchedConfig {
     }
 }
 
+/// Links a route carries without a heap allocation: every route of a
+/// 4-ary fat tree up to 7 levels (16 384 nodes), or of up to 14 mesh
+/// hops.
+const ROUTE_INLINE: usize = 14;
+
+/// A packet's route as dense link indices.
+#[derive(Debug, Clone, PartialEq)]
+enum Route {
+    /// Up to [`ROUTE_INLINE`] links; the slots past `len` hold zero.
+    Inline { len: u8, links: [u32; ROUTE_INLINE] },
+    /// A longer route.
+    Spilled(Box<[u32]>),
+}
+
+impl Route {
+    fn new(path: &[LinkId]) -> Route {
+        // `SwitchedNetwork::new` checks every link index fits in a `u32`.
+        if path.len() <= ROUTE_INLINE {
+            let mut links = [0; ROUTE_INLINE];
+            for (slot, link) in links.iter_mut().zip(path) {
+                *slot = link.index() as u32;
+            }
+            Route::Inline { len: path.len() as u8, links }
+        } else {
+            Route::Spilled(path.iter().map(|link| link.index() as u32).collect())
+        }
+    }
+
+    fn links(&self) -> &[u32] {
+        match self {
+            Route::Inline { len, links } => &links[..usize::from(*len)],
+            Route::Spilled(links) => links,
+        }
+    }
+}
+
+/// A packet in the link queues, in its slab slot.
 #[derive(Debug, Clone, PartialEq)]
 struct Transit {
     packet: Packet,
-    path: Vec<LinkId>,
+    route: Route,
+    /// Index in `route` of the link whose queue holds the packet.
     hop: usize,
     vc: usize,
     ready_at: Time,
     /// Fault-plane delay jitter still to be applied, consumed the first
     /// time the packet reaches a queue head.
     jitter: u64,
+}
+
+/// The slab index of no slot: the end of a FIFO or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One `(link, vc)` FIFO: its first and last slab slots, chained through
+/// [`SwitchedNetwork`]'s `next`, and how many slots the chain holds.
+#[derive(Debug, Clone, Copy)]
+struct Fifo {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+impl Fifo {
+    const EMPTY: Fifo = Fifo { head: NIL, tail: NIL, len: 0 };
+}
+
+/// Cycles the visit ring spans: a visit filed fewer than `RING` cycles
+/// out is a bit in its cycle's bitmap, one filed further out waits in
+/// the overflow heap.
+const RING: u64 = 8;
+
+/// The link schedule's filed visits (module docs): a ring of per-cycle
+/// link bitmaps, slot `cycle % RING`, and an overflow heap.
+#[derive(Debug, Clone)]
+struct VisitRing {
+    /// `u64` words per bitmap, a bit per link.
+    words: usize,
+    /// Summary words per bitmap, a bit per bitmap word.
+    sums: usize,
+    /// `RING` bitmaps of `words` words each.
+    bits: Vec<u64>,
+    /// `RING` summaries of `sums` words each: a bit is set exactly when
+    /// its bitmap word is non-zero.
+    summary: Vec<u64>,
+    /// A bit per ring slot holding a visit.
+    occupied: u8,
+    /// Visits filed `RING` or more cycles out, by `(cycle, link)`.
+    overflow: BinaryHeap<Reverse<(Time, u32)>>,
+}
+
+impl VisitRing {
+    fn new(links: usize) -> Self {
+        let words = links.div_ceil(64);
+        let sums = words.div_ceil(64);
+        VisitRing {
+            words,
+            sums,
+            bits: vec![0; RING as usize * words],
+            summary: vec![0; RING as usize * sums],
+            occupied: 0,
+            overflow: BinaryHeap::new(),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.occupied == 0 && self.overflow.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.bits.fill(0);
+        self.summary.fill(0);
+        self.occupied = 0;
+        self.overflow.clear();
+    }
+
+    /// File a visit to link `li` at `cycle`, which is no earlier than
+    /// `now`.
+    fn file(&mut self, now: Time, cycle: Time, li: usize) {
+        debug_assert!(cycle >= now, "a visit filed in the past");
+        if cycle.since(now) >= RING {
+            self.overflow.push(Reverse((cycle, li as u32)));
+            return;
+        }
+        let slot = (cycle.cycles() % RING) as usize;
+        let word = li / 64;
+        self.bits[slot * self.words + word] |= 1 << (li % 64);
+        self.summary[slot * self.sums + word / 64] |= 1 << (word % 64);
+        self.occupied |= 1 << slot;
+    }
+
+    /// Move the overflow visits that `now` brings within the ring into
+    /// their bitmaps.
+    fn refill(&mut self, now: Time) {
+        while let Some(&Reverse((cycle, li))) = self.overflow.peek() {
+            if cycle.since(now) >= RING {
+                break;
+            }
+            self.overflow.pop();
+            self.file(now, cycle, li as usize);
+        }
+    }
+
+    /// Clear and return the lowest link at or above `from` filed for
+    /// `now`.
+    fn take_from(&mut self, now: Time, from: usize) -> Option<usize> {
+        let slot = (now.cycles() % RING) as usize;
+        let bits = &mut self.bits[slot * self.words..][..self.words];
+        let summary = &mut self.summary[slot * self.sums..][..self.sums];
+        let mut word = from / 64;
+        let mut set = bits.get(word)? & (!0u64 << (from % 64));
+        if set == 0 {
+            // The summary names the next non-zero word.
+            let after = word + 1;
+            let mut sum = after / 64;
+            let mut nonzero = summary.get(sum)? & (!0u64 << (after % 64));
+            while nonzero == 0 {
+                sum += 1;
+                nonzero = *summary.get(sum)?;
+            }
+            word = sum * 64 + nonzero.trailing_zeros() as usize;
+            set = bits[word];
+        }
+        let bit = set.trailing_zeros() as usize;
+        bits[word] &= !(1 << bit);
+        if bits[word] == 0 {
+            summary[word / 64] &= !(1 << (word % 64));
+        }
+        Some(word * 64 + bit)
+    }
+
+    /// The scan of `now` took every bit of its bitmap.
+    fn end_scan(&mut self, now: Time) {
+        self.occupied &= !(1 << (now.cycles() % RING));
+    }
+
+    /// Whether a visit to `li` is filed at `cycle` (`now` between scans).
+    #[cfg(any(test, debug_assertions))]
+    fn is_filed(&self, now: Time, cycle: Time, li: usize) -> bool {
+        if cycle.since(now) >= RING {
+            return self.overflow.iter().any(|v| v.0 == (cycle, li as u32));
+        }
+        let slot = (cycle.cycles() % RING) as usize;
+        self.bits[slot * self.words + li / 64] & 1 << (li % 64) != 0
+    }
+
+    /// Ring invariants between scans at `now`: `now`'s bitmap is taken,
+    /// the summaries and `occupied` match the bitmaps, and the overflow
+    /// heap holds only visits beyond the ring.
+    #[cfg(any(test, debug_assertions))]
+    fn check(&self, now: Time) {
+        for slot in 0..RING as usize {
+            let bits = &self.bits[slot * self.words..][..self.words];
+            let summary = &self.summary[slot * self.sums..][..self.sums];
+            for (word, &set) in bits.iter().enumerate() {
+                assert_eq!(summary[word / 64] >> (word % 64) & 1 == 1, set != 0, "slot {slot} word {word}: summary");
+            }
+            let filed = bits.iter().any(|&set| set != 0);
+            assert_eq!(self.occupied >> slot & 1 == 1, filed, "slot {slot}: occupied mask");
+        }
+        assert_eq!(self.occupied >> (now.cycles() % RING) & 1, 0, "a filed visit was skipped");
+        assert!(
+            self.overflow.iter().all(|Reverse((cycle, _))| cycle.since(now) >= RING),
+            "an overflow visit missed the ring"
+        );
+    }
 }
 
 /// `ready_at` of a packet queued behind another: it starts traversing
@@ -190,11 +403,18 @@ impl SwappedContext {
 pub struct SwitchedNetwork<T> {
     topo: T,
     cfg: SwitchedConfig,
-    // One FIFO per (link, virtual channel), link-major (`li * vcs + vc`):
-    // the physical link serves its VC heads round-robin from `rr[li]`,
-    // one packet movement per cycle.
-    queues: Vec<VecDeque<Transit>>,
+    // The link queues (module docs): queued transits in `slab` (`None`
+    // is a free slot), one FIFO per (link, virtual channel), link-major
+    // (`li * vcs + vc`), threading its slots through `next`, as does the
+    // free list from `free`. The physical link serves its VC heads
+    // round-robin from `rr[li]`, one packet movement per cycle.
+    slab: Vec<Option<Transit>>,
+    next: Vec<u32>,
+    free: u32,
+    fifos: Vec<Fifo>,
     rr: Vec<usize>,
+    // The route of the packet being injected, reused across packets.
+    path: Vec<LinkId>,
     rx: Vec<VecDeque<Packet>>,
     now: Time,
     pair_seq: PairMap<u64>,
@@ -204,9 +424,8 @@ pub struct SwitchedNetwork<T> {
     rng: SimRng,
     faults: FaultSchedule,
     wake: WakeSet,
-    // The link schedule (module docs). Visits still to make, popped in
-    // ascending `(cycle, link)` order.
-    due: BinaryHeap<Reverse<(Time, usize)>>,
+    // The link schedule (module docs): the visits still to make.
+    ring: VisitRing,
     // Per link: the links whose ready head found its queue full.
     link_waiters: Vec<Vec<usize>>,
     // Per node: the links whose ready head found its receive queue full.
@@ -233,15 +452,10 @@ fn wait_on(waiters: &mut Vec<usize>, li: usize) {
 
 /// A buffer gained space: re-file everyone who was waiting for it, by
 /// the cursor rule.
-fn wake_waiters(
-    waiters: &mut Vec<usize>,
-    due: &mut BinaryHeap<Reverse<(Time, usize)>>,
-    now: Time,
-    cursor: usize,
-) {
+fn wake_waiters(waiters: &mut Vec<usize>, ring: &mut VisitRing, now: Time, cursor: usize) {
     for li in waiters.drain(..) {
         let cycle = if li > cursor { now } else { now + 1 };
-        due.push(Reverse((cycle, li)));
+        ring.file(now, cycle, li);
     }
 }
 
@@ -251,26 +465,29 @@ impl<T: Topology> SwitchedNetwork<T> {
     /// # Panics
     ///
     /// Panics if `link_latency`, `link_queue_capacity`,
-    /// `rx_queue_capacity` or `virtual_channels` is zero.
+    /// `rx_queue_capacity` or `virtual_channels` is zero, or if the
+    /// topology has `u32::MAX` links or more.
     pub fn new(topo: T, cfg: SwitchedConfig) -> Self {
         assert!(cfg.link_latency >= 1, "link latency must be at least 1 cycle");
         assert!(cfg.link_queue_capacity >= 1, "link queues must hold at least 1 packet");
         assert!(cfg.rx_queue_capacity >= 1, "rx queues must hold at least 1 packet");
         assert!(cfg.virtual_channels >= 1, "need at least one virtual channel");
+        let links = topo.num_links();
+        assert!(links < NIL as usize, "routes carry link indices as u32");
         // Empty `VecDeque`s and `Vec`s own no heap memory, so set-up
         // costs a handful of allocations, not one per link.
-        let links = topo.num_links();
-        let queues = (0..links * cfg.virtual_channels).map(|_| VecDeque::new()).collect();
         let rx = (0..topo.num_nodes()).map(|_| VecDeque::new()).collect();
         let node_waiters = vec![Vec::new(); topo.num_nodes()];
         let rng = SimRng::new(cfg.seed);
         let faults = FaultSchedule::new(cfg.fault.clone(), cfg.seed);
         let wake = WakeSet::new(topo.num_nodes());
         SwitchedNetwork {
-            topo,
-            cfg,
-            queues,
+            slab: Vec::new(),
+            next: Vec::new(),
+            free: NIL,
+            fifos: vec![Fifo::EMPTY; links * cfg.virtual_channels],
             rr: vec![0; links],
+            path: Vec::with_capacity(topo.diameter()),
             rx,
             now: Time::ZERO,
             pair_seq: PairMap::default(),
@@ -280,7 +497,7 @@ impl<T: Topology> SwitchedNetwork<T> {
             rng,
             faults,
             wake,
-            due: BinaryHeap::new(),
+            ring: VisitRing::new(links),
             link_waiters: vec![Vec::new(); links],
             node_waiters,
             cursor: NO_SCAN,
@@ -289,6 +506,8 @@ impl<T: Topology> SwitchedNetwork<T> {
             bound_counts: [0; BOUND_SLOTS as usize],
             bound_mask: 0,
             overdue: 0,
+            topo,
+            cfg,
         }
     }
 
@@ -300,11 +519,20 @@ impl<T: Topology> SwitchedNetwork<T> {
     /// Receive queues are node-local state and are left in place.
     pub fn swap_out(&mut self) -> SwappedContext {
         let mut transits = Vec::new();
-        for q in &mut self.queues {
-            transits.extend(q.drain(..));
+        for fifo in &mut self.fifos {
+            let mut slot = fifo.head;
+            while let Some(entry) = self.slab.get_mut(slot as usize) {
+                transits.extend(entry.take());
+                slot = self.next[slot as usize];
+            }
+            *fifo = Fifo::EMPTY;
         }
-        // No queue has a head any more, so nothing is left to schedule.
-        self.due.clear();
+        // Every slot is free, and no queue has a head any more, so
+        // nothing is left to schedule.
+        self.slab.clear();
+        self.next.clear();
+        self.free = NIL;
+        self.ring.clear();
         for waiters in self.link_waiters.iter_mut().chain(&mut self.node_waiters) {
             waiters.clear();
         }
@@ -323,13 +551,15 @@ impl<T: Topology> SwitchedNetwork<T> {
         self.rng.shuffle(&mut context.transits);
         self.in_flight += context.transits.len();
         for mut transit in context.transits.drain(..) {
-            let li = transit.path[transit.hop].index();
-            transit.ready_at = if self.queue(li, transit.vc).is_empty() {
+            let links = transit.route.links();
+            let li = links[transit.hop] as usize;
+            let ahead = links.len() - transit.hop;
+            transit.ready_at = if self.queue_len(li, transit.vc) == 0 {
                 self.now + self.cfg.link_latency
             } else {
                 NOT_HEAD
             };
-            self.file_bound(transit.path.len() - transit.hop);
+            self.file_bound(ahead);
             self.enqueue(li, transit);
         }
         self.last_progress = self.now;
@@ -368,27 +598,80 @@ impl<T: Topology> SwitchedNetwork<T> {
         !self.wake.is_empty()
     }
 
-    fn queue(&self, li: usize, vc: usize) -> &VecDeque<Transit> {
-        &self.queues[li * self.cfg.virtual_channels + vc]
+    fn fifo_index(&self, li: usize, vc: usize) -> usize {
+        li * self.cfg.virtual_channels + vc
     }
 
-    fn queue_mut(&mut self, li: usize, vc: usize) -> &mut VecDeque<Transit> {
-        &mut self.queues[li * self.cfg.virtual_channels + vc]
+    fn queue_len(&self, li: usize, vc: usize) -> usize {
+        self.fifos[self.fifo_index(li, vc)].len as usize
+    }
+
+    /// The transit in slab slot `slot` (`None` for `NIL` or a free slot).
+    fn transit(&self, slot: u32) -> Option<&Transit> {
+        self.slab.get(slot as usize)?.as_ref()
+    }
+
+    fn transit_mut(&mut self, slot: u32) -> Option<&mut Transit> {
+        self.slab.get_mut(slot as usize)?.as_mut()
+    }
+
+    /// The head of `(li, vc)`'s queue.
+    fn head(&self, li: usize, vc: usize) -> Option<&Transit> {
+        self.transit(self.fifos[self.fifo_index(li, vc)].head)
     }
 
     fn occupancy(&self, li: usize) -> usize {
         let vcs = self.cfg.virtual_channels;
-        self.queues[li * vcs..(li + 1) * vcs].iter().map(VecDeque::len).sum()
+        self.fifos[li * vcs..(li + 1) * vcs].iter().map(|f| f.len as usize).sum()
     }
 
-    /// Append `transit` to its queue on link `li`. A finite `ready_at`
-    /// says the queue was empty and the packet is its head at once, so
-    /// its visit is filed (source 1).
-    fn enqueue(&mut self, li: usize, transit: Transit) {
-        if transit.ready_at != NOT_HEAD {
-            self.due.push(Reverse((transit.ready_at, li)));
+    /// Put `transit` in a free slab slot (the most recently freed one),
+    /// growing the slab only when none is free.
+    fn store(&mut self, transit: Transit) -> u32 {
+        let slot = self.free;
+        if let Some(entry) = self.slab.get_mut(slot as usize) {
+            self.free = self.next[slot as usize];
+            *entry = Some(transit);
+            slot
+        } else {
+            self.slab.push(Some(transit));
+            self.next.push(NIL);
+            (self.slab.len() - 1) as u32
         }
-        self.queue_mut(li, transit.vc).push_back(transit);
+    }
+
+    /// Take the transit out of `slot`, putting the slot on the free list.
+    fn release(&mut self, slot: u32) -> Option<Transit> {
+        let transit = self.slab.get_mut(slot as usize)?.take();
+        self.next[slot as usize] = self.free;
+        self.free = slot;
+        transit
+    }
+
+    /// Append `transit` to its queue on link `li`.
+    fn enqueue(&mut self, li: usize, transit: Transit) {
+        let (vc, ready_at) = (transit.vc, transit.ready_at);
+        let slot = self.store(transit);
+        self.link_back(li, vc, slot, ready_at);
+    }
+
+    /// Link `slot` onto the tail of `(li, vc)`'s queue. A finite
+    /// `ready_at` says the queue was empty and the packet is its head at
+    /// once, so its visit is filed (source 1).
+    fn link_back(&mut self, li: usize, vc: usize, slot: u32, ready_at: Time) {
+        if ready_at != NOT_HEAD {
+            self.ring.file(self.now, ready_at, li);
+        }
+        self.next[slot as usize] = NIL;
+        let q = self.fifo_index(li, vc);
+        let fifo = &mut self.fifos[q];
+        if fifo.tail == NIL {
+            fifo.head = slot;
+        } else {
+            self.next[fifo.tail as usize] = slot;
+        }
+        fifo.tail = slot;
+        fifo.len += 1;
     }
 
     /// File the arrival bound of a packet entering the link queues with
@@ -412,22 +695,23 @@ impl<T: Topology> SwitchedNetwork<T> {
         }
     }
 
-    fn choose_path(&mut self, src: NodeId, dst: NodeId) -> Vec<LinkId> {
+    /// Route `src -> dst` into `self.path`.
+    fn choose_path(&mut self, src: NodeId, dst: NodeId) {
         match self.cfg.strategy {
-            RouteStrategy::Deterministic => self.topo.canonical_path(src, dst),
+            RouteStrategy::Deterministic => self.topo.canonical_path(src, dst, &mut self.path),
             RouteStrategy::Adaptive { candidates } => {
                 let cands = {
                     let mut f = rng_fn(&mut self.rng);
                     self.topo.candidate_paths(src, dst, &mut f, candidates.max(1))
                 };
-                cands
+                self.path = cands
                     .into_iter()
                     .min_by_key(|p| {
                         p.iter()
                             .map(|l| self.occupancy(l.index()))
                             .sum::<usize>()
                     })
-                    .expect("candidate_paths returns at least one path")
+                    .expect("candidate_paths returns at least one path");
             }
             RouteStrategy::Randomized { candidates } => {
                 let mut cands = {
@@ -435,13 +719,52 @@ impl<T: Topology> SwitchedNetwork<T> {
                     self.topo.candidate_paths(src, dst, &mut f, candidates.max(1))
                 };
                 let pick = self.rng.gen_index(cands.len());
-                cands.swap_remove(pick)
+                self.path = cands.swap_remove(pick);
             }
         }
     }
 
-    fn deliver(&mut self, transit: Transit) {
-        let packet = transit.packet;
+    /// Route `src -> dst` into `self.path` and pick the virtual channel:
+    /// the channel, if the route's first-hop queue on it has room.
+    fn first_hop(&mut self, src: NodeId, dst: NodeId) -> Option<usize> {
+        self.choose_path(src, dst);
+        // Hardware assigns the virtual channel; software has no say.
+        let vc = if self.cfg.virtual_channels == 1 {
+            0
+        } else {
+            self.rng.gen_index(self.cfg.virtual_channels)
+        };
+        (self.queue_len(self.path[0].index(), vc) < self.cfg.link_queue_capacity).then_some(vc)
+    }
+
+    /// Put one packet (already stamped and counted) on virtual channel
+    /// `vc` of the first hop of the route in `self.path`, `jitter` cycles
+    /// of fault-plane delay ahead of it.
+    fn enter(&mut self, vc: usize, packet: Packet, jitter: u64) {
+        let first = self.path[0].index();
+        let (ready_at, jitter) = if self.queue_len(first, vc) == 0 {
+            (self.now + self.cfg.link_latency + jitter, 0)
+        } else {
+            (NOT_HEAD, jitter)
+        };
+        self.file_bound(self.path.len());
+        let route = Route::new(&self.path);
+        self.enqueue(first, Transit { packet, route, hop: 0, vc, ready_at, jitter });
+    }
+
+    /// Put one packet (already stamped and counted) onto the first hop
+    /// of a freshly chosen path, or hand it back if that queue is full.
+    fn enqueue_on_path(&mut self, packet: Packet, jitter: u64) -> Result<(), Packet> {
+        match self.first_hop(packet.src(), packet.dst()) {
+            Some(vc) => {
+                self.enter(vc, packet, jitter);
+                Ok(())
+            }
+            None => Err(packet),
+        }
+    }
+
+    fn deliver(&mut self, packet: Packet) {
         self.in_flight -= 1;
         // A packet leaves the last link at or after its bound.
         self.overdue -= 1;
@@ -465,24 +788,19 @@ impl<T: Topology> SwitchedNetwork<T> {
         #[cfg(debug_assertions)]
         let was_busy = self.in_flight > 0;
         self.tick();
+        self.ring.refill(self.now);
         self.release_due_holds();
         // Every visit due this cycle, in ascending link order — the
-        // order the full scan reaches them. Wakes filed for this cycle
-        // mid-scan (cursor rule) land ahead of the cursor and pop in
-        // turn; an idle cycle is the one peek.
-        while let Some(&Reverse((cycle, li))) = self.due.peek() {
-            if cycle > self.now {
-                break;
-            }
-            debug_assert_eq!(cycle, self.now, "a filed visit was skipped");
-            self.due.pop();
-            // Several sources may have filed the same visit; a second
-            // one would be a second movement on one physical link.
-            if li != self.cursor {
-                self.cursor = li;
-                self.visit(li);
-            }
+        // order the full scan reaches them. A wake filed for this cycle
+        // mid-scan (cursor rule) is a bit ahead of the cursor, taken in
+        // turn; an idle cycle is one empty bitmap.
+        let mut from = 0;
+        while let Some(li) = self.ring.take_from(self.now, from) {
+            self.cursor = li;
+            self.visit(li);
+            from = li + 1;
         }
+        self.ring.end_scan(self.now);
         self.cursor = NO_SCAN;
         // The invariant walks every queue, so it is sampled.
         #[cfg(debug_assertions)]
@@ -496,40 +814,60 @@ impl<T: Topology> SwitchedNetwork<T> {
     /// filed at its `ready_at` while it traverses; once ready, its link
     /// on the waiter list of the buffer that blocks it, or a visit
     /// filed for the next cycle (mandatory if it could move right now);
-    /// and every queued packet is counted once by the arrival bounds,
-    /// in the ring or as overdue. Holds whenever no scan is running.
+    /// every slab slot is on exactly one FIFO or the free list; and
+    /// every queued packet is counted once by the arrival bounds, in
+    /// the ring or as overdue. Holds whenever no scan is running.
     #[cfg(any(test, debug_assertions))]
     fn check_schedule(&self) {
+        self.ring.check(self.now);
         let vcs = self.cfg.virtual_channels;
-        let due: std::collections::BTreeSet<(Time, usize)> = self.due.iter().map(|r| r.0).collect();
-        assert!(due.first().is_none_or(|&(cycle, _)| cycle > self.now), "a filed visit was skipped");
+        let mut seen = vec![false; self.slab.len()];
+        let mut mark = |slot: u32| {
+            let first = seen.get_mut(slot as usize).map(|seen| !std::mem::replace(seen, true));
+            assert_eq!(first, Some(true), "slot {slot} is on more than one chain");
+        };
         let mut queued = 0;
-        for (qi, queue) in self.queues.iter().enumerate() {
-            queued += queue.len();
-            let Some(head) = queue.front() else { continue };
-            let (li, vc) = (qi / vcs, qi % vcs);
+        for (q, fifo) in self.fifos.iter().enumerate() {
+            let (mut slot, mut last, mut len) = (fifo.head, NIL, 0);
+            while slot != NIL {
+                mark(slot);
+                assert!(self.transit(slot).is_some(), "queue {q}: slot {slot} is free");
+                (last, slot, len) = (slot, self.next[slot as usize], len + 1);
+            }
+            assert_eq!((last, len), (fifo.tail, fifo.len), "queue {q}: tail and length");
+            queued += len as usize;
+            let Some(head) = self.transit(fifo.head) else { continue };
+            let (li, vc) = (q / vcs, q % vcs);
             assert_ne!(head.ready_at, NOT_HEAD, "link {li} vc {vc}: head never promoted");
             if head.ready_at > self.now {
-                assert!(due.contains(&(head.ready_at, li)), "link {li} vc {vc}: no visit at ready_at");
+                assert!(self.ring.is_filed(self.now, head.ready_at, li), "link {li} vc {vc}: no visit at ready_at");
                 continue;
             }
-            let waiting = if head.hop + 1 == head.path.len() {
-                let dst = head.packet.dst().index();
-                let full = self.rx[dst].len() >= self.cfg.rx_queue_capacity;
-                !head.packet.is_corrupted() && full && self.node_waiters[dst].contains(&li)
-            } else {
-                let next = head.path[head.hop + 1].index();
-                if next == li {
-                    continue; // never movable: nothing to wait for
+            let waiting = match head.route.links().get(head.hop + 1) {
+                None => {
+                    let dst = head.packet.dst().index();
+                    let full = self.rx[dst].len() >= self.cfg.rx_queue_capacity;
+                    !head.packet.is_corrupted() && full && self.node_waiters[dst].contains(&li)
                 }
-                let full = self.queue(next, vc).len() >= self.cfg.link_queue_capacity;
-                full && self.link_waiters[next].contains(&li)
+                Some(&next) if next as usize == li => continue, // never movable: nothing to wait for
+                Some(&next) => {
+                    let next = next as usize;
+                    let full = self.queue_len(next, vc) >= self.cfg.link_queue_capacity;
+                    full && self.link_waiters[next].contains(&li)
+                }
             };
             assert!(
-                waiting || due.contains(&(self.now + 1, li)),
+                waiting || self.ring.is_filed(self.now, self.now + 1, li),
                 "link {li} vc {vc}: ready head neither waiting on its blocker nor due next cycle"
             );
         }
+        let mut slot = self.free;
+        while slot != NIL {
+            mark(slot);
+            assert!(self.transit(slot).is_none(), "free slot {slot} holds a transit");
+            slot = self.next[slot as usize];
+        }
+        assert!(seen.iter().all(|&s| s), "a slab slot is on no chain");
         assert_eq!(queued + self.faults.held_count(), self.in_flight, "in_flight out of step with the queues");
         let bound: usize = self.bound_counts.iter().map(|&c| c as usize).sum();
         assert_eq!(bound + self.overdue, queued, "arrival bounds out of step with the queues");
@@ -548,7 +886,7 @@ impl<T: Topology> SwitchedNetwork<T> {
             self.visit(li);
         }
         self.cursor = NO_SCAN;
-        self.due.clear();
+        self.ring.clear();
     }
 
     /// One full-scan visit: move at most one packet off link `li`. The
@@ -570,11 +908,11 @@ impl<T: Topology> SwitchedNetwork<T> {
                     // Source 4: the VCs this pass never reached.
                     let now = self.now;
                     let ready_behind = (k + 1..vcs).any(|j| {
-                        let head = self.queue(li, (start + j) % vcs).front();
+                        let head = self.head(li, (start + j) % vcs);
                         head.is_some_and(|h| h.ready_at <= now)
                     });
                     if ready_behind {
-                        self.due.push(Reverse((now + 1, li)));
+                        self.ring.file(now, now + 1, li);
                     }
                     return;
                 }
@@ -588,87 +926,72 @@ impl<T: Topology> SwitchedNetwork<T> {
     /// Attempt to move the head of `(link, vc)`, and say what became of
     /// it.
     fn try_move_head(&mut self, li: usize, vc: usize) -> Head {
-        let Some(head) = self.queue(li, vc).front() else {
+        let now = self.now;
+        let Some(head) = self.head(li, vc) else {
             return Head::Idle;
         };
-        if head.ready_at > self.now {
+        if head.ready_at > now {
             return Head::Idle;
         }
-        let last_hop = head.hop + 1 == head.path.len();
-        if last_hop {
-            let dst = head.packet.dst().index();
-            let corrupt = head.packet.is_corrupted();
-            if !corrupt && self.rx[dst].len() >= self.cfg.rx_queue_capacity {
-                return Head::RxFull(dst); // block in place
+        match head.route.links().get(head.hop + 1) {
+            None => {
+                let dst = head.packet.dst().index();
+                if !head.packet.is_corrupted() && self.rx[dst].len() >= self.cfg.rx_queue_capacity {
+                    return Head::RxFull(dst); // block in place
+                }
+                let slot = self.pop_head(li, vc);
+                if let Some(transit) = self.release(slot) {
+                    self.deliver(transit.packet);
+                }
             }
-            let transit = self.pop_head(li, vc);
-            self.deliver(transit);
-        } else {
-            let next = head.path[head.hop + 1].index();
-            if next == li {
-                return Head::Idle;
+            Some(&next) => {
+                let next = next as usize;
+                if next == li {
+                    return Head::Idle;
+                }
+                let queued = self.queue_len(next, vc);
+                if queued >= self.cfg.link_queue_capacity {
+                    return Head::LinkFull(next);
+                }
+                let ready_at = if queued == 0 { now + self.cfg.link_latency } else { NOT_HEAD };
+                let slot = self.pop_head(li, vc);
+                if let Some(transit) = self.transit_mut(slot) {
+                    transit.hop += 1;
+                    transit.ready_at = ready_at;
+                }
+                self.link_back(next, vc, slot, ready_at);
+                self.last_progress = now;
             }
-            if self.queue(next, vc).len() >= self.cfg.link_queue_capacity {
-                return Head::LinkFull(next);
-            }
-            let mut transit = self.pop_head(li, vc);
-            transit.hop += 1;
-            transit.ready_at = if self.queue(next, vc).is_empty() {
-                self.now + self.cfg.link_latency
-            } else {
-                NOT_HEAD
-            };
-            self.enqueue(next, transit);
-            self.last_progress = self.now;
         }
         Head::Moved
     }
 
-    /// Pop the head of `(link, vc)`: the packet behind it is promoted
-    /// (source 1, jitter included) and the links blocked on this one
-    /// are woken (source 2).
-    fn pop_head(&mut self, li: usize, vc: usize) -> Transit {
+    /// Unlink the head slot of `(li, vc)`'s non-empty queue: the packet
+    /// behind it is promoted (source 1, jitter included) and the links
+    /// blocked on this one are woken (source 2).
+    fn pop_head(&mut self, li: usize, vc: usize) -> u32 {
         let (now, latency) = (self.now, self.cfg.link_latency);
-        let queue = self.queue_mut(li, vc);
-        let transit = queue.pop_front().expect("head exists");
-        if let Some(new_head) = queue.front_mut() {
-            if new_head.ready_at == NOT_HEAD {
-                new_head.ready_at = now + latency + new_head.jitter;
-                new_head.jitter = 0;
+        let q = self.fifo_index(li, vc);
+        let fifo = &mut self.fifos[q];
+        let slot = fifo.head;
+        fifo.head = self.next[slot as usize];
+        if fifo.head == NIL {
+            fifo.tail = NIL;
+        }
+        fifo.len -= 1;
+        let new_head = fifo.head;
+        let promoted = self.transit_mut(new_head).map(|head| {
+            if head.ready_at == NOT_HEAD {
+                head.ready_at = now + latency + head.jitter;
+                head.jitter = 0;
             }
-            let ready_at = new_head.ready_at;
-            self.due.push(Reverse((ready_at, li)));
+            head.ready_at
+        });
+        if let Some(ready_at) = promoted {
+            self.ring.file(now, ready_at, li);
         }
-        wake_waiters(&mut self.link_waiters[li], &mut self.due, now, self.cursor);
-        transit
-    }
-
-    /// Put one packet (already stamped and counted) onto the first hop
-    /// of a freshly chosen path. Returns `false` if the first-hop queue
-    /// is full.
-    fn enqueue_on_path(&mut self, packet: Packet, jitter: u64) -> bool {
-        let (src, dst) = (packet.src(), packet.dst());
-        let path = self.choose_path(src, dst);
-        let first = path[0].index();
-        let vc = if self.cfg.virtual_channels == 1 {
-            0
-        } else {
-            self.rng.gen_index(self.cfg.virtual_channels)
-        };
-        if self.queue(first, vc).len() >= self.cfg.link_queue_capacity {
-            return false;
-        }
-        let (ready_at, pending_jitter) = if self.queue(first, vc).is_empty() {
-            (self.now + self.cfg.link_latency + jitter, 0)
-        } else {
-            (NOT_HEAD, jitter)
-        };
-        self.file_bound(path.len());
-        self.enqueue(
-            first,
-            Transit { packet, path, hop: 0, vc, ready_at, jitter: pending_jitter },
-        );
-        true
+        wake_waiters(&mut self.link_waiters[li], &mut self.ring, now, self.cursor);
+        slot
     }
 
     /// Re-enter any reorder-held packets that are now due. They were
@@ -680,10 +1003,9 @@ impl<T: Topology> SwitchedNetwork<T> {
         }
         let now = self.now;
         for packet in self.faults.take_released(now) {
-            if self.enqueue_on_path(packet.clone(), 0) {
-                self.last_progress = now;
-            } else {
-                self.faults.hold_again(packet, now);
+            match self.enqueue_on_path(packet, 0) {
+                Ok(()) => self.last_progress = now,
+                Err(packet) => self.faults.hold_again(packet, now),
             }
         }
     }
@@ -700,7 +1022,7 @@ impl<T: Topology> Network for SwitchedNetwork<T> {
 
     fn advance(&mut self, cycles: u64) {
         for left in (1..=cycles).rev() {
-            if self.in_flight == 0 && self.due.is_empty() {
+            if self.in_flight == 0 && self.ring.is_empty() {
                 // Nothing queued, held or filed: the remaining cycles
                 // are clock arithmetic (the ring is empty, so there is
                 // nothing to roll either).
@@ -788,33 +1110,20 @@ impl<T: Topology> Network for SwitchedNetwork<T> {
             return Ok(());
         }
 
-        let path = self.choose_path(src, dst);
-        let first = path[0].index();
-        // Hardware assigns the virtual channel; software has no say.
-        let vc = if self.cfg.virtual_channels == 1 {
-            0
-        } else {
-            self.rng.gen_index(self.cfg.virtual_channels)
-        };
-        if self.queue(first, vc).len() >= self.cfg.link_queue_capacity {
+        let Some(vc) = self.first_hop(src, dst) else {
             self.stats.backpressure += 1;
             return Err(InjectError::Backpressure);
-        }
+        };
 
         let seq = self.pair_seq.entry((src, dst)).or_insert(0);
-        packet.stamp(*seq, self.now);
+        let stamped = *seq;
         *seq += 1;
+        packet.stamp(stamped, self.now);
         let duplicate = faults.duplicate.then(|| packet.clone());
         if faults.corrupt {
             packet.corrupt();
         }
-        let (ready_at, jitter) = if self.queue(first, vc).is_empty() {
-            (self.now + self.cfg.link_latency + faults.extra_delay, 0)
-        } else {
-            (NOT_HEAD, faults.extra_delay)
-        };
-        self.file_bound(path.len());
-        self.enqueue(first, Transit { packet, path, hop: 0, vc, ready_at, jitter });
+        self.enter(vc, packet, faults.extra_delay);
         self.in_flight += 1;
         self.stats.injected += 1;
         self.last_progress = self.now;
@@ -823,10 +1132,9 @@ impl<T: Topology> Network for SwitchedNetwork<T> {
         // on its own (freshly routed) path with its own pair sequence,
         // if the fabric has room for it.
         if let Some(mut dup) = duplicate {
-            let next_seq = *self.pair_seq.get(&(src, dst)).expect("pair just stamped");
-            dup.stamp(next_seq, self.now);
-            if self.enqueue_on_path(dup, 0) {
-                *self.pair_seq.get_mut(&(src, dst)).expect("pair just stamped") += 1;
+            dup.stamp(stamped + 1, self.now);
+            if self.enqueue_on_path(dup, 0).is_ok() {
+                self.pair_seq.insert((src, dst), stamped + 2);
                 self.in_flight += 1;
                 self.stats.duplicated += 1;
             }
@@ -845,7 +1153,7 @@ impl<T: Topology> Network for SwitchedNetwork<T> {
     fn try_receive(&mut self, node: NodeId) -> Option<Packet> {
         let packet = self.rx.get_mut(node.index())?.pop_front()?;
         // Source 3: the receive queue gained a slot.
-        wake_waiters(&mut self.node_waiters[node.index()], &mut self.due, self.now, self.cursor);
+        wake_waiters(&mut self.node_waiters[node.index()], &mut self.ring, self.now, self.cursor);
         Some(packet)
     }
 
@@ -1395,12 +1703,12 @@ mod tests {
         }
         assert_eq!(net.in_flight(), 0, "drained");
         net.advance(1);
-        assert!(net.due.is_empty(), "a drained network has no visit left to make");
+        assert!(net.ring.is_empty(), "a drained network has no visit left to make");
     }
 
     /// Everything the full scan and the schedule must agree on.
     fn assert_same<T: Topology>(net: &SwitchedNetwork<T>, oracle: &SwitchedNetwork<T>, what: &str) {
-        assert!(net.queues == oracle.queues, "{what}: link queues");
+        assert!(queued(net) == queued(oracle), "{what}: link queues");
         assert_eq!(net.rr, oracle.rr, "{what}: round-robin pointers");
         assert_eq!(net.rx, oracle.rx, "{what}: receive queues");
         assert_eq!(net.wake.clone().take(), oracle.wake.clone().take(), "{what}: wake set");
@@ -1416,35 +1724,64 @@ mod tests {
         );
     }
 
+    /// Every link queue's transits, head first, queue by queue.
+    fn queued<T: Topology>(net: &SwitchedNetwork<T>) -> Vec<Vec<&Transit>> {
+        let queue = |fifo: &Fifo| {
+            let mut transits = Vec::new();
+            let mut slot = fifo.head;
+            while let Some(transit) = net.transit(slot) {
+                transits.push(transit);
+                slot = net.next[slot as usize];
+            }
+            transits
+        };
+        net.fifos.iter().map(queue).collect()
+    }
+
     /// Receive-queue depths and marked wakes: what a delivery changes.
     fn arrivals<T: Topology>(net: &SwitchedNetwork<T>) -> (Vec<usize>, usize) {
         (net.rx.iter().map(VecDeque::len).collect(), net.wake.clone().take().len())
     }
 
+    /// What one [`drive_against_full_scan`] run exercised.
+    #[derive(Default)]
+    struct Drive {
+        /// Cycles promised quiet more than one cycle ahead.
+        looked_ahead: u64,
+        /// Whether a visit was filed beyond the ring, in the overflow heap.
+        overflowed: bool,
+        /// Whether `swap_in` filled a link queue past its capacity.
+        over_capacity: bool,
+    }
+
     /// Drive `net` by the schedule and a clone by the full scan through
     /// the same seeded traffic — bursts toward a few hot nodes, partial
-    /// draining, multi-cycle advances, a swap-out/swap-in — comparing
-    /// after every cycle, and holding every cycle to the quiet bound:
-    /// `promised` is the latest `quiet_until()` any reading since the
-    /// last injection gave, and no receive queue may grow and no wake be
-    /// marked on a cycle short of it. Returns the cycles that were
-    /// promised quiet more than one cycle ahead.
-    fn drive_against_full_scan<T: Topology + Clone>(mut net: SwitchedNetwork<T>, what: &str) -> u64 {
+    /// draining, multi-cycle advances, a swap-out/swap-in with every
+    /// node injecting while the context is out — comparing after every
+    /// cycle, and holding every cycle to the quiet bound: `promised` is
+    /// the latest `quiet_until()` any reading since the last injection
+    /// gave, and no receive queue may grow and no wake be marked on a
+    /// cycle short of it.
+    fn drive_against_full_scan<T: Topology + Clone>(mut net: SwitchedNetwork<T>, what: &str) -> Drive {
         let mut oracle = net.clone();
         let mut rng = SimRng::new(net.cfg.seed ^ 0xD1FF);
         let nodes = net.num_nodes();
         let hot = 1 + rng.gen_index(3);
         let mut promised = net.quiet_until();
-        let mut looked_ahead = 0;
+        let mut drive = Drive::default();
+        // Set outside `cycle`, which holds `drive`.
+        let mut over_capacity = false;
         let mut cycle = |net: &mut SwitchedNetwork<T>, oracle: &mut SwitchedNetwork<T>, promised: &mut Time| {
             let before = arrivals(net);
+            drive.overflowed |= !net.ring.overflow.is_empty();
             net.advance(1);
+            drive.overflowed |= !net.ring.overflow.is_empty();
             oracle.step_full_scan();
             net.check_schedule();
             assert_same(net, oracle, what);
             if net.now() < *promised {
                 assert_eq!(before, arrivals(net), "{what}: delivery at {}, promised quiet until {promised}", net.now());
-                looked_ahead += 1;
+                drive.looked_ahead += 1;
             }
             assert!(net.quiet_until() > net.now(), "{what}: the bound is ahead of the clock");
             *promised = net.quiet_until().max(*promised);
@@ -1472,6 +1809,23 @@ mod tests {
                 if net.in_flight() == 0 {
                     assert_eq!(net.quiet_until(), NEVER, "{what}: nothing is in transit during a swap");
                 }
+                // Refill the emptied first-hop queues, so the context
+                // lands on queues already at capacity. Each node sends
+                // to its nearest neighbour (one mesh hop, or up and down
+                // one fat-tree switch): such a packet cannot close a
+                // cycle of waits, which multipath routing on a mesh of
+                // one-packet queues otherwise can.
+                for src in 0..nodes {
+                    let hops = |dst: usize| {
+                        let mut path = Vec::new();
+                        net.topo.canonical_path(n(src), n(dst), &mut path);
+                        path.len()
+                    };
+                    let dst = (0..nodes).filter(|&dst| dst != src).min_by_key(|&dst| hops(dst)).unwrap_or(src);
+                    let p = pkt(src, dst, 1000 + src as u32);
+                    assert_eq!(net.try_inject(p.clone()), oracle.try_inject(p), "{what}: inject while swapped out");
+                }
+                promised = net.quiet_until();
                 for _ in 0..3 {
                     cycle(&mut net, &mut oracle, &mut promised);
                 }
@@ -1479,6 +1833,8 @@ mod tests {
                 oracle.swap_in(octx);
                 net.check_schedule();
                 assert_same(&net, &oracle, what);
+                let capacity = net.cfg.link_queue_capacity;
+                over_capacity |= net.fifos.iter().any(|fifo| fifo.len as usize > capacity);
                 promised = net.quiet_until();
             }
         }
@@ -1496,7 +1852,7 @@ mod tests {
         assert_eq!(net.quiet_until(), NEVER, "{what}: a drained network stays quiet");
         let (visits, moves) = net.link_visits();
         assert!(visits >= moves && visits < oracle.link_visits().0, "{what}: the schedule visits less");
-        looked_ahead
+        Drive { over_capacity, ..drive }
     }
 
     #[test]
@@ -1529,7 +1885,7 @@ mod tests {
         // axis, so each value of each axis still comes up.
         let grid = 3 * 3 * 5 * 3 * 4 * 5;
         let stride = if cfg!(debug_assertions) { 23 } else { 1 };
-        let (mut runs, mut looked_ahead) = (0, 0);
+        let (mut runs, mut looked_ahead, mut overflowed, mut over_capacity) = (0, 0, 0, 0);
         for i in (0..grid).step_by(stride) {
             let cfg = SwitchedConfig {
                 virtual_channels: 1 + i % 3,
@@ -1541,13 +1897,38 @@ mod tests {
                 seed: 0x5EED ^ i as u64,
             };
             let what = format!("config {i} {cfg:?}");
-            looked_ahead += drive_against_full_scan(SwitchedNetwork::new(FatTree::new(2, 3, 2), cfg.clone()), &what);
-            looked_ahead += drive_against_full_scan(SwitchedNetwork::new(Mesh2D::new(3, 3), cfg), &what);
-            runs += 2;
+            for drive in [
+                drive_against_full_scan(SwitchedNetwork::new(FatTree::new(2, 3, 2), cfg.clone()), &what),
+                drive_against_full_scan(SwitchedNetwork::new(Mesh2D::new(3, 3), cfg), &what),
+            ] {
+                looked_ahead += drive.looked_ahead;
+                overflowed += u32::from(drive.overflowed);
+                over_capacity += u32::from(drive.over_capacity);
+                runs += 1;
+            }
         }
         // The bound has to say something: a run is ~100 busy cycles, and
         // an uncontended packet is promised its whole route.
         assert!(looked_ahead >= 10 * runs, "{looked_ahead} cycles promised quiet ahead of time over {runs} runs");
+        // Jitter at latency 3 files visits past the ring; injecting while
+        // the context is out makes `swap_in` overfill queues.
+        assert!(overflowed > 0, "no run filed a visit into the overflow heap");
+        assert!(over_capacity > 0, "no run's swap_in filled a queue past capacity");
+    }
+
+    #[test]
+    fn a_route_longer_than_its_inline_slots_spills_and_delivers() {
+        let far = ROUTE_INLINE + 5;
+        let mut net = SwitchedNetwork::new(Mesh2D::new(far + 1, 1), SwitchedConfig::default());
+        for s in 0..8 {
+            while net.try_inject(pkt(0, far, s)).is_err() {
+                net.advance(1);
+            }
+        }
+        assert!(net.slab.iter().flatten().any(|t| matches!(t.route, Route::Spilled(_))), "a route spilled");
+        assert!(net.drain(10_000));
+        let got: Vec<u32> = drain_all(&mut net, n(far)).iter().map(Packet::header).collect();
+        assert_eq!(got, (0..8).collect::<Vec<_>>());
     }
 
     #[test]

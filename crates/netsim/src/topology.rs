@@ -32,14 +32,16 @@ pub trait Topology {
     /// Number of directed links.
     fn num_links(&self) -> usize;
 
-    /// The single deterministic minimal path from `src` to `dst`
-    /// (empty for `src == dst`). Routing all of a pair's traffic on this
-    /// path preserves delivery order.
+    /// The single deterministic minimal path from `src` to `dst`,
+    /// written into `path` (cleared first; left empty for `src == dst`).
+    /// Routing all of a pair's traffic on this path preserves delivery
+    /// order. A router that keeps one buffer across packets routes
+    /// without allocating.
     ///
     /// # Panics
     ///
     /// Panics if either node is out of range.
-    fn canonical_path(&self, src: NodeId, dst: NodeId) -> Vec<LinkId>;
+    fn canonical_path(&self, src: NodeId, dst: NodeId, path: &mut Vec<LinkId>);
 
     /// Up to `max` distinct-ish minimal paths from `src` to `dst`,
     /// sampled with `rng`. Always includes at least one path. Multipath
@@ -153,9 +155,16 @@ impl FatTree {
         LinkId(self.down_base[level] + unit)
     }
 
-    fn path_with_channels(&self, src: usize, dst: usize, mut channel: impl FnMut(usize) -> usize) -> Vec<LinkId> {
+    fn path_with_channels(
+        &self,
+        src: usize,
+        dst: usize,
+        mut channel: impl FnMut(usize) -> usize,
+        path: &mut Vec<LinkId>,
+    ) {
         let a = self.ancestor_level(src, dst);
-        let mut path = Vec::with_capacity(2 * a);
+        path.clear();
+        path.reserve(2 * a);
         for l in 1..=a {
             let unit = src / self.arity.pow((l - 1) as u32);
             path.push(self.up_link(l, unit, channel(l)));
@@ -164,7 +173,6 @@ impl FatTree {
             let unit = dst / self.arity.pow((l - 1) as u32);
             path.push(self.down_link(l, unit));
         }
-        path
     }
 
     fn check(&self, n: NodeId) {
@@ -185,13 +193,13 @@ impl Topology for FatTree {
         self.num_links
     }
 
-    fn canonical_path(&self, src: NodeId, dst: NodeId) -> Vec<LinkId> {
+    fn canonical_path(&self, src: NodeId, dst: NodeId, path: &mut Vec<LinkId>) {
         self.check(src);
         self.check(dst);
         // Deterministic channel choice: a per-pair hash, so distinct
         // pairs spread over channels but one pair always uses one path.
         let h = src.index().wrapping_mul(31).wrapping_add(dst.index());
-        self.path_with_channels(src.index(), dst.index(), |l| (h + l) % self.fatness)
+        self.path_with_channels(src.index(), dst.index(), |l| (h + l) % self.fatness, path);
     }
 
     fn candidate_paths(
@@ -206,10 +214,13 @@ impl Topology for FatTree {
         if src == dst {
             return vec![Vec::new()];
         }
-        let mut out = Vec::new();
-        out.push(self.canonical_path(src, dst));
+        let mut out = Vec::with_capacity(max.max(1));
+        let mut first = Vec::new();
+        self.canonical_path(src, dst, &mut first);
+        out.push(first);
         while out.len() < max.max(1) {
-            let p = self.path_with_channels(src.index(), dst.index(), |_| rng(self.fatness));
+            let mut p = Vec::new();
+            self.path_with_channels(src.index(), dst.index(), |_| rng(self.fatness), &mut p);
             out.push(p);
         }
         out
@@ -283,26 +294,18 @@ impl Mesh2D {
         LinkId(2 * (self.w - 1) * self.h + (self.h - 1) * self.w + (y - 1) * self.w + x)
     }
 
-    fn moves(&self, src: usize, dst: usize) -> Vec<Move> {
+    /// The X moves, then the Y moves, from `src` to `dst`.
+    fn moves(&self, src: usize, dst: usize) -> impl Iterator<Item = Move> {
         let (sx, sy) = self.coords(src);
         let (dx, dy) = self.coords(dst);
-        let mut m = Vec::new();
-        if dx >= sx {
-            m.extend(std::iter::repeat_n(Move::XPlus, dx - sx));
-        } else {
-            m.extend(std::iter::repeat_n(Move::XMinus, sx - dx));
-        }
-        if dy >= sy {
-            m.extend(std::iter::repeat_n(Move::YPlus, dy - sy));
-        } else {
-            m.extend(std::iter::repeat_n(Move::YMinus, sy - dy));
-        }
-        m
+        let x = if dx >= sx { (Move::XPlus, dx - sx) } else { (Move::XMinus, sx - dx) };
+        let y = if dy >= sy { (Move::YPlus, dy - sy) } else { (Move::YMinus, sy - dy) };
+        std::iter::repeat_n(x.0, x.1).chain(std::iter::repeat_n(y.0, y.1))
     }
 
-    fn walk(&self, src: usize, moves: &[Move]) -> Vec<LinkId> {
+    fn walk(&self, src: usize, moves: impl IntoIterator<Item = Move>, path: &mut Vec<LinkId>) {
         let (mut x, mut y) = self.coords(src);
-        let mut path = Vec::with_capacity(moves.len());
+        path.clear();
         for m in moves {
             match m {
                 Move::XPlus => {
@@ -323,7 +326,6 @@ impl Mesh2D {
                 }
             }
         }
-        path
     }
 
     fn check(&self, n: NodeId) {
@@ -340,12 +342,11 @@ impl Topology for Mesh2D {
         2 * (self.w - 1) * self.h + 2 * (self.h - 1) * self.w
     }
 
-    fn canonical_path(&self, src: NodeId, dst: NodeId) -> Vec<LinkId> {
+    fn canonical_path(&self, src: NodeId, dst: NodeId, path: &mut Vec<LinkId>) {
         self.check(src);
         self.check(dst);
         // Dimension-order: the move list is already X-then-Y.
-        let moves = self.moves(src.index(), dst.index());
-        self.walk(src.index(), &moves)
+        self.walk(src.index(), self.moves(src.index(), dst.index()), path);
     }
 
     fn candidate_paths(
@@ -360,8 +361,11 @@ impl Topology for Mesh2D {
         if src == dst {
             return vec![Vec::new()];
         }
-        let base = self.moves(src.index(), dst.index());
-        let mut out = vec![self.canonical_path(src, dst)];
+        let base: Vec<Move> = self.moves(src.index(), dst.index()).collect();
+        let mut out = Vec::with_capacity(max.max(1));
+        let mut first = Vec::with_capacity(base.len());
+        self.canonical_path(src, dst, &mut first);
+        out.push(first);
         while out.len() < max.max(1) {
             // Random minimal interleaving: Fisher–Yates over the move
             // multiset (per-axis order is irrelevant since moves along
@@ -370,7 +374,9 @@ impl Topology for Mesh2D {
             for i in (1..moves.len()).rev() {
                 moves.swap(i, rng(i + 1));
             }
-            out.push(self.walk(src.index(), &moves));
+            let mut p = Vec::with_capacity(moves.len());
+            self.walk(src.index(), moves, &mut p);
+            out.push(p);
         }
         out
     }
@@ -419,29 +425,29 @@ impl Torus2D {
         }
     }
 
-    fn axis_moves(len: usize, from: usize, to: usize, plus: Move, minus: Move) -> Vec<Move> {
+    fn axis_moves(len: usize, from: usize, to: usize, plus: Move, minus: Move) -> std::iter::RepeatN<Move> {
         let fwd = (to + len - from) % len;
         let bwd = (from + len - to) % len;
         if fwd <= bwd {
-            std::iter::repeat_n(plus, fwd).collect()
+            std::iter::repeat_n(plus, fwd)
         } else {
-            std::iter::repeat_n(minus, bwd).collect()
+            std::iter::repeat_n(minus, bwd)
         }
     }
 
-    fn moves(&self, src: usize, dst: usize) -> Vec<Move> {
+    /// The X moves, then the Y moves, from `src` to `dst`.
+    fn moves(&self, src: usize, dst: usize) -> impl Iterator<Item = Move> {
         let (sx, sy) = self.coords(src);
         let (dx, dy) = self.coords(dst);
-        let mut m = Torus2D::axis_moves(self.w, sx, dx, Move::XPlus, Move::XMinus);
-        m.extend(Torus2D::axis_moves(self.h, sy, dy, Move::YPlus, Move::YMinus));
-        m
+        Torus2D::axis_moves(self.w, sx, dx, Move::XPlus, Move::XMinus)
+            .chain(Torus2D::axis_moves(self.h, sy, dy, Move::YPlus, Move::YMinus))
     }
 
-    fn walk(&self, src: usize, moves: &[Move]) -> Vec<LinkId> {
+    fn walk(&self, src: usize, moves: impl IntoIterator<Item = Move>, path: &mut Vec<LinkId>) {
         let (mut x, mut y) = self.coords(src);
-        let mut path = Vec::with_capacity(moves.len());
+        path.clear();
         for m in moves {
-            path.push(self.link(x, y, *m));
+            path.push(self.link(x, y, m));
             match m {
                 Move::XPlus => x = (x + 1) % self.w,
                 Move::XMinus => x = (x + self.w - 1) % self.w,
@@ -449,7 +455,6 @@ impl Torus2D {
                 Move::YMinus => y = (y + self.h - 1) % self.h,
             }
         }
-        path
     }
 
     fn check(&self, n: NodeId) {
@@ -466,11 +471,10 @@ impl Topology for Torus2D {
         4 * self.w * self.h
     }
 
-    fn canonical_path(&self, src: NodeId, dst: NodeId) -> Vec<LinkId> {
+    fn canonical_path(&self, src: NodeId, dst: NodeId, path: &mut Vec<LinkId>) {
         self.check(src);
         self.check(dst);
-        let moves = self.moves(src.index(), dst.index());
-        self.walk(src.index(), &moves)
+        self.walk(src.index(), self.moves(src.index(), dst.index()), path);
     }
 
     fn candidate_paths(
@@ -485,14 +489,19 @@ impl Topology for Torus2D {
         if src == dst {
             return vec![Vec::new()];
         }
-        let base = self.moves(src.index(), dst.index());
-        let mut out = vec![self.canonical_path(src, dst)];
+        let base: Vec<Move> = self.moves(src.index(), dst.index()).collect();
+        let mut out = Vec::with_capacity(max.max(1));
+        let mut first = Vec::with_capacity(base.len());
+        self.canonical_path(src, dst, &mut first);
+        out.push(first);
         while out.len() < max.max(1) {
             let mut moves = base.clone();
             for i in (1..moves.len()).rev() {
                 moves.swap(i, rng(i + 1));
             }
-            out.push(self.walk(src.index(), &moves));
+            let mut p = Vec::with_capacity(moves.len());
+            self.walk(src.index(), moves, &mut p);
+            out.push(p);
         }
         out
     }
@@ -541,18 +550,18 @@ impl Hypercube {
         LinkId(node * self.dims + dim)
     }
 
-    fn walk(&self, src: usize, dims_order: &[usize]) -> Vec<LinkId> {
+    fn walk(&self, src: usize, dims_order: impl IntoIterator<Item = usize>, path: &mut Vec<LinkId>) {
         let mut at = src;
-        let mut path = Vec::with_capacity(dims_order.len());
-        for &d in dims_order {
+        path.clear();
+        for d in dims_order {
             path.push(self.link(at, d));
             at ^= 1 << d;
         }
-        path
     }
 
-    fn differing_dims(&self, src: usize, dst: usize) -> Vec<usize> {
-        (0..self.dims).filter(|d| (src ^ dst) & (1 << d) != 0).collect()
+    /// The dimensions `src` and `dst` differ in, lowest first.
+    fn differing_dims(&self, src: usize, dst: usize) -> impl Iterator<Item = usize> {
+        (0..self.dims).filter(move |d| (src ^ dst) & (1 << d) != 0)
     }
 
     fn check(&self, n: NodeId) {
@@ -569,11 +578,10 @@ impl Topology for Hypercube {
         self.num_nodes() * self.dims
     }
 
-    fn canonical_path(&self, src: NodeId, dst: NodeId) -> Vec<LinkId> {
+    fn canonical_path(&self, src: NodeId, dst: NodeId, path: &mut Vec<LinkId>) {
         self.check(src);
         self.check(dst);
-        let dims = self.differing_dims(src.index(), dst.index());
-        self.walk(src.index(), &dims)
+        self.walk(src.index(), self.differing_dims(src.index(), dst.index()), path);
     }
 
     fn candidate_paths(
@@ -588,14 +596,19 @@ impl Topology for Hypercube {
         if src == dst {
             return vec![Vec::new()];
         }
-        let base = self.differing_dims(src.index(), dst.index());
-        let mut out = vec![self.canonical_path(src, dst)];
+        let base: Vec<usize> = self.differing_dims(src.index(), dst.index()).collect();
+        let mut out = Vec::with_capacity(max.max(1));
+        let mut first = Vec::with_capacity(base.len());
+        self.canonical_path(src, dst, &mut first);
+        out.push(first);
         while out.len() < max.max(1) {
             let mut dims = base.clone();
             for i in (1..dims.len()).rev() {
                 dims.swap(i, rng(i + 1));
             }
-            out.push(self.walk(src.index(), &dims));
+            let mut p = Vec::with_capacity(dims.len());
+            self.walk(src.index(), dims, &mut p);
+            out.push(p);
         }
         out
     }
@@ -622,6 +635,12 @@ mod tests {
         NodeId::new(i)
     }
 
+    fn canonical(topo: &impl Topology, src: usize, dst: usize) -> Vec<LinkId> {
+        let mut path = Vec::new();
+        topo.canonical_path(n(src), n(dst), &mut path);
+        path
+    }
+
     fn path_links_valid(topo: &dyn Topology, path: &[LinkId]) {
         for l in path {
             assert!(l.index() < topo.num_links(), "link {} out of range", l.index());
@@ -641,10 +660,10 @@ mod tests {
     fn fat_tree_sibling_path_is_short() {
         let ft = FatTree::new(4, 3, 2);
         // Nodes 0 and 1 share a level-1 parent: one hop up, one down.
-        let p = ft.canonical_path(n(0), n(1));
+        let p = canonical(&ft, 0, 1);
         assert_eq!(p.len(), 2);
         // Nodes 0 and 63 only meet at the root: 3 up + 3 down.
-        let p = ft.canonical_path(n(0), n(63));
+        let p = canonical(&ft, 0, 63);
         assert_eq!(p.len(), 6);
         path_links_valid(&ft, &p);
     }
@@ -652,14 +671,14 @@ mod tests {
     #[test]
     fn fat_tree_self_path_is_empty() {
         let ft = FatTree::new(2, 2, 1);
-        assert!(ft.canonical_path(n(3), n(3)).is_empty());
+        assert!(canonical(&ft, 3, 3).is_empty());
     }
 
     #[test]
     fn fat_tree_canonical_is_stable_candidates_vary() {
         let ft = FatTree::new(4, 3, 4);
-        let a = ft.canonical_path(n(5), n(60));
-        let b = ft.canonical_path(n(5), n(60));
+        let a = canonical(&ft, 5, 60);
+        let b = canonical(&ft, 5, 60);
         assert_eq!(a, b);
         let mut rng = SimRng::new(1);
         let mut f = rng_fn(&mut rng);
@@ -682,11 +701,11 @@ mod tests {
         assert_eq!(m.num_links(), 2 * 3 * 4 + 2 * 3 * 4);
         assert_eq!(m.diameter(), 6);
         // (0,0) -> (3,3): 6 hops.
-        let p = m.canonical_path(n(0), n(15));
+        let p = canonical(&m, 0, 15);
         assert_eq!(p.len(), 6);
         path_links_valid(&m, &p);
         // (3,3) -> (0,0) uses west/south links, also 6 hops.
-        let p = m.canonical_path(n(15), n(0));
+        let p = canonical(&m, 15, 0);
         assert_eq!(p.len(), 6);
         path_links_valid(&m, &p);
     }
@@ -708,8 +727,8 @@ mod tests {
     #[test]
     fn mesh_link_ids_are_distinct_per_direction() {
         let m = Mesh2D::new(3, 3);
-        let east = m.canonical_path(n(0), n(1));
-        let west = m.canonical_path(n(1), n(0));
+        let east = canonical(&m, 0, 1);
+        let west = canonical(&m, 1, 0);
         assert_ne!(east, west);
     }
 
@@ -718,10 +737,10 @@ mod tests {
         let t = Torus2D::new(8, 8);
         assert_eq!(t.num_links(), 4 * 64);
         // (0,0) -> (7,0): one hop backwards via wraparound.
-        let p = t.canonical_path(n(0), n(7));
+        let p = canonical(&t, 0, 7);
         assert_eq!(p.len(), 1);
         // (0,0) -> (4,0): distance 4 either way; goes positive.
-        let p = t.canonical_path(n(0), n(4));
+        let p = canonical(&t, 0, 4);
         assert_eq!(p.len(), 4);
         path_links_valid(&t, &p);
         assert_eq!(t.diameter(), 8);
@@ -741,7 +760,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_node_panics() {
         let m = Mesh2D::new(2, 2);
-        m.canonical_path(n(0), n(99));
+        canonical(&m, 0, 99);
     }
 
     #[test]
@@ -751,12 +770,12 @@ mod tests {
         assert_eq!(h.num_links(), 64);
         assert_eq!(h.diameter(), 4);
         // 0b0000 -> 0b1111: Hamming distance 4.
-        let p = h.canonical_path(n(0), n(15));
+        let p = canonical(&h, 0, 15);
         assert_eq!(p.len(), 4);
         path_links_valid(&h, &p);
         // Adjacent nodes: one hop.
-        assert_eq!(h.canonical_path(n(0), n(8)).len(), 1);
-        assert!(h.canonical_path(n(5), n(5)).is_empty());
+        assert_eq!(canonical(&h, 0, 8).len(), 1);
+        assert!(canonical(&h, 5, 5).is_empty());
         assert!(h.describe().contains("cube"));
     }
 
@@ -779,7 +798,22 @@ mod tests {
         let h = Hypercube::new(3);
         // 0 -> 7 fixes bit 0 (link 0·3+0), then bit 1 from node 1
         // (link 1·3+1), then bit 2 from node 3 (link 3·3+2).
-        let p = h.canonical_path(n(0), n(7));
+        let p = canonical(&h, 0, 7);
         assert_eq!(p, vec![LinkId(0), LinkId(4), LinkId(11)]);
+    }
+
+    #[test]
+    fn canonical_path_overwrites_the_buffer_it_is_given() {
+        let topos: [&dyn Topology; 4] =
+            [&FatTree::new(4, 3, 2), &Mesh2D::new(4, 4), &Torus2D::new(4, 4), &Hypercube::new(4)];
+        for topo in topos {
+            let mut reused = Vec::new();
+            for (src, dst) in [(0, 15), (3, 3), (1, 2), (15, 0)] {
+                topo.canonical_path(n(src), n(dst), &mut reused);
+                let mut fresh = Vec::new();
+                topo.canonical_path(n(src), n(dst), &mut fresh);
+                assert_eq!(reused, fresh, "{}: {src} -> {dst}", topo.describe());
+            }
+        }
     }
 }

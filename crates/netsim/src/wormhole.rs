@@ -270,7 +270,8 @@ impl<T: Topology> WormholeNetwork<T> {
         delay: u64,
     ) -> Result<(), Packet> {
         let (src, dst) = (packet.src(), packet.dst());
-        let path = self.topo.canonical_path(src, dst);
+        let mut path = Vec::with_capacity(self.topo.diameter());
+        self.topo.canonical_path(src, dst, &mut path);
         let vc = self.pick_vc(&path, src, dst);
         // The injection port is the first channel: refuse if held.
         let first = ChannelId { link: path[0], vc };

@@ -18,12 +18,22 @@
 //! message length. A packet longer than four words spills its payload
 //! to the heap, one allocation per packet; the 16-word `xfer` row pins
 //! that path.
+//!
+//! The last row is the switched substrate on its own: a fixed
+//! permutation pushed twice through one `SwitchedNetwork`. A hop moves
+//! a slab index and a deterministic route is written into a reused
+//! buffer, so once the first pass has grown the slab, the receive
+//! queues and the waiter lists, the second pass allocates (next to)
+//! nothing per packet. Debug builds add what the sampled schedule
+//! check allocates.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use timego_am::{CmamConfig, Machine, StreamConfig};
-use timego_netsim::{DeliveryScript, NodeId, ScriptedNetwork};
+use timego_netsim::{
+    DeliveryScript, FatTree, Network, NodeId, Packet, ScriptedNetwork, SwitchedConfig, SwitchedNetwork,
+};
 use timego_ni::share;
 
 /// Counts every heap acquisition; a reallocation (the default
@@ -64,6 +74,42 @@ fn machine(script: DeliveryScript, packet_words: usize) -> Machine {
         ..CmamConfig::default()
     };
     Machine::new(share(ScriptedNetwork::new(2, script)), 2, cfg)
+}
+
+/// Nodes of the substrate row's fat tree, and packets each one sends.
+const NODES: usize = 256;
+const PACKETS_PER_NODE: u32 = 5;
+
+/// The substrate row's permutation: odd multiplier, odd offset, so no
+/// node sends to itself.
+fn partner(src: usize) -> usize {
+    (src * 97 + 31) % NODES
+}
+
+/// Every node sends its partner `PACKETS_PER_NODE` four-word packets as
+/// fast as the network accepts them, and every node extracts whatever
+/// arrived, every cycle. Returns the packets received.
+fn permutation_pass(net: &mut SwitchedNetwork<FatTree>) -> u64 {
+    let mut unsent = [PACKETS_PER_NODE; NODES];
+    let total = NODES as u64 * u64::from(PACKETS_PER_NODE);
+    let deadline = net.now().cycles() + 100_000;
+    let mut received = 0;
+    while received < total {
+        for (src, left) in unsent.iter_mut().enumerate().filter(|(_, left)| **left > 0) {
+            let packet = Packet::new(NodeId::new(src), NodeId::new(partner(src)), 0, *left, &[*left; 4]);
+            if net.try_inject(packet).is_ok() {
+                *left -= 1;
+            }
+        }
+        net.advance(1);
+        for node in 0..NODES {
+            while net.try_receive(NodeId::new(node)).is_some() {
+                received += 1;
+            }
+        }
+        assert!(net.now().cycles() < deadline, "the permutation must drain");
+    }
+    received
 }
 
 /// Run `send` and return its result with the allocations it made.
@@ -117,16 +163,22 @@ fn allocations_per_data_packet_stay_within_budget() {
     let (out, hl_stream) = counted(|| m.hl_stream_send(src, dst, &data));
     assert_eq!(out.unwrap(), data);
 
-    for (family, packet_words, allocations, budget) in [
-        ("stream", default_words, stream, 0.05),
-        ("xfer", default_words, xfer, 0.05),
+    let mut net = SwitchedNetwork::new(FatTree::new(4, 4, 2), SwitchedConfig::default());
+    permutation_pass(&mut net);
+    let (delivered, substrate) = counted(|| permutation_pass(&mut net));
+
+    let message = |packet_words: usize| WORDS.div_ceil(packet_words) as u64;
+    for (family, packet_words, allocations, packets, budget) in [
+        ("stream", default_words, stream, message(default_words), 0.05),
+        ("xfer", default_words, xfer, message(default_words), 0.05),
         // 1024 spills on top of the 4-word run's 39: 1063, or 1.038 per packet.
-        ("xfer", 16, xfer_spill, 1.04),
-        ("xfer_batch", default_words, xfer_batch, 0.05),
-        ("hl_xfer", default_words, hl_xfer, 0.05),
-        ("hl_stream_send", default_words, hl_stream, 0.05),
+        ("xfer", 16, xfer_spill, message(16), 1.04),
+        ("xfer_batch", default_words, xfer_batch, message(default_words), 0.05),
+        ("hl_xfer", default_words, hl_xfer, message(default_words), 0.05),
+        ("hl_stream_send", default_words, hl_stream, message(default_words), 0.05),
+        ("switched permutation, second pass", 4, substrate, delivered, 0.01),
     ] {
-        let packets = WORDS.div_ceil(packet_words) as f64;
+        let packets = packets as f64;
         let per_packet = allocations as f64 / packets;
         assert!(
             per_packet <= budget,
