@@ -21,7 +21,10 @@
 //! sleepers its head's `claims` names — not everyone with an endpoint
 //! there), an endpoint crash-restarts, or its own timer (retry window,
 //! timeout, RTO) comes due on the timer queue; a pass visits only the
-//! ordered set of operations that are awake. When a pass makes no
+//! operations that are awake, upward through the run set's ready bits
+//! (running operations are bits over their incarnation numbers, so
+//! starting, waking, sleeping and ending an op each flip a bit and
+//! nothing is kept sorted). When a pass makes no
 //! progress, time passes — to the *next event*, not the next cycle: the
 //! first of the next timer, the next parked op's resume, the next
 //! scripted crash-restart, the
@@ -180,7 +183,6 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashSet, VecDeque};
-use std::ops::Bound;
 use std::time::Instant;
 
 use timego_cost::CostVector;
@@ -190,7 +192,7 @@ use crate::error::ProtocolError;
 use crate::machine::Machine;
 use crate::op::{KeyClass, Op, OpBody, OpMachine, Stepped};
 use crate::retry::RecoveryPolicy;
-use crate::sched::{SchedCounters, SchedPhase, SchedProfiler, Slab};
+use crate::sched::{Bitmap, RunSet, SchedCounters, SchedPhase, SchedProfiler, Slab};
 use crate::stream::StreamOutcome;
 use crate::xfer::XferOutcome;
 use crate::xfer_reliable::ReliableOutcome;
@@ -344,7 +346,8 @@ enum Stage {
     /// Released, in the `Engine::pending` admission queue.
     #[default]
     Pending,
-    /// Admitted, in run slot `slot` (`Engine::slots` / `run_order`).
+    /// Admitted, in run slot `slot` (`Engine::slots`), entered in
+    /// `Engine::running` under the slot's incarnation.
     Running { slot: u32 },
     /// Between recovery executions, indexed by `Engine::parked` under
     /// `(resume_at, id)`: the
@@ -391,18 +394,17 @@ impl OpEntry {
     }
 }
 
-/// One admitted operation's scheduler slot in the run arena.
+/// One admitted operation's scheduler slot in the run arena. Whether
+/// it is ready to be stepped is its ready bit in `Engine::running`,
+/// cleared when a step returns `Idle` (the op goes to sleep on its wake
+/// conditions) and set again by a touch that concerns it or its timer.
 struct RunSlot {
     a: ActiveOp,
-    /// Incarnation number, unique across the engine's lifetime. Slab
-    /// slots are reused, so timers validate `(slot, inc)` before
-    /// acting.
+    /// Incarnation number, unique across the engine's lifetime and
+    /// handed out in increasing order: the op's key in
+    /// `Engine::running`. Slab slots are reused, so timers validate
+    /// `(slot, inc)` before acting.
     inc: u64,
-    /// Eligible to be stepped: exactly the slots in `Engine::ready`.
-    /// Cleared when a step returns `Idle` (the op goes to sleep on its
-    /// wake conditions), set again by a touch that concerns it or its
-    /// timer.
-    ready: bool,
     /// The engine's tick epoch when the op last went to sleep — the
     /// lazy-tick anchor: on wake it receives `tick_epoch - slept_epoch`
     /// timer ticks at once. Ticks are counted in the *engine-advance*
@@ -447,10 +449,13 @@ pub struct Engine {
     // completion order. `completions_since` cursors index into it.
     completions: Vec<(OpId, bool, u64)>,
     pending: VecDeque<ActiveOp>,
-    // Running ops live in a slot-stable arena; `run_order` preserves
-    // admission order (what the sweep and the watchdog scan follow).
+    // Running ops live in a slot-stable arena, and `running` indexes
+    // them by incarnation: a live bit per running op and a ready bit per
+    // awake one. `inc` grows with every spawn, so ascending `inc` is
+    // admission order — the order a pass visits ready ops in, and the
+    // reference steps every op in.
     slots: Slab<RunSlot>,
-    run_order: Vec<u32>,
+    running: RunSet,
     next_inc: u64,
     // The timer queue: op wakes, deadlines and watchdogs, earliest due
     // on top.
@@ -459,11 +464,6 @@ pub struct Engine {
     // `supervise`. Watchdog tuples are `(slot, inc)`.
     fired_deadlines: Vec<OpId>,
     fired_watchdogs: Vec<(u32, u64)>,
-    // The ready set: `(inc, slot)` of every running op whose `ready`
-    // flag is set. `inc` order is `run_order` order, so a pass that
-    // visits it from a cursor steps ops exactly where the reference
-    // sweep would reach them, at the cost of the ops awake.
-    ready: BTreeSet<(u64, u32)>,
     // Running ops by `(endpoint node, peer node)`: `by_pair[node]` holds
     // `(peer, slot)` for every running op with an endpoint at `node`,
     // sorted, so the ops a queue head from `peer` can concern are one
@@ -474,10 +474,11 @@ pub struct Engine {
     // a touch free: nothing to wake, so no look at the substrate.
     sleepers: Vec<u32>,
     // Nodes whose rx queue saw activity since the orphan sweep last
-    // proved their head clean. Invariant: any node whose queue head is
-    // a discardable unclaimed packet is in this set, so scanning it
-    // ascending finds the same node a full 0..N scan would.
-    orphan_dirty: BTreeSet<usize>,
+    // proved their head clean, a bit per node index (grown on demand).
+    // Invariant: any node whose queue head is a discardable unclaimed
+    // packet has its bit set, so taking the lowest set bit finds the
+    // same node a full 0..N scan would.
+    orphan_dirty: Bitmap,
     // Engine-advance time: total cycles advanced by the *scheduler's
     // own* idle advances (each of which ticks every op once per cycle in
     // the reference). Cycles burned inside an op's step — blocking NI
@@ -675,7 +676,7 @@ impl Engine {
     /// parked between recovery executions included).
     #[must_use]
     pub fn unfinished(&self) -> usize {
-        self.pending.len() + self.run_order.len() + self.held.len() + self.parked.len()
+        self.pending.len() + self.running.len() + self.held.len() + self.parked.len()
     }
 
     /// Number of operations currently held behind unfinished run-after
@@ -802,11 +803,10 @@ impl Engine {
     /// `Idle` step, while the wake conditions are chosen so an op can
     /// never sleep through a step that stepping everything every pass
     /// would have made non-idle — the trace and the bills are those of
-    /// that round-robin. A pass visits the ready set in `(inc, slot)`
-    /// order from a cursor — `run_order` order — and an op woken
-    /// mid-pass joins *this* pass iff its `inc` is past the cursor,
-    /// which is exactly when a sweep of `run_order` would still reach
-    /// it.
+    /// that round-robin. A pass visits the ready ops upward in `inc`
+    /// — admission — order from a cursor, and an op woken mid-pass
+    /// joins *this* pass iff its `inc` is past the cursor, which is
+    /// exactly when a sweep of every running op would still reach it.
     ///
     /// **How much time passes** is one rule. With every running
     /// operation asleep, the next quantum can do something only when a
@@ -875,7 +875,7 @@ impl Engine {
             // `start`, same-cycle fast paths) so the sleepers they
             // concern join the coming pass.
             self.absorb_wakes(m);
-            if self.run_order.is_empty() {
+            if self.running.is_empty() {
                 if self.jump_to_parked(m) {
                     // Restart folding waits for the next pump top; the
                     // timers catch up so deadlines due inside the
@@ -890,8 +890,9 @@ impl Engine {
             self.counters.passes += 1;
             let pass_t = self.profiler.as_ref().map(|_| Instant::now());
             let mut step_ns: u64 = 0;
-            let mut cursor = Bound::Unbounded;
-            // Whether the op at the cursor is still in the ready set.
+            // The lowest incarnation the pass may still visit.
+            let mut cursor = 0;
+            // Whether the op just stepped is still ready.
             let mut stays = false;
             // Visit-time readiness: an op woken by an earlier op's
             // progress in this pass is found past the cursor and stepped
@@ -899,12 +900,11 @@ impl Engine {
             loop {
                 // Most passes have no ready op, or the one just stepped:
                 // then there is nothing past the cursor to search for.
-                if self.ready.len() == usize::from(stays) {
+                if self.running.ready_len() == usize::from(stays) {
                     break;
                 }
-                let next = self.ready.range((cursor, Bound::Unbounded)).next();
-                let Some(&(inc, slot)) = next else { break };
-                cursor = Bound::Excluded((inc, slot));
+                let Some((inc, slot)) = self.running.next_ready(cursor) else { break };
+                cursor = inc + 1;
                 self.counters.steps += 1;
                 let st = self.profiler.as_ref().map(|_| Instant::now());
                 let clock_before = m.now();
@@ -995,13 +995,14 @@ impl Engine {
     /// — a row names exactly one — together they hold every unfinished
     /// op. That second half walks the whole ledger, so it is sampled
     /// (power-of-two quanta, and whenever the engine drains) — and with
-    /// it the scheduler's indices over the running set: the ready set is
-    /// the ready flags, every running op is indexed once under each
-    /// endpoint, and the per-node sleeper counts are the sleeping slots.
+    /// it the scheduler's indices over the running set: one live bit per
+    /// running op, the ready bits against the per-node sleeper counts,
+    /// every running op indexed once under each endpoint, and both
+    /// bitmaps' summaries against their words.
     #[cfg(debug_assertions)]
     fn check_ledger(&self) {
         let pending = self.pending.iter().map(|op| (op.id, "pending"));
-        let running = self.run_order.iter().map(|&s| (self.slots[s].a.id, "running"));
+        let running = self.running.iter().map(|(_, s)| (self.slots[s].a.id, "running"));
         let held = self.held.iter().map(|&id| (id, "held"));
         let parked = self.parked.iter().map(|&(_, id)| (id, "parked"));
         for (id, container) in pending.chain(running).chain(held).chain(parked) {
@@ -1035,27 +1036,27 @@ impl Engine {
 
     #[cfg(debug_assertions)]
     fn check_run_indices(&self) {
-        let mut ready = BTreeSet::new();
+        self.running.check();
+        self.orphan_dirty.check();
         let mut sleepers = vec![0u32; self.sleepers.len()];
-        let mut last_inc = None;
-        for &slot in &self.run_order {
+        // One live bit per running op and no other: every bit names an
+        // occupied slot of that incarnation, and `check_ledger` has
+        // matched each to a running row and the counts to the rows — so
+        // no running op's bit sits in a retired chunk.
+        for (inc, slot) in self.running.iter() {
             let s = &self.slots[slot];
-            assert!(last_inc < Some(s.inc), "run_order is not in incarnation order");
-            last_inc = Some(s.inc);
-            if s.ready {
-                ready.insert((s.inc, slot));
-            }
+            assert_eq!(s.inc, inc, "live bit {inc} names slot {slot} of another incarnation");
+            let ready = self.running.is_ready(inc);
             let (a, b) = s.a.endpoints;
             for (node, peer) in [(a, b), (b, a)] {
                 let listed = self.by_pair[node.index()].binary_search(&(peer, slot));
                 assert!(listed.is_ok(), "slot {slot}: not indexed under ({node}, {peer})");
-                sleepers[node.index()] += u32::from(!s.ready);
+                sleepers[node.index()] += u32::from(!ready);
             }
         }
-        assert_eq!(ready, self.ready, "ready set vs ready flags");
-        assert_eq!(sleepers, self.sleepers, "per-node sleeper counts vs sleeping slots");
+        assert_eq!(sleepers, self.sleepers, "per-node sleeper counts vs ready bits");
         let indexed: usize = self.by_pair.iter().map(Vec::len).sum();
-        assert_eq!(indexed, 2 * self.run_order.len(), "an op indexed twice, or one not running");
+        assert_eq!(indexed, 2 * self.running.len(), "an op indexed twice, or one not running");
         assert!(self.by_pair.iter().all(|v| v.is_sorted()), "pair index out of order");
     }
 
@@ -1116,10 +1117,9 @@ impl Engine {
             self.timers.pop();
             match timer {
                 Timer::Wake { slot, inc, gen } => {
-                    let live = self
-                        .slots
-                        .get(slot)
-                        .is_some_and(|s| s.inc == inc && !s.ready && s.sleep_gen == gen);
+                    let live = self.slots.get(slot).is_some_and(|s| {
+                        s.inc == inc && s.sleep_gen == gen && !self.running.is_ready(inc)
+                    });
                     if live {
                         self.counters.timer_wakes += 1;
                         self.wake_slot(slot);
@@ -1142,7 +1142,7 @@ impl Engine {
 
     /// Start an admitted op — a first execution and a recovery
     /// re-execution alike — under its class tag, then move it into the
-    /// run arena: allocate its slot, enter it — ready — in the ready set
+    /// run arena: allocate its slot, enter it — ready — in the run set
     /// and the pair index, and arm its no-progress watchdog.
     fn spawn(&mut self, m: &mut Machine, mut a: ActiveOp) {
         self.record(m, EngineEvent::Started(a.id));
@@ -1154,17 +1154,10 @@ impl Engine {
         let (id, endpoints) = (a.id, a.endpoints);
         let inc = self.next_inc;
         self.next_inc += 1;
-        let slot = self.slots.insert(RunSlot {
-            a,
-            inc,
-            ready: true,
-            slept_epoch: self.tick_epoch,
-            sleep_gen: 0,
-        });
+        let slot =
+            self.slots.insert(RunSlot { a, inc, slept_epoch: self.tick_epoch, sleep_gen: 0 });
         self.ops[id.index()].stage = Stage::Running { slot };
-        // `inc` only grows, so pushing keeps `run_order` sorted by it.
-        self.run_order.push(slot);
-        self.ready.insert((inc, slot));
+        self.running.push(inc, slot);
         let nodes = endpoints.0.index().max(endpoints.1.index()) + 1;
         if self.by_pair.len() < nodes {
             self.by_pair.resize_with(nodes, Vec::new);
@@ -1206,18 +1199,15 @@ impl Engine {
     /// A running op ended with `result`: take its slot out of the run
     /// arena and every index over it, then decide its fate.
     fn finish(&mut self, m: &Machine, slot: u32, result: Result<OpOutcome, ProtocolError>) {
-        let inc = self.slots[slot].inc;
-        let idx = self.run_order.binary_search_by_key(&inc, |&r| self.slots[r].inc);
-        self.run_order.remove(idx.expect("a running op is in run_order"));
         let s = self.slots.remove(slot);
+        let asleep = !self.running.remove(s.inc);
         let endpoints = s.a.endpoints;
         for (node, peer) in [endpoints, (endpoints.1, endpoints.0)] {
             let list = &mut self.by_pair[node.index()];
             let at = list.binary_search(&(peer, slot)).expect("a running op is indexed by pair");
             list.remove(at);
-            self.sleepers[node.index()] -= u32::from(!s.ready);
+            self.sleepers[node.index()] -= u32::from(asleep);
         }
-        self.ready.remove(&(inc, slot));
         // The op's remaining packets just became unclaimed, and a queue
         // head it was about to consume may now be someone else's to
         // reveal: mark both endpoints and wake whom they concern.
@@ -1356,13 +1346,14 @@ mod tests {
 
         let before = peeks.get();
         eng.touch_node(&m, n(1), Touch::Packet);
-        assert!(!eng.slots[slot].ready, "an empty queue names no claimant");
+        let ready = |eng: &Engine| eng.running.is_ready(eng.slots[slot].inc);
+        assert!(!ready(&eng), "an empty queue names no claimant");
         eng.touch_node(&m, n(2), Touch::Pair { peer: n(0) });
         eng.touch_node(&m, n(1), Touch::Restart);
-        assert!(eng.slots[slot].ready, "a restart wakes every op at the node");
+        assert!(ready(&eng), "a restart wakes every op at the node");
         eng.sleep_slot(&m, slot);
         eng.touch_node(&m, n(1), Touch::Pair { peer: n(0) });
-        assert!(eng.slots[slot].ready, "its own pair's progress wakes the sleeper");
+        assert!(ready(&eng), "its own pair's progress wakes the sleeper");
         assert_eq!(peeks.get(), before, "no touch peeked an empty queue");
         assert_eq!(m.network().borrow().in_flight(), 1, "the held packet is still held");
 
@@ -1373,7 +1364,7 @@ mod tests {
         m.advance(1);
         eng.touch_node(&m, n(1), Touch::Packet);
         assert_eq!(peeks.get(), before + 1);
-        assert!(eng.slots[slot].ready, "the head's claimant wakes");
+        assert!(ready(&eng), "the head's claimant wakes");
     }
 
     /// A timer far in the future — past 2^24 cycles, beyond which a

@@ -46,18 +46,20 @@ impl Engine {
             }
             self.release_recovered(m);
             self.admit(m);
-            if self.run_order.is_empty() {
+            if self.running.is_empty() {
                 if self.jump_to_parked(m) {
                     continue;
                 }
                 return 0;
             }
             let mut progressed = false;
-            let mut i = 0;
+            let mut cursor = 0;
             let now = m.now();
             self.counters.passes += 1;
-            while i < self.run_order.len() {
-                let slot = self.run_order[i];
+            // Every running op, upward in `inc` from the cursor: an op
+            // that finishes clears its own live bit and no other.
+            while let Some((inc, slot)) = self.running.next_live(cursor) {
+                cursor = inc + 1;
                 self.counters.steps += 1;
                 let endpoints = self.slots[slot].a.endpoints;
                 let cls = self.class_pre(m, self.slots[slot].a.id, endpoints);
@@ -69,11 +71,8 @@ impl Engine {
                         self.slots[slot].a.last_progress_at = now;
                         self.record(m, EngineEvent::Progressed(id));
                         progressed = true;
-                        i += 1;
                     }
-                    Ok(Stepped::Idle) => i += 1,
-                    // `finish` takes the slot out of `run_order`: the
-                    // next op slides into position `i`.
+                    Ok(Stepped::Idle) => {}
                     Ok(Stepped::Done(out)) => {
                         self.finish(m, slot, Ok(out));
                         progressed = true;
@@ -89,8 +88,7 @@ impl Engine {
             }
             m.advance(1);
             self.counters.advances += 1;
-            for i in 0..self.run_order.len() {
-                let slot = self.run_order[i];
+            for (_, slot) in self.running.iter() {
                 self.slots[slot].a.op.tick_n(1);
             }
             return self.unfinished();
@@ -104,11 +102,10 @@ impl Engine {
     fn scan_supervision(&self, m: &Machine) -> (Vec<OpId>, Vec<(u32, u64)>) {
         let (now, bound) = (m.now(), self.watchdog_bound(m));
         let overdue = self
-            .run_order
+            .running
             .iter()
-            .map(|&slot| (slot, &self.slots[slot]))
-            .filter(|(_, s)| now.saturating_sub(s.a.last_progress_at) > bound)
-            .map(|(slot, s)| (slot, s.inc))
+            .filter(|&(_, slot)| now.saturating_sub(self.slots[slot].a.last_progress_at) > bound)
+            .map(|(inc, slot)| (slot, inc))
             .collect();
         (self.deadlines.iter().copied().collect(), overdue)
     }
@@ -119,7 +116,7 @@ impl Engine {
         for node in (0..m.num_nodes()).map(NodeId::new) {
             let orphaned = m.rx_peek_at(node).is_some_and(|meta| {
                 Self::discardable(&meta)
-                    && !self.run_order.iter().any(|&s| self.slots[s].a.op.claims(node, &meta))
+                    && !self.running.iter().any(|(_, s)| self.slots[s].a.op.claims(node, &meta))
             });
             if orphaned {
                 m.discard_stray(node);
@@ -471,10 +468,11 @@ mod tests {
     }
 
     /// A crash window on node 9 closing at `restart_at` under a
-    /// recovery-armed transfer into it, while a chain of single-packet
-    /// hops between two far-apart nodes keeps exactly one packet in
-    /// flight, every op asleep in between.
-    fn run_across_restart(sched: Sched, restart_at: u64) -> Fingerprint {
+    /// recovery-armed transfer into it, while `chains` run-after chains
+    /// of single-packet hops, `hops` in all, each between two far-apart
+    /// nodes, keep one packet per chain in flight, every op asleep in
+    /// between.
+    fn run_across_restart(sched: Sched, restart_at: u64, chains: u32, hops: u32) -> Fingerprint {
         let cfg = CmamConfig {
             max_wait_cycles: 1 << 13,
             gc_ttl_cycles: 1 << 13,
@@ -485,10 +483,12 @@ mod tests {
         let victim = Op::xfer_reliable(n(2), n(9), &mixed(24, 1), &RetryPolicy::default())
             .recovering(&RecoveryPolicy::default());
         let mut ids = vec![eng.submit(&mut m, victim).expect("valid transfer")];
-        for hop in 0..60u32 {
-            let (src, dst) = if hop % 2 == 0 { (n(16), n(63)) } else { (n(63), n(16)) };
+        for hop in 0..hops {
+            let (c, k) = ((hop % chains) as usize, hop / chains);
+            let (a, b) = (n(16 + c), n(63 - c));
+            let (src, dst) = if k % 2 == 0 { (a, b) } else { (b, a) };
             let op = Op::am4(src, dst, 50, [hop, 0, 0, 0]);
-            let op = if hop == 0 { op } else { op.after(&ids[ids.len() - 1..]) };
+            let op = if k == 0 { op } else { op.after(&ids[ids.len() - chains as usize..][..1]) };
             ids.push(eng.submit(&mut m, op).expect("valid hop"));
         }
         Fingerprint::of_run(sched, eng, m, FAN_NODES, &ids)
@@ -499,10 +499,23 @@ mod tests {
     #[test]
     fn restart_chain_is_trace_and_bill_identical_to_reference() {
         for restart_at in 300..314 {
-            let evt = run_across_restart(Sched::Event, restart_at);
-            let rr = run_across_restart(Sched::Reference, restart_at);
+            let evt = run_across_restart(Sched::Event, restart_at, 1, 60);
+            let rr = run_across_restart(Sched::Reference, restart_at, 1, 60);
             assert_same_run(&format!("restart at {restart_at}"), &evt, &rr);
         }
+    }
+
+    /// Eight such chains, 4 200 hops in all: every hop is a new
+    /// incarnation with at most nine running, so the run set opens
+    /// chunks past its first summary word (4 096 incarnations) and
+    /// retires the leading ones mid-run.
+    #[test]
+    fn chains_past_a_summary_word_of_incarnations_are_identical_to_reference() {
+        let evt = run_across_restart(Sched::Event, 300, 8, 4_200);
+        let rr = run_across_restart(Sched::Reference, 300, 8, 4_200);
+        let started = evt.trace.iter().filter(|e| matches!(e.event, EngineEvent::Started(_)));
+        assert!(started.count() > 4_096, "the chains must spawn past one summary word");
+        assert_same_run("eight chains, 4 200 hops", &evt, &rr);
     }
 
     /// A recovery policy that parks for exactly `wait` cycles.

@@ -223,7 +223,7 @@ impl Engine {
         }
         let mut live_sessions: HashSet<(NodeId, NodeId)> = HashSet::new();
         let mut live_replies: HashSet<(NodeId, NodeId, u32)> = HashSet::new();
-        let admitted = self.run_order.iter().map(|&s| &self.slots[s].a).chain(&self.pending);
+        let admitted = self.running.iter().map(|(_, s)| &self.slots[s].a).chain(&self.pending);
         let parked = self.parked.iter().map(|(_, id)| id);
         let staged =
             self.held.iter().chain(parked).filter_map(|id| match &self.ops[id.index()].stage {

@@ -17,10 +17,10 @@ impl Engine {
         self.watchdog = Some(cycles);
         // Arm fresh timers under the new bound: a shrunken bound must
         // not wait out timers armed under the old one.
-        for &slot in &self.run_order {
-            let s = &self.slots[slot];
-            let due = s.a.last_progress_at.saturating_add(cycles).saturating_add(1);
-            self.timers.push(Reverse((due, Timer::Watchdog { slot, inc: s.inc })));
+        for (inc, slot) in self.running.iter() {
+            let last = self.slots[slot].a.last_progress_at;
+            let due = last.saturating_add(cycles).saturating_add(1);
+            self.timers.push(Reverse((due, Timer::Watchdog { slot, inc })));
         }
     }
 

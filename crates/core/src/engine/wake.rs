@@ -95,7 +95,7 @@ impl Engine {
             }
             k += 1;
             let s = &self.slots[slot];
-            if !s.ready && head.is_none_or(|h| s.a.op.claims(node, h)) {
+            if !self.running.is_ready(s.inc) && head.is_none_or(|h| s.a.op.claims(node, h)) {
                 self.wake_slot(slot);
             }
         }
@@ -117,24 +117,22 @@ impl Engine {
     pub(super) fn wake_slot(&mut self, slot: u32) {
         let epoch = self.tick_epoch;
         let Some(s) = self.slots.get_mut(slot) else { return };
-        if s.ready {
+        if !self.running.set_ready(s.inc) {
             return;
         }
-        s.ready = true;
         // Invalidate the outstanding timer wake for this sleep.
         s.sleep_gen += 1;
         let elapsed = epoch.saturating_sub(s.slept_epoch);
         if elapsed > 0 {
             s.a.op.tick_n(elapsed);
         }
-        self.ready.insert((s.inc, slot));
         let (a, b) = s.a.endpoints;
         self.sleepers[a.index()] -= 1;
         self.sleepers[b.index()] -= 1;
     }
 
     /// Put a slot to sleep after an `Idle` step: record the sleep
-    /// anchor, take it out of the ready set, and schedule the op's own
+    /// anchor, clear its ready bit, and schedule the op's own
     /// timer wake — the earliest future cycle at which a timer tick
     /// could make its next step non-idle. A touch that concerns it
     /// ([`Engine::touch_node`]) wakes it earlier.
@@ -143,14 +141,13 @@ impl Engine {
         let wake_in = self.slots[slot].a.op.wake_in(m.config().max_wait_cycles);
         let epoch = self.tick_epoch;
         let s = &mut self.slots[slot];
-        s.ready = false;
         s.slept_epoch = epoch;
         let inc = s.inc;
+        self.running.clear_ready(inc);
         if wake_in != u64::MAX {
             let timer = Timer::Wake { slot, inc, gen: s.sleep_gen };
             self.timers.push(Reverse((now.saturating_add(wake_in), timer)));
         }
-        self.ready.remove(&(inc, slot));
         let (a, b) = s.a.endpoints;
         self.sleepers[a.index()] += 1;
         self.sleepers[b.index()] += 1;
@@ -176,7 +173,7 @@ impl Engine {
         }
         let claims = |slot: u32| self.slots[slot].a.op.claims(node, meta);
         if meta.src == node {
-            return !self.run_order.iter().any(|&slot| claims(slot));
+            return !self.running.iter().any(|(_, slot)| claims(slot));
         }
         let keyed = self.by_pair.get(node.index()).map_or(&[][..], Vec::as_slice);
         let keyed = &keyed[self.pair_start(node, meta.src)..];
@@ -190,13 +187,14 @@ impl Engine {
     /// with packet activity since their last clean verdict are
     /// examined: every path that can surface a discardable head marks
     /// the node dirty (deliveries, restarts, claimant progress/finish,
-    /// prior discards), so the dirty set is a superset of the nodes a
-    /// scan of every node could act on.
+    /// prior discards), so the dirty bits are a superset of the nodes a
+    /// scan of every node could act on, and taking the lowest first is
+    /// that scan's order.
     pub(super) fn discard_orphan(&mut self, m: &mut Machine) -> bool {
-        while let Some(&ni) = self.orphan_dirty.iter().next() {
+        while let Some(ni) = self.orphan_dirty.first() {
             let node = NodeId::new(ni);
             if !m.rx_head_at(node).is_some_and(|meta| self.orphaned(node, &meta)) {
-                self.orphan_dirty.remove(&ni);
+                self.orphan_dirty.remove(ni);
                 continue;
             }
             m.discard_stray(node);
