@@ -58,8 +58,10 @@
 //! belong to the container the stage names (a run slot, `pending`);
 //! three ordered sets only index rows — `held` and armed `deadlines` by
 //! id, `parked` by `(resume cycle, id)` — and the completion log owns
-//! completion order and `Completed` stamps. The trace is output: the
-//! engine appends to it, lends it out, and never reads it back.
+//! completion order and `Completed` stamps. The trace is opt-in output:
+//! every event bumps [`SchedCounters::events`] and stamps the cycle the
+//! ledger stores, but only an engine that called [`Engine::enable_trace`]
+//! keeps the events; the engine never reads them back.
 //!
 //! ## The substrate may be parallel; the engine stays sequential
 //!
@@ -500,7 +502,8 @@ pub struct Engine {
     // 4 × max_wait_cycles from the machine config at enforcement time.
     watchdog: Option<u64>,
     // Append-only output, lent out through `trace()`; never read back.
-    trace: Vec<TracedEvent>,
+    // `None` until `enable_trace`.
+    trace: Option<Vec<TracedEvent>>,
     // Request-class plane (see `Op::class`): whether any op was ever
     // tagged, and the accumulated per-class cost split. Every hot-path
     // hook is gated on the flag — untagged workloads pay nothing.
@@ -542,12 +545,25 @@ impl Engine {
         self.profiler.as_mut()
     }
 
-    /// Append `event` to the trace, stamped with the substrate clock,
-    /// and hand the stamp back: the ledger writes the same value into
-    /// the op's row, so the row and the trace agree by construction.
+    /// Keep the scheduler trace from here on (see [`Engine::trace`]).
+    /// Off by default — the trace grows by an event per state
+    /// transition, and outside tests only its length is wanted, which
+    /// [`SchedCounters::events`] counts either way. Call it before
+    /// submitting: earlier events are not kept.
+    pub fn enable_trace(&mut self) {
+        self.trace.get_or_insert_with(Vec::new);
+    }
+
+    /// Count `event`, stamp it with the substrate clock, append it to the
+    /// trace if one is kept, and hand the stamp back: the ledger writes
+    /// the same value into the op's row, so the row and the trace agree
+    /// by construction.
     fn record(&mut self, m: &Machine, event: EngineEvent) -> u64 {
         let at = m.now();
-        self.trace.push(TracedEvent { at, event });
+        self.counters.events += 1;
+        if let Some(trace) = &mut self.trace {
+            trace.push(TracedEvent { at, event });
+        }
         at
     }
 
@@ -687,10 +703,11 @@ impl Engine {
     }
 
     /// The scheduler trace so far, every event stamped with the
-    /// substrate clock at the moment it was recorded.
+    /// substrate clock at the moment it was recorded. Empty unless
+    /// [`Engine::enable_trace`] was called.
     #[must_use]
     pub fn trace(&self) -> &[TracedEvent] {
-        &self.trace
+        self.trace.as_deref().unwrap_or_default()
     }
 
     /// Per-operation completion times: for every operation that has

@@ -166,7 +166,7 @@ mod tests {
                     // execution. Anything more was re-armed on the
                     // oracle's behalf by a watchdog that was not due.
                     let started =
-                        eng.trace.iter().filter(|e| matches!(e.event, EngineEvent::Started(_)));
+                        eng.trace().iter().filter(|e| matches!(e.event, EngineEvent::Started(_)));
                     let deadlines = eng.ops.iter().filter(|e| e.deadline.is_some()).count();
                     assert_eq!(
                         eng.timers.len(),
@@ -323,6 +323,10 @@ mod tests {
     /// divergence is printed with its neighbourhood), same bills, same
     /// outcomes, no more steps.
     fn assert_same_run(ctx: &str, evt: &Fingerprint, rr: &Fingerprint) {
+        assert!(
+            !evt.trace.is_empty() && !rr.trace.is_empty(),
+            "{ctx}: both runs keep a trace, so the comparison cannot pass vacuously"
+        );
         if evt.trace != rr.trace {
             let at = evt
                 .trace
@@ -357,6 +361,7 @@ mod tests {
         let mut m = machine_of(sub, NODES, CmamConfig::default(), fault, seed);
         m.register_rpc_handler(n(1), 40, |_, msg| [msg.words[0].wrapping_mul(3), 0, 0, 0]);
         let mut eng = Engine::new();
+        eng.enable_trace();
         let policy = RetryPolicy::default();
         let recovery = RecoveryPolicy::default();
         let mut ids = Vec::new();
@@ -419,6 +424,7 @@ mod tests {
         let mut m = machine_of(sub, FAN_NODES, cfg, fault, seed);
         m.register_rpc_handler(n(0), 40, |_, msg| [msg.words[0].wrapping_mul(3), 0, 0, 0]);
         let mut eng = Engine::new();
+        eng.enable_trace();
         let policy = RetryPolicy::default();
         let recovery = RecoveryPolicy::default();
         let sid = m.open_stream(
@@ -480,6 +486,7 @@ mod tests {
         };
         let mut m = machine_of("switched", FAN_NODES, cfg, &crash(n(9), 20, restart_at), 1);
         let mut eng = Engine::new();
+        eng.enable_trace();
         let victim = Op::xfer_reliable(n(2), n(9), &mixed(24, 1), &RetryPolicy::default())
             .recovering(&RecoveryPolicy::default());
         let mut ids = vec![eng.submit(&mut m, victim).expect("valid transfer")];
@@ -560,6 +567,7 @@ mod tests {
             let mut m = machine(fault, 1);
             let (op, ctx) = prepare(&mut m);
             let mut eng = Engine::new();
+            eng.enable_trace();
             let id = eng.submit(&mut m, op.recovering(&fixed_backoff(1000))).unwrap();
             sched.run(&mut eng, &mut m);
             assert_eq!(
@@ -656,6 +664,7 @@ mod tests {
             let mut m = machine(&crash(n(9), 50, 3000), 1);
             let stream = m.open_stream(n(2), n(9), StreamConfig::default());
             let mut eng = Engine::new();
+            eng.enable_trace();
             let op = Op::stream_send(stream, &data).recovering(&fixed_backoff(2000)).deadline(3500);
             let id = eng.submit(&mut m, op).unwrap();
             sched.run(&mut eng, &mut m);
@@ -690,6 +699,7 @@ mod tests {
         for sched in BOTH {
             let mut m = machine(&fault, 3);
             let mut eng = Engine::new();
+            eng.enable_trace();
             let recovering = Op::xfer_reliable(n(2), n(9), &data, &policy)
                 .recovering(&RecoveryPolicy::default());
             let parked = eng.submit(&mut m, recovering).unwrap();
@@ -735,6 +745,7 @@ mod tests {
             let mut m =
                 Machine::new(share(ScriptedNetwork::new(4, script)), 4, CmamConfig::default());
             let mut eng = Engine::new();
+            eng.enable_trace();
             // Odd packet counts (4 payload words per packet): 5, 7 and 9.
             let xfers: Vec<(OpId, usize, Vec<u32>)> = (1..=3)
                 .map(|s| {
@@ -784,6 +795,7 @@ mod tests {
             let script = DeliveryScript::AlternateSwap;
             let m = Machine::new(share(ScriptedNetwork::new(3, script)), 3, CmamConfig::default());
             let mut eng = Engine::new();
+            eng.enable_trace();
             let ids: Vec<OpId> = [(1, 0, 24), (0, 1, 16), (1, 2, 4)]
                 .into_iter()
                 .map(|(s, d, words)| {

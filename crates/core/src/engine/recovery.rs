@@ -302,6 +302,7 @@ mod tests {
     /// stays running.
     fn parked_out_of_order(m: &mut Machine, sleeper: bool) -> Engine {
         let mut eng = Engine::new();
+        eng.enable_trace();
         let parked = [300, 200, 300, 100].map(|wait| land_idler(&mut eng, m, Some(wait)));
         if sleeper {
             land_idler(&mut eng, m, None);

@@ -111,6 +111,9 @@ pub struct SchedCounters {
     pub timer_wakes: u64,
     /// Sleeping ops woken by a packet arrival at a subscribed node.
     pub packet_wakes: u64,
+    /// Scheduler events recorded ([`EngineEvent`](crate::EngineEvent)s),
+    /// counted whether or not the engine keeps its trace.
+    pub events: u64,
 }
 
 #[cfg(test)]

@@ -63,7 +63,7 @@
 
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use crate::fault::{FaultConfig, FaultSchedule};
@@ -147,6 +147,10 @@ struct ShardCell {
     /// Wake marks for boundary deliveries (local ids; the subnet keeps
     /// its own wake set for intra-shard deliveries).
     wake: WakeSet,
+    /// Test-only step hook: wait at the barrier, then panic if the flag
+    /// is set — a worker that dies mid-step, at a known moment.
+    #[cfg(test)]
+    hook: Option<(Arc<std::sync::Barrier>, bool)>,
 }
 
 /// Shared state between the front and its workers.
@@ -171,6 +175,9 @@ struct Ctl {
     cycles: u64,
     /// What the shards finished so far this window left behind.
     seen: Readback,
+    /// A shard whose step panicked. Sticky: its cell lock is poisoned
+    /// and its state half-stepped, so no later window can run either.
+    failed: Option<usize>,
     shutdown: bool,
 }
 
@@ -291,6 +298,11 @@ fn shard_fault(cfg: &FaultConfig, base: usize, len: usize) -> FaultConfig {
 /// clock arithmetic. Runs on worker threads; touches nothing outside the
 /// cell, and says what the front would otherwise lock it again to read.
 fn step_cell(cell: &mut ShardCell, cycles: u64) -> Readback {
+    #[cfg(test)]
+    if let Some((barrier, panics)) = &cell.hook {
+        barrier.wait();
+        assert!(!panics, "test hook: the shard step panics");
+    }
     let end = cell.subnet.now().cycles() + cycles;
     loop {
         let now = cell.subnet.now();
@@ -335,6 +347,48 @@ fn deliver_boundary(cell: &mut ShardCell, packet: Packet, now: Time) {
     cell.ingress_stats.record_delivery(src, dst, seq, injected, now, depth);
 }
 
+/// Claim the window's next shard, step it with the control lock
+/// released, and report it back under the re-taken lock. Front and
+/// workers alike step shards only through here.
+fn step_next<'a>(pool: &'a Pool, mut ctl: MutexGuard<'a, Ctl>) -> MutexGuard<'a, Ctl> {
+    let (shard, cycles) = (ctl.next, ctl.cycles);
+    ctl.next += 1;
+    drop(ctl);
+    let unwinding = Unwinding { pool, shard };
+    let readback = step_cell(&mut lock(&pool.cells[shard]), cycles);
+    std::mem::forget(unwinding);
+    let mut ctl = lock(&pool.ctl);
+    ctl.seen.absorb(readback);
+    ctl.finish_one(&pool.done);
+    ctl
+}
+
+/// Armed across one shard step and dropped only if the step unwinds:
+/// it reports the shard as failed and finished, so the front is not
+/// left waiting on a shard nobody will finish and panics instead.
+struct Unwinding<'a> {
+    pool: &'a Pool,
+    shard: usize,
+}
+
+impl Drop for Unwinding<'_> {
+    fn drop(&mut self) {
+        let mut ctl = self.pool.ctl.lock().unwrap_or_else(PoisonError::into_inner);
+        ctl.failed.get_or_insert(self.shard);
+        ctl.finish_one(&self.pool.done);
+    }
+}
+
+impl Ctl {
+    /// One claimed shard is done with; the last one wakes the front.
+    fn finish_one(&mut self, done: &Condvar) {
+        self.remaining -= 1;
+        if self.remaining == 0 {
+            done.notify_all();
+        }
+    }
+}
+
 fn worker_loop(pool: &Pool) {
     let mut ctl = lock(&pool.ctl);
     loop {
@@ -342,17 +396,7 @@ fn worker_loop(pool: &Pool) {
             return;
         }
         if ctl.next < pool.cells.len() {
-            let i = ctl.next;
-            ctl.next += 1;
-            let cycles = ctl.cycles;
-            drop(ctl);
-            let shard = step_cell(&mut lock(&pool.cells[i]), cycles);
-            ctl = lock(&pool.ctl);
-            ctl.seen.absorb(shard);
-            ctl.remaining -= 1;
-            if ctl.remaining == 0 {
-                pool.done.notify_all();
-            }
+            ctl = step_next(pool, ctl);
         } else {
             ctl = pool.work.wait(ctl).expect("pool lock poisoned");
         }
@@ -410,6 +454,8 @@ impl ShardedNetwork {
                 brx: (0..len).map(|_| VecDeque::new()).collect(),
                 ingress_stats: NetStats::new(),
                 wake: WakeSet::new(len),
+                #[cfg(test)]
+                hook: None,
             }));
             start += len;
         }
@@ -421,6 +467,7 @@ impl ShardedNetwork {
                 remaining: 0,
                 cycles: 0,
                 seen: Readback::NOTHING,
+                failed: None,
                 shutdown: false,
             }),
             work: Condvar::new(),
@@ -540,16 +587,7 @@ impl Network for ShardedNetwork {
             self.pool.work.notify_all();
             loop {
                 if ctl.next < self.pool.cells.len() {
-                    let i = ctl.next;
-                    ctl.next += 1;
-                    drop(ctl);
-                    let shard = step_cell(&mut lock(&self.pool.cells[i]), cycles);
-                    ctl = lock(&self.pool.ctl);
-                    ctl.seen.absorb(shard);
-                    ctl.remaining -= 1;
-                    if ctl.remaining == 0 {
-                        self.pool.done.notify_all();
-                    }
+                    ctl = step_next(&self.pool, ctl);
                 } else if ctl.remaining > 0 {
                     ctl = self.pool.done.wait(ctl).expect("pool lock poisoned");
                 } else {
@@ -557,6 +595,11 @@ impl Network for ShardedNetwork {
                 }
             }
             seen = ctl.seen;
+            let failed = ctl.failed;
+            drop(ctl);
+            if let Some(shard) = failed {
+                panic!("ShardedNetwork::advance: a worker panicked stepping shard {shard}");
+            }
         }
         // What the engine polls, as the window left it. A boundary hold
         // released below moves from held to in transit (the total stays)
@@ -626,8 +669,9 @@ impl Network for ShardedNetwork {
             }
 
             let seq = self.pair_seq.entry((src, dst)).or_insert(0);
-            packet.stamp(*seq, self.now);
+            let stamped = *seq;
             *seq += 1;
+            packet.stamp(stamped, self.now);
             let duplicate = faults.duplicate.then(|| packet.clone());
             if faults.corrupt {
                 packet.corrupt();
@@ -644,9 +688,8 @@ impl Network for ShardedNetwork {
             // with its own pair sequence, if the boundary has room.
             if let Some(mut dup) = duplicate {
                 if cell.pending_to[ldst] < self.boundary_capacity {
-                    let seq = self.pair_seq.get_mut(&(src, dst)).expect("pair just stamped");
-                    dup.stamp(*seq, self.now);
-                    *seq += 1;
+                    dup.stamp(stamped + 1, self.now);
+                    self.pair_seq.insert((src, dst), stamped + 2);
                     let dup_due = self.now.cycles() + self.cross_latency;
                     self.quiet = self.quiet.min(dup_due);
                     cell.ingress.entry(dup_due).or_default().push_back(dup);
@@ -1189,5 +1232,35 @@ mod tests {
         for dst in 0..10 {
             assert!(net.try_receive(n(dst)).is_some(), "node {dst} got its packet");
         }
+    }
+
+    /// A worker that panics mid-step makes `advance` panic, naming the
+    /// shard, instead of leaving the front waiting on it forever. The
+    /// front always claims shard 0 first, and shard 0's hook holds it
+    /// there until a worker has claimed shard 3 and reached the same
+    /// barrier, so the panic is on a worker thread in every run. The
+    /// front runs on a helper thread: a regression times out instead of
+    /// hanging the suite.
+    #[test]
+    fn a_panicking_worker_fails_advance_loudly() {
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        let front = std::thread::spawn(move || {
+            let mut net = ShardedNetwork::new(16, cfg(4, 4));
+            let barrier = Arc::new(std::sync::Barrier::new(2));
+            lock(&net.pool.cells[0]).hook = Some((Arc::clone(&barrier), false));
+            lock(&net.pool.cells[3]).hook = Some((barrier, true));
+            net.advance(1);
+            tx.send(()).expect("the test waits for this");
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(20)) {
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {}
+            Ok(()) => panic!("advance returned as if shard 3 had stepped"),
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("advance still waits on the dead worker after 20 s")
+            }
+        }
+        let payload = front.join().expect_err("advance panicked");
+        let msg = payload.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(msg.contains("stepping shard 3"), "{msg:?}");
     }
 }

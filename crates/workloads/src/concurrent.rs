@@ -75,9 +75,6 @@ pub struct ConcurrentOutcome {
     pub elapsed_cycles: u64,
     /// Total payload words moved by completed operations.
     pub words_moved: u64,
-    /// Scheduler trace length (submission/start/progress/completion
-    /// events) — a cheap proxy for how finely the run interleaved.
-    pub trace_events: usize,
     /// Failures, as `(plan index, error text)`.
     pub failures: Vec<(usize, String)>,
 }
@@ -134,12 +131,8 @@ pub fn run_concurrent(
     eng.run(m);
     let elapsed_cycles = m.network().borrow().now() - start;
 
-    let mut out = ConcurrentOutcome {
-        submitted: ops.len(),
-        elapsed_cycles,
-        trace_events: eng.trace().len(),
-        ..ConcurrentOutcome::default()
-    };
+    let mut out =
+        ConcurrentOutcome { submitted: ops.len(), elapsed_cycles, ..ConcurrentOutcome::default() };
     for (i, id, sid) in submitted {
         let op = &ops[i];
         match eng.take_outcome(id).expect("engine ran to completion") {

@@ -1035,8 +1035,14 @@ impl Rt<'_> {
 /// interval, gateway/server tiers that overlap, a zero-period or
 /// zero-threshold detector, or a class colliding with
 /// [`DETECTOR_CLASS`] while the detector is armed.
-#[allow(clippy::too_many_lines)]
 pub fn run_service(m: &mut Machine, spec: &ServiceSpec) -> ServiceOutcome {
+    serve(m, spec, &mut Engine::new())
+}
+
+/// [`run_service`] on a caller's fresh engine, left behind for its
+/// counters and trace.
+#[allow(clippy::too_many_lines)]
+fn serve(m: &mut Machine, spec: &ServiceSpec, eng: &mut Engine) -> ServiceOutcome {
     assert!(!spec.classes.is_empty(), "need at least one QoS class");
     assert!(!spec.gateways.is_empty(), "need at least one gateway");
     assert!(!spec.servers.is_empty(), "need at least one server");
@@ -1060,7 +1066,6 @@ pub fn run_service(m: &mut Machine, spec: &ServiceSpec) -> ServiceOutcome {
         spec.migration.as_ref().map_or(&[][..], |mig| &mig.recruit),
         SERVICE_TAG,
     );
-    let mut eng = Engine::new();
     for c in &spec.classes {
         if let Some(rb) = &c.retry_budget {
             eng.set_retry_budget(c.class, rb.capacity, rb.refill_milli_per_kcycle);
@@ -1139,11 +1144,11 @@ pub fn run_service(m: &mut Machine, spec: &ServiceSpec) -> ServiceOutcome {
             }
         }
         while clock(m) < due {
-            rt.step(m, &mut eng, due);
+            rt.step(m, eng, due);
         }
         late_arrivals += u64::from(clock(m) > due);
-        rt.tick_detector(m, &mut eng);
-        rt.tick_hedges(m, &mut eng);
+        rt.tick_detector(m, eng);
+        rt.tick_hedges(m, eng);
         let c = &spec.classes[ci];
         // The client key: stable per (class, arrival), what consistent
         // hashing routes on and what spreads arrivals over gateways.
@@ -1198,7 +1203,7 @@ pub fn run_service(m: &mut Machine, spec: &ServiceSpec) -> ServiceOutcome {
     // Drain phase 1: every admitted request settles (probes keep
     // cycling so mid-drain crashes are still detected).
     while rt.gateway.in_flight_total() > 0 {
-        rt.step(m, &mut eng, u64::MAX);
+        rt.step(m, eng, u64::MAX);
     }
     // Drain phase 2: stop probing, discard in-flight probe verdicts
     // (a post-run ejection would be noise), and let the engine empty.
@@ -1212,9 +1217,9 @@ pub fn run_service(m: &mut Machine, spec: &ServiceSpec) -> ServiceOutcome {
     }
     while eng.unfinished() > 0 {
         eng.pump_until(m, u64::MAX);
-        rt.harvest(m, &mut eng);
+        rt.harvest(m, eng);
     }
-    rt.harvest(m, &mut eng);
+    rt.harvest(m, eng);
     let elapsed_cycles = clock(m) - start;
 
     let mut re_execs = vec![0u64; nclasses];
@@ -1673,5 +1678,81 @@ mod tests {
         assert_eq!(c.admitted, c.completed + c.failed);
         assert_eq!(c.failed, 0, "retired servers must still answer in-flight work");
         assert_eq!(out.in_flight_at_end, 0);
+    }
+
+    /// The failover smoke cell (the frozen benchmark's `serving_failover`
+    /// at its `--smoke` size; `tests/serving_invariants.rs` pins its
+    /// pumps): one recovery-armed, hedged class on 4 gateways and 8
+    /// servers of a 256-node tier, the detector armed, and server `k`
+    /// dark for the middle half of the `k`-th quarter of the arrivals.
+    /// Run on an engine that keeps its trace or not; hands back the
+    /// engine, the outcome and every node's bill.
+    fn failover_smoke_cell(
+        requests: usize,
+        traced: bool,
+    ) -> (Engine, ServiceOutcome, Vec<Vec<u64>>) {
+        const TIER: usize = 256;
+        let class = QosClass {
+            name: "interactive",
+            class: 0,
+            interval: 12,
+            requests,
+            work: 4,
+            deadline: None,
+            recovery: Some(RecoveryPolicy::default()),
+            retry: RetryPolicy::default(),
+            hedge: true,
+            sheddable: true,
+            retry_budget: None,
+        };
+        let spec = ServiceSpec {
+            gateways: servers(0, 4),
+            servers: servers(4, 8),
+            policy: BalancerPolicy::ConsistentHash { vnodes: 64 },
+            window: AdmissionWindow::TierGlobal(32),
+            classes: vec![class],
+            detector: Some(DetectorSpec { period: 600, timeout: 500, threshold: 2 }),
+            hedge: Some(HedgeSpec { quantile: 0.95, min_samples: 32, bootstrap: 2048 }),
+            seed: 42,
+            ..ServiceSpec::default()
+        };
+        let quarter = 12 * requests as u64 / 4;
+        let crashes = (0..4u64).map(|k| timego_netsim::CrashWindow {
+            node: n(4 + k as usize),
+            start: k * quarter + quarter / 4,
+            end: k * quarter + 3 * quarter / 4,
+        });
+        let fault = FaultConfig { crashes: crashes.collect(), ..FaultConfig::default() };
+        let net = scenarios::cm5_sharded_chaos(TIER, 2, 1, fault, 42);
+        let mut m = Machine::new(timego_ni::share(net), TIER, CmamConfig::default());
+        let mut eng = Engine::new();
+        if traced {
+            eng.enable_trace();
+        }
+        let out = serve(&mut m, &spec, &mut eng);
+        let bills = (0..TIER)
+            .map(|i| {
+                let bill = m.cpu(n(i)).snapshot();
+                Feature::ALL.iter().map(|&f| bill.feature_total(f)).collect()
+            })
+            .collect();
+        (eng, out, bills)
+    }
+
+    #[test]
+    fn keeping_the_trace_changes_nothing_but_storage_on_the_failover_cell() {
+        // A debug build walks the reply cache on every pump (requests^2
+        // over the cell), so it runs a quarter of the cell.
+        let requests = if cfg!(debug_assertions) { 1250 } else { 5000 };
+        let (traced, traced_out, traced_bills) = failover_smoke_cell(requests, true);
+        let (bare, bare_out, bare_bills) = failover_smoke_cell(requests, false);
+        assert!(traced_out.probes > 0 && traced_out.classes[0].hedges > 0, "the failover paths ran");
+        assert_eq!(traced_out.signature(), bare_out.signature(), "serving signature");
+        assert_eq!(format!("{traced_out:?}"), format!("{bare_out:?}"), "outcomes");
+        assert_eq!(traced_bills, bare_bills, "per-node per-feature bills");
+        assert_eq!(traced.counters(), bare.counters(), "scheduler counters, events included");
+        assert!(!traced.trace().is_empty());
+        assert_eq!(traced.counters().events, traced.trace().len() as u64);
+        assert!(bare.trace().is_empty(), "an engine that did not opt in keeps no trace");
     }
 }

@@ -42,10 +42,9 @@ fn main() {
         out.completed, out.submitted, out.elapsed_cycles
     );
     println!(
-        "{} payload words moved = {:.2} words/cycle aggregate; {} scheduler trace events\n",
+        "{} payload words moved = {:.2} words/cycle aggregate\n",
         out.words_moved,
-        out.words_per_cycle(),
-        out.trace_events
+        out.words_per_cycle()
     );
 
     println!("per-node occupancy (the substrate's view of the contention):");

@@ -15,6 +15,8 @@
 //! * **Time passes to the next event**: `pump_until` moves the clock to
 //!   the first of the substrate's quiet bound and the caller's limit,
 //!   one cycle when something settled, and never less than `pump`.
+//! * **The trace is storage only**: an engine that keeps its trace runs
+//!   the same ops, bills and scheduler counters as one that does not.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -61,6 +63,7 @@ fn eight_plus_ops_across_eight_plus_nodes_interleave_in_one_run() {
     const NODES: usize = 16;
     let mut m = concurrent::switched_machine(NODES, 23);
     let mut eng = Engine::new();
+    eng.enable_trace();
 
     // 8 reliable transfers on disjoint pairs: 16 distinct nodes.
     let policy = RetryPolicy::default();
@@ -232,6 +235,7 @@ fn same_pair_ops_serialize_fifo_with_serial_cost() {
 
     let mut conc = instant_machine(2);
     let mut eng = Engine::new();
+    eng.enable_trace();
     let ia = eng.submit_xfer(&conc, n(0), n(1), &a).expect("valid");
     let ib = eng.submit_xfer(&conc, n(0), n(1), &b).expect("valid");
     eng.run(&mut conc);
@@ -272,6 +276,7 @@ fn completion_percentiles_derive_from_cycle_stamped_trace() {
     const NODES: usize = 8;
     let mut m = concurrent::switched_machine(NODES, 17);
     let mut eng = Engine::new();
+    eng.enable_trace();
     let mut ids = Vec::new();
     for i in 0..NODES {
         let data = payloads::mixed(24, i as u64);
@@ -358,6 +363,7 @@ fn ledger_accessors_equal_the_trace_derivation_on_a_mixed_run() {
     const SLOW: u8 = 2;
     let mut m = concurrent::switched_machine(NODES, 29);
     let mut eng = Engine::new();
+    eng.enable_trace();
     let small = payloads::mixed(48, 1);
     let big = payloads::mixed(512, 2);
     let retry = RetryPolicy::default();
@@ -693,4 +699,51 @@ fn pump_until_lets_time_pass_to_the_next_event_and_no_further_than_the_limit() {
     while eng.pump(&mut m) > 0 {}
     assert_eq!(eng.counters().quanta - quanta, 13, "twelve cycles on the wire and the delivery");
     assert_eq!(eng.completions_since(&mut 2).last(), Some(&(id, true, t0 + 12)));
+}
+
+/// The 64-node permutation cell, on an engine that keeps its trace or
+/// not: every node sends a mixed payload to its image, one op runs
+/// after another, one is cancelled while held, and one recovery-armed
+/// reliable transfer is felled by its deadline, parks and re-executes.
+/// Hands back the engine, every node's bill and every op's outcome.
+fn permutation_cell(traced: bool) -> (Engine, Vec<Vec<u64>>, Vec<String>) {
+    const NODES: usize = 64;
+    let mut m = concurrent::switched_machine(NODES, 37);
+    let mut eng = Engine::new();
+    if traced {
+        eng.enable_trace();
+    }
+    let plan = concurrent::permutation_plan(NODES, concurrent::TrafficKind::Xfer, 24, 37);
+    let mut ids: Vec<OpId> = plan
+        .iter()
+        .map(|p| eng.submit(&mut m, Op::xfer(p.src, p.dst, &p.data)).expect("valid transfer"))
+        .collect();
+    let after = Op::xfer(n(1), n(2), &payloads::mixed(16, 3)).after(&[ids[0]]);
+    ids.push(eng.submit(&mut m, after).expect("valid run-after"));
+    let cancelled = eng.submit(&mut m, Op::xfer(n(3), n(4), &[7]).after(&[ids[1]])).expect("valid");
+    assert!(eng.cancel(&m, cancelled), "still held");
+    ids.push(cancelled);
+    let big = payloads::mixed(512, 5);
+    let healed = Op::xfer_reliable(n(5), n(6), &big, &RetryPolicy::default())
+        .recovering(&RecoveryPolicy::default())
+        .deadline(10);
+    let healed = eng.submit(&mut m, healed).expect("valid recovering transfer");
+    ids.push(healed);
+    eng.run(&mut m);
+    assert_eq!(eng.unfinished(), 0);
+    assert!(eng.recovery_executions(healed) > 0, "the recovering op re-executed");
+    let outcomes = ids.iter().map(|&id| format!("{:?}", eng.take_outcome(id))).collect();
+    (eng, feature_matrix(&m, NODES), outcomes)
+}
+
+#[test]
+fn keeping_the_trace_changes_nothing_but_storage() {
+    let (traced, traced_bills, traced_outcomes) = permutation_cell(true);
+    let (bare, bare_bills, bare_outcomes) = permutation_cell(false);
+    assert_eq!(traced_outcomes, bare_outcomes, "outcomes");
+    assert_eq!(traced_bills, bare_bills, "per-node per-feature bills");
+    assert_eq!(traced.counters(), bare.counters(), "scheduler counters, events included");
+    assert!(!traced.trace().is_empty());
+    assert_eq!(traced.counters().events, traced.trace().len() as u64);
+    assert!(bare.trace().is_empty(), "an engine that did not opt in keeps no trace");
 }

@@ -47,6 +47,7 @@ fn diamond_dag_completes_in_topological_order() {
         CmamConfig::default(),
     );
     let mut eng = Engine::new();
+    eng.enable_trace();
     let data: Vec<u32> = (0..32).collect();
     // Diamond: a → {b, c} → d, on four distinct node pairs.
     let a = eng.submit_xfer(&m, n(0), n(1), &data).unwrap();
@@ -89,6 +90,7 @@ fn failing_predecessor_fails_transitive_dependents() {
         CmamConfig { max_wait_cycles: 300, ..CmamConfig::default() },
     );
     let mut eng = Engine::new();
+    eng.enable_trace();
     let a = eng.submit_xfer(&m, n(0), n(1), &[1, 2, 3]).unwrap();
     let b = eng.submit(&mut m, Op::xfer(n(1), n(2), &[1, 2, 3]).after(&[a])).unwrap();
     let c = eng.submit(&mut m, Op::xfer(n(2), n(3), &[1, 2, 3]).after(&[b])).unwrap();
@@ -232,6 +234,7 @@ fn am4_op_delivers_words_at_table1_cost() {
 fn every_submitted_op_is_released_exactly_once() {
     let mut m = instant_machine(6);
     let mut eng = Engine::new();
+    eng.enable_trace();
     let a = eng.submit_xfer(&m, n(0), n(1), &[1, 2]).unwrap();
     let _b =
         eng.submit(&mut m, Op::am4(n(2), n(3), timego_am::Tags::USER_BASE + 1, [9; 4])).unwrap();

@@ -135,6 +135,7 @@ fn all_four_modifiers_land_with_the_submission() {
     m.register_rpc_handler(n(3), RPC_TAG, |_, msg| msg.words);
     m.advance(37);
     let mut eng = Engine::new();
+    eng.enable_trace();
     let slow: Vec<u32> = (0..2048).collect();
     let pred = eng.submit_xfer(&m, n(0), n(1), &slow).unwrap();
     let call = |deadline: u64| {
@@ -207,6 +208,7 @@ fn rejected_submission_changes_nothing() {
     let wire_call_id = |rejects: Vec<(Op, &str)>| -> u32 {
         let (mut m, sid, call_ids) = machine();
         let mut eng = Engine::new();
+        eng.enable_trace();
         eng.submit_xfer(&m, n(2), n(3), &[1, 2]).unwrap();
         let (events, unfinished) = (eng.trace().len(), eng.unfinished());
         // The empty stream send and the stream that can never inject
@@ -245,6 +247,7 @@ fn an_id_this_engine_never_minted_is_unknown_not_a_panic() {
         (0..3).map(|_| other.submit_xfer(&m, n(2), n(3), &[1]).unwrap()).last().unwrap()
     };
     let mut eng = Engine::new();
+    eng.enable_trace();
     let own = eng.submit_xfer(&m, n(0), n(1), &[1, 2]).unwrap();
     assert!(foreign.raw() > own.raw());
     for _ in 0..2 {

@@ -134,6 +134,7 @@ fn run_one(sub: &str, fault: &FaultConfig, seed: u64) -> Fingerprint {
     });
 
     let mut eng = Engine::new();
+    eng.enable_trace();
     let policy = RetryPolicy::default();
     let recovery = RecoveryPolicy::default();
     let mut ids: Vec<OpId> = Vec::new();
@@ -238,6 +239,7 @@ fn run_fan_in(sub: &str, fault: &FaultConfig, seed: u64) -> Fingerprint {
     m.register_rpc_handler(n(0), 40, |_, msg| [msg.words[0].wrapping_mul(3), 0, 0, 0]);
 
     let mut eng = Engine::new();
+    eng.enable_trace();
     let policy = RetryPolicy::default();
     let recovery = RecoveryPolicy::default();
     let sid = m.open_stream(n(4), n(0), StreamConfig { rto_iterations: 256, ..StreamConfig::default() });
@@ -294,6 +296,7 @@ fn run_plan(pattern: Pattern, sub: &str, fault: &FaultConfig, seed: u64) -> Fing
     let cfg = CmamConfig { max_wait_cycles: 1 << 13, gc_ttl_cycles: 1 << 13, ..CmamConfig::default() };
     let m = machine_of(sub, FAN_NODES, cfg, fault, seed);
     let mut eng = Engine::new();
+    eng.enable_trace();
     let ids: Vec<OpId> = (0u64..)
         .zip(pattern.pairs(FAN_NODES))
         .map(|(i, (src, dst))| {
@@ -356,6 +359,7 @@ fn run_across_restart(sub: &str, restart_at: u64) -> Fingerprint {
     let cfg = CmamConfig { max_wait_cycles: 1 << 13, gc_ttl_cycles: 1 << 13, ..CmamConfig::default() };
     let mut m = machine_of(sub, FAN_NODES, cfg, &fault, 1);
     let mut eng = Engine::new();
+    eng.enable_trace();
     let victim = Op::xfer_reliable(n(2), n(9), &payloads::mixed(24, 1), &RetryPolicy::default())
         .recovering(&RecoveryPolicy::default());
     let mut ids = vec![eng.submit(&mut m, victim).expect("valid transfer")];

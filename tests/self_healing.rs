@@ -107,6 +107,7 @@ fn session_reset_recovers_inside_the_engine() {
         let mut m = machine("switched", &crash(n(9), 50, 3000), seed);
         m.reset_costs();
         let mut eng = Engine::new();
+        eng.enable_trace();
         let op = eng
             .submit(
                 &mut m,
@@ -420,6 +421,7 @@ fn twice_felled<T>(
     let mut m = machine("switched", fault, 1);
     let (op, ctx) = prepare(&mut m);
     let mut eng = Engine::new();
+    eng.enable_trace();
     let id = eng.submit(&mut m, op.recovering(&fixed_backoff(1000))).unwrap();
     eng.run(&mut m);
     assert_eq!(eng.recovery_executions(id), 2, "each crash window fells one run");
@@ -524,6 +526,7 @@ fn deadline_while_parked_re_parks_and_still_resumes_exactly() {
     let mut m = machine("switched", &crash(n(9), 50, 3000), 1);
     let stream = m.open_stream(n(2), n(9), StreamConfig::default());
     let mut eng = Engine::new();
+    eng.enable_trace();
     // Felled at 3000 and parked until 5000; the deadline is due at 3500,
     // mid-park, and re-parks the op until 7000.
     let op = Op::stream_send(stream, &data).recovering(&fixed_backoff(2000)).deadline(3500);
@@ -553,6 +556,7 @@ fn cancelling_a_parked_op_frees_its_conflict_key() {
     };
     let mut m = machine("switched", &fault, 3);
     let mut eng = Engine::new();
+    eng.enable_trace();
     let parked = eng
         .submit(
             &mut m,
@@ -705,6 +709,7 @@ fn quiesce_settles_parked_and_held_ops_with_uniform_events() {
     };
     let mut m = machine("switched", &fault, 3);
     let mut eng = Engine::new();
+    eng.enable_trace();
     let parked = eng
         .submit(
             &mut m,
