@@ -17,7 +17,7 @@ use std::sync::OnceLock;
 
 use timego_am::{
     measure_hl_stream, measure_hl_xfer, measure_single_packet, measure_stream, measure_xfer,
-    measure_xfer_dma, CmamConfig, Machine, StreamConfig,
+    measure_xfer_dma, CmamConfig, Machine, Op, StreamConfig,
 };
 use timego_cost::analytic::{self, IndefiniteOpts, MsgShape, ProtocolCost};
 use timego_cost::cycles::CycleModel;
@@ -1019,7 +1019,8 @@ fn concurrency_rows() -> Vec<ConcurrencyRow> {
             let mut m = concurrent::switched_machine(NODES, 21);
             let t0 = m.network().borrow().now();
             for op in &ops {
-                m.xfer_reliable(op.src, op.dst, &op.data, &policy).expect("clean substrate");
+                m.run(Op::xfer_reliable(op.src, op.dst, &op.data, &policy))
+                    .expect("clean substrate");
             }
             let serial_cycles = m.network().borrow().now() - t0;
             let instr_serial = total_instr(&m, NODES);
@@ -1557,8 +1558,11 @@ fn recovery_family_row(family: &'static str, window: u64, seeds: u64) -> Recover
             "xfer" => {
                 let (src, dst) = (NodeId::new(2), NodeId::new(9));
                 m.reset_costs();
+                // The transfer's own retry budget bounds its executions.
+                let executions =
+                    RecoveryPolicy { max_executions: policy.max_attempts, backoff: policy.clone() };
                 let (out, re) = m
-                    .xfer_reliable_recovering(src, dst, &data, &policy)
+                    .run(Op::xfer_reliable(src, dst, &data, &policy).recovering(&executions))
                     .expect("xfer crash recovery must converge");
                 let ok = m.read_buffer(dst, out.xfer.dst_buffer, data.len()) == data;
                 (ok, u64::from(re), vec![src, dst])
@@ -1568,7 +1572,7 @@ fn recovery_family_row(family: &'static str, window: u64, seeds: u64) -> Recover
                 let id = m.open_stream(src, dst, StreamConfig::default());
                 m.reset_costs();
                 let (_, re) = m
-                    .stream_send_recovering(id, &data, &recovery)
+                    .run(Op::stream_send(id, &data).recovering(&recovery))
                     .expect("stream crash recovery must converge");
                 let ok = m.stream_received(id) == data;
                 (ok, u64::from(re), vec![src, dst])
@@ -1580,8 +1584,9 @@ fn recovery_family_row(family: &'static str, window: u64, seeds: u64) -> Recover
                 let mut ok = true;
                 let mut re_total = 0u64;
                 for v in 0..8u32 {
+                    let call = Op::rpc(src, dst, 40, [v, 0, 0, 0], Some(&policy));
                     let (reply, re) = m
-                        .rpc_call_recovering(src, dst, 40, [v, 0, 0, 0], &policy, &recovery)
+                        .run(call.recovering(&recovery))
                         .expect("rpc crash recovery must converge");
                     ok &= reply[0] == v.wrapping_mul(3);
                     re_total += u64::from(re);

@@ -41,10 +41,11 @@
 //! trace- and bill-identical to.
 //!
 //! Because a single-operation engine run performs the same instruction
-//! sequence as the old blocking loop, the blocking entry points
-//! ([`Machine::xfer`], [`Machine::stream_send`], [`Machine::rpc_call`],
-//! …) are now thin run-to-completion wrappers over the engine and stay
-//! cost-identical per feature — the paper's tables regenerate exactly.
+//! sequence as the old blocking loop, the one blocking entry point,
+//! [`Machine::run`] (and [`Machine::xfer`] and [`Machine::stream_send`],
+//! one-line calls of it), runs an op to completion on a fresh engine
+//! and stays cost-identical per feature — the paper's tables regenerate
+//! exactly.
 //!
 //! ## Op ledger: one home per piece of state
 //!
@@ -233,13 +234,15 @@ impl OpId {
     }
 }
 
-/// What a completed operation produced.
+/// What a completed operation produced, whatever its family.
+/// [`Machine::run`] hands back the op's own family's part of it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpOutcome {
     /// A finite-sequence transfer completed.
     Xfer(XferOutcome),
-    /// A segment-reuse batch ([`Machine::xfer_batch`]) completed: one
-    /// outcome per message, in order.
+    /// A segment-reuse batch completed: one outcome per message, in
+    /// order. Only [`Machine::xfer_batch`] runs one: a batch has no
+    /// public [`Op`] form.
     XferBatch(Vec<XferOutcome>),
     /// A fault-tolerant finite-sequence transfer completed.
     Reliable(ReliableOutcome),
@@ -572,7 +575,9 @@ impl Engine {
     /// and land class, recovery policy and deadline together with the
     /// [`EngineEvent::Submitted`] event. The operation is released into
     /// the admission queue at once, or held until its [`Op::after`]
-    /// predecessors complete.
+    /// predecessors complete. Every family takes this one path, typed
+    /// (`Op<family::Rpc>`, …) or mixed ([`Op`]); its outcome comes back
+    /// untyped from [`Engine::take_outcome`].
     ///
     /// # Errors
     ///
@@ -585,7 +590,14 @@ impl Engine {
     /// references — the only way to express a cycle). A rejected
     /// submission changes nothing: no id, call id, trace event or queue
     /// entry is consumed.
-    pub fn submit(&mut self, m: &mut Machine, mut op: Op) -> Result<OpId, ProtocolError> {
+    pub fn submit<F>(&mut self, m: &mut Machine, op: Op<F>) -> Result<OpId, ProtocolError> {
+        self.submit_mixed(m, op.retype())
+    }
+
+    /// [`Engine::submit`]'s body, compiled once in this crate rather than
+    /// once per family in every calling crate (that copy cost the
+    /// serving tier about 2 % of its wall time).
+    fn submit_mixed(&mut self, m: &mut Machine, mut op: Op) -> Result<OpId, ProtocolError> {
         op.validate(m, self.ops.len() as u64)?;
         // Correlation ids are the only machine state a submission
         // touches, which is why `submit_xfer` gets by on `&Machine`.
@@ -604,6 +616,8 @@ impl Engine {
 
     /// Shorthand for `submit(m, Op::xfer(src, dst, data))` that needs
     /// only `&Machine` (a plain transfer allocates no correlation id).
+    /// Kept for the frozen `benchmark/` crate, which calls it; it goes
+    /// once that crate submits `Op::xfer`.
     ///
     /// # Errors
     ///
@@ -615,7 +629,7 @@ impl Engine {
         dst: NodeId,
         data: &[u32],
     ) -> Result<OpId, ProtocolError> {
-        let op = Op::xfer(src, dst, data);
+        let op: Op = Op::xfer(src, dst, data).into();
         op.validate(m, self.ops.len() as u64).map(|()| self.enqueue(m, op))
     }
 
@@ -624,7 +638,7 @@ impl Engine {
     /// either release the operation into the admission queue or hold it
     /// until its predecessors complete.
     fn enqueue(&mut self, m: &Machine, op: Op) -> OpId {
-        let Op { body, after, recovery, deadline, class } = op;
+        let Op { body, after, recovery, deadline, class, .. } = op;
         let id = OpId(self.ops.len() as u64);
         let op = ActiveOp::new(id, body.build(m, recovery.is_some()));
         let recovery = recovery.map(Box::new);

@@ -436,15 +436,15 @@ mod tests {
         let mut last_hop: Option<OpId> = None;
         for i in 1..FAN_NODES {
             let data = mixed(8 + 4 * (i % 3), seed + i as u64);
-            let op = match i % 5 {
-                _ if i == 4 => Op::stream_send(sid, &mixed(20, seed.wrapping_add(55))),
-                0 => Op::xfer_reliable(n(i), n(0), &data, &policy).recovering(&recovery),
-                1 | 4 => Op::xfer(n(i), n(0), &data),
-                2 => Op::rpc(n(i), n(0), 40, [i as u32, 0, 0, 0], Some(&policy)),
+            let op: Op = match i % 5 {
+                _ if i == 4 => Op::stream_send(sid, &mixed(20, seed.wrapping_add(55))).into(),
+                0 => Op::xfer_reliable(n(i), n(0), &data, &policy).recovering(&recovery).into(),
+                1 | 4 => Op::xfer(n(i), n(0), &data).into(),
+                2 => Op::rpc(n(i), n(0), 40, [i as u32, 0, 0, 0], Some(&policy)).into(),
                 _ => {
                     let hop = Op::am4(n(i), n(0), 50, [seed as u32, i as u32, 2, 3])
                         .recovering(&recovery);
-                    last_hop.map_or(hop.clone(), |prev| hop.after(&[prev]))
+                    last_hop.map_or(hop.clone(), |prev| hop.after(&[prev])).into()
                 }
             };
             let id = eng.submit(&mut m, op).expect("valid op");
@@ -557,9 +557,9 @@ mod tests {
     /// schedulers: each run re-executes twice — `Started` at 0, 4000 and
     /// 7000 under one `OpId` — and converges to an outcome `check`
     /// accepts, and the two traces are identical, stamps included.
-    fn twice_felled<T>(
+    fn twice_felled<F, T>(
         fault: &FaultConfig,
-        prepare: impl Fn(&mut Machine) -> (Op, T),
+        prepare: impl Fn(&mut Machine) -> (Op<F>, T),
         check: impl Fn(&Machine, T, OpOutcome),
     ) {
         let mut traces = Vec::new();

@@ -124,7 +124,7 @@ impl ProtocolError {
     /// predecessor `failed`, flattening chained dependency failures so
     /// `root` is always the original non-dependency error.
     #[must_use]
-    pub fn dependency_failed(failed: OpId, predecessor_err: &ProtocolError) -> Self {
+    pub(crate) fn dependency_failed(failed: OpId, predecessor_err: &ProtocolError) -> Self {
         let root = match predecessor_err {
             ProtocolError::DependencyFailed { root, .. } => root.clone(),
             other => Box::new(other.clone()),

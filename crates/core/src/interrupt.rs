@@ -46,7 +46,7 @@ impl InterruptModel {
     /// plus the receive path with neither the status poll nor the
     /// procedure-call overhead (the trap handler *is* the entry): latch,
     /// tag vectoring, header and payload loads — 16 instructions.
-    pub fn per_message(&self) -> u64 {
+    pub(crate) fn per_message(&self) -> u64 {
         self.entry + 16 + self.exit
     }
 

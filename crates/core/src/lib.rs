@@ -16,17 +16,20 @@
 //! | indefinite sequence, multi-packet | [`Machine::stream_send`] | [`Machine::hl_stream_send`] |
 //!
 //! Variants for the paper's discussion sections reuse the code of the
-//! protocol they vary: DMA payload injection ([`Machine::xfer_dma`], §5)
+//! protocol they vary: DMA payload injection ([`measure_xfer_dma`], §5)
 //! and segment-reuse batching ([`Machine::xfer_batch`]) are the `xfer`
 //! operation with another payload engine or more than one message (a
 //! plain transfer is a batch of one), and interrupt-driven reception
 //! ([`Machine::deliver_by_interrupt`], footnote 2) is [`Machine::poll`]'s
 //! receive and dispatch between a trap entry and exit.
 //!
-//! Every CMAM-like multi-packet or RPC entry point is a thin
-//! run-to-completion wrapper over one [`Engine`] operation, so each
-//! protocol step has one implementation; only the high-level protocols
-//! of §4 drive the clock in loops of their own.
+//! Every CMAM-like multi-packet or RPC protocol is one [`Engine`]
+//! operation, described as an [`Op`], so each protocol step has one
+//! implementation. [`Machine::run`] is the one blocking entry point: it
+//! runs an op to completion and returns its [family]'s own
+//! outcome; `xfer`, `xfer_batch` and `stream_send` are one-line calls of
+//! it. Only the high-level protocols of §4 drive the clock in loops of
+//! their own.
 //!
 //! The CMAM-like protocols implement in software everything the raw
 //! network lacks: the `xfer` protocol preallocates a destination segment
@@ -92,7 +95,7 @@ pub use measure::{
     measure_hl_stream, measure_hl_xfer, measure_single_packet, measure_stream, measure_xfer,
     measure_xfer_dma,
 };
-pub use op::Op;
+pub use op::{family, Op};
 pub use retry::{RecoveryPolicy, RetryPolicy};
 pub use sched::{PhaseTotal, SchedCounters, SchedPhase, SchedProfiler};
 pub use stream::{StreamConfig, StreamId, StreamOutcome};

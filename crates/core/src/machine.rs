@@ -10,8 +10,9 @@ use timego_ni::{Addr, Memory, NiPort, SharedNetwork};
 
 use crate::am::{Am4Msg, PollOutcome};
 use crate::costs::{am4_recv, am4_send, ctl_send, recovery};
-use crate::engine::{Engine, OpOutcome};
+use crate::engine::Engine;
 use crate::error::ProtocolError;
+use crate::op::family::Family;
 use crate::op::Op;
 use crate::stream::StreamState;
 
@@ -399,16 +400,54 @@ impl Machine {
         self.nodes[node.index()].ni.rx_head()
     }
 
-    /// The body of every blocking protocol entry point: submit `op` on
-    /// a fresh engine, run it to completion, and harvest its outcome
-    /// plus the number of engine-native re-executions it took.
-    pub(crate) fn run_blocking(&mut self, op: Op) -> Result<(OpOutcome, u32), ProtocolError> {
+    /// Run one operation to completion on a fresh [`Engine`] — the one
+    /// blocking entry point of every engine protocol — and return its
+    /// family's own outcome plus the number of re-executions it took
+    /// (zero without [`Op::recovering`]). A modifier is a modifier
+    /// here too: `run(Op::rpc(..).recovering(&p))` is an RPC the engine
+    /// re-executes after a crash-restart, and a clean run of it costs
+    /// exactly what the unmodified op does.
+    ///
+    /// ```
+    /// use timego_am::{CmamConfig, Machine, Op, RecoveryPolicy, RetryPolicy};
+    /// use timego_netsim::{DeliveryScript, NodeId, ScriptedNetwork};
+    ///
+    /// # fn main() -> Result<(), timego_am::ProtocolError> {
+    /// let net = timego_ni::share(ScriptedNetwork::new(2, DeliveryScript::InOrder));
+    /// let mut m = Machine::new(net, 2, CmamConfig::default());
+    /// let (caller, callee) = (NodeId::new(0), NodeId::new(1));
+    /// m.register_rpc_handler(callee, 40, |_, msg| [msg.words[0] + 1, 0, 0, 0]);
+    ///
+    /// let call = Op::rpc(caller, callee, 40, [7, 0, 0, 0], Some(&RetryPolicy::default()));
+    /// let (reply, re_executions) = m.run(call.recovering(&RecoveryPolicy::default()))?;
+    /// assert_eq!((reply, re_executions), ([8, 0, 0, 0], 0));
+    /// # Ok(())
+    /// # }
+    /// ```
+    ///
+    /// The op's type names its family, so asking an RPC for a
+    /// transfer's outcome does not compile:
+    ///
+    /// ```compile_fail,E0308
+    /// # use timego_am::{CmamConfig, Machine, Op, XferOutcome};
+    /// # use timego_netsim::{DeliveryScript, NodeId, ScriptedNetwork};
+    /// # let net = timego_ni::share(ScriptedNetwork::new(2, DeliveryScript::InOrder));
+    /// # let mut m = Machine::new(net, 2, CmamConfig::default());
+    /// let call = Op::rpc(NodeId::new(0), NodeId::new(1), 40, [7, 0, 0, 0], None);
+    /// let (out, _): (XferOutcome, u32) = m.run(call).unwrap();
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// What [`Engine::submit`] rejects, or the error the op settled
+    /// with (after its last execution, with a recovery policy).
+    pub fn run<F: Family>(&mut self, op: Op<F>) -> Result<(F::Outcome, u32), ProtocolError> {
         let mut eng = Engine::new();
         let id = eng.submit(self, op)?;
         eng.run(self);
         let re_executions = eng.recovery_executions(id);
-        let outcome = eng.take_outcome(id).expect("op completed")?;
-        Ok((outcome, re_executions))
+        let settled = eng.take_outcome(id).and_then(|done| done.map(F::project).transpose());
+        Ok((settled.expect("a run op settles with its family's outcome")?, re_executions))
     }
 
     /// Allocate a fresh RPC correlation id.
@@ -713,7 +752,7 @@ impl Machine {
     /// # Panics
     ///
     /// Panics if `node` is out of range or its memory is exhausted.
-    pub fn write_buffer(&mut self, node: NodeId, data: &[u32]) -> Addr {
+    pub(crate) fn write_buffer(&mut self, node: NodeId, data: &[u32]) -> Addr {
         let n = &mut self.nodes[node.index()];
         let addr = n.mem.alloc(data.len().max(1));
         n.mem.poke(addr, data);

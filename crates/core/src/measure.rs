@@ -73,8 +73,9 @@ pub fn measure_xfer(words: usize, packet_words: usize) -> (ProtocolCost, XferOut
     measure_finite(words, packet_words, PayloadEngine::Cpu)
 }
 
-/// Measure the DMA-assisted finite-sequence transfer
-/// ([`Machine::xfer_dma`]) like [`measure_xfer`].
+/// Measure the finite-sequence transfer with DMA payload injection at
+/// the source (§5: only the per-packet data movement differs) like
+/// [`measure_xfer`].
 ///
 /// # Panics
 ///

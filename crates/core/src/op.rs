@@ -2,8 +2,9 @@
 //! asks of a protocol family, and the helpers the families share.
 //!
 //! A family is one module — `xfer`, `xfer_reliable`, `stream`, `rpc`,
-//! `am` — holding its outcome type, its blocking wrappers, its cost
-//! helpers and one state machine implementing [`OpMachine`]. The engine
+//! `am` — holding its outcome type, its cost helpers and one state
+//! machine implementing [`OpMachine`]; its [`family`] marker types the
+//! [`Op`] that describes it. The engine
 //! schedules `Box<dyn OpMachine>` and knows nothing else about a family
 //! once [`Engine::submit`](crate::Engine::submit) has built the machine:
 //! from then on the machine is the operation's only representation,
@@ -44,6 +45,8 @@
 //!   stream's resume base, the RPC call id, the am4 delivery token): a
 //!   re-execution is the first execution again, by construction.
 
+use std::marker::PhantomData;
+
 use timego_cost::Fine;
 use timego_netsim::{NodeId, RxMeta};
 
@@ -57,6 +60,7 @@ use crate::rpc::RpcOp;
 use crate::stream::{StreamId, StreamOp};
 use crate::xfer::{PayloadEngine, XferOp};
 use crate::xfer_reliable::{ReliableOp, OFFSET_BITS};
+use family::Family;
 
 /// One step's verdict.
 pub(crate) enum Stepped {
@@ -270,8 +274,13 @@ impl OpBody {
 /// [`Op::xfer_reliable`], [`Op::stream_send`], [`Op::rpc`],
 /// [`Op::am4`]) plus orthogonal modifiers ([`Op::after`],
 /// [`Op::recovering`], [`Op::deadline`], [`Op::class`]), handed to
-/// [`Engine::submit`](crate::Engine::submit). The description is plain data: nothing is
+/// [`Engine::submit`](crate::Engine::submit) or run to completion by
+/// [`Machine::run`]. The description is plain data: nothing is
 /// validated, allocated or traced until submission.
+///
+/// The op carries its [family] in its type, and [`Machine::run`] returns
+/// that family's own outcome. A list that mixes families holds the plain
+/// `Op` (`Op<family::Mixed>`), which every typed op converts into.
 ///
 /// ```
 /// # use timego_am::{Op, RecoveryPolicy};
@@ -280,60 +289,94 @@ impl OpBody {
 ///     .recovering(&RecoveryPolicy::default())
 ///     .deadline(10_000)
 ///     .class(2);
-/// # let _ = op;
+/// let ping = Op::am4(NodeId::new(0), NodeId::new(1), 40, [0; 4]);
+/// let mixed: Vec<Op> = vec![op.into(), ping.into()];
+/// # let _ = mixed;
 /// ```
 #[derive(Debug, Clone)]
-pub struct Op {
+pub struct Op<F = family::Mixed> {
     pub(crate) body: OpBody,
     pub(crate) after: Vec<OpId>,
     pub(crate) recovery: Option<RecoveryPolicy>,
     pub(crate) deadline: Option<u64>,
     pub(crate) class: Option<u8>,
+    family: PhantomData<F>,
+}
+
+impl<F: Family> From<Op<F>> for Op {
+    fn from(op: Op<F>) -> Op {
+        op.retype()
+    }
 }
 
 impl Op {
-    fn new(body: OpBody) -> Self {
-        Op { body, after: Vec::new(), recovery: None, deadline: None, class: None }
+    fn new<F>(body: OpBody) -> Op<F> {
+        let family = PhantomData;
+        Op { body, after: Vec::new(), recovery: None, deadline: None, class: None, family }
     }
 
-    /// A finite-sequence transfer (the engine form of
-    /// [`Machine::xfer`]).
+    /// A finite-sequence transfer: what [`Machine::xfer`] runs.
     #[must_use]
-    pub fn xfer(src: NodeId, dst: NodeId, data: &[u32]) -> Self {
-        Op::finite(src, dst, data.to_vec(), Vec::new(), PayloadEngine::Cpu)
+    pub fn xfer(src: NodeId, dst: NodeId, data: &[u32]) -> Op<family::Xfer> {
+        Op::finite(src, dst, data, PayloadEngine::Cpu)
     }
 
-    /// Every finite transfer: the messages of `data` split by `lens`
-    /// (empty for one message), their payload moved by `engine`.
+    /// A finite transfer of one message whose payload `engine` moves.
     pub(crate) fn finite(
         src: NodeId,
         dst: NodeId,
-        data: Vec<u32>,
-        lens: Vec<usize>,
+        data: &[u32],
         engine: PayloadEngine,
-    ) -> Self {
-        Op::new(OpBody::Xfer { src, dst, data, lens, engine })
+    ) -> Op<family::Xfer> {
+        Op::new(OpBody::Xfer { src, dst, data: data.to_vec(), lens: Vec::new(), engine })
     }
 
-    /// A fault-tolerant finite-sequence transfer (the engine form of
-    /// [`Machine::xfer_reliable`]).
+    /// The messages of a segment-reuse batch: what
+    /// [`Machine::xfer_batch`] runs.
+    pub(crate) fn batch(src: NodeId, dst: NodeId, messages: &[&[u32]]) -> Op<family::Batch> {
+        let lens = messages.iter().map(|msg| msg.len()).collect();
+        let data = messages.concat();
+        Op::new(OpBody::Xfer { src, dst, data, lens, engine: PayloadEngine::Cpu })
+    }
+
+    /// A fault-tolerant finite-sequence transfer. On a clean network it
+    /// executes (and costs, feature by feature) exactly what
+    /// [`Op::xfer`] does; on a lossy one it recovers from dropped,
+    /// duplicated, reordered and outage-suppressed packets within
+    /// `policy`'s attempt bounds, billing the recovery to
+    /// `Feature::FaultTol`. Submission rejects data too large for the
+    /// 20-bit offset encoding and a zero-attempt policy; a phase that
+    /// exhausts its retry budget settles with
+    /// [`ProtocolError::Timeout`].
     #[must_use]
-    pub fn xfer_reliable(src: NodeId, dst: NodeId, data: &[u32], policy: &RetryPolicy) -> Self {
+    pub fn xfer_reliable(
+        src: NodeId,
+        dst: NodeId,
+        data: &[u32],
+        policy: &RetryPolicy,
+    ) -> Op<family::Reliable> {
         Op::new(OpBody::Reliable { src, dst, data: data.to_vec(), policy: policy.clone() })
     }
 
-    /// A stream send (the engine form of [`Machine::stream_send`]).
-    /// Sends on the same stream (or between the same node pair) are
-    /// serialized in submission order.
+    /// A stream send: what [`Machine::stream_send`] runs. Sends on the
+    /// same stream (or between the same node pair) are serialized in
+    /// submission order.
     #[must_use]
-    pub fn stream_send(id: StreamId, data: &[u32]) -> Self {
+    pub fn stream_send(id: StreamId, data: &[u32]) -> Op<family::Stream> {
         Op::new(OpBody::Stream { id, data: data.to_vec() })
     }
 
-    /// An RPC (the engine form of [`Machine::rpc_call`] without a
-    /// policy, [`Machine::rpc_call_retrying`] with one). The call id is
-    /// allocated at submission, so replies of concurrent calls — even
-    /// between the same pair of nodes — are matched by correlation id.
+    /// An RPC to the handler registered for `tag` on `dst`; the outcome
+    /// is its reply words. Without a `policy` it is the paper's
+    /// cheapest safe round trip (a Table 1 send and receive at each
+    /// end) and times out if the request or reply is lost. With one, a
+    /// lost request or reply is recovered by retransmitting the request
+    /// after the policy's backoff window; the callee answers
+    /// retransmissions from its reply cache, so the handler runs
+    /// exactly once per call, and a clean run costs exactly what the
+    /// call without a policy does. The call id is allocated at
+    /// submission, so replies of concurrent calls — even between the
+    /// same pair of nodes — are matched by correlation id.
     #[must_use]
     pub fn rpc(
         src: NodeId,
@@ -341,13 +384,13 @@ impl Op {
         tag: u8,
         args: [u32; 4],
         policy: Option<&RetryPolicy>,
-    ) -> Self {
+    ) -> Op<family::Rpc> {
         Op::new(OpBody::Rpc { src, dst, tag, args, policy: policy.cloned(), call_id: 0 })
     }
 
-    /// A single four-word active message (the engine form of
-    /// [`Machine::am4_send`] plus the destination's gated poll) — the
-    /// building block of engine-native collectives, where every tree
+    /// A single four-word active message ([`Machine::am4_send`] plus
+    /// the destination's gated poll) — the building block of
+    /// engine-native collectives, where every tree
     /// edge is one active message released by the delivery that fed its
     /// sender. The source pays Table 1's 20-instruction injection path
     /// (again on every backpressure retry, exactly like the blocking
@@ -360,8 +403,16 @@ impl Op {
     /// submission order (conflict key), so two concurrent sends with the
     /// same tag cannot swap deliveries.
     #[must_use]
-    pub fn am4(src: NodeId, dst: NodeId, tag: u8, words: [u32; 4]) -> Self {
+    pub fn am4(src: NodeId, dst: NodeId, tag: u8, words: [u32; 4]) -> Op<family::Am4> {
         Op::new(OpBody::Am4 { src, dst, tag, words, token: 0 })
+    }
+}
+
+impl<F> Op<F> {
+    /// The same op under another family type parameter.
+    pub(crate) fn retype<G>(self) -> Op<G> {
+        let Op { body, after, recovery, deadline, class, family: _ } = self;
+        Op { body, after, recovery, deadline, class, family: PhantomData }
     }
 
     /// Run-after dependencies: hold the operation until every op in
@@ -508,4 +559,80 @@ impl Op {
         }
         Ok(())
     }
+}
+
+/// The protocol families an [`Op`] belongs to. The family is a type
+/// parameter of the op, so [`Machine::run`] returns the family's own
+/// outcome: asking an RPC for a transfer's outcome does not compile.
+pub mod family {
+    use crate::engine::OpOutcome;
+    use crate::stream::StreamOutcome;
+    use crate::xfer::XferOutcome;
+    use crate::xfer_reliable::ReliableOutcome;
+
+    /// A protocol family and what its ops yield. Sealed: the families
+    /// of this module are all there are.
+    pub trait Family: sealed::Project {
+        /// What a completed op of the family yields.
+        type Outcome;
+    }
+
+    pub(crate) mod sealed {
+        use super::{Family, OpOutcome};
+
+        /// The one projection from the engine's untyped outcome.
+        pub trait Project {
+            /// `outcome` as the family's own, if the family produced it.
+            fn project(outcome: OpOutcome) -> Option<Self::Outcome>
+            where
+                Self: Family;
+        }
+    }
+
+    macro_rules! families {
+        ($($(#[$doc:meta])* $vis:vis $family:ident => $variant:ident($outcome:ty);)+) => {$(
+            $(#[$doc])*
+            #[derive(Debug, Clone)]
+            $vis enum $family {}
+
+            impl Family for $family {
+                type Outcome = $outcome;
+            }
+
+            impl sealed::Project for $family {
+                fn project(outcome: OpOutcome) -> Option<$outcome> {
+                    match outcome {
+                        OpOutcome::$variant(out) => Some(out),
+                        _ => None,
+                    }
+                }
+            }
+        )+};
+    }
+
+    families! {
+        /// [`Op::xfer`](crate::Op::xfer): a finite-sequence transfer.
+        pub Xfer => Xfer(XferOutcome);
+        /// A segment-reuse batch, one outcome per message
+        /// ([`Machine::xfer_batch`](crate::Machine::xfer_batch)).
+        pub(crate) Batch => XferBatch(Vec<XferOutcome>);
+        /// [`Op::xfer_reliable`](crate::Op::xfer_reliable): a
+        /// fault-tolerant finite-sequence transfer.
+        pub Reliable => Reliable(ReliableOutcome);
+        /// [`Op::stream_send`](crate::Op::stream_send): a stream send.
+        pub Stream => Stream(StreamOutcome);
+        /// [`Op::rpc`](crate::Op::rpc): an RPC, yielding the reply words.
+        pub Rpc => Rpc([u32; 4]);
+        /// [`Op::am4`](crate::Op::am4): one four-word active message,
+        /// yielding the words the destination read.
+        pub Am4 => Am4([u32; 4]);
+    }
+
+    /// No one family: the plain [`Op`](crate::Op) a list mixing
+    /// families holds. Every typed op converts into it, and
+    /// [`Engine::submit`](crate::Engine::submit) takes it; its outcome
+    /// is the untyped [`OpOutcome`], read with
+    /// [`Engine::take_outcome`](crate::Engine::take_outcome).
+    #[derive(Debug, Clone)]
+    pub enum Mixed {}
 }

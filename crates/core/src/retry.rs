@@ -3,9 +3,9 @@
 //! The paper's CMAM protocols *detect* losses (via the end-to-end
 //! acknowledgement) but do not recover: a lost packet fails the whole
 //! transfer. [`RetryPolicy`] parameterizes the recovery added by
-//! [`Machine::xfer_reliable`](crate::Machine::xfer_reliable) and
-//! [`Machine::rpc_call_retrying`](crate::Machine::rpc_call_retrying):
-//! how many attempts, how long each waits, and how the waits grow.
+//! [`Op::xfer_reliable`](crate::Op::xfer_reliable) and a retrying
+//! [`Op::rpc`](crate::Op::rpc): how many attempts, how long each waits,
+//! and how the waits grow.
 //!
 //! Backoff is exponential in cycles with a deterministic per-attempt
 //! jitter (a splitmix64 hash of seed and attempt number), so two runs

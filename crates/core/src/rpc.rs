@@ -19,8 +19,8 @@ use crate::costs::recovery;
 use crate::engine::OpOutcome;
 use crate::error::ProtocolError;
 use crate::machine::{Machine, Tags};
-use crate::op::{check_restart, peek_is, win, GcExempt, KeyClass, Op, OpMachine, Stepped};
-use crate::retry::{RecoveryPolicy, RetryPolicy};
+use crate::op::{check_restart, peek_is, win, GcExempt, KeyClass, OpMachine, Stepped};
+use crate::retry::RetryPolicy;
 
 /// The result of servicing one node once (see [`Machine::rpc_service`]).
 #[derive(Debug)]
@@ -59,102 +59,6 @@ impl Machine {
             "tag {tag} is reserved"
         );
         self.nodes[node.index()].rpc_handlers.insert(tag, Box::new(handler));
-    }
-
-    /// Perform a blocking RPC: send `args` to the handler registered
-    /// for `tag` on `dst` and return its reply words. Drives both
-    /// endpoints (and services interleaved requests arriving at `src`).
-    ///
-    /// Cost: one Table 1 send + receive at each end (the paper's
-    /// cheapest safe round trip: 2 × 47 instructions plus handler
-    /// dispatch).
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::Timeout`] if no reply arrives within the
-    /// configured wait bound (e.g. the request or reply was corrupted
-    /// on a detect-only substrate); [`ProtocolError::BadTransfer`] for
-    /// equal or out-of-range endpoints.
-    pub fn rpc_call(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        tag: u8,
-        args: [u32; 4],
-    ) -> Result<[u32; 4], ProtocolError> {
-        match self.run_blocking(Op::rpc(src, dst, tag, args, None))? {
-            (OpOutcome::Rpc(words), _) => Ok(words),
-            _ => unreachable!("rpc op yields reply words"),
-        }
-    }
-
-    /// Perform a blocking RPC with bounded retry: like
-    /// [`Machine::rpc_call`], but a lost request or reply is recovered by
-    /// retransmitting the request after an exponential-backoff window
-    /// (see [`RetryPolicy`]). The callee answers retransmitted requests
-    /// from its reply cache, so the handler runs **exactly once** per
-    /// call even when the request is retried or duplicated in the
-    /// network. All recovery work — the retransmissions and the
-    /// duplicate-suppression machinery — is charged to
-    /// `Feature::FaultTol`; on a fault-free run this executes (and
-    /// costs) exactly what [`Machine::rpc_call`] does.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::Timeout`] (with node and attempt context) once
-    /// every attempt's window has expired without a reply;
-    /// [`ProtocolError::BadTransfer`] for equal or out-of-range
-    /// endpoints or a zero-attempt policy.
-    pub fn rpc_call_retrying(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        tag: u8,
-        args: [u32; 4],
-        policy: &RetryPolicy,
-    ) -> Result<[u32; 4], ProtocolError> {
-        match self.run_blocking(Op::rpc(src, dst, tag, args, Some(policy)))? {
-            (OpOutcome::Rpc(words), _) => Ok(words),
-            _ => unreachable!("rpc op yields reply words"),
-        }
-    }
-
-    /// [`Machine::rpc_call_retrying`] hardened against node
-    /// crash-restarts: when the call dies with a retryable error (the
-    /// callee or caller crashed mid-call, every retry window expired),
-    /// the engine parks the op for the recovery policy's backoff window
-    /// and re-executes it — the re-execution reuses the **same call id**,
-    /// so a callee that already served the call answers from its reply
-    /// cache and the handler still runs exactly once per logical call.
-    /// (A callee that crashed loses its cache with everything else; the
-    /// re-run handler executes on the fresh incarnation, which is the
-    /// correct at-most-once-per-incarnation semantics.) Every
-    /// re-execution bills the session-restart shape to
-    /// `Feature::FaultTol` at the caller; a clean run is
-    /// instruction-identical to [`Machine::rpc_call_retrying`].
-    ///
-    /// Returns the reply words plus the number of re-executions (zero
-    /// when the first execution succeeded).
-    ///
-    /// # Errors
-    ///
-    /// The last execution's error once the recovery budget is exhausted
-    /// (non-retryable errors surface immediately);
-    /// [`ProtocolError::BadTransfer`] as [`Machine::rpc_call_retrying`]
-    /// or for a zero-execution recovery policy.
-    pub fn rpc_call_recovering(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        tag: u8,
-        args: [u32; 4],
-        policy: &RetryPolicy,
-        recovery: &RecoveryPolicy,
-    ) -> Result<([u32; 4], u32), ProtocolError> {
-        match self.run_blocking(Op::rpc(src, dst, tag, args, Some(policy)).recovering(recovery))? {
-            (OpOutcome::Rpc(words), re_executions) => Ok((words, re_executions)),
-            _ => unreachable!("rpc op yields reply words"),
-        }
     }
 
     /// Poll `node` once in RPC terms: serve one pending request (run
@@ -394,6 +298,7 @@ impl OpMachine for RpcOp {
 mod tests {
     use super::*;
     use crate::machine::CmamConfig;
+    use crate::op::Op;
     use timego_cost::Class;
     use timego_netsim::{
         DeliveryScript, DualNetwork, Mesh2D, ScriptedNetwork, SwitchedConfig, SwitchedNetwork,
@@ -402,6 +307,16 @@ mod tests {
 
     fn n(i: usize) -> NodeId {
         NodeId::new(i)
+    }
+
+    /// A blocking 0 → 1 RPC, retried under `policy` when it has one.
+    fn call(
+        m: &mut Machine,
+        tag: u8,
+        args: [u32; 4],
+        policy: Option<&RetryPolicy>,
+    ) -> Result<[u32; 4], ProtocolError> {
+        m.run(Op::rpc(n(0), n(1), tag, args, policy)).map(|(reply, _)| reply)
     }
 
     fn machine() -> Machine {
@@ -418,7 +333,7 @@ mod tests {
         m.register_rpc_handler(n(1), 40, |_, msg| {
             [msg.words.iter().sum(), msg.words[0], 0, 1]
         });
-        let reply = m.rpc_call(n(0), n(1), 40, [1, 2, 3, 4]).unwrap();
+        let reply = call(&mut m, 40, [1, 2, 3, 4], None).unwrap();
         assert_eq!(reply, [10, 1, 0, 1]);
     }
 
@@ -427,7 +342,7 @@ mod tests {
         let mut m = machine();
         m.register_rpc_handler(n(1), 40, |_, _| [0; 4]);
         m.reset_costs();
-        m.rpc_call(n(0), n(1), 40, [0; 4]).unwrap();
+        call(&mut m, 40, [0; 4], None).unwrap();
         let src = m.cpu(n(0)).snapshot();
         let dst = m.cpu(n(1)).snapshot();
         // Caller: one 20-instruction send + one 27-instruction receive
@@ -445,7 +360,7 @@ mod tests {
         let mut m = machine();
         m.register_rpc_handler(n(1), 40, |_, msg| [msg.words[0] * 2, 0, 0, 0]);
         for v in [5u32, 9, 100] {
-            let reply = m.rpc_call(n(0), n(1), 40, [v, 0, 0, 0]).unwrap();
+            let reply = call(&mut m, 40, [v, 0, 0, 0], None).unwrap();
             assert_eq!(reply[0], v * 2);
         }
     }
@@ -466,7 +381,7 @@ mod tests {
         let mut m = Machine::new(share(net), 2, CmamConfig::default());
         m.register_rpc_handler(n(1), 33, |_, msg| [msg.words[0] + 1, 0, 0, 0]);
         for v in 0..32u32 {
-            let reply = m.rpc_call(n(0), n(1), 33, [v, 0, 0, 0]).unwrap();
+            let reply = call(&mut m, 33, [v, 0, 0, 0], None).unwrap();
             assert_eq!(reply[0], v + 1);
         }
     }
@@ -493,7 +408,7 @@ mod tests {
             }
             assert!(net.try_inject(raw()).is_err(), "the path back to the caller is full");
         }
-        match m.rpc_call(n(0), n(1), 40, [0; 4]) {
+        match call(&mut m, 40, [0; 4], None) {
             Err(ProtocolError::Timeout { waiting_for, .. }) => {
                 assert_eq!(waiting_for, "rpc injection");
             }
@@ -510,7 +425,7 @@ mod tests {
             [mem.load(a), 0, 0, 0]
         });
         m.reset_costs();
-        let reply = m.rpc_call(n(0), n(1), 50, [77, 0, 0, 0]).unwrap();
+        let reply = call(&mut m, 50, [77, 0, 0, 0], None).unwrap();
         assert_eq!(reply[0], 77);
         assert_eq!(m.cpu(n(1)).snapshot().class_total(Class::Mem), 2);
     }
@@ -524,20 +439,18 @@ mod tests {
 
     #[test]
     fn retried_rpc_on_clean_network_costs_exactly_rpc_call() {
-        // Zero-cost-when-clean: with no faults, `rpc_call_retrying`
-        // executes (and costs) exactly what `rpc_call` does, feature by
-        // feature.
+        // Zero-cost-when-clean: with no faults, an RPC with a retry
+        // policy executes (and costs) exactly what one without does,
+        // feature by feature.
         let mut plain = machine();
         plain.register_rpc_handler(n(1), 40, |_, msg| [msg.words[0] + 1, 0, 0, 0]);
         plain.reset_costs();
-        plain.rpc_call(n(0), n(1), 40, [7, 0, 0, 0]).unwrap();
+        call(&mut plain, 40, [7, 0, 0, 0], None).unwrap();
 
         let mut retried = machine();
         retried.register_rpc_handler(n(1), 40, |_, msg| [msg.words[0] + 1, 0, 0, 0]);
         retried.reset_costs();
-        let reply = retried
-            .rpc_call_retrying(n(0), n(1), 40, [7, 0, 0, 0], &crate::RetryPolicy::default())
-            .unwrap();
+        let reply = call(&mut retried, 40, [7, 0, 0, 0], Some(&RetryPolicy::default())).unwrap();
         assert_eq!(reply, [8, 0, 0, 0]);
 
         for node in [n(0), n(1)] {
@@ -582,9 +495,7 @@ mod tests {
                 [msg.words[0] * 2, 0, 0, 0]
             });
             for v in 0..12u32 {
-                let reply = m
-                    .rpc_call_retrying(n(0), n(1), 40, [v, 0, 0, 0], &crate::RetryPolicy::default())
-                    .unwrap();
+                let reply = call(&mut m, 40, [v, 0, 0, 0], Some(&RetryPolicy::default())).unwrap();
                 assert_eq!(reply[0], v * 2, "seed {seed} call {v}");
             }
             assert_eq!(
@@ -619,9 +530,7 @@ mod tests {
             let mut m = Machine::new(share(net), 2, CmamConfig::default());
             m.register_rpc_handler(n(1), 40, |_, msg| [msg.words[0] + 100, 0, 0, 0]);
             for v in 0..8u32 {
-                let reply = m
-                    .rpc_call_retrying(n(0), n(1), 40, [v, 0, 0, 0], &crate::RetryPolicy::default())
-                    .unwrap();
+                let reply = call(&mut m, 40, [v, 0, 0, 0], Some(&RetryPolicy::default())).unwrap();
                 assert_eq!(reply[0], v + 100, "seed {seed} call {v}");
             }
         }

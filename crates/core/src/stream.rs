@@ -30,7 +30,6 @@ use crate::engine::OpOutcome;
 use crate::error::ProtocolError;
 use crate::machine::{Machine, Tags};
 use crate::op::{check_restart, pairwise, win, KeyClass, Op, OpMachine, Stepped};
-use crate::retry::RecoveryPolicy;
 
 /// Identifies an open stream on a [`Machine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -340,43 +339,7 @@ impl Machine {
     /// cannot make progress for the configured bound (even with
     /// retransmission — e.g. the substrate is wedged).
     pub fn stream_send(&mut self, id: StreamId, data: &[u32]) -> Result<StreamOutcome, ProtocolError> {
-        match self.run_blocking(Op::stream_send(id, data))? {
-            (OpOutcome::Stream(out), _) => Ok(out),
-            _ => unreachable!("stream op yields a stream outcome"),
-        }
-    }
-
-    /// [`Machine::stream_send`] hardened against node crash-restarts:
-    /// when the send dies with a retryable error (an endpoint crashed
-    /// mid-burst, the watchdog fired), the engine parks the op for the
-    /// policy's backoff window and *resumes* it — the re-execution keeps
-    /// the original sequence range and consults the receiver's
-    /// next-expected cursor, so packets the first execution already
-    /// delivered are skipped, convergence is exactly-once and the
-    /// delivered byte stream is exact. Every re-execution bills the
-    /// session-restart shape to `Feature::FaultTol` at the source; a
-    /// clean run is instruction-identical to [`Machine::stream_send`].
-    ///
-    /// Returns the outcome plus the number of re-executions (zero when
-    /// the first execution succeeded).
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::BadTransfer`] for empty data, a stream id this
-    /// machine never opened, a stream opened with `window: 0`, or a
-    /// zero-execution policy; otherwise the
-    /// last execution's error once the recovery budget is exhausted
-    /// (non-retryable errors surface immediately).
-    pub fn stream_send_recovering(
-        &mut self,
-        id: StreamId,
-        data: &[u32],
-        recovery: &RecoveryPolicy,
-    ) -> Result<(StreamOutcome, u32), ProtocolError> {
-        match self.run_blocking(Op::stream_send(id, data).recovering(recovery))? {
-            (OpOutcome::Stream(out), re_executions) => Ok((out, re_executions)),
-            _ => unreachable!("stream op yields a stream outcome"),
-        }
+        self.run(Op::stream_send(id, data)).map(|(out, _)| out)
     }
 
     /// Immutable view of a stream's protocol state.

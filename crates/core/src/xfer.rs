@@ -17,8 +17,9 @@
 //! base data movement.
 //!
 //! Two variants for the paper's discussion sections run the same six
-//! steps: DMA payload injection ([`Machine::xfer_dma`], §5), and
-//! segment reuse ([`Machine::xfer_batch`]), where one handshake and one
+//! steps: DMA payload injection
+//! ([`measure_xfer_dma`](crate::measure_xfer_dma), §5), and segment
+//! reuse ([`Machine::xfer_batch`]), where one handshake and one
 //! disassociation serve a whole batch of messages to the same
 //! destination — a plain transfer is a batch of one.
 
@@ -88,20 +89,12 @@ impl Machine {
     /// [`ProtocolError::UnexpectedPacket`] if a foreign packet intrudes
     /// on the handshake.
     pub fn xfer(&mut self, src: NodeId, dst: NodeId, data: &[u32]) -> Result<XferOutcome, ProtocolError> {
-        self.xfer_with(src, dst, data, PayloadEngine::Cpu)
+        self.run(Op::xfer(src, dst, data)).map(|(out, _)| out)
     }
 
-    /// Run the finite-sequence transfer protocol with DMA payload
-    /// injection at the source: only the per-packet data movement
-    /// differs from [`Machine::xfer`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Machine::xfer`].
-    pub fn xfer_dma(&mut self, src: NodeId, dst: NodeId, data: &[u32]) -> Result<XferOutcome, ProtocolError> {
-        self.xfer_with(src, dst, data, PayloadEngine::Dma)
-    }
-
+    /// [`Machine::xfer`] with the payload moved by `engine` (DMA
+    /// injection at the source differs only in per-packet data
+    /// movement).
     pub(crate) fn xfer_with(
         &mut self,
         src: NodeId,
@@ -109,10 +102,7 @@ impl Machine {
         data: &[u32],
         engine: PayloadEngine,
     ) -> Result<XferOutcome, ProtocolError> {
-        match self.run_blocking(Op::finite(src, dst, data.to_vec(), Vec::new(), engine))? {
-            (OpOutcome::Xfer(out), _) => Ok(out),
-            _ => unreachable!("xfer op yields a transfer outcome"),
-        }
+        self.run(Op::finite(src, dst, data, engine)).map(|(out, _)| out)
     }
 
     /// Transfer every message in `messages` from `src` to `dst` through
@@ -136,12 +126,7 @@ impl Machine {
         dst: NodeId,
         messages: &[&[u32]],
     ) -> Result<Vec<XferOutcome>, ProtocolError> {
-        let lens = messages.iter().map(|msg| msg.len()).collect();
-        let op = Op::finite(src, dst, messages.concat(), lens, PayloadEngine::Cpu);
-        match self.run_blocking(op)? {
-            (OpOutcome::XferBatch(outs), _) => Ok(outs),
-            _ => unreachable!("batched xfer op yields one outcome per message"),
-        }
+        self.run(Op::batch(src, dst, messages)).map(|(outs, _)| outs)
     }
 
     /// Send one data packet of the transfer: move `n` words from the

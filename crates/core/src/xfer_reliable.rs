@@ -33,11 +33,13 @@
 //! tolerance work rather than corrupting (or wedging) the current
 //! session.
 //!
-//! Above single-session recovery sits [`Machine::xfer_reliable_recovering`]:
-//! when a peer crash-restart kills a session mid-flight (retryable
-//! [`ProtocolError::SessionReset`] / deadline errors), it re-executes
-//! the whole transfer under a fresh epoch until the policy's attempt
-//! budget runs out, converging to exactly-once byte-exact delivery.
+//! Above single-session recovery sits
+//! [`Op::recovering`](crate::Op::recovering): when a peer
+//! crash-restart kills a session mid-flight (retryable
+//! [`ProtocolError::SessionReset`] / deadline errors), the engine
+//! re-executes the whole transfer under a fresh epoch until the
+//! policy's execution budget runs out, converging to exactly-once
+//! byte-exact delivery.
 
 use std::collections::VecDeque;
 
@@ -51,9 +53,9 @@ use crate::engine::OpOutcome;
 use crate::error::ProtocolError;
 use crate::machine::{Machine, Tags};
 use crate::op::{
-    check_restart, peek_is, transfer_prologue, win, GcExempt, KeyClass, Op, OpMachine, Stepped,
+    check_restart, peek_is, transfer_prologue, win, GcExempt, KeyClass, OpMachine, Stepped,
 };
-use crate::retry::{RecoveryPolicy, RetryPolicy};
+use crate::retry::RetryPolicy;
 use crate::xfer::{claims_transfer, PayloadEngine, XferOutcome, XferRx};
 
 /// Offset bits in a reliable data-packet header; the bits above hold the
@@ -79,77 +81,6 @@ pub struct ReliableOutcome {
 }
 
 impl Machine {
-    /// Run a fault-tolerant finite-sequence transfer of `data` from
-    /// `src` memory to a freshly allocated segment on `dst`.
-    ///
-    /// Behaves like [`Machine::xfer`] on a clean network (identical
-    /// per-feature instruction counts); on a lossy network it recovers
-    /// from dropped, duplicated, reordered, and outage-suppressed
-    /// packets within `policy`'s attempt bounds. Recovery costs are
-    /// charged to `Feature::FaultTol`.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::BadTransfer`] for empty data, data too large
-    /// for the 20-bit offset encoding, equal or out-of-range endpoints,
-    /// or a zero-attempt policy; [`ProtocolError::Timeout`] (with node
-    /// and attempt context) when a phase exhausts its retry budget.
-    pub fn xfer_reliable(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        data: &[u32],
-        policy: &RetryPolicy,
-    ) -> Result<ReliableOutcome, ProtocolError> {
-        match self.run_blocking(Op::xfer_reliable(src, dst, data, policy))? {
-            (OpOutcome::Reliable(out), _) => Ok(out),
-            _ => unreachable!("reliable op yields a reliable outcome"),
-        }
-    }
-
-    /// [`Machine::xfer_reliable`] hardened against node crash-restarts:
-    /// when an attempt dies with a *retryable* error (a peer crashed
-    /// mid-session, a deadline or watchdog fired, a phase timed out),
-    /// the transfer is re-executed from scratch under a fresh session
-    /// epoch after the policy's backoff window, up to
-    /// `policy.max_attempts` total executions. The re-execution happens
-    /// *inside* the protocol engine (an engine-native
-    /// [`RecoveryPolicy`], no caller-side loop): the op parks for the
-    /// backoff window and re-runs under the same [`crate::OpId`].
-    /// Packets of the dead session are recognizably stale under the new
-    /// epoch and get discarded, so convergence is exactly-once and
-    /// byte-exact.
-    ///
-    /// Each re-execution charges the session re-establishment costs
-    /// (`SESSION_RESTART_REG`/`SESSION_RESTART_MEM`) to
-    /// [`Feature::FaultTol`] at the source; a clean first attempt
-    /// charges nothing beyond [`Machine::xfer_reliable`] itself.
-    ///
-    /// Returns the outcome plus the number of re-executions (zero when
-    /// the first attempt succeeded).
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::BadTransfer`] as [`Machine::xfer_reliable`];
-    /// otherwise the last attempt's error once the retry budget is
-    /// exhausted (non-retryable errors propagate immediately).
-    pub fn xfer_reliable_recovering(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        data: &[u32],
-        policy: &RetryPolicy,
-    ) -> Result<(ReliableOutcome, u32), ProtocolError> {
-        let recovery = RecoveryPolicy {
-            max_executions: policy.max_attempts,
-            backoff: policy.clone(),
-        };
-        match self.run_blocking(Op::xfer_reliable(src, dst, data, policy).recovering(&recovery))? {
-            (OpOutcome::Reliable(out), re_executions) => Ok((out, re_executions)),
-            _ => unreachable!("reliable op yields a reliable outcome"),
-        }
-    }
-
     /// Receive one data packet at the receiver, tolerating faults:
     /// stray tags and stale-nonce packets are discarded, duplicates are
     /// detected against the receive bitmap and dropped. The clean path
@@ -890,6 +821,7 @@ fn missing_bitmap(seen: &[bool], first: u64) -> [u32; 4] {
 mod tests {
     use super::*;
     use crate::machine::CmamConfig;
+    use crate::op::Op;
     use timego_netsim::{
         DeliveryScript, FaultConfig, Mesh2D, ScriptedNetwork, SwitchedConfig, SwitchedNetwork,
     };
@@ -923,6 +855,11 @@ mod tests {
         Machine::new(share(net), 2, CmamConfig::default())
     }
 
+    /// A blocking 0 → 1 reliable transfer under the default policy.
+    fn run_reliable(m: &mut Machine, data: &[u32]) -> Result<ReliableOutcome, ProtocolError> {
+        m.run(Op::xfer_reliable(n(0), n(1), data, &RetryPolicy::default())).map(|(out, _)| out)
+    }
+
     fn feature_totals(m: &Machine, node: NodeId) -> Vec<(Feature, u64)> {
         let snap = m.cpu(node).snapshot();
         Feature::ALL
@@ -945,8 +882,7 @@ mod tests {
 
             let mut reliable = scripted_machine(script);
             reliable.reset_costs();
-            let out = reliable
-                .xfer_reliable(n(0), n(1), &data, &RetryPolicy::default())
+            let out = run_reliable(&mut reliable, &data)
                 .unwrap();
             assert_eq!(out.handshake_retries, 0);
             assert_eq!(out.data_retransmits, 0);
@@ -975,8 +911,7 @@ mod tests {
 
         let mut reliable = switched_machine(FaultConfig::default(), 7);
         reliable.reset_costs();
-        reliable
-            .xfer_reliable(n(0), n(1), &data, &RetryPolicy::default())
+        run_reliable(&mut reliable, &data)
             .unwrap();
 
         for node in [n(0), n(1)] {
@@ -998,8 +933,7 @@ mod tests {
         let mut ok = 0;
         for seed in 0..8 {
             let mut m = switched_machine(fault.clone(), seed);
-            let out = m
-                .xfer_reliable(n(0), n(1), &data, &RetryPolicy::default())
+            let out = run_reliable(&mut m, &data)
                 .expect("reliable transfer must survive 10% drops");
             assert_eq!(
                 m.read_buffer(n(1), out.xfer.dst_buffer, data.len()),
@@ -1026,16 +960,14 @@ mod tests {
         for seed in 0..32 {
             let mut m = switched_machine(fault.clone(), seed);
             m.reset_costs();
-            let out = m
-                .xfer_reliable(n(0), n(1), &data, &RetryPolicy::default())
+            let out = run_reliable(&mut m, &data)
                 .unwrap();
             if out.data_retransmits == 0 || out.handshake_retries > 0 || out.ack_probes > 0 {
                 continue;
             }
             let mut clean = switched_machine(FaultConfig::default(), seed);
             clean.reset_costs();
-            clean
-                .xfer_reliable(n(0), n(1), &data, &RetryPolicy::default())
+            run_reliable(&mut clean, &data)
                 .unwrap();
             // Base / buffer management / in-order totals are untouched
             // by recovery; the delta is all fault tolerance.
@@ -1088,7 +1020,7 @@ mod tests {
         let mut m = scripted_machine(DeliveryScript::InOrder);
         let data = vec![0u32; 1 << OFFSET_BITS];
         assert!(matches!(
-            m.xfer_reliable(n(0), n(1), &data, &RetryPolicy::default()),
+            run_reliable(&mut m, &data),
             Err(ProtocolError::BadTransfer(_))
         ));
     }

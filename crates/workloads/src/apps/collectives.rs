@@ -25,7 +25,9 @@
 //!   compares these against the DAGs to measure what run-after overlap
 //!   buys.
 
-use timego_am::{Engine, Machine, Op, OpId, OpOutcome, ProtocolError, RecoveryPolicy, Tags};
+use timego_am::{
+    family, Engine, Machine, Op, OpId, OpOutcome, ProtocolError, RecoveryPolicy, Tags,
+};
 use timego_netsim::NodeId;
 
 /// Tag used by collective packets (user range).
@@ -39,7 +41,7 @@ fn edge(
     words: [u32; 4],
     after: Option<OpId>,
     recovery: Option<&RecoveryPolicy>,
-) -> Op {
+) -> Op<family::Am4> {
     let op = Op::am4(NodeId::new(src), NodeId::new(dst), COLLECTIVE_TAG, words)
         .after(after.as_slice());
     match recovery {

@@ -438,6 +438,12 @@ impl ServerPool {
 mod tests {
     use super::*;
     use crate::concurrent::switched_machine;
+    use timego_am::Op;
+
+    /// A blocking RPC from node 0 to `dst`'s service handler.
+    fn call(m: &mut Machine, dst: NodeId, args: [u32; 4]) -> [u32; 4] {
+        m.run(Op::rpc(n(0), dst, 40, args, None)).unwrap().0
+    }
 
     fn n(i: usize) -> NodeId {
         NodeId::new(i)
@@ -514,7 +520,7 @@ mod tests {
     fn server_pool_counts_handler_runs() {
         let mut m = switched_machine(4, 2);
         let pool = ServerPool::install(&mut m, &[n(1), n(2)], &[], 40);
-        let reply = m.rpc_call(n(0), n(1), 40, [7, 9, 2, 0]).unwrap();
+        let reply = call(&mut m, n(1), [7, 9, 2, 0]);
         assert_eq!(reply, [7, 9, 6, 0]);
         assert_eq!(pool.total_runs(), 1);
         assert_eq!(pool.runs().get(&1), Some(&1));
@@ -528,13 +534,13 @@ mod tests {
         // The same request identity served on two different servers —
         // what a hedge leg does. The second run is suppressed; the
         // reply is identical either way.
-        let a = m.rpc_call(n(0), n(1), 40, [3, 5, 2, 0]).unwrap();
-        let b = m.rpc_call(n(0), n(2), 40, [3, 5, 2, 0]).unwrap();
+        let a = call(&mut m, n(1), [3, 5, 2, 0]);
+        let b = call(&mut m, n(2), [3, 5, 2, 0]);
         assert_eq!(a, b);
         assert_eq!(pool.total_runs(), 1, "one logical request, one counted run");
         assert_eq!(pool.dup_suppressed(), 1);
         // A different identity on the same server still runs.
-        m.rpc_call(n(0), n(2), 40, [3, 6, 2, 0]).unwrap();
+        call(&mut m, n(2), [3, 6, 2, 0]);
         assert_eq!(pool.total_runs(), 2);
     }
 }

@@ -19,7 +19,7 @@ pub enum TrafficKind {
     /// Finite-sequence transfer ([`Machine::xfer`] semantics).
     Xfer,
     /// Fault-tolerant finite-sequence transfer
-    /// ([`Machine::xfer_reliable`] semantics).
+    /// ([`Op::xfer_reliable`] semantics).
     Reliable,
     /// Indefinite-sequence stream send ([`Machine::stream_send`]
     /// semantics); a fresh stream is opened per planned operation.
@@ -112,16 +112,18 @@ pub fn run_concurrent(
     let mut eng = Engine::new();
     let mut submitted = Vec::new();
     for (i, op) in ops.iter().enumerate() {
-        let (planned, sid) = match op.kind {
-            TrafficKind::Xfer => (Op::xfer(op.src, op.dst, &op.data), None),
-            TrafficKind::Reliable => (Op::xfer_reliable(op.src, op.dst, &op.data, policy), None),
+        let (planned, sid): (Op, _) = match op.kind {
+            TrafficKind::Xfer => (Op::xfer(op.src, op.dst, &op.data).into(), None),
+            TrafficKind::Reliable => {
+                (Op::xfer_reliable(op.src, op.dst, &op.data, policy).into(), None)
+            }
             TrafficKind::Stream => {
                 let sid = m.open_stream(
                     op.src,
                     op.dst,
                     StreamConfig { rto_iterations: 256, ..StreamConfig::default() },
                 );
-                (Op::stream_send(sid, &op.data), Some(sid))
+                (Op::stream_send(sid, &op.data).into(), Some(sid))
             }
         };
         submitted.push((i, eng.submit(m, planned).expect("valid plan"), sid));

@@ -90,8 +90,8 @@ fn retried_rpc_soaks_clean_across_fault_mixes() {
             let calls = 5u32;
             for v in 0..calls {
                 let args = [v, seed as u32, 0, 0];
-                let reply = m
-                    .rpc_call_retrying(n(0), n(1), 40, args, &RetryPolicy::default())
+                let (reply, _) = m
+                    .run(Op::rpc(n(0), n(1), 40, args, Some(&RetryPolicy::default())))
                     .unwrap_or_else(|e| panic!("{mix}/seed {seed} call {v}: {e}"));
                 assert_eq!(
                     reply,
@@ -122,8 +122,8 @@ fn xfer_reliable_soaks_byte_exact_across_fault_mixes() {
             let mut m = chaos_machine(&fault, seed);
             let words = 32 + (seed as usize % 48);
             let data = payloads::mixed(words, seed);
-            let out = m
-                .xfer_reliable(n(0), n(1), &data, &RetryPolicy::default())
+            let (out, _) = m
+                .run(Op::xfer_reliable(n(0), n(1), &data, &RetryPolicy::default()))
                 .unwrap_or_else(|e| panic!("{mix}/seed {seed}: {e}"));
             assert_eq!(
                 m.read_buffer(n(1), out.xfer.dst_buffer, words),
@@ -445,14 +445,15 @@ fn engine_matrix_soaks_concurrency_by_fault_plane_by_substrate() {
                         for i in 0..ops {
                             if i % 4 == 3 {
                                 let caller = n((2 * i + 4) % M_NODES);
+                                let args = [i as u32, seed as u32, 0, 0];
                                 serial
-                                    .rpc_call_retrying(caller, n(1), 40, [i as u32, seed as u32, 0, 0], &policy)
+                                    .run(Op::rpc(caller, n(1), 40, args, Some(&policy)))
                                     .expect("clean substrate");
                             } else {
                                 let (src, dst) = pair(xj);
                                 xj += 1;
                                 serial
-                                    .xfer_reliable(src, dst, &payload(i, seed), &policy)
+                                    .run(Op::xfer_reliable(src, dst, &payload(i, seed), &policy))
                                     .expect("clean substrate");
                             }
                         }
@@ -484,7 +485,7 @@ fn fault_free_soak_runs_cost_exactly_the_paper_protocols() {
     let b = base.xfer(n(0), n(1), &data).unwrap();
     let mut rel = chaos_machine(&clean, 5);
     rel.reset_costs();
-    let r = rel.xfer_reliable(n(0), n(1), &data, &RetryPolicy::default()).unwrap();
+    let (r, _) = rel.run(Op::xfer_reliable(n(0), n(1), &data, &RetryPolicy::default())).unwrap();
     assert_eq!(r.xfer.packets, b.packets);
     assert_eq!(
         (r.handshake_retries, r.data_retransmits, r.nack_rounds, r.ack_probes),
@@ -501,24 +502,22 @@ fn fault_free_soak_runs_cost_exactly_the_paper_protocols() {
         }
     }
 
-    // rpc_call_retrying vs rpc_call.
+    // An RPC with a retry policy vs one without.
     let mut base = chaos_machine(&clean, 6);
     base.register_rpc_handler(n(1), 40, |_, msg| [msg.words[0] + 1, 0, 0, 0]);
     base.reset_costs();
-    assert_eq!(base.rpc_call(n(0), n(1), 40, [7, 0, 0, 0]).unwrap()[0], 8);
+    assert_eq!(base.run(Op::rpc(n(0), n(1), 40, [7, 0, 0, 0], None)).unwrap().0[0], 8);
     let mut ret = chaos_machine(&clean, 6);
     ret.register_rpc_handler(n(1), 40, |_, msg| [msg.words[0] + 1, 0, 0, 0]);
     ret.reset_costs();
-    assert_eq!(
-        ret.rpc_call_retrying(n(0), n(1), 40, [7, 0, 0, 0], &RetryPolicy::default()).unwrap()[0],
-        8
-    );
+    let retried = Op::rpc(n(0), n(1), 40, [7, 0, 0, 0], Some(&RetryPolicy::default()));
+    assert_eq!(ret.run(retried).unwrap().0[0], 8);
     for node in [n(0), n(1)] {
         for f in Feature::ALL {
             assert_eq!(
                 ret.cpu(node).snapshot().feature_total(f),
                 base.cpu(node).snapshot().feature_total(f),
-                "retried rpc node {node:?} feature {f:?} must cost exactly rpc_call"
+                "retried rpc node {node:?} feature {f:?} must cost exactly the plain call"
             );
         }
     }

@@ -11,7 +11,7 @@
 //! * **Crash recovery**: a node crash window mid-transfer erases the
 //!   receiver's protocol state; the source detects the restart via the
 //!   crash counter, fails fast with the retryable `SessionReset`, and
-//!   `xfer_reliable_recovering` re-executes under a fresh epoch until
+//!   a recovering reliable transfer re-executes under a fresh epoch until
 //!   delivery is exactly-once and byte-exact, all billed to fault
 //!   tolerance.
 //! * **Supervision**: per-op deadlines and the no-progress watchdog
@@ -21,7 +21,8 @@
 //!   work and drains the fabric.
 
 use timego_am::{
-    CmamConfig, Engine, Machine, Op, OpOutcome, ProtocolError, RetryPolicy, Tags,
+    CmamConfig, Engine, Machine, Op, OpOutcome, ProtocolError, RecoveryPolicy, ReliableOutcome,
+    RetryPolicy, Tags,
 };
 use timego_cost::Feature;
 use timego_netsim::{
@@ -35,6 +36,15 @@ const NODES: usize = 16;
 
 fn n(i: usize) -> NodeId {
     NodeId::new(i)
+}
+
+/// A blocking reliable transfer 2 → 9.
+fn reliable(
+    m: &mut Machine,
+    data: &[u32],
+    policy: &RetryPolicy,
+) -> Result<ReliableOutcome, ProtocolError> {
+    m.run(Op::xfer_reliable(n(2), n(9), data, policy)).map(|(out, _)| out)
 }
 
 fn machine(sub: &str, fault: &FaultConfig, seed: u64) -> Machine {
@@ -89,8 +99,7 @@ fn repeated_same_pair_transfers_stay_exact_under_dup_jitter() {
             let mut m = machine(sub, &dup_jitter(), seed);
             for k in 0..TRANSFERS {
                 let data = payloads::mixed(24 + (k % 8), seed.wrapping_add(k as u64));
-                let out = m
-                    .xfer_reliable(n(2), n(9), &data, &policy)
+                let out = reliable(&mut m, &data, &policy)
                     .unwrap_or_else(|e| panic!("{sub}/seed {seed}/transfer {k}: {e}"));
                 assert_eq!(
                     m.read_buffer(n(9), out.xfer.dst_buffer, data.len()),
@@ -118,7 +127,7 @@ fn stale_epoch_discards_bill_fault_tolerance_only() {
             m.reset_costs();
             for k in 0..TRANSFERS {
                 let data = payloads::mixed(24 + (k % 8), seed.wrapping_add(k as u64));
-                m.xfer_reliable(n(2), n(9), &data, &policy)
+                reliable(&mut m, &data, &policy)
                     .unwrap_or_else(|e| panic!("seed {seed}/transfer {k}: {e}"));
             }
             m
@@ -153,7 +162,7 @@ fn stale_epoch_discards_bill_fault_tolerance_only() {
 /// A node crash mid-transfer erases the receiver's protocol state. The
 /// session dies with a retryable error (`SessionReset` once the restart
 /// is observed, or a phase timeout if the retry budget drains inside
-/// the crash window first); `xfer_reliable_recovering` re-executes
+/// the crash window first); a recovering reliable transfer re-executes
 /// under a fresh epoch and converges to exactly-once byte-exact
 /// delivery, with the re-establishment billed to fault tolerance.
 #[test]
@@ -168,8 +177,11 @@ fn crash_mid_transfer_recovers_end_to_end() {
         };
         let mut m = machine("switched", &fault, seed);
         m.reset_costs();
+        // As many executions as the transfer has attempts.
+        let budget =
+            RecoveryPolicy { max_executions: policy.max_attempts, backoff: policy.clone() };
         let (out, re_executions) = m
-            .xfer_reliable_recovering(n(2), n(9), &data, &policy)
+            .run(Op::xfer_reliable(n(2), n(9), &data, &policy).recovering(&budget))
             .unwrap_or_else(|e| panic!("seed {seed}: recovery must converge: {e}"));
         assert_eq!(
             m.read_buffer(n(9), out.xfer.dst_buffer, data.len()),
@@ -203,8 +215,7 @@ fn restart_is_detected_and_retryable() {
         ..FaultConfig::default()
     };
     let mut m = machine("switched", &fault, 1);
-    let err = m
-        .xfer_reliable(n(2), n(9), &payloads::mixed(256, 7), &policy)
+    let err = reliable(&mut m, &payloads::mixed(256, 7), &policy)
         .expect_err("the crash must kill this session");
     assert!(err.is_retryable(), "crash-induced failure must be retryable: {err}");
     match err {

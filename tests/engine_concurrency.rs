@@ -374,29 +374,33 @@ fn ledger_accessors_equal_the_trace_derivation_on_a_mixed_run() {
         id
     };
 
-    let a = submit(&mut eng, &mut m, Op::xfer(n(0), n(1), &small), FAST);
+    let a = submit(&mut eng, &mut m, Op::xfer(n(0), n(1), &small).into(), FAST);
     // Held behind `a`, then released.
-    let b = submit(&mut eng, &mut m, Op::xfer(n(2), n(3), &small).after(&[a]), FAST);
+    let b = submit(&mut eng, &mut m, Op::xfer(n(2), n(3), &small).after(&[a]).into(), FAST);
     // Same pair as `a`: released at once, pending behind its conflict key.
-    let same_pair = submit(&mut eng, &mut m, Op::xfer(n(0), n(1), &small), SLOW);
+    let same_pair = submit(&mut eng, &mut m, Op::xfer(n(0), n(1), &small).into(), SLOW);
     // Cannot finish in 10 cycles and has no recovery: fails by deadline.
-    let doomed =
-        submit(&mut eng, &mut m, Op::xfer_reliable(n(4), n(5), &big, &retry).deadline(10), SLOW);
+    let doomed = Op::xfer_reliable(n(4), n(5), &big, &retry).deadline(10);
+    let doomed = submit(&mut eng, &mut m, doomed.into(), SLOW);
     // Held behind `doomed`: felled by its failure, never released.
-    let felled = submit(&mut eng, &mut m, Op::xfer(n(6), n(7), &small).after(&[doomed]), SLOW);
+    let felled = Op::xfer(n(6), n(7), &small).after(&[doomed]);
+    let felled = submit(&mut eng, &mut m, felled.into(), SLOW);
     // Same deadline, but recovery-armed: parks, re-executes, completes.
     let healed = submit(
         &mut eng,
         &mut m,
         Op::xfer_reliable(n(8), n(9), &big, &retry)
             .recovering(&RecoveryPolicy::default())
-            .deadline(10),
+            .deadline(10)
+            .into(),
         FAST,
     );
     // Stays held across the re-execution of `healed`.
-    let patient = submit(&mut eng, &mut m, Op::xfer(n(10), n(11), &small).after(&[healed]), FAST);
+    let patient = Op::xfer(n(10), n(11), &small).after(&[healed]);
+    let patient = submit(&mut eng, &mut m, patient.into(), FAST);
     // Cancelled while still held behind `a`.
-    let cancelled = submit(&mut eng, &mut m, Op::xfer(n(12), n(13), &small).after(&[a]), SLOW);
+    let cancelled = Op::xfer(n(12), n(13), &small).after(&[a]);
+    let cancelled = submit(&mut eng, &mut m, cancelled.into(), SLOW);
 
     let mut cursor = 0;
     let mut harvested = Vec::new();
@@ -410,7 +414,7 @@ fn ledger_accessors_equal_the_trace_derivation_on_a_mixed_run() {
         if late.is_none() && harvested.iter().any(|&(id, ..)| id == doomed) {
             // Submitted after its predecessor failed: felled on arrival.
             let op = Op::xfer(n(14), n(15), &small).after(&[doomed]);
-            late = Some(submit(&mut eng, &mut m, op, SLOW));
+            late = Some(submit(&mut eng, &mut m, op.into(), SLOW));
         }
     }
     harvested.extend(eng.completions_since(&mut cursor));

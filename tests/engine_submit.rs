@@ -64,12 +64,12 @@ fn run(family: &str, mods: u8) -> Result<(Vec<CostVector>, Engine), ProtocolErro
     let mut eng = Engine::new();
     let pred = eng.submit_xfer(&m, n(2), n(3), &[1, 2, 3]).unwrap();
     let data: Vec<u32> = (0..40).collect();
-    let mut op = match family {
-        "xfer" => Op::xfer(n(0), n(1), &data),
-        "xfer_reliable" => Op::xfer_reliable(n(0), n(1), &data, &RetryPolicy::default()),
-        "stream_send" => Op::stream_send(sid, &data),
-        "rpc" => Op::rpc(n(0), n(1), RPC_TAG, [1, 2, 3, 4], Some(&RetryPolicy::default())),
-        _ => Op::am4(n(0), n(1), AM_TAG, [5, 6, 7, 8]),
+    let mut op: Op = match family {
+        "xfer" => Op::xfer(n(0), n(1), &data).into(),
+        "xfer_reliable" => Op::xfer_reliable(n(0), n(1), &data, &RetryPolicy::default()).into(),
+        "stream_send" => Op::stream_send(sid, &data).into(),
+        "rpc" => Op::rpc(n(0), n(1), RPC_TAG, [1, 2, 3, 4], Some(&RetryPolicy::default())).into(),
+        _ => Op::am4(n(0), n(1), AM_TAG, [5, 6, 7, 8]).into(),
     };
     if mods & AFTER != 0 {
         op = op.after(&[pred]);
@@ -187,21 +187,21 @@ fn rejected_submission_changes_nothing() {
     let rpc = || Op::rpc(n(0), n(1), RPC_TAG, [1; 4], None);
     let am4 = || Op::am4(n(0), n(1), AM_TAG, [1; 4]);
     let rejects: Vec<(Op, &str)> = vec![
-        (Op::xfer(n(0), n(0), &[1]), "src and dst"),
-        (Op::am4(n(NODES), n(0), AM_TAG, [1; 4]), "src"),
-        (Op::rpc(n(0), n(NODES + 3), RPC_TAG, [1; 4], None), "dst"),
-        (Op::stream_send(foreign, &[1]), "stream id"),
-        (Op::xfer(n(0), n(1), &[]), "empty transfer"),
-        (Op::xfer_reliable(n(0), n(1), &[], &ok), "empty transfer"),
-        (Op::xfer_reliable(n(0), n(1), &huge, &ok), "caps at"),
-        (Op::am4(n(0), n(1), Tags::USER_BASE - 1, [1; 4]), "reserved"),
-        (Op::xfer_reliable(n(0), n(1), &[1], &no_attempts), "policy.max_attempts"),
-        (Op::rpc(n(0), n(1), RPC_TAG, [1; 4], Some(&no_attempts)), "policy.max_attempts"),
-        (Op::xfer(n(0), n(1), &[1]).recovering(&RecoveryPolicy::none()), "recovering"),
-        (rpc().recovering(&no_executions), "recovery.max_executions"),
-        (am4().recovering(&no_executions), "recovery.max_executions"),
-        (rpc().after(&[forward]), "cycle"),
-        (am4().recovering(&RecoveryPolicy::default()).after(&[forward]), "cycle"),
+        (Op::xfer(n(0), n(0), &[1]).into(), "src and dst"),
+        (Op::am4(n(NODES), n(0), AM_TAG, [1; 4]).into(), "src"),
+        (Op::rpc(n(0), n(NODES + 3), RPC_TAG, [1; 4], None).into(), "dst"),
+        (Op::stream_send(foreign, &[1]).into(), "stream id"),
+        (Op::xfer(n(0), n(1), &[]).into(), "empty transfer"),
+        (Op::xfer_reliable(n(0), n(1), &[], &ok).into(), "empty transfer"),
+        (Op::xfer_reliable(n(0), n(1), &huge, &ok).into(), "caps at"),
+        (Op::am4(n(0), n(1), Tags::USER_BASE - 1, [1; 4]).into(), "reserved"),
+        (Op::xfer_reliable(n(0), n(1), &[1], &no_attempts).into(), "policy.max_attempts"),
+        (Op::rpc(n(0), n(1), RPC_TAG, [1; 4], Some(&no_attempts)).into(), "policy.max_attempts"),
+        (Op::xfer(n(0), n(1), &[1]).recovering(&RecoveryPolicy::none()).into(), "recovering"),
+        (rpc().recovering(&no_executions).into(), "recovery.max_executions"),
+        (am4().recovering(&no_executions).into(), "recovery.max_executions"),
+        (rpc().after(&[forward]).into(), "cycle"),
+        (am4().recovering(&RecoveryPolicy::default()).after(&[forward]).into(), "cycle"),
     ];
 
     // The next RPC's call id, with and without the rejections before it.
@@ -215,8 +215,8 @@ fn rejected_submission_changes_nothing() {
         // (no source-buffer slot) need this machine's own streams.
         let shut = m.open_stream(n(0), n(1), StreamConfig { window: 0, ..StreamConfig::default() });
         let own = [
-            (Op::stream_send(sid, &[]), "empty stream send"),
-            (Op::stream_send(shut, &[1]), "window"),
+            (Op::stream_send(sid, &[]).into(), "empty stream send"),
+            (Op::stream_send(shut, &[1]).into(), "window"),
         ];
         for (op, field) in rejects.into_iter().chain(own) {
             match eng.submit(&mut m, op.clone()) {

@@ -247,17 +247,17 @@ fn run_fan_in(sub: &str, fault: &FaultConfig, seed: u64) -> Fingerprint {
     let mut last_hop: Option<OpId> = None;
     for i in 1..FAN_NODES {
         let data = payloads::mixed(8 + 4 * (i % 3), seed + i as u64);
-        let op = match i % 5 {
-            _ if i == 4 => Op::stream_send(sid, &payloads::mixed(20, seed.wrapping_add(55))),
-            0 => Op::xfer_reliable(n(i), n(0), &data, &policy).recovering(&recovery),
-            1 | 4 => Op::xfer(n(i), n(0), &data),
-            2 => Op::rpc(n(i), n(0), 40, [i as u32, 0, 0, 0], Some(&policy)),
+        let op: Op = match i % 5 {
+            _ if i == 4 => Op::stream_send(sid, &payloads::mixed(20, seed.wrapping_add(55))).into(),
+            0 => Op::xfer_reliable(n(i), n(0), &data, &policy).recovering(&recovery).into(),
+            1 | 4 => Op::xfer(n(i), n(0), &data).into(),
+            2 => Op::rpc(n(i), n(0), 40, [i as u32, 0, 0, 0], Some(&policy)).into(),
             _ => {
                 // Recovery-managed, so a duplicated hop carries a token
                 // and is orphan-discarded instead of blocking node 0.
                 let hop = Op::am4(n(i), n(0), 50, [seed as u32, i as u32, 2, 3])
                     .recovering(&recovery);
-                last_hop.map_or(hop.clone(), |prev| hop.after(&[prev]))
+                last_hop.map_or(hop.clone(), |prev| hop.after(&[prev])).into()
             }
         };
         let id = eng.submit(&mut m, op).expect("valid op");

@@ -27,7 +27,7 @@ use std::rc::Rc;
 
 use timego_am::{
     CmamConfig, Engine, EngineEvent, Machine, Op, OpId, OpOutcome, ProtocolError, RecoveryPolicy,
-    RetryPolicy, StreamConfig, Tags, TracedEvent,
+    ReliableOutcome, RetryPolicy, StreamConfig, Tags, TracedEvent,
 };
 use timego_cost::Feature;
 use timego_netsim::{
@@ -89,6 +89,18 @@ fn crash(node: NodeId, start: u64, end: u64) -> FaultConfig {
 
 fn fault_tol(m: &Machine, node: NodeId) -> u64 {
     m.cpu(node).snapshot().feature_total(Feature::FaultTol)
+}
+
+/// A recovering reliable transfer 2 → 9 whose executions are bounded by
+/// its own retry budget (as many as it has attempts, backing off by
+/// it); returns the outcome and the re-execution count.
+fn recovering_xfer(
+    m: &mut Machine,
+    data: &[u32],
+    policy: &RetryPolicy,
+) -> Result<(ReliableOutcome, u32), ProtocolError> {
+    let budget = RecoveryPolicy { max_executions: policy.max_attempts, backoff: policy.clone() };
+    m.run(Op::xfer_reliable(n(2), n(9), data, policy).recovering(&budget))
 }
 
 // ---------------------------------------------------------------------
@@ -214,10 +226,10 @@ fn clean_recovering_runs_bill_identical_to_non_recovering() {
     let data = payloads::mixed(128, 3);
     let mut plain = machine("switched", &clean, 11);
     plain.reset_costs();
-    plain.xfer_reliable(n(2), n(9), &data, &policy).unwrap();
+    plain.run(Op::xfer_reliable(n(2), n(9), &data, &policy)).unwrap();
     let mut rec = machine("switched", &clean, 11);
     rec.reset_costs();
-    let (_, re) = rec.xfer_reliable_recovering(n(2), n(9), &data, &policy).unwrap();
+    let (_, re) = recovering_xfer(&mut rec, &data, &policy).unwrap();
     assert_eq!(re, 0, "clean run must not re-execute");
     assert_identical(&plain, &rec, "xfer_reliable");
 
@@ -229,7 +241,7 @@ fn clean_recovering_runs_bill_identical_to_non_recovering() {
     let mut rec = machine("switched", &clean, 12);
     let id = rec.open_stream(n(3), n(9), StreamConfig::default());
     rec.reset_costs();
-    let (_, re) = rec.stream_send_recovering(id, &data, &recovery).unwrap();
+    let (_, re) = rec.run(Op::stream_send(id, &data).recovering(&recovery)).unwrap();
     assert_eq!(re, 0, "clean run must not re-execute");
     assert_identical(&plain, &rec, "stream_send");
 
@@ -237,11 +249,12 @@ fn clean_recovering_runs_bill_identical_to_non_recovering() {
     let mut plain = machine("switched", &clean, 13);
     plain.register_rpc_handler(n(11), 40, |_, msg| [msg.words[0] + 1, 0, 0, 0]);
     plain.reset_costs();
-    plain.rpc_call_retrying(n(4), n(11), 40, [7, 0, 0, 0], &policy).unwrap();
+    plain.run(Op::rpc(n(4), n(11), 40, [7, 0, 0, 0], Some(&policy))).unwrap();
     let mut rec = machine("switched", &clean, 13);
     rec.register_rpc_handler(n(11), 40, |_, msg| [msg.words[0] + 1, 0, 0, 0]);
     rec.reset_costs();
-    let (reply, re) = rec.rpc_call_recovering(n(4), n(11), 40, [7, 0, 0, 0], &policy, &recovery).unwrap();
+    let call = Op::rpc(n(4), n(11), 40, [7, 0, 0, 0], Some(&policy));
+    let (reply, re) = rec.run(call.recovering(&recovery)).unwrap();
     assert_eq!(reply, [8, 0, 0, 0]);
     assert_eq!(re, 0, "clean run must not re-execute");
     assert_identical(&plain, &rec, "rpc_call");
@@ -292,7 +305,7 @@ fn stream_crash_recovery_is_exactly_once_and_byte_exact() {
         let id = m.open_stream(n(3), n(9), StreamConfig::default());
         m.reset_costs();
         let (_, re) = m
-            .stream_send_recovering(id, &data, &RecoveryPolicy::default())
+            .run(Op::stream_send(id, &data).recovering(&RecoveryPolicy::default()))
             .unwrap_or_else(|e| panic!("seed {seed}: stream recovery must converge: {e}"));
         assert_eq!(
             m.stream_received(id),
@@ -334,8 +347,9 @@ fn rpc_recovery_is_exactly_once_via_reply_cache() {
             [msg.words[0] * 3, 0, 0, 0]
         });
         for v in 0..CALLS {
+            let call = Op::rpc(n(4), n(11), 40, [v, 0, 0, 0], Some(&inner));
             let (reply, re) = m
-                .rpc_call_recovering(n(4), n(11), 40, [v, 0, 0, 0], &inner, &recovery)
+                .run(call.recovering(&recovery))
                 .unwrap_or_else(|e| panic!("seed {seed} call {v}: {e}"));
             assert_eq!(reply[0], v * 3, "seed {seed} call {v}");
             re_executed += re;
@@ -413,9 +427,9 @@ fn executions(trace: &[TracedEvent], id: OpId) -> Vec<u64> {
 /// and 7000 under one `OpId` — and converge to an outcome `check`
 /// accepts. (That the reference round-robin takes the identical trace
 /// is pinned in-crate against the oracle.)
-fn twice_felled<T>(
+fn twice_felled<F, T>(
     fault: &FaultConfig,
-    prepare: impl Fn(&mut Machine) -> (Op, T),
+    prepare: impl Fn(&mut Machine) -> (Op<F>, T),
     check: impl Fn(&Machine, T, OpOutcome),
 ) {
     let mut m = machine("switched", fault, 1);
@@ -629,8 +643,7 @@ fn sender_crash_cycles_leave_no_residual_receiver_state() {
             m.advance(base - now);
         }
         // Sender n(2) crashes mid-transfer; the engine recovers.
-        let (out, re) = m
-            .xfer_reliable_recovering(n(2), n(9), &data, &policy)
+        let (out, re) = recovering_xfer(&mut m, &data, &policy)
             .unwrap_or_else(|e| panic!("cycle {k}: recovery must converge: {e}"));
         assert_eq!(
             m.read_buffer(n(9), out.xfer.dst_buffer, data.len()),
@@ -639,8 +652,9 @@ fn sender_crash_cycles_leave_no_residual_receiver_state() {
         );
         recovered += re;
         // An RPC each cycle keeps the reply cache in play.
+        let call = Op::rpc(n(4), n(11), 40, [k as u32, 0, 0, 0], Some(&policy));
         let (reply, _) = m
-            .rpc_call_recovering(n(4), n(11), 40, [k as u32, 0, 0, 0], &policy, &recovery)
+            .run(call.recovering(&recovery))
             .unwrap_or_else(|e| panic!("cycle {k}: rpc must complete: {e}"));
         assert_eq!(reply[0], k as u32);
 
@@ -790,8 +804,7 @@ fn composed_fault_matrix_stays_exact_and_bounded() {
                 });
 
                 // Reliable transfer into the crashing node.
-                let (out, re) = m
-                    .xfer_reliable_recovering(n(2), n(9), &data, &inner)
+                let (out, re) = recovering_xfer(&mut m, &data, &inner)
                     .unwrap_or_else(|e| panic!("{ctx}: xfer: {e}"));
                 assert_eq!(
                     m.read_buffer(n(9), out.xfer.dst_buffer, data.len()),
@@ -803,7 +816,7 @@ fn composed_fault_matrix_stays_exact_and_bounded() {
                 // Stream into the crashing node.
                 let id = m.open_stream(n(3), n(9), StreamConfig::default());
                 let (_, re) = m
-                    .stream_send_recovering(id, &data, &recovery)
+                    .run(Op::stream_send(id, &data).recovering(&recovery))
                     .unwrap_or_else(|e| panic!("{ctx}: stream: {e}"));
                 assert_eq!(m.stream_received(id), &data[..], "{ctx}: stream exactly-once");
                 recovered += re;
@@ -811,8 +824,9 @@ fn composed_fault_matrix_stays_exact_and_bounded() {
                 // RPCs to the outage-affected node: exactly-once via the
                 // reply cache.
                 for v in 0..3u32 {
+                    let call = Op::rpc(n(4), n(12), 40, [v, 0, 0, 0], Some(&inner));
                     let (reply, re) = m
-                        .rpc_call_recovering(n(4), n(12), 40, [v, 0, 0, 0], &inner, &recovery)
+                        .run(call.recovering(&recovery))
                         .unwrap_or_else(|e| panic!("{ctx}: rpc {v}: {e}"));
                     assert_eq!(reply[0], v ^ 0xbeef, "{ctx}: rpc {v}");
                     recovered += re;
