@@ -22,7 +22,7 @@ use timego_am::{
 use timego_cost::analytic::{self, IndefiniteOpts, MsgShape, ProtocolCost};
 use timego_cost::cycles::CycleModel;
 use timego_cost::paper::{self, Block, Printed, Table};
-use timego_cost::{table, Class, Endpoint, Feature};
+use timego_cost::{table, Class, Endpoint, Feature, Fine};
 use timego_netsim::{CrashWindow, FaultConfig, Network, NodeId, Packet};
 use timego_ni::share;
 use timego_am::{ProtocolError, RecoveryPolicy, RetryPolicy};
@@ -143,13 +143,25 @@ fn side(endpoint: Endpoint) -> String {
 /// **Table 1** — single-packet delivery instruction counts by fine
 /// category, measured from one `am4` send + poll.
 pub fn table1() -> String {
+    use timego_am::Tags;
+
     let measured = &PaperCells::get().single;
+    // The same execution, read per node for its fine split.
+    let (src, dst) = (NodeId::new(0), NodeId::new(1));
+    let mut m = Machine::new(share(scenarios::table_in_order(2)), 2, CmamConfig::default());
+    m.reset_costs();
+    m.am4_send(src, dst, Tags::USER_BASE, [1, 2, 3, 4]).expect("instant substrate accepts");
+    assert!(m.poll(dst).received(), "message must be waiting");
+    let split = |node| {
+        let v = m.cpu(node).snapshot();
+        Fine::ALL.into_iter().map(|f| (f, v.fine_total(f))).filter(|&(_, n)| n > 0).collect::<Vec<_>>()
+    };
     let mut out = String::new();
     out.push_str("== Table 1: instruction counts for single-packet delivery ==\n\n");
     out.push_str(&table::render_fine_table(
         "Single-packet delivery (measured fine categories are identical to the paper's)",
-        &analytic::single_packet_fine(Endpoint::Source),
-        &analytic::single_packet_fine(Endpoint::Destination),
+        &split(src),
+        &split(dst),
     ));
     out.push('\n');
     for row in paper::rows(Table::Table1, Block::SinglePacket) {

@@ -709,13 +709,6 @@ impl Engine {
         self.pending.len() + self.running.len() + self.held.len() + self.parked.len()
     }
 
-    /// Number of operations currently held behind unfinished run-after
-    /// predecessors.
-    #[must_use]
-    pub fn held_count(&self) -> usize {
-        self.held.len()
-    }
-
     /// The scheduler trace so far, every event stamped with the
     /// substrate clock at the moment it was recorded. Empty unless
     /// [`Engine::enable_trace`] was called.

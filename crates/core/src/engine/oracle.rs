@@ -557,7 +557,7 @@ mod tests {
     /// schedulers: each run re-executes twice — `Started` at 0, 4000 and
     /// 7000 under one `OpId` — and converges to an outcome `check`
     /// accepts, and the two traces are identical, stamps included.
-    fn twice_felled<F, T>(
+    fn twice_felled<F: crate::op::family::Recoverable, T>(
         fault: &FaultConfig,
         prepare: impl Fn(&mut Machine) -> (Op<F>, T),
         check: impl Fn(&Machine, T, OpOutcome),

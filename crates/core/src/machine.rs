@@ -60,8 +60,6 @@ pub struct CmamConfig {
     /// Payload words per hardware packet (`n`; even, ≥ 2). The CM-5
     /// value is 4.
     pub packet_words: usize,
-    /// Node memory capacity in words.
-    pub mem_words: usize,
     /// Upper bound on cycles any protocol phase will wait for a packet
     /// before reporting [`ProtocolError::Timeout`].
     pub max_wait_cycles: u64,
@@ -76,11 +74,13 @@ pub struct CmamConfig {
     pub gc_ttl_cycles: u64,
 }
 
+/// Node memory capacity in words.
+const MEM_WORDS: usize = 1 << 20;
+
 impl Default for CmamConfig {
     fn default() -> Self {
         CmamConfig {
             packet_words: 4,
-            mem_words: 1 << 20,
             max_wait_cycles: 1 << 20,
             gc_ttl_cycles: 1 << 20,
         }
@@ -309,7 +309,7 @@ impl Machine {
             let cpu = CostHandle::new();
             node_vec.push(Node {
                 ni: NiPort::new(NodeId::new(i), net.clone(), cpu.clone()),
-                mem: Memory::new(cfg.mem_words, cpu.clone()),
+                mem: Memory::new(MEM_WORDS, cpu.clone()),
                 cpu,
                 handlers: HashMap::new(),
                 rpc_handlers: HashMap::new(),
@@ -901,7 +901,6 @@ impl std::fmt::Debug for Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use timego_cost::analytic::single_packet_fine;
     use timego_cost::paper::{self, Block, Table};
     use timego_cost::{Class, Endpoint, Feature};
     use timego_netsim::{
@@ -936,7 +935,7 @@ mod tests {
         assert_eq!(v.total(), table1(Endpoint::Source), "Table 1 source cost");
         assert_eq!(v.class_total(Class::Dev), 5);
         assert_eq!(v.class_total(Class::Reg), 15);
-        for (fine, count) in single_packet_fine(Endpoint::Source) {
+        for &(fine, count) in paper::table1_fine(Endpoint::Source) {
             assert_eq!(v.fine_total(fine), count, "{fine}");
         }
     }
@@ -951,7 +950,7 @@ mod tests {
         assert_eq!(outcome, PollOutcome::Handled(Tags::USER_BASE));
         let v = m.cpu(n(1)).snapshot();
         // 27 for the reception path + 2 for handler dispatch.
-        for (fine, count) in single_packet_fine(Endpoint::Destination) {
+        for &(fine, count) in paper::table1_fine(Endpoint::Destination) {
             assert_eq!(v.fine_total(fine), count, "{fine}");
         }
         assert_eq!(v.class_total(Class::Dev), 5);

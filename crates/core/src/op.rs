@@ -423,38 +423,6 @@ impl<F> Op<F> {
         self
     }
 
-    /// Attach an engine-native [`RecoveryPolicy`]: if the operation
-    /// settles with a retryable error (`SessionReset`, `Timeout`,
-    /// `DeadlineExceeded`), the scheduler itself re-executes it under
-    /// the same [`OpId`] after the policy's backoff window — no
-    /// caller-side loop, and run-after dependents stay held instead of
-    /// cascading [`ProtocolError::DependencyFailed`]. Each re-execution
-    /// bills the session-restart instruction shape to
-    /// `Feature::FaultTol` at the source; a clean run is
-    /// instruction-identical to the unmodified op.
-    ///
-    /// Re-execution is exactly-once per family: a reliable transfer
-    /// restarts under a fresh session epoch; a stream send *resumes*
-    /// (packets the receiver already delivered in-sequence are not
-    /// re-sent); an RPC reuses its call id, so a callee whose handler
-    /// already ran answers from its reply cache (at most once per
-    /// callee incarnation); an am4 rides a nonzero *delivery token* in
-    /// the header word (plain user traffic always carries header `0`),
-    /// so a duplicate left by a crash-straddling re-execution can never
-    /// be mistaken for a later same-pair message and is
-    /// orphan-discarded once its operation completes.
-    ///
-    /// Attaching any policy — even [`RecoveryPolicy::none`] — marks an
-    /// RPC or am4 as *recovery-managed*: it fails fast with the
-    /// retryable `SessionReset` when an endpoint crash-restarts, and
-    /// the am4 carries its token. Plain [`Op::xfer`] has no
-    /// re-execution recipe; submitting it with a policy is rejected.
-    #[must_use]
-    pub fn recovering(mut self, policy: &RecoveryPolicy) -> Self {
-        self.recovery = Some(policy.clone());
-        self
-    }
-
     /// A completion deadline, in substrate cycles from the submission
     /// cycle: if the operation — running, pending, held or parked — has
     /// not completed by then, the engine settles it with the retryable
@@ -520,12 +488,6 @@ impl<F> Op<F> {
             OpBody::Xfer { lens, .. } if lens.contains(&0) => {
                 return bad("empty message in batch".into());
             }
-            OpBody::Xfer { .. } if self.recovery.is_some() => {
-                return bad(
-                    "recovering: a plain xfer has no re-execution recipe (use Op::xfer_reliable)"
-                        .into(),
-                );
-            }
             OpBody::Reliable { data, .. } if data.len() >= (1 << OFFSET_BITS) => {
                 return bad(format!(
                     "reliable transfer caps at {} words, got {}",
@@ -558,6 +520,50 @@ impl<F> Op<F> {
             ));
         }
         Ok(())
+    }
+}
+
+impl<F: family::Recoverable> Op<F> {
+    /// Attach an engine-native [`RecoveryPolicy`]: if the operation
+    /// settles with a retryable error (`SessionReset`, `Timeout`,
+    /// `DeadlineExceeded`), the scheduler itself re-executes it under
+    /// the same [`OpId`] after the policy's backoff window — no
+    /// caller-side loop, and run-after dependents stay held instead of
+    /// cascading [`ProtocolError::DependencyFailed`]. Each re-execution
+    /// bills the session-restart instruction shape to
+    /// `Feature::FaultTol` at the source; a clean run is
+    /// instruction-identical to the unmodified op.
+    ///
+    /// Re-execution is exactly-once per family: a reliable transfer
+    /// restarts under a fresh session epoch; a stream send *resumes*
+    /// (packets the receiver already delivered in-sequence are not
+    /// re-sent); an RPC reuses its call id, so a callee whose handler
+    /// already ran answers from its reply cache (at most once per
+    /// callee incarnation); an am4 rides a nonzero *delivery token* in
+    /// the header word (plain user traffic always carries header `0`),
+    /// so a duplicate left by a crash-straddling re-execution can never
+    /// be mistaken for a later same-pair message and is
+    /// orphan-discarded once its operation completes.
+    ///
+    /// Attaching any policy — even [`RecoveryPolicy::none`] — marks an
+    /// RPC or am4 as *recovery-managed*: it fails fast with the
+    /// retryable `SessionReset` when an endpoint crash-restarts, and
+    /// the am4 carries its token.
+    ///
+    /// Only the families with a re-execution recipe
+    /// ([`family::Recoverable`]) offer the modifier, and a mixed-family
+    /// list applies it before converting: a plain transfer has no
+    /// recipe, so asking for one does not compile.
+    ///
+    /// ```compile_fail
+    /// # use timego_am::{Op, RecoveryPolicy};
+    /// # use timego_netsim::NodeId;
+    /// let op = Op::xfer(NodeId::new(0), NodeId::new(1), &[1]).recovering(&RecoveryPolicy::none());
+    /// ```
+    #[must_use]
+    pub fn recovering(mut self, policy: &RecoveryPolicy) -> Self {
+        self.recovery = Some(policy.clone());
+        self
     }
 }
 
@@ -627,6 +633,15 @@ pub mod family {
         /// yielding the words the destination read.
         pub Am4 => Am4([u32; 4]);
     }
+
+    /// A family with a re-execution recipe: the ones
+    /// [`Op::recovering`](crate::Op::recovering) is offered on.
+    pub trait Recoverable: Family {}
+
+    impl Recoverable for Reliable {}
+    impl Recoverable for Stream {}
+    impl Recoverable for Rpc {}
+    impl Recoverable for Am4 {}
 
     /// No one family: the plain [`Op`](crate::Op) a list mixing
     /// families holds. Every typed op converts into it, and

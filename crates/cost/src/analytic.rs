@@ -21,7 +21,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::axes::{Endpoint, Feature, Fine};
+use crate::axes::{Endpoint, Feature};
 use crate::vector::FeatureCost;
 
 /// Message shape: packet payload size and packet count.
@@ -225,29 +225,6 @@ impl IndefiniteOpts {
 // ---------------------------------------------------------------------
 // Single-packet delivery (Table 1)
 // ---------------------------------------------------------------------
-
-/// Table 1 rows for one endpoint: `(fine category, instruction count)`.
-///
-/// Source: call/return 3, NI setup 5, write to NI 2, check status 7,
-/// control flow 3 (total 20). Destination: call/return 10, read from NI
-/// 3, check status 12, control flow 2 (total 27).
-pub fn single_packet_fine(endpoint: Endpoint) -> Vec<(Fine, u64)> {
-    match endpoint {
-        Endpoint::Source => vec![
-            (Fine::CallReturn, 3),
-            (Fine::NiSetup, 5),
-            (Fine::WriteNi, 2),
-            (Fine::CheckStatus, 7),
-            (Fine::ControlFlow, 3),
-        ],
-        Endpoint::Destination => vec![
-            (Fine::CallReturn, 10),
-            (Fine::ReadNi, 3),
-            (Fine::CheckStatus, 12),
-            (Fine::ControlFlow, 2),
-        ],
-    }
-}
 
 /// The single-packet delivery cost table (base feature only): 20
 /// instructions at the source, 27 at the destination.
@@ -510,10 +487,6 @@ mod tests {
     fn single_packet_matches_table1() {
         let c = single_packet();
         assert_paper(Block::SinglePacket, &c);
-        for e in Endpoint::ALL {
-            let fine: u64 = single_packet_fine(e).iter().map(|(_, n)| n).sum();
-            assert_eq!(fine, c.endpoint_total(e), "{e}");
-        }
     }
 
     #[test]

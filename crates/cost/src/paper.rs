@@ -33,7 +33,7 @@
 //!   cell (20) includes it; no indefinite-16 Table 3 row is kept here.
 
 use crate::analytic::ProtocolCost;
-use crate::axes::{Endpoint, Feature};
+use crate::axes::{Endpoint, Feature, Fine};
 use crate::vector::FeatureCost;
 
 /// The paper artefact a row is printed in.
@@ -274,9 +274,40 @@ pub const ROWS: &[Row] = &[
     instr(Table::Figure6, Block::HlIndefinite1024, BOTH, TOTAL, 8717),
 ];
 
+/// Table 1's fine split of one endpoint's single-packet cost, as
+/// `(category, instructions)` cells in the order the table prints them:
+/// call/return 3, NI setup 5, write to NI 2, check status 7, control
+/// flow 3 at the source (20); call/return 10, read from NI 3, check
+/// status 12, control flow 2 at the destination (27).
+pub const fn table1_fine(endpoint: Endpoint) -> &'static [(Fine, u64)] {
+    match endpoint {
+        Endpoint::Source => &[
+            (Fine::CallReturn, 3),
+            (Fine::NiSetup, 5),
+            (Fine::WriteNi, 2),
+            (Fine::CheckStatus, 7),
+            (Fine::ControlFlow, 3),
+        ],
+        Endpoint::Destination => &[
+            (Fine::CallReturn, 10),
+            (Fine::ReadNi, 3),
+            (Fine::CheckStatus, 12),
+            (Fine::ControlFlow, 2),
+        ],
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn table1_fine_cells_sum_to_the_printed_totals() {
+        for e in Endpoint::ALL {
+            let fine: u64 = table1_fine(e).iter().map(|(_, n)| n).sum();
+            assert_eq!(Some(fine), count(Block::SinglePacket, Some(e), None), "{e}");
+        }
+    }
 
     #[test]
     fn no_key_appears_twice() {

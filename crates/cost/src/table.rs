@@ -202,8 +202,8 @@ mod tests {
     fn fine_table_includes_totals_and_dashes() {
         let t = render_fine_table(
             "Table 1",
-            &analytic::single_packet_fine(Endpoint::Source),
-            &analytic::single_packet_fine(Endpoint::Destination),
+            paper::table1_fine(Endpoint::Source),
+            paper::table1_fine(Endpoint::Destination),
         );
         assert!(t.contains("Table 1"));
         assert!(t.contains("Write to NI"));

@@ -23,7 +23,7 @@
 use std::collections::VecDeque;
 
 use crate::id::NodeId;
-use crate::network::{Guarantees, InjectError, Network, RxMeta, WakeSet};
+use crate::network::{check_endpoints, stamp_next, Guarantees, InjectError, Network, RxMeta, RxQueues};
 use crate::packet::Packet;
 use crate::pair::{sorted_keys, PairMap};
 use crate::rng::SimRng;
@@ -82,12 +82,11 @@ pub struct CrNetwork {
     cfg: CrConfig,
     now: Time,
     pairs: PairMap<VecDeque<CrTransit>>,
-    rx: Vec<VecDeque<Packet>>,
+    rx: RxQueues,
     pair_seq: PairMap<u64>,
     in_flight: usize,
     stats: NetStats,
     rng: SimRng,
-    wake: WakeSet,
 }
 
 impl CrNetwork {
@@ -100,9 +99,8 @@ impl CrNetwork {
         assert!(cfg.nodes > 0, "need at least one node");
         assert!(cfg.pair_window >= 1, "pair window must be at least 1");
         assert!(cfg.rx_queue_capacity >= 1, "rx queue must hold at least 1 packet");
-        let rx = (0..cfg.nodes).map(|_| VecDeque::new()).collect();
+        let rx = RxQueues::new(cfg.nodes);
         let rng = SimRng::new(cfg.seed);
-        let wake = WakeSet::new(cfg.nodes);
         CrNetwork {
             cfg,
             now: Time::ZERO,
@@ -112,7 +110,6 @@ impl CrNetwork {
             in_flight: 0,
             stats: NetStats::new(),
             rng,
-            wake,
         }
     }
 
@@ -136,12 +133,9 @@ impl CrNetwork {
                 if head.deliver_at > now {
                     break;
                 }
-                let dst = head.packet.dst().index();
-                let room = cap - self_rx_len(&self.rx, dst).min(cap);
-                let pending_here = delivered
-                    .iter()
-                    .filter(|p| p.dst().index() == dst)
-                    .count();
+                let dst = head.packet.dst();
+                let room = cap - self.rx.pending(dst).min(cap);
+                let pending_here = delivered.iter().filter(|p| p.dst() == dst).count();
                 if pending_here < room {
                     let t = queue.pop_front().expect("head exists");
                     delivered.push(t.packet);
@@ -155,21 +149,10 @@ impl CrNetwork {
         }
         for packet in delivered {
             self.in_flight -= 1;
-            let (src, dst) = (packet.src(), packet.dst());
-            let seq = packet.stamped_seq();
-            let injected = packet.injected_at();
-            self.rx[dst.index()].push_back(packet);
-            self.wake.mark(dst);
-            let depth = self.rx[dst.index()].len();
-            self.stats
-                .record_delivery(src, dst, seq, injected, self.now, depth);
+            self.rx.land(packet, now, &mut self.stats);
         }
         self.pairs.retain(|_, q| !q.is_empty());
     }
-}
-
-fn self_rx_len(rx: &[VecDeque<Packet>], node: usize) -> usize {
-    rx[node].len()
 }
 
 impl Network for CrNetwork {
@@ -188,21 +171,14 @@ impl Network for CrNetwork {
     }
 
     fn try_inject(&mut self, mut packet: Packet) -> Result<(), InjectError> {
+        check_endpoints(&packet, self.cfg.nodes)?;
         let (src, dst) = (packet.src(), packet.dst());
-        if dst.index() >= self.cfg.nodes {
-            return Err(InjectError::BadDestination(dst));
-        }
-        if src.index() >= self.cfg.nodes {
-            return Err(InjectError::BadDestination(src));
-        }
         let queue = self.pairs.entry((src, dst)).or_default();
         if queue.len() >= self.cfg.pair_window {
             self.stats.backpressure += 1;
             return Err(InjectError::Backpressure);
         }
-        let seq = self.pair_seq.entry((src, dst)).or_insert(0);
-        packet.stamp(*seq, self.now);
-        *seq += 1;
+        stamp_next(self.pair_seq.entry((src, dst)).or_insert(0), &mut packet, self.now);
 
         let mut deliver_at = self.now + self.cfg.base_latency;
         // Hardware fault tolerance: corruption is detected via the
@@ -221,15 +197,15 @@ impl Network for CrNetwork {
     }
 
     fn rx_peek(&mut self, node: NodeId) -> Option<RxMeta> {
-        self.rx.get(node.index())?.front().map(RxMeta::of)
+        self.rx.peek(node)
     }
 
     fn try_receive(&mut self, node: NodeId) -> Option<Packet> {
-        self.rx.get_mut(node.index())?.pop_front()
+        self.rx.pop(node)
     }
 
     fn rx_pending(&self, node: NodeId) -> usize {
-        self.rx.get(node.index()).map_or(0, VecDeque::len)
+        self.rx.pending(node)
     }
 
     fn in_flight(&self) -> usize {
@@ -241,7 +217,7 @@ impl Network for CrNetwork {
     }
 
     fn take_delivered(&mut self) -> Vec<NodeId> {
-        self.wake.take()
+        self.rx.take_woken()
     }
 
     fn guarantees(&self) -> Guarantees {

@@ -73,7 +73,7 @@ pub use cr::{CrConfig, CrNetwork};
 pub use dual::DualNetwork;
 pub use fault::{CrashWindow, FaultConfig, FaultSchedule, OutageWindow};
 pub use id::NodeId;
-pub use network::{Guarantees, InjectError, Network, RxMeta, WakeSet};
+pub use network::{Guarantees, InjectError, Network, RxMeta};
 pub use packet::Packet;
 pub use rng::SimRng;
 pub use scripted::{DeliveryScript, ScriptedNetwork};

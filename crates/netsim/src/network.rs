@@ -1,10 +1,12 @@
 //! The substrate-independent network interface.
 
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
 use crate::id::NodeId;
 use crate::packet::Packet;
+use crate::pair::PairMap;
 use crate::stats::NetStats;
 use crate::time::Time;
 
@@ -92,46 +94,160 @@ impl fmt::Display for InjectError {
 
 impl Error for InjectError {}
 
-/// A per-node delivery recorder backing precise
-/// [`Network::take_delivered`] implementations.
+/// The host edge every substrate shares: each node's receive queue, and
+/// the wake marks over those queues that back a precise
+/// [`Network::take_delivered`].
 ///
-/// Substrates call [`WakeSet::mark`] at every receive-queue push; the
-/// mark bitmap deduplicates, so the pending list is bounded by the node
-/// count no matter how long a blocking (non-engine) caller goes without
-/// taking the set.
-#[derive(Debug, Clone, Default)]
-pub struct WakeSet {
-    marked: Vec<bool>,
-    nodes: Vec<NodeId>,
+/// [`land`](RxQueues::land) is the only code that delivers a packet:
+/// it pushes onto the queue, marks the node, and records the delivery
+/// with the queue's depth after the push. The fabric decides *when* a
+/// packet lands; what landing means is the same on every network (§4.1:
+/// the NI is the same hardware whichever network is behind it).
+///
+/// A mark is a link in a list of the marked nodes, in the order they
+/// were first marked: marking deduplicates, so the list is bounded by
+/// the node count however long a blocking (non-engine) caller goes
+/// without taking it. The links are sized at the first mark, not at
+/// construction: a paper sweep builds a fresh substrate per message.
+///
+/// The substrates' receive paths are instantiated in the crates that
+/// name a topology, so the per-packet methods are `#[inline]` to be
+/// compiled in place there.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct RxQueues {
+    queues: Vec<VecDeque<Packet>>,
+    /// Per node: the next marked node, `LAST` at the end of the list,
+    /// or `UNMARKED`.
+    next: Vec<usize>,
+    /// The first and last marked nodes (`LAST` while none is).
+    first: usize,
+    last: usize,
+    /// How many nodes are marked.
+    woken: usize,
 }
 
-impl WakeSet {
-    /// An empty wake set over `num_nodes` nodes.
-    pub fn new(num_nodes: usize) -> Self {
-        WakeSet { marked: vec![false; num_nodes], nodes: Vec::new() }
+const UNMARKED: usize = usize::MAX;
+const LAST: usize = usize::MAX - 1;
+
+impl RxQueues {
+    /// Empty receive queues for `nodes` nodes.
+    pub(crate) fn new(nodes: usize) -> Self {
+        // Empty `VecDeque`s own no heap memory: one allocation in all.
+        let queues = (0..nodes).map(|_| VecDeque::new()).collect();
+        RxQueues { queues, next: Vec::new(), first: LAST, last: LAST, woken: 0 }
     }
 
-    /// Record a delivery at `node` (idempotent until taken).
-    pub fn mark(&mut self, node: NodeId) {
-        if !self.marked[node.index()] {
-            self.marked[node.index()] = true;
-            self.nodes.push(node);
+    /// Deliver `packet` into its destination's queue.
+    #[inline]
+    pub(crate) fn land(&mut self, packet: Packet, now: Time, stats: &mut NetStats) {
+        self.land_at(packet.dst(), packet, now, stats);
+    }
+
+    /// Deliver `packet` into queue `slot`, which need not be the id the
+    /// packet carries (a shard's boundary queues are indexed by local
+    /// node while their packets keep global ids); `stats` see the
+    /// packet's own ids.
+    #[inline]
+    pub(crate) fn land_at(&mut self, slot: NodeId, packet: Packet, now: Time, stats: &mut NetStats) {
+        let (src, dst) = (packet.src(), packet.dst());
+        let (seq, injected) = (packet.stamped_seq(), packet.injected_at());
+        let i = slot.index();
+        let queue = &mut self.queues[i];
+        queue.push_back(packet);
+        let depth = queue.len();
+        if self.next.is_empty() {
+            self.next = vec![UNMARKED; self.queues.len()];
         }
-    }
-
-    /// Whether no delivery has been recorded since the last
-    /// [`take`](WakeSet::take).
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Drain the recorded nodes, clearing the marks.
-    pub fn take(&mut self) -> Vec<NodeId> {
-        for n in &self.nodes {
-            self.marked[n.index()] = false;
+        if self.next[i] == UNMARKED {
+            self.next[i] = LAST;
+            match self.last {
+                LAST => self.first = i,
+                tail => self.next[tail] = i,
+            }
+            self.last = i;
+            self.woken += 1;
         }
-        std::mem::take(&mut self.nodes)
+        stats.record_delivery(src, dst, seq, injected, now, depth);
     }
+
+    /// The one loopback path: a packet a node sends itself skips the
+    /// fabric, is stamped and counted as injected, and lands at once —
+    /// unless its queue already holds `capacity` packets.
+    pub(crate) fn loopback(
+        &mut self,
+        mut packet: Packet,
+        capacity: usize,
+        seqs: &mut PairMap<u64>,
+        now: Time,
+        stats: &mut NetStats,
+    ) -> Result<(), InjectError> {
+        let node = packet.dst();
+        if self.pending(node) >= capacity {
+            stats.backpressure += 1;
+            return Err(InjectError::Backpressure);
+        }
+        stamp_next(seqs.entry((node, node)).or_insert(0), &mut packet, now);
+        stats.injected += 1;
+        self.land(packet, now, stats);
+        Ok(())
+    }
+
+    /// Envelope of the packet at the head of `node`'s queue.
+    #[inline]
+    pub(crate) fn peek(&self, node: NodeId) -> Option<RxMeta> {
+        self.queues.get(node.index())?.front().map(RxMeta::of)
+    }
+
+    /// Pop the head of `node`'s queue.
+    #[inline]
+    pub(crate) fn pop(&mut self, node: NodeId) -> Option<Packet> {
+        self.queues.get_mut(node.index())?.pop_front()
+    }
+
+    /// Packets waiting in `node`'s queue (0 for a node out of range).
+    #[inline]
+    pub(crate) fn pending(&self, node: NodeId) -> usize {
+        self.queues.get(node.index()).map_or(0, VecDeque::len)
+    }
+
+    /// Whether a packet has landed since the last
+    /// [`take_woken`](RxQueues::take_woken).
+    pub(crate) fn has_woken(&self) -> bool {
+        self.woken > 0
+    }
+
+    /// Drain the nodes packets landed at since the last take, each
+    /// once, in the order they were first marked.
+    pub(crate) fn take_woken(&mut self) -> Vec<NodeId> {
+        let mut nodes = Vec::with_capacity(std::mem::take(&mut self.woken));
+        let mut at = std::mem::replace(&mut self.first, LAST);
+        self.last = LAST;
+        while at != LAST {
+            nodes.push(NodeId::new(at));
+            at = std::mem::replace(&mut self.next[at], UNMARKED);
+        }
+        nodes
+    }
+}
+
+/// Refuse a packet whose destination, then source, is not one of
+/// `nodes` nodes.
+#[inline]
+pub(crate) fn check_endpoints(packet: &Packet, nodes: usize) -> Result<(), InjectError> {
+    match [packet.dst(), packet.src()].into_iter().find(|n| n.index() >= nodes) {
+        Some(bad) => Err(InjectError::BadDestination(bad)),
+        None => Ok(()),
+    }
+}
+
+/// Stamp `packet` with its pair's next sequence number `*next` and the
+/// injection cycle, advance the counter, and return the number stamped.
+#[inline]
+pub(crate) fn stamp_next(next: &mut u64, packet: &mut Packet, now: Time) -> u64 {
+    let seq = *next;
+    *next += 1;
+    packet.stamp(seq, now);
+    seq
 }
 
 /// A packet-switched network connecting `num_nodes` nodes.
@@ -310,6 +426,117 @@ pub trait Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{
+        CrConfig, CrNetwork, DeliveryScript, DualNetwork, FatTree, Mesh2D, ScriptedNetwork,
+        ShardedConfig, ShardedNetwork, SwitchedConfig, SwitchedNetwork, WormholeConfig,
+        WormholeNetwork,
+    };
+
+    const NODES: usize = 16;
+    const REPLY_TAG: u8 = 200;
+
+    fn n(i: usize) -> NodeId {
+        NodeId::new(i)
+    }
+
+    /// Every substrate over `NODES` nodes: the five, the sharded one
+    /// split three ways, and a dual network over two different ones.
+    fn substrates() -> Vec<(&'static str, Box<dyn Network>)> {
+        let switched = || SwitchedNetwork::new(FatTree::new(4, 2, 2), SwitchedConfig::default());
+        let sharded = ShardedConfig { shards: 3, threads: 1, ..ShardedConfig::default() };
+        vec![
+            ("scripted", Box::new(ScriptedNetwork::new(NODES, DeliveryScript::AlternateSwap))),
+            ("cr", Box::new(CrNetwork::new(CrConfig::new(NODES)))),
+            ("switched", Box::new(switched())),
+            ("wormhole", Box::new(WormholeNetwork::new(Mesh2D::new(4, 4), WormholeConfig::default()))),
+            ("sharded", Box::new(ShardedNetwork::new(NODES, sharded))),
+            ("dual", Box::new(DualNetwork::new(CrNetwork::new(CrConfig::new(NODES)), switched(), REPLY_TAG))),
+        ]
+    }
+
+    /// Inject `packets` in order (the head waits out backpressure), and
+    /// advance, take the wake set and receive at every node until the
+    /// network is empty. Returns the packets each node received; checks
+    /// that no take names a node twice.
+    fn drive(name: &str, net: &mut dyn Network, packets: &[Packet]) -> Vec<u64> {
+        let mut unsent: VecDeque<Packet> = packets.iter().cloned().collect();
+        let mut received = vec![0; NODES];
+        for _ in 0..100_000 {
+            while let Some(head) = unsent.front() {
+                match net.try_inject(head.clone()) {
+                    Ok(()) => drop(unsent.pop_front()),
+                    Err(InjectError::Backpressure) => break,
+                    Err(e) => panic!("{name}: {e}"),
+                }
+            }
+            net.advance(1);
+            let mut woken = net.take_delivered();
+            let taken = woken.len();
+            woken.sort_unstable();
+            woken.dedup();
+            assert_eq!(woken.len(), taken, "{name}: one take named a node twice");
+            for (i, got) in received.iter_mut().enumerate() {
+                while net.try_receive(n(i)).is_some() {
+                    *got += 1;
+                }
+            }
+            if unsent.is_empty() && net.in_flight() == 0 {
+                return received;
+            }
+        }
+        panic!("{name}: the network never drained");
+    }
+
+    #[test]
+    fn a_bad_endpoint_is_refused_naming_dst_before_src() {
+        for (name, mut net) in substrates() {
+            for tag in [1, REPLY_TAG] {
+                let both_bad = Packet::new(n(NODES + 1), n(NODES + 2), tag, 0, &[1]);
+                assert_eq!(net.try_inject(both_bad), Err(InjectError::BadDestination(n(NODES + 2))), "{name}");
+                let bad_src = Packet::new(n(NODES), n(0), tag, 0, &[1]);
+                assert_eq!(net.try_inject(bad_src), Err(InjectError::BadDestination(n(NODES))), "{name}");
+                let bad_dst = Packet::new(n(0), n(NODES), tag, 0, &[1]);
+                assert_eq!(net.try_inject(bad_dst), Err(InjectError::BadDestination(n(NODES))), "{name}");
+            }
+            assert_eq!(net.stats().injected, 0, "{name}: a refused packet is not injected");
+        }
+    }
+
+    #[test]
+    fn a_loopback_is_delivered_and_counted_once() {
+        for (name, mut net) in substrates() {
+            let received = drive(name, net.as_mut(), &[Packet::new(n(5), n(5), 1, 0, &[7])]);
+            assert_eq!(received.iter().sum::<u64>(), 1, "{name}");
+            assert_eq!(received[5], 1, "{name}");
+            let stats = net.stats();
+            assert_eq!((stats.injected, stats.delivered), (1, 1), "{name}");
+            assert_eq!(stats.occupancy(n(5)).delivered_to, 1, "{name}");
+            assert_eq!(stats.occupancy(n(5)).delivered_from, 1, "{name}");
+        }
+    }
+
+    #[test]
+    fn delivery_counts_equal_the_packets_received_at_every_node() {
+        // Every node sends to itself and to three others, some across
+        // shards, half on the dual network's reply side.
+        let packets: Vec<Packet> = (0..NODES)
+            .flat_map(|src| {
+                [0, 1, 5, 11].map(|k| {
+                    let tag = if k % 2 == 0 { 1 } else { REPLY_TAG };
+                    Packet::new(n(src), n((src + k) % NODES), tag, k as u32, &[src as u32; 6])
+                })
+            })
+            .collect();
+        for (name, mut net) in substrates() {
+            let received = drive(name, net.as_mut(), &packets);
+            let stats = net.stats();
+            assert_eq!(stats.delivered, packets.len() as u64, "{name}");
+            assert_eq!(received.iter().sum::<u64>(), stats.delivered, "{name}");
+            for (i, &got) in received.iter().enumerate() {
+                assert_eq!(stats.occupancy(n(i)).delivered_to, got, "{name}: node {i}");
+            }
+        }
+    }
 
     #[test]
     #[allow(clippy::assertions_on_constants)]

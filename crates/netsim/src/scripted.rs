@@ -22,10 +22,8 @@
 //! thousands of them up front, and building one stays as cheap as an
 //! empty hash map made it.
 
-use std::collections::VecDeque;
-
 use crate::id::NodeId;
-use crate::network::{Guarantees, InjectError, Network, RxMeta};
+use crate::network::{check_endpoints, stamp_next, Guarantees, InjectError, Network, RxMeta, RxQueues};
 use crate::packet::Packet;
 use crate::rng::SimRng;
 use crate::stats::NetStats;
@@ -64,7 +62,10 @@ pub struct ScriptedNetwork {
     nodes: usize,
     script: DeliveryScript,
     now: Time,
-    rx: Vec<VecDeque<Packet>>,
+    /// The receive queues. Their wake marks go untaken: this network
+    /// delivers inside `try_inject`, and the trait's default depth scan
+    /// answers `take_delivered` at less cost on the paper sweep.
+    rx: RxQueues,
     /// `nodes × nodes` pair slots, empty until the first injection.
     pairs: Vec<PairSlot>,
     held_count: usize,
@@ -98,7 +99,7 @@ impl ScriptedNetwork {
             nodes,
             script,
             now: Time::ZERO,
-            rx: (0..nodes).map(|_| VecDeque::new()).collect(),
+            rx: RxQueues::new(nodes),
             pairs: Vec::new(),
             held_count: 0,
             stats: NetStats::new(),
@@ -112,13 +113,7 @@ impl ScriptedNetwork {
     }
 
     fn deliver(&mut self, packet: Packet) {
-        let (src, dst) = (packet.src(), packet.dst());
-        let seq = packet.stamped_seq();
-        let injected = packet.injected_at();
-        self.rx[dst.index()].push_back(packet);
-        let depth = self.rx[dst.index()].len();
-        self.stats
-            .record_delivery(src, dst, seq, injected, self.now, depth);
+        self.rx.land(packet, self.now, &mut self.stats);
     }
 
     /// Where `(src, dst)` sits in the pair table.
@@ -167,6 +162,15 @@ impl ScriptedNetwork {
         }
         self.pairs[i].held = held;
     }
+
+    /// Liveness: a stream may end while the script still holds a packet
+    /// (e.g. odd-length AlternateSwap) — release what is held for an
+    /// empty queue rather than strand it.
+    fn flush_if_empty(&mut self, node: NodeId) {
+        if self.held_count > 0 && node.index() < self.nodes && self.rx.pending(node) == 0 {
+            self.flush_node(Some(node));
+        }
+    }
 }
 
 impl Network for ScriptedNetwork {
@@ -190,17 +194,9 @@ impl Network for ScriptedNetwork {
     }
 
     fn try_inject(&mut self, mut packet: Packet) -> Result<(), InjectError> {
-        let (src, dst) = (packet.src(), packet.dst());
-        if dst.index() >= self.nodes {
-            return Err(InjectError::BadDestination(dst));
-        }
-        if src.index() >= self.nodes {
-            return Err(InjectError::BadDestination(src));
-        }
-        let slot = self.slot(src, dst);
-        let seq = slot.next_seq;
-        slot.next_seq += 1;
-        packet.stamp(seq, self.now);
+        check_endpoints(&packet, self.nodes)?;
+        let (src, dst, now) = (packet.src(), packet.dst(), self.now);
+        let seq = stamp_next(&mut self.slot(src, dst).next_seq, &mut packet, now);
         self.stats.injected += 1;
 
         match self.script {
@@ -232,24 +228,17 @@ impl Network for ScriptedNetwork {
     fn rx_peek(&mut self, node: NodeId) -> Option<RxMeta> {
         // Mirror try_receive's liveness flush so the peeked head is
         // exactly what try_receive would pop.
-        if self.rx.get(node.index())?.is_empty() && self.held_count > 0 {
-            self.flush_node(Some(node));
-        }
-        self.rx.get(node.index())?.front().map(RxMeta::of)
+        self.flush_if_empty(node);
+        self.rx.peek(node)
     }
 
     fn try_receive(&mut self, node: NodeId) -> Option<Packet> {
-        if self.rx.get(node.index())?.is_empty() && self.held_count > 0 {
-            // Liveness: a stream may end while the script still holds a
-            // packet (e.g. odd-length AlternateSwap) — release it rather
-            // than strand it.
-            self.flush_node(Some(node));
-        }
-        self.rx.get_mut(node.index())?.pop_front()
+        self.flush_if_empty(node);
+        self.rx.pop(node)
     }
 
     fn rx_pending(&self, node: NodeId) -> usize {
-        self.rx.get(node.index()).map_or(0, VecDeque::len)
+        self.rx.pending(node)
     }
 
     fn in_flight(&self) -> usize {

@@ -68,7 +68,7 @@ use std::thread::JoinHandle;
 
 use crate::fault::{FaultConfig, FaultSchedule};
 use crate::id::NodeId;
-use crate::network::{Guarantees, InjectError, Network, RxMeta, WakeSet};
+use crate::network::{check_endpoints, stamp_next, Guarantees, InjectError, Network, RxMeta, RxQueues};
 use crate::packet::Packet;
 use crate::pair::PairMap;
 use crate::rng::splitmix64;
@@ -137,16 +137,14 @@ struct ShardCell {
     /// it reaches the rx capacity, further cross-shard injections to
     /// that node backpressure.
     pending_to: Vec<usize>,
-    /// Boundary receive queues, one per local node. Drained *before*
-    /// the subnet's rx queues (fixed priority, so receive order never
-    /// depends on timing).
-    brx: Vec<VecDeque<Packet>>,
+    /// Boundary receive queues and their wake marks, one per local node
+    /// (the subnet keeps its own for intra-shard deliveries). Drained
+    /// *before* the subnet's rx queues (fixed priority, so receive order
+    /// never depends on timing).
+    brx: RxQueues,
     /// Statistics for the boundary deliveries this shard performed,
     /// under **global** node ids.
     ingress_stats: NetStats,
-    /// Wake marks for boundary deliveries (local ids; the subnet keeps
-    /// its own wake set for intra-shard deliveries).
-    wake: WakeSet,
     /// Test-only step hook: wait at the barrier, then panic if the flag
     /// is set — a worker that dies mid-step, at a known moment.
     #[cfg(test)]
@@ -214,9 +212,9 @@ impl Readback {
 /// remapped, so software never observes the partitioning.
 ///
 /// The aggregate [`stats`](Network::stats) carry exact scalar counters,
-/// order verdicts, and latency histograms reduced over all shards; the
-/// per-node occupancy table at that level is intentionally empty (it
-/// would cost O(nodes) per advance to maintain).
+/// order verdicts, latency histograms and the per-node occupancy table
+/// (under global ids) reduced over all shards. A node's receive-depth
+/// high-water mark is that of its fuller queue, boundary or subnet.
 pub struct ShardedNetwork {
     nodes: usize,
     threads: usize,
@@ -321,15 +319,15 @@ fn step_cell(cell: &mut ShardCell, cycles: u64) -> Readback {
     let crossing = cell.ingress.first_key_value().map_or(u64::MAX, |(&due, _)| due);
     Readback {
         in_flight: cell.subnet.in_flight() + cell.ingress_len,
-        woke: cell.subnet.has_delivered() || !cell.wake.is_empty(),
+        woke: cell.subnet.has_delivered() || cell.brx.has_woken(),
         quiet: cell.subnet.quiet_until().cycles().min(crossing),
     }
 }
 
 /// Complete one boundary delivery: CRC-drop corrupted packets at the
-/// receiving NI, otherwise enqueue on the node's boundary rx queue and
-/// mark its wake. `pending_to` already counts the packet; a corrupt
-/// drop releases it here, a delivery releases it when software receives.
+/// receiving NI, otherwise land it in the node's boundary rx queue.
+/// `pending_to` already counts the packet; a corrupt drop releases it
+/// here, a delivery releases it when software receives.
 fn deliver_boundary(cell: &mut ShardCell, packet: Packet, now: Time) {
     cell.ingress_len -= 1;
     let local = packet.dst().index() - cell.base;
@@ -338,13 +336,7 @@ fn deliver_boundary(cell: &mut ShardCell, packet: Packet, now: Time) {
         cell.ingress_stats.dropped_corrupt += 1;
         return;
     }
-    let (src, dst) = (packet.src(), packet.dst());
-    let seq = packet.stamped_seq();
-    let injected = packet.injected_at();
-    cell.brx[local].push_back(packet);
-    cell.wake.mark(NodeId::new(local));
-    let depth = cell.brx[local].len();
-    cell.ingress_stats.record_delivery(src, dst, seq, injected, now, depth);
+    cell.brx.land_at(NodeId::new(local), packet, now, &mut cell.ingress_stats);
 }
 
 /// Claim the window's next shard, step it with the control lock
@@ -451,9 +443,8 @@ impl ShardedNetwork {
                 ingress: BTreeMap::new(),
                 ingress_len: 0,
                 pending_to: vec![0; len],
-                brx: (0..len).map(|_| VecDeque::new()).collect(),
+                brx: RxQueues::new(len),
                 ingress_stats: NetStats::new(),
-                wake: WakeSet::new(len),
                 #[cfg(test)]
                 hook: None,
             }));
@@ -521,10 +512,10 @@ impl ShardedNetwork {
         (s, node.index() - self.base[s])
     }
 
-    /// Compute the aggregate statistics. O(shards) — each shard
-    /// contributes its counters and histograms in index order (a fixed
-    /// reduction order, so the aggregate never depends on worker
-    /// interleaving).
+    /// Compute the aggregate statistics. O(shards + nodes) — each shard
+    /// contributes its counters, histograms and per-node rows in index
+    /// order (a fixed reduction order, so the aggregate never depends on
+    /// worker interleaving).
     fn merge_stats(&self) -> NetStats {
         let mut merged = NetStats::new();
         merged.absorb(&self.boundary_stats);
@@ -532,6 +523,8 @@ impl ShardedNetwork {
             let cell = lock(cell);
             merged.absorb(cell.subnet.stats());
             merged.absorb(&cell.ingress_stats);
+            merged.absorb_per_node(cell.subnet.stats(), cell.base);
+            merged.absorb_per_node(&cell.ingress_stats, 0);
         }
         merged
     }
@@ -612,13 +605,8 @@ impl Network for ShardedNetwork {
     }
 
     fn try_inject(&mut self, mut packet: Packet) -> Result<(), InjectError> {
+        check_endpoints(&packet, self.nodes)?;
         let (src, dst) = (packet.src(), packet.dst());
-        if dst.index() >= self.nodes {
-            return Err(InjectError::BadDestination(dst));
-        }
-        if src.index() >= self.nodes {
-            return Err(InjectError::BadDestination(src));
-        }
         let (ss, lsrc) = self.local(src);
         let (ds, ldst) = self.local(dst);
         self.merged.take();
@@ -652,9 +640,7 @@ impl Network for ShardedNetwork {
 
         if faults.hold {
             // Reorder burst: park it so later crossings overtake it.
-            let seq = self.pair_seq.entry((src, dst)).or_insert(0);
-            packet.stamp(*seq, self.now);
-            *seq += 1;
+            stamp_next(self.pair_seq.entry((src, dst)).or_insert(0), &mut packet, self.now);
             self.boundary_stats.injected += 1;
             self.boundary_faults.hold(packet, self.now);
             self.in_flight_cache += 1;
@@ -668,10 +654,7 @@ impl Network for ShardedNetwork {
                 return Err(InjectError::Backpressure);
             }
 
-            let seq = self.pair_seq.entry((src, dst)).or_insert(0);
-            let stamped = *seq;
-            *seq += 1;
-            packet.stamp(stamped, self.now);
+            stamp_next(self.pair_seq.entry((src, dst)).or_insert(0), &mut packet, self.now);
             let duplicate = faults.duplicate.then(|| packet.clone());
             if faults.corrupt {
                 packet.corrupt();
@@ -688,8 +671,7 @@ impl Network for ShardedNetwork {
             // with its own pair sequence, if the boundary has room.
             if let Some(mut dup) = duplicate {
                 if cell.pending_to[ldst] < self.boundary_capacity {
-                    dup.stamp(stamped + 1, self.now);
-                    self.pair_seq.insert((src, dst), stamped + 2);
+                    stamp_next(self.pair_seq.entry((src, dst)).or_insert(0), &mut dup, self.now);
                     let dup_due = self.now.cycles() + self.cross_latency;
                     self.quiet = self.quiet.min(dup_due);
                     cell.ingress.entry(dup_due).or_default().push_back(dup);
@@ -717,7 +699,7 @@ impl Network for ShardedNetwork {
         let mut cell = lock(&self.pool.cells[s]);
         // Boundary queue first — a fixed priority, so what software
         // observes never depends on shard timing.
-        if let Some(p) = cell.brx[local].pop_front() {
+        if let Some(p) = cell.brx.pop(NodeId::new(local)) {
             cell.pending_to[local] -= 1;
             return Some(p);
         }
@@ -735,12 +717,10 @@ impl Network for ShardedNetwork {
         let (s, local) = self.local(node);
         let base = self.base[s];
         let mut cell = lock(&self.pool.cells[s]);
-        if let Some(p) = cell.brx[local].front() {
-            return Some(RxMeta::of(p));
-        }
-        cell.subnet.rx_peek(NodeId::new(local)).map(|meta| RxMeta {
-            src: NodeId::new(base + meta.src.index()),
-            ..meta
+        let local = NodeId::new(local);
+        cell.brx.peek(local).or_else(|| {
+            let meta = cell.subnet.rx_peek(local)?;
+            Some(RxMeta { src: NodeId::new(base + meta.src.index()), ..meta })
         })
     }
 
@@ -750,7 +730,7 @@ impl Network for ShardedNetwork {
         }
         let (s, local) = self.local(node);
         let cell = lock(&self.pool.cells[s]);
-        cell.brx[local].len() + cell.subnet.rx_pending(NodeId::new(local))
+        cell.brx.pending(NodeId::new(local)) + cell.subnet.rx_pending(NodeId::new(local))
     }
 
     fn in_flight(&self) -> usize {
@@ -803,7 +783,7 @@ impl Network for ShardedNetwork {
             for n in cell.subnet.take_delivered() {
                 nodes.push(NodeId::new(base + n.index()));
             }
-            for n in cell.wake.take() {
+            for n in cell.brx.take_woken() {
                 nodes.push(NodeId::new(base + n.index()));
             }
         }

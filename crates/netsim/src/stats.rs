@@ -401,15 +401,20 @@ impl NetStats {
     /// merge of two sides (used by composite networks): delivery counts
     /// add, high-water marks take the maximum.
     pub(crate) fn merge_per_node(&mut self, a: &NetStats, b: &NetStats) {
-        let len = a.per_node.len().max(b.per_node.len());
         self.per_node.clear();
-        self.per_node.resize(len, NodeOccupancy::default());
-        for (i, slot) in self.per_node.iter_mut().enumerate() {
-            let x = a.per_node.get(i).copied().unwrap_or_default();
-            let y = b.per_node.get(i).copied().unwrap_or_default();
-            slot.delivered_to = x.delivered_to + y.delivered_to;
-            slot.delivered_from = x.delivered_from + y.delivered_from;
-            slot.peak_rx_depth = x.peak_rx_depth.max(y.peak_rx_depth);
+        self.absorb_per_node(a, 0);
+        self.absorb_per_node(b, 0);
+    }
+
+    /// Merge `other`'s per-node table into this one, its node `i` at
+    /// node `base + i` (a shard's local ids): delivery counts add,
+    /// high-water marks take the maximum.
+    pub(crate) fn absorb_per_node(&mut self, other: &NetStats, base: usize) {
+        for (i, x) in other.per_node.iter().enumerate() {
+            let slot = self.node_mut(NodeId::new(base + i));
+            slot.delivered_to += x.delivered_to;
+            slot.delivered_from += x.delivered_from;
+            slot.peak_rx_depth = slot.peak_rx_depth.max(x.peak_rx_depth);
         }
     }
 }

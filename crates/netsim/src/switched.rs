@@ -71,11 +71,11 @@
 //! reorder fault (whose release is not a matter of time alone).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::fault::{FaultConfig, FaultSchedule};
 use crate::id::NodeId;
-use crate::network::{Guarantees, InjectError, Network, RxMeta, WakeSet};
+use crate::network::{check_endpoints, stamp_next, Guarantees, InjectError, Network, RxMeta, RxQueues};
 use crate::packet::Packet;
 use crate::pair::PairMap;
 use crate::rng::SimRng;
@@ -415,7 +415,7 @@ pub struct SwitchedNetwork<T> {
     rr: Vec<usize>,
     // The route of the packet being injected, reused across packets.
     path: Vec<LinkId>,
-    rx: Vec<VecDeque<Packet>>,
+    rx: RxQueues,
     now: Time,
     pair_seq: PairMap<u64>,
     in_flight: usize,
@@ -423,7 +423,6 @@ pub struct SwitchedNetwork<T> {
     stats: NetStats,
     rng: SimRng,
     faults: FaultSchedule,
-    wake: WakeSet,
     // The link schedule (module docs): the visits still to make.
     ring: VisitRing,
     // Per link: the links whose ready head found its queue full.
@@ -476,11 +475,10 @@ impl<T: Topology> SwitchedNetwork<T> {
         assert!(links < NIL as usize, "routes carry link indices as u32");
         // Empty `VecDeque`s and `Vec`s own no heap memory, so set-up
         // costs a handful of allocations, not one per link.
-        let rx = (0..topo.num_nodes()).map(|_| VecDeque::new()).collect();
+        let rx = RxQueues::new(topo.num_nodes());
         let node_waiters = vec![Vec::new(); topo.num_nodes()];
         let rng = SimRng::new(cfg.seed);
         let faults = FaultSchedule::new(cfg.fault.clone(), cfg.seed);
-        let wake = WakeSet::new(topo.num_nodes());
         SwitchedNetwork {
             slab: Vec::new(),
             next: Vec::new(),
@@ -496,7 +494,6 @@ impl<T: Topology> SwitchedNetwork<T> {
             stats: NetStats::new(),
             rng,
             faults,
-            wake,
             ring: VisitRing::new(links),
             link_waiters: vec![Vec::new(); links],
             node_waiters,
@@ -595,7 +592,7 @@ impl<T: Topology> SwitchedNetwork<T> {
     /// Whether a delivery has been recorded since the last
     /// [`take_delivered`](Network::take_delivered).
     pub(crate) fn has_delivered(&self) -> bool {
-        !self.wake.is_empty()
+        self.rx.has_woken()
     }
 
     fn fifo_index(&self, li: usize, vc: usize) -> usize {
@@ -769,19 +766,12 @@ impl<T: Topology> SwitchedNetwork<T> {
         // A packet leaves the last link at or after its bound.
         self.overdue -= 1;
         self.last_progress = self.now;
-        let (src, dst) = (packet.src(), packet.dst());
         if packet.is_corrupted() {
             // CRC check at the receiving NI: detect and discard.
             self.stats.dropped_corrupt += 1;
             return;
         }
-        let seq = packet.stamped_seq();
-        let injected = packet.injected_at();
-        self.rx[dst.index()].push_back(packet);
-        self.wake.mark(dst);
-        let depth = self.rx[dst.index()].len();
-        self.stats
-            .record_delivery(src, dst, seq, injected, self.now, depth);
+        self.rx.land(packet, self.now, &mut self.stats);
     }
 
     fn step(&mut self) {
@@ -845,9 +835,9 @@ impl<T: Topology> SwitchedNetwork<T> {
             }
             let waiting = match head.route.links().get(head.hop + 1) {
                 None => {
-                    let dst = head.packet.dst().index();
-                    let full = self.rx[dst].len() >= self.cfg.rx_queue_capacity;
-                    !head.packet.is_corrupted() && full && self.node_waiters[dst].contains(&li)
+                    let dst = head.packet.dst();
+                    let full = self.rx.pending(dst) >= self.cfg.rx_queue_capacity;
+                    !head.packet.is_corrupted() && full && self.node_waiters[dst.index()].contains(&li)
                 }
                 Some(&next) if next as usize == li => continue, // never movable: nothing to wait for
                 Some(&next) => {
@@ -935,9 +925,9 @@ impl<T: Topology> SwitchedNetwork<T> {
         }
         match head.route.links().get(head.hop + 1) {
             None => {
-                let dst = head.packet.dst().index();
-                if !head.packet.is_corrupted() && self.rx[dst].len() >= self.cfg.rx_queue_capacity {
-                    return Head::RxFull(dst); // block in place
+                let dst = head.packet.dst();
+                if !head.packet.is_corrupted() && self.rx.pending(dst) >= self.cfg.rx_queue_capacity {
+                    return Head::RxFull(dst.index()); // block in place
                 }
                 let slot = self.pop_head(li, vc);
                 if let Some(transit) = self.release(slot) {
@@ -1054,32 +1044,11 @@ impl<T: Topology> Network for SwitchedNetwork<T> {
     }
 
     fn try_inject(&mut self, mut packet: Packet) -> Result<(), InjectError> {
+        check_endpoints(&packet, self.num_nodes())?;
         let (src, dst) = (packet.src(), packet.dst());
-        if dst.index() >= self.num_nodes() {
-            return Err(InjectError::BadDestination(dst));
-        }
-        if src.index() >= self.num_nodes() {
-            return Err(InjectError::BadDestination(src));
-        }
-
-        // Loopback: straight into the local receive queue.
         if src == dst {
-            if self.rx[dst.index()].len() >= self.cfg.rx_queue_capacity {
-                self.stats.backpressure += 1;
-                return Err(InjectError::Backpressure);
-            }
-            let seq = self.pair_seq.entry((src, dst)).or_insert(0);
-            packet.stamp(*seq, self.now);
-            *seq += 1;
-            self.stats.injected += 1;
-            let pseq = packet.stamped_seq();
-            let injected = packet.injected_at();
-            self.rx[dst.index()].push_back(packet);
-            self.wake.mark(dst);
-            let depth = self.rx[dst.index()].len();
-            self.stats
-                .record_delivery(src, dst, pseq, injected, self.now, depth);
-            return Ok(());
+            let cap = self.cfg.rx_queue_capacity;
+            return self.rx.loopback(packet, cap, &mut self.pair_seq, self.now, &mut self.stats);
         }
 
         // The fault plane decides this packet's fate up front (its RNG
@@ -1100,9 +1069,7 @@ impl<T: Topology> Network for SwitchedNetwork<T> {
             // it. Held packets bypass the first-hop queue (they are,
             // conceptually, stuck inside the fabric), so no
             // backpressure applies.
-            let seq = self.pair_seq.entry((src, dst)).or_insert(0);
-            packet.stamp(*seq, self.now);
-            *seq += 1;
+            stamp_next(self.pair_seq.entry((src, dst)).or_insert(0), &mut packet, self.now);
             self.stats.injected += 1;
             self.in_flight += 1;
             self.last_progress = self.now;
@@ -1115,10 +1082,7 @@ impl<T: Topology> Network for SwitchedNetwork<T> {
             return Err(InjectError::Backpressure);
         };
 
-        let seq = self.pair_seq.entry((src, dst)).or_insert(0);
-        let stamped = *seq;
-        *seq += 1;
-        packet.stamp(stamped, self.now);
+        stamp_next(self.pair_seq.entry((src, dst)).or_insert(0), &mut packet, self.now);
         let duplicate = faults.duplicate.then(|| packet.clone());
         if faults.corrupt {
             packet.corrupt();
@@ -1132,9 +1096,9 @@ impl<T: Topology> Network for SwitchedNetwork<T> {
         // on its own (freshly routed) path with its own pair sequence,
         // if the fabric has room for it.
         if let Some(mut dup) = duplicate {
-            dup.stamp(stamped + 1, self.now);
-            if self.enqueue_on_path(dup, 0).is_ok() {
-                self.pair_seq.insert((src, dst), stamped + 2);
+            if let Some(vc) = self.first_hop(src, dst) {
+                stamp_next(self.pair_seq.entry((src, dst)).or_insert(0), &mut dup, self.now);
+                self.enter(vc, dup, 0);
                 self.in_flight += 1;
                 self.stats.duplicated += 1;
             }
@@ -1147,18 +1111,18 @@ impl<T: Topology> Network for SwitchedNetwork<T> {
     }
 
     fn rx_peek(&mut self, node: NodeId) -> Option<RxMeta> {
-        self.rx.get(node.index())?.front().map(RxMeta::of)
+        self.rx.peek(node)
     }
 
     fn try_receive(&mut self, node: NodeId) -> Option<Packet> {
-        let packet = self.rx.get_mut(node.index())?.pop_front()?;
+        let packet = self.rx.pop(node)?;
         // Source 3: the receive queue gained a slot.
         wake_waiters(&mut self.node_waiters[node.index()], &mut self.ring, self.now, self.cursor);
         Some(packet)
     }
 
     fn rx_pending(&self, node: NodeId) -> usize {
-        self.rx.get(node.index()).map_or(0, VecDeque::len)
+        self.rx.pending(node)
     }
 
     fn in_flight(&self) -> usize {
@@ -1189,7 +1153,7 @@ impl<T: Topology> Network for SwitchedNetwork<T> {
     }
 
     fn take_delivered(&mut self) -> Vec<NodeId> {
-        self.wake.take()
+        self.rx.take_woken()
     }
 }
 
@@ -1710,8 +1674,7 @@ mod tests {
     fn assert_same<T: Topology>(net: &SwitchedNetwork<T>, oracle: &SwitchedNetwork<T>, what: &str) {
         assert!(queued(net) == queued(oracle), "{what}: link queues");
         assert_eq!(net.rr, oracle.rr, "{what}: round-robin pointers");
-        assert_eq!(net.rx, oracle.rx, "{what}: receive queues");
-        assert_eq!(net.wake.clone().take(), oracle.wake.clone().take(), "{what}: wake set");
+        assert_eq!(net.rx, oracle.rx, "{what}: receive queues and wake marks");
         assert_eq!(net.in_flight(), oracle.in_flight(), "{what}: in_flight");
         assert_eq!(net.stalled_for(), oracle.stalled_for(), "{what}: stalled_for");
         assert_eq!(net.moves, oracle.moves, "{what}: moves");
@@ -1740,7 +1703,8 @@ mod tests {
 
     /// Receive-queue depths and marked wakes: what a delivery changes.
     fn arrivals<T: Topology>(net: &SwitchedNetwork<T>) -> (Vec<usize>, usize) {
-        (net.rx.iter().map(VecDeque::len).collect(), net.wake.clone().take().len())
+        let depths = (0..net.num_nodes()).map(|i| net.rx.pending(NodeId::new(i))).collect();
+        (depths, net.rx.clone().take_woken().len())
     }
 
     /// What one [`drive_against_full_scan`] run exercised.

@@ -28,7 +28,7 @@ use std::collections::HashMap;
 
 use crate::fault::{FaultConfig, FaultSchedule};
 use crate::id::NodeId;
-use crate::network::{Guarantees, InjectError, Network, RxMeta, WakeSet};
+use crate::network::{check_endpoints, stamp_next, Guarantees, InjectError, Network, RxMeta, RxQueues};
 use crate::packet::Packet;
 use crate::pair::PairMap;
 use crate::rng::SimRng;
@@ -157,7 +157,7 @@ pub struct WormholeNetwork<T> {
     worms: HashMap<u64, Worm>,
     order: Vec<u64>, // processing order (injection order)
     next_worm: u64,
-    rx: Vec<std::collections::VecDeque<Packet>>,
+    rx: RxQueues,
     now: Time,
     pair_seq: PairMap<u64>,
     pair_active: PairMap<u64>, // CR serialization
@@ -166,7 +166,6 @@ pub struct WormholeNetwork<T> {
     kills: u64,
     rng: SimRng,
     faults: FaultSchedule,
-    wake: WakeSet,
 }
 
 impl<T: Topology> WormholeNetwork<T> {
@@ -185,10 +184,9 @@ impl<T: Topology> WormholeNetwork<T> {
                 "dateline discipline needs at least two virtual channels"
             );
         }
-        let rx = (0..topo.num_nodes()).map(|_| Default::default()).collect();
+        let rx = RxQueues::new(topo.num_nodes());
         let rng = SimRng::new(cfg.seed);
         let faults = FaultSchedule::new(cfg.fault.clone(), cfg.seed);
-        let wake = WakeSet::new(topo.num_nodes());
         WormholeNetwork {
             topo,
             cfg,
@@ -205,7 +203,6 @@ impl<T: Topology> WormholeNetwork<T> {
             kills: 0,
             rng,
             faults,
-            wake,
         }
     }
 
@@ -279,9 +276,7 @@ impl<T: Topology> WormholeNetwork<T> {
             return Err(packet);
         }
         if !stamped {
-            let seq = self.pair_seq.entry((src, dst)).or_insert(0);
-            packet.stamp(*seq, self.now);
-            *seq += 1;
+            stamp_next(self.pair_seq.entry((src, dst)).or_insert(0), &mut packet, self.now);
         }
         let total_flits = self.flits_for(packet.len(), path.len());
         let id = self.next_worm;
@@ -438,15 +433,9 @@ impl<T: Topology> WormholeNetwork<T> {
                 self.kill_worm(id, "corruption");
                 return;
             }
-            if self.rx[dst.index()].len() < self.cfg.rx_queue_capacity {
+            if self.rx.pending(dst) < self.cfg.rx_queue_capacity {
                 let packet = self.worms.get(&id).expect("exists").packet.clone();
-                let (src, seq, injected) =
-                    (packet.src(), packet.stamped_seq(), packet.injected_at());
-                self.rx[dst.index()].push_back(packet);
-                self.wake.mark(dst);
-                let depth = self.rx[dst.index()].len();
-                self.stats
-                    .record_delivery(src, dst, seq, injected, self.now, depth);
+                self.rx.land(packet, self.now, &mut self.stats);
                 self.last_progress = self.now;
             } else if self.cfg.cr.is_some() {
                 // Rejection: the destination cannot absorb the packet;
@@ -532,30 +521,11 @@ impl<T: Topology> Network for WormholeNetwork<T> {
     }
 
     fn try_inject(&mut self, mut packet: Packet) -> Result<(), InjectError> {
+        check_endpoints(&packet, self.num_nodes())?;
         let (src, dst) = (packet.src(), packet.dst());
-        if dst.index() >= self.num_nodes() {
-            return Err(InjectError::BadDestination(dst));
-        }
-        if src.index() >= self.num_nodes() {
-            return Err(InjectError::BadDestination(src));
-        }
         if src == dst {
-            if self.rx[dst.index()].len() >= self.cfg.rx_queue_capacity {
-                self.stats.backpressure += 1;
-                return Err(InjectError::Backpressure);
-            }
-            let seq = self.pair_seq.entry((src, dst)).or_insert(0);
-            packet.stamp(*seq, self.now);
-            *seq += 1;
-            self.stats.injected += 1;
-            let pseq = packet.stamped_seq();
-            let injected = packet.injected_at();
-            self.rx[dst.index()].push_back(packet);
-            self.wake.mark(dst);
-            let depth = self.rx[dst.index()].len();
-            self.stats
-                .record_delivery(src, dst, pseq, injected, self.now, depth);
-            return Ok(());
+            let cap = self.cfg.rx_queue_capacity;
+            return self.rx.loopback(packet, cap, &mut self.pair_seq, self.now, &mut self.stats);
         }
 
         // CR serializes worms per pair: in-order delivery needs the
@@ -577,9 +547,7 @@ impl<T: Topology> Network for WormholeNetwork<T> {
             // Reorder burst: stamp now (the packet keeps its place in
             // the pair sequence) but let later traffic overtake it.
             // Suppressed under CR, whose contract is in-order delivery.
-            let seq = self.pair_seq.entry((src, dst)).or_insert(0);
-            packet.stamp(*seq, self.now);
-            *seq += 1;
+            stamp_next(self.pair_seq.entry((src, dst)).or_insert(0), &mut packet, self.now);
             self.stats.injected += 1;
             self.faults.hold(packet, self.now);
             return Ok(());
@@ -605,15 +573,15 @@ impl<T: Topology> Network for WormholeNetwork<T> {
     }
 
     fn rx_peek(&mut self, node: NodeId) -> Option<RxMeta> {
-        self.rx.get(node.index())?.front().map(RxMeta::of)
+        self.rx.peek(node)
     }
 
     fn try_receive(&mut self, node: NodeId) -> Option<Packet> {
-        self.rx.get_mut(node.index())?.pop_front()
+        self.rx.pop(node)
     }
 
     fn rx_pending(&self, node: NodeId) -> usize {
-        self.rx.get(node.index()).map_or(0, |q| q.len())
+        self.rx.pending(node)
     }
 
     fn in_flight(&self) -> usize {
@@ -645,7 +613,7 @@ impl<T: Topology> Network for WormholeNetwork<T> {
     }
 
     fn take_delivered(&mut self) -> Vec<NodeId> {
-        self.wake.take()
+        self.rx.take_woken()
     }
 }
 

@@ -33,7 +33,7 @@ fn e1_table1_single_packet() {
     // (5 + 2 + 7 at the source, 3 + 12 at the destination).
     let ni = |e| -> u64 {
         use timego_cost::Fine::*;
-        let fine = analytic::single_packet_fine(e);
+        let fine = paper::table1_fine(e);
         fine.iter().filter(|(f, _)| matches!(f, NiSetup | WriteNi | ReadNi | CheckStatus)).map(|(_, n)| n).sum()
     };
     assert_eq!(ni(Endpoint::Source) + ni(Endpoint::Destination), 29);

@@ -26,7 +26,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use timego_am::{
-    CmamConfig, Engine, EngineEvent, Machine, Op, OpId, OpOutcome, ProtocolError, RecoveryPolicy,
+    family, CmamConfig, Engine, EngineEvent, Machine, Op, OpId, OpOutcome, ProtocolError, RecoveryPolicy,
     ReliableOutcome, RetryPolicy, StreamConfig, Tags, TracedEvent,
 };
 use timego_cost::Feature;
@@ -427,7 +427,7 @@ fn executions(trace: &[TracedEvent], id: OpId) -> Vec<u64> {
 /// and 7000 under one `OpId` — and converge to an outcome `check`
 /// accepts. (That the reference round-robin takes the identical trace
 /// is pinned in-crate against the oracle.)
-fn twice_felled<F, T>(
+fn twice_felled<F: family::Recoverable, T>(
     fault: &FaultConfig,
     prepare: impl Fn(&mut Machine) -> (Op<F>, T),
     check: impl Fn(&Machine, T, OpOutcome),
