@@ -89,7 +89,7 @@ mod xfer_reliable;
 pub use am::{Am4Msg, PollOutcome};
 pub use engine::{Engine, EngineEvent, OpId, OpOutcome, TracedEvent};
 pub use error::ProtocolError;
-pub use interrupt::{polling_vs_interrupt, DisciplineCosts, InterruptModel};
+pub use interrupt::InterruptModel;
 pub use machine::{CmamConfig, Machine, Tags};
 pub use measure::{
     measure_hl_stream, measure_hl_xfer, measure_single_packet, measure_stream, measure_xfer,

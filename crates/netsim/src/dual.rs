@@ -14,6 +14,8 @@
 //! which is what makes round-trip protocols safe to run from within a
 //! handler.
 
+use std::cell::OnceCell;
+
 use crate::id::NodeId;
 use crate::network::{Guarantees, InjectError, Network, RxMeta};
 use crate::packet::Packet;
@@ -27,7 +29,9 @@ pub struct DualNetwork<A, B> {
     request: A,
     reply: B,
     reply_tag_min: u8,
-    merged: NetStats,
+    /// Both sides' statistics, merged on the first read after a change:
+    /// every `&mut self` method empties it.
+    merged: OnceCell<NetStats>,
 }
 
 impl<A: Network, B: Network> DualNetwork<A, B> {
@@ -47,7 +51,7 @@ impl<A: Network, B: Network> DualNetwork<A, B> {
             request,
             reply,
             reply_tag_min,
-            merged: NetStats::new(),
+            merged: OnceCell::new(),
         }
     }
 
@@ -66,15 +70,16 @@ impl<A: Network, B: Network> DualNetwork<A, B> {
         self.reply_tag_min
     }
 
-    fn refresh_merged(&mut self) {
-        let a = self.request.stats();
-        let b = self.reply.stats();
+    fn merge_stats(&self) -> NetStats {
+        let (a, b) = (self.request.stats(), self.reply.stats());
         // Scalar statistics merge; delivery-order accounting and
         // latency stay per-side (each side numbers its own pair
         // sequences), so use `request_side()`/`reply_side()` for them.
-        self.merged.zip_scalars(a, |m, x| *m = x);
-        self.merged.zip_scalars(b, |m, y| *m += y);
-        self.merged.merge_per_node(a, b);
+        let mut merged = NetStats::new();
+        merged.zip_scalars(a, |m, x| *m = x);
+        merged.zip_scalars(b, |m, y| *m += y);
+        merged.merge_per_node(a, b);
+        merged
     }
 }
 
@@ -88,37 +93,33 @@ impl<A: Network, B: Network> Network for DualNetwork<A, B> {
     }
 
     fn advance(&mut self, cycles: u64) {
+        self.merged.take();
         self.request.advance(cycles);
         self.reply.advance(cycles);
-        self.refresh_merged();
     }
 
     fn try_inject(&mut self, packet: Packet) -> Result<(), InjectError> {
-        let out = if packet.tag() >= self.reply_tag_min {
+        self.merged.take();
+        if packet.tag() >= self.reply_tag_min {
             self.reply.try_inject(packet)
         } else {
             self.request.try_inject(packet)
-        };
-        self.refresh_merged();
-        out
+        }
     }
 
     fn try_receive(&mut self, node: NodeId) -> Option<Packet> {
         // Reply priority: drain replies before requests, so a node
         // blocked injecting can always make progress on incoming
         // replies first.
-        let got = self
-            .reply
+        self.merged.take();
+        self.reply
             .try_receive(node)
-            .or_else(|| self.request.try_receive(node));
-        if got.is_some() {
-            self.refresh_merged();
-        }
-        got
+            .or_else(|| self.request.try_receive(node))
     }
 
     fn rx_peek(&mut self, node: NodeId) -> Option<RxMeta> {
         // Mirror try_receive's reply priority.
+        self.merged.take();
         self.reply
             .rx_peek(node)
             .or_else(|| self.request.rx_peek(node))
@@ -133,7 +134,7 @@ impl<A: Network, B: Network> Network for DualNetwork<A, B> {
     }
 
     fn stats(&self) -> &NetStats {
-        &self.merged
+        self.merged.get_or_init(|| self.merge_stats())
     }
 
     fn guarantees(&self) -> Guarantees {
@@ -172,6 +173,7 @@ impl<A: Network, B: Network> Network for DualNetwork<A, B> {
     fn take_delivered(&mut self) -> Vec<NodeId> {
         // Union of both sides' wake sets; a node delivered to on both
         // sides appears once.
+        self.merged.take();
         let mut nodes = self.request.take_delivered();
         for n in self.reply.take_delivered() {
             if !nodes.contains(&n) {
@@ -185,6 +187,7 @@ impl<A: Network, B: Network> Network for DualNetwork<A, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::NodeOccupancy;
     use crate::switched::{SwitchedConfig, SwitchedNetwork};
     use crate::topology::Mesh2D;
 
@@ -318,6 +321,52 @@ mod tests {
         assert_eq!(net.stats().delivered, 2);
         assert_eq!(net.in_flight(), 0);
         assert_eq!(net.rx_pending(NodeId::new(1)), 1);
+    }
+
+    /// `net.stats()` against both sides read afresh: scalars add,
+    /// per-node delivery counts add and high-water marks take the
+    /// larger.
+    fn assert_merged(net: &DualNetwork<SwitchedNetwork<Mesh2D>, SwitchedNetwork<Mesh2D>>, after: &str) {
+        let (got, a, b) = (net.stats(), net.request_side().stats(), net.reply_side().stats());
+        let mut want = NetStats::new();
+        want.zip_scalars(a, |w, x| *w = x);
+        want.zip_scalars(b, |w, y| *w += y);
+        assert_eq!(got.to_string(), want.to_string(), "stale scalars after {after}");
+        for node in (0..net.num_nodes()).map(NodeId::new) {
+            let (x, y) = (a.occupancy(node), b.occupancy(node));
+            let sum = NodeOccupancy {
+                delivered_to: x.delivered_to + y.delivered_to,
+                delivered_from: x.delivered_from + y.delivered_from,
+                peak_rx_depth: x.peak_rx_depth.max(y.peak_rx_depth),
+            };
+            assert_eq!(got.occupancy(node), sum, "stale {node:?} after {after}");
+        }
+    }
+
+    #[test]
+    fn merged_stats_are_current_after_every_call() {
+        let mut net = DualNetwork::new(tight(), tight(), REPLY_MIN);
+        assert_merged(&net, "new");
+        for round in 0..12u32 {
+            for (src, tag) in [(0, 1), (1, REPLY_MIN), (0, 200)] {
+                let _ = net.try_inject(pkt(src, 1 - src, tag, round));
+                assert_merged(&net, "try_inject");
+            }
+            net.advance(1 + u64::from(round % 3));
+            assert_merged(&net, "advance");
+            for node in (0..2).map(NodeId::new) {
+                let _ = net.rx_peek(node);
+                assert_merged(&net, "rx_peek");
+                if round % 2 == 0 {
+                    let _ = net.try_receive(node);
+                    assert_merged(&net, "try_receive");
+                }
+            }
+            let _ = net.take_delivered();
+            assert_merged(&net, "take_delivered");
+        }
+        let st = net.stats();
+        assert!(st.delivered > 0 && st.backpressure > 0, "the script exercised nothing: {st}");
     }
 
     #[test]

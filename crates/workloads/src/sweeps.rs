@@ -69,11 +69,6 @@ pub const RECOVERY_NODES: usize = 16;
 /// Payload words per transfer in the crash-recovery study.
 pub const RECOVERY_WORDS: usize = 256;
 
-/// Protocol families crossed with every crash-window length in the
-/// crash-recovery study: reliable transfer, stream, RPC, and the
-/// binomial-tree broadcast collective.
-pub const RECOVERY_FAMILIES: [&str; 4] = ["xfer", "stream", "rpc", "collective"];
-
 /// A geometric message-size sweep from `lo` to `hi` (both inclusive if
 /// on the ×2 grid).
 pub fn message_sizes(lo: u64, hi: u64) -> Vec<u64> {
