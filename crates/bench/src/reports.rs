@@ -706,20 +706,19 @@ pub fn substrate_demo() -> String {
                 got += 1;
             }
         }
-        for _ in 0..100_000u32 {
+        let drained = (0..100_000u32).any(|_| {
             if net.try_receive(NodeId::new(1)).is_some() {
                 got += 1;
             }
             net.advance(1);
-            if net.in_flight() == 0 && net.rx_pending(NodeId::new(1)) == 0 {
-                break;
-            }
-        }
+            net.in_flight() == 0 && net.rx_pending(NodeId::new(1)) == 0
+        });
+        assert!(drained, "the CR network must drain within 100 000 cycles");
         let st = net.stats();
         writeln!(
             out,
-            "  CR network at 10% corruption: 200 sent, {got} received, {} hardware retransmissions, {} header rejects, 0 lost",
-            st.hw_retransmits, st.rejects
+            "  CR network at 10% corruption: {sent} sent, {got} received, {} hardware retransmissions, {} header rejects, {} lost",
+            st.hw_retransmits, st.rejects, sent - got
         )
         .unwrap();
     }
@@ -894,8 +893,10 @@ pub fn interrupts() -> String {
     writeln!(out, "  polled     {polled} instructions (Table 1)").unwrap();
     writeln!(
         out,
-        "  interrupt  {interrupted} instructions (trap entry {} + receive 16 + exit {})",
-        model.entry, model.exit
+        "  interrupt  {interrupted} instructions (trap entry {} + receive {} + exit {})",
+        model.entry,
+        interrupted - model.entry - model.exit,
+        model.exit
     )
     .unwrap();
     out.push('\n');
@@ -995,16 +996,19 @@ pub fn segment_reuse() -> String {
     out
 }
 
+/// The indefinite protocol's bill for a one-packet message, with
+/// `ooo_packets` of it out of order.
+fn one_packet(ooo_packets: u64) -> ProtocolCost {
+    let shape = MsgShape::new(4, 1).expect("a 4-word packet is a valid shape");
+    analytic::cmam_indefinite(shape, IndefiniteOpts { ooo_packets, ack_period: 1 })
+}
+
 /// The messaging layer's software cost per packet, in instructions,
-/// when a fraction `ooo` of packets arrives out of order: the
-/// indefinite protocol's in-order feature for a one-packet message in
-/// order, plus its out-of-order surcharge on the reordered fraction.
+/// when a fraction `ooo` of packets arrives out of order: the in-order
+/// feature for a one-packet message in order, plus its out-of-order
+/// surcharge on the reordered fraction.
 fn reorder_cost(ooo: f64) -> f64 {
-    let in_order = |ooo_packets| {
-        let shape = MsgShape::new(4, 1).expect("a 4-word packet is a valid shape");
-        let opts = IndefiniteOpts { ooo_packets, ack_period: 1 };
-        analytic::cmam_indefinite(shape, opts).feature_total(Feature::InOrder) as f64
-    };
+    let in_order = |ooo_packets| one_packet(ooo_packets).feature_total(Feature::InOrder) as f64;
     in_order(0) + (in_order(1) - in_order(0)) * ooo
 }
 
@@ -1033,8 +1037,15 @@ pub fn tension() -> String {
     out.push_str("== §5: routing performance vs software overhead ==\n\n");
     out.push_str("64-node fat tree, random-permutation traffic, increasing load.\n");
     out.push_str("Adaptive routing buys network latency but reorders packets; software\n");
-    out.push_str("sequencing+reordering costs (per packet: 5 at the source, 6 or 52 at\n");
-    out.push_str("the receiver) are charged at CM-5 unit weights.\n\n");
+    let in_order = |endpoint, ooo_packets| one_packet(ooo_packets).get(endpoint, Feature::InOrder).total();
+    writeln!(
+        out,
+        "sequencing+reordering costs (per packet: {} at the source, {} or {} at\nthe receiver) are charged at CM-5 unit weights.\n",
+        in_order(Endpoint::Source, 0),
+        in_order(Endpoint::Destination, 0),
+        in_order(Endpoint::Destination, 1)
+    )
+    .unwrap();
     let rows = [1u32, 2, 4, 8, 16].map(|burst| {
         let run = |adaptive| permutation(adaptive, 7, 11, 8 * burst, (16 / burst).max(1).into());
         (burst, run(false), run(true))

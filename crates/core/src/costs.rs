@@ -134,7 +134,8 @@ pub(crate) mod stream_dst {
 }
 
 /// Recovery-path costs of the fault-tolerant protocol variants
-/// (`xfer_reliable`, retried RPC). Every constant here is charged to
+/// (the recovery branches of `xfer.rs` under `Op::xfer_reliable`, and
+/// the retried RPC). Every constant here is charged to
 /// `Feature::FaultTol` and only ever on a faulted execution path: a
 /// clean run executes none of these, which is what the
 /// zero-cost-when-clean tests pin down.

@@ -5,11 +5,11 @@
 //! send, RPC, active message) is a state machine whose `step` performs
 //! exactly one iteration of the corresponding blocking driver loop —
 //! minus the `advance(1)` the blocking loop used to pass time. The
-//! machines live with their families (`xfer`, `xfer_reliable`, `stream`,
-//! `rpc`, `am`) behind one private trait, `OpMachine`; `op.rs` states
-//! its contract and holds the one piece of family-aware code, the [`Op`]
-//! descriptions with their validation and the body → machine
-//! constructor. This module is the op ledger, submission, the
+//! machines live with their families (`xfer` for plain, batched and
+//! reliable transfers, `stream`, `rpc`, `am`) behind one private trait,
+//! `OpMachine`; `op.rs` states its contract and holds the one piece of
+//! family-aware code, the [`Op`] descriptions with their validation and
+//! the body → machine constructor. This module is the op ledger, submission, the
 //! pump and settlement; over the same ledger, `wake` decides whom a
 //! touch wakes and sweeps orphans, `supervise` enforces deadlines and
 //! the watchdog, `recovery` parks and re-executes failed ops, and
@@ -197,8 +197,7 @@ use crate::op::{KeyClass, Op, OpBody, OpMachine, Stepped};
 use crate::retry::RecoveryPolicy;
 use crate::sched::{Bitmap, RunSet, SchedCounters, SchedPhase, SchedProfiler, Slab};
 use crate::stream::StreamOutcome;
-use crate::xfer::XferOutcome;
-use crate::xfer_reliable::ReliableOutcome;
+use crate::xfer::{ReliableOutcome, XferOutcome};
 
 mod class;
 #[cfg(test)]

@@ -84,7 +84,6 @@ mod rpc;
 mod sched;
 mod stream;
 mod xfer;
-mod xfer_reliable;
 
 pub use am::{Am4Msg, PollOutcome};
 pub use engine::{Engine, EngineEvent, OpId, OpOutcome, TracedEvent};
@@ -99,5 +98,4 @@ pub use op::{family, Op};
 pub use retry::{RecoveryPolicy, RetryPolicy};
 pub use sched::{PhaseTotal, SchedCounters, SchedPhase, SchedProfiler};
 pub use stream::{StreamConfig, StreamId, StreamOutcome};
-pub use xfer::XferOutcome;
-pub use xfer_reliable::ReliableOutcome;
+pub use xfer::{ReliableOutcome, XferOutcome};

@@ -23,13 +23,18 @@ use crate::stream::StreamState;
 pub struct Tags;
 
 impl Tags {
-    /// Finite-sequence transfer: segment allocation request.
+    /// Finite-sequence transfer: segment allocation request (header =
+    /// session epoch, first payload word = segment length). A plain
+    /// transfer's epoch is 0.
     pub const XFER_REQ: u8 = 1;
-    /// Finite-sequence transfer: allocation reply carrying the segment id.
+    /// Finite-sequence transfer: allocation reply (header = session
+    /// epoch, first payload word = segment id).
     pub const XFER_REPLY: u8 = 2;
-    /// Finite-sequence transfer: data packet (header = buffer offset).
+    /// Finite-sequence transfer: data packet (header = buffer offset; a
+    /// reliable transfer's nonce in the bits above the low 20).
     pub const XFER_DATA: u8 = 3;
-    /// Finite-sequence transfer: final end-to-end acknowledgement.
+    /// Finite-sequence transfer: final end-to-end acknowledgement
+    /// (header = session epoch, first payload word = segment id).
     pub const XFER_ACK: u8 = 4;
     /// Indefinite-sequence stream: data packet (header = sequence number).
     pub const STREAM_DATA: u8 = 5;
@@ -40,11 +45,13 @@ impl Tags {
     /// High-level-network stream: data packet.
     pub const HL_STREAM: u8 = 8;
     /// Reliable finite-sequence transfer: selective retransmission
-    /// request (header = index of the first missing packet, payload =
-    /// missing-packet bitmap).
+    /// request (header = nonce above the index of the first missing
+    /// packet, payload = missing-packet bitmap). Only the recovery
+    /// branches of `xfer.rs` send it.
     pub const XFER_NACK: u8 = 9;
     /// Reliable finite-sequence transfer: acknowledgement probe (the
-    /// source suspects the final ack was lost and asks for a resend).
+    /// source suspects the final ack was lost and asks for a resend;
+    /// header = session epoch).
     pub const XFER_PROBE: u8 = 10;
     /// RPC reply packets (highest tag, so a
     /// [`DualNetwork`](timego_netsim::DualNetwork) with this threshold
@@ -459,7 +466,7 @@ impl Machine {
 
     /// Open a fresh session epoch for reliable transfers `src → dst`.
     /// Monotonic per ordered pair, starting at 1 (epoch 0 never names a
-    /// live session). Cost-free: the stamp rides in header words the
+    /// live session: it is what a plain transfer stamps). Cost-free: the stamp rides in header words the
     /// handshake already pays to send.
     pub(crate) fn next_session_epoch(&mut self, src: NodeId, dst: NodeId) -> u32 {
         let e = self.session_epochs.entry((src, dst)).or_insert(0);

@@ -1,10 +1,10 @@
 //! The op-machine contract: everything the [`Engine`](crate::Engine)
 //! asks of a protocol family, and the helpers the families share.
 //!
-//! A family is one module — `xfer`, `xfer_reliable`, `stream`, `rpc`,
-//! `am` — holding its outcome type, its cost helpers and one state
-//! machine implementing [`OpMachine`]; its [`family`] marker types the
-//! [`Op`] that describes it. The engine
+//! A family is one module — `xfer` (plain, batched and reliable),
+//! `stream`, `rpc`, `am` — holding its outcome type, its cost helpers
+//! and one state machine implementing [`OpMachine`]; its [`family`]
+//! marker types the [`Op`] that describes it. The engine
 //! schedules `Box<dyn OpMachine>` and knows nothing else about a family
 //! once [`Engine::submit`](crate::Engine::submit) has built the machine:
 //! from then on the machine is the operation's only representation,
@@ -47,19 +47,16 @@
 
 use std::marker::PhantomData;
 
-use timego_cost::Fine;
 use timego_netsim::{NodeId, RxMeta};
 
 use crate::am::Am4Op;
-use crate::costs::{xfer_recv, xfer_send};
 use crate::engine::{OpId, OpOutcome};
 use crate::error::ProtocolError;
 use crate::machine::{Machine, Tags};
 use crate::retry::{RecoveryPolicy, RetryPolicy};
 use crate::rpc::RpcOp;
 use crate::stream::{StreamId, StreamOp};
-use crate::xfer::{PayloadEngine, XferOp};
-use crate::xfer_reliable::{ReliableOp, OFFSET_BITS};
+use crate::xfer::{PayloadEngine, XferOp, OFFSET_BITS};
 use family::Family;
 
 /// One step's verdict.
@@ -171,25 +168,6 @@ pub(crate) fn check_restart(
     Ok(())
 }
 
-/// The per-message source prologue and destination handler entry charged
-/// between the handshake and the data phase (identical in the plain,
-/// reliable and batched protocols).
-pub(crate) fn transfer_prologue(m: &mut Machine, src: NodeId, dst: NodeId) {
-    {
-        let node = m.node_mut(src);
-        node.cpu.reg(Fine::CallReturn, xfer_send::PROLOGUE_REG);
-        node.cpu.mem_load(xfer_send::PROLOGUE_MEM);
-    }
-    {
-        let node = m.node_mut(dst);
-        node.cpu.call(xfer_recv::ENTRY_CALL);
-        node.cpu.ctrl(xfer_recv::ENTRY_CTRL);
-        node.cpu.handler(xfer_recv::ENTRY_HANDLER);
-        node.cpu.mem_load(xfer_recv::ENTRY_STATE_MEM);
-        let _ = node.ni.poll_status();
-    }
-}
-
 /// The family-specific half of an [`Op`]: what to run, between whom.
 /// It exists only until submission — [`OpBody::build`] turns it into the
 /// state machine, which is the operation from then on.
@@ -203,19 +181,15 @@ pub(crate) fn transfer_prologue(m: &mut Machine, src: NodeId, dst: NodeId) {
 #[derive(Debug, Clone)]
 pub(crate) enum OpBody {
     /// `lens` splits `data` into the messages of a segment-reuse batch;
-    /// empty for a plain transfer of one message.
+    /// empty for a transfer of one message. A `policy` makes the
+    /// transfer reliable.
     Xfer {
         src: NodeId,
         dst: NodeId,
         data: Vec<u32>,
         lens: Vec<usize>,
         engine: PayloadEngine,
-    },
-    Reliable {
-        src: NodeId,
-        dst: NodeId,
-        data: Vec<u32>,
-        policy: RetryPolicy,
+        policy: Option<RetryPolicy>,
     },
     Stream {
         id: StreamId,
@@ -250,11 +224,8 @@ impl OpBody {
     pub(crate) fn build(self, m: &Machine, managed: bool) -> Box<dyn OpMachine> {
         let n = m.config().packet_words;
         match self {
-            OpBody::Xfer { src, dst, data, lens, engine } => {
-                Box::new(XferOp::new(src, dst, data, lens, engine, n))
-            }
-            OpBody::Reliable { src, dst, data, policy } => {
-                Box::new(ReliableOp::new(src, dst, data, n, policy))
+            OpBody::Xfer { src, dst, data, lens, engine, policy } => {
+                Box::new(XferOp::new(src, dst, data, lens, engine, n, policy))
             }
             OpBody::Stream { id, data } => {
                 let st = m.stream_state(id);
@@ -328,7 +299,7 @@ impl Op {
         data: &[u32],
         engine: PayloadEngine,
     ) -> Op<family::Xfer> {
-        Op::new(OpBody::Xfer { src, dst, data: data.to_vec(), lens: Vec::new(), engine })
+        Op::new(OpBody::Xfer { src, dst, data: data.to_vec(), lens: Vec::new(), engine, policy: None })
     }
 
     /// The messages of a segment-reuse batch: what
@@ -336,7 +307,7 @@ impl Op {
     pub(crate) fn batch(src: NodeId, dst: NodeId, messages: &[&[u32]]) -> Op<family::Batch> {
         let lens = messages.iter().map(|msg| msg.len()).collect();
         let data = messages.concat();
-        Op::new(OpBody::Xfer { src, dst, data, lens, engine: PayloadEngine::Cpu })
+        Op::new(OpBody::Xfer { src, dst, data, lens, engine: PayloadEngine::Cpu, policy: None })
     }
 
     /// A fault-tolerant finite-sequence transfer. On a clean network it
@@ -355,7 +326,8 @@ impl Op {
         data: &[u32],
         policy: &RetryPolicy,
     ) -> Op<family::Reliable> {
-        Op::new(OpBody::Reliable { src, dst, data: data.to_vec(), policy: policy.clone() })
+        let (data, policy) = (data.to_vec(), Some(policy.clone()));
+        Op::new(OpBody::Xfer { src, dst, data, lens: Vec::new(), engine: PayloadEngine::Cpu, policy })
     }
 
     /// A stream send: what [`Machine::stream_send`] runs. Sends on the
@@ -464,7 +436,6 @@ impl<F> Op<F> {
         let bad = |what: String| Err(ProtocolError::BadTransfer(what));
         let (src, dst) = match &self.body {
             OpBody::Xfer { src, dst, .. }
-            | OpBody::Reliable { src, dst, .. }
             | OpBody::Rpc { src, dst, .. }
             | OpBody::Am4 { src, dst, .. } => (*src, *dst),
             OpBody::Stream { id, .. } if m.has_stream(*id) => {
@@ -477,18 +448,18 @@ impl<F> Op<F> {
         };
         m.check_endpoints(src, dst)?;
         match &self.body {
-            OpBody::Reliable { policy, .. } | OpBody::Rpc { policy: Some(policy), .. }
+            OpBody::Xfer { policy: Some(policy), .. } | OpBody::Rpc { policy: Some(policy), .. }
                 if policy.max_attempts == 0 =>
             {
                 return bad("policy.max_attempts is 0; need at least one attempt".into());
             }
-            OpBody::Xfer { data, .. } | OpBody::Reliable { data, .. } if data.is_empty() => {
+            OpBody::Xfer { data, .. } if data.is_empty() => {
                 return bad("empty transfer".into());
             }
             OpBody::Xfer { lens, .. } if lens.contains(&0) => {
                 return bad("empty message in batch".into());
             }
-            OpBody::Reliable { data, .. } if data.len() >= (1 << OFFSET_BITS) => {
+            OpBody::Xfer { data, policy: Some(_), .. } if data.len() >= (1 << OFFSET_BITS) => {
                 return bad(format!(
                     "reliable transfer caps at {} words, got {}",
                     (1 << OFFSET_BITS) - 1,
@@ -573,8 +544,7 @@ impl<F: family::Recoverable> Op<F> {
 pub mod family {
     use crate::engine::OpOutcome;
     use crate::stream::StreamOutcome;
-    use crate::xfer::XferOutcome;
-    use crate::xfer_reliable::ReliableOutcome;
+    use crate::xfer::{ReliableOutcome, XferOutcome};
 
     /// A protocol family and what its ops yield. Sealed: the families
     /// of this module are all there are.

@@ -3,7 +3,8 @@
 //! The paper's CMAM protocols *detect* losses (via the end-to-end
 //! acknowledgement) but do not recover: a lost packet fails the whole
 //! transfer. [`RetryPolicy`] parameterizes the recovery added by
-//! [`Op::xfer_reliable`](crate::Op::xfer_reliable) and a retrying
+//! [`Op::xfer_reliable`](crate::Op::xfer_reliable) (the finite
+//! transfer's recovery branches, in `xfer.rs`) and a retrying
 //! [`Op::rpc`](crate::Op::rpc): how many attempts, how long each waits,
 //! and how the waits grow.
 //!

@@ -30,7 +30,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use timego_am::{CmamConfig, Machine, StreamConfig};
+use timego_am::{CmamConfig, Machine, Op, RetryPolicy, StreamConfig};
 use timego_netsim::{
     DeliveryScript, FatTree, Network, NodeId, Packet, ScriptedNetwork, SwitchedConfig, SwitchedNetwork,
 };
@@ -142,6 +142,13 @@ fn allocations_per_data_packet_stay_within_budget() {
     let (out, xfer) = counted(|| m.xfer(src, dst, &data));
     assert_eq!(m.read_buffer(dst, out.unwrap().dst_buffer, WORDS), data);
 
+    // The same transfer under the default recovery policy: its recovery
+    // state is one box and a receive bitmap, allocated once per message.
+    let policy = RetryPolicy::default();
+    let mut m = machine(DeliveryScript::InOrder, default_words);
+    let (out, xfer_reliable) = counted(|| m.run(Op::xfer_reliable(src, dst, &data, &policy)));
+    assert_eq!(m.read_buffer(dst, out.unwrap().0.xfer.dst_buffer, WORDS), data);
+
     // Sixteen-word packets spill their payload to the heap.
     let mut m = machine(DeliveryScript::InOrder, 16);
     let (out, xfer_spill) = counted(|| m.xfer(src, dst, &data));
@@ -171,7 +178,8 @@ fn allocations_per_data_packet_stay_within_budget() {
     for (family, packet_words, allocations, packets, budget) in [
         ("stream", default_words, stream, message(default_words), 0.05),
         ("xfer", default_words, xfer, message(default_words), 0.05),
-        // 1024 spills on top of the 4-word run's 39: 1063, or 1.038 per packet.
+        ("xfer_reliable", default_words, xfer_reliable, message(default_words), 0.05),
+        // 1024 spills on top of the 4-word run's 37: 1061, or 1.036 per packet.
         ("xfer", 16, xfer_spill, message(16), 1.04),
         ("xfer_batch", default_words, xfer_batch, message(default_words), 0.05),
         ("hl_xfer", default_words, hl_xfer, message(default_words), 0.05),

@@ -13,7 +13,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// The count at the last change that moved it.
-const PINNED: usize = 66;
+const PINNED: usize = 60;
 
 const CRATES: [&str; 3] = ["core", "netsim", "workloads"];
 const MARKERS: [&str; 3] = ["unreachable!(", ".expect(", "panic!("];
